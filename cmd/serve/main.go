@@ -9,7 +9,7 @@
 //
 //	serve -sf 0.1 -clients 16 -duration 10s
 //	serve -tenants heavy:12:heavy,light:4:light -maxconc 4
-//	serve -fairbench                # DRR-vs-FIFO fairness experiment
+//	serve -fairbench                # solo-vs-contended fairness experiment
 //	serve -serveonly -listen 127.0.0.1:8080
 //	serve -prepared -engine mixed
 //
@@ -17,12 +17,11 @@
 // workload "heavy" runs the join-heavy Q3-class canonical SQL, "light"
 // the Q6-class point scans, "mixed" all canonical benchmark texts.
 //
-// -fairbench runs the three-phase fairness experiment behind
+// -fairbench runs the two-phase fairness experiment behind
 // EXPERIMENTS.md: (1) the light tenant alone (its solo p99 baseline),
-// (2) DRR with a heavy tenant flooding Q3-class scans next to it,
-// (3) the same mix under legacy FIFO admission. Deficit round robin
-// must keep the light tenant's contended p99 within a small multiple of
-// solo; FIFO parks light queries behind the whole heavy backlog.
+// (2) the same tenant with a heavy tenant flooding Q3-class scans next
+// to it. Deficit round robin must keep the light tenant's contended
+// p99 within a small multiple of solo.
 //
 // -serveonly skips the driver and serves until SIGINT/SIGTERM —
 // quickstart:
@@ -181,11 +180,10 @@ func main() {
 	maxqueued := flag.Int("maxqueued", 0, "global admission queue bound (0 = unbounded)")
 	maxqueuedTenant := flag.Int("maxqueuedpertenant", 0, "per-tenant queue bound (0 = unbounded)")
 	maxperTenant := flag.Int("maxpertenant", 0, "per-tenant running cap (0 = unbounded)")
-	fifo := flag.Bool("fifo", false, "legacy global FIFO admission instead of deficit round robin")
 	morsel := flag.Int("morsel", 0, "scan morsel size override (0 = engine default; smaller = finer-grained yielding)")
 	yieldPause := flag.Duration("yieldpause", 0, "per-morsel pause imposed on over-cost tenants (0 = default)")
 	prepared := flag.Bool("prepared", false, "prepared-statement workload over the network (plan cache, adaptive auto-routing)")
-	fairbench := flag.Bool("fairbench", false, "run the solo/DRR/FIFO fairness experiment")
+	fairbench := flag.Bool("fairbench", false, "run the solo-vs-contended fairness experiment")
 	statsJSON := flag.Bool("statsjson", false, "also emit the final /statsz snapshot")
 	qlog := flag.String("qlog", "", "append one NDJSON record per query to this file (structured query log)")
 	qlogMax := flag.Int64("qlogmax", 0, "query log rotation bound in bytes (0 = 64 MiB)")
@@ -204,7 +202,6 @@ func main() {
 		MaxQueued:          *maxqueued,
 		MaxQueuedPerTenant: *maxqueuedTenant,
 		MaxPerTenant:       *maxperTenant,
-		FIFO:               *fifo,
 		MorselSize:         *morsel,
 		YieldPause:         *yieldPause,
 		SkipValidation:     true, // streamed results are covered by the equivalence suite
@@ -386,19 +383,17 @@ func drive(base string, specs []tenantSpec, engine string, prepared bool, d time
 	return raw
 }
 
-// runFairbench runs the three-phase fairness experiment: the light
+// runFairbench runs the two-phase fairness experiment: the light
 // tenant's solo p99, then its p99 while a heavy tenant floods the
-// service — once under DRR, once under FIFO.
+// service.
 func runFairbench(tpchDB, ssbDB *paradigms.DB, opts paradigms.ServiceOptions, d time.Duration, statsJSON bool) {
 	if opts.MaxConcurrent == 0 {
 		opts.MaxConcurrent = 2 // keep a queue: contention is the experiment
 	}
 	if opts.TenantCaps == nil && opts.MaxPerTenant == 0 {
-		// The heavy tenant can never occupy every slot. Under DRR the
-		// capped heavy tenant is stepped over and the light tenant admits
-		// into the spare slot immediately; under FIFO the capped head
-		// blocks the whole line anyway — the difference the experiment
-		// exists to show.
+		// The heavy tenant can never occupy every slot: capped, it is
+		// stepped over and the light tenant admits into the spare slot
+		// immediately.
 		opts.TenantCaps = map[string]int{"heavy": opts.MaxConcurrent - 1}
 	}
 	if opts.MorselSize == 0 {
@@ -413,11 +408,9 @@ func runFairbench(tpchDB, ssbDB *paradigms.DB, opts paradigms.ServiceOptions, d 
 	heavy := tenantSpec{name: "heavy", clients: 12, workload: "heavy"}
 	light := tenantSpec{name: "light", clients: 4, workload: "light"}
 
-	phase := func(label string, fifo bool, specs ...tenantSpec) server.TenantStats {
-		o := opts
-		o.FIFO = fifo
-		svc := paradigms.NewService(tpchDB, ssbDB, o)
-		base, shutdown, err := serve(svc, "127.0.0.1:0", o.Metrics, false)
+	phase := func(label string, specs ...tenantSpec) server.TenantStats {
+		svc := paradigms.NewService(tpchDB, ssbDB, opts)
+		base, shutdown, err := serve(svc, "127.0.0.1:0", opts.Metrics, false)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "serve: %v\n", err)
 			os.Exit(1)
@@ -433,16 +426,12 @@ func runFairbench(tpchDB, ssbDB *paradigms.DB, opts paradigms.ServiceOptions, d 
 		return st.Tenants["light"]
 	}
 
-	solo := phase("phase 1: light solo (DRR)", false, light)
-	drr := phase("phase 2: light vs heavy (DRR)", false, heavy, light)
-	fifo := phase("phase 3: light vs heavy (FIFO)", true, heavy, light)
+	solo := phase("phase 1: light solo", light)
+	drr := phase("phase 2: light vs heavy", heavy, light)
 
-	ratio := func(a, b time.Duration) float64 {
-		if b <= 0 {
-			return 0
-		}
-		return float64(a) / float64(b)
+	ratio := 0.0
+	if solo.P99 > 0 {
+		ratio = float64(drr.P99) / float64(solo.P99)
 	}
-	fmt.Printf("\nfairness: light p99 solo %v | drr %v (%.1fx solo) | fifo %v (%.1fx solo)\n",
-		solo.P99, drr.P99, ratio(drr.P99, solo.P99), fifo.P99, ratio(fifo.P99, solo.P99))
+	fmt.Printf("\nfairness: light p99 solo %v | contended %v (%.1fx solo)\n", solo.P99, drr.P99, ratio)
 }

@@ -129,17 +129,12 @@ func (s *Service) tenantCap(t *tenant) int {
 	return s.cfg.MaxConcurrent
 }
 
-// enqueue appends a waiter to its queue — the tenant's under DRR, the
-// global FIFO under Config.FIFO — and maintains the active ring.
-// Caller holds the service mutex.
+// enqueue appends a waiter to its tenant's queue and maintains the
+// active ring. Caller holds the service mutex.
 func (s *Service) enqueue(w *waiter) {
 	s.nQueued++
 	if s.nQueued > s.st.queuedHighWater {
 		s.st.queuedHighWater = s.nQueued
-	}
-	if s.cfg.FIFO {
-		s.fifo = append(s.fifo, w)
-		return
 	}
 	t := w.t
 	t.queue = append(t.queue, w)
@@ -153,60 +148,27 @@ func (s *Service) enqueue(w *waiter) {
 // waiters stop counting against queue bounds and Stats.Queued). Caller
 // holds the service mutex; the waiter's canceled flag is already set.
 func (s *Service) unqueue(w *waiter) {
-	q := &w.t.queue
-	if s.cfg.FIFO {
-		q = &s.fifo
-	}
-	for i, qw := range *q {
+	q := w.t.queue
+	for i, qw := range q {
 		if qw == w {
-			*q = append((*q)[:i], (*q)[i+1:]...)
+			w.t.queue = append(q[:i], q[i+1:]...)
 			s.nQueued--
 			return
 		}
 	}
 }
 
-// nextWaiter picks the next admission under the configured discipline.
-// It returns nil when nothing is eligible (empty queues, or every
-// queued tenant is at its running cap). Caller holds the service mutex.
+// nextWaiter picks the next admission by deficit round robin over the
+// per-tenant queues: each eligible visit refills a tenant's deficit to
+// its weight, each admission spends one unit, and the round pointer
+// advances when the deficit is spent — so a tenant with weight k is
+// admitted k times per round regardless of how deep any other tenant's
+// backlog is, and no non-empty queue is ever skipped for more than one
+// round (no starvation). Tenants at their running cap are stepped over
+// without losing their place. It returns nil when nothing is eligible
+// (empty queues, or every queued tenant is at its running cap). Caller
+// holds the service mutex.
 func (s *Service) nextWaiter() *waiter {
-	if s.cfg.FIFO {
-		return s.nextFIFO()
-	}
-	return s.nextDRR()
-}
-
-// nextFIFO is the legacy global queue: strict arrival order, including
-// head-of-line blocking when the head's tenant is at its cap — exactly
-// the unfairness the DRR scheduler exists to fix, kept as a mode so the
-// fairness tests and benchmarks can demonstrate the difference.
-func (s *Service) nextFIFO() *waiter {
-	for len(s.fifo) > 0 {
-		w := s.fifo[0]
-		if w.canceled {
-			s.fifo = s.fifo[1:]
-			s.nQueued--
-			continue
-		}
-		if w.t.running >= s.tenantCap(w.t) {
-			return nil // strict FIFO: blocked head blocks everyone
-		}
-		s.fifo = s.fifo[1:]
-		s.nQueued--
-		return w
-	}
-	return nil
-}
-
-// nextDRR is deficit round robin over the per-tenant queues: each
-// eligible visit refills a tenant's deficit to its weight, each
-// admission spends one unit, and the round pointer advances when the
-// deficit is spent — so a tenant with weight k is admitted k times per
-// round regardless of how deep any other tenant's backlog is, and no
-// non-empty queue is ever skipped for more than one round (no
-// starvation). Tenants at their running cap are stepped over without
-// losing their place.
-func (s *Service) nextDRR() *waiter {
 	scanned := 0
 	for scanned < len(s.ring) {
 		if s.ringIdx >= len(s.ring) {
@@ -294,7 +256,7 @@ func (s *Service) totalActiveWeight() int {
 // t.running already counts the query being admitted.
 func (s *Service) shareFor(t *tenant) int {
 	fair := s.cfg.WorkerBudget
-	if tw := s.totalActiveWeight(); tw > t.weight && !s.cfg.FIFO {
+	if tw := s.totalActiveWeight(); tw > t.weight {
 		fair = max(1, s.cfg.WorkerBudget*t.weight/tw)
 	}
 	per := max(1, fair/max(1, t.running))
@@ -331,8 +293,8 @@ func (s *Service) recomputeThrottles() {
 			active++
 		}
 	}
-	if active <= 1 || s.cfg.FIFO {
-		// Solo (or legacy FIFO, which had no yielding): run free.
+	if active <= 1 {
+		// Solo: run free.
 		for _, t := range s.tenants {
 			t.throttle.Store(0)
 		}

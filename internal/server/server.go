@@ -5,8 +5,7 @@
 // regime production engines actually live in. Admission control bounds
 // how many queries execute at once; arrivals beyond the bound wait in
 // per-tenant queues scheduled by deficit round robin, so one tenant
-// flooding the service cannot starve another (Config.FIFO restores the
-// legacy single-queue discipline for comparison). Queue-depth bounds
+// flooding the service cannot starve another. Queue-depth bounds
 // reject excess arrivals with a typed retry-after error, and a
 // morsel-level fairness controller throttles tenants running over their
 // fair worker share. Cancellation is first class: each query runs under
@@ -106,8 +105,8 @@ type Config struct {
 	// MaxQueuedPerTenant bounds each tenant's queue (0 = unbounded).
 	MaxQueuedPerTenant int
 	// MaxPerTenant bounds how many queries of one tenant execute at
-	// once (0 = no bound beyond MaxConcurrent). Under DRR a capped
-	// tenant is stepped over; under FIFO it blocks the head of line.
+	// once (0 = no bound beyond MaxConcurrent). A capped tenant is
+	// stepped over by the scheduler without losing its place.
 	MaxPerTenant int
 	// TenantCaps overrides MaxPerTenant per tenant name — the quota
 	// knob that keeps one flooding tenant from occupying every slot
@@ -116,11 +115,6 @@ type Config struct {
 	// TenantWeights sets DRR weights (admissions per round) per tenant
 	// name; unlisted tenants weigh 1.
 	TenantWeights map[string]int
-	// FIFO selects the legacy global single-queue admission (arrival
-	// order across all tenants, no morsel-level yielding) instead of
-	// deficit round robin — kept for comparison benchmarks and the
-	// fairness regression tests.
-	FIFO bool
 	// YieldPause is the bounded per-morsel pause imposed on queries of
 	// an over-share tenant while other tenants have work (0 = 500µs).
 	YieldPause time.Duration
@@ -235,7 +229,6 @@ type Service struct {
 	tenants map[string]*tenant
 	ring    []*tenant // DRR active ring (tenants with queued work)
 	ringIdx int
-	fifo    []*waiter // legacy global queue (Config.FIFO)
 	closed  bool
 	nextID  uint64
 	st      statsAcc
@@ -353,7 +346,7 @@ func (s *Service) SubmitReq(ctx context.Context, req Req) (*Handle, error) {
 	}
 	t := s.tenantOf(req.Tenant)
 	free := s.running < s.cfg.MaxConcurrent && t.running < s.tenantCap(t) &&
-		len(t.queue) == 0 && (!s.cfg.FIFO || len(s.fifo) == 0)
+		len(t.queue) == 0
 	if !free {
 		full := (s.cfg.MaxQueued > 0 && s.nQueued >= s.cfg.MaxQueued) ||
 			(s.cfg.MaxQueuedPerTenant > 0 && len(t.queue) >= s.cfg.MaxQueuedPerTenant)

@@ -91,7 +91,7 @@ type Stats struct {
 	// is a Prepare call that skipped parse+bind+plan entirely.
 	PlanCacheHits, PlanCacheMisses, PlanCacheEvictions uint64
 	// InFlight and Queued are instantaneous occupancy; QueuedHighWater is
-	// the deepest the FIFO queue has been.
+	// the deepest the tenant queues have been in total.
 	InFlight, Queued, QueuedHighWater int
 	// P50/P95/P99/Max are submit-to-finish latency quantiles over the
 	// most recent latencyWindow served queries.

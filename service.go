@@ -38,13 +38,12 @@ type ServiceOptions struct {
 	// prepcache.DefaultCapacity). Statements evicted under pressure
 	// simply re-prepare on their next Prepare call.
 	PlanCacheSize int
-	// MaxQueuedPerTenant, MaxPerTenant, TenantCaps, TenantWeights, and
-	// FIFO configure the per-tenant scheduler; see server.Config.
+	// MaxQueuedPerTenant, MaxPerTenant, TenantCaps, and TenantWeights
+	// configure the per-tenant scheduler; see server.Config.
 	MaxQueuedPerTenant int
 	MaxPerTenant       int
 	TenantCaps         map[string]int
 	TenantWeights      map[string]int
-	FIFO               bool
 	// StreamChunk is the row-batch granularity of streaming submissions
 	// (0 = logical.DefaultStreamChunk).
 	StreamChunk int
@@ -168,7 +167,6 @@ func NewService(tpchDB, ssbDB *DB, opt ServiceOptions) *server.Service {
 		MaxPerTenant:       opt.MaxPerTenant,
 		TenantCaps:         opt.TenantCaps,
 		TenantWeights:      opt.TenantWeights,
-		FIFO:               opt.FIFO,
 		YieldPause:         opt.YieldPause,
 		MorselSize:         opt.MorselSize,
 		Exec: func(ctx context.Context, engine, query string, workers int) (any, error) {
