@@ -12,7 +12,7 @@ import (
 	"context"
 
 	"paradigms/internal/bench"
-	"paradigms/internal/compiled"
+	"paradigms/internal/engine"
 	"paradigms/internal/exec"
 	"paradigms/internal/hashtable"
 	"paradigms/internal/hybrid"
@@ -21,6 +21,7 @@ import (
 	"paradigms/internal/microsim"
 	"paradigms/internal/plan"
 	"paradigms/internal/queries"
+	"paradigms/internal/registry"
 	"paradigms/internal/simd"
 	"paradigms/internal/tw"
 	"paradigms/internal/typer"
@@ -526,27 +527,15 @@ func BenchmarkHybridVsPure(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(name+"/typer", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := compiled.Execute(ctx, pl, 1); err != nil {
-					b.Fatal(err)
+		for _, eng := range []string{registry.Typer, registry.Tectorwise, registry.Hybrid} {
+			b.Run(name+"/"+eng, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := engine.Run(ctx, eng, pl, engine.Options{Workers: 1}); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
-		b.Run(name+"/tectorwise", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := pl.Execute(ctx, 1, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(name+"/hybrid", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := hybrid.Execute(ctx, pl, 1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -5,9 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"paradigms/internal/compiled"
-	"paradigms/internal/hybrid"
+	"paradigms/internal/engine"
 	"paradigms/internal/logical"
+	"paradigms/internal/registry"
 	"paradigms/internal/sqlcheck"
 	"paradigms/internal/storage"
 )
@@ -28,8 +28,9 @@ type diffConfig struct {
 
 var fullGrid = diffConfig{vecSizes: []int{1, 1000, 4096}, workers: []int{1, 4}}
 
-// checkDifferential runs one SQL text through oracle, vectorized, and
-// compiled execution and fails on any mismatch.
+// checkDifferential runs one SQL text through the oracle and, via the
+// one engine dispatch, the compiled, hybrid, and vectorized backends,
+// and fails on any mismatch.
 func checkDifferential(t *testing.T, db *storage.Database, text string, cfg diffConfig) {
 	t.Helper()
 	ctx := context.Background()
@@ -37,34 +38,26 @@ func checkDifferential(t *testing.T, db *storage.Database, text string, cfg diff
 	if err != nil {
 		t.Fatalf("oracle failed for %q: %v", text, err)
 	}
-	wantC := sqlcheck.Canon(want)
-
+	pl, err := logical.Prepare(db, text)
+	if err != nil {
+		t.Fatalf("prepare failed for %q: %v", text, err)
+	}
+	check := func(name string, workers, vec int) {
+		t.Helper()
+		out, err := engine.Run(ctx, name, pl, engine.Options{Workers: workers, VecSize: vec})
+		if err != nil {
+			t.Fatalf("%s w=%d vec=%d failed for %q: %v", name, workers, vec, text, err)
+		}
+		if !sqlcheck.SameRows(out.Result.Rows, want) {
+			t.Errorf("%s w=%d vec=%d differs from oracle for %q\n got %v\nwant %v",
+				name, workers, vec, text, clip(out.Result.Rows), clip(want))
+		}
+	}
 	for _, workers := range cfg.workers {
-		res, err := compiled.Run(ctx, db, text, workers)
-		if err != nil {
-			t.Fatalf("compiled w=%d failed for %q: %v", workers, text, err)
-		}
-		if !sqlcheck.SameRows(sqlcheck.Canon(res.Rows), wantC) {
-			t.Errorf("compiled w=%d differs from oracle for %q\n got %v\nwant %v",
-				workers, text, clip(res.Rows), clip(want))
-		}
-		hres, err := hybrid.Run(ctx, db, text, workers)
-		if err != nil {
-			t.Fatalf("hybrid w=%d failed for %q: %v", workers, text, err)
-		}
-		if !sqlcheck.SameRows(sqlcheck.Canon(hres.Rows), wantC) {
-			t.Errorf("hybrid w=%d differs from oracle for %q\n got %v\nwant %v",
-				workers, text, clip(hres.Rows), clip(want))
-		}
+		check(registry.Typer, workers, 0)
+		check(registry.Hybrid, workers, 0)
 		for _, vec := range cfg.vecSizes {
-			lres, err := logical.Run(ctx, db, text, workers, vec)
-			if err != nil {
-				t.Fatalf("vectorized w=%d vec=%d failed for %q: %v", workers, vec, text, err)
-			}
-			if !sqlcheck.SameRows(sqlcheck.Canon(lres.Rows), wantC) {
-				t.Errorf("vectorized w=%d vec=%d differs from oracle for %q\n got %v\nwant %v",
-					workers, vec, text, clip(lres.Rows), clip(want))
-			}
+			check(registry.Tectorwise, workers, vec)
 		}
 	}
 }

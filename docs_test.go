@@ -32,6 +32,7 @@ var extensionPackages = map[string]string{
 	"obs":       "extension", // execution telemetry: EXPLAIN ANALYZE, query log, metrics
 	"feedback":  "extension", // cardinality feedback: drift-triggered re-planning, prewarm mining
 	"exchange":  "extension", // sharded scatter/gather execution over catalog slices
+	"engine":    "extension", // the one execution dispatch over the three SQL backends
 }
 
 // packageDoc returns the package doc comment of the Go package in dir.

@@ -31,6 +31,15 @@ func testDBs() (map[float64]*storage.Database, map[float64]*storage.Database) {
 	return tpchDBs, ssbDBs
 }
 
+// runSQL plans a text and executes it on the fused lowering.
+func runSQL(ctx context.Context, db *storage.Database, text string, workers int) (*logical.Result, error) {
+	pl, err := logical.Prepare(db, text)
+	if err != nil {
+		return nil, err
+	}
+	return Execute(ctx, pl, workers)
+}
+
 // TestCompiledMatchesReference is the compiled backend's headline
 // proof: the SQL texts of TPC-H Q6/Q3/Q5/Q18 and SSB Q1.1/Q2.1 lower
 // to fused pipelines and execute bit-identical to the reference
@@ -48,7 +57,7 @@ func TestCompiledMatchesReference(t *testing.T) {
 				}
 				want := sqlcheck.RefRows(db, name)
 				for _, workers := range []int{1, 4} {
-					res, err := Run(context.Background(), db, text, workers)
+					res, err := runSQL(context.Background(), db, text, workers)
 					if err != nil {
 						t.Fatalf("sf=%v %s/%s w=%d: %v", sf, db.Name, name, workers, err)
 					}
@@ -84,7 +93,7 @@ func TestCompiledFeatures(t *testing.T) {
 
 	run := func(text string) *logical.Result {
 		t.Helper()
-		res, err := Run(ctx, db, text, 2)
+		res, err := runSQL(ctx, db, text, 2)
 		if err != nil {
 			t.Fatalf("%s: %v", text, err)
 		}
@@ -168,7 +177,7 @@ func TestCompiledCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	text, _ := logical.SQLText("tpch", "Q3")
-	if _, err := Run(ctx, db, text, 4); err != nil {
+	if _, err := runSQL(ctx, db, text, 4); err != nil {
 		t.Fatalf("canceled run errored: %v", err)
 	}
 }

@@ -34,7 +34,7 @@ func checkEdge(t *testing.T, label string, tp, sb *storage.Database) {
 			}
 			wantC := sqlcheck.Canon(want)
 			for _, workers := range []int{1, 4} {
-				res, err := Run(ctx, db, text, workers)
+				res, err := runSQL(ctx, db, text, workers)
 				if err != nil {
 					t.Fatalf("%s %s/%s w=%d compiled: %v", label, db.Name, name, workers, err)
 				}
@@ -42,7 +42,11 @@ func checkEdge(t *testing.T, label string, tp, sb *storage.Database) {
 					t.Errorf("%s %s/%s w=%d: compiled mismatch\n got %v\nwant %v",
 						label, db.Name, name, workers, trunc(res.Rows), trunc(want))
 				}
-				lres, err := logical.Run(ctx, db, text, workers, 1)
+				pl, err := logical.Prepare(db, text)
+				if err != nil {
+					t.Fatalf("%s %s/%s: prepare: %v", label, db.Name, name, err)
+				}
+				lres, err := pl.Execute(ctx, workers, 1)
 				if err != nil {
 					t.Fatalf("%s %s/%s w=%d vectorized: %v", label, db.Name, name, workers, err)
 				}

@@ -12,7 +12,6 @@ import (
 	"paradigms/internal/logical"
 	"paradigms/internal/obs"
 	"paradigms/internal/simd"
-	"paradigms/internal/storage"
 )
 
 const (
@@ -30,37 +29,6 @@ const (
 // typer.Hash) — called directly so the compiler can inline it into the
 // fused loops.
 
-// Run executes an ad-hoc SQL text end to end on the compiled backend:
-// parse → bind → optimize (all shared with the vectorized path) → lower
-// to fused pipelines → execute morsel-parallel. Lowering or executor
-// panics surface as errors, like logical.Run.
-func Run(ctx context.Context, db *storage.Database, text string, nWorkers int) (res *logical.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("compiled: internal error executing query: %v", r)
-		}
-	}()
-	pl, err := logical.Prepare(db, text)
-	if err != nil {
-		return nil, err
-	}
-	return Execute(ctx, pl, nWorkers)
-}
-
-// ExecuteArgs is Execute for parameterized plans: the argument binding
-// substitutes into a copy-on-write clone of the cached plan
-// (logical.(*Plan).BindArgs — shared with the vectorized backend, so
-// the two engines bind identically) and the bound plan lowers to fused
-// pipelines and runs. The template plan is never mutated; concurrent
-// executions of one cached statement are safe.
-func ExecuteArgs(ctx context.Context, pl *logical.Plan, nWorkers int, args []int64) (*logical.Result, error) {
-	bound, err := pl.BindArgs(args)
-	if err != nil {
-		return nil, err
-	}
-	return Execute(ctx, bound, nWorkers)
-}
-
 // ExecuteStream runs the plan on the compiled backend, flushing result
 // batches to sink as they are produced — projection rows per fused
 // scan loop, grouped rows per merged spill partition — with the same
@@ -68,15 +36,7 @@ func ExecuteArgs(ctx context.Context, pl *logical.Plan, nWorkers int, args []int
 // chunk-sized batches (0 = default), materializing shapes (ORDER BY /
 // HAVING / LIMIT / global aggregates) stream their finalized rows, a
 // sink error aborts the query.
-func ExecuteStream(ctx context.Context, pl *logical.Plan, nWorkers, chunk int, sink logical.RowSink) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("compiled: internal error executing query: %v", r)
-		}
-	}()
-	if len(pl.Params) > 0 {
-		return fmt.Errorf("compiled: statement has %d unbound parameter(s); use ExecuteArgsStream", len(pl.Params))
-	}
+func ExecuteStream(ctx context.Context, pl *logical.Plan, nWorkers, chunk int, sink logical.RowSink) error {
 	if chunk <= 0 {
 		chunk = logical.DefaultStreamChunk
 	}
@@ -106,36 +66,13 @@ func ExecuteStream(ctx context.Context, pl *logical.Plan, nWorkers, chunk int, s
 	return logical.StreamChunks(ctx, st, res.Rows, chunk)
 }
 
-// ExecuteArgsStream is ExecuteStream for parameterized plans (the
-// argument binding substitutes into a copy-on-write clone, like
-// ExecuteArgs).
-func ExecuteArgsStream(ctx context.Context, pl *logical.Plan, nWorkers, chunk int, args []int64, sink logical.RowSink) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("compiled: internal error executing query: %v", r)
-		}
-	}()
-	bound, err := pl.BindArgs(args)
-	if err != nil {
-		return err
-	}
-	return ExecuteStream(ctx, bound, nWorkers, chunk, sink)
-}
-
 // Execute lowers an optimized logical plan to fused pipelines and runs
 // them morsel-parallel. A canceled context drains the workers within
 // one morsel and returns a partial result the caller discards — the
-// same contract as every registered engine query. Parameterized plans
-// must go through ExecuteArgs.
-func Execute(ctx context.Context, pl *logical.Plan, nWorkers int) (res *logical.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("compiled: internal error executing query: %v", r)
-		}
-	}()
-	if len(pl.Params) > 0 {
-		return nil, fmt.Errorf("compiled: statement has %d unbound parameter(s); use ExecuteArgs", len(pl.Params))
-	}
+// same contract as every registered engine query. The plan must be
+// fully bound (logical.(*Plan).BindArgs — shared with the vectorized
+// backend, so the two engines bind identically).
+func Execute(ctx context.Context, pl *logical.Plan, nWorkers int) (*logical.Result, error) {
 	return executeInto(ctx, pl, nWorkers, nil, 0, nil)
 }
 
@@ -144,35 +81,12 @@ func Execute(ctx context.Context, pl *logical.Plan, nWorkers int) (res *logical.
 // logical.(*Plan).MergePartials — the compiled backend's scatter side
 // of the exchange, with the same contract as the vectorized
 // ExecutePartial.
-func ExecutePartial(ctx context.Context, pl *logical.Plan, nWorkers int) (part *logical.Partial, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("compiled: internal error executing query: %v", r)
-		}
-	}()
-	if len(pl.Params) > 0 {
-		return nil, fmt.Errorf("compiled: statement has %d unbound parameter(s); use ExecutePartialArgs", len(pl.Params))
-	}
-	part = &logical.Partial{}
+func ExecutePartial(ctx context.Context, pl *logical.Plan, nWorkers int) (*logical.Partial, error) {
+	part := &logical.Partial{}
 	if _, err := executeInto(ctx, pl, nWorkers, nil, 0, part); err != nil {
 		return nil, err
 	}
 	return part, nil
-}
-
-// ExecutePartialArgs is ExecutePartial for parameterized plans (the
-// binding substitutes into a copy-on-write clone, like ExecuteArgs).
-func ExecutePartialArgs(ctx context.Context, pl *logical.Plan, nWorkers int, args []int64) (part *logical.Partial, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("compiled: internal error executing query: %v", r)
-		}
-	}()
-	bound, err := pl.BindArgs(args)
-	if err != nil {
-		return nil, err
-	}
-	return ExecutePartial(ctx, bound, nWorkers)
 }
 
 // executeInto is the shared body of Execute, ExecuteStream, and
@@ -181,6 +95,9 @@ func ExecutePartialArgs(ctx context.Context, pl *logical.Plan, nWorkers int, arg
 // Result (streaming callers pass a Streamable plan). With a non-nil
 // part it fills the shard-local partial state instead of finalizing.
 func executeInto(ctx context.Context, pl *logical.Plan, nWorkers int, stream *logical.Streamer, chunk int, part *logical.Partial) (res *logical.Result, err error) {
+	if len(pl.Params) > 0 {
+		return nil, fmt.Errorf("compiled: statement has %d unbound parameter(s); bind them with BindArgs first", len(pl.Params))
+	}
 	pr, err := lower(pl)
 	if err != nil {
 		return nil, err

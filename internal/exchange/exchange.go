@@ -5,7 +5,7 @@
 // fans out across N hash-partitioned shards
 // through a scatter exchange, each shard plans and executes the whole
 // pipeline tree over its catalog slice up to the exchange boundary
-// (logical.ExecutePartial / compiled.ExecutePartial), and a gather
+// (engine.Run with Options.Partial), and a gather
 // exchange on the coordinator re-merges the partials through the
 // engines' shared MergeGlobal/FinalizeRows machinery — so HAVING,
 // ORDER BY, and LIMIT semantics cannot drift from single-process
@@ -25,8 +25,9 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"paradigms/internal/compiled"
+	"paradigms/internal/engine"
 	"paradigms/internal/logical"
+	"paradigms/internal/prepcache"
 	"paradigms/internal/storage"
 )
 
@@ -56,23 +57,49 @@ type Shard interface {
 	Partial(ctx context.Context, req Request) (*logical.Partial, error)
 }
 
-// localPlanCap bounds each shard's plan cache (plans re-prepare on
-// their next request after eviction, like the service plan cache).
-const localPlanCap = 512
+// planCacheCap bounds the plan cache of each shard and of the
+// coordinator (plans re-prepare on their next request after eviction,
+// like the service plan cache).
+const planCacheCap = 512
 
-// Local is the in-process Shard: a database slice plus a small
-// plan cache, executing partials on this process's goroutine pool.
+// cachedPlan fetches or builds the optimized plan of the text against
+// db. Each shard plans against its own slice's cardinalities, the
+// coordinator against the full database; the slot layout the partials
+// ship is determined by the SQL alone, so shards may pick different
+// join orders and still merge.
+func cachedPlan(cache *prepcache.Cache, db *storage.Database, text string) (*logical.Plan, error) {
+	st, _, err := cache.GetOrPrepare(logical.CatalogFor(db), text, func() (*logical.Plan, error) {
+		return logical.Prepare(db, text)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return st.Plan(), nil
+}
+
+// execute runs the request's share of a plan through the engine
+// dispatch: up to the exchange boundary on a shard (partial), or to the
+// final result on the coordinator's single-process fallback.
+func execute(ctx context.Context, req Request, pl *logical.Plan, partial bool) (engine.Output, error) {
+	name := req.Engine
+	if name == "" {
+		name = EngineTectorwise
+	}
+	return engine.Run(ctx, name, pl, engine.Options{
+		Args: req.Args, Workers: req.Workers, VecSize: req.VecSize, Partial: partial,
+	})
+}
+
+// Local is the in-process Shard: a database slice and its plan cache,
+// executing partials on this process's goroutine pool.
 type Local struct {
-	db *storage.Database
-
-	mu    sync.Mutex
-	plans map[string]*logical.Plan
-	order []string
+	db    *storage.Database
+	plans *prepcache.Cache
 }
 
 // NewLocal wraps a database slice as an in-process shard.
 func NewLocal(db *storage.Database) *Local {
-	return &Local{db: db, plans: make(map[string]*logical.Plan)}
+	return &Local{db: db, plans: prepcache.New(planCacheCap)}
 }
 
 // DB exposes the shard's slice (tests and EXPLAIN).
@@ -80,57 +107,19 @@ func (s *Local) DB() *storage.Database { return s.db }
 
 // Partial implements Shard.
 func (s *Local) Partial(ctx context.Context, req Request) (*logical.Partial, error) {
-	pl, err := s.plan(req.SQL)
+	pl, err := cachedPlan(s.plans, s.db, req.SQL)
 	if err != nil {
 		return nil, err
 	}
-	switch req.Engine {
-	case EngineTyper:
-		if len(pl.Params) > 0 {
-			return compiled.ExecutePartialArgs(ctx, pl, req.Workers, req.Args)
-		}
-		return compiled.ExecutePartial(ctx, pl, req.Workers)
-	case EngineTectorwise, "":
-		if len(pl.Params) > 0 {
-			return pl.ExecutePartialArgs(ctx, req.Workers, req.VecSize, req.Args)
-		}
-		return pl.ExecutePartial(ctx, req.Workers, req.VecSize)
-	}
-	return nil, fmt.Errorf("exchange: engine %q has no partial-execution path", req.Engine)
-}
-
-// plan fetches or builds the shard-local optimized plan for the text.
-// Each shard plans against its own slice's cardinalities; the slot
-// layout the partials ship is determined by the SQL alone, so shards
-// may pick different join orders and still merge.
-func (s *Local) plan(text string) (*logical.Plan, error) {
-	s.mu.Lock()
-	if pl, ok := s.plans[text]; ok {
-		s.mu.Unlock()
-		return pl, nil
-	}
-	s.mu.Unlock()
-	pl, err := logical.Prepare(s.db, text)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	if len(s.order) >= localPlanCap {
-		delete(s.plans, s.order[0])
-		s.order = s.order[1:]
-	}
-	if _, ok := s.plans[text]; !ok {
-		s.plans[text] = pl
-		s.order = append(s.order, text)
-	}
-	s.mu.Unlock()
-	return pl, nil
+	out, err := execute(ctx, req, pl, true)
+	return out.Partial, err
 }
 
 // Cluster is the coordinator: the full database (for planning,
 // validation, and the non-distributable fallback) plus its shards.
 type Cluster struct {
 	base   *storage.Database
+	plans  *prepcache.Cache
 	keys   map[string]string
 	shards []Shard
 
@@ -155,7 +144,7 @@ func New(db *storage.Database, n int) (*Cluster, error) {
 	for i, d := range dbs {
 		shards[i] = NewLocal(d)
 	}
-	return &Cluster{base: db, keys: keys, shards: shards}, nil
+	return &Cluster{base: db, plans: prepcache.New(planCacheCap), keys: keys, shards: shards}, nil
 }
 
 // Shards returns the fan-out width.
@@ -175,7 +164,7 @@ func (c *Cluster) Stats() (scattered, single, fallback uint64) {
 // Explain renders the distributed plan of the SQL text (exchange
 // operators wrapping the optimized plan), or describes the fallback.
 func (c *Cluster) Explain(text string) (string, error) {
-	pl, err := logical.Prepare(c.base, text)
+	pl, err := cachedPlan(c.plans, c.base, text)
 	if err != nil {
 		return "", err
 	}
@@ -191,7 +180,7 @@ func (c *Cluster) Explain(text string) (string, error) {
 // and merge the partials, finalize. Plans the rewrite rejects run
 // single-process on the full database — correctness over parallelism.
 func (c *Cluster) Run(ctx context.Context, req Request) (*logical.Result, error) {
-	pl, err := logical.Prepare(c.base, req.SQL)
+	pl, err := cachedPlan(c.plans, c.base, req.SQL)
 	if err != nil {
 		return nil, err
 	}
@@ -208,8 +197,11 @@ func (c *Cluster) Run(ctx context.Context, req Request) (*logical.Result, error)
 func (c *Cluster) run(ctx context.Context, pl *logical.Plan, req Request) (*logical.Result, error) {
 	dp, derr := logical.Distribute(pl, c.keys)
 	if derr != nil {
+		// Not distributable: single-process execution on the full
+		// database, same engines, same contract.
 		c.fallback.Add(1)
-		return c.runLocal(ctx, pl, req)
+		out, err := execute(ctx, req, pl, false)
+		return out.Result, err
 	}
 	targets := c.shards
 	if dp.Mode == logical.DistSingle {
@@ -253,32 +245,11 @@ func (c *Cluster) run(ctx context.Context, pl *logical.Plan, req Request) (*logi
 	// tail. Parameterized texts bind on the coordinator too, so HAVING
 	// and param-only conjuncts evaluate against the same binding the
 	// shards ran.
-	mpl := pl
-	if len(pl.Params) > 0 {
-		var err error
-		if mpl, err = pl.BindArgs(req.Args); err != nil {
-			return nil, err
-		}
+	mpl, err := pl.BindArgs(req.Args)
+	if err != nil {
+		return nil, err
 	}
 	return mpl.MergePartials(parts)
-}
-
-// runLocal is the non-distributable fallback: single-process execution
-// on the full database, same engines, same contract.
-func (c *Cluster) runLocal(ctx context.Context, pl *logical.Plan, req Request) (*logical.Result, error) {
-	switch req.Engine {
-	case EngineTyper:
-		if len(pl.Params) > 0 {
-			return compiled.ExecuteArgs(ctx, pl, req.Workers, req.Args)
-		}
-		return compiled.Execute(ctx, pl, req.Workers)
-	case EngineTectorwise, "":
-		if len(pl.Params) > 0 {
-			return pl.ExecuteArgs(ctx, req.Workers, req.VecSize, req.Args)
-		}
-		return pl.Execute(ctx, req.Workers, req.VecSize)
-	}
-	return nil, fmt.Errorf("exchange: engine %q has no partial-execution path", req.Engine)
 }
 
 // perShardWorkers splits the query's worker budget across the shards

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"paradigms/internal/engine"
 	"paradigms/internal/hashtable"
 	"paradigms/internal/logical"
 	"paradigms/internal/sqlcheck"
@@ -229,7 +230,9 @@ func TestClusterFallback(t *testing.T) {
 
 // TestClusterOneShardMatchesSingleProcess: an N=1 cluster must return
 // bit-identical rows (order included) to plain single-process
-// execution on both backends.
+// execution on both backends. Row order without a total-order ORDER BY
+// is only defined at one worker (DESIGN.md "Result semantics"), so the
+// positional comparison pins Workers: 1.
 func TestClusterOneShardMatchesSingleProcess(t *testing.T) {
 	db := sqlcheck.MiniTPCH(16, true)
 	cl, err := New(db, 1)
@@ -243,27 +246,22 @@ func TestClusterOneShardMatchesSingleProcess(t *testing.T) {
 		"select sum(l_extendedprice * l_discount) from lineitem where l_quantity < 24",
 	}
 	for _, text := range texts {
-		for _, engine := range []string{EngineTyper, EngineTectorwise} {
-			got, err := cl.Run(ctx, Request{SQL: text, Engine: engine, Workers: 2, VecSize: 128})
+		pl, err := logical.Prepare(db, text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{EngineTyper, EngineTectorwise} {
+			got, err := cl.Run(ctx, Request{SQL: text, Engine: name, Workers: 1, VecSize: 128})
 			if err != nil {
-				t.Fatalf("%s: %v", engine, err)
+				t.Fatalf("%s: %v", name, err)
 			}
-			want, err := cl.runLocal(ctx, mustPrepare(t, db, text), Request{Engine: engine, Workers: 2, VecSize: 128})
+			want, err := engine.Run(ctx, name, pl, engine.Options{Workers: 1, VecSize: 128})
 			if err != nil {
-				t.Fatalf("%s local: %v", engine, err)
+				t.Fatalf("%s local: %v", name, err)
 			}
-			if !reflect.DeepEqual(got.Rows, want.Rows) {
-				t.Errorf("%s n=1 not bit-identical for %q\n got %v\nwant %v", engine, text, got.Rows, want.Rows)
+			if !reflect.DeepEqual(got.Rows, want.Result.Rows) {
+				t.Errorf("%s n=1 not bit-identical for %q\n got %v\nwant %v", name, text, got.Rows, want.Result.Rows)
 			}
 		}
 	}
-}
-
-func mustPrepare(t *testing.T, db *storage.Database, text string) *logical.Plan {
-	t.Helper()
-	pl, err := logical.Prepare(db, text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pl
 }

@@ -39,9 +39,7 @@ import (
 	"paradigms/internal/logical"
 	"paradigms/internal/obs"
 	"paradigms/internal/plan"
-	"paradigms/internal/registry"
 	"paradigms/internal/simd"
-	"paradigms/internal/storage"
 	"paradigms/internal/tw"
 	"paradigms/internal/vector"
 )
@@ -148,140 +146,15 @@ var vecCandidates = [...]int{256, 1024, 4096}
 // before committing.
 const trialBatches = 4
 
-// Run executes an ad-hoc SQL text end to end on the hybrid executor
-// with the cost-heuristic assignment.
-func Run(ctx context.Context, db *storage.Database, text string, nWorkers int) (res *logical.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("hybrid: internal error executing query: %v", r)
-		}
-	}()
-	pl, err := logical.Prepare(db, text)
-	if err != nil {
-		return nil, err
-	}
-	return Execute(ctx, pl, nWorkers)
-}
-
-// Execute runs an optimized, fully bound plan with the cost-heuristic
-// assignment and adaptive vector sizing.
-func Execute(ctx context.Context, pl *logical.Plan, nWorkers int) (*logical.Result, error) {
-	res, _, err := ExecuteRouted(ctx, pl, nWorkers, 0, nil)
-	return res, err
-}
-
-// ExecuteArgs is Execute for parameterized plans (argument binding via
-// the shared copy-on-write logical.BindArgs).
-func ExecuteArgs(ctx context.Context, pl *logical.Plan, nWorkers int, args []int64) (res *logical.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("hybrid: internal error executing query: %v", r)
-		}
-	}()
-	bound, err := pl.BindArgs(args)
-	if err != nil {
-		return nil, err
-	}
-	return Execute(ctx, bound, nWorkers)
-}
-
-// ExecuteArgsRouted is ExecuteRouted for parameterized plans.
-func ExecuteArgsRouted(ctx context.Context, pl *logical.Plan, nWorkers, vecSize int, router Router, args []int64) (res *logical.Result, rep *Report, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("hybrid: internal error executing query: %v", r)
-		}
-	}()
-	bound, err := pl.BindArgs(args)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ExecuteRouted(ctx, bound, nWorkers, vecSize, router)
-}
-
-// ExecuteStream runs the plan and streams result rows to sink in
-// chunks. The hybrid executor has no incremental path of its own: it
-// materializes and chunks, like the compiled backend's non-streamable
-// fallback.
-func ExecuteStream(ctx context.Context, pl *logical.Plan, nWorkers, chunk int, sink logical.RowSink) error {
-	if err := sink.SetCols(pl.Cols); err != nil {
-		return err
-	}
-	res, err := Execute(ctx, pl, nWorkers)
-	if err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	_, cancel := context.WithCancel(ctx)
-	defer cancel()
-	return logical.StreamChunks(ctx, logical.NewStreamer(sink, cancel), res.Rows, chunk)
-}
-
-// ExecuteArgsStream is ExecuteStream for parameterized plans.
-func ExecuteArgsStream(ctx context.Context, pl *logical.Plan, nWorkers, chunk int, args []int64, sink logical.RowSink) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("hybrid: internal error executing query: %v", r)
-		}
-	}()
-	bound, err := pl.BindArgs(args)
-	if err != nil {
-		return err
-	}
-	return ExecuteStream(ctx, bound, nWorkers, chunk, sink)
-}
-
-// ExecuteStreamRouted is ExecuteStream with an explicit Router and
-// vector size: the execution materializes through ExecuteRouted — so
-// the router is fed and the Report (assignment decoration) comes back
-// to the caller — and the result streams in chunks. This keeps the
-// streaming path's routing and engine decoration identical to the
-// materializing path's.
-func ExecuteStreamRouted(ctx context.Context, pl *logical.Plan, nWorkers, vecSize, chunk int, router Router, sink logical.RowSink) (*Report, error) {
-	if err := sink.SetCols(pl.Cols); err != nil {
-		return nil, err
-	}
-	res, rep, err := ExecuteRouted(ctx, pl, nWorkers, vecSize, router)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	_, cancel := context.WithCancel(ctx)
-	defer cancel()
-	return rep, logical.StreamChunks(ctx, logical.NewStreamer(sink, cancel), res.Rows, chunk)
-}
-
-// ExecuteArgsStreamRouted is ExecuteStreamRouted for parameterized
-// plans.
-func ExecuteArgsStreamRouted(ctx context.Context, pl *logical.Plan, nWorkers, vecSize, chunk int, router Router, args []int64, sink logical.RowSink) (rep *Report, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("hybrid: internal error executing query: %v", r)
-		}
-	}()
-	bound, err := pl.BindArgs(args)
-	if err != nil {
-		return nil, err
-	}
-	return ExecuteStreamRouted(ctx, bound, nWorkers, vecSize, chunk, router, sink)
-}
-
-// ExecuteRouted runs a plan with an explicit Router (nil = cost
-// heuristic only) and an explicit vector size (0 = micro-adaptive).
-// On success the Router has been fed the observed per-pipeline
-// latencies and the returned Report describes the run.
-func ExecuteRouted(ctx context.Context, pl *logical.Plan, nWorkers, vecSize int, router Router) (res *logical.Result, rep *Report, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("hybrid: internal error executing query: %v", r)
-		}
-	}()
+// ExecuteRouted runs an optimized, fully bound plan with an explicit
+// Router (nil = cost heuristic only) and an explicit vector size (0 =
+// micro-adaptive). On success the Router has been fed the observed
+// per-pipeline latencies and the returned Report describes the run.
+// The executor has no incremental stream and no partial path of its
+// own; internal/engine materializes and chunks for streaming callers.
+func ExecuteRouted(ctx context.Context, pl *logical.Plan, nWorkers, vecSize int, router Router) (*logical.Result, *Report, error) {
 	if len(pl.Params) > 0 {
-		return nil, nil, fmt.Errorf("hybrid: statement has %d unbound parameter(s); use ExecuteArgs", len(pl.Params))
+		return nil, nil, fmt.Errorf("hybrid: statement has %d unbound parameter(s); bind them with BindArgs first", len(pl.Params))
 	}
 
 	cp, err := compiled.LowerProgram(pl)
@@ -504,12 +377,12 @@ func ExecuteRouted(ctx context.Context, pl *logical.Plan, nWorkers, vecSize int,
 			rows = append(rows, wr...)
 		}
 	}
-	res, err = pl.FinalizeRows(rows)
+	res, err := pl.FinalizeRows(rows)
 	if err != nil {
 		return nil, nil, err
 	}
 
-	rep = &Report{Assign: assign, Vec: make([]int, n), Nanos: make([]int64, n)}
+	rep := &Report{Assign: assign, Vec: make([]int, n), Nanos: make([]int64, n)}
 	for i := 0; i < n; i++ {
 		rep.Nanos[i] = maxOf(nanos[i])
 		if assign[i] == EngineVectorized {
@@ -648,17 +521,4 @@ func Explain(pl *logical.Plan) (string, error) {
 	}
 	sb.WriteString(body)
 	return sb.String(), nil
-}
-
-// The hybrid executor registers as a third ad-hoc SQL engine next to
-// typer (fused) and tectorwise (vectorized).
-func init() {
-	registry.RegisterAdHoc(registry.Hybrid, func(ctx context.Context, db *storage.Database, text string, opt registry.Options) (any, error) {
-		pl, err := logical.Prepare(db, text)
-		if err != nil {
-			return nil, err
-		}
-		res, _, err := ExecuteRouted(ctx, pl, opt.Workers, opt.VectorSize, nil)
-		return res, err
-	})
 }

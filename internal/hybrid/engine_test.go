@@ -33,7 +33,11 @@ func TestGenericHybridMatchesHandWrittenROF(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		want := q3Rows(Q3(db, workers))
-		res, err := Run(context.Background(), db, text, workers)
+		pl, err := logical.Prepare(db, text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _, err := ExecuteRouted(context.Background(), pl, workers, 0, nil)
 		if err != nil {
 			t.Fatalf("w=%d: %v", workers, err)
 		}

@@ -1,12 +1,10 @@
 package logical
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
 	"paradigms/internal/catalog"
-	"paradigms/internal/registry"
 	"paradigms/internal/sql"
 	"paradigms/internal/storage"
 )
@@ -50,8 +48,8 @@ func RouteByTables(stmt string, dbs ...*storage.Database) (*storage.Database, er
 	return nil, fmt.Errorf("logical: no loaded database has tables %v", tables)
 }
 
-// Prepare parses, binds, and plans a SQL text against a database —
-// cmd/sqlsh's EXPLAIN path.
+// Prepare parses, binds, and plans a SQL text against a database: the
+// front half of every ad-hoc execution (internal/engine runs the plan).
 func Prepare(db *storage.Database, text string) (*Plan, error) {
 	return PrepareHints(db, text, nil)
 }
@@ -68,31 +66,4 @@ func PrepareHints(db *storage.Database, text string, hints CardHints) (*Plan, er
 		return nil, err
 	}
 	return PlanQueryHints(sel, CatalogFor(db), hints)
-}
-
-// Run executes an ad-hoc SQL text end to end: parse → bind → optimize →
-// lower → execute on the vectorized operator layer. Planner or executor
-// panics (which would otherwise take down the query service) surface as
-// errors.
-func Run(ctx context.Context, db *storage.Database, text string, workers, vecSize int) (res *Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("logical: internal error executing query: %v", r)
-		}
-	}()
-	pl, err := Prepare(db, text)
-	if err != nil {
-		return nil, err
-	}
-	return pl.Execute(ctx, workers, vecSize)
-}
-
-// This lowering registers as the Tectorwise ad-hoc SQL path: it targets
-// the vectorized operator layer. The Typer ad-hoc path is the compiled
-// lowering of internal/compiled, which consumes the same optimized Plan
-// and registers itself the same way.
-func init() {
-	registry.RegisterAdHoc(registry.Tectorwise, func(ctx context.Context, db *storage.Database, text string, opt registry.Options) (any, error) {
-		return Run(ctx, db, text, opt.Workers, opt.VectorSize)
-	})
 }

@@ -19,12 +19,9 @@ import (
 // Execute lowers the plan and runs it morsel-parallel on the Tectorwise
 // operator layer. A canceled context drains the workers within one
 // morsel and returns a partial result the caller discards (the same
-// contract as the registered engine queries). Parameterized plans must
-// go through ExecuteArgs.
+// contract as the registered engine queries). The plan must be fully
+// bound (BindArgs).
 func (pl *Plan) Execute(ctx context.Context, workers, vecSize int) (*Result, error) {
-	if len(pl.Params) > 0 {
-		return nil, fmt.Errorf("logical: statement has %d unbound parameter(s); use ExecuteArgs", len(pl.Params))
-	}
 	return pl.executeInto(ctx, workers, vecSize, nil, 0, nil)
 }
 
@@ -36,6 +33,9 @@ func (pl *Plan) Execute(ctx context.Context, workers, vecSize int) (*Result, err
 // Streamable plan). With a non-nil part it fills the shard-local
 // partial state instead of finalizing.
 func (pl *Plan) executeInto(ctx context.Context, workers, vecSize int, stream *Streamer, chunk int, part *Partial) (*Result, error) {
+	if len(pl.Params) > 0 {
+		return nil, fmt.Errorf("logical: statement has %d unbound parameter(s); bind them with BindArgs first", len(pl.Params))
+	}
 	prog, err := lower(pl)
 	if err != nil {
 		return nil, err
@@ -212,24 +212,6 @@ func (pl *Plan) executeInto(ctx context.Context, workers, vecSize int, stream *S
 	}
 
 	return pl.FinalizeRows(rows)
-}
-
-// ExecuteArgs is Execute for parameterized plans: the argument binding
-// substitutes into a copy-on-write clone (BindArgs) and the bound plan
-// lowers and runs. Like Run, internal panics surface as errors, so a
-// cached plan cannot take down the query service. The receiver is never
-// mutated — safe for concurrent executions of one cached plan.
-func (pl *Plan) ExecuteArgs(ctx context.Context, workers, vecSize int, args []int64) (res *Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("logical: internal error executing query: %v", r)
-		}
-	}()
-	bound, err := pl.BindArgs(args)
-	if err != nil {
-		return nil, err
-	}
-	return bound.Execute(ctx, workers, vecSize)
 }
 
 // FinalizeRows turns merged rows — slot layout [keys..., aggs...] for

@@ -31,6 +31,15 @@ func testDBs() (map[float64]*storage.Database, map[float64]*storage.Database) {
 	return tpchDBs, ssbDBs
 }
 
+// runSQL plans a text and executes it on the vectorized lowering.
+func runSQL(ctx context.Context, db *storage.Database, text string, workers, vec int) (*Result, error) {
+	pl, err := Prepare(db, text)
+	if err != nil {
+		return nil, err
+	}
+	return pl.Execute(ctx, workers, vec)
+}
+
 // TestSQLMatchesReference is the subsystem's headline proof: the SQL
 // texts of TPC-H Q6/Q3/Q5/Q18 and SSB Q1.1/Q2.1 parse, plan, lower, and
 // execute bit-identical to the reference oracles across vector sizes
@@ -47,7 +56,7 @@ func TestSQLMatchesReference(t *testing.T) {
 				want := sqlcheck.RefRows(db, name)
 				for _, workers := range []int{1, 4} {
 					for _, vec := range []int{1, 1000, 4096} {
-						res, err := Run(context.Background(), db, text, workers, vec)
+						res, err := runSQL(context.Background(), db, text, workers, vec)
 						if err != nil {
 							t.Fatalf("sf=%v %s/%s w=%d vec=%d: %v", sf, db.Name, name, workers, vec, err)
 						}
@@ -83,7 +92,7 @@ func TestSQLFeatures(t *testing.T) {
 
 	run := func(text string) *Result {
 		t.Helper()
-		res, err := Run(ctx, db, text, 2, 64)
+		res, err := runSQL(ctx, db, text, 2, 64)
 		if err != nil {
 			t.Fatalf("%s: %v", text, err)
 		}
@@ -167,15 +176,15 @@ func TestSQLFeatures(t *testing.T) {
 
 	// A literal outside int32 range must not wrap inside the typed Sel
 	// primitives (wrapping would invert the comparison).
-	if _, err := Run(ctx, db, `select count(*) from customer where c_custkey > 3000000000`, 1, 0); err == nil ||
+	if _, err := runSQL(ctx, db, `select count(*) from customer where c_custkey > 3000000000`, 1, 0); err == nil ||
 		!strings.Contains(err.Error(), "out of range") {
 		t.Errorf("out-of-range int32 literal err = %v, want range error", err)
 	}
 
 	// A predicate as a select item is a bind error, not a worker panic
-	// (a panic on a worker goroutine would escape Run's recover and
-	// kill the service).
-	if _, err := Run(ctx, db, `select l_quantity < 24 from lineitem limit 3`, 2, 64); err == nil ||
+	// (a panic on a worker goroutine would escape engine.Run's recover
+	// and kill the service).
+	if _, err := runSQL(ctx, db, `select l_quantity < 24 from lineitem limit 3`, 2, 64); err == nil ||
 		!strings.Contains(err.Error(), "predicate") {
 		t.Errorf("predicate select item err = %v, want bind error", err)
 	}
@@ -211,7 +220,7 @@ func TestSQLCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	text, _ := SQLText("tpch", "Q3")
-	if _, err := Run(ctx, db, text, 4, 0); err != nil {
+	if _, err := runSQL(ctx, db, text, 4, 0); err != nil {
 		t.Fatalf("canceled run errored: %v", err)
 	}
 }

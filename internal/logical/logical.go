@@ -153,7 +153,7 @@ type Plan struct {
 	// Params lists the statement's parameter slot types in placeholder
 	// order (empty for ordinary statements). A parameterized plan is an
 	// execution template: BindArgs substitutes one argument binding and
-	// ExecuteArgs runs the bound copy, so a single optimized plan —
+	// the engines run the bound copy, so a single optimized plan —
 	// join order, pushdown, pruning all decided once — serves every
 	// binding of a prepared statement.
 	Params []catalog.Type

@@ -68,7 +68,7 @@ func (pl *Plan) BindArgs(args []int64) (*Plan, error) {
 }
 
 // BindTexts parses argument texts (one per parameter, in placeholder
-// order) into the raw values ExecuteArgs takes, using each slot's bound
+// order) into the raw values BindArgs takes, using each slot's bound
 // type — the argument surface of sqlsh's \execute and the service's
 // prepared-execution API.
 func (pl *Plan) BindTexts(args []string) ([]int64, error) {

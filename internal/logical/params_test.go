@@ -8,6 +8,16 @@ import (
 	"paradigms/internal/sqlcheck"
 )
 
+// execArgs binds one argument set into the template and runs the bound
+// plan on the vectorized lowering.
+func execArgs(ctx context.Context, pl *Plan, workers int, args []int64) (*Result, error) {
+	bound, err := pl.BindArgs(args)
+	if err != nil {
+		return nil, err
+	}
+	return bound.Execute(ctx, workers, 0)
+}
+
 // TestParamCondsDeferred: a table-free conjunct with a placeholder
 // (`? = 1`) cannot fold at plan time; BindArgs evaluates it per
 // execution — true keeps the plan live, false rejects every row.
@@ -25,7 +35,7 @@ func TestParamCondsDeferred(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	res, err := pl.ExecuteArgs(ctx, 1, 0, []int64{1})
+	res, err := execArgs(ctx, pl, 1, []int64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +43,7 @@ func TestParamCondsDeferred(t *testing.T) {
 		t.Fatalf("true conjunct: count = %d, want 20", res.Rows[0][0])
 	}
 
-	res, err = pl.ExecuteArgs(ctx, 1, 0, []int64{2})
+	res, err = execArgs(ctx, pl, 1, []int64{2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +73,7 @@ func TestBindArgsImmutableTemplate(t *testing.T) {
 			t.Fatal(err)
 		}
 		vals[i] = v
-		res, err := pl.ExecuteArgs(context.Background(), 1, 0, v)
+		res, err := execArgs(context.Background(), pl, 1, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +89,7 @@ func TestBindArgsImmutableTemplate(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
 				k := (g + i) % len(texts)
-				res, err := pl.ExecuteArgs(context.Background(), 2, 0, vals[k])
+				res, err := execArgs(context.Background(), pl, 2, vals[k])
 				if err != nil {
 					t.Error(err)
 					return
@@ -95,7 +105,8 @@ func TestBindArgsImmutableTemplate(t *testing.T) {
 }
 
 // TestExecuteRejectsUnboundParams: a parameterized plan cannot run
-// through the argument-less path, and arity mismatches are errors.
+// unbound — on any of the three entry points — and arity mismatches
+// are errors.
 func TestExecuteRejectsUnboundParams(t *testing.T) {
 	db := sqlcheck.MiniTPCH(20, true)
 	pl, err := Prepare(db, "select count(*) from orders where o_custkey < ?")
@@ -104,6 +115,9 @@ func TestExecuteRejectsUnboundParams(t *testing.T) {
 	}
 	if _, err := pl.Execute(context.Background(), 1, 0); err == nil {
 		t.Fatal("Execute ran a parameterized plan without arguments")
+	}
+	if _, err := pl.ExecutePartial(context.Background(), 1, 0); err == nil {
+		t.Fatal("ExecutePartial ran a parameterized plan without arguments")
 	}
 	if _, err := pl.BindArgs([]int64{1, 2}); err == nil {
 		t.Fatal("BindArgs accepted wrong arity")

@@ -2,7 +2,6 @@ package logical
 
 import (
 	"context"
-	"fmt"
 
 	"paradigms/internal/catalog"
 )
@@ -29,35 +28,12 @@ type Partial struct {
 // backend but stops before finalization, returning the shard-local
 // partial state for MergePartials. It is Execute minus FinalizeRows —
 // the scatter side of the exchange.
-func (pl *Plan) ExecutePartial(ctx context.Context, workers, vecSize int) (part *Partial, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("logical: internal error executing query: %v", r)
-		}
-	}()
-	if len(pl.Params) > 0 {
-		return nil, fmt.Errorf("logical: statement has %d unbound parameter(s); use ExecutePartialArgs", len(pl.Params))
-	}
-	part = &Partial{}
+func (pl *Plan) ExecutePartial(ctx context.Context, workers, vecSize int) (*Partial, error) {
+	part := &Partial{}
 	if _, err := pl.executeInto(ctx, workers, vecSize, nil, 0, part); err != nil {
 		return nil, err
 	}
 	return part, nil
-}
-
-// ExecutePartialArgs is ExecutePartial for parameterized plans (the
-// binding substitutes into a copy-on-write clone, like ExecuteArgs).
-func (pl *Plan) ExecutePartialArgs(ctx context.Context, workers, vecSize int, args []int64) (part *Partial, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("logical: internal error executing query: %v", r)
-		}
-	}()
-	bound, err := pl.BindArgs(args)
-	if err != nil {
-		return nil, err
-	}
-	return bound.ExecutePartial(ctx, workers, vecSize)
 }
 
 // MergePartials is the gather side of the exchange: it combines the

@@ -2,7 +2,6 @@ package logical
 
 import (
 	"context"
-	"fmt"
 	"sync"
 )
 
@@ -125,15 +124,7 @@ func (pl *Plan) Streamable() bool {
 // stream is deterministic only under a total-order ORDER BY, the same
 // contract as materialized execution. A sink error aborts the query
 // and is returned; a canceled ctx returns ctx.Err() like Execute.
-func (pl *Plan) ExecuteStream(ctx context.Context, workers, vecSize, chunk int, sink RowSink) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("logical: internal error executing query: %v", r)
-		}
-	}()
-	if len(pl.Params) > 0 {
-		return fmt.Errorf("logical: statement has %d unbound parameter(s); use ExecuteArgsStream", len(pl.Params))
-	}
+func (pl *Plan) ExecuteStream(ctx context.Context, workers, vecSize, chunk int, sink RowSink) error {
 	if chunk <= 0 {
 		chunk = DefaultStreamChunk
 	}
@@ -160,22 +151,6 @@ func (pl *Plan) ExecuteStream(ctx context.Context, workers, vecSize, chunk int, 
 		return err
 	}
 	return StreamChunks(ctx, st, res.Rows, chunk)
-}
-
-// ExecuteArgsStream is ExecuteStream for parameterized plans: the
-// argument binding substitutes into a copy-on-write clone (BindArgs)
-// and the bound plan streams. The receiver is never mutated.
-func (pl *Plan) ExecuteArgsStream(ctx context.Context, workers, vecSize, chunk int, args []int64, sink RowSink) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("logical: internal error executing query: %v", r)
-		}
-	}()
-	bound, err := pl.BindArgs(args)
-	if err != nil {
-		return err
-	}
-	return bound.ExecuteStream(ctx, workers, vecSize, chunk, sink)
 }
 
 // StreamChunks flushes pre-materialized rows through a Streamer in

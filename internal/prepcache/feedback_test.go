@@ -203,7 +203,7 @@ func BenchmarkFeedbackReplan(b *testing.B) {
 	for name, pl := range map[string]*logical.Plan{"static": static, "replanned": replanned} {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := pl.ExecuteArgs(ctx, 2, 0, nil); err != nil {
+				if _, err := pl.Execute(ctx, 2, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -239,5 +240,73 @@ func TestStatementExecuteEngines(t *testing.T) {
 	}
 	if _, err := st.BindTexts([]string{"1", "2"}); err == nil {
 		t.Fatal("arity mismatch accepted")
+	}
+}
+
+// failingSink accepts the header and fails the first row batch — a
+// client that disconnects mid-stream.
+type failingSink struct{}
+
+var errSinkGone = errors.New("client went away")
+
+func (failingSink) SetCols([]logical.OutCol) error { return nil }
+func (failingSink) PushRows([][]int64) error       { return errSinkGone }
+
+// routerStatement prepares a one-parameter projection outside any cache
+// and returns it with a valid binding.
+func routerStatement(t *testing.T) (*Statement, []int64) {
+	t.Helper()
+	db, _ := miniCat(t)
+	const q = "select o_orderkey, o_custkey from orders where o_custkey < ?"
+	pl, err := logical.Prepare(db, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewStatement(Normalize(q), pl)
+	vals, err := st.BindTexts([]string{"1000"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st, vals
+}
+
+var routerArms = []string{registry.Typer, registry.Tectorwise, registry.Hybrid}
+
+// TestFailingSinkDoesNotPenalizeRouter: only the engine's own failure
+// may cost a router arm. A sink that fails mid-stream returns its error
+// under a live caller context (the executor cancels its derived
+// context, not the caller's) and says nothing about the backend — the
+// router's books must not move, or disconnecting clients would skew
+// auto routing away from a healthy engine.
+func TestFailingSinkDoesNotPenalizeRouter(t *testing.T) {
+	st, vals := routerStatement(t)
+	for _, name := range routerArms {
+		before := st.Router().Snapshot()
+		if _, err := st.ExecuteStream(context.Background(), name, vals, 2, 0, 4, failingSink{}); !errors.Is(err, errSinkGone) {
+			t.Fatalf("%s: failing sink returned %v, want the sink's error", name, err)
+		}
+		if got := st.Router().Snapshot(); !reflect.DeepEqual(got, before) {
+			t.Errorf("%s: a failing sink moved the router: %+v → %+v", name, before, got)
+		}
+	}
+}
+
+// TestWrongArityBindDoesNotPenalizeRouter: an argument binding of the
+// wrong arity is the caller's error, rejected before any backend runs,
+// on the materializing and the streaming path alike.
+func TestWrongArityBindDoesNotPenalizeRouter(t *testing.T) {
+	st, vals := routerStatement(t)
+	ctx := context.Background()
+	for _, name := range routerArms {
+		before := st.Router().Snapshot()
+		if _, _, err := st.Execute(ctx, name, nil, 2, 0); err == nil {
+			t.Fatalf("%s: wrong-arity binding accepted", name)
+		}
+		if _, err := st.ExecuteStream(ctx, name, append(vals, 1), 2, 0, 4, failingSink{}); err == nil {
+			t.Fatalf("%s: wrong-arity streamed binding accepted", name)
+		}
+		if got := st.Router().Snapshot(); !reflect.DeepEqual(got, before) {
+			t.Errorf("%s: a wrong-arity binding moved the router: %+v → %+v", name, before, got)
+		}
 	}
 }

@@ -2,17 +2,14 @@ package prepcache
 
 import (
 	"context"
-	"fmt"
 	"sync/atomic"
 	"time"
 
 	"paradigms/internal/catalog"
-	"paradigms/internal/compiled"
+	"paradigms/internal/engine"
 	"paradigms/internal/feedback"
-	"paradigms/internal/hybrid"
 	"paradigms/internal/logical"
 	"paradigms/internal/obs"
-	"paradigms/internal/registry"
 )
 
 // Statement is one prepared SQL text: the optimized parameterized plan
@@ -146,7 +143,7 @@ func (s *Statement) observeFeedback(pl *logical.Plan, col *obs.Collector) {
 	}
 }
 
-// Execute runs the statement with one argument binding on the given
+// Execute runs the statement with one argument binding on the named
 // engine — registry.Typer (compiled fused pipelines), registry.
 // Tectorwise (vectorized operator plans), registry.Hybrid (per-pipeline
 // mix of the two, routed by the statement's PipelineRouter), or Auto,
@@ -156,94 +153,45 @@ func (s *Statement) observeFeedback(pl *logical.Plan, col *obs.Collector) {
 // ("hybrid[t,v]"). Every successful execution's latency feeds the
 // router, whichever way the engine was chosen, so explicit-engine
 // traffic trains Auto too.
-func (s *Statement) Execute(ctx context.Context, engine string, args []int64, workers, vecSize int) (*logical.Result, string, error) {
-	pl := s.plan.Load()
-	used := engine
-	if engine == Auto {
-		used = s.router.Pick()
-	}
-	ctx, col := s.observeCtx(ctx)
-	start := time.Now()
-	var (
-		res *logical.Result
-		err error
-	)
-	switch used {
-	case registry.Typer:
-		res, err = compiled.ExecuteArgs(ctx, pl, workers, args)
-	case registry.Tectorwise:
-		res, err = pl.ExecuteArgs(ctx, workers, vecSize, args)
-	case registry.Hybrid:
-		var rep *hybrid.Report
-		res, rep, err = hybrid.ExecuteArgsRouted(ctx, pl, workers, vecSize, &s.pipeRouter, args)
-		if err == nil && rep != nil {
-			used = registry.Hybrid + rep.Suffix()
-		}
-	default:
-		return nil, used, fmt.Errorf("prepcache: unknown engine %q (%s | %s | %s | %s)",
-			engine, registry.Typer, registry.Tectorwise, registry.Hybrid, Auto)
-	}
-	if err != nil {
-		// A live-context failure is the engine's fault: penalize the
-		// arm so auto routing falls through to the other backend
-		// rather than pinning to a broken one. A canceled context says
-		// nothing about the engine — observe nothing.
-		if ctx.Err() == nil {
-			s.router.ObserveFailure(used)
-		}
-		return nil, used, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, used, err
-	}
-	s.router.Observe(used, time.Since(start))
-	s.observeFeedback(pl, col)
-	return res, used, nil
+func (s *Statement) Execute(ctx context.Context, name string, args []int64, workers, vecSize int) (*logical.Result, string, error) {
+	out, err := s.run(ctx, name, engine.Options{Args: args, Workers: workers, VecSize: vecSize})
+	return out.Result, out.Used, err
 }
 
 // ExecuteStream is Execute streaming result batches to sink instead of
-// materializing (see logical.(*Plan).ExecuteStream for the streaming
-// contract). Auto resolves through the statement's router, and
-// successful streamed executions train it exactly like materialized
-// ones.
-func (s *Statement) ExecuteStream(ctx context.Context, engine string, args []int64, workers, vecSize, chunk int, sink logical.RowSink) (string, error) {
+// materializing (see logical.RowSink for the streaming contract). Auto
+// resolves through the statement's router, and successful streamed
+// executions train it exactly like materialized ones.
+func (s *Statement) ExecuteStream(ctx context.Context, name string, args []int64, workers, vecSize, chunk int, sink logical.RowSink) (string, error) {
+	out, err := s.run(ctx, name, engine.Options{Args: args, Workers: workers, VecSize: vecSize, Sink: sink, Chunk: chunk})
+	return out.Used, err
+}
+
+// run is the one body behind Execute and ExecuteStream: resolve Auto,
+// run the current plan template through engine.Run with the
+// statement's PipelineRouter, and feed the outcome to the router and
+// the feedback loop.
+func (s *Statement) run(ctx context.Context, name string, opt engine.Options) (engine.Output, error) {
 	pl := s.plan.Load()
-	used := engine
-	if engine == Auto {
-		used = s.router.Pick()
+	if name == Auto {
+		name = s.router.Pick()
 	}
+	opt.Router = &s.pipeRouter
 	ctx, col := s.observeCtx(ctx)
 	start := time.Now()
-	var err error
-	switch used {
-	case registry.Typer:
-		err = compiled.ExecuteArgsStream(ctx, pl, workers, chunk, args, sink)
-	case registry.Tectorwise:
-		err = pl.ExecuteArgsStream(ctx, workers, vecSize, chunk, args, sink)
-	case registry.Hybrid:
-		// Streaming materializes and chunks (the hybrid executor has no
-		// incremental path), but routes and decorates exactly like the
-		// materializing path: the statement's PipelineRouter assigns and
-		// learns, and the end frame reports "hybrid[t,v,...]".
-		var rep *hybrid.Report
-		rep, err = hybrid.ExecuteArgsStreamRouted(ctx, pl, workers, vecSize, chunk, &s.pipeRouter, args, sink)
-		if err == nil && rep != nil {
-			used = registry.Hybrid + rep.Suffix()
-		}
-	default:
-		return used, fmt.Errorf("prepcache: unknown engine %q (%s | %s | %s | %s)",
-			engine, registry.Typer, registry.Tectorwise, registry.Hybrid, Auto)
-	}
+	out, err := engine.Run(ctx, name, pl, opt)
 	if err != nil {
-		if ctx.Err() == nil {
-			s.router.ObserveFailure(used)
+		// Only the engine's own failure penalizes the arm, so auto
+		// routing falls through to the other backend rather than
+		// pinning to a broken one. A bad binding, a failing sink (the
+		// client went away), or a canceled context says nothing about
+		// the engine — observe nothing.
+		if out.Faulted {
+			s.router.ObserveFailure(out.Used)
 		}
-		return used, err
+		return out, err
 	}
-	if err := ctx.Err(); err != nil {
-		return used, err
-	}
-	s.router.Observe(used, time.Since(start))
+	s.router.Observe(out.Used, time.Since(start))
 	s.observeFeedback(pl, col)
-	return used, nil
+	return out, nil
 }

@@ -50,16 +50,9 @@ type Runner func(ctx context.Context, db *storage.Database, opt Options) any
 
 type key struct{ engine, dataset, name string }
 
-// AdHoc executes one ad-hoc SQL text on one database — the registry's
-// second dispatch surface, next to the named-query Runners. An engine
-// registers at most one ad-hoc runner (the SQL front-end registers the
-// Tectorwise lowering).
-type AdHoc func(ctx context.Context, db *storage.Database, sqlText string, opt Options) (any, error)
-
 var (
 	mu      sync.RWMutex
 	runners = map[key]Runner{}
-	adhoc   = map[string]AdHoc{}
 	order   = map[string][]string{} // dataset → canonical query order
 )
 
@@ -77,28 +70,6 @@ func Register(engine, dataset, name string, run Runner) {
 		panic("registry: duplicate registration " + engine + "/" + dataset + "/" + name)
 	}
 	runners[k] = run
-}
-
-// RegisterAdHoc adds an engine's ad-hoc SQL runner. Like Register it
-// panics on duplicates.
-func RegisterAdHoc(engine string, run AdHoc) {
-	if run == nil {
-		panic("registry: nil ad-hoc runner for " + engine)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if _, dup := adhoc[engine]; dup {
-		panic("registry: duplicate ad-hoc registration for " + engine)
-	}
-	adhoc[engine] = run
-}
-
-// LookupAdHoc returns the engine's ad-hoc SQL runner.
-func LookupAdHoc(engine string) (AdHoc, bool) {
-	mu.RLock()
-	defer mu.RUnlock()
-	r, ok := adhoc[engine]
-	return r, ok
 }
 
 // Lookup returns the runner registered for (engine, dataset, name).

@@ -54,11 +54,21 @@ func Canon(rows [][]int64) [][]int64 {
 	return out
 }
 
-// SameRows reports whether two canonicalized row sets are identical.
+// SameRows reports whether two row sets are the same multiset: both
+// sides are canonicalized here, so callers cannot compare raw engine
+// output positionally by accident (row order without a total-order
+// ORDER BY is undefined; DESIGN.md §8 "Result semantics"). Sides that
+// already agree positionally — pre-canonicalized callers — skip the
+// sort.
 func SameRows(a, b [][]int64) bool {
 	if len(a) != len(b) {
 		return false
 	}
+	return equalRows(a, b) || equalRows(Canon(a), Canon(b))
+}
+
+// equalRows compares two equally long row sets positionally.
+func equalRows(a, b [][]int64) bool {
 	for i := range a {
 		if len(a[i]) != len(b[i]) {
 			return false

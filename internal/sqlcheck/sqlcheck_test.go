@@ -79,3 +79,26 @@ func head(rows [][]int64) [][]int64 {
 	}
 	return rows
 }
+
+// TestSameRowsIsOrderBlind: SameRows compares multisets whatever order
+// its arguments arrive in — it cannot be misused on raw engine output —
+// and still tells different multisets apart.
+func TestSameRowsIsOrderBlind(t *testing.T) {
+	a := [][]int64{{3, 1}, {1, 2}, {1, 2}, {2, 9}}
+	b := [][]int64{{1, 2}, {2, 9}, {3, 1}, {1, 2}}
+	if !SameRows(a, b) || !SameRows(b, a) || !SameRows(a, a) || !SameRows(nil, [][]int64{}) {
+		t.Error("permuted row sets compared unequal")
+	}
+	if a[0][0] != 3 || b[0][0] != 1 {
+		t.Error("SameRows reordered its arguments")
+	}
+	for _, c := range [][][]int64{
+		{{3, 1}, {1, 2}, {2, 9}, {2, 9}}, // same rows, other multiplicities
+		{{3, 1}, {1, 2}, {1, 2}},         // one row short
+		{{3, 1}, {1, 2}, {1, 2}, {2}},    // a narrower row
+	} {
+		if SameRows(a, c) {
+			t.Errorf("SameRows(%v, %v) = true", a, c)
+		}
+	}
+}

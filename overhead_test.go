@@ -6,10 +6,10 @@ import (
 	"testing"
 	"time"
 
-	"paradigms/internal/compiled"
-	"paradigms/internal/hybrid"
+	"paradigms/internal/engine"
 	"paradigms/internal/logical"
 	"paradigms/internal/obs"
+	"paradigms/internal/registry"
 )
 
 const overheadQ6 = `select sum(l_extendedprice * l_discount) as revenue from lineitem
@@ -53,34 +53,20 @@ func TestTelemetryOverhead(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, eng := range []struct {
-			name string
-			run  func(ctx context.Context)
-		}{
-			{"typer", func(ctx context.Context) {
-				if _, err := compiled.Execute(ctx, pl, 0); err != nil {
+		for _, eng := range []string{registry.Typer, registry.Tectorwise, registry.Hybrid} {
+			run := func(ctx context.Context) {
+				if _, err := engine.Run(ctx, eng, pl, engine.Options{}); err != nil {
 					t.Fatal(err)
 				}
-			}},
-			{"tectorwise", func(ctx context.Context) {
-				if _, err := pl.Execute(ctx, 0, 0); err != nil {
-					t.Fatal(err)
-				}
-			}},
-			{"hybrid", func(ctx context.Context) {
-				if _, err := hybrid.Execute(ctx, pl, 0); err != nil {
-					t.Fatal(err)
-				}
-			}},
-		} {
-			plain := median(func() { eng.run(context.Background()) })
+			}
+			plain := median(func() { run(context.Background()) })
 			instr := median(func() {
-				eng.run(obs.WithCollector(context.Background(), obs.NewCollector()))
+				run(obs.WithCollector(context.Background(), obs.NewCollector()))
 			})
-			t.Logf("%s/%s: uninstrumented %v, instrumented %v", tc.name, eng.name, plain, instr)
+			t.Logf("%s/%s: uninstrumented %v, instrumented %v", tc.name, eng, plain, instr)
 			if float64(instr) > float64(plain)*factor {
 				t.Errorf("%s/%s: instrumented %v exceeds %gx uninstrumented %v",
-					tc.name, eng.name, instr, factor, plain)
+					tc.name, eng, instr, factor, plain)
 			}
 		}
 	}

@@ -25,7 +25,9 @@ import (
 	"fmt"
 	"strings"
 
+	"paradigms/internal/engine"
 	"paradigms/internal/exchange"
+	"paradigms/internal/logical"
 	"paradigms/internal/queries"
 	"paradigms/internal/registry"
 	"paradigms/internal/sql"
@@ -33,14 +35,9 @@ import (
 	"paradigms/internal/storage"
 	"paradigms/internal/tpch"
 
-	// The engines register their queries with the registry from init;
-	// the facade only dispatches, so the imports are for side effects.
-	// internal/logical, internal/compiled, and internal/hybrid
-	// additionally register the ad-hoc SQL paths (Tectorwise, Typer,
-	// and the per-pipeline hybrid respectively).
-	_ "paradigms/internal/compiled"
-	_ "paradigms/internal/hybrid"
-	_ "paradigms/internal/logical"
+	// The engines register their named queries with the registry from
+	// init; the facade only dispatches, so the imports are for side
+	// effects.
 	_ "paradigms/internal/plan"
 	_ "paradigms/internal/tw"
 	_ "paradigms/internal/typer"
@@ -102,39 +99,37 @@ func Run(db *DB, engine Engine, query string, opt Options) (any, error) {
 // and reports ctx.Err() instead.
 //
 // query is either a registered query name ("Q6") or an ad-hoc SQL text
-// ("select ..."): SQL routes through the engine's registered ad-hoc
-// runner — the vectorized lowering (internal/logical) on Tectorwise,
-// the compiled fused-pipeline lowering (internal/compiled) on Typer —
-// parsed, optimized, and executed against db's catalog, and returns a
-// *logical.Result that is bit-identical between the two engines.
-func RunContext(ctx context.Context, db *DB, engine Engine, query string, opt Options) (any, error) {
+// ("select ..."): SQL is parsed, bound, and optimized against db's
+// catalog (logical.Prepare) and the plan runs through the one engine
+// dispatch (internal/engine) — the vectorized lowering on Tectorwise,
+// the compiled fused-pipeline lowering on Typer, the per-pipeline mix
+// on Hybrid — returning a *logical.Result with the same row multiset
+// on every engine.
+func RunContext(ctx context.Context, db *DB, eng Engine, query string, opt Options) (any, error) {
 	if sql.IsQuery(query) {
-		run, ok := registry.LookupAdHoc(string(engine))
-		if !ok {
-			return nil, fmt.Errorf("paradigms: engine %q has no ad-hoc SQL path (use %s, %s, or %s)", engine, Typer, Tectorwise, Hybrid)
-		}
-		res, err := run(ctx, db, query, registry.Options{Workers: opt.Workers, VectorSize: opt.VectorSize})
+		pl, err := logical.Prepare(db, query)
 		if err != nil {
 			return nil, err
 		}
-		if err := ctx.Err(); err != nil {
+		out, err := engine.Run(ctx, string(eng), pl, engine.Options{Workers: opt.Workers, VecSize: opt.VectorSize})
+		if err != nil {
 			return nil, err
 		}
-		return res, nil
+		return out.Result, nil
 	}
-	if string(engine) == registry.Reference {
+	if string(eng) == registry.Reference {
 		// The oracles are registered under a pseudo-engine for the
 		// Reference lookup; they are single-threaded and uncancelable,
 		// so they are not runnable through the engine API.
-		return nil, fmt.Errorf("paradigms: unknown engine %q", engine)
+		return nil, fmt.Errorf("paradigms: unknown engine %q", eng)
 	}
-	run, ok := registry.Lookup(string(engine), db.Name, query)
+	run, ok := registry.Lookup(string(eng), db.Name, query)
 	if !ok {
-		if !registry.HasEngine(string(engine)) {
-			return nil, fmt.Errorf("paradigms: unknown engine %q", engine)
+		if !registry.HasEngine(string(eng)) {
+			return nil, fmt.Errorf("paradigms: unknown engine %q", eng)
 		}
 		return nil, fmt.Errorf("paradigms: unknown query %q for engine %s on %s (registered: %s)",
-			query, engine, db.Name, strings.Join(registry.Queries(string(engine), db.Name), ", "))
+			query, eng, db.Name, strings.Join(registry.Queries(string(eng), db.Name), ", "))
 	}
 	res := run(ctx, db, registry.Options{Workers: opt.Workers, VectorSize: opt.VectorSize})
 	if err := ctx.Err(); err != nil {

@@ -10,7 +10,7 @@ import (
 	"context"
 	"testing"
 
-	"paradigms/internal/compiled"
+	"paradigms/internal/engine"
 	"paradigms/internal/logical"
 	"paradigms/internal/server"
 )
@@ -52,34 +52,22 @@ where l_shipdate >= date '1994-01-01' and l_shipdate < date '1995-01-01'
 			}
 		}
 	})
-	b.Run("tectorwise/adhoc", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := logical.Run(ctx, db, lit, 1, 0); err != nil {
-				b.Fatal(err)
+	for _, eng := range []Engine{Tectorwise, Typer} {
+		b.Run(string(eng)+"/adhoc", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := RunContext(ctx, db, eng, lit, Options{Workers: 1}); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("tectorwise/prepared", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := pl.ExecuteArgs(ctx, 1, 0, vals); err != nil {
-				b.Fatal(err)
+		})
+		b.Run(string(eng)+"/prepared", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := engine.Run(ctx, string(eng), pl, engine.Options{Args: vals, Workers: 1}); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("typer/adhoc", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := compiled.Run(ctx, db, lit, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("typer/prepared", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := compiled.ExecuteArgs(ctx, pl, 1, vals); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
 
 // benchDBs2 reuses the root SQL-test databases (SF 0.01) so the bench

@@ -7,8 +7,9 @@ import (
 	"sync"
 	"testing"
 
-	"paradigms/internal/compiled"
+	"paradigms/internal/engine"
 	"paradigms/internal/logical"
+	"paradigms/internal/registry"
 	"paradigms/internal/sqlcheck"
 )
 
@@ -52,52 +53,40 @@ func TestSQLPreparedDifferentialCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatalf("oracle failed for %q: %v", lit, err)
 			}
-			wantC := sqlcheck.Canon(want)
 			vals, err := pl.BindTexts(binding)
 			if err != nil {
 				t.Fatalf("bind %v for %q: %v", binding, text, err)
 			}
-			for _, workers := range []int{1, 4} {
-				res, err := compiled.ExecuteArgs(ctx, pl, workers, vals)
+			// run executes a plan (the cached template with its bound
+			// values, or a fresh plan of the literal text) and checks
+			// it against the oracle.
+			run := func(label string, p *logical.Plan, name string, workers, vec int, args []int64) {
+				t.Helper()
+				out, err := engine.Run(ctx, name, p, engine.Options{Args: args, Workers: workers, VecSize: vec})
 				execs++
 				if err != nil {
-					t.Fatalf("cached compiled w=%d failed for %q %v: %v", workers, text, binding, err)
+					t.Fatalf("%s %s w=%d vec=%d failed for %q %v: %v", label, name, workers, vec, text, binding, err)
 				}
-				if !sqlcheck.SameRows(sqlcheck.Canon(res.Rows), wantC) {
-					t.Errorf("cached compiled w=%d differs from oracle for %q %v\n got %v\nwant %v",
-						workers, text, binding, clip(res.Rows), clip(want))
+				if !sqlcheck.SameRows(out.Result.Rows, want) {
+					t.Errorf("%s %s w=%d vec=%d differs from oracle for %q %v\n got %v\nwant %v",
+						label, name, workers, vec, text, binding, clip(out.Result.Rows), clip(want))
 				}
+			}
+			for _, workers := range []int{1, 4} {
+				run("cached", pl, registry.Typer, workers, 0, vals)
 				for _, vec := range []int{1, 1024} {
-					lres, err := pl.ExecuteArgs(ctx, workers, vec, vals)
-					execs++
-					if err != nil {
-						t.Fatalf("cached vectorized w=%d vec=%d failed for %q %v: %v", workers, vec, text, binding, err)
-					}
-					if !sqlcheck.SameRows(sqlcheck.Canon(lres.Rows), wantC) {
-						t.Errorf("cached vectorized w=%d vec=%d differs from oracle for %q %v\n got %v\nwant %v",
-							workers, vec, text, binding, clip(lres.Rows), clip(want))
-					}
+					run("cached", pl, registry.Tectorwise, workers, vec, vals)
 				}
 			}
 			// Fresh-planned runs of the substituted literal text: the
 			// cached plan must agree with a from-scratch plan of the
 			// same logical query.
-			fres, err := compiled.Run(ctx, db, lit, 4)
-			execs++
+			fresh, err := logical.Prepare(db, lit)
 			if err != nil {
-				t.Fatalf("fresh compiled failed for %q: %v", lit, err)
+				t.Fatalf("prepare %q: %v", lit, err)
 			}
-			if !sqlcheck.SameRows(sqlcheck.Canon(fres.Rows), wantC) {
-				t.Errorf("fresh compiled differs from oracle for %q\n got %v\nwant %v", lit, clip(fres.Rows), clip(want))
-			}
-			lres, err := logical.Run(ctx, db, lit, 4, 1000)
-			execs++
-			if err != nil {
-				t.Fatalf("fresh vectorized failed for %q: %v", lit, err)
-			}
-			if !sqlcheck.SameRows(sqlcheck.Canon(lres.Rows), wantC) {
-				t.Errorf("fresh vectorized differs from oracle for %q\n got %v\nwant %v", lit, clip(lres.Rows), clip(want))
-			}
+			run("fresh", fresh, registry.Typer, 4, 0, nil)
+			run("fresh", fresh, registry.Tectorwise, 4, 1000, nil)
 		}
 	}
 

@@ -8,10 +8,9 @@ import (
 	"sync"
 	"time"
 
-	"paradigms/internal/compiled"
+	"paradigms/internal/engine"
 	"paradigms/internal/exchange"
 	"paradigms/internal/feedback"
-	"paradigms/internal/hybrid"
 	"paradigms/internal/logical"
 	"paradigms/internal/obs"
 	"paradigms/internal/prepcache"
@@ -221,39 +220,29 @@ func NewService(tpchDB, ssbDB *DB, opt ServiceOptions) *server.Service {
 		// (internal/proto) is the sink's main producer; validation is
 		// skipped for streams, and the SQL cross-engine equivalence suite
 		// covers streamed-vs-materialized instead.
-		ExecStream: func(ctx context.Context, engine, query string, workers int, sink any) (string, error) {
+		ExecStream: func(ctx context.Context, eng, query string, workers int, sink any) (string, error) {
 			rs, ok := sink.(logical.RowSink)
 			if !ok {
-				return engine, fmt.Errorf("paradigms: stream sink must implement logical.RowSink (got %T)", sink)
+				return eng, fmt.Errorf("paradigms: stream sink must implement logical.RowSink (got %T)", sink)
 			}
 			if !sql.IsQuery(query) {
-				return engine, fmt.Errorf("paradigms: only ad-hoc SQL texts can stream (got query name %q)", query)
+				return eng, fmt.Errorf("paradigms: only ad-hoc SQL texts can stream (got query name %q)", query)
 			}
 			db, err := route(query)
 			if err != nil {
-				return engine, err
+				return eng, err
 			}
 			pl, err := logical.Prepare(db, query)
 			if err != nil {
-				return engine, err
+				return eng, err
 			}
-			switch engine {
-			case string(Typer):
-				return engine, compiled.ExecuteStream(ctx, pl, workers, opt.StreamChunk, rs)
-			case string(Tectorwise):
-				return engine, pl.ExecuteStream(ctx, workers, opt.VectorSize, opt.StreamChunk, rs)
-			case string(Hybrid):
-				// Routed so the end frame reports the per-pipeline
-				// assignment ("hybrid[t,v]"), exactly like the prepared
-				// and materializing hybrid paths.
-				rep, err := hybrid.ExecuteStreamRouted(ctx, pl, workers, opt.VectorSize, opt.StreamChunk, nil, rs)
-				if err == nil && rep != nil {
-					return engine + rep.Suffix(), nil
-				}
-				return engine, err
-			default:
-				return engine, fmt.Errorf("paradigms: engine %q cannot stream ad-hoc SQL (use %s, %s, or %s)", engine, Typer, Tectorwise, Hybrid)
-			}
+			// The end frame reports out.Used — for hybrid the per-pipeline
+			// assignment ("hybrid[t,v]"), exactly like the prepared and
+			// materializing paths.
+			out, err := engine.Run(ctx, eng, pl, engine.Options{
+				Workers: workers, VecSize: opt.VectorSize, Sink: rs, Chunk: opt.StreamChunk,
+			})
+			return out.Used, err
 		},
 		ExecPrepStream: func(ctx context.Context, engine string, stmt any, args []string, workers int, sink any) (string, error) {
 			rs, ok := sink.(logical.RowSink)

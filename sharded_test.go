@@ -8,7 +8,7 @@ import (
 	"sync"
 	"testing"
 
-	"paradigms/internal/compiled"
+	"paradigms/internal/engine"
 	"paradigms/internal/exchange"
 	"paradigms/internal/logical"
 	"paradigms/internal/sqlcheck"
@@ -58,14 +58,13 @@ func checkSharded(t *testing.T, db *storage.Database, text string, n int) {
 	if err != nil {
 		t.Fatalf("oracle failed for %q: %v", text, err)
 	}
-	wantC := sqlcheck.Canon(want)
 	cl := clusterFor(t, db, n)
 	for _, engine := range []string{exchange.EngineTyper, exchange.EngineTectorwise} {
 		res, err := cl.Run(ctx, exchange.Request{SQL: text, Engine: engine, Workers: 4, VecSize: 1000})
 		if err != nil {
 			t.Fatalf("sharded %s n=%d failed for %q: %v", engine, n, text, err)
 		}
-		if !sqlcheck.SameRows(sqlcheck.Canon(res.Rows), wantC) {
+		if !sqlcheck.SameRows(res.Rows, want) {
 			t.Errorf("sharded %s n=%d differs from oracle for %q\n got %v\nwant %v",
 				engine, n, text, clip(res.Rows), clip(want))
 		}
@@ -139,7 +138,7 @@ func TestServiceSharded(t *testing.T) {
 				t.Fatalf("%s %q: %v", engine, text, err)
 			}
 			rows := res.(*logical.Result).Rows
-			if !sqlcheck.SameRows(sqlcheck.Canon(rows), sqlcheck.Canon(want)) {
+			if !sqlcheck.SameRows(rows, want) {
 				t.Errorf("%s sharded service differs for %q\n got %v\nwant %v", engine, text, clip(rows), clip(want))
 			}
 		}
@@ -167,28 +166,22 @@ func TestShardedOneShardBitIdentical(t *testing.T) {
 		text := sqlcheck.Generate(rand.New(rand.NewSource(seed)), db)
 		cl := clusterFor(t, db, 1)
 
-		want, err := compiled.Run(ctx, db, text, 1)
+		pl, err := logical.Prepare(db, text)
 		if err != nil {
-			t.Fatalf("compiled failed for %q: %v", text, err)
+			t.Fatalf("prepare failed for %q: %v", text, err)
 		}
-		got, err := cl.Run(ctx, exchange.Request{SQL: text, Engine: exchange.EngineTyper, Workers: 1})
-		if err != nil {
-			t.Fatalf("sharded typer failed for %q: %v", text, err)
-		}
-		if !reflect.DeepEqual(got.Rows, want.Rows) {
-			t.Errorf("typer n=1 not bit-identical for %q\n got %v\nwant %v", text, clip(got.Rows), clip(want.Rows))
-		}
-
-		lwant, err := logical.Run(ctx, db, text, 1, 1000)
-		if err != nil {
-			t.Fatalf("vectorized failed for %q: %v", text, err)
-		}
-		lgot, err := cl.Run(ctx, exchange.Request{SQL: text, Engine: exchange.EngineTectorwise, Workers: 1, VecSize: 1000})
-		if err != nil {
-			t.Fatalf("sharded tectorwise failed for %q: %v", text, err)
-		}
-		if !reflect.DeepEqual(lgot.Rows, lwant.Rows) {
-			t.Errorf("tectorwise n=1 not bit-identical for %q\n got %v\nwant %v", text, clip(lgot.Rows), clip(lwant.Rows))
+		for _, name := range []string{exchange.EngineTyper, exchange.EngineTectorwise} {
+			want, err := engine.Run(ctx, name, pl, engine.Options{Workers: 1, VecSize: 1000})
+			if err != nil {
+				t.Fatalf("%s failed for %q: %v", name, text, err)
+			}
+			got, err := cl.Run(ctx, exchange.Request{SQL: text, Engine: name, Workers: 1, VecSize: 1000})
+			if err != nil {
+				t.Fatalf("sharded %s failed for %q: %v", name, text, err)
+			}
+			if !reflect.DeepEqual(got.Rows, want.Result.Rows) {
+				t.Errorf("%s n=1 not bit-identical for %q\n got %v\nwant %v", name, text, clip(got.Rows), clip(want.Result.Rows))
+			}
 		}
 	}
 }
@@ -204,7 +197,7 @@ func BenchmarkShardedVsSingle(b *testing.B) {
 	ctx := context.Background()
 	b.Run("single", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := compiled.Run(ctx, tpchDB, text, 0); err != nil {
+			if _, err := RunContext(ctx, tpchDB, Typer, text, Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -8,7 +8,6 @@ import (
 
 	"paradigms/internal/logical"
 	"paradigms/internal/queries"
-	"paradigms/internal/registry"
 )
 
 var (
@@ -25,10 +24,10 @@ func sqlDBs() (*DB, *DB) {
 	return sqlTPCH, sqlSSB
 }
 
-// TestRunContextSQL: the facade accepts raw SQL on both engines — the
-// vectorized lowering on Tectorwise and the compiled fused-pipeline
-// lowering on Typer — with bit-identical results, and rejects engines
-// without an ad-hoc path.
+// TestRunContextSQL: the facade accepts raw SQL on all three engines —
+// the vectorized lowering on Tectorwise, the compiled fused-pipeline
+// lowering on Typer, the per-pipeline mix on Hybrid — with identical
+// results, and rejects engines the dispatch does not know.
 func TestRunContextSQL(t *testing.T) {
 	db, _ := sqlDBs()
 	const q6 = `select sum(l_extendedprice * l_discount) from lineitem
@@ -36,7 +35,7 @@ func TestRunContextSQL(t *testing.T) {
 		and l_discount between 0.05 and 0.07 and l_quantity < 24`
 
 	want := int64(queries.RefQ6(db))
-	for _, engine := range []Engine{Tectorwise, Typer} {
+	for _, engine := range []Engine{Tectorwise, Typer, Hybrid} {
 		res, err := Run(db, engine, q6, Options{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
@@ -47,19 +46,13 @@ func TestRunContextSQL(t *testing.T) {
 		}
 	}
 
-	if _, err := Run(db, Engine("reference"), q6, Options{}); err == nil || !strings.Contains(err.Error(), "ad-hoc") {
-		t.Errorf("reference SQL err = %v, want no-ad-hoc-path error", err)
+	if _, err := Run(db, Engine("reference"), q6, Options{}); err == nil || !strings.Contains(err.Error(), "unknown engine") {
+		t.Errorf("reference SQL err = %v, want unknown-engine error", err)
 	}
 
 	for _, engine := range []Engine{Tectorwise, Typer} {
 		if _, err := Run(db, engine, "select nope from lineitem", Options{}); err == nil {
 			t.Errorf("%s: bad SQL did not error", engine)
-		}
-	}
-
-	for _, engine := range []string{registry.Tectorwise, registry.Typer} {
-		if _, ok := registry.LookupAdHoc(engine); !ok {
-			t.Errorf("%s has no registered ad-hoc runner", engine)
 		}
 	}
 }
