@@ -23,27 +23,36 @@ func q3Rows(res queries.Q3Result) [][]int64 {
 
 // TestGenericHybridMatchesHandWrittenROF is the ablation pin: the
 // plan-driven per-pipeline executor on the canonical Q3 SQL text must
-// reproduce the hand-written ROF monolith (rof.go) bit for bit — the
-// condition under which the other hand-rolled variants were retired.
+// reproduce queries.RefQ3 bit for bit — the reference the hand-written
+// ROF monolith was checked against before it was deleted. The SF 0.2
+// single-worker row overflows the fused pipeline's pre-aggregation
+// table, so the spill path is covered too.
 func TestGenericHybridMatchesHandWrittenROF(t *testing.T) {
-	db := tpch.Generate(0.05, 0)
 	text, ok := logical.SQLText("tpch", "Q3")
 	if !ok {
 		t.Fatal("no canonical Q3 SQL text")
 	}
-	for _, workers := range []int{1, 4} {
-		want := q3Rows(Q3(db, workers))
+	for _, tc := range []struct {
+		sf      float64
+		workers []int
+	}{{0.01, []int{1, 4}}, {0.05, []int{1, 4}}, {0.2, []int{1}}} {
+		db := tpch.Generate(tc.sf, 0)
+		want := q3Rows(queries.RefQ3(db))
 		pl, err := logical.Prepare(db, text)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, _, err := ExecuteRouted(context.Background(), pl, workers, 0, nil)
-		if err != nil {
-			t.Fatalf("w=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(res.Rows, want) {
-			t.Errorf("w=%d: generic hybrid differs from hand-written ROF\n got %v\nwant %v",
-				workers, res.Rows, want)
+		for _, workers := range tc.workers {
+			for _, r := range []Router{nil, &fixedRouter{pattern: []Engine{EngineCompiled}}} {
+				res, _, err := ExecuteRouted(context.Background(), pl, workers, 0, r)
+				if err != nil {
+					t.Fatalf("sf=%v w=%d: %v", tc.sf, workers, err)
+				}
+				if !reflect.DeepEqual(res.Rows, want) {
+					t.Errorf("sf=%v w=%d router=%v: generic hybrid differs from the Q3 reference\n got %v\nwant %v",
+						tc.sf, workers, r != nil, res.Rows, want)
+				}
+			}
 		}
 	}
 }
