@@ -8,6 +8,7 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -194,5 +195,60 @@ func TestReadmeMapsEveryPackage(t *testing.T) {
 		if !strings.Contains(readme, cmd) {
 			t.Errorf("README.md quickstart is missing %q", cmd)
 		}
+	}
+}
+
+// TestServeImportGraph pins ROADMAP item 3(d): the serving binary links
+// neither the Volcano baseline, the modeled-counter simulator, the I/O
+// simulator, nor the cmd/repro experiment harness.
+func TestServeImportGraph(t *testing.T) {
+	out, err := exec.Command("go", "list", "-deps", "./cmd/serve").Output()
+	if err != nil {
+		t.Fatalf("go list -deps ./cmd/serve: %v", err)
+	}
+	deps := strings.Fields(string(out))
+	if len(deps) < 20 {
+		t.Fatalf("suspiciously few dependencies listed: %d", len(deps))
+	}
+	for _, dep := range deps {
+		for _, banned := range []string{"volcano", "microsim", "iosim", "bench"} {
+			if dep == "paradigms/internal/"+banned {
+				t.Errorf("cmd/serve depends on internal/%s", banned)
+			}
+		}
+	}
+}
+
+// TestOneSQLDriver pins the structure DESIGN.md §8 describes: the SQL
+// backends and the dispatch share one pipeline driver — one place
+// allocates the aggregation spill — and the backends export exactly
+// seven execution entry points.
+func TestOneSQLDriver(t *testing.T) {
+	entryRe := regexp.MustCompile(`(?m)^func .*(Execute[A-Za-z]*|Run)\(`)
+	spills, entries := 0, 0
+	for _, file := range goSources(t) {
+		dir := filepath.ToSlash(filepath.Dir(file))
+		if strings.HasSuffix(file, "_test.go") || !strings.HasPrefix(dir, "internal/") {
+			continue
+		}
+		pkg := strings.TrimPrefix(dir, "internal/")
+		backend := pkg == "compiled" || pkg == "logical" || pkg == "hybrid"
+		if !backend && pkg != "engine" {
+			continue
+		}
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spills += strings.Count(string(src), "hashtable.NewSpill(")
+		if backend {
+			entries += len(entryRe.FindAll(src, -1))
+		}
+	}
+	if spills != 1 {
+		t.Errorf("hashtable.NewSpill( occurs %d times under internal/{compiled,logical,hybrid,engine}, want 1 (the driver)", spills)
+	}
+	if entries != 7 {
+		t.Errorf("the backends export %d Execute*/Run entry points, want 7", entries)
 	}
 }

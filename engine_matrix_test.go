@@ -5,10 +5,15 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"paradigms/internal/engine"
+	"paradigms/internal/exchange"
+	"paradigms/internal/exec"
+	"paradigms/internal/hybrid"
 	"paradigms/internal/logical"
+	"paradigms/internal/obs"
 	"paradigms/internal/registry"
 	"paradigms/internal/sqlcheck"
 )
@@ -38,13 +43,19 @@ func (c *collectSink) PushRows(rows [][]int64) error {
 // {literal text, `?` text + args} × {materialize, stream into a
 // collecting sink, partial → MergePartials} × workers {1, 4} runs a
 // slice of the sqlcheck corpus through engine.Run — the one dispatch
-// every caller uses — and must reproduce the oracle's row multiset. The
-// one unsupported cell, hybrid × partial, must say so without blaming
-// the engine. The dispatch's own contract rides along as subtests: bad
-// calls are rejected without blaming a backend, executor panics come
-// back as errors, and cancellation is never an engine fault.
+// every caller uses — and must reproduce the oracle's row multiset; so
+// must every engine × form through exchange.Cluster.Run at 1 and 3
+// shards. The matrix has no unsupported cell: all three engines are
+// assignment policies over one pipeline driver. What that driver
+// promises rides along as subtests: a streamed projection is
+// incremental on every engine, a hybrid forced all-fused (all-
+// vectorized) reports the telemetry of typer (tectorwise), bad calls
+// are rejected without blaming a backend, executor panics come back as
+// errors, and cancellation is never an engine fault.
 func TestEngineMatrix(t *testing.T) {
 	t.Run("corpus", engineMatrixCorpus)
+	t.Run("incremental-stream", engineStreamIsIncremental)
+	t.Run("forced-hybrid-telemetry", engineForcedHybridTelemetry)
 	t.Run("bad-calls", engineRunRejectsBadCalls)
 	t.Run("panic", engineRunRecoversPanics)
 	t.Run("canceled", engineRunCanceled)
@@ -56,6 +67,16 @@ func engineMatrixCorpus(t *testing.T) {
 	engines := []string{registry.Typer, registry.Tectorwise, registry.Hybrid}
 	modes := []string{"materialize", "stream", "partial"}
 	paramCells := 0
+	clusters := map[*DB][]*exchange.Cluster{}
+	for _, db := range []*DB{tpchDB, ssbDB} {
+		for _, n := range []int{1, 3} {
+			cl, err := exchange.New(db, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clusters[db] = append(clusters[db], cl)
+		}
+	}
 
 	for seed := int64(3000); seed < 3024; seed++ {
 		db := tpchDB
@@ -70,15 +91,15 @@ func engineMatrixCorpus(t *testing.T) {
 		}
 
 		type form struct {
-			label string
-			pl    *logical.Plan
-			args  []int64
+			label, text string
+			pl          *logical.Plan
+			args        []int64
 		}
 		litPlan, err := logical.Prepare(db, lit)
 		if err != nil {
 			t.Fatalf("prepare %q: %v", lit, err)
 		}
-		forms := []form{{"literal", litPlan, nil}}
+		forms := []form{{"literal", lit, litPlan, nil}}
 		if tmpl, err := logical.Prepare(db, text); err != nil {
 			t.Fatalf("prepare %q: %v", text, err)
 		} else if len(tmpl.Params) > 0 {
@@ -86,11 +107,21 @@ func engineMatrixCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatalf("bind %v for %q: %v", bindings[0], text, err)
 			}
-			forms = append(forms, form{"args", tmpl, args})
+			forms = append(forms, form{"args", text, tmpl, args})
 		}
 
 		for _, f := range forms {
 			for _, name := range engines {
+				for _, cl := range clusters[db] {
+					res, err := cl.Run(ctx, exchange.Request{SQL: f.text, Args: f.args, Engine: name, Workers: 4})
+					if err != nil {
+						t.Fatalf("%s/%s/shards=%d %q %v: %v", name, f.label, cl.Shards(), text, f.args, err)
+					}
+					if !sqlcheck.SameRows(res.Rows, want) {
+						t.Errorf("%s/%s/shards=%d %q %v differs from oracle\n got %v\nwant %v",
+							name, f.label, cl.Shards(), text, f.args, clip(res.Rows), clip(want))
+					}
+				}
 				for _, mode := range modes {
 					for _, workers := range []int{1, 4} {
 						cell := fmt.Sprintf("%s/%s/%s/w=%d %q %v", name, f.label, mode, workers, text, f.args)
@@ -103,12 +134,6 @@ func engineMatrixCorpus(t *testing.T) {
 							opt.Partial = true
 						}
 						out, err := engine.Run(ctx, name, f.pl, opt)
-						if name == registry.Hybrid && mode == "partial" {
-							if err == nil || !strings.Contains(err.Error(), "no partial-execution path") || out.Faulted {
-								t.Fatalf("%s: err=%v faulted=%v, want the unsupported-mode error", cell, err, out.Faulted)
-							}
-							continue
-						}
 						if err != nil {
 							t.Fatalf("%s: %v", cell, err)
 						}
@@ -150,6 +175,98 @@ func engineMatrixCorpus(t *testing.T) {
 	}
 	if paramCells == 0 {
 		t.Fatal("corpus slice exercised no parameterized statement")
+	}
+}
+
+// cancelingSink cancels the query's context on its first batch.
+type cancelingSink struct {
+	collectSink
+	cancel context.CancelFunc
+}
+
+func (c *cancelingSink) PushRows(rows [][]int64) error {
+	c.cancel()
+	return c.collectSink.PushRows(rows)
+}
+
+// engineStreamIsIncremental: a streamed projection hands rows to the
+// sink while the scan is still running, on every engine. At one worker
+// and 256-row morsels, a sink that cancels the query on its first
+// batch must leave most of the table's morsels unclaimed; an engine
+// that materialized before it chunked would have claimed them all.
+func engineStreamIsIncremental(t *testing.T) {
+	db, _ := sqlDBs()
+	pl, err := logical.Prepare(db, "select o_orderkey, o_custkey from orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const morsel = 256
+	tableMorsels := int64((db.Rel("orders").Rows() + morsel - 1) / morsel)
+	for _, name := range []string{registry.Typer, registry.Tectorwise, registry.Hybrid} {
+		var claimed atomic.Int64
+		ctx, cancel := context.WithCancel(context.Background())
+		ctx = exec.WithMorselCounter(exec.WithMorselSize(ctx, morsel), &claimed)
+		sink := &cancelingSink{cancel: cancel}
+		out, err := engine.Run(ctx, name, pl, engine.Options{Workers: 1, Sink: sink, Chunk: 16})
+		cancel()
+		if err != context.Canceled || out.Faulted {
+			t.Errorf("%s: err=%v faulted=%v, want context.Canceled and no fault", name, err, out.Faulted)
+		}
+		if len(sink.rows) == 0 || claimed.Load() >= tableMorsels {
+			t.Errorf("%s: sink saw %d rows after %d of %d morsels; the stream is not incremental",
+				name, len(sink.rows), claimed.Load(), tableMorsels)
+		}
+	}
+}
+
+// forcedRouter assigns every pipeline to one backend.
+type forcedRouter struct{ to hybrid.Engine }
+
+func (f forcedRouter) Decide(meta []hybrid.PipeMeta) []hybrid.Engine {
+	out := make([]hybrid.Engine, len(meta))
+	for i := range out {
+		out[i] = f.to
+	}
+	return out
+}
+
+func (forcedRouter) Observe([]hybrid.Engine, []int64) {}
+
+// engineForcedHybridTelemetry: hybrid has no driver of its own, so a
+// router forcing every pipeline fused (vectorized) must leave the same
+// per-pipeline story in the collector as typer (tectorwise) on the
+// same plan: engine tags, observed row counts, hash-table sizes, and —
+// for the vectorized pair at a fixed vector size — batch counts.
+func engineForcedHybridTelemetry(t *testing.T) {
+	db, _ := sqlDBs()
+	pl, err := logical.Prepare(db, telemetryQ3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(name string, opt engine.Options) []obs.PipeStat {
+		col := obs.NewCollector()
+		opt.Workers, opt.VecSize = 2, 1000
+		if _, err := engine.Run(obs.WithCollector(context.Background(), col), name, pl, opt); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return col.Pipes()
+	}
+	for _, tc := range []struct {
+		pure string
+		to   hybrid.Engine
+	}{{registry.Typer, hybrid.EngineCompiled}, {registry.Tectorwise, hybrid.EngineVectorized}} {
+		want := run(tc.pure, engine.Options{})
+		got := run(registry.Hybrid, engine.Options{Router: forcedRouter{tc.to}})
+		if len(got) != len(want) || len(got) != 3 {
+			t.Fatalf("%s: %d pipes, forced hybrid %d, want 3", tc.pure, len(want), len(got))
+		}
+		for i := range want {
+			w, g := want[i], got[i]
+			if g.Engine != tc.to.String() || w.Engine != g.Engine || w.RowsOut != g.RowsOut || w.HTRows != g.HTRows ||
+				w.Batches != g.Batches || w.VecSize != g.VecSize || w.Table != g.Table || w.Build != g.Build || w.EstRows != g.EstRows {
+				t.Errorf("pipe %d: %s reported %+v, forced hybrid %+v", i, tc.pure, w, g)
+			}
+		}
 	}
 }
 
@@ -197,9 +314,6 @@ func engineRunRecoversPanics(t *testing.T) {
 	bad.Root = nil
 	for _, name := range []string{registry.Typer, registry.Tectorwise, registry.Hybrid} {
 		for _, opt := range []engine.Options{{}, {Sink: &collectSink{}}, {Partial: true}} {
-			if name == registry.Hybrid && opt.Partial {
-				continue
-			}
 			out, err := engine.Run(context.Background(), name, &bad, opt)
 			if err == nil || !strings.Contains(err.Error(), "internal error") || !out.Faulted {
 				t.Errorf("%s %+v: err=%v faulted=%v, want a recovered panic blamed on the engine", name, opt, err, out.Faulted)
@@ -220,10 +334,11 @@ func engineRunCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, name := range []string{registry.Typer, registry.Tectorwise, registry.Hybrid} {
-		for _, opt := range []engine.Options{{Workers: 4}, {Workers: 4, Sink: &collectSink{}}} {
+		for _, opt := range []engine.Options{{Workers: 4}, {Workers: 4, Sink: &collectSink{}}, {Workers: 4, Partial: true}} {
 			out, err := engine.Run(ctx, name, pl, opt)
 			if err != context.Canceled || out.Faulted {
-				t.Errorf("%s stream=%v: err=%v faulted=%v, want context.Canceled and no fault", name, opt.Sink != nil, err, out.Faulted)
+				t.Errorf("%s stream=%v partial=%v: err=%v faulted=%v, want context.Canceled and no fault",
+					name, opt.Sink != nil, opt.Partial, err, out.Faulted)
 			}
 		}
 	}

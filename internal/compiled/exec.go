@@ -3,313 +3,59 @@ package compiled
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"math"
-	"time"
 
-	"paradigms/internal/exec"
 	"paradigms/internal/hashtable"
 	"paradigms/internal/logical"
-	"paradigms/internal/obs"
 	"paradigms/internal/simd"
+	"paradigms/internal/tw"
 )
 
-const (
-	// aggPartitions is the spill-partition count of the two-phase
-	// aggregation (matches internal/typer).
-	aggPartitions = 64
-	// preAggCapacity bounds each worker's pre-aggregation hash table so
-	// it stays cache resident; overflowing groups spill as single-tuple
-	// partials (matches internal/typer).
-	preAggCapacity = 1 << 14
-)
+// preAggCapacity bounds each worker's pre-aggregation hash table so it
+// stays cache resident; overflowing groups spill as single-tuple
+// partials (matches internal/typer).
+const preAggCapacity = 1 << 14
 
 // The compiled backend hashes keys with hashtable.Mix64, the same
 // low-latency finalizer the hand-written Typer pipelines use (see
 // typer.Hash) — called directly so the compiler can inline it into the
 // fused loops.
 
-// ExecuteStream runs the plan on the compiled backend, flushing result
-// batches to sink as they are produced — projection rows per fused
-// scan loop, grouped rows per merged spill partition — with the same
-// contract as logical.(*Plan).ExecuteStream: SetCols before execution,
-// chunk-sized batches (0 = default), materializing shapes (ORDER BY /
-// HAVING / LIMIT / global aggregates) stream their finalized rows, a
-// sink error aborts the query.
-func ExecuteStream(ctx context.Context, pl *logical.Plan, nWorkers, chunk int, sink logical.RowSink) error {
-	if chunk <= 0 {
-		chunk = logical.DefaultStreamChunk
-	}
-	if err := sink.SetCols(pl.Cols); err != nil {
-		return err
-	}
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	st := logical.NewStreamer(sink, cancel)
-
-	if pl.Streamable() {
-		if _, err := executeInto(sctx, pl, nWorkers, st, chunk, nil); err != nil {
-			return err
-		}
-		if err := st.Err(); err != nil {
-			return err
-		}
-		return ctx.Err()
-	}
-	res, err := Execute(ctx, pl, nWorkers)
-	if err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return logical.StreamChunks(ctx, st, res.Rows, chunk)
-}
-
-// Execute lowers an optimized logical plan to fused pipelines and runs
-// them morsel-parallel. A canceled context drains the workers within
-// one morsel and returns a partial result the caller discards — the
-// same contract as every registered engine query. The plan must be
-// fully bound (logical.(*Plan).BindArgs — shared with the vectorized
-// backend, so the two engines bind identically).
+// Execute runs the plan as the typer engine: every pipeline lowered to
+// a fused loop and run morsel-parallel by the shared driver
+// (logical.Drive), with nothing vectorized lowered or allocated. A
+// canceled context drains the workers within one morsel and returns a
+// partial result the caller discards — the same contract as every
+// registered engine query. The plan must be fully bound
+// (logical.(*Plan).BindArgs — shared with the vectorized backend, so
+// the two engines bind identically).
 func Execute(ctx context.Context, pl *logical.Plan, nWorkers int) (*logical.Result, error) {
-	return executeInto(ctx, pl, nWorkers, nil, 0, nil)
+	out, err := drive(ctx, pl, nWorkers, logical.Mode{})
+	return out.Result, err
 }
 
-// ExecutePartial runs the plan's fused pipelines but stops before
-// finalization, returning the shard-local partial state for
-// logical.(*Plan).MergePartials — the compiled backend's scatter side
-// of the exchange, with the same contract as the vectorized
-// ExecutePartial.
+// ExecuteStream is Execute flushing result batches to sink as they are
+// produced, with the same contract as logical.(*Plan).ExecuteStream.
+func ExecuteStream(ctx context.Context, pl *logical.Plan, nWorkers, chunk int, sink logical.RowSink) error {
+	_, err := drive(ctx, pl, nWorkers, logical.Mode{Sink: sink, Chunk: chunk})
+	return err
+}
+
+// ExecutePartial is Execute minus finalization: the shard-local
+// partial state for logical.(*Plan).MergePartials — the compiled
+// backend's scatter side of the exchange.
 func ExecutePartial(ctx context.Context, pl *logical.Plan, nWorkers int) (*logical.Partial, error) {
-	part := &logical.Partial{}
-	if _, err := executeInto(ctx, pl, nWorkers, nil, 0, part); err != nil {
-		return nil, err
-	}
-	return part, nil
+	out, err := drive(ctx, pl, nWorkers, logical.Mode{Partial: true})
+	return out.Partial, err
 }
 
-// executeInto is the shared body of Execute, ExecuteStream, and
-// ExecutePartial: with a nil stream it materializes a Result; with a
-// stream it flushes row batches as they are produced and returns a nil
-// Result (streaming callers pass a Streamable plan). With a non-nil
-// part it fills the shard-local partial state instead of finalizing.
-func executeInto(ctx context.Context, pl *logical.Plan, nWorkers int, stream *logical.Streamer, chunk int, part *logical.Partial) (res *logical.Result, err error) {
-	if len(pl.Params) > 0 {
-		return nil, fmt.Errorf("compiled: statement has %d unbound parameter(s); bind them with BindArgs first", len(pl.Params))
-	}
-	pr, err := lower(pl)
+// drive is the typer row of the engine policy table.
+func drive(ctx context.Context, pl *logical.Plan, nWorkers int, mode logical.Mode) (logical.Output, error) {
+	cp, err := LowerProgram(pl)
 	if err != nil {
-		return nil, err
+		return logical.Output{}, err
 	}
-	w := workers(nWorkers)
-	col := obs.FromContext(ctx)
-	if col != nil {
-		// The vectorized lowering produces the identical pipeline
-		// decomposition (the hybrid executor's parity invariant), so its
-		// describer serves both backends.
-		if err := pl.DescribePipes(col); err != nil {
-			return nil, err
-		}
-		for i := range pr.pipes {
-			col.SetPipeEngine(i, "t")
-		}
-	}
-	for _, p := range pr.pipes {
-		p.disp = exec.NewDispatcherCtx(ctx, p.scan.Table.Rows(), 0)
-		if p.keyCol != nil {
-			p.ht = hashtable.New(1+len(p.pays), w)
-		}
-	}
-
-	agg := pl.Agg
-	keyed := agg != nil && len(agg.Keys) > 0
-	global := agg != nil && len(agg.Keys) == 0
-
-	var (
-		spill      *hashtable.Spill
-		partDisp   *exec.Dispatcher
-		htOps      []hashtable.AggOp
-		workerRows [][][]int64
-		partials   []logical.GlobalPartial
-	)
-	switch {
-	case keyed:
-		htOps = make([]hashtable.AggOp, len(agg.Aggs))
-		for i, s := range agg.Aggs {
-			htOps[i] = s.Op.HTOp()
-		}
-		spill = hashtable.NewSpill(w, aggPartitions, 2+len(htOps))
-		partDisp = exec.NewDispatcherCtx(ctx, aggPartitions, 1)
-		workerRows = make([][][]int64, w)
-	case global:
-		partials = make([]logical.GlobalPartial, w)
-	default:
-		workerRows = make([][][]int64, w)
-	}
-
-	// Sink expressions compile once, on this goroutine, so unsupported
-	// shapes surface as errors here instead of panics on workers. The
-	// compiled closures are stateless per row and shared by all workers.
-	final := pr.final
-	var (
-		specs  []groupSpec
-		keyGet u64Fn
-		items  []scalarFn
-	)
-	switch {
-	case keyed:
-		if specs, err = final.compileAggs(agg); err != nil {
-			return nil, err
-		}
-		if keyGet, err = final.groupKeyGet(agg); err != nil {
-			return nil, err
-		}
-	case global:
-		if specs, err = final.compileAggs(agg); err != nil {
-			return nil, err
-		}
-	default:
-		items = make([]scalarFn, len(pl.Proj))
-		for j, e := range pl.Proj {
-			if items[j], err = final.scalar(e); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	var streamBufs []*logical.StreamBuf
-	if stream != nil {
-		streamBufs = make([]*logical.StreamBuf, w)
-		for i := range streamBufs {
-			streamBufs[i] = stream.NewBuf(chunk)
-		}
-	}
-
-	bar := exec.NewBarrier(w)
-	fi := len(pr.pipes) - 1
-	exec.Parallel(w, func(wid int) {
-		// Build pipelines in dependency order, each ending at its
-		// pipeline breaker (materialize → barrier → size directory →
-		// parallel insert).
-		for pi, p := range pr.pipes {
-			if p.keyCol == nil {
-				continue
-			}
-			var t0 time.Time
-			if col != nil {
-				t0 = time.Now()
-			}
-			p.runBuild(wid)
-			if col != nil {
-				col.PipeWorker(pi, 0, 0, time.Since(t0).Nanoseconds())
-			}
-			bar.Wait(func() { p.ht.Prepare(p.ht.Rows()) })
-			p.ht.InsertShard(wid)
-			bar.Wait(nil)
-		}
-
-		var t0 time.Time
-		var nOut *int64
-		if col != nil {
-			t0 = time.Now()
-			nOut = new(int64)
-		}
-		switch {
-		case keyed:
-			final.runGrouped(wid, specs, keyGet, spill, nOut)
-			if col != nil {
-				col.PipeWorker(fi, *nOut, 0, time.Since(t0).Nanoseconds())
-			}
-			bar.Wait(nil)
-			// Phase two: per-partition merge of partial aggregates.
-			// Output rows subslice a per-partition arena (one
-			// allocation per partition instead of one per group).
-			width := agg.MergedWidth()
-			for {
-				pm, ok := partDisp.Next()
-				if !ok {
-					break
-				}
-				arena := make([]int64, spill.PartitionCount(pm.Begin)*width)
-				hashtable.MergeSpill(spill, pm.Begin, htOps, func(row []uint64) {
-					out := arena[:width:width]
-					arena = arena[width:]
-					agg.DecodeMergedRow(row, out)
-					if stream != nil {
-						streamBufs[wid].Add(pl.ItemRow(out))
-						return
-					}
-					workerRows[wid] = append(workerRows[wid], out)
-				})
-			}
-		case global:
-			partials[wid] = final.runGlobal(wid, specs)
-			if col != nil {
-				col.PipeWorker(fi, partials[wid].N, 0, time.Since(t0).Nanoseconds())
-			}
-		default:
-			if stream != nil {
-				final.runProjectStream(items, streamBufs[wid], nOut)
-			} else {
-				workerRows[wid] = final.runProject(wid, items)
-				if nOut != nil {
-					*nOut = int64(len(workerRows[wid]))
-				}
-			}
-			if col != nil {
-				col.PipeWorker(fi, *nOut, 0, time.Since(t0).Nanoseconds())
-			}
-		}
-	})
-
-	if col != nil {
-		// Build-pipeline output = the shared table's final row count;
-		// merged once here rather than per worker.
-		for i, p := range pr.pipes {
-			if p.keyCol != nil {
-				n := int64(p.ht.Rows())
-				col.SetHTRows(i, n)
-				col.PipeWorker(i, n, 0, 0)
-			}
-		}
-	}
-
-	if stream != nil {
-		for _, b := range streamBufs {
-			b.Flush()
-		}
-		return nil, nil
-	}
-
-	if part != nil {
-		// Partial mode: hand the pre-finalization state to the exchange
-		// merge instead of running the HAVING/sort/limit tail here.
-		switch {
-		case keyed:
-			for _, wr := range workerRows {
-				part.Groups = append(part.Groups, wr...)
-			}
-		case global:
-			part.Globals = partials
-		default:
-			for _, wr := range workerRows {
-				part.Rows = append(part.Rows, wr...)
-			}
-		}
-		return nil, nil
-	}
-
-	var rows [][]int64
-	switch {
-	case global:
-		rows = [][]int64{logical.MergeGlobal(agg, partials)}
-	default:
-		for _, wr := range workerRows {
-			rows = append(rows, wr...)
-		}
-	}
-	return pl.FinalizeRows(rows)
+	return logical.Drive(ctx, pl, nWorkers, logical.Policy{Fused: cp}, mode)
 }
 
 // run drives the pipeline's fused tuple-at-a-time loop. The loop body
@@ -766,7 +512,7 @@ func (p *pipe) runGrouped(wid int, specs []groupSpec, keyGet u64Fn, spill *hasht
 			}
 			local.Insert(ref, h)
 		} else {
-			row := spill.AppendRow(wid, hashtable.PartitionOf(h, aggPartitions))
+			row := spill.AppendRow(wid, hashtable.PartitionOf(h, tw.AggPartitions))
 			row[0] = h
 			row[1] = k
 			for j := range specs {
@@ -785,7 +531,7 @@ func (p *pipe) runGrouped(wid int, specs []groupSpec, keyGet u64Fn, spill *hasht
 
 	local.ForEach(func(ref hashtable.Ref) {
 		h := local.Hash(ref)
-		row := spill.AppendRow(wid, hashtable.PartitionOf(h, aggPartitions))
+		row := spill.AppendRow(wid, hashtable.PartitionOf(h, tw.AggPartitions))
 		row[0] = h
 		row[1] = local.Word(ref, 0)
 		for j := range specs {
@@ -839,31 +585,13 @@ func (p *pipe) runGlobal(wid int, specs []groupSpec) logical.GlobalPartial {
 	return logical.GlobalPartial{Acc: acc, N: n}
 }
 
-// runProject materializes projection rows for one worker.
-func (p *pipe) runProject(wid int, items []scalarFn) [][]int64 {
-	var out [][]int64
+// runProject hands every projection row of one worker to emit.
+func (p *pipe) runProject(items []scalarFn, emit func(row []int64)) {
 	p.run(func(i int, fr []int64) {
 		row := make([]int64, len(items))
 		for j, v := range items {
 			row[j] = v(i, fr)
 		}
-		out = append(out, row)
-	})
-	return out
-}
-
-// runProjectStream is runProject flushing rows to the worker's stream
-// buffer instead of materializing — projection rows are already in
-// item layout. A non-nil nOut counts the flushed rows (telemetry).
-func (p *pipe) runProjectStream(items []scalarFn, buf *logical.StreamBuf, nOut *int64) {
-	p.run(func(i int, fr []int64) {
-		if nOut != nil {
-			*nOut++
-		}
-		row := make([]int64, len(items))
-		for j, v := range items {
-			row[j] = v(i, fr)
-		}
-		buf.Add(row)
+		emit(row)
 	})
 }

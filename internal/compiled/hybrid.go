@@ -6,18 +6,18 @@ import (
 	"paradigms/internal/logical"
 )
 
-// This file is the compiled backend's surface for the hybrid
-// per-pipeline executor (internal/hybrid): it exposes the lowered
-// pipeline structure — the same decomposition internal/logical's
-// vectorized lowering produces — so the hybrid driver can run any
-// individual pipeline as a fused loop while its neighbours run
-// vectorized. The driver owns all shared execution state (dispatchers,
-// hash tables, spill, barrier); this surface only binds that state in
-// and runs one pipeline for one worker.
+// This file is the compiled backend's surface for the shared pipeline
+// driver (logical.Drive): the lowered pipeline structure — the same
+// decomposition internal/logical's vectorized lowering produces — so
+// the driver can run any individual pipeline as a fused loop, alone
+// (typer) or while its neighbours run vectorized (hybrid). The driver
+// owns all shared execution state (dispatchers, hash tables, spill,
+// barrier); this surface only binds that state in and runs one
+// pipeline for one worker.
 
 // Program is a query lowered to fused pipelines with the final
-// pipeline's sink closures pre-compiled, ready for per-pipeline
-// execution under an external driver.
+// pipeline's sink closures pre-compiled: the logical.FusedProgram the
+// driver runs.
 type Program struct {
 	pr     *prog
 	agg    *logical.Aggregate
@@ -26,13 +26,10 @@ type Program struct {
 	items  []scalarFn
 }
 
-// AggPartitions is the spill-partition count of the two-phase keyed
-// aggregation, exported so the hybrid driver sizes the shared spill
-// identically to this backend's internal executor.
-const AggPartitions = aggPartitions
+var _ logical.FusedProgram = (*Program)(nil)
 
-// LowerProgram lowers an optimized, fully bound logical plan for the
-// hybrid executor. All sink expressions compile here, on the caller, so
+// LowerProgram lowers an optimized, fully bound logical plan to fused
+// pipelines. All sink expressions compile here, on the caller, so
 // unsupported shapes surface as errors before any worker starts.
 func LowerProgram(pl *logical.Plan) (*Program, error) {
 	pr, err := lower(pl)
@@ -120,8 +117,8 @@ func (p *Program) RunGlobal(wid int) logical.GlobalPartial {
 	return p.pr.final.runGlobal(wid, p.specs)
 }
 
-// RunProject materializes the final pipeline's projection rows for one
-// worker.
-func (p *Program) RunProject(wid int) [][]int64 {
-	return p.pr.final.runProject(wid, p.items)
+// RunProject hands the final pipeline's projection rows for one worker
+// to emit.
+func (p *Program) RunProject(wid int, emit func(row []int64)) {
+	p.pr.final.runProject(p.items, emit)
 }

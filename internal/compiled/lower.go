@@ -19,7 +19,6 @@ package compiled
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -299,19 +298,6 @@ func tablesUnder(n logical.Node) map[*catalog.Table]bool {
 	}
 	walk(n)
 	return out
-}
-
-// workers normalizes a worker-count argument (shards cap at
-// hashtable.MaxShards, same bound the hand-written engines live with).
-func workers(n int) int {
-	w := n
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > hashtable.MaxShards {
-		w = hashtable.MaxShards
-	}
-	return w
 }
 
 // ---------------------------------------------------------------------

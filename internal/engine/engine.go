@@ -1,14 +1,14 @@
 // Package engine is the single execution dispatch over the three SQL
-// backends — an extension beyond the paper, in service of its method
+// engines — an extension beyond the paper, in service of its method
 // (§3): Typer and Tectorwise share everything except the execution
-// paradigm, so everything that is not the paradigm lives here, once.
-// Each backend exports only what runs a fully bound *logical.Plan
-// ((*logical.Plan).{Execute, ExecuteStream, ExecutePartial},
-// compiled.{Execute, ExecuteStream, ExecutePartial},
-// hybrid.ExecuteRouted); Run binds the arguments, picks the backend and
-// the mode, and turns executor panics into errors. The prepared-
-// statement layer, the query service, the shards, and the facade all
-// execute SQL through it.
+// paradigm, so everything that is not the paradigm lives once: the
+// pipeline driver (logical.Drive) runs every plan, and an engine is a
+// row of constants fed to it — typer fuses every pipeline, tectorwise
+// vectorizes every pipeline, hybrid assigns each pipeline by router or
+// cost heuristic. Run binds the arguments, builds the named engine's
+// policy, calls the driver in the requested mode and turns executor
+// panics into errors. The prepared-statement layer, the query service,
+// the shards, and the facade all execute SQL through it.
 package engine
 
 import (
@@ -33,11 +33,13 @@ type Options struct {
 	VecSize int
 	// Sink, if non-nil, streams the result (SetCols, then row batches
 	// of Chunk rows, 0 = logical.DefaultStreamChunk) instead of
-	// materializing it; see logical.RowSink for the contract.
+	// materializing it; see logical.RowSink for the contract. Every
+	// engine streams incrementally where the plan is Streamable.
 	Sink  logical.RowSink
 	Chunk int
 	// Partial stops before the finalization tail and returns the
-	// shard-local state for (*logical.Plan).MergePartials.
+	// shard-local state for (*logical.Plan).MergePartials, on every
+	// engine.
 	Partial bool
 	// Router assigns hybrid's pipelines and learns from the run (nil =
 	// cost heuristic). The pure engines ignore it.
@@ -56,13 +58,13 @@ type Output struct {
 	Used string
 	// Faulted reports that the backend itself failed: the run returned
 	// an error that is not the caller's — not a bad binding, an
-	// unsupported engine or mode, a failing Sink, or a canceled ctx.
+	// unknown engine, a failing Sink, or a canceled ctx.
 	Faulted bool
 }
 
 // watchSink remembers whether the caller's sink failed, so Run can
-// tell a sink error from an executor error. The backends serialize
-// sink calls and finish them before returning.
+// tell a sink error from an executor error. The driver serializes
+// sink calls and finishes them before returning.
 type watchSink struct {
 	logical.RowSink
 	failed bool
@@ -81,7 +83,7 @@ func (w *watchSink) PushRows(rows [][]int64) error {
 }
 
 // Run executes pl on the named engine. A canceled ctx returns ctx.Err()
-// (the backends drain within one morsel and their partial output is
+// (the workers drain within one morsel and their partial output is
 // discarded).
 func Run(ctx context.Context, name string, pl *logical.Plan, opt Options) (out Output, err error) {
 	out.Used = name
@@ -91,11 +93,13 @@ func Run(ctx context.Context, name string, pl *logical.Plan, opt Options) (out O
 	if opt.Partial && opt.Sink != nil {
 		return out, fmt.Errorf("engine: a partial execution cannot stream")
 	}
+	mode := logical.Mode{Chunk: opt.Chunk, Partial: opt.Partial}
 	var sink *watchSink
 	if opt.Sink != nil {
 		sink = &watchSink{RowSink: opt.Sink}
+		mode.Sink = sink
 	}
-	supported := true
+	known := true
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("engine: internal error executing query on %s: %v", name, r)
@@ -103,51 +107,33 @@ func Run(ctx context.Context, name string, pl *logical.Plan, opt Options) (out O
 		if err == nil {
 			err = ctx.Err()
 		}
-		out.Faulted = err != nil && supported && ctx.Err() == nil && (sink == nil || !sink.failed)
+		out.Faulted = err != nil && known && ctx.Err() == nil && (sink == nil || !sink.failed)
 	}()
 
+	// The engines' whole difference: which lowering runs each pipeline.
+	var pol logical.Policy
 	switch name {
 	case registry.Typer:
-		switch {
-		case opt.Partial:
-			out.Partial, err = compiled.ExecutePartial(ctx, pl, opt.Workers)
-		case sink != nil:
-			err = compiled.ExecuteStream(ctx, pl, opt.Workers, opt.Chunk, sink)
-		default:
-			out.Result, err = compiled.Execute(ctx, pl, opt.Workers)
-		}
+		pol.Fused, err = compiled.LowerProgram(pl)
 	case registry.Tectorwise:
-		switch {
-		case opt.Partial:
-			out.Partial, err = pl.ExecutePartial(ctx, opt.Workers, opt.VecSize)
-		case sink != nil:
-			err = pl.ExecuteStream(ctx, opt.Workers, opt.VecSize, opt.Chunk, sink)
-		default:
-			out.Result, err = pl.Execute(ctx, opt.Workers, opt.VecSize)
-		}
+		pol.VecSize = opt.VecSize
+		pol.Vec, err = logical.LowerVec(pl)
 	case registry.Hybrid:
-		if opt.Partial {
-			supported = false
-			return out, fmt.Errorf("engine: %s has no partial-execution path", name)
-		}
-		if sink != nil {
-			if err = sink.SetCols(pl.Cols); err != nil {
-				return out, err
-			}
-		}
-		var rep *hybrid.Report
-		if out.Result, rep, err = hybrid.ExecuteRouted(ctx, pl, opt.Workers, opt.VecSize, opt.Router); err != nil {
-			return out, err
-		}
-		out.Used += rep.Suffix()
-		// No incremental stream of its own: materialize, then chunk.
-		if sink != nil && ctx.Err() == nil {
-			err = logical.StreamChunks(ctx, logical.NewStreamer(sink, nil), out.Result.Rows, opt.Chunk)
-			out.Result = nil
-		}
+		pol, err = hybrid.Policy(pl, opt.VecSize, opt.Router)
 	default:
-		supported = false
+		known = false
 		err = fmt.Errorf("engine: unknown engine %q (%s | %s | %s)", name, registry.Typer, registry.Tectorwise, registry.Hybrid)
 	}
-	return out, err
+	if err != nil {
+		return out, err
+	}
+	res, err := logical.Drive(ctx, pl, opt.Workers, pol, mode)
+	if err != nil {
+		return out, err
+	}
+	out.Result, out.Partial = res.Result, res.Partial
+	if name == registry.Hybrid {
+		out.Used += (&hybrid.Report{Assign: pol.Assign}).Suffix()
+	}
+	return out, nil
 }

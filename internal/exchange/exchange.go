@@ -1,5 +1,5 @@
 // Package exchange implements sharded, distributed in-process
-// execution over the two SQL backends — an extension beyond the paper
+// execution over the three SQL engines — an extension beyond the paper
 // (ROADMAP item 1, DESIGN.md §15), and the distributed endgame the
 // paper's Volcano-style engine comparison points at: one SQL text
 // fans out across N hash-partitioned shards
@@ -14,8 +14,8 @@
 // A Shard is an interface so a shard can later become a network hop:
 // Request is plain serializable data (SQL text, args, engine, budget),
 // and a Partial is plain rows. The in-process Local shard is a
-// goroutine pool (each ExecutePartial runs its own morsel dispatcher
-// over the slice).
+// goroutine pool (each partial run has its own morsel dispatchers over
+// the slice).
 package exchange
 
 import (
@@ -28,13 +28,8 @@ import (
 	"paradigms/internal/engine"
 	"paradigms/internal/logical"
 	"paradigms/internal/prepcache"
+	"paradigms/internal/registry"
 	"paradigms/internal/storage"
-)
-
-// Engines with a partial-execution path.
-const (
-	EngineTyper      = "typer"
-	EngineTectorwise = "tectorwise"
 )
 
 // Request is one shard's share of a query — deliberately plain data
@@ -43,7 +38,7 @@ const (
 type Request struct {
 	SQL     string
 	Args    []int64
-	Engine  string // EngineTyper or EngineTectorwise ("" = tectorwise)
+	Engine  string // registry.Typer, registry.Tectorwise or registry.Hybrid ("" = tectorwise)
 	Workers int    // per-shard worker budget (0 = GOMAXPROCS)
 	VecSize int    // vectorized backend's vector size (0 = default)
 }
@@ -83,7 +78,7 @@ func cachedPlan(cache *prepcache.Cache, db *storage.Database, text string) (*log
 func execute(ctx context.Context, req Request, pl *logical.Plan, partial bool) (engine.Output, error) {
 	name := req.Engine
 	if name == "" {
-		name = EngineTectorwise
+		name = registry.Tectorwise
 	}
 	return engine.Run(ctx, name, pl, engine.Options{
 		Args: req.Args, Workers: req.Workers, VecSize: req.VecSize, Partial: partial,

@@ -10,15 +10,18 @@
 // (internal/logical's vectorized lowering and internal/compiled's
 // fused lowering recurse over one optimized plan with one
 // deterministic column order, so hash-table layouts match word for
-// word). This executor lowers a plan on both backends, assigns every
-// pipeline to an engine — by cost heuristic, or by a Router fed with
-// per-pipeline latencies — and runs the pipelines in dependency order,
-// exchanging data through the materialization boundaries that already
-// exist: shared hash tables (standardized on the compiled backend's
-// Mix64 hash so either engine can build what the other probes) and the
-// shared aggregation spill. All workers run a given pipeline on the
-// same engine, so engine-local state (aggregation hashing, vector
-// buffers) never crosses paradigms.
+// word). This package is the hybrid engine's policy over the shared
+// pipeline driver (logical.Drive): it lowers a plan on both backends
+// and assigns every pipeline to an engine — by cost heuristic, or by a
+// Router fed with per-pipeline latencies. The driver runs the
+// pipelines in dependency order, exchanging data through the
+// materialization boundaries that already exist: shared hash tables
+// (standardized on the compiled backend's Mix64 hash so either engine
+// can build what the other probes) and the shared aggregation spill.
+// All workers run a given pipeline on the same engine, so engine-local
+// state (aggregation hashing, vector buffers) never crosses paradigms.
+// Hybrid has no driver of its own: an all-"t" assignment is the typer
+// engine and an all-"v" assignment is tectorwise.
 //
 // Vectorized pipelines additionally pick their vector size
 // micro-adaptively (§8.4): each worker times a few batches at each
@@ -28,47 +31,27 @@ package hybrid
 import (
 	"context"
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 	"time"
 
 	"paradigms/internal/compiled"
-	"paradigms/internal/exec"
-	"paradigms/internal/hashtable"
 	"paradigms/internal/logical"
-	"paradigms/internal/obs"
 	"paradigms/internal/plan"
 	"paradigms/internal/simd"
-	"paradigms/internal/tw"
-	"paradigms/internal/vector"
 )
 
-// Spill layouts assume both backends partition aggregation spills
-// identically (compile-time check).
-var _ [compiled.AggPartitions - tw.AggPartitions]struct{}
-var _ [tw.AggPartitions - compiled.AggPartitions]struct{}
-
 // Engine selects the backend of one pipeline.
-type Engine uint8
+type Engine = logical.PipeEngine
 
 const (
 	// EngineCompiled runs a pipeline as internal/compiled's fused
 	// tuple-at-a-time loop.
-	EngineCompiled Engine = iota
+	EngineCompiled = logical.PipeFused
 	// EngineVectorized runs a pipeline on internal/plan's vectorized
 	// operators via internal/logical's lowering.
-	EngineVectorized
+	EngineVectorized = logical.PipeVectorized
 )
-
-// String renders the one-letter engine tag used in assignment suffixes
-// ("t" for the fused Typer-style backend, "v" for vectorized).
-func (e Engine) String() string {
-	if e == EngineCompiled {
-		return "t"
-	}
-	return "v"
-}
 
 // PipeMeta describes one pipeline for routing decisions: its spine
 // table and cardinality, how many hash probes and filter conjuncts it
@@ -146,38 +129,42 @@ var vecCandidates = [...]int{256, 1024, 4096}
 // before committing.
 const trialBatches = 4
 
-// ExecuteRouted runs an optimized, fully bound plan with an explicit
-// Router (nil = cost heuristic only) and an explicit vector size (0 =
-// micro-adaptive). On success the Router has been fed the observed
-// per-pipeline latencies and the returned Report describes the run.
-// The executor has no incremental stream and no partial path of its
-// own; internal/engine materializes and chunks for streaming callers.
-func ExecuteRouted(ctx context.Context, pl *logical.Plan, nWorkers, vecSize int, router Router) (*logical.Result, *Report, error) {
-	if len(pl.Params) > 0 {
-		return nil, nil, fmt.Errorf("hybrid: statement has %d unbound parameter(s); bind them with BindArgs first", len(pl.Params))
-	}
-
+// Policy is the hybrid row of the engine policy table: the plan lowered
+// on both backends, each pipeline assigned by the Router (nil, or a
+// short answer = cost heuristic only), JoinHash on every join table,
+// and the given vector size (0 = micro-adaptive racing). A run under
+// the policy feeds the Router its per-pipeline latencies.
+func Policy(pl *logical.Plan, vecSize int, router Router) (logical.Policy, error) {
 	cp, err := compiled.LowerProgram(pl)
 	if err != nil {
-		return nil, nil, err
+		return logical.Policy{}, err
 	}
 	vp, err := logical.LowerVec(pl)
 	if err != nil {
-		return nil, nil, err
+		return logical.Policy{}, err
 	}
-	n := cp.NumPipes()
-	// Defensive parity check: the hybrid contract is that both
-	// lowerings decompose the plan identically.
-	if vp.NumPipes() != n {
-		return nil, nil, fmt.Errorf("hybrid: backend pipeline counts diverged (%d fused, %d vectorized)", n, vp.NumPipes())
+	meta := pipeMeta(cp)
+	var assign []Engine
+	if router != nil {
+		assign = router.Decide(meta)
 	}
-	for i := 0; i < n; i++ {
-		if cp.IsBuild(i) != vp.IsBuild(i) || cp.PayWidth(i) != vp.PayWidth(i) || cp.TableName(i) != vp.TableName(i) {
-			return nil, nil, fmt.Errorf("hybrid: pipeline %d shape diverged between backends", i)
-		}
+	if len(assign) != len(meta) {
+		assign = CostAssign(meta)
 	}
+	pol := logical.Policy{Fused: cp, Vec: vp, Assign: assign, JoinHash: JoinHash, VecSize: vecSize}
+	if vecSize <= 0 {
+		pol.VecSize = vecCandidates[len(vecCandidates)-1]
+		pol.Drain = drainAdaptive
+	}
+	if router != nil {
+		pol.Observe = func(nanos []int64) { router.Observe(assign, nanos) }
+	}
+	return pol, nil
+}
 
-	meta := make([]PipeMeta, n)
+// pipeMeta describes the lowered pipelines for routing decisions.
+func pipeMeta(cp *compiled.Program) []PipeMeta {
+	meta := make([]PipeMeta, cp.NumPipes())
 	for i := range meta {
 		meta[i] = PipeMeta{
 			Table:   cp.TableName(i),
@@ -187,230 +174,21 @@ func ExecuteRouted(ctx context.Context, pl *logical.Plan, nWorkers, vecSize int,
 			Build:   cp.IsBuild(i),
 		}
 	}
-	var assign []Engine
-	if router != nil {
-		assign = router.Decide(meta)
-	}
-	if len(assign) != n {
-		assign = CostAssign(meta)
-	}
+	return meta
+}
 
-	col := obs.FromContext(ctx)
-	if col != nil {
-		vp.Describe(col)
-	}
-
-	adaptive := vecSize <= 0
-	vcap := vecSize
-	if adaptive {
-		vcap = vecCandidates[len(vecCandidates)-1]
-	}
-	e := plan.NewExec(ctx, nWorkers, vcap)
-	w := e.Workers
-
-	hts := make([]*hashtable.Table, n)
-	for i := 0; i < n; i++ {
-		disp := exec.NewDispatcherCtx(ctx, cp.TableRows(i), 0)
-		if cp.IsBuild(i) {
-			hts[i] = hashtable.New(1+cp.PayWidth(i), w)
-		}
-		cp.Bind(i, hts[i], disp)
-		vp.Bind(i, hts[i], disp)
-	}
-
-	agg := pl.Agg
-	keyed := agg != nil && len(agg.Keys) > 0
-	global := agg != nil && len(agg.Keys) == 0
-
-	var (
-		spill      *hashtable.Spill
-		partDisp   *exec.Dispatcher
-		htOps      []hashtable.AggOp
-		workerRows [][][]int64
-		partials   []logical.GlobalPartial
-	)
-	switch {
-	case keyed:
-		htOps = make([]hashtable.AggOp, len(agg.Aggs))
-		for i, s := range agg.Aggs {
-			htOps[i] = s.Op.HTOp()
-		}
-		spill = hashtable.NewSpill(w, tw.AggPartitions, 2+len(htOps))
-		partDisp = exec.NewDispatcherCtx(ctx, tw.AggPartitions, 1)
-		workerRows = make([][][]int64, w)
-	case global:
-		partials = make([]logical.GlobalPartial, w)
-	default:
-		workerRows = make([][][]int64, w)
-	}
-
-	// Per-pipeline, per-worker observations (each worker writes only
-	// its own column — race free).
-	nanos := make([][]int64, n)
-	vecs := make([][]int, n)
-	for i := range nanos {
-		nanos[i] = make([]int64, w)
-		vecs[i] = make([]int, w)
-	}
-	// Row/batch counters, allocated only when a collector rides the
-	// context (same per-worker-column discipline).
-	var orows, obat [][]int64
-	if col != nil {
-		orows = make([][]int64, n)
-		obat = make([][]int64, n)
-		for i := range orows {
-			orows[i] = make([]int64, w)
-			obat[i] = make([]int64, w)
-		}
-	}
-
-	fi := n - 1 // final pipeline (lowering order puts it last)
-	bar := exec.NewBarrier(w)
-	exec.Parallel(w, func(wid int) {
-		// The vectorized worker assembles lazily: pure-compiled
-		// assignments never allocate vector buffers.
-		var vw *logical.VecWorker
-		vecWorker := func() *logical.VecWorker {
-			if vw == nil {
-				vw = vp.NewWorker(e, vector.NewBuffers(vcap), JoinHash)
-			}
-			return vw
-		}
-		// drain builds pipeline i's operator tree, then its sink (the
-		// sink captures gather buffers the tree allocates, so order
-		// matters), and drives it to exhaustion.
-		drain := func(i int, mkSink func() plan.Sink) plan.Sink {
-			root, scan := vecWorker().PipeRoot(i)
-			sink := mkSink()
-			var cs *obs.CountingSink
-			if col != nil {
-				cs = &obs.CountingSink{Sink: sink}
-				sink = cs
-			}
-			if adaptive {
-				vecs[i][wid] = drainAdaptive(root, scan, sink)
-			} else {
-				vecs[i][wid] = vecSize
-				var b plan.Batch
-				for root.Next(&b) {
-					sink.Consume(&b)
-				}
-			}
-			if cs != nil {
-				orows[i][wid], obat[i][wid] = cs.Rows, cs.Batches
-			}
-			return sink
-		}
-
-		// Build pipelines in dependency order, each publishing its
-		// table with the shared two-barrier protocol.
-		for i := 0; i < n; i++ {
-			if !cp.IsBuild(i) {
-				continue
-			}
-			start := time.Now()
-			if assign[i] == EngineCompiled {
-				cp.RunBuild(i, wid)
-			} else {
-				i := i
-				drain(i, func() plan.Sink { return vecWorker().BuildSink(i, wid) })
-			}
-			nanos[i][wid] = time.Since(start).Nanoseconds()
-			tw.BuildBarrier(hts[i], bar, wid)
-		}
-
-		start := time.Now()
-		var nOut *int64
-		if col != nil {
-			nOut = &orows[fi][wid]
-		}
-		switch {
-		case keyed:
-			if assign[fi] == EngineCompiled {
-				cp.RunGrouped(wid, spill, nOut)
-				bar.Wait(nil)
-			} else {
-				sink := drain(fi, func() plan.Sink { return vecWorker().GroupBySink(wid, spill, htOps) })
-				sink.Finish(bar, wid)
-			}
-			// Phase two: partition merge, engine-agnostic.
-			for {
-				pm, ok := partDisp.Next()
-				if !ok {
-					break
-				}
-				hashtable.MergeSpill(spill, pm.Begin, htOps, func(row []uint64) {
-					out := make([]int64, agg.MergedWidth())
-					agg.DecodeMergedRow(row, out)
-					workerRows[wid] = append(workerRows[wid], out)
-				})
-			}
-		case global:
-			if assign[fi] == EngineCompiled {
-				partials[wid] = cp.RunGlobal(wid)
-				if nOut != nil {
-					*nOut = partials[wid].N
-				}
-			} else {
-				sink := drain(fi, func() plan.Sink { return vecWorker().GlobalSink(&partials[wid]) })
-				sink.Finish(bar, wid)
-			}
-		default:
-			if assign[fi] == EngineCompiled {
-				workerRows[wid] = cp.RunProject(wid)
-				if nOut != nil {
-					*nOut = int64(len(workerRows[wid]))
-				}
-			} else {
-				drain(fi, func() plan.Sink { return vecWorker().CollectSink(&workerRows[wid]) })
-			}
-		}
-		nanos[fi][wid] = time.Since(start).Nanoseconds()
-	})
-
-	var rows [][]int64
-	switch {
-	case global:
-		rows = [][]int64{logical.MergeGlobal(agg, partials)}
-	default:
-		for _, wr := range workerRows {
-			rows = append(rows, wr...)
-		}
-	}
-	res, err := pl.FinalizeRows(rows)
+// ExecuteRouted materializes an optimized, fully bound plan under
+// Policy(pl, vecSize, router); the returned Report describes the run.
+func ExecuteRouted(ctx context.Context, pl *logical.Plan, nWorkers, vecSize int, router Router) (*logical.Result, *Report, error) {
+	pol, err := Policy(pl, vecSize, router)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	rep := &Report{Assign: assign, Vec: make([]int, n), Nanos: make([]int64, n)}
-	for i := 0; i < n; i++ {
-		rep.Nanos[i] = maxOf(nanos[i])
-		if assign[i] == EngineVectorized {
-			rep.Vec[i] = modal(vecs[i])
-		}
+	out, err := logical.Drive(ctx, pl, nWorkers, pol, logical.Mode{})
+	if err != nil {
+		return nil, nil, err
 	}
-	if col != nil {
-		for i := 0; i < n; i++ {
-			col.SetPipeEngine(i, assign[i].String())
-			var rows, bat int64
-			for wid := 0; wid < w; wid++ {
-				rows += orows[i][wid]
-				bat += obat[i][wid]
-			}
-			if cp.IsBuild(i) {
-				rows = int64(hts[i].Rows())
-				col.SetHTRows(i, rows)
-			}
-			col.PipeWorker(i, rows, bat, rep.Nanos[i])
-			if rep.Vec[i] > 0 {
-				col.SetVec(i, rep.Vec[i])
-			}
-		}
-	}
-	if router != nil && ctx.Err() == nil {
-		router.Observe(assign, rep.Nanos)
-	}
-	return res, rep, nil
+	return out.Result, &Report{Assign: pol.Assign, Vec: out.Vec, Nanos: out.Nanos}, nil
 }
 
 // drainAdaptive drives a vectorized pipeline with micro-adaptive
@@ -419,56 +197,46 @@ func ExecuteRouted(ctx context.Context, pl *logical.Plan, nWorkers, vecSize int,
 // size. The batch stream is identical to a fixed-size drain — trial
 // batches are consumed normally, only their size varies.
 func drainAdaptive(root plan.Operator, scan *plan.Scan, sink plan.Sink) int {
-	var b plan.Batch
-	best, bestNs := vecCandidates[len(vecCandidates)-1], int64(math.MaxInt64)
-	for _, c := range vecCandidates {
-		scan.SetVec(c)
-		rows := 0
-		t0 := time.Now()
-		for k := 0; k < trialBatches; k++ {
-			if !root.Next(&b) {
-				return c // exhausted mid-trial: sizing is moot
-			}
-			sink.Consume(&b)
-			rows += b.N
-		}
-		if per := time.Since(t0).Nanoseconds() / int64(rows); per < bestNs {
-			bestNs, best = per, c
+	costs := trialCosts(root, scan, sink, time.Now)
+	if len(costs) < len(vecCandidates) {
+		return vecCandidates[len(costs)] // exhausted mid-trial: sizing is moot
+	}
+	best := 0
+	for i, c := range costs {
+		if c < costs[best] {
+			best = i
 		}
 	}
-	scan.SetVec(best)
+	scan.SetVec(vecCandidates[best])
+	var b plan.Batch
 	for root.Next(&b) {
 		sink.Consume(&b)
 	}
-	return best
+	return vecCandidates[best]
 }
 
-// modal returns the most frequent positive value (ties to the
-// smaller), or 0 when none.
-func modal(xs []int) int {
-	counts := map[int]int{}
-	for _, x := range xs {
-		if x > 0 {
-			counts[x]++
+// trialCosts runs trialBatches batches at each candidate vector size
+// and returns each candidate's cost in ns per scanned row, stopping
+// short at the candidate during which the pipeline ran dry. Rows are
+// counted by scan progress, not by the batches that reach the sink:
+// filters and probes loop past empty windows internally, so under a
+// selective predicate a trial scans many more windows than it emits.
+func trialCosts(root plan.Operator, scan *plan.Scan, sink plan.Sink, now func() time.Time) []float64 {
+	var b plan.Batch
+	costs := make([]float64, 0, len(vecCandidates))
+	for _, c := range vecCandidates {
+		scan.SetVec(c)
+		from := scan.Scanned()
+		t0 := now()
+		for k := 0; k < trialBatches; k++ {
+			if !root.Next(&b) {
+				return costs
+			}
+			sink.Consume(&b)
 		}
+		costs = append(costs, float64(now().Sub(t0).Nanoseconds())/float64(scan.Scanned()-from))
 	}
-	best, bestN := 0, 0
-	for x, c := range counts {
-		if c > bestN || (c == bestN && x < best) {
-			best, bestN = x, c
-		}
-	}
-	return best
-}
-
-func maxOf(xs []int64) int64 {
-	var m int64
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
+	return costs
 }
 
 // Explain renders the hybrid assignment a cold start would pick (the
@@ -479,17 +247,7 @@ func Explain(pl *logical.Plan) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	n := cp.NumPipes()
-	meta := make([]PipeMeta, n)
-	for i := range meta {
-		meta[i] = PipeMeta{
-			Table:   cp.TableName(i),
-			Rows:    cp.TableRows(i),
-			Probes:  cp.NumProbes(i),
-			Filters: cp.NumFilters(i),
-			Build:   cp.IsBuild(i),
-		}
-	}
+	meta := pipeMeta(cp)
 	assign := CostAssign(meta)
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "hybrid assignment (cost heuristic): %s\n", (&Report{Assign: assign}).Suffix())

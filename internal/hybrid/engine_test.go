@@ -4,10 +4,14 @@ import (
 	"context"
 	"reflect"
 	"testing"
+	"time"
 
+	"paradigms/internal/exec"
 	"paradigms/internal/logical"
+	"paradigms/internal/plan"
 	"paradigms/internal/queries"
 	"paradigms/internal/tpch"
+	"paradigms/internal/vector"
 )
 
 // q3Rows maps a typed Q3 result into the SQL subsystem's raw row
@@ -151,6 +155,76 @@ func TestFixedVectorSizeDisablesAdaptivity(t *testing.T) {
 	for i, v := range rep.Vec {
 		if v != 513 {
 			t.Errorf("pipeline %d ran at vector size %d, want the fixed 513", i, v)
+		}
+	}
+}
+
+// tickingScan charges a fake clock a fixed cost per scan window plus a
+// cost per scanned row — the only time that passes in the test.
+type tickingScan struct {
+	scan              *plan.Scan
+	clock             *time.Time
+	perWindow, perRow time.Duration
+}
+
+func (s *tickingScan) Next(b *plan.Batch) bool {
+	if !s.scan.Next(b) {
+		return false
+	}
+	*s.clock = s.clock.Add(s.perWindow + time.Duration(b.N)*s.perRow)
+	return true
+}
+
+type discardSink struct{}
+
+func (discardSink) Consume(*plan.Batch)       {}
+func (discardSink) Finish(*exec.Barrier, int) {}
+
+// TestVectorSizeRacingCountsScannedRows: the racing compares ns per
+// *scanned* row. Under a predicate that passes one row in 16384, a
+// 256-tuple trial scans 64 windows per batch that reaches the sink and
+// a 4096-tuple trial scans 4; charging the trial's time to the rows of
+// the batches that got through (the old accounting) made the largest
+// candidate win by construction. With a fixed cost per window and per
+// row the per-row cost of candidate c is exactly perWindow/c + perRow.
+func TestVectorSizeRacingCountsScannedRows(t *testing.T) {
+	const total = 1 << 20
+	for _, tc := range []struct {
+		perWindow, perRow time.Duration
+		want              [len(vecCandidates)]float64
+	}{
+		{1024, 1, [...]float64{5, 2, 1.25}},
+		{0, 1, [...]float64{1, 1, 1}}, // no per-window cost: a tie, where the old accounting still ranked 4096 first
+	} {
+		pipeline := func() (plan.Operator, *plan.Scan, func() time.Time) {
+			// One morsel, so every window is full-sized.
+			scan := plan.NewExec(context.Background(), 1, 4096).NewScan(exec.NewDispatcher(total, total))
+			clock := time.Unix(0, 0)
+			ticking := &tickingScan{scan: scan, clock: &clock, perWindow: tc.perWindow, perRow: tc.perRow}
+			sparse := plan.Pred{Dense: func(base, n int, res []int32) int {
+				k := 0
+				for i := 0; i < n; i++ {
+					if (base+i)%16384 == 0 {
+						res[k] = int32(i)
+						k++
+					}
+				}
+				return k
+			}}
+			root := plan.NewFilterChain(vector.NewBuffers(4096), ticking, sparse)
+			return root, scan, func() time.Time { return clock }
+		}
+
+		root, scan, now := pipeline()
+		costs := trialCosts(root, scan, discardSink{}, now)
+		if len(costs) != len(tc.want) {
+			t.Fatalf("trial ran dry: %v", costs)
+		}
+		for i, c := range costs {
+			if c != tc.want[i] {
+				t.Errorf("perWindow=%d: candidate %d costs %v ns per scanned row, want %v",
+					tc.perWindow, vecCandidates[i], c, tc.want[i])
+			}
 		}
 	}
 }

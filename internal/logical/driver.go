@@ -1,0 +1,475 @@
+package logical
+
+import (
+	"context"
+	"fmt"
+	"time"
+
+	"paradigms/internal/exec"
+	"paradigms/internal/hashtable"
+	"paradigms/internal/obs"
+	"paradigms/internal/plan"
+	"paradigms/internal/tw"
+	"paradigms/internal/vector"
+)
+
+// This file is the one SQL executor. The paper's method (§3) is that
+// Typer and Tectorwise share everything except the inner loop: one
+// hash table, one morsel framework, one parallel aggregation. Drive
+// owns all of that — hash-table and dispatcher allocation, the build
+// barrier, the keyed / global / projection switch, the spill-partition
+// merge, stream buffers, Partial assembly, the telemetry merge and
+// FinalizeRows — and runs every pipeline through the per-pipeline,
+// per-worker inner loops the two lowerings expose (FusedProgram,
+// VecProgram). The three engines are three Policy values: typer fuses
+// every pipeline, tectorwise vectorizes every pipeline, hybrid mixes
+// them per pipeline (internal/hybrid).
+
+// PipeEngine selects the backend of one pipeline.
+type PipeEngine uint8
+
+const (
+	// PipeFused runs a pipeline as internal/compiled's fused
+	// tuple-at-a-time loop.
+	PipeFused PipeEngine = iota
+	// PipeVectorized runs a pipeline on internal/plan's vectorized
+	// operators.
+	PipeVectorized
+)
+
+// String renders the one-letter engine tag used in assignment suffixes
+// and telemetry ("t" for the fused Typer-style backend, "v" for
+// vectorized).
+func (e PipeEngine) String() string {
+	if e == PipeFused {
+		return "t"
+	}
+	return "v"
+}
+
+// FusedProgram is the fused backend's per-pipeline surface
+// (*compiled.Program; an interface only because internal/compiled
+// imports this package). Pipelines are indexed in lowering order:
+// build pipelines before their prober, the final pipeline last — the
+// same decomposition LowerVec produces.
+type FusedProgram interface {
+	// NumPipes, PayWidth (the payload-column count of build pipeline i:
+	// its hash table holds 1+PayWidth words per row), TableName and
+	// TableRows describe the pipelines; Bind attaches the driver-owned
+	// dispatcher and — for build pipelines — hash table of pipeline i.
+	lowered
+	// RunBuild drains build pipeline i into worker wid's shard of its
+	// bound table (the driver runs the two-barrier publish).
+	RunBuild(i, wid int)
+	// RunGrouped is phase one of the keyed aggregation for one worker,
+	// spilling rows [hash, key, aggs...]; a non-nil nOut counts the rows
+	// reaching the sink.
+	RunGrouped(wid int, spill *hashtable.Spill, nOut *int64)
+	RunGlobal(wid int) GlobalPartial
+	// RunProject hands every projection row of one worker to emit.
+	RunProject(wid int, emit func(row []int64))
+}
+
+// lowered is what either lowering tells the driver about its pipelines
+// and takes from it: the shape that sizes the shared state, and Bind.
+type lowered interface {
+	NumPipes() int
+	PayWidth(i int) int
+	TableName(i int) string
+	TableRows(i int) int
+	Bind(i int, ht *hashtable.Table, disp *exec.Dispatcher)
+}
+
+// Policy is everything that distinguishes one engine from another.
+type Policy struct {
+	// Fused and Vec are the plan's two lowerings; a policy that never
+	// runs a pipeline on a backend leaves that backend's program nil
+	// (typer never lowers or allocates anything vectorized).
+	Fused FusedProgram
+	Vec   *VecProgram
+	// Assign picks each pipeline's backend. Nil means every pipeline
+	// runs on the one program given.
+	Assign []PipeEngine
+	// JoinHash hashes the join tables of vectorized pipelines (nil =
+	// the vectorized default). A mixed assignment must set the fused
+	// backend's hash so either engine probes what the other built.
+	JoinHash plan.HashFn
+	// VecSize is the vector size the vectorized pipelines' buffers are
+	// allocated at and, with a nil Drain, run at (0 = default).
+	VecSize int
+	// Drain, if non-nil, drives a vectorized pipeline in place of the
+	// fixed-size loop and returns the vector size it settled on
+	// (hybrid's micro-adaptive sizing; sizes must stay <= VecSize).
+	Drain func(root plan.Operator, scan *plan.Scan, sink plan.Sink) int
+	// Observe, if non-nil, receives the per-pipeline wall times of a
+	// run that completed uncanceled (hybrid's router feedback).
+	Observe func(nanos []int64)
+}
+
+// Mode says what a run does with its rows: the zero value materializes
+// a Result.
+type Mode struct {
+	// Sink, if non-nil, streams the result: SetCols before execution,
+	// then batches of Chunk rows (0 = DefaultStreamChunk). Streamable
+	// plans flush rows as they are produced — projection rows per
+	// morsel, grouped rows per merged spill partition; materializing
+	// shapes (ORDER BY / HAVING / LIMIT / global aggregates) stream
+	// their finalized rows. A sink error aborts the query and is
+	// returned.
+	Sink  RowSink
+	Chunk int
+	// Partial stops before the finalization tail and returns the
+	// shard-local state for MergePartials.
+	Partial bool
+}
+
+// Output is what a run produced.
+type Output struct {
+	// Result is the materialized result (nil when streaming or partial).
+	Result *Result
+	// Partial is the pre-finalization state of a Partial run.
+	Partial *Partial
+	// Vec is the vector size each vectorized pipeline ran at (the mode
+	// across workers; 0 for fused pipelines) and Nanos each pipeline's
+	// wall time (the maximum across workers).
+	Vec   []int
+	Nanos []int64
+}
+
+// Drive runs a fully bound plan (BindArgs) under an engine policy. A
+// canceled context drains the workers within one morsel; materialized
+// and partial output of a canceled run is for the caller to discard,
+// a streamed run returns ctx.Err().
+func Drive(ctx context.Context, pl *Plan, workers int, pol Policy, mode Mode) (Output, error) {
+	if len(pl.Params) > 0 {
+		return Output{}, fmt.Errorf("logical: statement has %d unbound parameter(s); bind them with BindArgs first", len(pl.Params))
+	}
+	if mode.Sink == nil {
+		return drive(ctx, pl, workers, pol, nil, 0, mode.Partial)
+	}
+	if err := mode.Sink.SetCols(pl.Cols); err != nil {
+		return Output{}, err
+	}
+	sctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	st := newStreamer(mode.Sink, cancel)
+	if pl.Streamable() {
+		out, err := drive(sctx, pl, workers, pol, st, mode.Chunk, false)
+		return out, firstErr(err, st.Err(), ctx.Err())
+	}
+	// Materializing shape: run to completion, then stream the
+	// finalized rows in chunks.
+	out, err := drive(ctx, pl, workers, pol, nil, 0, false)
+	if err = firstErr(err, ctx.Err()); err != nil {
+		return Output{}, err
+	}
+	rows := out.Result.Rows
+	out.Result = nil
+	return out, streamChunks(ctx, st, rows, mode.Chunk)
+}
+
+// workerStat is one worker's share of one pipeline's telemetry. Each
+// worker writes only its own cells.
+type workerStat struct {
+	rows, batches, nanos int64
+	vec                  int
+}
+
+// drive is the body of Drive: with a stream it flushes row batches as
+// they are produced (the plan must be Streamable), with partial it
+// assembles the pre-finalization state, otherwise it finalizes.
+func drive(ctx context.Context, pl *Plan, workers int, pol Policy, stream *streamer, chunk int, partial bool) (Output, error) {
+	fp, vp := pol.Fused, pol.Vec
+	var progs []lowered
+	if fp != nil {
+		progs = append(progs, fp)
+	}
+	if vp != nil {
+		progs = append(progs, vp)
+	}
+	shape := progs[0]
+	n := shape.NumPipes()
+	if len(progs) == 2 {
+		// Defensive parity check: a mixed assignment relies on both
+		// lowerings decomposing the plan identically.
+		if vp.NumPipes() != n {
+			return Output{}, fmt.Errorf("logical: backend pipeline counts diverged (%d fused, %d vectorized)", n, vp.NumPipes())
+		}
+		for i := 0; i < n; i++ {
+			if fp.PayWidth(i) != vp.PayWidth(i) || fp.TableName(i) != vp.TableName(i) {
+				return Output{}, fmt.Errorf("logical: pipeline %d shape diverged between backends", i)
+			}
+		}
+	}
+	assign := pol.Assign
+	if assign == nil {
+		assign = make([]PipeEngine, n) // all PipeFused
+		if fp == nil {
+			for i := range assign {
+				assign[i] = PipeVectorized
+			}
+		}
+	}
+	fused := func(i int) bool { return assign[i] == PipeFused }
+
+	col := obs.FromContext(ctx)
+	if col != nil {
+		describePipes(pl, col)
+	}
+
+	e := plan.NewExec(ctx, workers, pol.VecSize)
+	w := e.Workers // normalized, and capped at hashtable.MaxShards
+	fi := n - 1    // lowering order puts the final pipeline last; all others build
+	hts := make([]*hashtable.Table, n)
+	for i := 0; i < n; i++ {
+		disp := exec.NewDispatcherCtx(ctx, shape.TableRows(i), 0)
+		if i < fi {
+			hts[i] = hashtable.New(1+shape.PayWidth(i), w)
+		}
+		for _, p := range progs {
+			p.Bind(i, hts[i], disp)
+		}
+	}
+
+	agg := pl.Agg
+	keyed := agg != nil && len(agg.Keys) > 0
+	global := agg != nil && len(agg.Keys) == 0
+
+	var (
+		spill      *hashtable.Spill
+		partDisp   *exec.Dispatcher
+		htOps      []hashtable.AggOp
+		workerRows [][][]int64
+		partials   []GlobalPartial
+		streamBufs []*streamBuf
+	)
+	switch {
+	case keyed:
+		htOps = make([]hashtable.AggOp, len(agg.Aggs))
+		for i, s := range agg.Aggs {
+			htOps[i] = s.Op.HTOp()
+		}
+		spill = hashtable.NewSpill(w, tw.AggPartitions, 2+len(htOps))
+		partDisp = exec.NewDispatcherCtx(ctx, tw.AggPartitions, 1)
+	case global:
+		partials = make([]GlobalPartial, w)
+	}
+	if stream != nil {
+		streamBufs = make([]*streamBuf, w)
+		for i := range streamBufs {
+			streamBufs[i] = stream.newBuf(chunk)
+		}
+	} else if !global {
+		workerRows = make([][][]int64, w)
+	}
+
+	stats := make([]workerStat, n*w)
+	bar := exec.NewBarrier(w)
+	exec.Parallel(w, func(wid int) {
+		// The vectorized worker assembles lazily: fused pipelines never
+		// allocate vector buffers.
+		var vw *VecWorker
+		// drain builds vectorized pipeline i's operator tree, then its
+		// sink (the sink captures gather buffers the tree allocates, so
+		// order matters), and drives it to exhaustion.
+		drain := func(i int, mkSink func(*VecWorker) plan.Sink) plan.Sink {
+			if vw == nil {
+				vw = vp.NewWorker(e, vector.NewBuffers(e.Vec), pol.JoinHash)
+			}
+			st := &stats[i*w+wid]
+			root, scan := vw.PipeRoot(i)
+			sink := mkSink(vw)
+			var cs *obs.CountingSink
+			if col != nil {
+				cs = &obs.CountingSink{Sink: sink}
+				sink = cs
+			}
+			if pol.Drain != nil {
+				st.vec = pol.Drain(root, scan, sink)
+			} else {
+				st.vec = e.Vec
+				var b plan.Batch
+				for root.Next(&b) {
+					sink.Consume(&b)
+				}
+			}
+			if cs != nil {
+				st.rows, st.batches = cs.Rows, cs.Batches
+			}
+			return sink
+		}
+
+		// Build pipelines in dependency order, each publishing its
+		// table with the shared two-barrier protocol.
+		for i := 0; i < fi; i++ {
+			start := time.Now()
+			if fused(i) {
+				fp.RunBuild(i, wid)
+			} else {
+				drain(i, func(vw *VecWorker) plan.Sink { return vw.BuildSink(i, wid) })
+			}
+			stats[i*w+wid].nanos = time.Since(start).Nanoseconds()
+			tw.BuildBarrier(hts[i], bar, wid)
+		}
+
+		st := &stats[fi*w+wid]
+		start := time.Now()
+		// A fused final pipeline counts the rows reaching its sink in a
+		// worker-local counter, and only on instrumented runs.
+		var fusedRows int64
+		var nOut *int64
+		if col != nil {
+			nOut = &fusedRows
+		}
+		// emit takes one of this worker's output rows: slot layout
+		// [keys..., aggs...] for groups, item layout for projections.
+		var rows [][]int64
+		emit := func(row []int64) { rows = append(rows, row) }
+		if stream != nil {
+			emit = streamBufs[wid].Add
+		}
+		switch {
+		case keyed:
+			if fused(fi) {
+				fp.RunGrouped(wid, spill, nOut)
+				bar.Wait(nil)
+			} else {
+				drain(fi, func(vw *VecWorker) plan.Sink { return vw.GroupBySink(wid, spill, htOps) }).Finish(bar, wid)
+			}
+		case global:
+			if fused(fi) {
+				partials[wid] = fp.RunGlobal(wid)
+				fusedRows = partials[wid].N
+			} else {
+				drain(fi, func(vw *VecWorker) plan.Sink { return vw.GlobalSink(&partials[wid]) }).Finish(bar, wid)
+			}
+		case fused(fi):
+			project := emit
+			if nOut != nil {
+				project = func(row []int64) {
+					*nOut++
+					emit(row)
+				}
+			}
+			fp.RunProject(wid, project)
+		default:
+			drain(fi, func(vw *VecWorker) plan.Sink { return vw.CollectSink(emit) })
+		}
+		st.nanos = time.Since(start).Nanoseconds()
+		if fused(fi) {
+			st.rows = fusedRows
+		}
+
+		if keyed {
+			// Phase two: per-partition merge of partial aggregates,
+			// engine-agnostic. Output rows subslice a per-partition arena
+			// (one allocation per partition instead of one per group).
+			width := agg.MergedWidth()
+			for {
+				pm, ok := partDisp.Next()
+				if !ok {
+					break
+				}
+				arena := make([]int64, spill.PartitionCount(pm.Begin)*width)
+				hashtable.MergeSpill(spill, pm.Begin, htOps, func(row []uint64) {
+					out := arena[:width:width]
+					arena = arena[width:]
+					agg.DecodeMergedRow(row, out)
+					if stream != nil {
+						out = pl.itemRow(out)
+					}
+					emit(out)
+				})
+			}
+		}
+		if workerRows != nil {
+			workerRows[wid] = rows
+		}
+	})
+
+	out := Output{Vec: make([]int, n), Nanos: make([]int64, n)}
+	for i := 0; i < n; i++ {
+		ws := stats[i*w : (i+1)*w]
+		var rows, batches int64
+		for _, s := range ws {
+			rows += s.rows
+			batches += s.batches
+			out.Nanos[i] = max(out.Nanos[i], s.nanos)
+		}
+		out.Vec[i] = modalVec(ws)
+		if col == nil {
+			continue
+		}
+		// The one place execution telemetry is merged, for every engine.
+		col.SetPipeEngine(i, assign[i].String())
+		if i < fi {
+			// Build-pipeline output = the shared table's final row count.
+			rows = int64(hts[i].Rows())
+			col.SetHTRows(i, rows)
+		}
+		col.PipeWorker(i, rows, batches, out.Nanos[i])
+		if out.Vec[i] > 0 {
+			col.SetVec(i, out.Vec[i])
+		}
+	}
+
+	switch {
+	case stream != nil:
+		for _, b := range streamBufs {
+			b.Flush()
+		}
+	case partial:
+		// Hand the pre-finalization state to the exchange merge instead
+		// of running the HAVING/sort/limit tail here.
+		out.Partial = &Partial{}
+		switch {
+		case keyed:
+			out.Partial.Groups = concatRows(workerRows)
+		case global:
+			out.Partial.Globals = partials
+		default:
+			out.Partial.Rows = concatRows(workerRows)
+		}
+	default:
+		rows := concatRows(workerRows)
+		if global {
+			rows = [][]int64{MergeGlobal(agg, partials)}
+		}
+		res, err := pl.FinalizeRows(rows)
+		if err != nil {
+			return Output{}, err
+		}
+		out.Result = res
+	}
+	if pol.Observe != nil && ctx.Err() == nil {
+		pol.Observe(out.Nanos)
+	}
+	return out, nil
+}
+
+// modalVec returns the most frequent positive vector size among one
+// pipeline's workers (ties to the smaller), or 0 when none ran
+// vectorized.
+func modalVec(ws []workerStat) int {
+	counts := map[int]int{}
+	best := 0
+	for _, s := range ws {
+		if s.vec <= 0 {
+			continue
+		}
+		counts[s.vec]++
+		if c := counts[s.vec]; best == 0 || c > counts[best] || (c == counts[best] && s.vec < best) {
+			best = s.vec
+		}
+	}
+	return best
+}
+
+// concatRows flattens the per-worker row lists in worker order.
+func concatRows(workerRows [][][]int64) [][]int64 {
+	var rows [][]int64
+	for _, wr := range workerRows {
+		rows = append(rows, wr...)
+	}
+	return rows
+}

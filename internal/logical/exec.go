@@ -2,224 +2,44 @@ package logical
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sort"
 
 	"paradigms/internal/catalog"
 	"paradigms/internal/exec"
 	"paradigms/internal/hashtable"
-	"paradigms/internal/obs"
 	"paradigms/internal/plan"
 	"paradigms/internal/sql"
 	"paradigms/internal/tw"
 	"paradigms/internal/vector"
 )
 
-// Execute lowers the plan and runs it morsel-parallel on the Tectorwise
-// operator layer. A canceled context drains the workers within one
-// morsel and returns a partial result the caller discards (the same
-// contract as the registered engine queries). The plan must be fully
-// bound (BindArgs).
+// Execute runs the plan as the tectorwise engine: every pipeline
+// vectorized at the given vector size (0 = default), with the
+// vectorized default join hash. A canceled context drains the workers
+// within one morsel and returns a partial result the caller discards
+// (the same contract as the registered engine queries). The plan must
+// be fully bound (BindArgs).
 func (pl *Plan) Execute(ctx context.Context, workers, vecSize int) (*Result, error) {
-	return pl.executeInto(ctx, workers, vecSize, nil, 0, nil)
+	out, err := pl.driveVec(ctx, workers, vecSize, Mode{})
+	return out.Result, err
 }
 
-// executeInto is the shared body of Execute, ExecuteStream, and
-// ExecutePartial: with a nil stream it materializes a Result; with a
-// stream it flushes row batches as they are produced — projection rows
-// per morsel from each worker's sink, grouped rows per merged spill
-// partition — and returns a nil Result (streaming callers must pass a
-// Streamable plan). With a non-nil part it fills the shard-local
-// partial state instead of finalizing.
-func (pl *Plan) executeInto(ctx context.Context, workers, vecSize int, stream *Streamer, chunk int, part *Partial) (*Result, error) {
-	if len(pl.Params) > 0 {
-		return nil, fmt.Errorf("logical: statement has %d unbound parameter(s); bind them with BindArgs first", len(pl.Params))
-	}
-	prog, err := lower(pl)
+// driveVec is the tectorwise row of the engine policy table.
+func (pl *Plan) driveVec(ctx context.Context, workers, vecSize int, mode Mode) (Output, error) {
+	vp, err := LowerVec(pl)
 	if err != nil {
-		return nil, err
+		return Output{}, err
 	}
-	e := plan.NewExec(ctx, workers, vecSize)
-	col := obs.FromContext(ctx)
-	if col != nil {
-		describeProgram(prog, col)
-		for i := range prog.pipes {
-			col.SetPipeEngine(i, "v")
-			col.SetVec(i, e.Vec)
-		}
-	}
-	for _, ps := range prog.pipes {
-		ps.disp = e.ScanDisp(ps.scan.Table.Rel)
-		if ps.keyCol != nil {
-			ps.ht = hashtable.New(1+len(ps.pays), e.Workers)
-		}
-	}
-
-	agg := pl.Agg
-	keyed := agg != nil && len(agg.Keys) > 0
-	global := agg != nil && len(agg.Keys) == 0
-
-	var (
-		spill      *hashtable.Spill
-		partDisp   *exec.Dispatcher
-		htOps      []hashtable.AggOp
-		workerRows [][][]int64
-		partials   []GlobalPartial
-		streamBufs []*StreamBuf
-	)
-	if stream != nil {
-		streamBufs = make([]*StreamBuf, e.Workers)
-		for i := range streamBufs {
-			streamBufs[i] = stream.NewBuf(chunk)
-		}
-	}
-	switch {
-	case keyed:
-		htOps = make([]hashtable.AggOp, len(agg.Aggs))
-		for i, s := range agg.Aggs {
-			htOps[i] = s.Op.HTOp()
-		}
-		spill = hashtable.NewSpill(e.Workers, tw.AggPartitions, 2+len(htOps))
-		partDisp = e.PartDisp(tw.AggPartitions)
-		workerRows = make([][][]int64, e.Workers)
-	case global:
-		partials = make([]GlobalPartial, e.Workers)
-	default:
-		workerRows = make([][][]int64, e.Workers)
-	}
-
-	// observed wraps a stage's sink with worker-local row/batch counters
-	// and merges them (plus the worker's stage wall time) into the
-	// collector when the stage completes; with no collector the stage is
-	// returned untouched.
-	observed := func(st plan.Stage, pipe int) plan.Stage {
-		if col == nil {
-			return st
-		}
-		cs := &obs.CountingSink{Sink: st.Sink}
-		st.Sink = cs
-		st.Obs = func(wid int, nanos int64) {
-			col.PipeWorker(pipe, cs.Rows, cs.Batches, nanos)
-		}
-		return st
-	}
-
-	e.Run(func(wid int, bufs *vector.Buffers) []plan.Stage {
-		w := &worker{bufs: bufs, colBuf: map[*pipeSpec]map[*catalog.Column][]uint64{}}
-		var stages []plan.Stage
-		for pi, ps := range prog.pipes {
-			if ps.keyCol == nil {
-				continue
-			}
-			root := w.pipeOps(ps, e)
-			key := w.srcVecU64(ps, colSrc{base: ps.keyCol})
-			pays := make([]plan.VecU64, len(ps.pays))
-			for i, src := range ps.paySrc {
-				pays[i] = w.srcVecU64(ps, src)
-			}
-			stages = append(stages, observed(plan.Stage{
-				Root: root,
-				Sink: plan.NewHashBuild(bufs, ps.ht, wid, key, pays...),
-			}, pi))
-		}
-
-		final := prog.final
-		fi := len(prog.pipes) - 1
-		root := w.pipeOps(final, e)
-		switch {
-		case keyed:
-			key := w.groupKey(final, agg)
-			vals := make([]plan.VecI64, len(agg.Aggs))
-			for i, s := range agg.Aggs {
-				vals[i] = w.aggInput(final, s)
-			}
-			stages = append(stages, observed(plan.Stage{
-				Root: root,
-				Sink: plan.NewGroupBy(bufs, spill, wid, htOps, key, vals...),
-			}, fi))
-			stages = append(stages, plan.MergeStage(partDisp, spill, htOps, func(wid int, row []uint64) {
-				out := make([]int64, agg.MergedWidth())
-				agg.DecodeMergedRow(row, out)
-				if stream != nil {
-					streamBufs[wid].Add(pl.itemRow(out))
-					return
-				}
-				workerRows[wid] = append(workerRows[wid], out)
-			}))
-		case global:
-			sink := newGlobalAggSink(w, final, agg, &partials[wid])
-			stages = append(stages, observed(plan.Stage{Root: root, Sink: sink}, fi))
-		default:
-			sink := &collectSink{}
-			sink.exprs = make([]vec64, len(pl.Proj))
-			for i, e := range pl.Proj {
-				sink.exprs[i] = w.vecI64(final, e)
-			}
-			if stream != nil {
-				sink.stream = streamBufs[wid]
-			} else {
-				sink.out = &workerRows[wid]
-			}
-			stages = append(stages, observed(plan.Stage{Root: root, Sink: sink}, fi))
-		}
-		return stages
-	})
-
-	if col != nil {
-		for i, ps := range prog.pipes {
-			if ps.keyCol != nil {
-				col.SetHTRows(i, int64(ps.ht.Rows()))
-			}
-		}
-	}
-
-	if stream != nil {
-		for _, b := range streamBufs {
-			b.Flush()
-		}
-		return nil, nil
-	}
-
-	if part != nil {
-		// Partial mode: hand the pre-finalization state to the exchange
-		// merge instead of running the HAVING/sort/limit tail here.
-		switch {
-		case keyed:
-			for _, wr := range workerRows {
-				part.Groups = append(part.Groups, wr...)
-			}
-		case global:
-			part.Globals = partials
-		default:
-			for _, wr := range workerRows {
-				part.Rows = append(part.Rows, wr...)
-			}
-		}
-		return nil, nil
-	}
-
-	// Merge phase: assemble output rows in slot layout [keys..., aggs...]
-	// (grouped/global) or item layout (projection).
-	var rows [][]int64
-	switch {
-	case global:
-		rows = [][]int64{MergeGlobal(agg, partials)}
-	default:
-		for _, wr := range workerRows {
-			rows = append(rows, wr...)
-		}
-	}
-
-	return pl.FinalizeRows(rows)
+	return Drive(ctx, pl, workers, Policy{Vec: vp, VecSize: vecSize}, mode)
 }
 
 // FinalizeRows turns merged rows — slot layout [keys..., aggs...] for
 // grouped/global queries, item layout for projections — into the final
 // Result: HAVING filtering, ORDER BY, LIMIT, and the item-slot mapping.
-// It is the shared tail of both lowering backends (the vectorized path
-// above and internal/compiled's fused path), so HAVING/sort/limit
-// semantics cannot drift between the engines.
+// It is the tail of the pipeline driver and of MergePartials, so
+// HAVING/sort/limit semantics cannot drift between the engines or
+// between single-process and sharded execution.
 func (pl *Plan) FinalizeRows(rows [][]int64) (*Result, error) {
 	agg := pl.Agg
 
@@ -278,9 +98,6 @@ func (pl *Plan) itemRow(r []int64) []int64 {
 	return out
 }
 
-// ItemRow is itemRow for the compiled backend's streaming flush.
-func (pl *Plan) ItemRow(r []int64) []int64 { return pl.itemRow(r) }
-
 // rowSorter orders merged rows by the plan's ORDER BY keys (stable, so
 // input order breaks ties deterministically per backend).
 type rowSorter struct {
@@ -304,8 +121,8 @@ func (s *rowSorter) Less(i, j int) bool {
 	return false
 }
 
-// HTOp maps a logical aggregate operator to the shared merge machinery;
-// both lowering backends use it for the partition-merge phase.
+// HTOp maps a logical aggregate operator to the shared merge machinery
+// of the partition-merge phase.
 func (op AggOp) HTOp() hashtable.AggOp {
 	switch op {
 	case OpSum, OpCount:
@@ -323,9 +140,8 @@ func (op AggOp) HTOp() hashtable.AggOp {
 func (agg *Aggregate) MergedWidth() int { return len(agg.Keys) + len(agg.Aggs) }
 
 // DecodeMergedRow fills out (slot layout [keys..., aggs...], length
-// MergedWidth) from one merged spill row [hash, key, aggs...] — the one
-// decode both lowering backends use for aggregation phase two, so the
-// row layout cannot drift between engines.
+// MergedWidth) from one merged spill row [hash, key, aggs...] — the
+// decode of aggregation phase two.
 func (agg *Aggregate) DecodeMergedRow(row []uint64, out []int64) {
 	DecodeGroupKey(agg.Keys, row[1], out)
 	nk := len(agg.Keys)
@@ -452,7 +268,7 @@ func MergeGlobal(agg *Aggregate, partials []GlobalPartial) []int64 {
 
 // worker holds one worker's buffer arena and the gathered-column
 // buffers of each pipeline. A non-nil hash overrides the probe-side
-// hash function of every join table (the hybrid executor's Mix64
+// hash function of every join table (the hybrid policy's Mix64
 // standardization); nil keeps the engine default.
 type worker struct {
 	bufs   *vector.Buffers
@@ -461,15 +277,9 @@ type worker struct {
 	hash   plan.HashFn
 }
 
-// pipeOps assembles the operator tree of one pipeline for this worker.
-func (w *worker) pipeOps(ps *pipeSpec, e *plan.Exec) plan.Operator {
-	op, _ := w.pipeRoot(ps, e)
-	return op
-}
-
-// pipeRoot is pipeOps also returning the root scan operator, so callers
-// that retune the vector size mid-flight (micro-adaptive sizing) keep a
-// handle on it.
+// pipeRoot assembles the operator tree of one pipeline for this worker,
+// also returning the root scan operator, so callers that retune the
+// vector size mid-flight (micro-adaptive sizing) keep a handle on it.
 func (w *worker) pipeRoot(ps *pipeSpec, e *plan.Exec) (plan.Operator, *plan.Scan) {
 	scan := e.NewScan(ps.disp)
 	var op plan.Operator = scan
@@ -660,13 +470,11 @@ func (s *globalAggSink) Finish(bar *exec.Barrier, wid int) {
 	bar.Wait(nil)
 }
 
-// collectSink materializes projection rows per worker — or, when
-// stream is set, flushes them at chunk granularity as each vector is
-// consumed (the truly incremental streaming path).
+// collectSink hands projection rows to emit as each vector is
+// consumed.
 type collectSink struct {
-	exprs  []vec64
-	out    *[][]int64
-	stream *StreamBuf
+	exprs []vec64
+	emit  func(row []int64)
 }
 
 // Consume implements plan.Sink.
@@ -680,11 +488,7 @@ func (s *collectSink) Consume(b *plan.Batch) {
 		for j := range vecs {
 			row[j] = vecs[j][i]
 		}
-		if s.stream != nil {
-			s.stream.Add(row)
-		} else {
-			*s.out = append(*s.out, row)
-		}
+		s.emit(row)
 	}
 }
 

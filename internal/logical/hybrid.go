@@ -8,25 +8,25 @@ import (
 	"paradigms/internal/vector"
 )
 
-// This file is the vectorized backend's surface for the hybrid
-// per-pipeline executor (internal/hybrid): it exposes the lowered
-// pipeline structure — identical decomposition to internal/compiled's,
-// since both recurse over the same optimized plan with the same
-// deterministic column ordering — so the hybrid driver can run any
-// individual pipeline vector-at-a-time while its neighbours run fused.
-// The driver owns all shared execution state (dispatchers, hash
-// tables, spill, barrier); this surface binds that state in and builds
-// per-worker operator trees and sinks for one pipeline at a time.
+// This file is the vectorized lowering's surface for the pipeline
+// driver (driver.go): the lowered pipeline structure — identical
+// decomposition to internal/compiled's, since both recurse over the
+// same optimized plan with the same deterministic column ordering —
+// so the driver can run any individual pipeline vector-at-a-time while
+// its neighbours run fused. The driver owns all shared execution state
+// (dispatchers, hash tables, spill, barrier); this surface binds that
+// state in and builds per-worker operator trees and sinks for one
+// pipeline at a time.
 
 // VecProgram is a query lowered onto the vectorized operator layer,
-// ready for per-pipeline execution under an external driver.
+// ready for per-pipeline execution under the driver.
 type VecProgram struct {
 	pl   *Plan
 	prog *program
 }
 
-// LowerVec lowers an optimized, fully bound logical plan for the
-// hybrid executor.
+// LowerVec lowers an optimized, fully bound logical plan onto the
+// vectorized operator layer.
 func LowerVec(pl *Plan) (*VecProgram, error) {
 	prog, err := lower(pl)
 	if err != nil {
@@ -39,28 +39,29 @@ func LowerVec(pl *Plan) (*VecProgram, error) {
 // prober, the final pipeline last).
 func (p *VecProgram) NumPipes() int { return len(p.prog.pipes) }
 
-// IsBuild reports whether pipeline i terminates in a hash-table build.
-func (p *VecProgram) IsBuild(i int) bool { return p.prog.pipes[i].keyCol != nil }
-
 // PayWidth returns the payload-column count of build pipeline i.
 func (p *VecProgram) PayWidth(i int) int { return len(p.prog.pipes[i].pays) }
 
 // TableName returns the spine table of pipeline i.
 func (p *VecProgram) TableName(i int) string { return p.prog.pipes[i].scan.Table.Name }
 
+// TableRows returns the spine cardinality of pipeline i (the morsel
+// space its dispatcher must cover).
+func (p *VecProgram) TableRows(i int) int { return p.prog.pipes[i].scan.Table.Rel.Rows() }
+
 // Bind attaches the driver-owned per-execution state to pipeline i:
 // the shared morsel dispatcher and — for build pipelines — the shared
 // hash table its probers will read (nil for the final pipeline). The
-// same table must be bound into the compiled program so cross-engine
-// probes read what either engine built.
+// same table is bound into the fused program so cross-engine probes
+// read what either engine built.
 func (p *VecProgram) Bind(i int, ht *hashtable.Table, disp *exec.Dispatcher) {
 	p.prog.pipes[i].disp = disp
 	p.prog.pipes[i].ht = ht
 }
 
 // VecWorker assembles one worker's operator trees and sinks over a
-// VecProgram. The hash function overrides the probe/build hash of
-// every join table (the hybrid executor standardizes on the compiled
+// VecProgram. A non-nil hash function overrides the probe/build hash
+// of every join table (the hybrid policy standardizes on the compiled
 // backend's Mix64 so tables interoperate across engines); aggregation
 // spills keep the engine-default hash — they never cross engines,
 // because the driver runs every worker of a pipeline on one engine.
@@ -88,8 +89,7 @@ func (vw *VecWorker) PipeRoot(i int) (plan.Operator, *plan.Scan) {
 
 // BuildSink creates the hash-build sink of build pipeline i for worker
 // wid, with the worker's hash override applied. The driver runs the
-// two-barrier publish itself (tw.BuildBarrier or the manual sequence),
-// not Sink.Finish.
+// two-barrier publish itself (tw.BuildBarrier), not Sink.Finish.
 func (vw *VecWorker) BuildSink(i, wid int) *plan.HashBuildSink {
 	ps := vw.p.prog.pipes[i]
 	key := vw.w.srcVecU64(ps, colSrc{base: ps.keyCol})
@@ -121,10 +121,10 @@ func (vw *VecWorker) GlobalSink(out *GlobalPartial) plan.Sink {
 	return newGlobalAggSink(vw.w, vw.p.prog.final, vw.p.pl.Agg, out)
 }
 
-// CollectSink creates the final pipeline's projection sink,
-// materializing rows into *out.
-func (vw *VecWorker) CollectSink(out *[][]int64) plan.Sink {
-	sink := &collectSink{out: out}
+// CollectSink creates the final pipeline's projection sink, handing
+// each row (item layout) to emit.
+func (vw *VecWorker) CollectSink(emit func(row []int64)) plan.Sink {
+	sink := &collectSink{emit: emit}
 	sink.exprs = make([]vec64, len(vw.p.pl.Proj))
 	for j, e := range vw.p.pl.Proj {
 		sink.exprs[j] = vw.w.vecI64(vw.p.prog.final, e)

@@ -124,20 +124,26 @@ func tablesUnder(n Node) map[*catalog.Table]bool {
 	return out
 }
 
+// probeJoins lists the joins the pipeline rooted at n probes,
+// innermost first.
+func probeJoins(n Node) []*Join {
+	var joins []*Join
+	for cur := n; ; {
+		j, ok := cur.(*Join)
+		if !ok {
+			return joins
+		}
+		joins = append([]*Join{j}, joins...)
+		cur = j.Probe
+	}
+}
+
 // compilePipe compiles the pipeline rooted at n, which must produce the
 // needed columns for its consumer. Build pipelines append themselves to
 // prog before their prober (execution order).
 func compilePipe(n Node, needed []*catalog.Column, prog *program) (*pipeSpec, error) {
 	spine := n.Spine()
-	var joins []*Join
-	for cur := n; ; {
-		j, ok := cur.(*Join)
-		if !ok {
-			break
-		}
-		joins = append([]*Join{j}, joins...) // innermost probe first
-		cur = j.Probe
-	}
+	joins := probeJoins(n)
 
 	ps := &pipeSpec{scan: spine, srcOf: map[*catalog.Column]colSrc{}}
 	// Every pushed-down conjunct must be row-evaluable: the generic

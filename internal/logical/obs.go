@@ -5,32 +5,33 @@ import (
 )
 
 // This file is the planner's side of the execution-telemetry extension
-// (internal/obs): it describes the lowered pipeline decomposition —
-// tables, build/final roles, probe counts — together with the planner's
+// (internal/obs): it describes the pipeline decomposition — tables,
+// build/final roles, probe counts — together with the planner's
 // cardinality estimates, so EXPLAIN ANALYZE and the query log can put
-// estimated next to observed cardinality per pipeline. The estimates
+// estimated next to observed cardinality per pipeline. It walks the
+// optimized plan the way both lowerings do (one pipeline per node,
+// build chains before their prober, the final pipeline last), so the
+// driver describes a run without lowering anything. The estimates
 // reuse the exact selectivity heuristics the join-order optimizer runs
 // on (selectivity in planner.go), so the drift a consumer computes is
 // the drift the optimizer actually suffered.
 
-// estPipeRows estimates a pipeline's output cardinality: the spine
-// scan's rows scaled by the pushed-down filters' selectivities —
-// observed history when the plan carries hints, static guesses
-// otherwise — then by each probe's retention ratio (the fraction of
-// the build spine's key domain the build chain retains) and each
-// residual equality.
-func estPipeRows(ps *pipeSpec, hints CardHints) float64 {
-	if ps.rejectAll {
-		return 0
-	}
-	est := float64(ps.scan.Table.Rel.Rows())
-	est *= scanSelectivity(ps.scan, hints)
-	for _, st := range ps.steps {
-		domain := float64(st.build.scan.Table.Rel.Rows())
+// estPipeRows estimates the output cardinality of the pipeline rooted
+// at n: the spine scan's rows scaled by the pushed-down filters'
+// selectivities — observed history when the plan carries hints, static
+// guesses otherwise — then by each probe's retention ratio (the
+// fraction of the build spine's key domain the build chain retains)
+// and each residual equality.
+func estPipeRows(n Node, hints CardHints) float64 {
+	spine := n.Spine()
+	est := float64(spine.Table.Rel.Rows())
+	est *= scanSelectivity(spine, hints)
+	for _, j := range probeJoins(n) {
+		domain := float64(j.Build.Spine().Table.Rel.Rows())
 		if domain > 0 {
-			est *= estPipeRows(st.build, hints) / domain
+			est *= estPipeRows(j.Build, hints) / domain
 		}
-		for range st.residuals {
+		for range j.Residuals {
 			est *= 0.1 // equality residual, same factor as OpEq
 		}
 	}
@@ -54,30 +55,26 @@ func scanSelectivity(sc *Scan, hints CardHints) float64 {
 	return sel
 }
 
-// describeProgram records each pipeline's static shape and estimate
-// into the collector.
-func describeProgram(prog *program, col *obs.Collector) {
-	col.SetPipes(len(prog.pipes))
-	for i, ps := range prog.pipes {
-		col.DescribePipe(i, ps.scan.Table.Name, ps.keyCol != nil,
-			int64(ps.scan.Table.Rel.Rows()), len(ps.steps), estPipeRows(ps, prog.pl.Hints))
+// describePipes records each pipeline's static shape and estimate into
+// the collector, in lowering order.
+func describePipes(pl *Plan, col *obs.Collector) {
+	var pipes []Node
+	var walk func(n Node)
+	walk = func(n Node) {
+		for _, j := range probeJoins(n) {
+			walk(j.Build)
+		}
+		pipes = append(pipes, n)
+	}
+	walk(pl.Root)
+	col.SetPipes(len(pipes))
+	for i, n := range pipes {
+		est := estPipeRows(n, pl.Hints)
+		if n == pl.Root && pl.AlwaysFalse {
+			est = 0
+		}
+		spine := n.Spine()
+		col.DescribePipe(i, spine.Table.Name, n != pl.Root,
+			int64(spine.Table.Rel.Rows()), len(probeJoins(n)), est)
 	}
 }
-
-// DescribePipes lowers the plan and records each pipeline's shape and
-// cardinality estimate into the collector. It is called only on
-// instrumented executions (the compiled backend has no handle on the
-// vectorized lowering, and re-lowering is microseconds next to any
-// query it would describe).
-func (pl *Plan) DescribePipes(col *obs.Collector) error {
-	prog, err := lower(pl)
-	if err != nil {
-		return err
-	}
-	describeProgram(prog, col)
-	return nil
-}
-
-// Describe records the already-lowered program's pipeline shapes and
-// estimates (the hybrid executor's entry point).
-func (p *VecProgram) Describe(col *obs.Collector) { describeProgram(p.prog, col) }

@@ -24,16 +24,12 @@ type Partial struct {
 	Rows [][]int64
 }
 
-// ExecutePartial runs the plan morsel-parallel on the vectorized
-// backend but stops before finalization, returning the shard-local
-// partial state for MergePartials. It is Execute minus FinalizeRows —
-// the scatter side of the exchange.
+// ExecutePartial is Execute minus FinalizeRows: it stops before
+// finalization and returns the shard-local partial state for
+// MergePartials — the scatter side of the exchange.
 func (pl *Plan) ExecutePartial(ctx context.Context, workers, vecSize int) (*Partial, error) {
-	part := &Partial{}
-	if _, err := pl.executeInto(ctx, workers, vecSize, nil, 0, part); err != nil {
-		return nil, err
-	}
-	return part, nil
+	out, err := pl.driveVec(ctx, workers, vecSize, Mode{Partial: true})
+	return out.Partial, err
 }
 
 // MergePartials is the gather side of the exchange: it combines the

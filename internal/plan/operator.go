@@ -57,6 +57,11 @@ func (s *Scan) Next(b *Batch) bool {
 // the vector size the pipeline's buffers were allocated with.
 func (s *Scan) SetVec(v int) { s.scan.SetVec(v) }
 
+// Scanned returns the number of tuples the scan has served so far —
+// scan progress, which counts windows a downstream filter or probe
+// dropped entirely.
+func (s *Scan) Scanned() int { return s.scan.Scanned }
+
 // ---------------------------------------------------------------------
 // FilterChain
 // ---------------------------------------------------------------------
@@ -185,7 +190,7 @@ func CarryI64(bufs *vector.Buffers, v []int64) Carry {
 
 // HashFn maps packed 64-bit keys to their hash vector. A nil HashFn
 // means the engine default (tw.MapHashU64 over the engine-wide hash
-// function); the hybrid executor overrides it so vectorized stages
+// function); the hybrid engine overrides it so vectorized stages
 // build and probe join tables with the compiled backend's hash.
 type HashFn func(keys, res []uint64)
 

@@ -26,9 +26,9 @@ package plan
 import (
 	"context"
 	"runtime"
-	"time"
 
 	"paradigms/internal/exec"
+	"paradigms/internal/hashtable"
 	"paradigms/internal/storage"
 	"paradigms/internal/tw"
 	"paradigms/internal/vector"
@@ -60,6 +60,8 @@ func newExec(ctx context.Context, nWorkers, vecSize int) *Exec {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
+	// Every shared hash table has one shard per worker.
+	w = min(w, hashtable.MaxShards)
 	v := vecSize
 	if v <= 0 {
 		v = vector.DefaultSize
@@ -97,12 +99,6 @@ type Stage struct {
 	Root Operator
 	Sink Sink
 	Run  func(wid int)
-
-	// Obs, when non-nil, receives the worker's wall time after the
-	// stage completes (telemetry-instrumented executions only). The
-	// uninstrumented path pays one nil check per stage per worker —
-	// never per batch.
-	Obs func(wid int, nanos int64)
 }
 
 // Run executes the plan: build is called once per worker with the
@@ -114,10 +110,6 @@ func (e *Exec) Run(build func(wid int, bufs *vector.Buffers) []Stage) {
 	exec.Parallel(e.Workers, func(wid int) {
 		bufs := vector.NewBuffers(e.Vec)
 		for _, st := range build(wid, bufs) {
-			var start time.Time
-			if st.Obs != nil {
-				start = time.Now()
-			}
 			switch {
 			case st.Root != nil:
 				var b Batch
@@ -127,9 +119,6 @@ func (e *Exec) Run(build func(wid int, bufs *vector.Buffers) []Stage) {
 				st.Sink.Finish(e.bar, wid)
 			case st.Run != nil:
 				st.Run(wid)
-			}
-			if st.Obs != nil {
-				st.Obs(wid, time.Since(start).Nanoseconds())
 			}
 		}
 	})

@@ -62,6 +62,8 @@ type Scan struct {
 
 	// Base is the absolute row index of the current vector's first tuple.
 	Base int
+	// Scanned is the number of tuples served so far, over all vectors.
+	Scanned int
 }
 
 // NewScan creates a scan over a shared dispatcher.
@@ -91,6 +93,7 @@ func (s *Scan) Next() int {
 			}
 			s.Base = s.pos
 			s.pos += n
+			s.Scanned += n
 			return n
 		}
 		m, ok := s.disp.Next()

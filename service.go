@@ -78,8 +78,11 @@ type ServiceOptions struct {
 	// through scatter/gather exchanges — one SQL text fans out across
 	// the shards and the partial aggregates merge on the coordinator.
 	// Plans the distribute rewrite rejects, registered query names,
-	// prepared statements, streaming submissions, and the hybrid
-	// engine keep running single-process on the full data.
+	// prepared statements and streaming submissions keep running
+	// single-process on the full data. So does the hybrid engine, by
+	// this service's choice, not because it cannot run partial: the
+	// repo benchmark's sharded_materialized workload uses hybrid
+	// requests as its single-process comparator.
 	Shards int
 }
 

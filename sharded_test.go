@@ -11,6 +11,7 @@ import (
 	"paradigms/internal/engine"
 	"paradigms/internal/exchange"
 	"paradigms/internal/logical"
+	"paradigms/internal/registry"
 	"paradigms/internal/sqlcheck"
 	"paradigms/internal/storage"
 )
@@ -59,7 +60,7 @@ func checkSharded(t *testing.T, db *storage.Database, text string, n int) {
 		t.Fatalf("oracle failed for %q: %v", text, err)
 	}
 	cl := clusterFor(t, db, n)
-	for _, engine := range []string{exchange.EngineTyper, exchange.EngineTectorwise} {
+	for _, engine := range []string{registry.Typer, registry.Tectorwise} {
 		res, err := cl.Run(ctx, exchange.Request{SQL: text, Engine: engine, Workers: 4, VecSize: 1000})
 		if err != nil {
 			t.Fatalf("sharded %s n=%d failed for %q: %v", engine, n, text, err)
@@ -170,7 +171,7 @@ func TestShardedOneShardBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("prepare failed for %q: %v", text, err)
 		}
-		for _, name := range []string{exchange.EngineTyper, exchange.EngineTectorwise} {
+		for _, name := range []string{registry.Typer, registry.Tectorwise} {
 			want, err := engine.Run(ctx, name, pl, engine.Options{Workers: 1, VecSize: 1000})
 			if err != nil {
 				t.Fatalf("%s failed for %q: %v", name, text, err)
@@ -209,7 +210,7 @@ func BenchmarkShardedVsSingle(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("sharded-%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := cl.Run(ctx, exchange.Request{SQL: text, Engine: exchange.EngineTyper}); err != nil {
+				if _, err := cl.Run(ctx, exchange.Request{SQL: text, Engine: registry.Typer}); err != nil {
 					b.Fatal(err)
 				}
 			}
