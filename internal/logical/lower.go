@@ -62,14 +62,13 @@ type pipeSpec struct {
 }
 
 type program struct {
-	pl    *Plan
 	pipes []*pipeSpec // dependency order: build pipelines before their prober; final last
 	final *pipeSpec
 }
 
 // lower compiles the plan's node tree into pipeline specs.
 func lower(pl *Plan) (*program, error) {
-	prog := &program{pl: pl}
+	prog := &program{}
 	needed := map[*catalog.Column]bool{}
 	if pl.Agg != nil {
 		for _, k := range pl.Agg.Keys {
