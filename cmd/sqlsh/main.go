@@ -66,6 +66,7 @@ import (
 	"time"
 
 	"paradigms"
+	"paradigms/internal/catalog"
 	"paradigms/internal/compiled"
 	"paradigms/internal/hybrid"
 	"paradigms/internal/logical"
@@ -182,7 +183,7 @@ func (sh *shell) meta(cmd string) bool {
 		return true
 	case `\tables`:
 		for _, db := range sh.dbs {
-			cat := logical.CatalogFor(db)
+			cat := catalog.For(db)
 			fmt.Fprintf(sh.out, "%s:\n", db.Name)
 			for _, t := range cat.Tables() {
 				fmt.Fprintf(sh.out, "  %-12s %8d rows\n", t, cat.Table(t).Rows())
@@ -194,7 +195,7 @@ func (sh *shell) meta(cmd string) bool {
 			return false
 		}
 		for _, db := range sh.dbs {
-			if t := logical.CatalogFor(db).Table(fields[1]); t != nil {
+			if t := catalog.For(db).Table(fields[1]); t != nil {
 				fmt.Fprintf(sh.out, "%s.%s (%d rows", db.Name, t.Name, t.Rows())
 				if t.Key != "" {
 					fmt.Fprintf(sh.out, ", key %s", t.Key)
@@ -241,7 +242,7 @@ func (sh *shell) meta(cmd string) bool {
 			fmt.Fprintln(sh.out, "error:", err)
 			return false
 		}
-		st, _, err := sh.cache.GetOrPrepare(logical.CatalogFor(db), text, func() (*logical.Plan, error) {
+		st, _, err := sh.cache.GetOrPrepare(catalog.For(db), text, func() (*logical.Plan, error) {
 			return logical.Prepare(db, text)
 		})
 		if err != nil {
@@ -297,7 +298,7 @@ func (sh *shell) statement(stmt string) {
 		sh.explain(db, stmt)
 		return
 	}
-	st, _, err := sh.cache.GetOrPrepare(logical.CatalogFor(db), stmt, func() (*logical.Plan, error) {
+	st, _, err := sh.cache.GetOrPrepare(catalog.For(db), stmt, func() (*logical.Plan, error) {
 		return logical.Prepare(db, stmt)
 	})
 	if err != nil {

@@ -3,6 +3,7 @@ package paradigms
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"sync/atomic"
@@ -38,23 +39,52 @@ func (c *collectSink) PushRows(rows [][]int64) error {
 	return nil
 }
 
+// poisonSink is collectSink enforcing the other half of the contract:
+// once PushRows returns, the pushed rows belong to the driver again.
+// It overwrites every value it was handed, so a backend that retained a
+// pushed row (or re-read one) produces garbage, and records where each
+// batch's first row lived, so a test can tell a reused arena from a
+// fresh allocation (the pointers keep every batch's memory alive: a
+// repeated address is reuse, not the allocator recycling a freed
+// block).
+type poisonSink struct {
+	collectSink
+	first []*int64
+}
+
+func (p *poisonSink) PushRows(rows [][]int64) error {
+	p.collectSink.PushRows(rows)
+	if len(rows[0]) > 0 {
+		p.first = append(p.first, &rows[0][0])
+	}
+	for _, r := range rows {
+		for j := range r {
+			r[j] = math.MinInt64 + 0xdead
+		}
+	}
+	return nil
+}
+
 // TestEngineMatrix enumerates the execution matrix instead of
 // hand-listing corners: every cell of {typer, tectorwise, hybrid} ×
 // {literal text, `?` text + args} × {materialize, stream into a
-// collecting sink, partial → MergePartials} × workers {1, 4} runs a
+// collecting sink, stream into a sink that poisons what it was pushed,
+// partial → MergePartials} × workers {1, 4} runs a
 // slice of the sqlcheck corpus through engine.Run — the one dispatch
 // every caller uses — and must reproduce the oracle's row multiset; so
 // must every engine × form through exchange.Cluster.Run at 1 and 3
 // shards. The matrix has no unsupported cell: all three engines are
 // assignment policies over one pipeline driver. What that driver
 // promises rides along as subtests: a streamed projection is
-// incremental on every engine, a hybrid forced all-fused (all-
+// incremental on every engine and reuses one row arena per worker, a
+// hybrid forced all-fused (all-
 // vectorized) reports the telemetry of typer (tectorwise), bad calls
 // are rejected without blaming a backend, executor panics come back as
 // errors, and cancellation is never an engine fault.
 func TestEngineMatrix(t *testing.T) {
 	t.Run("corpus", engineMatrixCorpus)
 	t.Run("incremental-stream", engineStreamIsIncremental)
+	t.Run("stream-arena-reuse", engineStreamReusesArena)
 	t.Run("forced-hybrid-telemetry", engineForcedHybridTelemetry)
 	t.Run("bad-calls", engineRunRejectsBadCalls)
 	t.Run("panic", engineRunRecoversPanics)
@@ -65,7 +95,7 @@ func engineMatrixCorpus(t *testing.T) {
 	tpchDB, ssbDB := sqlDBs()
 	ctx := context.Background()
 	engines := []string{registry.Typer, registry.Tectorwise, registry.Hybrid}
-	modes := []string{"materialize", "stream", "partial"}
+	modes := []string{"materialize", "stream", "stream-poison", "partial"}
 	paramCells := 0
 	clusters := map[*DB][]*exchange.Cluster{}
 	for _, db := range []*DB{tpchDB, ssbDB} {
@@ -126,10 +156,13 @@ func engineMatrixCorpus(t *testing.T) {
 					for _, workers := range []int{1, 4} {
 						cell := fmt.Sprintf("%s/%s/%s/w=%d %q %v", name, f.label, mode, workers, text, f.args)
 						opt := engine.Options{Args: f.args, Workers: workers}
-						var sink collectSink
+						var poison poisonSink
+						sink := &poison.collectSink
 						switch mode {
 						case "stream":
-							opt.Sink, opt.Chunk = &sink, 7
+							opt.Sink, opt.Chunk = sink, 7
+						case "stream-poison":
+							opt.Sink, opt.Chunk = &poison, 7
 						case "partial":
 							opt.Partial = true
 						}
@@ -144,7 +177,7 @@ func engineMatrixCorpus(t *testing.T) {
 						switch mode {
 						case "materialize":
 							got = out.Result.Rows
-						case "stream":
+						case "stream", "stream-poison":
 							if len(sink.cols) != len(f.pl.Cols) {
 								t.Errorf("%s: streamed %d cols, plan has %d", cell, len(sink.cols), len(f.pl.Cols))
 							}
@@ -215,6 +248,43 @@ func engineStreamIsIncremental(t *testing.T) {
 		if len(sink.rows) == 0 || claimed.Load() >= tableMorsels {
 			t.Errorf("%s: sink saw %d rows after %d of %d morsels; the stream is not incremental",
 				name, len(sink.rows), claimed.Load(), tableMorsels)
+		}
+	}
+}
+
+// engineStreamReusesArena: the rows a streamed projection pushes live
+// in one per-worker arena that the driver refills after every flush,
+// not in per-row (or per-batch) allocations. At one worker every batch
+// must start at the same address — and since the sink poisons each
+// batch after copying it, the copied result still matching the
+// materialized one shows the driver rewrites the arena before it
+// pushes it again.
+func engineStreamReusesArena(t *testing.T) {
+	db, _ := sqlDBs()
+	pl, err := logical.Prepare(db, "select l_orderkey, l_quantity, l_extendedprice from lineitem where l_quantity < 10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, name := range []string{registry.Typer, registry.Tectorwise, registry.Hybrid} {
+		want, err := engine.Run(ctx, name, pl, engine.Options{Workers: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var sink poisonSink
+		if _, err := engine.Run(ctx, name, pl, engine.Options{Workers: 1, Sink: &sink, Chunk: 64}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !sqlcheck.SameRows(sink.rows, want.Result.Rows) {
+			t.Errorf("%s: streamed rows differ from the materialized result\n got %v\nwant %v", name, clip(sink.rows), clip(want.Result.Rows))
+		}
+		if len(sink.first) <= 3 {
+			t.Fatalf("%s: %d batches; the projection must span more than three chunks", name, len(sink.first))
+		}
+		for i, p := range sink.first {
+			if p != sink.first[0] {
+				t.Fatalf("%s: batch %d starts at %p, batch 0 at %p: the row arena is reallocated, not reused", name, i, p, sink.first[0])
+			}
 		}
 	}
 }

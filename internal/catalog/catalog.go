@@ -150,7 +150,16 @@ var numericScales = map[string]int{
 	"lo_discount": 0,
 }
 
-// FromDatabase derives the catalog of a generated database.
+// For returns the catalog of a database, derived on first use and kept
+// in the database's own derived-state slot: every caller shares one
+// Catalog — and so one Version — per database for as long as the
+// database lives, and a dropped database takes its catalog with it.
+func For(db *storage.Database) *Catalog {
+	return db.Derived(func() any { return FromDatabase(db) }).(*Catalog)
+}
+
+// FromDatabase derives a fresh catalog (with a fresh Version) of a
+// generated database; query paths share one through For.
 func FromDatabase(db *storage.Database) *Catalog {
 	c := &Catalog{DB: db, Version: versions.Add(1), tables: make(map[string]*Table)}
 	for _, name := range db.Relations() {

@@ -585,13 +585,13 @@ func (p *pipe) runGlobal(wid int, specs []groupSpec) logical.GlobalPartial {
 	return logical.GlobalPartial{Acc: acc, N: n}
 }
 
-// runProject hands every projection row of one worker to emit.
-func (p *pipe) runProject(items []scalarFn, emit func(row []int64)) {
+// runProject writes every projection row of one worker into the row
+// next hands out.
+func (p *pipe) runProject(items []scalarFn, next func() []int64) {
 	p.run(func(i int, fr []int64) {
-		row := make([]int64, len(items))
+		row := next()
 		for j, v := range items {
 			row[j] = v(i, fr)
 		}
-		emit(row)
 	})
 }

@@ -117,8 +117,8 @@ func (p *Program) RunGlobal(wid int) logical.GlobalPartial {
 	return p.pr.final.runGlobal(wid, p.specs)
 }
 
-// RunProject hands the final pipeline's projection rows for one worker
-// to emit.
-func (p *Program) RunProject(wid int, emit func(row []int64)) {
-	p.pr.final.runProject(p.items, emit)
+// RunProject writes the final pipeline's projection rows for one worker
+// into the rows next hands out.
+func (p *Program) RunProject(wid int, next func() []int64) {
+	p.pr.final.runProject(p.items, next)
 }

@@ -25,6 +25,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"paradigms/internal/catalog"
 	"paradigms/internal/engine"
 	"paradigms/internal/logical"
 	"paradigms/internal/prepcache"
@@ -63,7 +64,7 @@ const planCacheCap = 512
 // ship is determined by the SQL alone, so shards may pick different
 // join orders and still merge.
 func cachedPlan(cache *prepcache.Cache, db *storage.Database, text string) (*logical.Plan, error) {
-	st, _, err := cache.GetOrPrepare(logical.CatalogFor(db), text, func() (*logical.Plan, error) {
+	st, _, err := cache.GetOrPrepare(catalog.For(db), text, func() (*logical.Plan, error) {
 		return logical.Prepare(db, text)
 	})
 	if err != nil {

@@ -2,24 +2,15 @@ package logical
 
 import (
 	"fmt"
-	"sync"
 
 	"paradigms/internal/catalog"
 	"paradigms/internal/sql"
 	"paradigms/internal/storage"
 )
 
-// catalogs caches one derived catalog per database instance.
-var catalogs sync.Map // *storage.Database → *catalog.Catalog
-
-// CatalogFor returns (building on first use) the catalog of a database.
-func CatalogFor(db *storage.Database) *catalog.Catalog {
-	if c, ok := catalogs.Load(db); ok {
-		return c.(*catalog.Catalog)
-	}
-	c, _ := catalogs.LoadOrStore(db, catalog.FromDatabase(db))
-	return c.(*catalog.Catalog)
-}
+// CatalogFor is catalog.For under its old name, which the benchmark
+// module still calls.
+func CatalogFor(db *storage.Database) *catalog.Catalog { return catalog.For(db) }
 
 // RouteByTables picks the first database whose catalog has every FROM
 // table of the statement — the shared routing rule of the query
@@ -33,7 +24,7 @@ func RouteByTables(stmt string, dbs ...*storage.Database) (*storage.Database, er
 		if db == nil {
 			continue
 		}
-		cat := CatalogFor(db)
+		cat := catalog.For(db)
 		all := true
 		for _, t := range tables {
 			if cat.Table(t) == nil {
@@ -62,8 +53,8 @@ func PrepareHints(db *storage.Database, text string, hints CardHints) (*Plan, er
 	if err != nil {
 		return nil, err
 	}
-	if err := sql.Bind(sel, CatalogFor(db)); err != nil {
+	if err := sql.Bind(sel, catalog.For(db)); err != nil {
 		return nil, err
 	}
-	return PlanQueryHints(sel, CatalogFor(db), hints)
+	return PlanQueryHints(sel, catalog.For(db), hints)
 }

@@ -66,8 +66,9 @@ type FusedProgram interface {
 	// reaching the sink.
 	RunGrouped(wid int, spill *hashtable.Spill, nOut *int64)
 	RunGlobal(wid int) GlobalPartial
-	// RunProject hands every projection row of one worker to emit.
-	RunProject(wid int, emit func(row []int64))
+	// RunProject writes every projection row of one worker into the
+	// row next hands out (one call per row, item layout).
+	RunProject(wid int, next func() []int64)
 }
 
 // lowered is what either lowering tells the driver about its pipelines
@@ -236,12 +237,13 @@ func drive(ctx context.Context, pl *Plan, workers int, pol Policy, stream *strea
 	global := agg != nil && len(agg.Keys) == 0
 
 	var (
-		spill      *hashtable.Spill
-		partDisp   *exec.Dispatcher
-		htOps      []hashtable.AggOp
-		workerRows [][][]int64
-		partials   []GlobalPartial
-		streamBufs []*streamBuf
+		spill    *hashtable.Spill
+		partDisp *exec.Dispatcher
+		htOps    []hashtable.AggOp
+		partials []GlobalPartial
+		// bufs holds each worker's output rows (projections and groups;
+		// a global aggregate has partials instead).
+		bufs []*rowBuf
 	)
 	switch {
 	case keyed:
@@ -254,13 +256,17 @@ func drive(ctx context.Context, pl *Plan, workers int, pol Policy, stream *strea
 	case global:
 		partials = make([]GlobalPartial, w)
 	}
-	if stream != nil {
-		streamBufs = make([]*streamBuf, w)
-		for i := range streamBufs {
-			streamBufs[i] = stream.newBuf(chunk)
+	if !global {
+		// Streamed rows and projections are in item layout; groups that
+		// still face FinalizeRows or MergePartials stay in slot layout.
+		width := len(pl.Cols)
+		if keyed && stream == nil {
+			width = agg.MergedWidth()
 		}
-	} else if !global {
-		workerRows = make([][][]int64, w)
+		bufs = make([]*rowBuf, w)
+		for i := range bufs {
+			bufs[i] = newRowBuf(stream, width, chunk)
+		}
 	}
 
 	stats := make([]workerStat, n*w)
@@ -321,13 +327,6 @@ func drive(ctx context.Context, pl *Plan, workers int, pol Policy, stream *strea
 		if col != nil {
 			nOut = &fusedRows
 		}
-		// emit takes one of this worker's output rows: slot layout
-		// [keys..., aggs...] for groups, item layout for projections.
-		var rows [][]int64
-		emit := func(row []int64) { rows = append(rows, row) }
-		if stream != nil {
-			emit = streamBufs[wid].Add
-		}
 		switch {
 		case keyed:
 			if fused(fi) {
@@ -344,16 +343,16 @@ func drive(ctx context.Context, pl *Plan, workers int, pol Policy, stream *strea
 				drain(fi, func(vw *VecWorker) plan.Sink { return vw.GlobalSink(&partials[wid]) }).Finish(bar, wid)
 			}
 		case fused(fi):
-			project := emit
+			next := bufs[wid].Next
 			if nOut != nil {
-				project = func(row []int64) {
+				next = func() []int64 {
 					*nOut++
-					emit(row)
+					return bufs[wid].Next()
 				}
 			}
-			fp.RunProject(wid, project)
+			fp.RunProject(wid, next)
 		default:
-			drain(fi, func(vw *VecWorker) plan.Sink { return vw.CollectSink(emit) })
+			drain(fi, func(vw *VecWorker) plan.Sink { return vw.CollectSink(bufs[wid].Next) })
 		}
 		st.nanos = time.Since(start).Nanoseconds()
 		if fused(fi) {
@@ -362,28 +361,27 @@ func drive(ctx context.Context, pl *Plan, workers int, pol Policy, stream *strea
 
 		if keyed {
 			// Phase two: per-partition merge of partial aggregates,
-			// engine-agnostic. Output rows subslice a per-partition arena
-			// (one allocation per partition instead of one per group).
-			width := agg.MergedWidth()
+			// engine-agnostic. A streamed group is decoded into a
+			// scratch slot row and mapped straight into its output row.
+			buf := bufs[wid]
+			var slots []int64
+			if stream != nil {
+				slots = make([]int64, agg.MergedWidth())
+			}
 			for {
 				pm, ok := partDisp.Next()
 				if !ok {
 					break
 				}
-				arena := make([]int64, spill.PartitionCount(pm.Begin)*width)
 				hashtable.MergeSpill(spill, pm.Begin, htOps, func(row []uint64) {
-					out := arena[:width:width]
-					arena = arena[width:]
-					agg.DecodeMergedRow(row, out)
-					if stream != nil {
-						out = pl.itemRow(out)
+					if stream == nil {
+						agg.DecodeMergedRow(row, buf.Next())
+						return
 					}
-					emit(out)
+					agg.DecodeMergedRow(row, slots)
+					pl.itemRow(buf.Next(), slots)
 				})
 			}
-		}
-		if workerRows != nil {
-			workerRows[wid] = rows
 		}
 	})
 
@@ -415,7 +413,7 @@ func drive(ctx context.Context, pl *Plan, workers int, pol Policy, stream *strea
 
 	switch {
 	case stream != nil:
-		for _, b := range streamBufs {
+		for _, b := range bufs {
 			b.Flush()
 		}
 	case partial:
@@ -424,14 +422,14 @@ func drive(ctx context.Context, pl *Plan, workers int, pol Policy, stream *strea
 		out.Partial = &Partial{}
 		switch {
 		case keyed:
-			out.Partial.Groups = concatRows(workerRows)
+			out.Partial.Groups = concatRows(bufs)
 		case global:
 			out.Partial.Globals = partials
 		default:
-			out.Partial.Rows = concatRows(workerRows)
+			out.Partial.Rows = concatRows(bufs)
 		}
 	default:
-		rows := concatRows(workerRows)
+		rows := concatRows(bufs)
 		if global {
 			rows = [][]int64{MergeGlobal(agg, partials)}
 		}
@@ -466,10 +464,10 @@ func modalVec(ws []workerStat) int {
 }
 
 // concatRows flattens the per-worker row lists in worker order.
-func concatRows(workerRows [][][]int64) [][]int64 {
+func concatRows(bufs []*rowBuf) [][]int64 {
 	var rows [][]int64
-	for _, wr := range workerRows {
-		rows = append(rows, wr...)
+	for _, b := range bufs {
+		rows = append(rows, b.rows...)
 	}
 	return rows
 }

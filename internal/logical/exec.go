@@ -67,35 +67,34 @@ func (pl *Plan) FinalizeRows(rows [][]int64) (*Result, error) {
 	}
 
 	res := &Result{Cols: pl.Cols}
-	if agg != nil {
-		for _, r := range rows {
-			res.Rows = append(res.Rows, pl.itemRow(r))
-		}
-	} else {
+	switch {
+	case agg == nil:
 		res.Rows = rows
+	case len(rows) > 0:
+		// One arena for the surviving rows, not one object per row.
+		width := len(agg.ItemSlots)
+		arena := make([]int64, len(rows)*width)
+		res.Rows = make([][]int64, len(rows))
+		for i, r := range rows {
+			res.Rows[i] = arena[i*width : (i+1)*width : (i+1)*width]
+			pl.itemRow(res.Rows[i], r)
+		}
 	}
 	return res, nil
 }
 
-// itemRow maps one merged slot-layout row [keys..., aggs...] to the
-// output item layout; projection rows (no aggregate) are already in
-// item layout. Shared by the materializing tail (FinalizeRows) and the
-// streaming flush of both backends.
-func (pl *Plan) itemRow(r []int64) []int64 {
-	agg := pl.Agg
-	if agg == nil {
-		return r
-	}
-	nk := len(agg.Keys)
-	out := make([]int64, len(agg.ItemSlots))
-	for i, s := range agg.ItemSlots {
+// itemRow maps one merged slot-layout row r = [keys..., aggs...] of an
+// aggregating plan to the SELECT item layout, into out (one value per
+// item).
+func (pl *Plan) itemRow(out, r []int64) {
+	nk := len(pl.Agg.Keys)
+	for i, s := range pl.Agg.ItemSlots {
 		if s.Key {
 			out[i] = r[s.Idx]
 		} else {
 			out[i] = r[nk+s.Idx]
 		}
 	}
-	return out
 }
 
 // rowSorter orders merged rows by the plan's ORDER BY keys (stable, so
@@ -470,25 +469,24 @@ func (s *globalAggSink) Finish(bar *exec.Barrier, wid int) {
 	bar.Wait(nil)
 }
 
-// collectSink hands projection rows to emit as each vector is
-// consumed.
+// collectSink writes projection rows into the rows next hands out as
+// each vector is consumed.
 type collectSink struct {
 	exprs []vec64
-	emit  func(row []int64)
+	vecs  [][]int64 // one evaluated vector per expression, per batch
+	next  func() []int64
 }
 
 // Consume implements plan.Sink.
 func (s *collectSink) Consume(b *plan.Batch) {
-	vecs := make([][]int64, len(s.exprs))
 	for j, e := range s.exprs {
-		vecs[j] = e(b)
+		s.vecs[j] = e(b)
 	}
 	for i := 0; i < b.K; i++ {
-		row := make([]int64, len(vecs))
-		for j := range vecs {
-			row[j] = vecs[j][i]
+		row := s.next()
+		for j, v := range s.vecs {
+			row[j] = v[i]
 		}
-		s.emit(row)
 	}
 }
 

@@ -121,11 +121,12 @@ func (vw *VecWorker) GlobalSink(out *GlobalPartial) plan.Sink {
 	return newGlobalAggSink(vw.w, vw.p.prog.final, vw.p.pl.Agg, out)
 }
 
-// CollectSink creates the final pipeline's projection sink, handing
-// each row (item layout) to emit.
-func (vw *VecWorker) CollectSink(emit func(row []int64)) plan.Sink {
-	sink := &collectSink{emit: emit}
+// CollectSink creates the final pipeline's projection sink, writing
+// each row (item layout) into the row next hands out.
+func (vw *VecWorker) CollectSink(next func() []int64) plan.Sink {
+	sink := &collectSink{next: next}
 	sink.exprs = make([]vec64, len(vw.p.pl.Proj))
+	sink.vecs = make([][]int64, len(sink.exprs))
 	for j, e := range vw.p.pl.Proj {
 		sink.exprs[j] = vw.w.vecI64(vw.p.prog.final, e)
 	}

@@ -2,6 +2,7 @@ package logical
 
 import (
 	"context"
+	"slices"
 	"sync"
 )
 
@@ -69,33 +70,51 @@ func (s *streamer) Err() error {
 	return s.err
 }
 
-// streamBuf is one worker's batch accumulator: rows collect locally
-// (no contention) and flush to the shared streamer at chunk
-// granularity. Not safe for concurrent use — one per worker.
-type streamBuf struct {
+// rowBuf is one worker's output rows: the engines' inner loops write
+// each row into the slot Next hands out, so no row is a heap object of
+// its own. Slots are carved from slabs of chunk rows. Streaming, a full
+// slab is pushed to the shared streamer and then reused — RowSink
+// implementations must not retain what they are pushed; materializing
+// (st == nil), full slabs are retained and rows keeps every header.
+// Not safe for concurrent use — one per worker.
+type rowBuf struct {
 	st    *streamer
+	width int
 	chunk int
+	slab  []int64
 	rows  [][]int64
 }
 
-// newBuf creates a per-worker accumulator flushing every chunk rows.
-func (s *streamer) newBuf(chunk int) *streamBuf {
+// newRowBuf creates a per-worker buffer of width-column rows in slabs
+// of chunk rows (0 = DefaultStreamChunk); a non-nil st makes it flush
+// every full slab instead of retaining it.
+func newRowBuf(st *streamer, width, chunk int) *rowBuf {
 	if chunk <= 0 {
 		chunk = DefaultStreamChunk
 	}
-	return &streamBuf{st: s, chunk: chunk, rows: make([][]int64, 0, chunk)}
+	return &rowBuf{st: st, width: width, chunk: chunk}
 }
 
-// Add appends one row, flushing when the chunk fills.
-func (b *streamBuf) Add(row []int64) {
-	b.rows = append(b.rows, row)
-	if len(b.rows) >= b.chunk {
-		b.Flush()
+// Next returns the next row to fill, flushing first when streaming and
+// the slab is full. The row counts as produced.
+func (b *rowBuf) Next() []int64 {
+	i := len(b.rows) % b.chunk
+	if i == 0 {
+		if b.st != nil && b.slab != nil {
+			b.Flush()
+		} else {
+			b.slab = make([]int64, b.chunk*b.width)
+			b.rows = slices.Grow(b.rows, b.chunk)
+		}
 	}
+	row := b.slab[i*b.width : (i+1)*b.width : (i+1)*b.width]
+	b.rows = append(b.rows, row)
+	return row
 }
 
-// Flush pushes any buffered rows.
-func (b *streamBuf) Flush() {
+// Flush pushes any buffered rows of a streaming buffer; their slots are
+// overwritten by the rows that follow.
+func (b *rowBuf) Flush() {
 	if len(b.rows) == 0 {
 		return
 	}

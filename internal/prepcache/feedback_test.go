@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"paradigms/internal/catalog"
 	"paradigms/internal/feedback"
 	"paradigms/internal/logical"
 	"paradigms/internal/registry"
@@ -74,7 +75,7 @@ func feedbackStatement(t testing.TB, db *storage.Database) (*Statement, *feedbac
 	}
 	st := NewStatement(Normalize(skewQuery), pl)
 	store := feedback.NewStore()
-	st.EnableFeedback(store, logical.CatalogFor(db).Version, func(h logical.CardHints) (*logical.Plan, error) {
+	st.EnableFeedback(store, catalog.For(db).Version, func(h logical.CardHints) (*logical.Plan, error) {
 		return logical.PrepareHints(db, skewQuery, h)
 	})
 	return st, store

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"paradigms/internal/catalog"
 	"paradigms/internal/logical"
 	"paradigms/internal/registry"
 	"paradigms/internal/sqlcheck"
@@ -54,7 +55,7 @@ func miniCat(t *testing.T) (*storage.Database, func(string) func() (*logical.Pla
 // freshening effect of a hit.
 func TestCacheLRUAndCounters(t *testing.T) {
 	db, build := miniCat(t)
-	cat := logical.CatalogFor(db)
+	cat := catalog.For(db)
 	c := New(2)
 
 	q := func(i int) string { return fmt.Sprintf("select count(*) from orders where o_custkey < %d", i) }
@@ -106,11 +107,11 @@ func TestCacheKeyIncludesCatalogVersion(t *testing.T) {
 	db2 := sqlcheck.MiniTPCH(20, true)
 	c := New(8)
 	const q = "select count(*) from orders"
-	if _, hit, err := c.GetOrPrepare(logical.CatalogFor(db1), q,
+	if _, hit, err := c.GetOrPrepare(catalog.For(db1), q,
 		func() (*logical.Plan, error) { return logical.Prepare(db1, q) }); err != nil || hit {
 		t.Fatalf("db1: hit=%v err=%v", hit, err)
 	}
-	if _, hit, err := c.GetOrPrepare(logical.CatalogFor(db2), q,
+	if _, hit, err := c.GetOrPrepare(catalog.For(db2), q,
 		func() (*logical.Plan, error) { return logical.Prepare(db2, q) }); err != nil || hit {
 		t.Fatalf("db2 must miss (different catalog version): hit=%v err=%v", hit, err)
 	}
@@ -120,7 +121,7 @@ func TestCacheKeyIncludesCatalogVersion(t *testing.T) {
 // rebuilt on the next lookup rather than serving a stale error.
 func TestCacheErrorsNotCached(t *testing.T) {
 	db, _ := miniCat(t)
-	cat := logical.CatalogFor(db)
+	cat := catalog.For(db)
 	c := New(4)
 	boom := errors.New("boom")
 	calls := 0
@@ -144,7 +145,7 @@ func TestCacheErrorsNotCached(t *testing.T) {
 // one text build the plan exactly once and all receive it.
 func TestCacheConcurrentSingleBuild(t *testing.T) {
 	db, _ := miniCat(t)
-	cat := logical.CatalogFor(db)
+	cat := catalog.For(db)
 	c := New(4)
 	const q = "select count(*) from lineitem where l_quantity < ?"
 	var calls int32
@@ -187,7 +188,7 @@ func TestCacheConcurrentSingleBuild(t *testing.T) {
 // decorated name.
 func TestStatementExecuteEngines(t *testing.T) {
 	db, _ := miniCat(t)
-	cat := logical.CatalogFor(db)
+	cat := catalog.For(db)
 	c := New(4)
 	const q = "select o_custkey, count(*) from orders where o_custkey < ? group by o_custkey order by 1"
 	st, _, err := c.GetOrPrepare(cat, q, func() (*logical.Plan, error) { return logical.Prepare(db, q) })

@@ -144,9 +144,14 @@ func (c *Client) do(ctx context.Context, q proto.QueryRequest) (*Rows, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, decodeError(resp)
 	}
-	r := &Rows{body: resp.Body, sc: bufio.NewScanner(resp.Body)}
+	return newRows(resp.Body), nil
+}
+
+// newRows iterates the frames of one response body.
+func newRows(body io.ReadCloser) *Rows {
+	r := &Rows{body: body, sc: bufio.NewScanner(body)}
 	r.sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	return r, nil
+	return r
 }
 
 // Prepare validates and caches a statement server-side, returning its
@@ -191,6 +196,10 @@ func (c *Client) Stats(ctx context.Context) (json.RawMessage, error) {
 type Rows struct {
 	body io.ReadCloser
 	sc   *bufio.Scanner
+	// dec owns the storage of batch: each rows frame is parsed into the
+	// arena the previous one used, so iterating allocates per stream,
+	// not per row.
+	dec proto.Decoder
 
 	cols  []proto.Col
 	batch [][]int64
@@ -237,7 +246,7 @@ func (r *Rows) advance() bool {
 	if len(bytes.TrimSpace(line)) == 0 {
 		return true
 	}
-	f, err := proto.DecodeFrame(line)
+	f, err := r.dec.Decode(line)
 	if err != nil {
 		r.err = err
 		return false
@@ -259,7 +268,9 @@ func (r *Rows) advance() bool {
 	return true
 }
 
-// Row is the current row (valid until the next Next call).
+// Row is the current row. It aliases the stream's row arena, which the
+// next frame overwrites: valid until the next Next call, copy to keep
+// (All does).
 func (r *Rows) Row() []int64 { return r.batch[r.idx-1] }
 
 // Err is the stream's failure (nil after clean completion).

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -258,9 +259,33 @@ func assertFrameSeq(t *testing.T, raw []byte, want []string) []*proto.Frame {
 
 // FuzzProtoDecode chases panics and shape-check escapes in the strict
 // decoders. Every input that decodes successfully must re-encode and
-// re-decode to the same value (round-trip stability).
+// re-decode to the same value (round-trip stability), and the frame
+// decoder with its rows-frame fast path must agree with the reference
+// decoder on every input: same accept/reject, same error, same frame.
 func FuzzProtoDecode(f *testing.F) {
+	for _, name := range []string{"stream_ok", "stream_midfail", "error_early", "error_overload"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+		for _, line := range bytes.Split(raw, []byte("\n")) {
+			f.Add(line)
+		}
+	}
 	seeds := []string{
+		`{"frame":"rows","rows":[[-0]]}`,
+		`{"frame":"rows","rows":[[01]]}`,
+		`{"frame":"rows","rows":[[1.0]]}`,
+		`{"frame":"rows","rows":[[1e3]]}`,
+		`{"frame":"rows","rows":[[9223372036854775808]]}`,
+		`{"frame":"rows","rows":[[-9223372036854775808,9223372036854775807]]}`,
+		`{"frame":"rows","rows":[[1,]]}`,
+		`{"frame":"rows","rows":[[]]}`,
+		`{"frame":"rows","rows":[null]}`,
+		`{"frame":"rows","rows":[[1]],"rows":[[2]]}`,
+		`{"frame":"rows","rows":[[1]]} {"frame":"rows","rows":[[2]]}`,
+		`{"rows":[[1]],"frame":"rows"}`,
 		`{"frame":"cols","cols":[{"name":"a","type":"int64"}]}`,
 		`{"frame":"rows","rows":[[1,2],[3,4]]}`,
 		`{"frame":"end","engine":"typer","row_count":3,"elapsed_ms":0.25}`,
@@ -278,7 +303,12 @@ func FuzzProtoDecode(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if fr, err := proto.DecodeFrame(data); err == nil {
+		fr, err := proto.DecodeFrame(data)
+		ref, refErr := proto.DecodeFrameStrict(data)
+		if fmt.Sprint(err) != fmt.Sprint(refErr) || !reflect.DeepEqual(fr, ref) {
+			t.Fatalf("%q: DecodeFrame = %+v, %v; strict decoder = %+v, %v", data, fr, err, ref, refErr)
+		}
+		if err == nil {
 			reenc, err := jsonMarshal(fr)
 			if err != nil {
 				t.Fatalf("re-encode: %v", err)

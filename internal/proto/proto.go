@@ -134,9 +134,9 @@ type PrepareResponse struct {
 
 // Col is one output column of a result stream.
 type Col struct {
-	Name string `json:"name"`
-	Type string `json:"type"`            // "int32" | "int64" | "numeric" | "date" | ...
-	Scale int   `json:"scale,omitempty"` // decimal scale of numeric columns
+	Name  string `json:"name"`
+	Type  string `json:"type"`            // "int32" | "int64" | "numeric" | "date" | ...
+	Scale int    `json:"scale,omitempty"` // decimal scale of numeric columns
 }
 
 // ColsOf renders the engine schema on the wire.
@@ -177,8 +177,17 @@ type Frame struct {
 	Code  string `json:"code,omitempty"`
 }
 
-// DecodeFrame strictly decodes and shape-checks one frame line.
+// DecodeFrame strictly decodes and shape-checks one frame line. A
+// caller decoding a whole stream reuses row storage through a Decoder.
 func DecodeFrame(line []byte) (*Frame, error) {
+	return new(Decoder).Decode(line)
+}
+
+// decodeFrameStrict is the reference decoder: encoding/json with
+// unknown fields disallowed, then the per-type shape check. Decoder's
+// rows-frame fast path accepts only lines this accepts, with the same
+// result.
+func decodeFrameStrict(line []byte) (*Frame, error) {
 	var f Frame
 	dec := json.NewDecoder(strings.NewReader(string(line)))
 	dec.DisallowUnknownFields()

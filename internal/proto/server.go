@@ -120,6 +120,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	sink := &ndjsonSink{w: w}
+	defer sink.release()
 	req.Sink = sink
 	if q.Analyze {
 		req.Collector = obs.NewCollector()
@@ -267,11 +268,26 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // goroutine on the failed-before-start path).
 type ndjsonSink struct {
 	w http.ResponseWriter
+	// buf is the rows-frame encode buffer, taken from rowsBufs at the
+	// first batch and kept until release.
+	buf *[]byte
 
 	mu    sync.Mutex
 	wrote bool
 	rows  int64
 	err   error
+}
+
+// rowsBufs recycles rows-frame encode buffers across responses.
+var rowsBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// release returns the encode buffer; the handler calls it once the
+// terminal frame is out.
+func (s *ndjsonSink) release() {
+	if s.buf != nil {
+		rowsBufs.Put(s.buf)
+		s.buf = nil
+	}
 }
 
 func (s *ndjsonSink) started() bool {
@@ -289,8 +305,9 @@ func (s *ndjsonSink) RowCount() int64 {
 	return s.rows
 }
 
-// frame writes one frame line and flushes it down the wire.
-func (s *ndjsonSink) frame(f Frame) error {
+// write sends one encoded frame line carrying nrows result rows and
+// flushes it down the wire.
+func (s *ndjsonSink) write(line []byte, nrows int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.err != nil {
@@ -300,18 +317,25 @@ func (s *ndjsonSink) frame(f Frame) error {
 		s.w.Header().Set("Content-Type", "application/x-ndjson")
 		s.wrote = true
 	}
-	raw, err := json.Marshal(f)
-	if err == nil {
-		_, err = s.w.Write(append(raw, '\n'))
-	}
-	if err != nil {
+	if _, err := s.w.Write(line); err != nil {
 		s.err = err
 		return err
 	}
+	s.rows += int64(nrows)
 	if fl, ok := s.w.(http.Flusher); ok {
 		fl.Flush()
 	}
 	return nil
+}
+
+// frame writes one of the once-per-query frames (cols, analyze, end,
+// error) through encoding/json.
+func (s *ndjsonSink) frame(f Frame) error {
+	raw, err := json.Marshal(f)
+	if err != nil {
+		return err
+	}
+	return s.write(append(raw, '\n'), 0)
 }
 
 // SetCols implements logical.RowSink.
@@ -319,13 +343,12 @@ func (s *ndjsonSink) SetCols(cols []logical.OutCol) error {
 	return s.frame(Frame{Type: FrameCols, Cols: ColsOf(cols)})
 }
 
-// PushRows implements logical.RowSink.
+// PushRows implements logical.RowSink: the rows-frame codec
+// (rowsframe.go) encodes the batch into the sink's reused buffer.
 func (s *ndjsonSink) PushRows(rows [][]int64) error {
-	err := s.frame(Frame{Type: FrameRows, Rows: rows})
-	if err == nil {
-		s.mu.Lock()
-		s.rows += int64(len(rows))
-		s.mu.Unlock()
+	if s.buf == nil {
+		s.buf = rowsBufs.Get().(*[]byte)
 	}
-	return err
+	*s.buf = appendRowsFrame((*s.buf)[:0], rows)
+	return s.write(*s.buf, len(rows))
 }

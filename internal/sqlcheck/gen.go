@@ -70,7 +70,7 @@ var ssbTemplates = []template{
 // given seeded source. Every generated query parses, binds, plans, and
 // executes on both lowering backends (the corpus test enforces this).
 func Generate(r *rand.Rand, db *storage.Database) string {
-	g := &gen{r: r, cat: catFor(db)}
+	g := &gen{r: r, cat: catalog.For(db)}
 	return g.generate(db)
 }
 
@@ -81,7 +81,7 @@ func Generate(r *rand.Rand, db *storage.Database) string {
 // oracle-identical rows under every binding. Substitute splices a
 // binding back into the text for the fresh-planned/oracle runs.
 func GenerateParameterized(r *rand.Rand, db *storage.Database) (text string, bindings [][]string) {
-	g := &gen{r: r, cat: catFor(db), bindings: make([][]string, 2)}
+	g := &gen{r: r, cat: catalog.For(db), bindings: make([][]string, 2)}
 	for i := range g.bindings {
 		g.bindings[i] = []string{}
 	}

@@ -22,7 +22,7 @@ func Oracle(db *storage.Database, text string) ([][]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := sql.Bind(sel, catFor(db)); err != nil {
+	if err := sql.Bind(sel, catalog.For(db)); err != nil {
 		return nil, err
 	}
 	ev := &oracle{sel: sel, tableIdx: map[*catalog.Table]int{}}

@@ -12,26 +12,7 @@
 // actually runs the two engines lives with the repo-root tests.
 package sqlcheck
 
-import (
-	"sort"
-	"sync"
-
-	"paradigms/internal/catalog"
-	"paradigms/internal/storage"
-)
-
-// catalogs caches one derived catalog per database (the package cannot
-// use internal/logical's cache without creating an import cycle).
-var catalogs sync.Map // *storage.Database → *catalog.Catalog
-
-// catFor returns (building on first use) the catalog of a database.
-func catFor(db *storage.Database) *catalog.Catalog {
-	if c, ok := catalogs.Load(db); ok {
-		return c.(*catalog.Catalog)
-	}
-	c, _ := catalogs.LoadOrStore(db, catalog.FromDatabase(db))
-	return c.(*catalog.Catalog)
-}
+import "sort"
 
 // Canon sorts result rows lexicographically — the multiset-comparison
 // form of the differential harness. Engines may emit rows in any order

@@ -12,6 +12,7 @@ package storage
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"paradigms/internal/types"
 )
@@ -316,11 +317,25 @@ type Database struct {
 	relations map[string]*Relation
 	// ScaleFactor records the generator scale the instance was built at.
 	ScaleFactor float64
+
+	// derived holds state computed from the database (its catalog), so
+	// that state is collected with the database instead of pinning it
+	// from a process-global cache.
+	derivedOnce sync.Once
+	derived     any
 }
 
 // NewDatabase creates an empty database.
 func NewDatabase(name string, sf float64) *Database {
 	return &Database{Name: name, relations: make(map[string]*Relation), ScaleFactor: sf}
+}
+
+// Derived returns the database's derived state, running build on first
+// use. The slot is opaque to storage: internal/catalog is its one
+// client (catalog.For).
+func (d *Database) Derived(build func() any) any {
+	d.derivedOnce.Do(func() { d.derived = build() })
+	return d.derived
 }
 
 // Add registers a relation.

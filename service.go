@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"paradigms/internal/catalog"
 	"paradigms/internal/engine"
 	"paradigms/internal/exchange"
 	"paradigms/internal/feedback"
@@ -134,7 +135,7 @@ func NewService(tpchDB, ssbDB *DB, opt ServiceOptions) *server.Service {
 		if err != nil {
 			return nil, err
 		}
-		cat := logical.CatalogFor(db)
+		cat := catalog.For(db)
 		st, _, err := cache.GetOrPrepare(cat, query, func() (*logical.Plan, error) {
 			return logical.PrepareHints(db, query, hints)
 		})
@@ -296,7 +297,7 @@ func NewService(tpchDB, ssbDB *DB, opt ServiceOptions) *server.Service {
 			if sql.IsQuery(info.Query) {
 				rec.SQL = prepcache.Normalize(info.Query)
 				if db, err := route(info.Query); err == nil {
-					rec.CatalogVersion = logical.CatalogFor(db).Version
+					rec.CatalogVersion = catalog.For(db).Version
 				}
 			}
 			if res, ok := info.Result.(*logical.Result); ok {
