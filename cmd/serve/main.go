@@ -204,7 +204,6 @@ func main() {
 		MaxPerTenant:       *maxperTenant,
 		MorselSize:         *morsel,
 		YieldPause:         *yieldPause,
-		SkipValidation:     true, // streamed results are covered by the equivalence suite
 		Metrics:            obs.NewMetrics(),
 		Prewarm:            *prewarm,
 		Shards:             *shards,

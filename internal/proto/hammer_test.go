@@ -55,9 +55,8 @@ func TestHammerFaultInjection(t *testing.T) {
 	}
 	tpchDB := paradigms.GenerateTPCH(0.01, 0)
 	svc := paradigms.NewService(tpchDB, nil, paradigms.ServiceOptions{
-		MaxConcurrent:  4,
-		MaxQueued:      64,
-		SkipValidation: true,
+		MaxConcurrent: 4,
+		MaxQueued:     64,
 	})
 	ts := httptest.NewServer(proto.NewServer(svc, nil).Handler())
 
@@ -102,7 +101,7 @@ func TestHammerFaultInjection(t *testing.T) {
 				}
 				if err == nil {
 					if rnd.Intn(pDisconnect) == 0 {
-						rows.Next() // maybe pull one batch...
+						rows.Next()  // maybe pull one batch...
 						rows.Close() // ...then hang up mid-stream
 					} else {
 						_, err = rows.All()

@@ -2,7 +2,7 @@ package server_test
 
 // Closed-loop throughput benchmarks of the concurrent query service:
 // queries/sec for 1, 4 and 16 clients on both engines, every result
-// validated against the reference oracles. Run with:
+// checked against the reference oracles. Run with:
 //
 //	go test -bench Service -benchtime 10x ./internal/server
 //
@@ -10,7 +10,6 @@ package server_test
 // at that client count and qps is reported as an extra metric.
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -27,9 +26,8 @@ func benchService(b *testing.B, engine paradigms.Engine, clients int) {
 	})
 	defer svc.Close()
 
-	// Warmup: populate the validation reference cache.
-	for _, q := range workloadQueries {
-		if _, err := svc.Do(context.Background(), string(engine), q); err != nil {
+	for _, it := range workload { // warm-up
+		if err := doChecked(svc, engine, it); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -59,8 +57,7 @@ func benchService(b *testing.B, engine paradigms.Engine, clients int) {
 				if !ok {
 					return
 				}
-				q := workloadQueries[i%len(workloadQueries)]
-				if _, err := svc.Do(context.Background(), string(engine), q); err != nil {
+				if err := doChecked(svc, engine, workload[i%len(workload)]); err != nil {
 					b.Error(err)
 					return
 				}

@@ -37,11 +37,6 @@ import (
 // this shape once engine routing is closed over.
 type ExecFunc func(ctx context.Context, engine, query string, workers int) (any, error)
 
-// ValidateFunc checks a completed query result; a non-nil error marks the
-// query failed. The facade wires this to the internal/queries reference
-// oracles so every concurrently produced result is provably correct.
-type ValidateFunc func(query string, result any) error
-
 // PrepareFunc turns one SQL text into an opaque prepared statement the
 // service hands back to ExecPreparedFunc. The facade wires this to the
 // plan cache (internal/prepcache), so repeated Prepare calls for one
@@ -86,9 +81,6 @@ var (
 type Config struct {
 	// Exec runs one query. Required.
 	Exec ExecFunc
-	// Validate, if non-nil, is applied to every successful
-	// non-streaming result.
-	Validate ValidateFunc
 	// WorkerBudget is the total number of morsel workers shared by all
 	// running queries (0 = GOMAXPROCS). An admitted query gets an equal
 	// split of the budget, capped by what is not already granted (see
@@ -197,15 +189,15 @@ type Req struct {
 	// Engine is the execution backend ("typer", "tectorwise", or
 	// "auto" for prepared executions).
 	Engine string
-	// Query is the query name or ad-hoc SQL text (ignored for prepared
-	// submissions, which carry their text).
+	// Query is the ad-hoc SQL text (ignored for prepared submissions,
+	// which carry their text).
 	Query string
 	// Prep, if non-nil, makes this a prepared execution with Args.
 	Prep *Prepared
 	Args []string
 	// Sink, if non-nil, streams result batches to it instead of
 	// materializing the result (the facade's hooks define the concrete
-	// sink type; validation is skipped for streams).
+	// sink type).
 	Sink any
 	// Collector, if non-nil, instruments the execution with per-pipeline
 	// telemetry readable by the caller after Done (EXPLAIN ANALYZE).
@@ -414,7 +406,7 @@ func (s *Service) DoReq(ctx context.Context, req Req) (any, error) {
 }
 
 // run is the per-query goroutine: admission wait (if queued) → execution
-// → validation → stats → release. w is nil when SubmitReq admitted the
+// → release → stats. w is nil when SubmitReq admitted the
 // query immediately, in which case share is its worker grant.
 func (s *Service) run(h *Handle, ctx context.Context, t *tenant, w *waiter, share int) {
 	defer s.wg.Done()
@@ -459,14 +451,7 @@ func (s *Service) run(h *Handle, ctx context.Context, t *tenant, w *waiter, shar
 		res, err = s.cfg.Exec(mctx, h.engine, h.query, share)
 		h.ran = h.engine
 	}
-	execTime := time.Since(h.started)
-	// Release before validating: validation uses no morsel workers, so
-	// holding the slot (and the worker grant) through it would stall
-	// admission for pure bookkeeping.
-	s.release(t, share, execTime, err == nil)
-	if err == nil && h.sink == nil && s.cfg.Validate != nil {
-		err = s.cfg.Validate(h.query, res)
-	}
+	s.release(t, share, time.Since(h.started), err == nil)
 	s.finish(h, t, res, err)
 }
 

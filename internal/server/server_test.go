@@ -277,20 +277,6 @@ func TestWorkerShare(t *testing.T) {
 	}
 }
 
-// TestValidationFailure: a Validate error marks the query failed.
-func TestValidationFailure(t *testing.T) {
-	s := New(Config{
-		Exec:     func(ctx context.Context, e, q string, w int) (any, error) { return 42, nil },
-		Validate: func(q string, res any) error { return errors.New("mismatch") },
-	})
-	if _, err := s.Do(context.Background(), "typer", "Q"); err == nil {
-		t.Fatal("want validation error")
-	}
-	if st := s.Stats(); st.Failed != 1 || st.Served != 0 {
-		t.Errorf("stats %+v, want 1 failed", st)
-	}
-}
-
 // TestStatsQuantiles: latency quantiles are ordered and populated.
 func TestStatsQuantiles(t *testing.T) {
 	s := New(Config{Exec: func(ctx context.Context, e, q string, w int) (any, error) {

@@ -71,9 +71,9 @@ type Stats struct {
 	// rejections fail before an id is assigned and are counted only in
 	// Rejected. The hammer tests reconcile these exactly.
 	Submitted uint64
-	// Served counts successfully completed (and validated) queries;
-	// Failed counts execution/validation errors; Canceled counts queries
-	// abandoned via context; Rejected counts ErrOverloaded fast-fails.
+	// Served counts successfully completed queries; Failed counts
+	// execution errors; Canceled counts queries abandoned via context;
+	// Rejected counts ErrOverloaded fast-fails.
 	Served, Failed, Canceled, Rejected uint64
 	// PreparedServed counts the subset of Served that executed through
 	// the prepared-statement path (no per-execution parse or plan).

@@ -1,7 +1,7 @@
 package server_test
 
 // End-to-end tests of the concurrent query service against the real
-// engines: correctness under concurrency (every result validated against
+// engines: correctness under concurrency (every result checked against
 // the internal/queries oracles) and closed-loop throughput scaling with
 // client count. This file is the repo's inter-query counterpart of the
 // root integration test.
@@ -14,35 +14,65 @@ import (
 	"time"
 
 	"paradigms"
+	"paradigms/internal/logical"
+	"paradigms/internal/server"
+	"paradigms/internal/sqlcheck"
 )
 
 var (
-	dbOnce sync.Once
-	tpchDB *paradigms.DB
-	ssbDB  *paradigms.DB
+	dbOnce   sync.Once
+	tpchDB   *paradigms.DB
+	ssbDB    *paradigms.DB
+	workload []workItem
 )
 
+// workItem is one canonical benchmark text with the rows its
+// hand-written reference oracle computes.
+type workItem struct {
+	name, text string
+	want       [][]int64
+}
+
+// testDBs generates the databases and the workload once: a mixed TPC-H
+// + SSB subset cheap enough to run many hundreds of times under -race.
+// Q3 and Q5 (join-heavy) ride along so the service exercises hash
+// builds and probes under concurrency.
 func testDBs() (*paradigms.DB, *paradigms.DB) {
 	dbOnce.Do(func() {
 		tpchDB = paradigms.GenerateTPCH(0.01, 0)
 		ssbDB = paradigms.GenerateSSB(0.01, 0)
+		for _, q := range []struct {
+			db   *paradigms.DB
+			name string
+		}{{tpchDB, "Q6"}, {tpchDB, "Q3"}, {tpchDB, "Q5"}, {ssbDB, "Q1.1"}, {ssbDB, "Q2.1"}} {
+			text, ok := logical.SQLText(q.db.Name, q.name)
+			if !ok {
+				panic("no canonical SQL for " + q.name)
+			}
+			workload = append(workload, workItem{q.name, text, sqlcheck.RefRows(q.db, q.name)})
+		}
 	})
 	return tpchDB, ssbDB
 }
 
-// workloadQueries is a mixed TPC-H + SSB subset cheap enough to run many
-// hundreds of times under -race. Q5 (join-heavy, plan-based Tectorwise
-// vs fused Typer) rides along so the service exercises the operator
-// layer under concurrency.
-var workloadQueries = []string{"Q1", "Q6", "Q5", "Q1.1", "Q2.1"}
+// doChecked runs one workload item through the service and compares
+// the rows with the oracle's.
+func doChecked(svc *server.Service, eng paradigms.Engine, it workItem) error {
+	res, err := svc.Do(context.Background(), string(eng), it.text)
+	if err != nil {
+		return fmt.Errorf("%s/%s: %w", eng, it.name, err)
+	}
+	if got := res.(*logical.Result).Rows; !sqlcheck.SameRows(got, it.want) {
+		return fmt.Errorf("%s/%s: result differs from the reference oracle", eng, it.name)
+	}
+	return nil
+}
 
 // runClosedLoop drives total queries through svc with the given number of
 // closed-loop clients (each waits for its result before submitting the
-// next) and returns the wall-clock duration. Engines rotate per query when
-// more than one is given.
-func runClosedLoop(t *testing.T, svc interface {
-	Do(ctx context.Context, engine, query string) (any, error)
-}, engines []paradigms.Engine, clients, total int) time.Duration {
+// next), checking every result, and returns the wall-clock duration.
+// Engines rotate per query when more than one is given.
+func runClosedLoop(t *testing.T, svc *server.Service, engines []paradigms.Engine, clients, total int) time.Duration {
 	t.Helper()
 	var next int64
 	var mu sync.Mutex
@@ -69,10 +99,8 @@ func runClosedLoop(t *testing.T, svc interface {
 				if !ok {
 					return
 				}
-				eng := engines[i%len(engines)]
-				q := workloadQueries[i%len(workloadQueries)]
-				if _, err := svc.Do(context.Background(), string(eng), q); err != nil {
-					errs <- fmt.Errorf("%s/%s: %w", eng, q, err)
+				if err := doChecked(svc, engines[i%len(engines)], workload[i%len(workload)]); err != nil {
+					errs <- err
 					return
 				}
 			}
@@ -87,8 +115,8 @@ func runClosedLoop(t *testing.T, svc interface {
 }
 
 // TestConcurrentQueriesValidated floods the service from 16 clients with
-// both engines interleaved; every one of the results is validated against
-// the reference oracles by the service itself (stats prove it).
+// both engines interleaved; every one of the results is checked against
+// the reference oracles, and the stats account for all of them.
 func TestConcurrentQueriesValidated(t *testing.T) {
 	tpch, ssb := testDBs()
 	svc := paradigms.NewService(tpch, ssb, paradigms.ServiceOptions{
@@ -113,13 +141,13 @@ func TestConcurrentQueriesValidated(t *testing.T) {
 
 // TestCancelMidQueryDrains submits real queries and cancels them
 // mid-flight; the service must come back promptly with ctx errors and no
-// validated-result corruption afterwards.
+// result corruption afterwards.
 func TestCancelMidQueryDrains(t *testing.T) {
 	tpch, ssb := testDBs()
 	svc := paradigms.NewService(tpch, ssb, paradigms.ServiceOptions{WorkerBudget: 2})
 	for i := 0; i < 8; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		h, err := svc.Submit(ctx, string(paradigms.Typer), "Q1")
+		h, err := svc.Submit(ctx, string(paradigms.Typer), workload[1].text)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,8 +158,8 @@ func TestCancelMidQueryDrains(t *testing.T) {
 			continue
 		}
 	}
-	// The service must still produce correct (validated) results.
-	if _, err := svc.Do(context.Background(), string(paradigms.Tectorwise), "Q2.1"); err != nil {
+	// The service must still produce correct results.
+	if err := doChecked(svc, paradigms.Tectorwise, workload[4]); err != nil {
 		t.Fatalf("service broken after cancellations: %v", err)
 	}
 	svc.Close()
@@ -156,9 +184,7 @@ func TestThroughputScalesWithClients(t *testing.T) {
 			d := runClosedLoop(t, svc, []paradigms.Engine{engine}, clients, total)
 			return float64(total) / d.Seconds()
 		}
-		// One warmup pass populates the validation reference cache so
-		// neither measured config pays it.
-		qps(4)
+		qps(4) // warm-up
 
 		// A single measurement on a loaded CI box can be noisy; the
 		// scaling claim must hold on the best of a few attempts.

@@ -25,7 +25,7 @@ func TestPrewarmFromQueryLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc1 := NewService(db, nil, ServiceOptions{SkipValidation: true, QueryLog: ql})
+	svc1 := NewService(db, nil, ServiceOptions{QueryLog: ql})
 	p1, err := svc1.Prepare(sqlText)
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +42,7 @@ func TestPrewarmFromQueryLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	svc2 := NewService(db, nil, ServiceOptions{SkipValidation: true, Prewarm: qlog})
+	svc2 := NewService(db, nil, ServiceOptions{Prewarm: qlog})
 	defer svc2.Close()
 	st := svc2.Stats()
 	if st.PlanCacheMisses == 0 {

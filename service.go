@@ -3,9 +3,6 @@ package paradigms
 import (
 	"context"
 	"fmt"
-	"reflect"
-	"strings"
-	"sync"
 	"time"
 
 	"paradigms/internal/catalog"
@@ -20,7 +17,7 @@ import (
 )
 
 // ServiceOptions configures NewService. The zero value picks the
-// server package's defaults and enables result validation.
+// server package's defaults.
 type ServiceOptions struct {
 	// WorkerBudget, MaxConcurrent, MaxQueued configure admission control;
 	// see server.Config.
@@ -29,11 +26,6 @@ type ServiceOptions struct {
 	MaxQueued     int
 	// VectorSize is Tectorwise's tuples-per-vector (0 = default).
 	VectorSize int
-	// SkipValidation disables checking every result against the
-	// internal/queries reference oracles. Validation references are
-	// computed once per query and cached, so steady-state cost is one
-	// reflect.DeepEqual per query.
-	SkipValidation bool
 	// PlanCacheSize bounds the prepared-statement plan cache (0 =
 	// prepcache.DefaultCapacity). Statements evicted under pressure
 	// simply re-prepare on their next Prepare call.
@@ -88,24 +80,17 @@ type ServiceOptions struct {
 }
 
 // NewService builds a concurrent query service over the given databases.
-// Either database may be nil; queries routed to a missing database fail
-// with an error rather than panicking. Query names containing a dot
-// ("Q1.1") route to the SSB database, all others to TPC-H. Ad-hoc SQL
-// texts route by their FROM tables: the first loaded database whose
-// catalog has them all wins (TPC-H, then SSB).
+// Either database may be nil. The service speaks SQL only: texts route
+// by their FROM tables — the first loaded database whose catalog has
+// them all wins (TPC-H, then SSB) — and anything that is not a select
+// statement, a registered query name included, is rejected (names run
+// through Run).
 func NewService(tpchDB, ssbDB *DB, opt ServiceOptions) *server.Service {
 	route := func(query string) (*DB, error) {
-		if sql.IsQuery(query) {
-			return logical.RouteByTables(query, tpchDB, ssbDB)
+		if !sql.IsQuery(query) {
+			return nil, fmt.Errorf("paradigms: the query service runs SQL select statements only (got %q); registered query names run through paradigms.Run", query)
 		}
-		db := tpchDB
-		if strings.ContainsRune(query, '.') {
-			db = ssbDB
-		}
-		if db == nil {
-			return nil, fmt.Errorf("paradigms: no database loaded for query %q", query)
-		}
-		return db, nil
+		return logical.RouteByTables(query, tpchDB, ssbDB)
 	}
 
 	// Sharded execution: each loaded database gets its own cluster of
@@ -154,10 +139,7 @@ func NewService(tpchDB, ssbDB *DB, opt ServiceOptions) *server.Service {
 		// Best-effort: a missing or torn log must not stop the server.
 		if tmpls, err := feedback.MineLog(opt.Prewarm, 0); err == nil {
 			for _, t := range tmpls {
-				if !sql.IsQuery(t.SQL) {
-					continue // registered query names are planless
-				}
-				prepare(t.SQL, t.Hints())
+				prepare(t.SQL, t.Hints()) // rejects what an older log holds of query names
 			}
 		}
 	}
@@ -177,7 +159,7 @@ func NewService(tpchDB, ssbDB *DB, opt ServiceOptions) *server.Service {
 			if err != nil {
 				return nil, err
 			}
-			if cl := clusters[db]; cl != nil && sql.IsQuery(query) &&
+			if cl := clusters[db]; cl != nil &&
 				(engine == string(Typer) || engine == string(Tectorwise)) {
 				return cl.Run(ctx, exchange.Request{
 					SQL: query, Engine: engine,
@@ -196,9 +178,6 @@ func NewService(tpchDB, ssbDB *DB, opt ServiceOptions) *server.Service {
 		// router, which learns each backend's latency per statement and
 		// exploits the paper's finding that neither paradigm dominates.
 		Prep: func(query string) (any, error) {
-			if !sql.IsQuery(query) {
-				return nil, fmt.Errorf("paradigms: only ad-hoc SQL texts can be prepared (got query name %q)", query)
-			}
 			st, err := prepare(query, nil)
 			if err != nil {
 				return nil, err
@@ -221,16 +200,11 @@ func NewService(tpchDB, ssbDB *DB, opt ServiceOptions) *server.Service {
 		// sink as each morsel-merge completes instead of materializing
 		// (logical.RowSink — see internal/logical/stream.go for when
 		// streaming is truly incremental). The network front-end
-		// (internal/proto) is the sink's main producer; validation is
-		// skipped for streams, and the SQL cross-engine equivalence suite
-		// covers streamed-vs-materialized instead.
+		// (internal/proto) is the sink's main producer.
 		ExecStream: func(ctx context.Context, eng, query string, workers int, sink any) (string, error) {
 			rs, ok := sink.(logical.RowSink)
 			if !ok {
 				return eng, fmt.Errorf("paradigms: stream sink must implement logical.RowSink (got %T)", sink)
-			}
-			if !sql.IsQuery(query) {
-				return eng, fmt.Errorf("paradigms: only ad-hoc SQL texts can stream (got query name %q)", query)
 			}
 			db, err := route(query)
 			if err != nil {
@@ -286,7 +260,7 @@ func NewService(tpchDB, ssbDB *DB, opt ServiceOptions) *server.Service {
 				Tenant:    info.Tenant,
 				Engine:    info.Engine,
 				Used:      info.Used,
-				SQL:       info.Query,
+				SQL:       prepcache.Normalize(info.Query),
 				Prepared:  info.Prepared,
 				Streamed:  info.Streamed,
 				PlanShape: obs.ShapeHash(pipes),
@@ -294,11 +268,8 @@ func NewService(tpchDB, ssbDB *DB, opt ServiceOptions) *server.Service {
 				Rows:      info.Rows,
 				Pipes:     pipes,
 			}
-			if sql.IsQuery(info.Query) {
-				rec.SQL = prepcache.Normalize(info.Query)
-				if db, err := route(info.Query); err == nil {
-					rec.CatalogVersion = catalog.For(db).Version
-				}
+			if db, err := route(info.Query); err == nil {
+				rec.CatalogVersion = catalog.For(db).Version
 			}
 			if res, ok := info.Result.(*logical.Result); ok {
 				rec.Rows = int64(len(res.Rows))
@@ -307,41 +278,6 @@ func NewService(tpchDB, ssbDB *DB, opt ServiceOptions) *server.Service {
 				rec.Err = info.Err.Error()
 			}
 			opt.QueryLog.Write(&rec)
-		}
-	}
-
-	if !opt.SkipValidation {
-		// One lazily computed reference per query, each behind its own
-		// Once so cold-start validation of distinct queries does not
-		// serialize across the service.
-		type refEntry struct {
-			once sync.Once
-			want any
-			err  error
-		}
-		var refs sync.Map // query name → *refEntry
-		cfg.Validate = func(query string, result any) error {
-			if sql.IsQuery(query) {
-				// Ad-hoc SQL has no registered oracle; the SQL
-				// cross-validation suite covers the lowering.
-				return nil
-			}
-			db, err := route(query)
-			if err != nil {
-				return err
-			}
-			e, _ := refs.LoadOrStore(query, &refEntry{})
-			entry := e.(*refEntry)
-			entry.once.Do(func() {
-				entry.want, entry.err = Reference(db, query)
-			})
-			if entry.err != nil {
-				return entry.err
-			}
-			if !reflect.DeepEqual(result, entry.want) {
-				return fmt.Errorf("paradigms: %s result differs from reference", query)
-			}
-			return nil
 		}
 	}
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -108,8 +109,8 @@ func TestShardedGridSmoke(t *testing.T) {
 // TestServiceSharded: the service option wires the exchange in — a
 // service built with Shards > 1 answers distributable ad-hoc SQL on
 // both engines through the sharded path, transparently: same results
-// as the oracle, and registered query names plus non-distributable
-// texts keep working through the single-process path.
+// as the oracle, and non-distributable texts keep working through the
+// single-process path.
 func TestServiceSharded(t *testing.T) {
 	tpchDB, ssbDB := sqlDBs()
 	svc := NewService(tpchDB, ssbDB, ServiceOptions{Shards: 3})
@@ -145,9 +146,10 @@ func TestServiceSharded(t *testing.T) {
 		}
 	}
 
-	// Registered query names bypass the exchange and still serve.
-	if _, err := svc.Do(ctx, string(Typer), "Q6"); err != nil {
-		t.Fatalf("registered query through sharded service: %v", err)
+	// The service is SQL-only: a registered query name is turned away at
+	// the door with a pointer to where names do run.
+	if _, err := svc.Do(ctx, string(Typer), "Q6"); err == nil || !strings.Contains(err.Error(), "paradigms.Run") {
+		t.Fatalf("registered query name through the service: err = %v, want a rejection naming paradigms.Run", err)
 	}
 }
 

@@ -97,16 +97,19 @@ func TestServiceSQL(t *testing.T) {
 	}
 }
 
-// TestServiceSQLConcurrent: ad-hoc SQL and registered queries share the
-// admission control machinery on both engines (the vectorized and the
-// compiled SQL backends); mixed load stays race-free and correct.
+// TestServiceSQLConcurrent: canonical benchmark texts and one-off SQL
+// share the admission control machinery on both engines (the
+// vectorized and the compiled SQL backends); mixed load stays race-free
+// and correct.
 func TestServiceSQLConcurrent(t *testing.T) {
 	tpchDB, ssbDB := sqlDBs()
 	svc := NewService(tpchDB, ssbDB, ServiceOptions{WorkerBudget: 4, MaxConcurrent: 3})
 	defer svc.Close()
+	q6, _ := logical.SQLText("tpch", "Q6")
+	q11, _ := logical.SQLText("ssb", "Q1.1")
 	queriesMix := []string{
-		"Q6",
-		"Q1.1",
+		q6,
+		q11,
 		`select count(*) from orders`,
 		`select sum(lo_revenue) from lineorder where lo_discount between 1 and 3`,
 	}

@@ -44,9 +44,8 @@ func streamingEquivalence(t *testing.T, dataset string) {
 		ssbDB = db
 	}
 	svc := NewService(tpchDB, ssbDB, ServiceOptions{
-		MaxConcurrent:  2,
-		SkipValidation: true,
-		StreamChunk:    64, // small chunks: many rows frames per stream
+		MaxConcurrent: 2,
+		StreamChunk:   64, // small chunks: many rows frames per stream
 	})
 	defer svc.Close()
 	ts := httptest.NewServer(proto.NewServer(svc, nil).Handler())

@@ -32,7 +32,7 @@ const telemetryQ3 = `select l_orderkey, sum(l_extendedprice * (1 - l_discount)) 
 // lowerings produce the same pipeline decomposition).
 func TestAnalyzeEndToEnd(t *testing.T) {
 	db := GenerateTPCH(0.01, 0)
-	svc := NewService(db, nil, ServiceOptions{SkipValidation: true})
+	svc := NewService(db, nil, ServiceOptions{})
 	defer svc.Close()
 	ctx := context.Background()
 
@@ -82,7 +82,7 @@ func TestAnalyzeEndToEnd(t *testing.T) {
 // describe the query that ran.
 func TestAnalyzeOverWire(t *testing.T) {
 	db := GenerateTPCH(0.01, 0)
-	svc := NewService(db, nil, ServiceOptions{SkipValidation: true})
+	svc := NewService(db, nil, ServiceOptions{})
 	defer svc.Close()
 	ts := httptest.NewServer(proto.NewServer(svc, nil).Handler())
 	defer ts.Close()
@@ -129,7 +129,7 @@ func TestAnalyzeOverWire(t *testing.T) {
 // single "hybrid" key.
 func TestStreamingHybridDecoration(t *testing.T) {
 	db := GenerateTPCH(0.01, 0)
-	svc := NewService(db, nil, ServiceOptions{SkipValidation: true})
+	svc := NewService(db, nil, ServiceOptions{})
 	defer svc.Close()
 	ts := httptest.NewServer(proto.NewServer(svc, nil).Handler())
 	defer ts.Close()
@@ -182,9 +182,8 @@ func TestQueryLogReconcile(t *testing.T) {
 	}
 	metrics := obs.NewMetrics()
 	svc := NewService(db, nil, ServiceOptions{
-		SkipValidation: true,
-		QueryLog:       ql,
-		Metrics:        metrics,
+		QueryLog: ql,
+		Metrics:  metrics,
 	})
 	ts := httptest.NewServer(proto.NewServer(svc, nil).WithMetrics(metrics).Handler())
 	cl := client.New(ts.URL, "logged")
