@@ -5,6 +5,7 @@ package paradigms
 // references resolvable so the docs cannot silently rot.
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
@@ -250,5 +251,80 @@ func TestOneSQLDriver(t *testing.T) {
 	}
 	if entries != 7 {
 		t.Errorf("the backends export %d Execute*/Run entry points, want 7", entries)
+	}
+}
+
+// TestOneFrontDoor pins the structure DESIGN.md §5 describes: the
+// service reaches the engines through one typed Executor —
+// server.Config has exactly one field of that type and no function
+// field whose signature mentions `any` — and only two places in the
+// root package tell SQL from a registered query name: the facade's
+// name-vs-SQL fork (RunContext) and the service's door check.
+func TestOneFrontDoor(t *testing.T) {
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "internal/server/server.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The package's named function types, so a hook declared through one
+	// (type ExecFunc func(...) (any, error)) is seen through.
+	funcTypes := map[string]*ast.FuncType{}
+	var config *ast.StructType
+	ast.Inspect(file, func(n ast.Node) bool {
+		if ts, ok := n.(*ast.TypeSpec); ok {
+			switch typ := ts.Type.(type) {
+			case *ast.FuncType:
+				funcTypes[ts.Name.Name] = typ
+			case *ast.StructType:
+				if ts.Name.Name == "Config" {
+					config = typ
+				}
+			}
+		}
+		return true
+	})
+	if config == nil {
+		t.Fatal("internal/server/server.go declares no Config struct")
+	}
+	executors := 0
+	for _, f := range config.Fields.List {
+		fn, _ := f.Type.(*ast.FuncType)
+		if id, ok := f.Type.(*ast.Ident); ok {
+			if id.Name == "Executor" {
+				executors += len(f.Names)
+			}
+			fn = funcTypes[id.Name]
+		}
+		if fn == nil {
+			continue
+		}
+		ast.Inspect(fn, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && id.Name == "any" {
+				t.Errorf("server.Config.%s is a function hook typed in any", f.Names[0].Name)
+			}
+			return true
+		})
+	}
+	if executors != 1 {
+		t.Errorf("server.Config has %d Executor fields, want exactly 1", executors)
+	}
+
+	roots, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	forks := 0
+	for _, name := range roots {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forks += strings.Count(string(src), "sql.IsQuery(")
+	}
+	if forks > 2 {
+		t.Errorf("the root package calls sql.IsQuery( %d times, want at most 2 (RunContext's fork and the service's door check)", forks)
 	}
 }

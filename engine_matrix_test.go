@@ -15,7 +15,9 @@ import (
 	"paradigms/internal/hybrid"
 	"paradigms/internal/logical"
 	"paradigms/internal/obs"
+	"paradigms/internal/prepcache"
 	"paradigms/internal/registry"
+	"paradigms/internal/server"
 	"paradigms/internal/sqlcheck"
 )
 
@@ -73,8 +75,11 @@ func (p *poisonSink) PushRows(rows [][]int64) error {
 // slice of the sqlcheck corpus through engine.Run — the one dispatch
 // every caller uses — and must reproduce the oracle's row multiset; so
 // must every engine × form through exchange.Cluster.Run at 1 and 3
-// shards. The matrix has no unsupported cell: all three engines are
-// assignment policies over one pipeline driver. What that driver
+// shards — and, through the front door, every engine × {ad-hoc,
+// prepared} × {materialized, streamed} on a Shards: 3 service, next to
+// the same request on an unsharded one. The matrix has no unsupported
+// cell: all three engines are assignment policies over one pipeline
+// driver. What that driver
 // promises rides along as subtests: a streamed projection is
 // incremental on every engine and reuses one row arena per worker, a
 // hybrid forced all-fused (all-
@@ -83,6 +88,7 @@ func (p *poisonSink) PushRows(rows [][]int64) error {
 // errors, and cancellation is never an engine fault.
 func TestEngineMatrix(t *testing.T) {
 	t.Run("corpus", engineMatrixCorpus)
+	t.Run("service-shards", engineMatrixService)
 	t.Run("incremental-stream", engineStreamIsIncremental)
 	t.Run("stream-arena-reuse", engineStreamReusesArena)
 	t.Run("forced-hybrid-telemetry", engineForcedHybridTelemetry)
@@ -208,6 +214,108 @@ func engineMatrixCorpus(t *testing.T) {
 	}
 	if paramCells == 0 {
 		t.Fatal("corpus slice exercised no parameterized statement")
+	}
+}
+
+// engineMatrixService is the shard axis through the front door: the
+// corpus slice runs on a Shards: 3 service and on an unsharded one, as
+// {typer, tectorwise, hybrid} × {ad-hoc, prepared} × {materialized,
+// streamed} plus prepared auto, and every cell must reproduce the
+// oracle's row multiset on both. The sharded service's exchange
+// counters say which way each request went: typer and tectorwise reach
+// the cluster exactly once per request in all four forms, hybrid and
+// auto never do, and nothing falls back.
+func engineMatrixService(t *testing.T) {
+	tpchDB, ssbDB := sqlDBs()
+	ctx := context.Background()
+	sharded := NewService(tpchDB, ssbDB, ServiceOptions{Shards: 3, StreamChunk: 7})
+	defer sharded.Close()
+	local := NewService(tpchDB, ssbDB, ServiceOptions{StreamChunk: 7})
+	defer local.Close()
+
+	// run executes one cell on one service and returns its rows.
+	run := func(svc *server.Service, req server.Req, streamed bool) ([][]int64, error) {
+		var sink collectSink
+		if streamed {
+			req.Sink = &sink
+		}
+		res, err := svc.DoReq(ctx, req)
+		if err != nil {
+			return nil, err
+		}
+		if streamed {
+			if res != nil {
+				return nil, fmt.Errorf("streamed request returned a %T", res)
+			}
+			return sink.rows, nil
+		}
+		return res.(*logical.Result).Rows, nil
+	}
+
+	var scattered uint64
+	cells := 0
+	for seed := int64(3000); seed < 3024; seed++ {
+		db := tpchDB
+		if seed%2 == 1 {
+			db = ssbDB
+		}
+		text, bindings := sqlcheck.GenerateParameterized(rand.New(rand.NewSource(seed)), db)
+		lit := sqlcheck.Substitute(text, bindings[0])
+		if routed, _ := logical.RouteByTables(lit, tpchDB, ssbDB); routed != db {
+			continue // an SSB text over tables TPC-H also names (part, supplier, customer) routes to TPC-H
+		}
+		cells++
+		want, err := sqlcheck.Oracle(db, lit)
+		if err != nil {
+			t.Fatalf("oracle failed for %q: %v", lit, err)
+		}
+		for _, name := range []string{registry.Typer, registry.Tectorwise, registry.Hybrid, prepcache.Auto} {
+			for _, prepared := range []bool{false, true} {
+				if name == prepcache.Auto && !prepared {
+					continue // auto routes on a statement's history
+				}
+				for _, streamed := range []bool{false, true} {
+					cell := fmt.Sprintf("%s/prepared=%v/streamed=%v %q %v", name, prepared, streamed, text, bindings[0])
+					var rows [2][][]int64
+					before := sharded.Stats().Counters
+					for i, svc := range []*server.Service{sharded, local} {
+						req := server.Req{Engine: name, Query: lit}
+						if prepared {
+							p, err := svc.Prepare(text)
+							if err != nil {
+								t.Fatalf("%s: prepare: %v", cell, err)
+							}
+							req = server.Req{Engine: name, Prep: p, Args: bindings[0]}
+						}
+						if rows[i], err = run(svc, req, streamed); err != nil {
+							t.Fatalf("%s (service %d): %v", cell, i, err)
+						}
+						if !sqlcheck.SameRows(rows[i], want) {
+							t.Errorf("%s (service %d) differs from oracle\n got %v\nwant %v", cell, i, clip(rows[i]), clip(want))
+						}
+					}
+					if !sqlcheck.SameRows(rows[0], rows[1]) {
+						t.Errorf("%s: Shards: 3 and Shards: 0 disagree", cell)
+					}
+					after := sharded.Stats().Counters
+					reached := after.ExchangeScattered + after.ExchangeSingleShard - before.ExchangeScattered - before.ExchangeSingleShard
+					if onShards := name == registry.Typer || name == registry.Tectorwise; onShards && reached != 1 || !onShards && reached != 0 {
+						t.Errorf("%s: reached the cluster %d times", cell, reached)
+					}
+					scattered += after.ExchangeScattered - before.ExchangeScattered
+				}
+			}
+		}
+	}
+	if cells < 12 {
+		t.Fatalf("only %d of 24 corpus texts route to the database they were generated for", cells)
+	}
+	st := sharded.Stats()
+	if scattered == 0 || st.ExchangeFallback != 0 {
+		t.Errorf("sharded service: %d requests scattered, %d fell back; want some and none", scattered, st.ExchangeFallback)
+	}
+	if c := local.Stats().Counters; c.ExchangeScattered+c.ExchangeSingleShard+c.ExchangeFallback != 0 {
+		t.Errorf("unsharded service reports exchange traffic: %+v", c)
 	}
 }
 

@@ -14,6 +14,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"paradigms/internal/compiled"
 	"paradigms/internal/hybrid"
@@ -60,6 +61,19 @@ type Output struct {
 	// an error that is not the caller's — not a bad binding, an
 	// unknown engine, a failing Sink, or a canceled ctx.
 	Faulted bool
+}
+
+// BaseName strips the hybrid assignment decoration Run puts on
+// Output.Used ("hybrid[t,v]" → "hybrid"; undecorated names pass
+// through). This is the one strip implementation: the statement
+// router, the service's per-engine stats and the metrics layer all
+// resolve decorated names through it, so the decoration grammar cannot
+// drift between consumers.
+func BaseName(used string) string {
+	if i := strings.IndexByte(used, '['); i >= 0 {
+		return used[:i]
+	}
+	return used
 }
 
 // watchSink remembers whether the caller's sink failed, so Run can

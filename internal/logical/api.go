@@ -20,6 +20,10 @@ func RouteByTables(stmt string, dbs ...*storage.Database) (*storage.Database, er
 	if err != nil {
 		return nil, err
 	}
+	return route(tables, dbs)
+}
+
+func route(tables []string, dbs []*storage.Database) (*storage.Database, error) {
 	for _, db := range dbs {
 		if db == nil {
 			continue
@@ -53,8 +57,28 @@ func PrepareHints(db *storage.Database, text string, hints CardHints) (*Plan, er
 	if err != nil {
 		return nil, err
 	}
-	if err := sql.Bind(sel, catalog.For(db)); err != nil {
+	return planParsed(sel, db, hints)
+}
+
+// PrepareRouted is RouteByTables followed by PrepareHints off a single
+// parse — the query service's front half, where the text arrives
+// without a database. The plan's Catalog says where it routed.
+func PrepareRouted(text string, hints CardHints, dbs ...*storage.Database) (*Plan, error) {
+	sel, err := sql.Parse(text)
+	if err != nil {
 		return nil, err
 	}
-	return PlanQueryHints(sel, catalog.For(db), hints)
+	db, err := route(sel.Tables(), dbs)
+	if err != nil {
+		return nil, err
+	}
+	return planParsed(sel, db, hints)
+}
+
+func planParsed(sel *sql.Select, db *storage.Database, hints CardHints) (*Plan, error) {
+	cat := catalog.For(db)
+	if err := sql.Bind(sel, cat); err != nil {
+		return nil, err
+	}
+	return PlanQueryHints(sel, cat, hints)
 }

@@ -173,6 +173,10 @@ type Plan struct {
 	cat *catalog.Catalog
 }
 
+// Catalog is the schema the plan was bound and optimized against (and
+// through its DB, the database the plan reads).
+func (p *Plan) Catalog() *catalog.Catalog { return p.cat }
+
 // Format renders the plan as an indented tree — the EXPLAIN output of
 // cmd/sqlsh and the assertion surface of the plan-shape tests.
 func (p *Plan) Format() string {

@@ -164,6 +164,17 @@ func streamChunks(ctx context.Context, st *streamer, rows [][]int64, chunk int) 
 	return nil
 }
 
+// Stream delivers a materialized result the way a streaming execution
+// would: the header, then the rows in chunk-sized batches (0 =
+// DefaultStreamChunk). It is how a result gathered from shards reaches
+// a streaming client.
+func (r *Result) Stream(ctx context.Context, sink RowSink, chunk int) error {
+	if err := sink.SetCols(r.Cols); err != nil {
+		return err
+	}
+	return streamChunks(ctx, newStreamer(sink, nil), r.Rows, chunk)
+}
+
 // firstErr returns the first non-nil error.
 func firstErr(errs ...error) error {
 	for _, e := range errs {

@@ -30,8 +30,10 @@ type QueryRecord struct {
 	CatalogVersion uint64 `json:"catalog_version,omitempty"`
 	// PlanShape is ShapeHash of the pipeline decomposition.
 	PlanShape string `json:"plan_shape,omitempty"`
-	// LatencyMs is the whole-query wall time in milliseconds.
+	// LatencyMs is the whole-query wall time in milliseconds, submit to
+	// finish; QueueMs is the part of it spent waiting for admission.
 	LatencyMs float64 `json:"latency_ms"`
+	QueueMs   float64 `json:"queue_ms"`
 	// Rows is the result cardinality (-1 when unknown, e.g. errors).
 	Rows int64 `json:"rows"`
 	// Err carries the failure when the execution did not succeed.

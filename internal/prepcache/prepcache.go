@@ -25,6 +25,7 @@ import (
 	"container/list"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"paradigms/internal/catalog"
 	"paradigms/internal/logical"
@@ -45,7 +46,7 @@ type Key struct {
 // and concurrent first-preparers of the same text build only once.
 type entry struct {
 	once sync.Once
-	stmt *Statement
+	stmt atomic.Pointer[Statement] // set once built; Lookup reads it without the Once
 	err  error
 	elem *list.Element // position in the LRU list; nil once evicted
 }
@@ -68,6 +69,28 @@ func New(capacity int) *Cache {
 		capacity = DefaultCapacity
 	}
 	return &Cache{cap: capacity, entries: make(map[Key]*entry), lru: list.New()}
+}
+
+// Lookup returns the statement already built for the normalized text
+// under a catalog version, counting a hit — and nothing on absence, so
+// a caller that probes several catalogs before GetOrPrepare still
+// counts one hit or one miss per logical prepare.
+func (c *Cache) Lookup(catalogVersion uint64, normalized string) (*Statement, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.entries[Key{Catalog: catalogVersion, SQL: normalized}]
+	if e == nil {
+		return nil, false
+	}
+	st := e.stmt.Load()
+	if st == nil {
+		return nil, false // still building: the caller's GetOrPrepare joins the build
+	}
+	c.hits++
+	if e.elem != nil {
+		c.lru.MoveToFront(e.elem)
+	}
+	return st, true
 }
 
 // GetOrPrepare returns the cached statement for the text under cat's
@@ -109,7 +132,7 @@ func (c *Cache) GetOrPrepare(cat *catalog.Catalog, text string, build func() (*l
 			e.err = err
 			return
 		}
-		e.stmt = NewStatement(key.SQL, pl)
+		e.stmt.Store(NewStatement(key.SQL, pl))
 	})
 	if e.err != nil {
 		c.mu.Lock()
@@ -123,7 +146,7 @@ func (c *Cache) GetOrPrepare(cat *catalog.Catalog, text string, build func() (*l
 		c.mu.Unlock()
 		return nil, hit, e.err
 	}
-	return e.stmt, hit, nil
+	return e.stmt.Load(), hit, nil
 }
 
 // Stats reports the cache counters and current occupancy.

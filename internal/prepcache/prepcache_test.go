@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"paradigms/internal/catalog"
+	"paradigms/internal/engine"
 	"paradigms/internal/logical"
 	"paradigms/internal/registry"
 	"paradigms/internal/sqlcheck"
@@ -101,7 +102,8 @@ func TestCacheLRUAndCounters(t *testing.T) {
 }
 
 // TestCacheKeyIncludesCatalogVersion: the same SQL against two
-// database instances occupies two slots.
+// database instances occupies two slots, and Lookup addresses them one
+// catalog at a time.
 func TestCacheKeyIncludesCatalogVersion(t *testing.T) {
 	db1 := sqlcheck.MiniTPCH(20, true)
 	db2 := sqlcheck.MiniTPCH(20, true)
@@ -114,6 +116,20 @@ func TestCacheKeyIncludesCatalogVersion(t *testing.T) {
 	if _, hit, err := c.GetOrPrepare(catalog.For(db2), q,
 		func() (*logical.Plan, error) { return logical.Prepare(db2, q) }); err != nil || hit {
 		t.Fatalf("db2 must miss (different catalog version): hit=%v err=%v", hit, err)
+	}
+
+	// Lookup probes one catalog's key: a built statement counts a hit
+	// and freshens, absence counts nothing — so a caller probing several
+	// catalogs before GetOrPrepare counts once per logical prepare.
+	db3 := sqlcheck.MiniTPCH(20, true)
+	if st, ok := c.Lookup(catalog.For(db3).Version, q); ok || st != nil {
+		t.Fatal("Lookup under an unseen catalog version found a statement")
+	}
+	if st, ok := c.Lookup(catalog.For(db2).Version, q); !ok || st.Text != q {
+		t.Fatalf("Lookup of a cached statement: %v, %v", st, ok)
+	}
+	if hits, misses, _, _ := c.Stats(); hits != 1 || misses != 2 {
+		t.Errorf("after two misses, one absent Lookup and one found: hits=%d misses=%d, want 1 and 2", hits, misses)
 	}
 }
 
@@ -283,7 +299,7 @@ func TestFailingSinkDoesNotPenalizeRouter(t *testing.T) {
 	st, vals := routerStatement(t)
 	for _, name := range routerArms {
 		before := st.Router().Snapshot()
-		if _, err := st.ExecuteStream(context.Background(), name, vals, 2, 0, 4, failingSink{}); !errors.Is(err, errSinkGone) {
+		if _, err := st.Run(context.Background(), name, engine.Options{Args: vals, Workers: 2, Chunk: 4, Sink: failingSink{}}); !errors.Is(err, errSinkGone) {
 			t.Fatalf("%s: failing sink returned %v, want the sink's error", name, err)
 		}
 		if got := st.Router().Snapshot(); !reflect.DeepEqual(got, before) {
@@ -303,7 +319,7 @@ func TestWrongArityBindDoesNotPenalizeRouter(t *testing.T) {
 		if _, _, err := st.Execute(ctx, name, nil, 2, 0); err == nil {
 			t.Fatalf("%s: wrong-arity binding accepted", name)
 		}
-		if _, err := st.ExecuteStream(ctx, name, append(vals, 1), 2, 0, 4, failingSink{}); err == nil {
+		if _, err := st.Run(ctx, name, engine.Options{Args: append(vals, 1), Workers: 2, Chunk: 4, Sink: failingSink{}}); err == nil {
 			t.Fatalf("%s: wrong-arity streamed binding accepted", name)
 		}
 		if got := st.Router().Snapshot(); !reflect.DeepEqual(got, before) {

@@ -1,10 +1,10 @@
 package prepcache
 
 import (
-	"strings"
 	"sync"
 	"time"
 
+	"paradigms/internal/engine"
 	"paradigms/internal/registry"
 )
 
@@ -57,25 +57,12 @@ type Router struct {
 // engineArms maps router arm indexes to engine names.
 var engineArms = [numArms]string{registry.Typer, registry.Tectorwise, registry.Hybrid}
 
-// BaseEngine strips the hybrid assignment decoration from an engine
-// name ("hybrid[t,v]" → "hybrid"; undecorated names pass through).
-// This is the one strip implementation: the router, the server's
-// per-engine stats attribution, and the metrics layer all resolve
-// decorated names through it, so the decoration grammar cannot drift
-// between consumers.
-func BaseEngine(engine string) string {
-	if i := strings.IndexByte(engine, '['); i >= 0 {
-		return engine[:i]
-	}
-	return engine
-}
-
 // armOf resolves an engine name to its arm, ignoring a hybrid
 // assignment decoration ("hybrid[t,v]" observes as "hybrid").
-func armOf(engine string) int {
-	engine = BaseEngine(engine)
-	for i, name := range engineArms {
-		if name == engine {
+func armOf(name string) int {
+	name = engine.BaseName(name)
+	for i, arm := range engineArms {
+		if arm == name {
 			return i
 		}
 	}

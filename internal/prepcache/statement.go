@@ -143,35 +143,25 @@ func (s *Statement) observeFeedback(pl *logical.Plan, col *obs.Collector) {
 	}
 }
 
-// Execute runs the statement with one argument binding on the named
-// engine — registry.Typer (compiled fused pipelines), registry.
-// Tectorwise (vectorized operator plans), registry.Hybrid (per-pipeline
-// mix of the two, routed by the statement's PipelineRouter), or Auto,
-// which resolves to whichever backend the statement's router currently
-// measures as faster. It returns the result and the engine that
-// actually ran — for hybrid, decorated with the pipeline assignment
-// ("hybrid[t,v]"). Every successful execution's latency feeds the
-// router, whichever way the engine was chosen, so explicit-engine
-// traffic trains Auto too.
+// Execute is Run materializing with one argument binding: it returns
+// the result and the engine that actually ran.
 func (s *Statement) Execute(ctx context.Context, name string, args []int64, workers, vecSize int) (*logical.Result, string, error) {
-	out, err := s.run(ctx, name, engine.Options{Args: args, Workers: workers, VecSize: vecSize})
+	out, err := s.Run(ctx, name, engine.Options{Args: args, Workers: workers, VecSize: vecSize})
 	return out.Result, out.Used, err
 }
 
-// ExecuteStream is Execute streaming result batches to sink instead of
-// materializing (see logical.RowSink for the streaming contract). Auto
-// resolves through the statement's router, and successful streamed
-// executions train it exactly like materialized ones.
-func (s *Statement) ExecuteStream(ctx context.Context, name string, args []int64, workers, vecSize, chunk int, sink logical.RowSink) (string, error) {
-	out, err := s.run(ctx, name, engine.Options{Args: args, Workers: workers, VecSize: vecSize, Sink: sink, Chunk: chunk})
-	return out.Used, err
-}
-
-// run is the one body behind Execute and ExecuteStream: resolve Auto,
-// run the current plan template through engine.Run with the
-// statement's PipelineRouter, and feed the outcome to the router and
-// the feedback loop.
-func (s *Statement) run(ctx context.Context, name string, opt engine.Options) (engine.Output, error) {
+// Run executes the statement's current plan template through
+// engine.Run on the named engine — registry.Typer (compiled fused
+// pipelines), registry.Tectorwise (vectorized operator plans),
+// registry.Hybrid (per-pipeline mix of the two, routed by the
+// statement's PipelineRouter; opt.Router is overwritten), or Auto,
+// which resolves to whichever backend the statement's router currently
+// measures as faster. Output.Used is the engine that actually ran —
+// for hybrid, decorated with the pipeline assignment ("hybrid[t,v]").
+// Every successful execution's latency feeds the router and the
+// feedback loop, streamed or materialized and whichever way the engine
+// was chosen, so explicit-engine traffic trains Auto too.
+func (s *Statement) Run(ctx context.Context, name string, opt engine.Options) (engine.Output, error) {
 	pl := s.plan.Load()
 	if name == Auto {
 		name = s.router.Pick()

@@ -30,38 +30,41 @@ var stubCols = []logical.OutCol{
 	{Name: "revenue", Type: catalog.Type{Kind: catalog.Numeric, Scale: 2}},
 }
 
-// newStubService builds a service whose streaming hook emits fully
-// scripted frames keyed by the query text — the conformance fixtures pin
-// the protocol layer, not the engines (the engines' wire output is
-// covered end to end by the streaming equivalence suite).
+// stubExec is a server.Executor that streams fully scripted frames
+// keyed by the query text — the conformance fixtures pin the protocol
+// layer, not the engines (the engines' wire output is covered end to
+// end by the streaming equivalence suite).
+type stubExec struct{}
+
+func (stubExec) Prepare(text string) (server.Stmt, error) {
+	return nil, fmt.Errorf("stub: prepared path not under test")
+}
+
+func (stubExec) Counters() server.Counters { return server.Counters{} }
+
+func (stubExec) Run(ctx context.Context, job server.Job) (server.Outcome, error) {
+	out := server.Outcome{Used: "typer"}
+	switch job.Text {
+	case "ok":
+		job.Sink.SetCols(stubCols)
+		job.Sink.PushRows([][]int64{{1, 17350}, {2, 409001}})
+		job.Sink.PushRows([][]int64{{5, 2150}})
+		return out, nil
+	case "midfail":
+		job.Sink.SetCols(stubCols)
+		job.Sink.PushRows([][]int64{{1, 17350}})
+		return out, fmt.Errorf("stub: spill corrupted mid-merge")
+	case "earlyfail":
+		return out, fmt.Errorf("stub: unknown relation \"lineitm\"")
+	case "block":
+		<-ctx.Done()
+		return out, ctx.Err()
+	}
+	return out, fmt.Errorf("stub: unscripted query %q", job.Text)
+}
+
 func newStubService() *server.Service {
-	return server.New(server.Config{
-		WorkerBudget:  1,
-		MaxConcurrent: 1,
-		Exec: func(ctx context.Context, engine, query string, workers int) (any, error) {
-			return nil, fmt.Errorf("stub: materializing path not under test")
-		},
-		ExecStream: func(ctx context.Context, engine, query string, workers int, sink any) (string, error) {
-			rs := sink.(logical.RowSink)
-			switch query {
-			case "ok":
-				rs.SetCols(stubCols)
-				rs.PushRows([][]int64{{1, 17350}, {2, 409001}})
-				rs.PushRows([][]int64{{5, 2150}})
-				return "typer", nil
-			case "midfail":
-				rs.SetCols(stubCols)
-				rs.PushRows([][]int64{{1, 17350}})
-				return "typer", fmt.Errorf("stub: spill corrupted mid-merge")
-			case "earlyfail":
-				return "typer", fmt.Errorf("stub: unknown relation \"lineitm\"")
-			case "block":
-				<-ctx.Done()
-				return "typer", ctx.Err()
-			}
-			return "typer", fmt.Errorf("stub: unscripted query %q", query)
-		},
-	})
+	return server.New(server.Config{WorkerBudget: 1, MaxConcurrent: 1, Executor: stubExec{}})
 }
 
 // fixedNow freezes the server clock so end-frame timings are
@@ -169,18 +172,7 @@ func TestConformanceGoldens(t *testing.T) {
 // retry-after estimate in both the body and the Retry-After header —
 // and never into a partial stream.
 func TestConformanceOverload(t *testing.T) {
-	svc := server.New(server.Config{
-		WorkerBudget:  1,
-		MaxConcurrent: 1,
-		MaxQueued:     1,
-		Exec: func(ctx context.Context, engine, query string, workers int) (any, error) {
-			return nil, fmt.Errorf("stub")
-		},
-		ExecStream: func(ctx context.Context, engine, query string, workers int, sink any) (string, error) {
-			<-ctx.Done()
-			return engine, ctx.Err()
-		},
-	})
+	svc := server.New(server.Config{WorkerBudget: 1, MaxConcurrent: 1, MaxQueued: 1, Executor: stubExec{}})
 	defer svc.Close()
 	ts := httptest.NewServer(proto.NewServer(svc, fixedNow).Handler())
 	defer ts.Close()

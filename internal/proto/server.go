@@ -13,7 +13,6 @@ import (
 
 	"paradigms/internal/logical"
 	"paradigms/internal/obs"
-	"paradigms/internal/prepcache"
 	"paradigms/internal/server"
 )
 
@@ -152,7 +151,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			sink.frame(Frame{Type: FrameAnalyze, Pipes: pipes})
 		}
 	}
-	n := sink.RowCount()
+	n := sink.rowCount()
 	elapsed := float64(s.now().Sub(start)) / float64(time.Millisecond)
 	sink.frame(Frame{Type: FrameEnd, Engine: h.EngineUsed(), RowCount: &n, ElapsedMs: &elapsed})
 }
@@ -198,12 +197,9 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		httpError(w, status, body)
 		return
 	}
-	resp := PrepareResponse{SQL: req.SQL}
-	if st, ok := p.Stmt().(*prepcache.Statement); ok {
-		resp.NumParams = st.NumParams()
-		for _, t := range st.ParamTypes() {
-			resp.ParamTypes = append(resp.ParamTypes, t.Kind.String())
-		}
+	resp := PrepareResponse{SQL: req.SQL, NumParams: p.Stmt().NumParams()}
+	for _, t := range p.Stmt().ParamTypes() {
+		resp.ParamTypes = append(resp.ParamTypes, t.Kind.String())
 	}
 	w.Header().Set("Content-Type", "application/json")
 	raw, _ := json.Marshal(resp)
@@ -296,10 +292,8 @@ func (s *ndjsonSink) started() bool {
 	return s.wrote
 }
 
-// RowCount is the rows streamed so far. Exported so the service's
-// ObsEnd hook can read the result cardinality through the generic
-// `interface{ RowCount() int64 }` assertion on the sink.
-func (s *ndjsonSink) RowCount() int64 {
+// rowCount is the rows streamed so far.
+func (s *ndjsonSink) rowCount() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.rows

@@ -20,7 +20,7 @@ func submitT(t *testing.T, s *Service, tenant, query string) *Handle {
 
 // drain releases every started query in start order until all handles
 // finish, then returns the exec-start order of query names.
-func drain(t *testing.T, be *blockingExec, handles []*Handle) []string {
+func drain(t *testing.T, be *fakeExec, handles []*Handle) []string {
 	t.Helper()
 	for i := 0; i < len(handles); i++ {
 		be.waitStarted(t, i+1)
@@ -43,8 +43,8 @@ func drain(t *testing.T, be *blockingExec, handles []*Handle) []string {
 // core of the fairness story; the latency-level consequence is
 // TestLightTenantLatencyBound.
 func TestDRRInterleavesTenants(t *testing.T) {
-	be := &blockingExec{}
-	s := New(Config{Exec: be.fn, MaxConcurrent: 1, WorkerBudget: 1})
+	be := &fakeExec{hold: true}
+	s := New(Config{Executor: be, MaxConcurrent: 1, WorkerBudget: 1})
 	defer s.Close()
 	handles := []*Handle{submitT(t, s, "heavy", "h0")} // occupies the slot
 	for _, q := range []string{"h1", "h2", "h3", "h4"} {
@@ -61,9 +61,9 @@ func TestDRRInterleavesTenants(t *testing.T) {
 // TestDRRWeights pins the deficit mechanics: a tenant with weight 2 is
 // admitted twice per round.
 func TestDRRWeights(t *testing.T) {
-	be := &blockingExec{}
+	be := &fakeExec{hold: true}
 	s := New(Config{
-		Exec: be.fn, MaxConcurrent: 1, WorkerBudget: 1,
+		Executor: be, MaxConcurrent: 1, WorkerBudget: 1,
 		TenantWeights: map[string]int{"a": 2},
 	})
 	defer s.Close()
@@ -84,9 +84,9 @@ func TestDRRWeights(t *testing.T) {
 // another tenant admits into the spare slot immediately instead of
 // waiting behind the capped queue head.
 func TestCapStepOver(t *testing.T) {
-	be := &blockingExec{}
+	be := &fakeExec{hold: true}
 	s := New(Config{
-		Exec: be.fn, MaxConcurrent: 2, WorkerBudget: 2,
+		Executor: be, MaxConcurrent: 2, WorkerBudget: 2,
 		TenantCaps: map[string]int{"heavy": 1},
 	})
 	defer s.Close()
@@ -118,8 +118,8 @@ func TestCapStepOver(t *testing.T) {
 // — no non-empty queue is skipped for more than one round — so none of
 // them can land in the flooded tail.
 func TestNoStarvationUnderFlood(t *testing.T) {
-	be := &blockingExec{}
-	s := New(Config{Exec: be.fn, MaxConcurrent: 1, WorkerBudget: 1})
+	be := &fakeExec{hold: true}
+	s := New(Config{Executor: be, MaxConcurrent: 1, WorkerBudget: 1})
 	defer s.Close()
 	handles := []*Handle{submitT(t, s, "flood", "f0")}
 	for i := 1; i <= 20; i++ {
@@ -146,20 +146,13 @@ func TestNoStarvationUnderFlood(t *testing.T) {
 	}
 }
 
-// sleepExec is an ExecFunc that sleeps a per-query-class duration —
-// a stand-in for Q3-class scans vs Q6-class aggregates with exactly
-// controlled service times.
-func sleepExec(ctx context.Context, engine, query string, workers int) (any, error) {
-	d := time.Millisecond
-	if query == "heavy" {
-		d = 40 * time.Millisecond
+// sleepDelay gives each query class an exactly controlled service time
+// — a stand-in for Q3-class scans vs Q6-class aggregates.
+func sleepDelay(job Job) time.Duration {
+	if job.Text == "heavy" {
+		return 40 * time.Millisecond
 	}
-	select {
-	case <-time.After(d):
-		return query, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	return time.Millisecond
 }
 
 // TestLightTenantLatencyBound is the closed-loop fairness satellite: a
@@ -171,7 +164,7 @@ func sleepExec(ctx context.Context, engine, query string, workers int) (any, err
 // exec), so the test is load-independent.
 func TestLightTenantLatencyBound(t *testing.T) {
 	s := New(Config{
-		Exec: sleepExec, MaxConcurrent: 2, WorkerBudget: 2,
+		Executor: &fakeExec{delay: sleepDelay}, MaxConcurrent: 2, WorkerBudget: 2,
 		TenantCaps: map[string]int{"heavy": 1},
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 1200*time.Millisecond)

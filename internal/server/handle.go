@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"paradigms/internal/logical"
 	"paradigms/internal/obs"
 )
 
@@ -24,7 +25,7 @@ type Handle struct {
 
 	// sink receives streamed result batches (nil for materializing
 	// submissions); see Req.Sink.
-	sink any
+	sink logical.RowSink
 
 	// col collects per-pipeline execution telemetry (nil for
 	// uninstrumented submissions); see Req.Collector and Config.ObsBegin.
@@ -86,7 +87,7 @@ func (h *Handle) Prepared() bool { return h.prep != nil }
 // ordinary submissions).
 func (h *Handle) Args() []string { return h.args }
 
-// Query is the query name the handle was submitted with.
+// Query is the SQL text the handle was submitted with.
 func (h *Handle) Query() string { return h.query }
 
 // Done is closed when the query has finished (served, failed, or
@@ -100,7 +101,9 @@ func (h *Handle) Cancel() { h.cancel() }
 
 // Wait blocks until the query finishes or ctx is done; in the latter case
 // it cancels the query and still waits for the (prompt) teardown so the
-// returned error is the query's final state.
+// returned error is the query's final state. The value of a served
+// materializing query is its *logical.Result; streamed and failed
+// queries return nil.
 func (h *Handle) Wait(ctx context.Context) (any, error) {
 	select {
 	case <-h.done:
@@ -144,7 +147,7 @@ func (h *Handle) Latency() time.Duration {
 // argument binding — no per-execution parse or plan. Safe for
 // concurrent use from many clients.
 type Prepared struct {
-	stmt  any // the PrepareFunc's opaque statement (facade: *prepcache.Statement)
+	stmt  Stmt
 	query string
 }
 
@@ -152,5 +155,6 @@ type Prepared struct {
 func (p *Prepared) Query() string { return p.query }
 
 // Stmt exposes the underlying prepared statement (the facade's plan
-// cache entry) for callers that need engine-router introspection.
-func (p *Prepared) Stmt() any { return p.stmt }
+// cache entry, a *prepcache.Statement) for callers that need its
+// placeholder signature or engine-router introspection.
+func (p *Prepared) Stmt() Stmt { return p.stmt }

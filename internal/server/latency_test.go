@@ -12,14 +12,8 @@ import (
 // difference against the zero finish time (which would be a huge
 // negative duration).
 func TestLatencyBeforeCompletion(t *testing.T) {
-	release := make(chan struct{})
-	svc := New(Config{
-		WorkerBudget: 1,
-		Exec: func(ctx context.Context, engine, query string, workers int) (any, error) {
-			<-release
-			return query, nil
-		},
-	})
+	fe := &fakeExec{hold: true}
+	svc := New(Config{WorkerBudget: 1, Executor: fe})
 	h, err := svc.Submit(context.Background(), "typer", "Q1")
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +23,8 @@ func TestLatencyBeforeCompletion(t *testing.T) {
 		t.Errorf("in-flight Latency() = %v, want a small positive elapsed duration", d)
 	}
 	mid := h.Latency()
-	close(release)
+	fe.waitStarted(t, 1)
+	fe.releaseOne(0)
 	if _, err := h.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +41,7 @@ func TestLatencyBeforeCompletion(t *testing.T) {
 // TestStatsJSON: the machine-readable snapshot carries the counters and
 // millisecond quantiles cmd/serve -statsjson emits.
 func TestStatsJSON(t *testing.T) {
-	svc := New(Config{
-		Exec: func(ctx context.Context, engine, query string, workers int) (any, error) {
-			return query, nil
-		},
-	})
+	svc := New(Config{Executor: &fakeExec{}})
 	for i := 0; i < 3; i++ {
 		if _, err := svc.Do(context.Background(), "typer", "Q1"); err != nil {
 			t.Fatal(err)

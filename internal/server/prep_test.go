@@ -3,63 +3,28 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
-	"strings"
 	"testing"
 )
 
-// prepHooks is a fake prepared-statement backend: Prep wraps the text,
-// ExecPrep echoes statement/args/engine and resolves "auto" to a fixed
-// backend, like the facade's router would.
-type prepHooks struct {
-	prepCalls int
-	execCalls int
+func newPrepService(fe *fakeExec) *Service {
+	fe.counters = Counters{PlanCacheHits: 7, PlanCacheMisses: 3, PlanCacheEvictions: 1, ExchangeScattered: 5}
+	return New(Config{Executor: fe, WorkerBudget: 2})
 }
 
-func (p *prepHooks) prep(query string) (any, error) {
-	p.prepCalls++
-	if strings.Contains(query, "bogus") {
-		return nil, errors.New("prep: bad statement")
-	}
-	return "stmt:" + query, nil
-}
-
-func (p *prepHooks) exec(ctx context.Context, engine string, stmt any, args []string, workers int) (any, string, error) {
-	p.execCalls++
-	used := engine
-	if engine == "auto" {
-		used = "typer"
-	}
-	return fmt.Sprintf("%v|%s|%s|%d", stmt, strings.Join(args, ","), used, workers), used, nil
-}
-
-func newPrepService(h *prepHooks) *Service {
-	return New(Config{
-		Exec: func(ctx context.Context, engine, query string, workers int) (any, error) {
-			return "adhoc", nil
-		},
-		Prep:     h.prep,
-		ExecPrep: h.exec,
-		PlanCacheStats: func() (uint64, uint64, uint64) {
-			return 7, 3, 1
-		},
-		WorkerBudget: 2,
-	})
-}
-
-// TestPreparedLifecycle: Prepare → DoPrepared executes through
-// ExecPrep with the bound arguments; "auto" resolves and the handle
-// and stats report the engine that actually ran.
+// TestPreparedLifecycle: Prepare → DoPrepared reaches the executor as a
+// job carrying the statement and the bound arguments; "auto" resolves
+// and the handle and stats report the engine that actually ran.
 func TestPreparedLifecycle(t *testing.T) {
-	h := &prepHooks{}
-	s := newPrepService(h)
+	fe := &fakeExec{}
+	s := newPrepService(fe)
 	defer s.Close()
 
-	p, err := s.Prepare("select x from t where y < ?")
+	const text = "select x from t where y < ?"
+	p, err := s.Prepare(text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Query() != "select x from t where y < ?" {
+	if p.Query() != text {
 		t.Fatalf("Query() = %q", p.Query())
 	}
 
@@ -67,13 +32,13 @@ func TestPreparedLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := hd.Wait(context.Background())
-	if err != nil {
+	if _, err := hd.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	want := "stmt:select x from t where y < ?|42|typer|2"
-	if res != want {
-		t.Fatalf("result = %q, want %q", res, want)
+	job := fe.jobs[0]
+	if job.Stmt != p.Stmt() || job.Stmt.(fakeStmt).text != text || job.Text != text ||
+		len(job.Args) != 1 || job.Args[0] != "42" || job.Engine != "auto" || job.Workers != 2 || job.Sink != nil {
+		t.Fatalf("executor saw job %+v", job)
 	}
 	if !hd.Prepared() || hd.Engine() != "auto" || hd.EngineUsed() != "typer" {
 		t.Fatalf("handle: prepared=%v engine=%q used=%q", hd.Prepared(), hd.Engine(), hd.EngineUsed())
@@ -93,19 +58,18 @@ func TestPreparedLifecycle(t *testing.T) {
 	if st.PerEngine["typer"] != 1 || st.PerEngine["tectorwise"] != 1 {
 		t.Fatalf("per-engine attribution wrong: %v", st.PerEngine)
 	}
-	if st.PlanCacheHits != 7 || st.PlanCacheMisses != 3 || st.PlanCacheEvictions != 1 {
-		t.Fatalf("plan cache counters not surfaced: %+v", st)
+	if st.Counters != fe.counters {
+		t.Fatalf("executor counters not surfaced: %+v", st.Counters)
 	}
-	if h.prepCalls != 1 || h.execCalls != 2 {
-		t.Fatalf("hook calls: prep=%d exec=%d", h.prepCalls, h.execCalls)
+	if fe.prepCalls != 1 || len(fe.jobs) != 2 {
+		t.Fatalf("executor calls: prepare=%d run=%d", fe.prepCalls, len(fe.jobs))
 	}
 }
 
-// TestPreparedErrors: prepare failures surface, and a service without
-// hooks reports ErrNoPrepare.
+// TestPreparedErrors: prepare failures surface, and a closed service
+// prepares nothing.
 func TestPreparedErrors(t *testing.T) {
-	h := &prepHooks{}
-	s := newPrepService(h)
+	s := newPrepService(&fakeExec{})
 	if _, err := s.Prepare("select bogus"); err == nil {
 		t.Fatal("prepare error swallowed")
 	}
@@ -113,64 +77,37 @@ func TestPreparedErrors(t *testing.T) {
 	if _, err := s.Prepare("select x"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
-
-	bare := New(Config{Exec: func(ctx context.Context, engine, query string, workers int) (any, error) {
-		return nil, nil
-	}})
-	defer bare.Close()
-	if _, err := bare.Prepare("select x"); !errors.Is(err, ErrNoPrepare) {
-		t.Fatalf("err = %v, want ErrNoPrepare", err)
-	}
-	st := bare.Stats()
-	if st.PlanCacheHits != 0 || st.PreparedServed != 0 {
-		t.Fatalf("bare service leaked prepared counters: %+v", st)
-	}
 }
 
 // TestPreparedAdmissionShared: prepared executions respect the same
 // MaxConcurrent bound and FIFO queue as ordinary submissions.
 func TestPreparedAdmissionShared(t *testing.T) {
-	block := make(chan struct{})
-	started := make(chan string, 8)
-	s := New(Config{
-		Exec: func(ctx context.Context, engine, query string, workers int) (any, error) {
-			started <- query
-			<-block
-			return "adhoc", nil
-		},
-		Prep: func(query string) (any, error) { return query, nil },
-		ExecPrep: func(ctx context.Context, engine string, stmt any, args []string, workers int) (any, string, error) {
-			started <- stmt.(string)
-			<-block
-			return "prepared", engine, nil
-		},
-		WorkerBudget:  2,
-		MaxConcurrent: 1,
-	})
+	fe := &fakeExec{hold: true}
+	s := New(Config{Executor: fe, WorkerBudget: 2, MaxConcurrent: 1})
 
 	h1, err := s.Submit(context.Background(), "typer", "Q1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-started // Q1 holds the only slot
+	fe.waitStarted(t, 1) // Q1 holds the only slot
 
 	p, _ := s.Prepare("select 1 from t where a = ?")
 	h2, err := s.SubmitPrepared(context.Background(), "typer", p, "1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case q := <-started:
-		t.Fatalf("prepared execution %q bypassed admission control", q)
-	default:
+	if st := s.Stats(); st.InFlight != 1 || st.Queued != 1 {
+		t.Fatalf("prepared execution bypassed admission control: in flight %d, queued %d", st.InFlight, st.Queued)
 	}
 
-	close(block)
+	fe.releaseOne(0)
 	if _, err := h1.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if res, err := h2.Wait(context.Background()); err != nil || res != "prepared" {
-		t.Fatalf("prepared after release: res=%v err=%v", res, err)
+	fe.waitStarted(t, 2)
+	fe.releaseOne(1)
+	if _, err := h2.Wait(context.Background()); err != nil {
+		t.Fatalf("prepared after release: %v", err)
 	}
 	s.Close()
 	if st := s.Stats(); st.Served != 2 || st.PreparedServed != 1 {

@@ -13,10 +13,11 @@
 // an abandoned query drains out of its scan loops within one morsel.
 // See DESIGN.md §5 and §11 for the policy discussion.
 //
-// The package is engine agnostic by construction: queries are executed
-// through injected hooks (wired to the facade by cmd/serve and the root
-// package tests), so Typer and Tectorwise are scheduled identically —
-// the same property the paper engineered for the intra-query layer.
+// The package is engine agnostic by construction: every query is
+// prepared and executed through one injected Executor (the facade's,
+// wired by NewService), so Typer and Tectorwise are scheduled
+// identically — the same property the paper engineered for the
+// intra-query layer.
 package server
 
 import (
@@ -27,38 +28,87 @@ import (
 	"sync/atomic"
 	"time"
 
+	"paradigms/internal/catalog"
+	"paradigms/internal/engine"
 	"paradigms/internal/exec"
+	"paradigms/internal/logical"
 	"paradigms/internal/obs"
 )
 
-// ExecFunc executes one query on behalf of the service. It must honor ctx
-// (return promptly once ctx is done, reporting ctx.Err()) and run with at
-// most the given number of workers. The facade's RunContext has exactly
-// this shape once engine routing is closed over.
-type ExecFunc func(ctx context.Context, engine, query string, workers int) (any, error)
+// Executor is everything the service asks of the engines: it owns the
+// request from text to rows — routing, planning, binding, the choice
+// between shards and single-process execution — and the service owns
+// admission, scheduling, cancellation and accounting around it.
+type Executor interface {
+	// Prepare turns one SQL text into a statement Run takes back in
+	// Job.Stmt. The facade serves it from the plan cache, so repeated
+	// calls for one normalized text parse and plan at most once.
+	Prepare(text string) (Stmt, error)
+	// Run executes one job. It must honor ctx (return promptly once ctx
+	// is done, reporting ctx.Err()) and run with at most job.Workers
+	// workers. Outcome.Used is meaningful on error too.
+	Run(ctx context.Context, job Job) (Outcome, error)
+	// Counters reports the executor's own cumulative counters for Stats.
+	Counters() Counters
+}
 
-// PrepareFunc turns one SQL text into an opaque prepared statement the
-// service hands back to ExecPreparedFunc. The facade wires this to the
-// plan cache (internal/prepcache), so repeated Prepare calls for one
-// normalized text parse and plan at most once.
-type PrepareFunc func(query string) (any, error)
+// Stmt is a prepared statement: what Executor.Prepare hands out and
+// what Executor.Run drives. The service only carries it; the protocol
+// reads the placeholder signature.
+type Stmt interface {
+	NumParams() int
+	ParamTypes() []catalog.Type
+	// Plan is the statement's current optimized plan template.
+	Plan() *logical.Plan
+	// Run executes the template on the named engine ("auto" resolves
+	// through the statement's adaptive router) with the bound
+	// arguments and mode in opt.
+	Run(ctx context.Context, name string, opt engine.Options) (engine.Output, error)
+}
 
-// ExecPreparedFunc executes a prepared statement with one argument
-// binding. It returns the engine the execution actually ran on: when
-// the submitted engine is "auto" the facade's adaptive router picks a
-// backend per call, and the service attributes the query to that
-// engine in its stats. The same ctx/worker contract as ExecFunc
-// applies.
-type ExecPreparedFunc func(ctx context.Context, engine string, stmt any, args []string, workers int) (result any, engineUsed string, err error)
+// Job is one admitted query as the Executor sees it.
+type Job struct {
+	// Engine is the requested backend ("typer", "tectorwise", "hybrid",
+	// or "auto" for prepared executions).
+	Engine string
+	// Text is the SQL text; for a prepared execution, the text the
+	// statement was prepared from.
+	Text string
+	// Stmt, if non-nil, makes this a prepared execution: no parse or
+	// plan, Args bound to the statement's placeholders.
+	Stmt Stmt
+	Args []string
+	// Workers is the job's share of the worker budget.
+	Workers int
+	// Sink, if non-nil, receives the result as a stream instead of
+	// Outcome.Result.
+	Sink logical.RowSink
+}
 
-// ExecStreamFunc executes one ad-hoc query, flushing result batches to
-// sink as they are produced instead of materializing them (the facade
-// asserts sink to logical.RowSink and runs the backend's streaming
-// path). It returns the engine that actually ran.
-type ExecStreamFunc func(ctx context.Context, engine, query string, workers int, sink any) (engineUsed string, err error)
+// Outcome is what a job produced.
+type Outcome struct {
+	// Result is the materialized result (nil when the job streamed).
+	Result *logical.Result
+	// Used is the engine that ran — for hybrid, decorated with the
+	// pipeline assignment ("hybrid[t,v]").
+	Used string
+	// Rows is the result cardinality, streamed or materialized.
+	Rows int64
+	// CatalogVersion identifies the schema instance the job ran against
+	// (0 if it never resolved one).
+	CatalogVersion uint64
+}
 
-// ExecPreparedStreamFunc is ExecStreamFunc for prepared executions.
-type ExecPreparedStreamFunc func(ctx context.Context, engine string, stmt any, args []string, workers int, sink any) (engineUsed string, err error)
+// Counters are the executor's cumulative counters, surfaced verbatim in
+// Stats: the plan cache's (a hit is a Prepare that skipped parse, bind
+// and plan entirely) and the exchange's (how jobs on a sharded service
+// routed: scattered across all shards, pinned to one shard because they
+// read replicated tables only, or fallen back to single-process
+// execution because the plan is not distributable).
+type Counters struct {
+	PlanCacheHits, PlanCacheMisses, PlanCacheEvictions       uint64
+	ExchangeScattered, ExchangeSingleShard, ExchangeFallback uint64
+}
 
 // Service errors.
 var (
@@ -68,19 +118,13 @@ var (
 	ErrOverloaded = errors.New("server: admission queue full")
 	// ErrClosed is returned by Submit after Close.
 	ErrClosed = errors.New("server: service closed")
-	// ErrNoPrepare is returned by Prepare/SubmitPrepared when the
-	// service was built without prepared-statement hooks.
-	ErrNoPrepare = errors.New("server: service has no prepared-statement support")
-	// ErrNoStream is returned by streaming submissions when the service
-	// was built without streaming hooks.
-	ErrNoStream = errors.New("server: service has no streaming support")
 )
 
 // Config configures a Service. The zero value of every optional field
 // selects a sensible default.
 type Config struct {
-	// Exec runs one query. Required.
-	Exec ExecFunc
+	// Executor prepares and runs the queries. Required.
+	Executor Executor
 	// WorkerBudget is the total number of morsel workers shared by all
 	// running queries (0 = GOMAXPROCS). An admitted query gets an equal
 	// split of the budget, capped by what is not already granted (see
@@ -119,17 +163,6 @@ type Config struct {
 	// Sleep, if non-nil, replaces time.Sleep for the yield pause —
 	// injectable for deterministic fairness tests.
 	Sleep func(time.Duration)
-	// Prep and ExecPrep enable the prepared-statement API (Prepare,
-	// SubmitPrepared, DoPrepared); both must be set together. Optional.
-	Prep     PrepareFunc
-	ExecPrep ExecPreparedFunc
-	// ExecStream and ExecPrepStream enable streaming submissions
-	// (Req.Sink non-nil). Optional.
-	ExecStream     ExecStreamFunc
-	ExecPrepStream ExecPreparedStreamFunc
-	// PlanCacheStats, if set, is polled by Stats to surface the plan
-	// cache's hit/miss/eviction counters.
-	PlanCacheStats func() (hits, misses, evictions uint64)
 	// ObsBegin, if set, creates the telemetry collector attached to each
 	// execution's context (nil return = uninstrumented). A collector
 	// already carried by the request (Req.Collector — e.g. an EXPLAIN
@@ -140,11 +173,6 @@ type Config struct {
 	// structured query log and metrics here. Called outside the
 	// service's lock, after stats are recorded.
 	ObsEnd func(col *obs.Collector, info QueryInfo)
-	// EngineKey, if set, normalizes an engine name before per-engine
-	// stats attribution — the facade strips hybrid assignment
-	// decorations so "hybrid[t,v]" and "hybrid[t,t]" count under one
-	// "hybrid" key instead of fragmenting the map per assignment.
-	EngineKey func(engine string) string
 }
 
 // QueryInfo describes one finished query for the ObsEnd hook.
@@ -160,15 +188,15 @@ type QueryInfo struct {
 	Query    string
 	Prepared bool
 	Streamed bool
-	// Latency is submit-to-finish; Rows the result cardinality (from a
-	// streaming sink's RowCount method when available, else -1 — the
-	// facade refines it from the materialized result).
-	Latency time.Duration
-	Rows    int64
-	// Result is the materialized result (nil for streams and
-	// failures); Err the failure (nil when served).
-	Result any
-	Err    error
+	// Latency is submit-to-finish, of which QueueWait was spent waiting
+	// for admission; Rows the result cardinality (-1 for a failed
+	// query); CatalogVersion the schema instance it ran against.
+	Latency        time.Duration
+	QueueWait      time.Duration
+	Rows           int64
+	CatalogVersion uint64
+	// Err is the failure (nil when served).
+	Err error
 }
 
 // waiter is one queued admission request.
@@ -196,9 +224,8 @@ type Req struct {
 	Prep *Prepared
 	Args []string
 	// Sink, if non-nil, streams result batches to it instead of
-	// materializing the result (the facade's hooks define the concrete
-	// sink type).
-	Sink any
+	// materializing the result.
+	Sink logical.RowSink
 	// Collector, if non-nil, instruments the execution with per-pipeline
 	// telemetry readable by the caller after Done (EXPLAIN ANALYZE).
 	// It overrides Config.ObsBegin for this submission.
@@ -232,10 +259,10 @@ type Service struct {
 	morsels atomic.Int64 // morsels claimed by this service's queries
 }
 
-// New creates a Service from cfg; it panics if cfg.Exec is nil.
+// New creates a Service from cfg; it panics if cfg.Executor is nil.
 func New(cfg Config) *Service {
-	if cfg.Exec == nil {
-		panic("server: Config.Exec is required")
+	if cfg.Executor == nil {
+		panic("server: Config.Executor is required")
 	}
 	if cfg.WorkerBudget <= 0 {
 		cfg.WorkerBudget = runtime.GOMAXPROCS(0)
@@ -270,23 +297,19 @@ func (s *Service) Submit(ctx context.Context, engine, query string) (*Handle, er
 	return s.SubmitReq(ctx, Req{Engine: engine, Query: query})
 }
 
-// Prepare turns a SQL text into a prepared statement via the injected
-// PrepareFunc (the facade's plan cache): parse, bind, and optimization
-// happen at most once per distinct normalized text, and the returned
-// handle executes with per-call argument bindings through
-// SubmitPrepared/DoPrepared. It fails with ErrNoPrepare on a service
-// built without prepared-statement hooks.
+// Prepare turns a SQL text into a prepared statement via the Executor
+// (the facade's plan cache): parse, bind, and optimization happen at
+// most once per distinct normalized text, and the returned handle
+// executes with per-call argument bindings through
+// SubmitPrepared/DoPrepared.
 func (s *Service) Prepare(query string) (*Prepared, error) {
-	if s.cfg.Prep == nil || s.cfg.ExecPrep == nil {
-		return nil, ErrNoPrepare
-	}
 	s.mu.Lock()
 	closed := s.closed
 	s.mu.Unlock()
 	if closed {
 		return nil, ErrClosed
 	}
-	stmt, err := s.cfg.Prep(query)
+	stmt, err := s.cfg.Executor.Prepare(query)
 	if err != nil {
 		return nil, err
 	}
@@ -314,21 +337,12 @@ func (s *Service) DoPrepared(ctx context.Context, engine string, p *Prepared, ar
 }
 
 // SubmitReq is the general submission entry point: tenant attribution,
-// prepared executions, and streaming all go through it. It validates
-// the request against the configured hooks, then runs the shared
+// prepared executions, and streaming all go through it and share one
 // admission path.
 func (s *Service) SubmitReq(ctx context.Context, req Req) (*Handle, error) {
 	query := req.Query
 	if req.Prep != nil {
-		if s.cfg.ExecPrep == nil {
-			return nil, ErrNoPrepare
-		}
-		if req.Sink != nil && s.cfg.ExecPrepStream == nil {
-			return nil, ErrNoStream
-		}
 		query = req.Prep.query
-	} else if req.Sink != nil && s.cfg.ExecStream == nil {
-		return nil, ErrNoStream
 	}
 
 	s.mu.Lock()
@@ -406,8 +420,8 @@ func (s *Service) DoReq(ctx context.Context, req Req) (any, error) {
 }
 
 // run is the per-query goroutine: admission wait (if queued) → execution
-// → release → stats. w is nil when SubmitReq admitted the
-// query immediately, in which case share is its worker grant.
+// → release → stats. w is nil when SubmitReq admitted the query
+// immediately, in which case share is its worker grant.
 func (s *Service) run(h *Handle, ctx context.Context, t *tenant, w *waiter, share int) {
 	defer s.wg.Done()
 	defer h.cancel()
@@ -416,15 +430,13 @@ func (s *Service) run(h *Handle, ctx context.Context, t *tenant, w *waiter, shar
 		var err error
 		share, err = s.await(ctx, w)
 		if err != nil {
-			s.finish(h, t, nil, err)
+			s.finish(h, t, Outcome{}, err)
 			return
 		}
 	}
 	h.started = time.Now()
 	h.workers = share
 
-	var res any
-	var err error
 	mctx := exec.WithMorselCounter(ctx, &s.morsels)
 	if s.cfg.MorselSize > 0 {
 		mctx = exec.WithMorselSize(mctx, s.cfg.MorselSize)
@@ -440,19 +452,14 @@ func (s *Service) run(h *Handle, ctx context.Context, t *tenant, w *waiter, shar
 			s.sleep(time.Duration(p))
 		}
 	})
-	switch {
-	case h.sink != nil && h.prep != nil:
-		h.ran, err = s.cfg.ExecPrepStream(mctx, h.engine, h.prep.stmt, h.args, share, h.sink)
-	case h.sink != nil:
-		h.ran, err = s.cfg.ExecStream(mctx, h.engine, h.query, share, h.sink)
-	case h.prep != nil:
-		res, h.ran, err = s.cfg.ExecPrep(mctx, h.engine, h.prep.stmt, h.args, share)
-	default:
-		res, err = s.cfg.Exec(mctx, h.engine, h.query, share)
-		h.ran = h.engine
+	job := Job{Engine: h.engine, Text: h.query, Args: h.args, Workers: share, Sink: h.sink}
+	if h.prep != nil {
+		job.Stmt = h.prep.stmt
 	}
+	out, err := s.cfg.Executor.Run(mctx, job)
+	h.ran = out.Used
 	s.release(t, share, time.Since(h.started), err == nil)
-	s.finish(h, t, res, err)
+	s.finish(h, t, out, err)
 }
 
 // await blocks until the queued waiter is granted a slot or ctx is
@@ -502,13 +509,15 @@ func (s *Service) release(t *tenant, workers int, execTime time.Duration, ok boo
 }
 
 // finish records the query's outcome and releases its waiters.
-func (s *Service) finish(h *Handle, t *tenant, res any, err error) {
+func (s *Service) finish(h *Handle, t *tenant, out Outcome, err error) {
 	h.finished = time.Now()
 	h.latency.Store(int64(h.finished.Sub(h.submitted)) | 1) // non-zero even for a 0ns query
 	if err != nil {
 		h.err = err
-	} else {
-		h.result = res
+	} else if out.Result != nil {
+		// Stored only when non-nil, so a streamed query's Wait returns an
+		// untyped nil, not a nil *logical.Result in an interface.
+		h.result = out.Result
 	}
 	lat := h.finished.Sub(h.submitted)
 	// Attribute to the engine that actually ran ("auto" resolves per
@@ -533,11 +542,9 @@ func (s *Service) finish(h *Handle, t *tenant, res any, err error) {
 		if s.st.perEngine == nil {
 			s.st.perEngine = make(map[string]uint64)
 		}
-		key := eng
-		if s.cfg.EngineKey != nil {
-			key = s.cfg.EngineKey(eng)
-		}
-		s.st.perEngine[key]++
+		// Hybrid executions count under one "hybrid" key regardless of
+		// their per-pipeline assignment decoration.
+		s.st.perEngine[engine.BaseName(eng)]++
 		s.st.record(lat)
 		t.record(lat)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
@@ -550,21 +557,20 @@ func (s *Service) finish(h *Handle, t *tenant, res any, err error) {
 	s.mu.Unlock()
 	if s.cfg.ObsEnd != nil && h.col != nil {
 		info := QueryInfo{
-			Tenant:   h.tenant,
-			Engine:   h.engine,
-			Used:     eng,
-			Query:    h.query,
-			Prepared: h.prep != nil,
-			Streamed: h.sink != nil,
-			Latency:  lat,
-			Rows:     -1,
-			Err:      err,
+			Tenant:         h.tenant,
+			Engine:         h.engine,
+			Used:           eng,
+			Query:          h.query,
+			Prepared:       h.prep != nil,
+			Streamed:       h.sink != nil,
+			Latency:        lat,
+			QueueWait:      h.QueueWait(),
+			Rows:           -1,
+			CatalogVersion: out.CatalogVersion,
+			Err:            err,
 		}
 		if err == nil {
-			info.Result = res
-			if rc, ok := h.sink.(interface{ RowCount() int64 }); ok {
-				info.Rows = rc.RowCount()
-			}
+			info.Rows = out.Rows
 		}
 		s.cfg.ObsEnd(h.col, info)
 	}
@@ -583,7 +589,6 @@ func (s *Service) Close() {
 // Stats returns a snapshot of the service's aggregate counters.
 func (s *Service) Stats() Stats {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	st := s.st.snapshot()
 	st.Submitted = s.nextID
 	st.InFlight = s.running
@@ -594,8 +599,7 @@ func (s *Service) Stats() Stats {
 	for name, t := range s.tenants {
 		st.Tenants[name] = t.snapshot()
 	}
-	if s.cfg.PlanCacheStats != nil {
-		st.PlanCacheHits, st.PlanCacheMisses, st.PlanCacheEvictions = s.cfg.PlanCacheStats()
-	}
+	s.mu.Unlock()
+	st.Counters = s.cfg.Executor.Counters()
 	return st
 }

@@ -4,54 +4,102 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"paradigms/internal/logical"
+	"paradigms/internal/obs"
 )
 
-// blockingExec returns an ExecFunc that parks every query until its
-// release channel is closed (or ctx is done), recording concurrency.
-type blockingExec struct {
-	mu       sync.Mutex
-	releases []chan struct{}
-	startSeq []string // query names in execution-start order
-	cur, max atomic.Int32
+// fakeExec is the tests' one Executor. Run records each job in start
+// order and returns at once — or, with hold set, parks the job until
+// releaseOne(i) or ctx, and with delay set, takes delay(job) to run.
+// "auto" resolves to typer, like the facade's router would; Prepare
+// wraps the text and rejects texts containing "bogus".
+type fakeExec struct {
+	hold     bool
+	delay    func(Job) time.Duration
+	counters Counters
+
+	mu        sync.Mutex
+	releases  []chan struct{}
+	jobs      []Job    // in execution-start order
+	startSeq  []string // jobs[i].Text
+	prepCalls int
+	cur, max  atomic.Int32
 }
 
-func (b *blockingExec) fn(ctx context.Context, engine, query string, workers int) (any, error) {
-	c := b.cur.Add(1)
+// fakeStmt is fakeExec's statement: only its text is ever looked at.
+type fakeStmt struct {
+	Stmt
+	text string
+}
+
+func (f *fakeExec) Prepare(text string) (Stmt, error) {
+	f.mu.Lock()
+	f.prepCalls++
+	f.mu.Unlock()
+	if strings.Contains(text, "bogus") {
+		return nil, errors.New("prep: bad statement")
+	}
+	return fakeStmt{text: text}, nil
+}
+
+func (f *fakeExec) Counters() Counters { return f.counters }
+
+func (f *fakeExec) Run(ctx context.Context, job Job) (Outcome, error) {
+	c := f.cur.Add(1)
 	for {
-		m := b.max.Load()
-		if c <= m || b.max.CompareAndSwap(m, c) {
+		m := f.max.Load()
+		if c <= m || f.max.CompareAndSwap(m, c) {
 			break
 		}
 	}
-	defer b.cur.Add(-1)
+	defer f.cur.Add(-1)
 
-	b.mu.Lock()
+	f.mu.Lock()
 	release := make(chan struct{})
-	b.releases = append(b.releases, release)
-	b.startSeq = append(b.startSeq, query)
-	b.mu.Unlock()
+	if !f.hold {
+		close(release)
+	}
+	f.releases = append(f.releases, release)
+	f.jobs = append(f.jobs, job)
+	f.startSeq = append(f.startSeq, job.Text)
+	f.mu.Unlock()
 
+	out := Outcome{Used: job.Engine}
+	if job.Engine == "auto" {
+		out.Used = "typer"
+	}
+	var timer <-chan time.Time
+	if f.delay != nil {
+		timer = time.After(f.delay(job))
+		release = nil // the delay alone decides
+	}
 	select {
 	case <-release:
-		return fmt.Sprintf("%s/%s/%d", engine, query, workers), nil
+	case <-timer:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return out, ctx.Err()
 	}
+	if job.Sink == nil {
+		out.Result = &logical.Result{}
+	}
+	return out, nil
 }
 
 // releaseOne unparks the i-th started query.
-func (b *blockingExec) releaseOne(i int) {
+func (b *fakeExec) releaseOne(i int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	close(b.releases[i])
 }
 
 // waitStarted polls until n queries have reached the engine.
-func (b *blockingExec) waitStarted(t *testing.T, n int) {
+func (b *fakeExec) waitStarted(t *testing.T, n int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -69,8 +117,8 @@ func (b *blockingExec) waitStarted(t *testing.T, n int) {
 }
 
 func TestAdmissionBound(t *testing.T) {
-	be := &blockingExec{}
-	s := New(Config{Exec: be.fn, MaxConcurrent: 2, WorkerBudget: 4})
+	be := &fakeExec{hold: true}
+	s := New(Config{Executor: be, MaxConcurrent: 2, WorkerBudget: 4})
 
 	var handles []*Handle
 	for i := 0; i < 6; i++ {
@@ -107,8 +155,8 @@ func TestAdmissionBound(t *testing.T) {
 
 // TestFIFO: admission order beyond the bound is exactly Submit order.
 func TestFIFO(t *testing.T) {
-	be := &blockingExec{}
-	s := New(Config{Exec: be.fn, MaxConcurrent: 1, WorkerBudget: 1})
+	be := &fakeExec{hold: true}
+	s := New(Config{Executor: be, MaxConcurrent: 1, WorkerBudget: 1})
 
 	names := []string{"A", "B", "C", "D", "E"}
 	for _, q := range names {
@@ -133,8 +181,8 @@ func TestFIFO(t *testing.T) {
 // TestCancelQueued: canceling a queued query removes it without it ever
 // reaching the engine, and later arrivals still get the slot.
 func TestCancelQueued(t *testing.T) {
-	be := &blockingExec{}
-	s := New(Config{Exec: be.fn, MaxConcurrent: 1, WorkerBudget: 1})
+	be := &fakeExec{hold: true}
+	s := New(Config{Executor: be, MaxConcurrent: 1, WorkerBudget: 1})
 
 	blocker, err := s.Submit(context.Background(), "typer", "A")
 	if err != nil {
@@ -183,8 +231,8 @@ func TestCancelQueued(t *testing.T) {
 // TestCancelRunning: canceling a running query propagates to the engine's
 // context and the handle reports the cancellation.
 func TestCancelRunning(t *testing.T) {
-	be := &blockingExec{}
-	s := New(Config{Exec: be.fn, MaxConcurrent: 1, WorkerBudget: 1})
+	be := &fakeExec{hold: true}
+	s := New(Config{Executor: be, MaxConcurrent: 1, WorkerBudget: 1})
 	h, err := s.Submit(context.Background(), "typer", "A")
 	if err != nil {
 		t.Fatal(err)
@@ -198,8 +246,8 @@ func TestCancelRunning(t *testing.T) {
 
 // TestOverload: a bounded queue rejects fast once full.
 func TestOverload(t *testing.T) {
-	be := &blockingExec{}
-	s := New(Config{Exec: be.fn, MaxConcurrent: 1, MaxQueued: 2, WorkerBudget: 1})
+	be := &fakeExec{hold: true}
+	s := New(Config{Executor: be, MaxConcurrent: 1, MaxQueued: 2, WorkerBudget: 1})
 	for i := 0; i < 3; i++ { // 1 running + 2 queued
 		if _, err := s.Submit(context.Background(), "typer", "Q"); err != nil {
 			t.Fatal(err)
@@ -221,8 +269,8 @@ func TestOverload(t *testing.T) {
 
 // TestClose: Close rejects new work and drains queued + running queries.
 func TestClose(t *testing.T) {
-	be := &blockingExec{}
-	s := New(Config{Exec: be.fn, MaxConcurrent: 1, WorkerBudget: 1})
+	be := &fakeExec{hold: true}
+	s := New(Config{Executor: be, MaxConcurrent: 1, WorkerBudget: 1})
 	h1, _ := s.Submit(context.Background(), "typer", "A")
 	h2, _ := s.Submit(context.Background(), "typer", "B")
 	be.waitStarted(t, 1)
@@ -247,8 +295,8 @@ func TestClose(t *testing.T) {
 // TestWorkerShare: a lone query gets the whole budget; under concurrency
 // the budget is divided, never below one worker.
 func TestWorkerShare(t *testing.T) {
-	be := &blockingExec{}
-	s := New(Config{Exec: be.fn, MaxConcurrent: 16, WorkerBudget: 8})
+	be := &fakeExec{hold: true}
+	s := New(Config{Executor: be, MaxConcurrent: 16, WorkerBudget: 8})
 	var handles []*Handle
 	for i := 0; i < 16; i++ {
 		h, err := s.Submit(context.Background(), "typer", "Q")
@@ -279,9 +327,7 @@ func TestWorkerShare(t *testing.T) {
 
 // TestStatsQuantiles: latency quantiles are ordered and populated.
 func TestStatsQuantiles(t *testing.T) {
-	s := New(Config{Exec: func(ctx context.Context, e, q string, w int) (any, error) {
-		return nil, nil
-	}})
+	s := New(Config{Executor: &fakeExec{}})
 	for i := 0; i < 100; i++ {
 		if _, err := s.Do(context.Background(), "typer", "Q"); err != nil {
 			t.Fatal(err)
@@ -296,5 +342,54 @@ func TestStatsQuantiles(t *testing.T) {
 	}
 	if st.PerEngine["typer"] != 100 {
 		t.Errorf("per-engine %v, want typer=100", st.PerEngine)
+	}
+}
+
+// nopSink is a RowSink that drops what it is given.
+type nopSink struct{}
+
+func (nopSink) SetCols([]logical.OutCol) error { return nil }
+func (nopSink) PushRows([][]int64) error       { return nil }
+
+// TestOutcomeReachesHandleAndObsEnd: a materialized query's Wait value
+// is its *logical.Result and a streamed one's is an untyped nil (callers
+// assert the value's type), and ObsEnd sees how long a queued query
+// waited for admission.
+func TestOutcomeReachesHandleAndObsEnd(t *testing.T) {
+	fe := &fakeExec{hold: true}
+	var mu sync.Mutex
+	waits := map[string]time.Duration{}
+	s := New(Config{
+		Executor: fe, MaxConcurrent: 1, WorkerBudget: 1,
+		ObsBegin: obs.NewCollector,
+		ObsEnd: func(_ *obs.Collector, info QueryInfo) {
+			mu.Lock()
+			waits[info.Query] = info.QueueWait
+			mu.Unlock()
+		},
+	})
+	first, _ := s.Submit(context.Background(), "typer", "first")
+	fe.waitStarted(t, 1)
+	queued, _ := s.SubmitReq(context.Background(), Req{Engine: "typer", Query: "queued", Sink: nopSink{}})
+	time.Sleep(5 * time.Millisecond) // "queued" waits at least this long behind "first"
+	fe.releaseOne(0)
+	fe.waitStarted(t, 2)
+	fe.releaseOne(1)
+
+	res, err := first.Wait(context.Background())
+	if r, ok := res.(*logical.Result); err != nil || !ok || r == nil {
+		t.Fatalf("materialized Wait = %#v, %v; want a *logical.Result", res, err)
+	}
+	if res, err := queued.Wait(context.Background()); err != nil || res != nil {
+		t.Fatalf("streamed Wait = %#v, %v; want untyped nil", res, err)
+	}
+	s.Close()
+	mu.Lock()
+	defer mu.Unlock()
+	if w := waits["queued"]; w < 5*time.Millisecond || w != queued.QueueWait() {
+		t.Errorf("ObsEnd saw queue wait %v for the queued query (handle says %v), want ≥ 5ms", w, queued.QueueWait())
+	}
+	if w := waits["first"]; w > waits["queued"] {
+		t.Errorf("the immediately admitted query waited %v, longer than the queued one", w)
 	}
 }

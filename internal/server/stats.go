@@ -86,10 +86,8 @@ type Stats struct {
 	// PerEngine breaks Served down by the engine that actually ran each
 	// query ("auto" submissions count under the resolved backend).
 	PerEngine map[string]uint64
-	// PlanCacheHits/Misses/Evictions mirror the plan cache counters
-	// (zero when the service has no prepared-statement support). A hit
-	// is a Prepare call that skipped parse+bind+plan entirely.
-	PlanCacheHits, PlanCacheMisses, PlanCacheEvictions uint64
+	// Counters are the executor's plan-cache and exchange counters.
+	Counters
 	// InFlight and Queued are instantaneous occupancy; QueuedHighWater is
 	// the deepest the tenant queues have been in total.
 	InFlight, Queued, QueuedHighWater int
@@ -176,6 +174,9 @@ func (st Stats) MarshalJSON() ([]byte, error) {
 		CacheHits       uint64                `json:"plan_cache_hits"`
 		CacheMisses     uint64                `json:"plan_cache_misses"`
 		CacheEvictions  uint64                `json:"plan_cache_evictions"`
+		Scattered       uint64                `json:"exchange_scattered"`
+		SingleShard     uint64                `json:"exchange_single_shard"`
+		Fallback        uint64                `json:"exchange_fallback"`
 		P50Ms           float64               `json:"p50_ms"`
 		P95Ms           float64               `json:"p95_ms"`
 		P99Ms           float64               `json:"p99_ms"`
@@ -186,9 +187,10 @@ func (st Stats) MarshalJSON() ([]byte, error) {
 		Submitted: st.Submitted,
 		Served:    st.Served, Failed: st.Failed, Canceled: st.Canceled, Rejected: st.Rejected,
 		Prepared: st.PreparedServed, Streamed: st.StreamedServed,
-		QPS:      st.QPS(), PerEngine: st.PerEngine, Tenants: tenants,
+		QPS: st.QPS(), PerEngine: st.PerEngine, Tenants: tenants,
 		InFlight: st.InFlight, Queued: st.Queued, QueuedHighWater: st.QueuedHighWater,
 		CacheHits: st.PlanCacheHits, CacheMisses: st.PlanCacheMisses, CacheEvictions: st.PlanCacheEvictions,
+		Scattered: st.ExchangeScattered, SingleShard: st.ExchangeSingleShard, Fallback: st.ExchangeFallback,
 		P50Ms: ms(st.P50), P95Ms: ms(st.P95), P99Ms: ms(st.P99), MaxMs: ms(st.Max),
 		Morsels: st.MorselsDispatched, UptimeMs: ms(st.Uptime),
 	})

@@ -41,7 +41,10 @@ func TestStatsJSONGolden(t *testing.T) {
 		PerEngine: map[string]uint64{
 			"typer": 50, "tectorwise": 30, "hybrid": 20,
 		},
-		PlanCacheHits: 35, PlanCacheMisses: 5, PlanCacheEvictions: 1,
+		Counters: Counters{
+			PlanCacheHits: 35, PlanCacheMisses: 5, PlanCacheEvictions: 1,
+			ExchangeScattered: 28, ExchangeSingleShard: 2, ExchangeFallback: 0,
+		},
 		InFlight: 3, Queued: 7, QueuedHighWater: 12,
 		P50: 3 * time.Millisecond, P95: 20 * time.Millisecond,
 		P99: 45 * time.Millisecond, Max: 90 * time.Millisecond,

@@ -536,17 +536,22 @@ func civilToDays(y, m, d int) int32 {
 }
 
 // Tables parses the query just enough to report the FROM table names —
-// the service's database-routing hook for ad-hoc SQL.
+// the database-routing hook for ad-hoc SQL.
 func Tables(src string) ([]string, error) {
 	sel, err := Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, len(sel.From))
-	for i, t := range sel.From {
+	return sel.Tables(), nil
+}
+
+// Tables lists the statement's FROM table names.
+func (s *Select) Tables() []string {
+	names := make([]string, len(s.From))
+	for i, t := range s.From {
 		names[i] = t.Name
 	}
-	return names, nil
+	return names
 }
 
 // IsQuery reports whether the text looks like ad-hoc SQL rather than a

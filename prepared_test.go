@@ -217,3 +217,34 @@ func TestPreparedConcurrentService(t *testing.T) {
 		t.Errorf("%d executions attributed to pseudo-engine auto (router must resolve)", st.PerEngine["auto"])
 	}
 }
+
+// TestCachedPrepareDoesNotParse: a plan-cache hit costs no parse —
+// routing included. The text routes to the second database, so both
+// catalogs' keys are probed; the allocation bound is what pins it (a
+// parse of this text alone allocates 19 times, the hit twice: the
+// normalized key and the handle), and the cache counts exactly one hit
+// per Prepare and never a second miss.
+func TestCachedPrepareDoesNotParse(t *testing.T) {
+	svc := NewService(sqlcheck.MiniTPCH(64, true), sqlcheck.MiniSSB(32, true), ServiceOptions{})
+	defer svc.Close()
+	const text = "select count(*) from lineorder, date where lo_orderdate = d_datekey and d_year >= ?"
+	if _, err := svc.Prepare(text); err != nil {
+		t.Fatal(err)
+	}
+	before := svc.Stats()
+	const runs = 50
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := svc.Prepare(text); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Errorf("Prepare of a cached text allocates %v times; it must not parse", allocs)
+	}
+	after := svc.Stats()
+	// AllocsPerRun calls the function once more to warm up.
+	if hits := after.PlanCacheHits - before.PlanCacheHits; hits != runs+1 || after.PlanCacheMisses != 1 {
+		t.Errorf("%d cached Prepare calls counted %d hits, %d misses in total; want %d and 1",
+			runs+1, hits, after.PlanCacheMisses, runs+1)
+	}
+}

@@ -66,16 +66,13 @@ type ServiceOptions struct {
 	// drift a sustained 4x from the optimizer's estimates.
 	NoFeedback bool
 	// Shards, when > 1, hash-partitions each loaded database into that
-	// many in-process shards (internal/exchange) and routes
-	// distributable ad-hoc SQL on the typer and tectorwise engines
-	// through scatter/gather exchanges — one SQL text fans out across
-	// the shards and the partial aggregates merge on the coordinator.
-	// Plans the distribute rewrite rejects, registered query names,
-	// prepared statements and streaming submissions keep running
-	// single-process on the full data. So does the hybrid engine, by
-	// this service's choice, not because it cannot run partial: the
-	// repo benchmark's sharded_materialized workload uses hybrid
-	// requests as its single-process comparator.
+	// many in-process shards (internal/exchange) and runs every request
+	// on the typer and tectorwise engines — ad-hoc or prepared,
+	// materialized or streamed — through scatter/gather exchanges: one
+	// SQL text fans out across the shards and the partial aggregates
+	// merge on the coordinator. Plans the distribute rewrite rejects run
+	// single-process on the full data. So do the hybrid and auto
+	// engines; executor.Run says why.
 	Shards int
 }
 
@@ -86,65 +83,38 @@ type ServiceOptions struct {
 // statement, a registered query name included, is rejected (names run
 // through Run).
 func NewService(tpchDB, ssbDB *DB, opt ServiceOptions) *server.Service {
-	route := func(query string) (*DB, error) {
-		if !sql.IsQuery(query) {
-			return nil, fmt.Errorf("paradigms: the query service runs SQL select statements only (got %q); registered query names run through paradigms.Run", query)
-		}
-		return logical.RouteByTables(query, tpchDB, ssbDB)
+	x := &executor{
+		dbs:      []*DB{tpchDB, ssbDB},
+		clusters: make(map[*DB]*exchange.Cluster),
+		cache:    prepcache.New(opt.PlanCacheSize),
+		vecSize:  opt.VectorSize,
+		chunk:    opt.StreamChunk,
 	}
-
-	// Sharded execution: each loaded database gets its own cluster of
-	// catalog slices; the Exec hook below fans distributable ad-hoc SQL
-	// out through it.
-	clusters := make(map[*DB]*exchange.Cluster)
+	if !opt.NoFeedback {
+		x.feedback = feedback.NewStore()
+	}
 	if opt.Shards > 1 {
-		for _, db := range []*DB{tpchDB, ssbDB} {
+		for _, db := range x.dbs {
 			if db == nil {
 				continue
 			}
 			if cl, err := exchange.New(db, opt.Shards); err == nil {
-				clusters[db] = cl
+				x.clusters[db] = cl
 			}
 		}
 	}
-
-	cache := prepcache.New(opt.PlanCacheSize)
-
-	// prepare is the one path onto the plan cache (Prep below and the
-	// startup pre-warm): fetch or build the statement, then arm its
-	// cardinality-feedback loop so sustained estimate drift re-plans it
-	// with observed selectivities.
-	fbStore := feedback.NewStore()
-	prepare := func(query string, hints logical.CardHints) (*prepcache.Statement, error) {
-		db, err := route(query)
-		if err != nil {
-			return nil, err
-		}
-		cat := catalog.For(db)
-		st, _, err := cache.GetOrPrepare(cat, query, func() (*logical.Plan, error) {
-			return logical.PrepareHints(db, query, hints)
-		})
-		if err != nil {
-			return nil, err
-		}
-		if !opt.NoFeedback {
-			st.EnableFeedback(fbStore, cat.Version, func(h logical.CardHints) (*logical.Plan, error) {
-				return logical.PrepareHints(db, query, h)
-			})
-		}
-		return st, nil
-	}
-
 	if opt.Prewarm != "" {
-		// Best-effort: a missing or torn log must not stop the server.
+		// Best-effort: a missing or torn log must not stop the server,
+		// and prepare rejects what an older log holds of query names.
 		if tmpls, err := feedback.MineLog(opt.Prewarm, 0); err == nil {
 			for _, t := range tmpls {
-				prepare(t.SQL, t.Hints()) // rejects what an older log holds of query names
+				x.prepare(t.SQL, t.Hints())
 			}
 		}
 	}
 
 	cfg := server.Config{
+		Executor:           x,
 		WorkerBudget:       opt.WorkerBudget,
 		MaxConcurrent:      opt.MaxConcurrent,
 		MaxQueued:          opt.MaxQueued,
@@ -154,125 +124,32 @@ func NewService(tpchDB, ssbDB *DB, opt ServiceOptions) *server.Service {
 		TenantWeights:      opt.TenantWeights,
 		YieldPause:         opt.YieldPause,
 		MorselSize:         opt.MorselSize,
-		Exec: func(ctx context.Context, engine, query string, workers int) (any, error) {
-			db, err := route(query)
-			if err != nil {
-				return nil, err
-			}
-			if cl := clusters[db]; cl != nil &&
-				(engine == string(Typer) || engine == string(Tectorwise)) {
-				return cl.Run(ctx, exchange.Request{
-					SQL: query, Engine: engine,
-					Workers: workers, VecSize: opt.VectorSize,
-				})
-			}
-			return RunContext(ctx, db, Engine(engine), query,
-				Options{Workers: workers, VectorSize: opt.VectorSize})
-		},
-		// Prepared statements: Prepare routes the SQL text to its
-		// database and fetches (or builds) the optimized parameterized
-		// plan from the LRU cache — a hit skips parse, bind, and plan
-		// entirely. Execution binds one argument set into a
-		// copy-on-write clone and runs it on the requested backend;
-		// engine "auto" resolves through the statement's adaptive
-		// router, which learns each backend's latency per statement and
-		// exploits the paper's finding that neither paradigm dominates.
-		Prep: func(query string) (any, error) {
-			st, err := prepare(query, nil)
-			if err != nil {
-				return nil, err
-			}
-			return st, nil
-		},
-		ExecPrep: func(ctx context.Context, engine string, stmt any, args []string, workers int) (any, string, error) {
-			st := stmt.(*prepcache.Statement)
-			vals, err := st.BindTexts(args)
-			if err != nil {
-				return nil, engine, err
-			}
-			res, used, err := st.Execute(ctx, engine, vals, workers, opt.VectorSize)
-			if err != nil {
-				return nil, used, err
-			}
-			return res, used, nil
-		},
-		// Streaming execution: result batches flush to the submission's
-		// sink as each morsel-merge completes instead of materializing
-		// (logical.RowSink — see internal/logical/stream.go for when
-		// streaming is truly incremental). The network front-end
-		// (internal/proto) is the sink's main producer.
-		ExecStream: func(ctx context.Context, eng, query string, workers int, sink any) (string, error) {
-			rs, ok := sink.(logical.RowSink)
-			if !ok {
-				return eng, fmt.Errorf("paradigms: stream sink must implement logical.RowSink (got %T)", sink)
-			}
-			db, err := route(query)
-			if err != nil {
-				return eng, err
-			}
-			pl, err := logical.Prepare(db, query)
-			if err != nil {
-				return eng, err
-			}
-			// The end frame reports out.Used — for hybrid the per-pipeline
-			// assignment ("hybrid[t,v]"), exactly like the prepared and
-			// materializing paths.
-			out, err := engine.Run(ctx, eng, pl, engine.Options{
-				Workers: workers, VecSize: opt.VectorSize, Sink: rs, Chunk: opt.StreamChunk,
-			})
-			return out.Used, err
-		},
-		ExecPrepStream: func(ctx context.Context, engine string, stmt any, args []string, workers int, sink any) (string, error) {
-			rs, ok := sink.(logical.RowSink)
-			if !ok {
-				return engine, fmt.Errorf("paradigms: stream sink must implement logical.RowSink (got %T)", sink)
-			}
-			st := stmt.(*prepcache.Statement)
-			vals, err := st.BindTexts(args)
-			if err != nil {
-				return engine, err
-			}
-			return st.ExecuteStream(ctx, engine, vals, workers, opt.VectorSize, opt.StreamChunk, rs)
-		},
-		PlanCacheStats: func() (hits, misses, evictions uint64) {
-			hits, misses, evictions, _ = cache.Stats()
-			return hits, misses, evictions
-		},
-		// Per-engine stats attribution counts hybrid executions under one
-		// "hybrid" key regardless of their per-pipeline assignment
-		// decoration ("hybrid[t,v]" vs "hybrid[t,t]").
-		EngineKey: prepcache.BaseEngine,
 	}
-
 	if opt.Metrics != nil || opt.QueryLog != nil {
 		cfg.ObsBegin = obs.NewCollector
 		cfg.ObsEnd = func(col *obs.Collector, info server.QueryInfo) {
 			pipes := col.Pipes()
 			if opt.Metrics != nil && info.Err == nil {
-				opt.Metrics.ObserveQuery(prepcache.BaseEngine(info.Used), info.Latency.Seconds())
+				opt.Metrics.ObserveQuery(engine.BaseName(info.Used), info.Latency.Seconds())
 				opt.Metrics.ObservePipes(pipes)
 			}
 			if opt.QueryLog == nil {
 				return
 			}
 			rec := obs.QueryRecord{
-				Time:      time.Now().UTC().Format(time.RFC3339Nano),
-				Tenant:    info.Tenant,
-				Engine:    info.Engine,
-				Used:      info.Used,
-				SQL:       prepcache.Normalize(info.Query),
-				Prepared:  info.Prepared,
-				Streamed:  info.Streamed,
-				PlanShape: obs.ShapeHash(pipes),
-				LatencyMs: float64(info.Latency) / float64(time.Millisecond),
-				Rows:      info.Rows,
-				Pipes:     pipes,
-			}
-			if db, err := route(info.Query); err == nil {
-				rec.CatalogVersion = catalog.For(db).Version
-			}
-			if res, ok := info.Result.(*logical.Result); ok {
-				rec.Rows = int64(len(res.Rows))
+				Time:           time.Now().UTC().Format(time.RFC3339Nano),
+				Tenant:         info.Tenant,
+				Engine:         info.Engine,
+				Used:           info.Used,
+				SQL:            prepcache.Normalize(info.Query),
+				CatalogVersion: info.CatalogVersion,
+				Prepared:       info.Prepared,
+				Streamed:       info.Streamed,
+				PlanShape:      obs.ShapeHash(pipes),
+				LatencyMs:      float64(info.Latency) / float64(time.Millisecond),
+				QueueMs:        float64(info.QueueWait) / float64(time.Millisecond),
+				Rows:           info.Rows,
+				Pipes:          pipes,
 			}
 			if info.Err != nil {
 				rec.Err = info.Err.Error()
@@ -280,6 +157,153 @@ func NewService(tpchDB, ssbDB *DB, opt ServiceOptions) *server.Service {
 			opt.QueryLog.Write(&rec)
 		}
 	}
-
 	return server.New(cfg)
+}
+
+// executor is the service's one server.Executor: every request form —
+// ad-hoc or prepared, materialized or streamed — resolves its plan,
+// binds, and runs here, and "shards or single-process" is decided once
+// for all of them.
+type executor struct {
+	dbs      []*DB // routing order: TPC-H, then SSB; nil = not loaded
+	clusters map[*DB]*exchange.Cluster
+	cache    *prepcache.Cache
+	feedback *feedback.Store // nil = no cardinality-feedback loop
+	vecSize  int
+	chunk    int
+}
+
+// Prepare implements server.Executor on the plan cache.
+func (x *executor) Prepare(text string) (server.Stmt, error) {
+	st, err := x.prepare(text, nil)
+	if err != nil {
+		return nil, err // not a nil *prepcache.Statement in a non-nil interface
+	}
+	return st, nil
+}
+
+// prepare is the one path onto the plan cache (Prepare and the startup
+// pre-warm). A cached text costs no parse, routing included: each
+// loaded catalog's key is probed in route order, and only a miss
+// parses, routes by the FROM tables, plans, and arms the statement's
+// cardinality-feedback loop so sustained estimate drift re-plans it
+// with observed selectivities. Either way the cache counts one hit or
+// one miss.
+func (x *executor) prepare(text string, hints logical.CardHints) (*prepcache.Statement, error) {
+	norm := prepcache.Normalize(text)
+	for _, db := range x.dbs {
+		if db == nil {
+			continue
+		}
+		if st, ok := x.cache.Lookup(catalog.For(db).Version, norm); ok {
+			return st, nil
+		}
+	}
+	pl, err := x.plan(text, hints)
+	if err != nil {
+		return nil, err
+	}
+	cat := pl.Catalog()
+	st, _, err := x.cache.GetOrPrepare(cat, norm, func() (*logical.Plan, error) { return pl, nil })
+	if err != nil {
+		return nil, err
+	}
+	if x.feedback != nil {
+		db := cat.DB
+		st.EnableFeedback(x.feedback, cat.Version, func(h logical.CardHints) (*logical.Plan, error) {
+			return logical.PrepareHints(db, text, h)
+		})
+	}
+	return st, nil
+}
+
+// plan is the front door: it turns away what is not a select statement
+// and otherwise parses once, routes and plans.
+func (x *executor) plan(text string, hints logical.CardHints) (*logical.Plan, error) {
+	if !sql.IsQuery(text) {
+		return nil, fmt.Errorf("paradigms: the query service runs SQL select statements only (got %q); registered query names run through paradigms.Run", text)
+	}
+	return logical.PrepareRouted(text, hints, x.dbs...)
+}
+
+// Run implements server.Executor. An ad-hoc job is a statement used
+// once: planned here and never cached.
+func (x *executor) Run(ctx context.Context, job server.Job) (server.Outcome, error) {
+	out := server.Outcome{Used: job.Engine}
+	st := job.Stmt
+	if st == nil {
+		pl, err := x.plan(job.Text, nil)
+		if err != nil {
+			return out, err
+		}
+		st = prepcache.NewStatement(job.Text, pl)
+	}
+	pl := st.Plan()
+	cat := pl.Catalog()
+	out.CatalogVersion = cat.Version
+	args, err := pl.BindTexts(job.Args)
+	if err != nil {
+		return out, err
+	}
+
+	opt := engine.Options{Args: args, Workers: job.Workers, VecSize: x.vecSize, Chunk: x.chunk}
+	var sink *countSink
+	if job.Sink != nil {
+		sink = &countSink{RowSink: job.Sink}
+		opt.Sink = sink
+	}
+	var res *logical.Result
+	// The one shard decision, for every request form. Hybrid stays
+	// local because the benchmark's sharded_materialized workload
+	// declares it the single-process comparator; auto stays local
+	// because its routers learn from per-pipeline telemetry the shards
+	// do not emit yet.
+	if cl := x.clusters[cat.DB]; cl != nil && (job.Engine == string(Typer) || job.Engine == string(Tectorwise)) {
+		res, err = cl.Run(ctx, exchange.Request{
+			SQL: job.Text, Args: args, Engine: job.Engine,
+			Workers: job.Workers, VecSize: x.vecSize,
+		})
+		if err == nil && sink != nil {
+			// A result gathered from shards streams from here.
+			err = res.Stream(ctx, sink, x.chunk)
+		}
+	} else {
+		var ran engine.Output
+		ran, err = st.Run(ctx, job.Engine, opt)
+		res, out.Used = ran.Result, ran.Used
+	}
+	if err != nil {
+		return out, err
+	}
+	if sink != nil {
+		out.Rows = sink.rows
+	} else {
+		out.Result, out.Rows = res, int64(len(res.Rows))
+	}
+	return out, nil
+}
+
+// countSink counts the rows passing through to a client's sink.
+type countSink struct {
+	logical.RowSink
+	rows int64
+}
+
+func (c *countSink) PushRows(rows [][]int64) error {
+	c.rows += int64(len(rows))
+	return c.RowSink.PushRows(rows)
+}
+
+// Counters implements server.Executor: the plan cache's counters and
+// the exchange counters summed over the loaded databases' clusters.
+func (x *executor) Counters() server.Counters {
+	var c server.Counters
+	c.PlanCacheHits, c.PlanCacheMisses, c.PlanCacheEvictions, _ = x.cache.Stats()
+	for _, cl := range x.clusters {
+		scattered, single, fallback := cl.Stats()
+		c.ExchangeScattered += scattered
+		c.ExchangeSingleShard += single
+		c.ExchangeFallback += fallback
+	}
+	return c
 }

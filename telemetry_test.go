@@ -213,20 +213,7 @@ func TestQueryLogReconcile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var recs []obs.QueryRecord
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		var rec obs.QueryRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			t.Fatalf("unparseable query log line: %v\n%s", err, sc.Text())
-		}
-		recs = append(recs, rec)
-	}
+	recs := readQueryLog(t, path)
 	if len(recs) != 2 {
 		t.Fatalf("query log has %d records, want 2", len(recs))
 	}
@@ -264,5 +251,73 @@ func TestQueryLogReconcile(t *testing.T) {
 		if !strings.Contains(b.String(), want) {
 			t.Errorf("metrics missing %s:\n%s", want, b.String())
 		}
+	}
+}
+
+// readQueryLog parses every record of an NDJSON query log.
+func readQueryLog(t *testing.T, path string) []obs.QueryRecord {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var recs []obs.QueryRecord
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		var rec obs.QueryRecord
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatalf("unparseable query log line: %v\n%s", err, sc.Text())
+		}
+		recs = append(recs, rec)
+	}
+	return recs
+}
+
+// TestQueryLogQueueWait: admission wait reaches the record. With one
+// execution slot, queries submitted together run one after another, so
+// all but the first wait in the queue — and the log says for how long.
+func TestQueryLogQueueWait(t *testing.T) {
+	db := GenerateTPCH(0.01, 0)
+	path := filepath.Join(t.TempDir(), "queries.ndjson")
+	ql, err := obs.OpenQueryLog(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := NewService(db, nil, ServiceOptions{QueryLog: ql, MaxConcurrent: 1})
+	const n = 4
+	var handles []*server.Handle
+	for i := 0; i < n; i++ {
+		h, err := svc.Submit(context.Background(), "typer", telemetryQ3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, h)
+	}
+	var longest float64
+	for _, h := range handles {
+		if _, err := h.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		longest = max(longest, float64(h.QueueWait())/1e6)
+	}
+	svc.Close()
+	if err := ql.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	recs := readQueryLog(t, path)
+	if len(recs) != n {
+		t.Fatalf("query log has %d records, want %d", len(recs), n)
+	}
+	var logged float64
+	for _, rec := range recs {
+		if rec.QueueMs < 0 || rec.QueueMs > rec.LatencyMs {
+			t.Errorf("queue_ms %v outside [0, latency_ms %v]", rec.QueueMs, rec.LatencyMs)
+		}
+		logged = max(logged, rec.QueueMs)
+	}
+	if logged <= 0 || logged != longest {
+		t.Errorf("longest logged queue wait %v ms, the handles say %v ms (want equal and non-zero)", logged, longest)
 	}
 }
