@@ -54,6 +54,9 @@ type Output struct {
 	Result *logical.Result
 	// Partial is the pre-finalization state of a Partial run.
 	Partial *logical.Partial
+	// Rows is the result cardinality of a successful streamed or
+	// materialized run (0 for a partial one).
+	Rows int64
 	// Used is the engine that ran — for hybrid, decorated with the
 	// pipeline assignment of a successful run ("hybrid[t,v]").
 	Used string
@@ -76,11 +79,13 @@ func BaseName(used string) string {
 	return used
 }
 
-// watchSink remembers whether the caller's sink failed, so Run can
-// tell a sink error from an executor error. The driver serializes
-// sink calls and finishes them before returning.
+// watchSink counts the rows streamed and remembers whether the
+// caller's sink failed, so Run can tell a sink error from an executor
+// error. The driver serializes sink calls and finishes them before
+// returning.
 type watchSink struct {
 	logical.RowSink
+	rows   int64
 	failed bool
 }
 
@@ -91,6 +96,7 @@ func (w *watchSink) SetCols(cols []logical.OutCol) error {
 }
 
 func (w *watchSink) PushRows(rows [][]int64) error {
+	w.rows += int64(len(rows))
 	err := w.RowSink.PushRows(rows)
 	w.failed = w.failed || err != nil
 	return err
@@ -146,6 +152,12 @@ func Run(ctx context.Context, name string, pl *logical.Plan, opt Options) (out O
 		return out, err
 	}
 	out.Result, out.Partial = res.Result, res.Partial
+	switch {
+	case sink != nil:
+		out.Rows = sink.rows
+	case out.Result != nil:
+		out.Rows = int64(len(out.Result.Rows))
+	}
 	if name == registry.Hybrid {
 		out.Used += (&hybrid.Report{Assign: pol.Assign}).Suffix()
 	}

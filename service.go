@@ -246,12 +246,6 @@ func (x *executor) Run(ctx context.Context, job server.Job) (server.Outcome, err
 		return out, err
 	}
 
-	opt := engine.Options{Args: args, Workers: job.Workers, VecSize: x.vecSize, Chunk: x.chunk}
-	var sink *countSink
-	if job.Sink != nil {
-		sink = &countSink{RowSink: job.Sink}
-		opt.Sink = sink
-	}
 	var res *logical.Result
 	// The one shard decision, for every request form. Hybrid stays
 	// local because the benchmark's sharded_materialized workload
@@ -263,35 +257,25 @@ func (x *executor) Run(ctx context.Context, job server.Job) (server.Outcome, err
 			SQL: job.Text, Args: args, Engine: job.Engine,
 			Workers: job.Workers, VecSize: x.vecSize,
 		})
-		if err == nil && sink != nil {
-			// A result gathered from shards streams from here.
-			err = res.Stream(ctx, sink, x.chunk)
+		if err == nil {
+			out.Rows = int64(len(res.Rows))
+			if job.Sink != nil {
+				// A result gathered from shards streams from here.
+				err = res.Stream(ctx, job.Sink, x.chunk)
+			}
 		}
 	} else {
 		var ran engine.Output
-		ran, err = st.Run(ctx, job.Engine, opt)
-		res, out.Used = ran.Result, ran.Used
+		ran, err = st.Run(ctx, job.Engine, engine.Options{
+			Args: args, Workers: job.Workers, VecSize: x.vecSize,
+			Sink: job.Sink, Chunk: x.chunk,
+		})
+		res, out.Used, out.Rows = ran.Result, ran.Used, ran.Rows
 	}
-	if err != nil {
-		return out, err
+	if job.Sink == nil {
+		out.Result = res
 	}
-	if sink != nil {
-		out.Rows = sink.rows
-	} else {
-		out.Result, out.Rows = res, int64(len(res.Rows))
-	}
-	return out, nil
-}
-
-// countSink counts the rows passing through to a client's sink.
-type countSink struct {
-	logical.RowSink
-	rows int64
-}
-
-func (c *countSink) PushRows(rows [][]int64) error {
-	c.rows += int64(len(rows))
-	return c.RowSink.PushRows(rows)
+	return out, err
 }
 
 // Counters implements server.Executor: the plan cache's counters and
