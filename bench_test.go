@@ -24,7 +24,6 @@ import (
 	"paradigms/internal/simd"
 	"paradigms/internal/tw"
 	"paradigms/internal/typer"
-	"paradigms/internal/volcano"
 )
 
 const benchSF = 0.1
@@ -546,37 +545,4 @@ func BenchmarkHybridVsPure(b *testing.B) {
 			})
 		}
 	}
-}
-
-// BenchmarkInterpretationOverhead — the paper's §1 motivation quantified:
-// classic Volcano tuple-at-a-time interpretation vs both modern
-// paradigms on the same plans (Table 6 row 1 vs rows for
-// HyPer/VectorWise).
-func BenchmarkInterpretationOverhead(b *testing.B) {
-	db, _, _ := benchDBs()
-	b.Run("volcano/Q6", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			volcano.Q6(db)
-		}
-	})
-	b.Run("tectorwise/Q6", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			plan.Q6(db, 1, 0)
-		}
-	})
-	b.Run("typer/Q6", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			typer.Q6(db, 1)
-		}
-	})
-	b.Run("volcano/Q1", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			volcano.Q1(db)
-		}
-	})
-	b.Run("typer/Q1", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			typer.Q1(db, 1)
-		}
-	})
 }

@@ -200,8 +200,8 @@ func TestReadmeMapsEveryPackage(t *testing.T) {
 }
 
 // TestServeImportGraph pins ROADMAP item 3(d): the serving binary links
-// neither the Volcano baseline, the modeled-counter simulator, the I/O
-// simulator, nor the cmd/repro experiment harness.
+// neither the modeled-counter simulator, the I/O simulator, nor the
+// cmd/repro experiment harness.
 func TestServeImportGraph(t *testing.T) {
 	out, err := exec.Command("go", "list", "-deps", "./cmd/serve").Output()
 	if err != nil {
@@ -212,7 +212,7 @@ func TestServeImportGraph(t *testing.T) {
 		t.Fatalf("suspiciously few dependencies listed: %d", len(deps))
 	}
 	for _, dep := range deps {
-		for _, banned := range []string{"volcano", "microsim", "iosim", "bench"} {
+		for _, banned := range []string{"microsim", "iosim", "bench"} {
 			if dep == "paradigms/internal/"+banned {
 				t.Errorf("cmd/serve depends on internal/%s", banned)
 			}
