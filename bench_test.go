@@ -20,7 +20,6 @@ import (
 	"paradigms/internal/microsim"
 	"paradigms/internal/plan"
 	"paradigms/internal/queries"
-	"paradigms/internal/registry"
 	"paradigms/internal/simd"
 	"paradigms/internal/tw"
 	"paradigms/internal/typer"
@@ -51,7 +50,7 @@ func BenchmarkFig3(b *testing.B) {
 		for _, eng := range []string{"typer", "tectorwise"} {
 			b.Run(eng+"/"+q, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					bench.RunTPCH(db, eng, q, 1, 0)
+					bench.Run(db, eng, q, 1, 0)
 				}
 			})
 		}
@@ -85,7 +84,7 @@ func BenchmarkFig5VectorSize(b *testing.B) {
 	for _, size := range []int{1, 64, 1024, 65536, 1 << 20} {
 		b.Run(benchName(size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				plan.Q3(db, 1, size)
+				bench.Run(db, engine.Tectorwise, "Q3", 1, size)
 			}
 		})
 	}
@@ -121,7 +120,7 @@ func BenchmarkSSB(b *testing.B) {
 		for _, eng := range []string{"typer", "tectorwise"} {
 			b.Run(eng+"/"+q, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					bench.RunSSB(db, eng, q, 1, 0)
+					bench.Run(db, eng, q, 1, 0)
 				}
 			})
 		}
@@ -134,12 +133,12 @@ func BenchmarkTable2(b *testing.B) {
 	db, _, _ := benchDBs()
 	b.Run("typer/Q18", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			typer.Q18(db, 1)
+			typer.Q18Ctx(context.Background(), db, 1)
 		}
 	})
 	b.Run("tectorwise/Q18", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			plan.Q18(db, 1, 0)
+			plan.Q18Ctx(context.Background(), db, 1, 0)
 		}
 	})
 }
@@ -272,12 +271,12 @@ func BenchmarkTable3Threads(b *testing.B) {
 	for _, threads := range []int{1, 2, 4} {
 		b.Run("typer/Q9/"+itoa(threads), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				typer.Q9(db, threads)
+				typer.Q9Ctx(context.Background(), db, threads)
 			}
 		})
 		b.Run("tectorwise/Q9/"+itoa(threads), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				tw.Q9(db, threads, 0)
+				tw.Q9Ctx(context.Background(), db, threads, 0)
 			}
 		})
 	}
@@ -316,18 +315,16 @@ func BenchmarkFig11Fig12Model(b *testing.B) {
 }
 
 // BenchmarkCompileTime — §8.2: per-query setup cost (tiny database).
+// Q3 runs its SQL text, so setup includes parse, plan and lower.
 func BenchmarkCompileTime(b *testing.B) {
 	db := GenerateTPCH(0.001, 0)
-	b.Run("typer", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			typer.Q3(db, 1)
-		}
-	})
-	b.Run("tectorwise", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			plan.Q3(db, 1, 0)
-		}
-	})
+	for _, eng := range []string{engine.Typer, engine.Tectorwise} {
+		b.Run(eng, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				bench.Run(db, eng, "Q3", 1, 0)
+			}
+		})
+	}
 }
 
 // BenchmarkAdaptiveAggregation — §8.4 ablation: hash vs ordered
@@ -336,7 +333,7 @@ func BenchmarkAdaptiveAggregation(b *testing.B) {
 	db, _, _ := benchDBs()
 	b.Run("hash", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			tw.Q1(db, 1, 0)
+			tw.Q1Ctx(context.Background(), db, 1, 0)
 		}
 	})
 	b.Run("ordered", func(b *testing.B) {
@@ -485,34 +482,29 @@ func BenchmarkAblationPredication(b *testing.B) {
 }
 
 // BenchmarkFig13Hybrid — §9.1: the relaxed-operator-fusion design point
-// between the two base paradigms, on the join-heavy Q3. The rof arm is
-// the generic per-pipeline hybrid on Q3's canonical SQL text (the
-// hand-written monolith it replaced is recorded in EXPERIMENTS.md).
+// between the two base paradigms, on the join-heavy Q3. Every arm runs
+// Q3's canonical SQL text through engine.Run; the rof arm is the generic
+// per-pipeline hybrid (the hand-written monolith it replaced, and the
+// hand-written Q3 kernels the other two arms once ran, are recorded in
+// EXPERIMENTS.md).
 func BenchmarkFig13Hybrid(b *testing.B) {
 	db, _, _ := benchDBs()
-	b.Run("typer", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			typer.Q3(db, 1)
-		}
-	})
-	b.Run("rof", func(b *testing.B) {
-		text, _ := logical.SQLText("tpch", "Q3")
-		pl, err := logical.Prepare(db, text)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := engine.Run(context.Background(), registry.Hybrid, pl, engine.Options{Workers: 1}); err != nil {
-				b.Fatal(err)
+	text, _ := logical.SQLText("tpch", "Q3")
+	pl, err := logical.Prepare(db, text)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, arm := range []struct{ name, engine string }{
+		{"typer", engine.Typer}, {"rof", engine.Hybrid}, {"tectorwise", engine.Tectorwise},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := engine.Run(context.Background(), arm.engine, pl, engine.Options{Workers: 1}); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("tectorwise", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			plan.Q3(db, 1, 0)
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkHybridVsPure — the generic per-pipeline hybrid executor
@@ -535,7 +527,7 @@ func BenchmarkHybridVsPure(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, eng := range []string{registry.Typer, registry.Tectorwise, registry.Hybrid} {
+		for _, eng := range []string{engine.Typer, engine.Tectorwise, engine.Hybrid} {
 			b.Run(name+"/"+eng, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if _, err := engine.Run(ctx, eng, pl, engine.Options{Workers: 1}); err != nil {

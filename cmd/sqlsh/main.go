@@ -68,11 +68,11 @@ import (
 	"paradigms"
 	"paradigms/internal/catalog"
 	"paradigms/internal/compiled"
+	"paradigms/internal/engine"
 	"paradigms/internal/hybrid"
 	"paradigms/internal/logical"
 	"paradigms/internal/obs"
 	"paradigms/internal/prepcache"
-	"paradigms/internal/registry"
 	"paradigms/internal/storage"
 )
 
@@ -81,7 +81,7 @@ func main() {
 	ssbsf := flag.Float64("ssbsf", 0.05, "SSB scale factor")
 	workers := flag.Int("workers", 0, "morsel workers per query (0 = GOMAXPROCS)")
 	vecSize := flag.Int("vecsize", 0, "vector size (0 = default; vectorized engine only)")
-	engine := flag.String("engine", registry.Tectorwise, "initial engine (typer | tectorwise | hybrid | auto)")
+	engine := flag.String("engine", engine.Tectorwise, "initial engine (typer | tectorwise | hybrid | auto)")
 	flag.Parse()
 
 	eng, ok := engineName(*engine)
@@ -106,12 +106,12 @@ func main() {
 // engineName canonicalizes an engine spelling ("tw" is shorthand).
 func engineName(s string) (string, bool) {
 	switch strings.ToLower(s) {
-	case registry.Typer:
-		return registry.Typer, true
-	case registry.Tectorwise, "tw":
-		return registry.Tectorwise, true
-	case registry.Hybrid:
-		return registry.Hybrid, true
+	case engine.Typer:
+		return engine.Typer, true
+	case engine.Tectorwise, "tw":
+		return engine.Tectorwise, true
+	case engine.Hybrid:
+		return engine.Hybrid, true
 	case prepcache.Auto:
 		return prepcache.Auto, true
 	}
@@ -400,7 +400,7 @@ func (sh *shell) explain(db *storage.Database, stmt string) {
 		return
 	}
 	switch sh.engine {
-	case registry.Typer:
+	case engine.Typer:
 		fmt.Fprintln(sh.out, "backend: typer (compiled fused pipelines)")
 		fmt.Fprint(sh.out, pl.Format())
 		shape, err := compiled.Explain(pl)
@@ -409,7 +409,7 @@ func (sh *shell) explain(db *storage.Database, stmt string) {
 			return
 		}
 		fmt.Fprint(sh.out, shape)
-	case registry.Hybrid:
+	case engine.Hybrid:
 		fmt.Fprintln(sh.out, "backend: hybrid (per-pipeline engine routing)")
 		fmt.Fprint(sh.out, pl.Format())
 		shape, err := hybrid.Explain(pl)

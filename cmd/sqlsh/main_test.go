@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"paradigms/internal/registry"
+	"paradigms/internal/engine"
 	"paradigms/internal/sqlcheck"
 	"paradigms/internal/storage"
 )
@@ -72,7 +72,7 @@ func TestREPLSession(t *testing.T) {
 	sh := &shell{
 		dbs:     []*storage.Database{sqlcheck.MiniTPCH(20, true), sqlcheck.MiniSSB(10, true)},
 		workers: 2,
-		engine:  registry.Tectorwise,
+		engine:  engine.Tectorwise,
 		out:     &out,
 		clock:   func() time.Time { return fixed },
 	}
@@ -112,7 +112,7 @@ func TestREPLEngineParity(t *testing.T) {
 		sh.run(strings.NewReader(q))
 		return out.String()
 	}
-	tw, ty := runOn(registry.Tectorwise), runOn(registry.Typer)
+	tw, ty := runOn(engine.Tectorwise), runOn(engine.Typer)
 	if tw != ty {
 		t.Errorf("engines print different transcripts\ntectorwise:\n%s\ntyper:\n%s", tw, ty)
 	}

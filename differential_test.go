@@ -7,7 +7,6 @@ import (
 
 	"paradigms/internal/engine"
 	"paradigms/internal/logical"
-	"paradigms/internal/registry"
 	"paradigms/internal/sqlcheck"
 	"paradigms/internal/storage"
 )
@@ -54,10 +53,10 @@ func checkDifferential(t *testing.T, db *storage.Database, text string, cfg diff
 		}
 	}
 	for _, workers := range cfg.workers {
-		check(registry.Typer, workers, 0)
-		check(registry.Hybrid, workers, 0)
+		check(engine.Typer, workers, 0)
+		check(engine.Hybrid, workers, 0)
 		for _, vec := range cfg.vecSizes {
-			check(registry.Tectorwise, workers, vec)
+			check(engine.Tectorwise, workers, vec)
 		}
 	}
 }

@@ -257,9 +257,9 @@ func TestOneSQLDriver(t *testing.T) {
 // TestOneFrontDoor pins the structure DESIGN.md §5 describes: the
 // service reaches the engines through one typed Executor —
 // server.Config has exactly one field of that type and no function
-// field whose signature mentions `any` — and only two places in the
-// root package tell SQL from a registered query name: the facade's
-// name-vs-SQL fork (RunContext) and the service's door check.
+// field whose signature mentions `any` — and only one place in the root
+// package tells SQL from a query name: the service's door check (the
+// facade's name-vs-SQL fork lives in registry.Run).
 func TestOneFrontDoor(t *testing.T) {
 	fset := token.NewFileSet()
 	file, err := parser.ParseFile(fset, "internal/server/server.go", nil, 0)
@@ -324,7 +324,81 @@ func TestOneFrontDoor(t *testing.T) {
 		}
 		forks += strings.Count(string(src), "sql.IsQuery(")
 	}
-	if forks > 2 {
-		t.Errorf("the root package calls sql.IsQuery( %d times, want at most 2 (RunContext's fork and the service's door check)", forks)
+	if forks > 1 {
+		t.Errorf("the root package calls sql.IsQuery( %d times, want at most 1 (the service's door check)", forks)
+	}
+}
+
+// TestNamedQueryPaths pins the named-query table DESIGN.md §7 describes:
+// one static table in internal/registry instead of registrations fed
+// from init functions, imported only by the facade and the experiment
+// harness, in which exactly Q6, Q3 and SSB Q1.1 run their SQL text on
+// Typer and Tectorwise — every other name keeps a hand-written kernel on
+// both, so adding a kernel back (or retiring one) means editing this
+// test.
+func TestNamedQueryPaths(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, file := range goSources(t) {
+		f, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := filepath.ToSlash(filepath.Dir(file))
+		switch dir {
+		case "internal/typer", "internal/tw", "internal/plan", "internal/queries":
+			for _, d := range f.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.Name == "init" {
+					t.Errorf("%s declares func init()", file)
+				}
+			}
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"paradigms/internal/registry"` && dir != "." && dir != "internal/bench" {
+				t.Errorf("%s imports internal/registry (only the root package and internal/bench may)", file)
+			}
+		}
+	}
+
+	f, err := parser.ParseFile(fset, "internal/registry/registry.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sqlOn := map[string][]string{"typer": nil, "tectorwise": nil}
+	entries := 0
+	ast.Inspect(f, func(n ast.Node) bool {
+		vs, ok := n.(*ast.ValueSpec)
+		if !ok || len(vs.Names) != 1 || vs.Names[0].Name != "table" || len(vs.Values) != 1 {
+			return true
+		}
+		lit, _ := vs.Values[0].(*ast.CompositeLit)
+		if lit == nil {
+			t.Fatal("registry.table is not a composite literal")
+		}
+		for _, elt := range lit.Elts {
+			entries++
+			name, keys := "", map[string]bool{}
+			for _, kv := range elt.(*ast.CompositeLit).Elts {
+				kv := kv.(*ast.KeyValueExpr)
+				key := kv.Key.(*ast.Ident).Name
+				keys[key] = true
+				if key == "name" {
+					name = strings.Trim(kv.Value.(*ast.BasicLit).Value, `"`)
+				}
+			}
+			for eng := range sqlOn {
+				if !keys[eng] {
+					sqlOn[eng] = append(sqlOn[eng], name)
+				}
+			}
+		}
+		return false
+	})
+	if entries == 0 {
+		t.Fatal("internal/registry/registry.go declares no table entries")
+	}
+	for eng, names := range sqlOn {
+		if got := strings.Join(names, ","); got != "Q6,Q3,Q1.1" {
+			t.Errorf("names running SQL on %s = %s, want Q6,Q3,Q1.1", eng, got)
+		}
 	}
 }

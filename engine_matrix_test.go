@@ -16,7 +16,6 @@ import (
 	"paradigms/internal/logical"
 	"paradigms/internal/obs"
 	"paradigms/internal/prepcache"
-	"paradigms/internal/registry"
 	"paradigms/internal/server"
 	"paradigms/internal/sqlcheck"
 )
@@ -100,7 +99,7 @@ func TestEngineMatrix(t *testing.T) {
 func engineMatrixCorpus(t *testing.T) {
 	tpchDB, ssbDB := sqlDBs()
 	ctx := context.Background()
-	engines := []string{registry.Typer, registry.Tectorwise, registry.Hybrid}
+	engines := []string{engine.Typer, engine.Tectorwise, engine.Hybrid}
 	modes := []string{"materialize", "stream", "stream-poison", "partial"}
 	paramCells := 0
 	clusters := map[*DB][]*exchange.Cluster{}
@@ -176,7 +175,7 @@ func engineMatrixCorpus(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: %v", cell, err)
 						}
-						if !strings.HasPrefix(out.Used, name) || (name == registry.Hybrid) != strings.Contains(out.Used, "[") {
+						if !strings.HasPrefix(out.Used, name) || (name == engine.Hybrid) != strings.Contains(out.Used, "[") {
 							t.Errorf("%s: engine used = %q", cell, out.Used)
 						}
 						var got [][]int64
@@ -269,7 +268,7 @@ func engineMatrixService(t *testing.T) {
 		if err != nil {
 			t.Fatalf("oracle failed for %q: %v", lit, err)
 		}
-		for _, name := range []string{registry.Typer, registry.Tectorwise, registry.Hybrid, prepcache.Auto} {
+		for _, name := range []string{engine.Typer, engine.Tectorwise, engine.Hybrid, prepcache.Auto} {
 			for _, prepared := range []bool{false, true} {
 				if name == prepcache.Auto && !prepared {
 					continue // auto routes on a statement's history
@@ -299,7 +298,7 @@ func engineMatrixService(t *testing.T) {
 					}
 					after := sharded.Stats().Counters
 					reached := after.ExchangeScattered + after.ExchangeSingleShard - before.ExchangeScattered - before.ExchangeSingleShard
-					if onShards := name == registry.Typer || name == registry.Tectorwise; onShards && reached != 1 || !onShards && reached != 0 {
+					if onShards := name == engine.Typer || name == engine.Tectorwise; onShards && reached != 1 || !onShards && reached != 0 {
 						t.Errorf("%s: reached the cluster %d times", cell, reached)
 					}
 					scattered += after.ExchangeScattered - before.ExchangeScattered
@@ -343,7 +342,7 @@ func engineStreamIsIncremental(t *testing.T) {
 	}
 	const morsel = 256
 	tableMorsels := int64((db.Rel("orders").Rows() + morsel - 1) / morsel)
-	for _, name := range []string{registry.Typer, registry.Tectorwise, registry.Hybrid} {
+	for _, name := range []string{engine.Typer, engine.Tectorwise, engine.Hybrid} {
 		var claimed atomic.Int64
 		ctx, cancel := context.WithCancel(context.Background())
 		ctx = exec.WithMorselCounter(exec.WithMorselSize(ctx, morsel), &claimed)
@@ -374,7 +373,7 @@ func engineStreamReusesArena(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	for _, name := range []string{registry.Typer, registry.Tectorwise, registry.Hybrid} {
+	for _, name := range []string{engine.Typer, engine.Tectorwise, engine.Hybrid} {
 		want, err := engine.Run(ctx, name, pl, engine.Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -432,9 +431,9 @@ func engineForcedHybridTelemetry(t *testing.T) {
 	for _, tc := range []struct {
 		pure string
 		to   hybrid.Engine
-	}{{registry.Typer, hybrid.EngineCompiled}, {registry.Tectorwise, hybrid.EngineVectorized}} {
+	}{{engine.Typer, hybrid.EngineCompiled}, {engine.Tectorwise, hybrid.EngineVectorized}} {
 		want := run(tc.pure, engine.Options{})
-		got := run(registry.Hybrid, engine.Options{Router: forcedRouter{tc.to}})
+		got := run(engine.Hybrid, engine.Options{Router: forcedRouter{tc.to}})
 		if len(got) != len(want) || len(got) != 3 {
 			t.Fatalf("%s: %d pipes, forced hybrid %d, want 3", tc.pure, len(want), len(got))
 		}
@@ -464,9 +463,9 @@ func engineRunRejectsBadCalls(t *testing.T) {
 		opt               engine.Options
 	}{
 		{"unknown engine", "reference", "unknown engine", engine.Options{Args: []int64{5}}},
-		{"no args", registry.Typer, "wants 1 parameter", engine.Options{}},
-		{"extra args", registry.Hybrid, "wants 1 parameter", engine.Options{Args: []int64{5, 6}}},
-		{"partial stream", registry.Tectorwise, "cannot stream", engine.Options{Args: []int64{5}, Partial: true, Sink: &collectSink{}}},
+		{"no args", engine.Typer, "wants 1 parameter", engine.Options{}},
+		{"extra args", engine.Hybrid, "wants 1 parameter", engine.Options{Args: []int64{5, 6}}},
+		{"partial stream", engine.Tectorwise, "cannot stream", engine.Options{Args: []int64{5}, Partial: true, Sink: &collectSink{}}},
 	} {
 		out, err := engine.Run(ctx, tc.name, pl, tc.opt)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -490,7 +489,7 @@ func engineRunRecoversPanics(t *testing.T) {
 	}
 	bad := *good
 	bad.Root = nil
-	for _, name := range []string{registry.Typer, registry.Tectorwise, registry.Hybrid} {
+	for _, name := range []string{engine.Typer, engine.Tectorwise, engine.Hybrid} {
 		for _, opt := range []engine.Options{{}, {Sink: &collectSink{}}, {Partial: true}} {
 			out, err := engine.Run(context.Background(), name, &bad, opt)
 			if err == nil || !strings.Contains(err.Error(), "internal error") || !out.Faulted {
@@ -511,7 +510,7 @@ func engineRunCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, name := range []string{registry.Typer, registry.Tectorwise, registry.Hybrid} {
+	for _, name := range []string{engine.Typer, engine.Tectorwise, engine.Hybrid} {
 		for _, opt := range []engine.Options{{Workers: 4}, {Workers: 4, Sink: &collectSink{}}, {Workers: 4, Partial: true}} {
 			out, err := engine.Run(ctx, name, pl, opt)
 			if err != context.Canceled || out.Faulted {

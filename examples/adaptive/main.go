@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"time"
@@ -24,7 +25,7 @@ func main() {
 	fmt.Println("Tectorwise Q1: hash aggregation vs adaptive ordered aggregation (1 thread)")
 	fmt.Printf("%10s %14s %14s %9s\n", "vec size", "hash agg", "ordered agg", "speedup")
 	for _, vec := range []int{256, 1000, 4096, 16384} {
-		hash := best(3, func() queries.Q1Result { return tw.Q1(db, 1, vec) })
+		hash := best(3, func() queries.Q1Result { return tw.Q1Ctx(context.Background(), db, 1, vec) })
 		ordered := best(3, func() queries.Q1Result { return tw.Q1Adaptive(db, 1, vec) })
 		if got := tw.Q1Adaptive(db, 1, vec); !reflect.DeepEqual(got, want) {
 			panic("adaptive variant produced a different result")

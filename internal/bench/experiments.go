@@ -17,11 +17,6 @@ import (
 	"paradigms/internal/ssb"
 	"paradigms/internal/storage"
 	"paradigms/internal/tpch"
-
-	// The harness dispatches queries through the registry; both engines
-	// (and the plan layer) must be linked so their inits register.
-	_ "paradigms/internal/plan"
-	_ "paradigms/internal/typer"
 )
 
 // Config controls experiment scale.
@@ -54,25 +49,15 @@ func timeQuery(reps int, f func()) time.Duration {
 	return best
 }
 
-// runRegistered executes one registered query on one engine; the harness
-// dispatches through the query registry, so every query either engine
-// gains is immediately benchmarkable with no switch to extend here.
-func runRegistered(db *storage.Database, engine, query string, threads, vec int) {
-	run, ok := registry.Lookup(engine, db.Name, query)
-	if !ok {
-		panic("bench: unknown " + engine + "/" + query + " on " + db.Name)
+// Run executes one named query on one engine through the named-query
+// table (internal/registry): its hand-written kernel where the table
+// lists one, its canonical SQL text through the shared driver otherwise.
+// The harness only runs names the table lists, so an error is a wiring
+// bug and panics.
+func Run(db *storage.Database, engine, query string, threads, vec int) {
+	if _, err := registry.Run(context.Background(), db, engine, query, threads, vec); err != nil {
+		panic("bench: " + err.Error())
 	}
-	run(context.Background(), db, registry.Options{Workers: threads, VectorSize: vec})
-}
-
-// RunTPCH executes one TPC-H query on one engine.
-func RunTPCH(db *storage.Database, engine, query string, threads, vec int) {
-	runRegistered(db, engine, query, threads, vec)
-}
-
-// RunSSB executes one SSB query on one engine.
-func RunSSB(db *storage.Database, engine, query string, threads, vec int) {
-	runRegistered(db, engine, query, threads, vec)
 }
 
 // Fig3 reproduces Figure 3: single-threaded TPC-H runtimes.
@@ -81,8 +66,8 @@ func Fig3(db *storage.Database, cfg Config) string {
 	fmt.Fprintf(&b, "Figure 3 — TPC-H SF=%g, 1 thread (runtimes in ms)\n", db.ScaleFactor)
 	fmt.Fprintf(&b, "%-5s %12s %12s %10s | %-22s\n", "query", "Typer", "Tectorwise", "ratio", "paper (SF1): Typer / TW")
 	for _, q := range queries.TPCHQueries {
-		ty := timeQuery(cfg.Reps, func() { RunTPCH(db, "typer", q, 1, 0) })
-		tww := timeQuery(cfg.Reps, func() { RunTPCH(db, "tectorwise", q, 1, 0) })
+		ty := timeQuery(cfg.Reps, func() { Run(db, "typer", q, 1, 0) })
+		tww := timeQuery(cfg.Reps, func() { Run(db, "tectorwise", q, 1, 0) })
 		p := PaperFig3[q]
 		fmt.Fprintf(&b, "%-5s %10.1fms %10.1fms %10.2f | %.0f / %.0f (ratio %.2f)\n",
 			q, ms(ty), ms(tww), ms(ty)/ms(tww), p.Typer, p.TW, p.Typer/p.TW)
@@ -136,10 +121,10 @@ func Fig5Text(db *storage.Database, cfg Config) string {
 	}
 	b.WriteString("\n")
 	for _, q := range queries.TPCHQueries {
-		baseline := timeQuery(cfg.Reps, func() { RunTPCH(db, "tectorwise", q, 1, 1024) })
+		baseline := timeQuery(cfg.Reps, func() { Run(db, "tectorwise", q, 1, 1024) })
 		fmt.Fprintf(&b, "%-5s", q)
 		for _, s := range sizes {
-			d := timeQuery(cfg.Reps, func() { RunTPCH(db, "tectorwise", q, 1, s) })
+			d := timeQuery(cfg.Reps, func() { Run(db, "tectorwise", q, 1, s) })
 			fmt.Fprintf(&b, "%9.2f", float64(d)/float64(baseline))
 		}
 		b.WriteString("\n")
@@ -157,7 +142,7 @@ func SSBText(db *storage.Database, cfg Config) string {
 		"engine/query", "time", "cycles", "IPC", "instr", "L1miss", "brMiss", "memStall")
 	for _, q := range queries.SSBQueries {
 		for _, eng := range []string{"typer", "tectorwise"} {
-			d := timeQuery(cfg.Reps, func() { RunSSB(db, eng, q, 1, 0) })
+			d := timeQuery(cfg.Reps, func() { Run(db, eng, q, 1, 0) })
 			ctr := microsim.TracedSSB(db, microsim.Skylake, eng, q)
 			p := PaperSSBTable[eng+"/"+q]
 			fmt.Fprintf(&b, "%-14s %7.0fms %7.1f %5.2f %7.1f %7.2f %8.3f %8.1f | %g %g %g\n",
@@ -177,8 +162,8 @@ func Table2Text(db *storage.Database, cfg Config) string {
 		"query", "HyPer", "VW", "Typer*", "TW*", "Typer(ms)", "TW(ms)")
 	for _, q := range queries.TPCHQueries {
 		p := PaperTable2[q]
-		ty := timeQuery(cfg.Reps, func() { RunTPCH(db, "typer", q, 1, 0) })
-		tww := timeQuery(cfg.Reps, func() { RunTPCH(db, "tectorwise", q, 1, 0) })
+		ty := timeQuery(cfg.Reps, func() { Run(db, "typer", q, 1, 0) })
+		tww := timeQuery(cfg.Reps, func() { Run(db, "tectorwise", q, 1, 0) })
 		fmt.Fprintf(&b, "%-5s %8.0f %8.0f %8.0f %8.0f | %10.1f %10.1f\n",
 			q, p.HyPer, p.VectorWise, p.Typer, p.TW, ms(ty), ms(tww))
 	}
@@ -196,8 +181,8 @@ func Table3Text(db *storage.Database, threadSteps []int, cfg Config) string {
 	for _, q := range queries.TPCHQueries {
 		var ty1, tw1 time.Duration
 		for _, thr := range threadSteps {
-			ty := timeQuery(cfg.Reps, func() { RunTPCH(db, "typer", q, thr, 0) })
-			tww := timeQuery(cfg.Reps, func() { RunTPCH(db, "tectorwise", q, thr, 0) })
+			ty := timeQuery(cfg.Reps, func() { Run(db, "typer", q, thr, 0) })
+			tww := timeQuery(cfg.Reps, func() { Run(db, "tectorwise", q, thr, 0) })
 			if thr == threadSteps[0] {
 				ty1, tw1 = ty, tww
 			}
@@ -416,8 +401,8 @@ func Table5Text(db *storage.Database, dir string, cfg Config) string {
 	fmt.Fprintf(&b, "%-5s %12s %12s %7s | paper: Typer TW ratio\n", "query", "Typer", "TW", "ratio")
 	for _, q := range queries.TPCHQueries {
 		scanBytes := iosim.ColumnBytes(db, queries.ScannedTables[q])
-		ty := timeQuery(cfg.Reps, func() { RunTPCH(db, "typer", q, cfg.Threads, 0) })
-		tww := timeQuery(cfg.Reps, func() { RunTPCH(db, "tectorwise", q, cfg.Threads, 0) })
+		ty := timeQuery(cfg.Reps, func() { Run(db, "typer", q, cfg.Threads, 0) })
+		tww := timeQuery(cfg.Reps, func() { Run(db, "tectorwise", q, cfg.Threads, 0) })
 		tySSD := iosim.Table5Time(ty, scanBytes, iosim.PaperSSDBandwidth)
 		twSSD := iosim.Table5Time(tww, scanBytes, iosim.PaperSSDBandwidth)
 		p := PaperTable5[q]

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -21,19 +22,22 @@ import (
 // so the LLVM-compilation asymmetry of the paper cannot be measured
 // directly; what can is the per-query setup work (Tectorwise allocates an
 // operator tree plus vector buffers per worker; Typer's setup is a few
-// dispatchers). The paper's qualitative claim is reported alongside.
+// dispatchers). Q6 and Q3 have no hand-written kernels, so their rows
+// also include parsing, planning and lowering the canonical SQL text.
+// The paper's qualitative claim is reported alongside.
 func CompileText() string {
 	db := tpch.Generate(0.001, 1)
 	var b strings.Builder
 	b.WriteString("§8.2 — query setup time (1-row-scale database, so execution ≈ 0)\n")
 	for _, q := range queries.TPCHQueries {
-		ty := timeQuery(5, func() { RunTPCH(db, "typer", q, 1, 0) })
-		tww := timeQuery(5, func() { RunTPCH(db, "tectorwise", q, 1, 0) })
+		ty := timeQuery(5, func() { Run(db, "typer", q, 1, 0) })
+		tww := timeQuery(5, func() { Run(db, "tectorwise", q, 1, 0) })
 		fmt.Fprintf(&b, "%-5s  Typer setup+run %8.3fms   TW setup+run %8.3fms\n", q, ms(ty), ms(tww))
 	}
 	b.WriteString("(paper: compilation-based engines risk compile time > execution time;\n" +
 		" vectorized engines pre-compile primitives. Here both are AOT-compiled;\n" +
-		" TW's extra setup is its per-worker vector-buffer allocation.)\n")
+		" TW's extra setup is its per-worker vector-buffer allocation;\n" +
+		" Q6 and Q3 run SQL, so their rows include parse + plan + lower.)\n")
 	return b.String()
 }
 
@@ -117,7 +121,7 @@ func ProfilingText(db *storage.Database, cfg Config) string {
 // AdaptivityText demonstrates §8.4: the micro-adaptive ordered
 // aggregation lets the vectorized Q1 skip per-tuple hashing.
 func AdaptivityText(db *storage.Database, cfg Config) string {
-	std := timeQuery(cfg.Reps, func() { tw.Q1(db, 1, 0) })
+	std := timeQuery(cfg.Reps, func() { tw.Q1Ctx(context.Background(), db, 1, 0) })
 	adaptive := timeQuery(cfg.Reps, func() { tw.Q1Adaptive(db, 1, 0) })
 	var b strings.Builder
 	b.WriteString("§8.4 — adaptive ordered aggregation (Tectorwise Q1, 1 thread)\n")
@@ -290,13 +294,13 @@ func AblationText(db *storage.Database, cfg Config) string {
 	// (4) Typer with Tectorwise's hash and vice versa (full-query view
 	// of ablation 2): done by swapping the package-level Hash variables.
 	origTyper, origTW := typer.Hash, tw.Hash
-	q9Std := timeQuery(cfg.Reps, func() { RunTPCH(db, "typer", "Q9", 1, 0) })
+	q9Std := timeQuery(cfg.Reps, func() { Run(db, "typer", "Q9", 1, 0) })
 	typer.Hash = hashtable.Murmur2
-	q9Swapped := timeQuery(cfg.Reps, func() { RunTPCH(db, "typer", "Q9", 1, 0) })
+	q9Swapped := timeQuery(cfg.Reps, func() { Run(db, "typer", "Q9", 1, 0) })
 	typer.Hash = origTyper
-	twQ9Std := timeQuery(cfg.Reps, func() { RunTPCH(db, "tectorwise", "Q9", 1, 0) })
+	twQ9Std := timeQuery(cfg.Reps, func() { Run(db, "tectorwise", "Q9", 1, 0) })
 	tw.Hash = hashtable.Mix64
-	twQ9Swapped := timeQuery(cfg.Reps, func() { RunTPCH(db, "tectorwise", "Q9", 1, 0) })
+	twQ9Swapped := timeQuery(cfg.Reps, func() { Run(db, "tectorwise", "Q9", 1, 0) })
 	tw.Hash = origTW
 	fmt.Fprintf(&b, "4. Q9 hash swap: Typer Mix64 %6.1fms / Murmur2 %6.1fms;"+
 		" TW Murmur2 %6.1fms / Mix64 %6.1fms\n",

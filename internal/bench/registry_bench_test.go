@@ -4,15 +4,17 @@ import (
 	"sync"
 	"testing"
 
+	"paradigms/internal/engine"
+	"paradigms/internal/logical"
 	"paradigms/internal/registry"
 	"paradigms/internal/storage"
 )
 
 // The CI bench smoke (`go test -bench . -benchtime 1x -run ^$
-// ./internal/bench`) drives every registered query on both engines
-// through the harness entry points at a tiny scale factor, so the
-// benchmark path — and every query registration it dispatches to —
-// cannot bitrot unexercised.
+// ./internal/bench`) drives every named query through the harness entry
+// point at a tiny scale factor — on both engines, and on the hybrid for
+// every name with a canonical SQL text — so the benchmark path and every
+// row of the named-query table cannot bitrot unexercised.
 
 var (
 	smokeOnce sync.Once
@@ -28,28 +30,22 @@ func smokeDBs() (*storage.Database, *storage.Database) {
 	return smokeTPCH, smokeSSB
 }
 
-func BenchmarkRegistryTPCH(b *testing.B) {
-	db, _ := smokeDBs()
-	for _, engine := range []string{registry.Typer, registry.Tectorwise} {
-		for _, q := range registry.Queries(engine, "tpch") {
-			b.Run(engine+"/"+q, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					RunTPCH(db, engine, q, 2, 0)
-				}
-			})
+func BenchmarkRegistry(b *testing.B) {
+	tp, sb := smokeDBs()
+	for _, db := range []*storage.Database{tp, sb} {
+		runs := map[string][]string{
+			engine.Typer:      registry.Queries(db.Name),
+			engine.Tectorwise: registry.Queries(db.Name),
+			engine.Hybrid:     logical.SQLQueries(db.Name),
 		}
-	}
-}
-
-func BenchmarkRegistrySSB(b *testing.B) {
-	_, db := smokeDBs()
-	for _, engine := range []string{registry.Typer, registry.Tectorwise} {
-		for _, q := range registry.Queries(engine, "ssb") {
-			b.Run(engine+"/"+q, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					RunSSB(db, engine, q, 2, 0)
-				}
-			})
+		for _, eng := range engine.Names() {
+			for _, q := range runs[eng] {
+				b.Run(db.Name+"/"+eng+"/"+q, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						Run(db, eng, q, 2, 0)
+					}
+				})
+			}
 		}
 	}
 }

@@ -19,8 +19,23 @@ import (
 	"paradigms/internal/compiled"
 	"paradigms/internal/hybrid"
 	"paradigms/internal/logical"
-	"paradigms/internal/registry"
 )
+
+// Engine names: the spellings used throughout the repo (facade Engine
+// constants, the named-query table, the service, serve and sqlsh flags).
+const (
+	// Typer fuses every pipeline (internal/compiled).
+	Typer = "typer"
+	// Tectorwise vectorizes every pipeline (logical.LowerVec).
+	Tectorwise = "tectorwise"
+	// Hybrid runs each pipeline of a query on whichever backend — fused
+	// or vectorized — suits it, exchanging data through the shared
+	// materialization boundaries (internal/hybrid).
+	Hybrid = "hybrid"
+)
+
+// Names lists the engines Run dispatches to.
+func Names() []string { return []string{Typer, Tectorwise, Hybrid} }
 
 // Options says how one plan runs. The zero value materializes an
 // unparameterized plan on GOMAXPROCS workers.
@@ -133,16 +148,16 @@ func Run(ctx context.Context, name string, pl *logical.Plan, opt Options) (out O
 	// The engines' whole difference: which lowering runs each pipeline.
 	var pol logical.Policy
 	switch name {
-	case registry.Typer:
+	case Typer:
 		pol.Fused, err = compiled.LowerProgram(pl)
-	case registry.Tectorwise:
+	case Tectorwise:
 		pol.VecSize = opt.VecSize
 		pol.Vec, err = logical.LowerVec(pl)
-	case registry.Hybrid:
+	case Hybrid:
 		pol, err = hybrid.Policy(pl, opt.VecSize, opt.Router)
 	default:
 		known = false
-		err = fmt.Errorf("engine: unknown engine %q (%s | %s | %s)", name, registry.Typer, registry.Tectorwise, registry.Hybrid)
+		err = fmt.Errorf("engine: unknown engine %q (%s)", name, strings.Join(Names(), " | "))
 	}
 	if err != nil {
 		return out, err
@@ -158,7 +173,7 @@ func Run(ctx context.Context, name string, pl *logical.Plan, opt Options) (out O
 	case out.Result != nil:
 		out.Rows = int64(len(out.Result.Rows))
 	}
-	if name == registry.Hybrid {
+	if name == Hybrid {
 		out.Used += (&hybrid.Report{Assign: pol.Assign}).Suffix()
 	}
 	return out, nil

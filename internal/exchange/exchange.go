@@ -29,7 +29,6 @@ import (
 	"paradigms/internal/engine"
 	"paradigms/internal/logical"
 	"paradigms/internal/prepcache"
-	"paradigms/internal/registry"
 	"paradigms/internal/storage"
 )
 
@@ -39,7 +38,7 @@ import (
 type Request struct {
 	SQL     string
 	Args    []int64
-	Engine  string // registry.Typer, registry.Tectorwise or registry.Hybrid ("" = tectorwise)
+	Engine  string // engine.Typer, engine.Tectorwise or engine.Hybrid ("" = tectorwise)
 	Workers int    // per-shard worker budget (0 = GOMAXPROCS)
 	VecSize int    // vectorized backend's vector size (0 = default)
 }
@@ -79,7 +78,7 @@ func cachedPlan(cache *prepcache.Cache, db *storage.Database, text string) (*log
 func execute(ctx context.Context, req Request, pl *logical.Plan, partial bool) (engine.Output, error) {
 	name := req.Engine
 	if name == "" {
-		name = registry.Tectorwise
+		name = engine.Tectorwise
 	}
 	return engine.Run(ctx, name, pl, engine.Options{
 		Args: req.Args, Workers: req.Workers, VecSize: req.VecSize, Partial: partial,

@@ -9,7 +9,6 @@ import (
 	"paradigms/internal/engine"
 	"paradigms/internal/hashtable"
 	"paradigms/internal/logical"
-	"paradigms/internal/registry"
 	"paradigms/internal/sqlcheck"
 	"paradigms/internal/storage"
 	"paradigms/internal/types"
@@ -33,7 +32,7 @@ func checkCluster(t *testing.T, db *storage.Database, n int, text string) {
 		t.Fatalf("New(n=%d): %v", n, err)
 	}
 	ordered := strings.Contains(text, "order by")
-	for _, engine := range []string{registry.Typer, registry.Tectorwise} {
+	for _, engine := range []string{engine.Typer, engine.Tectorwise} {
 		for _, w := range []int{1, 3} {
 			res, err := cl.Run(ctx, Request{SQL: text, Engine: engine, Workers: w, VecSize: 64})
 			if err != nil {
@@ -212,7 +211,7 @@ func TestClusterFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []string{registry.Typer, registry.Tectorwise} {
+	for _, engine := range []string{engine.Typer, engine.Tectorwise} {
 		res, err := cl.Run(context.Background(), Request{SQL: text, Engine: engine, Workers: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", engine, err)
@@ -251,7 +250,7 @@ func TestClusterOneShardMatchesSingleProcess(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, name := range []string{registry.Typer, registry.Tectorwise} {
+		for _, name := range []string{engine.Typer, engine.Tectorwise} {
 			got, err := cl.Run(ctx, Request{SQL: text, Engine: name, Workers: 1, VecSize: 128})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)

@@ -1,10 +1,12 @@
 package logical
 
-// Canonical SQL texts for the repo's registered benchmark queries that
-// the front-end can express. The cross-validation suite parses, plans,
-// and executes each and requires bit-identical results against the
-// reference oracles; cmd/serve -sql mixes them into the service
-// workload. ORDER BY lists carry explicit key tiebreakers so results
+// Canonical SQL texts for the repo's named benchmark queries that the
+// front-end can express. Where internal/registry lists no hand-written
+// kernel for a name (Q6, Q3, SSB Q1.1 on Typer and Tectorwise; every
+// name here on the hybrid), this text is how the name runs. The
+// cross-validation suite parses, plans, and executes each and requires
+// bit-identical results against the reference oracles; cmd/serve -sql
+// mixes them into the service workload. ORDER BY lists carry explicit key tiebreakers so results
 // are total-ordered, exactly like the oracles' comparators. (Q18 is the
 // join + HAVING formulation: equivalent to the nested-IN original
 // because orders ⋈ customer is N:1, so per-order quantity sums are
@@ -74,7 +76,7 @@ order by d_year, p_brand1`,
 	},
 }
 
-// SQLText returns the canonical SQL of a registered query ("tpch"/"ssb"
+// SQLText returns the canonical SQL of a named query ("tpch"/"ssb"
 // dataset names, as on storage.Database.Name).
 func SQLText(dataset, name string) (string, bool) {
 	t, ok := sqlTexts[dataset][name]

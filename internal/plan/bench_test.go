@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -30,27 +31,27 @@ func BenchmarkPlanQueries(b *testing.B) {
 	db, ssbDB := benchDBs()
 	b.Run("Q6", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			Q6(db, 1, 0)
+			Q6Ctx(context.Background(), db, 1, 0)
 		}
 	})
 	b.Run("Q3", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			Q3(db, 1, 0)
+			Q3Ctx(context.Background(), db, 1, 0)
 		}
 	})
 	b.Run("Q18", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			Q18(db, 1, 0)
+			Q18Ctx(context.Background(), db, 1, 0)
 		}
 	})
 	b.Run("Q5", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			Q5(db, 1, 0)
+			Q5Ctx(context.Background(), db, 1, 0)
 		}
 	})
 	b.Run("Q2.1", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			SSBQ21(ssbDB, 1, 0)
+			SSBQ21Ctx(context.Background(), ssbDB, 1, 0)
 		}
 	})
 }

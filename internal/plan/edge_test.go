@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -25,13 +26,13 @@ func checkAll(t *testing.T, label string, tp, sb *storage.Database) {
 	t.Helper()
 	for _, workers := range []int{1, 4} {
 		for _, vec := range []int{1, 1000} {
-			if got, want := Q6(tp, workers, vec), queries.RefQ6(tp); got != want {
+			if got, want := Q6Ctx(context.Background(), tp, workers, vec), queries.RefQ6(tp); got != want {
 				t.Errorf("%s w=%d vec=%d Q6 = %d, want %d", label, workers, vec, got, want)
 			}
-			checkRows(t, label, "Q3", workers, vec, Q3(tp, workers, vec), queries.RefQ3(tp))
-			checkRows(t, label, "Q18", workers, vec, Q18(tp, workers, vec), queries.RefQ18(tp))
-			checkRows(t, label, "Q5", workers, vec, Q5(tp, workers, vec), queries.RefQ5(tp))
-			checkRows(t, label, "Q2.1", workers, vec, SSBQ21(sb, workers, vec), queries.RefSSBQ21(sb))
+			checkRows(t, label, "Q3", workers, vec, Q3Ctx(context.Background(), tp, workers, vec), queries.RefQ3(tp))
+			checkRows(t, label, "Q18", workers, vec, Q18Ctx(context.Background(), tp, workers, vec), queries.RefQ18(tp))
+			checkRows(t, label, "Q5", workers, vec, Q5Ctx(context.Background(), tp, workers, vec), queries.RefQ5(tp))
+			checkRows(t, label, "Q2.1", workers, vec, SSBQ21Ctx(context.Background(), sb, workers, vec), queries.RefSSBQ21(sb))
 		}
 	}
 }

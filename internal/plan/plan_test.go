@@ -16,19 +16,19 @@ func TestPlanQueriesMatchReference(t *testing.T) {
 		ssbDB := ssb.Generate(sf, 0)
 		for _, threads := range []int{1, 4} {
 			for _, vec := range []int{1, 7, 1000} {
-				if got, want := Q6(db, threads, vec), queries.RefQ6(db); got != want {
+				if got, want := Q6Ctx(context.Background(), db, threads, vec), queries.RefQ6(db); got != want {
 					t.Errorf("sf=%v t=%d vec=%d Q6 = %d, want %d", sf, threads, vec, got, want)
 				}
-				if got, want := Q3(db, threads, vec), queries.RefQ3(db); !reflect.DeepEqual(got, want) {
+				if got, want := Q3Ctx(context.Background(), db, threads, vec), queries.RefQ3(db); !reflect.DeepEqual(got, want) {
 					t.Errorf("sf=%v t=%d vec=%d Q3 mismatch:\n got %v\nwant %v", sf, threads, vec, got, want)
 				}
-				if got, want := Q18(db, threads, vec), queries.RefQ18(db); !reflect.DeepEqual(got, want) {
+				if got, want := Q18Ctx(context.Background(), db, threads, vec), queries.RefQ18(db); !reflect.DeepEqual(got, want) {
 					t.Errorf("sf=%v t=%d vec=%d Q18 mismatch:\n got %v\nwant %v", sf, threads, vec, got, want)
 				}
-				if got, want := Q5(db, threads, vec), queries.RefQ5(db); !reflect.DeepEqual(got, want) {
+				if got, want := Q5Ctx(context.Background(), db, threads, vec), queries.RefQ5(db); !reflect.DeepEqual(got, want) {
 					t.Errorf("sf=%v t=%d vec=%d Q5 mismatch:\n got %v\nwant %v", sf, threads, vec, got, want)
 				}
-				if got, want := SSBQ21(ssbDB, threads, vec), queries.RefSSBQ21(ssbDB); !reflect.DeepEqual(got, want) {
+				if got, want := SSBQ21Ctx(context.Background(), ssbDB, threads, vec), queries.RefSSBQ21(ssbDB); !reflect.DeepEqual(got, want) {
 					t.Errorf("sf=%v t=%d vec=%d Q2.1 mismatch:\n got %v\nwant %v", sf, threads, vec, got, want)
 				}
 			}
@@ -45,10 +45,10 @@ func TestLargeVectorSizes(t *testing.T) {
 	wantQ6 := queries.RefQ6(db)
 	wantQ3 := queries.RefQ3(db)
 	for _, vec := range []int{65536, db.Rel("lineitem").Rows()} {
-		if got := Q6(db, 2, vec); got != wantQ6 {
+		if got := Q6Ctx(context.Background(), db, 2, vec); got != wantQ6 {
 			t.Errorf("vec=%d Q6 = %d, want %d", vec, got, wantQ6)
 		}
-		if got := Q3(db, 2, vec); !reflect.DeepEqual(got, wantQ3) {
+		if got := Q3Ctx(context.Background(), db, 2, vec); !reflect.DeepEqual(got, wantQ3) {
 			t.Errorf("vec=%d Q3 mismatch", vec)
 		}
 	}

@@ -7,9 +7,9 @@ import (
 	"testing"
 
 	"paradigms/internal/catalog"
+	"paradigms/internal/engine"
 	"paradigms/internal/feedback"
 	"paradigms/internal/logical"
-	"paradigms/internal/registry"
 	"paradigms/internal/sqlcheck"
 	"paradigms/internal/storage"
 )
@@ -102,7 +102,7 @@ func TestFeedbackDriftTriggersReplan(t *testing.T) {
 
 	exec := func(run int) {
 		t.Helper()
-		res, _, err := st.Execute(ctx, registry.Tectorwise, nil, 2, 0)
+		res, _, err := st.Execute(ctx, engine.Tectorwise, nil, 2, 0)
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
@@ -156,7 +156,7 @@ func TestFeedbackReplanAcrossEngines(t *testing.T) {
 	}
 	st, _ := feedbackStatement(t, db)
 	ctx := context.Background()
-	engines := []string{registry.Typer, registry.Tectorwise, registry.Typer}
+	engines := []string{engine.Typer, engine.Tectorwise, engine.Typer}
 	for i, eng := range engines {
 		res, _, err := st.Execute(ctx, eng, nil, 2, 0)
 		if err != nil {
@@ -169,7 +169,7 @@ func TestFeedbackReplanAcrossEngines(t *testing.T) {
 	if n := st.Replans(); n != 1 {
 		t.Fatalf("Replans() = %d after mixed-engine drifting runs, want 1", n)
 	}
-	res, _, err := st.Execute(ctx, registry.Typer, nil, 2, 0)
+	res, _, err := st.Execute(ctx, engine.Typer, nil, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func BenchmarkFeedbackReplan(b *testing.B) {
 	st, _ := feedbackStatement(b, db)
 	ctx := context.Background()
 	for i := 0; i < feedback.DriftRuns; i++ {
-		if _, _, err := st.Execute(ctx, registry.Tectorwise, nil, 2, 0); err != nil {
+		if _, _, err := st.Execute(ctx, engine.Tectorwise, nil, 2, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -12,7 +12,6 @@ import (
 	"paradigms/internal/catalog"
 	"paradigms/internal/engine"
 	"paradigms/internal/logical"
-	"paradigms/internal/registry"
 	"paradigms/internal/sqlcheck"
 	"paradigms/internal/storage"
 )
@@ -216,20 +215,20 @@ func TestStatementExecuteEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	ty, used, err := st.Execute(ctx, registry.Typer, vals, 2, 0)
-	if err != nil || used != registry.Typer {
+	ty, used, err := st.Execute(ctx, engine.Typer, vals, 2, 0)
+	if err != nil || used != engine.Typer {
 		t.Fatalf("typer: used=%q err=%v", used, err)
 	}
-	tw, used, err := st.Execute(ctx, registry.Tectorwise, vals, 2, 0)
-	if err != nil || used != registry.Tectorwise {
+	tw, used, err := st.Execute(ctx, engine.Tectorwise, vals, 2, 0)
+	if err != nil || used != engine.Tectorwise {
 		t.Fatalf("tectorwise: used=%q err=%v", used, err)
 	}
 	au, used, err := st.Execute(ctx, Auto, vals, 2, 0)
-	if err != nil || !strings.HasPrefix(used, registry.Hybrid+"[") {
+	if err != nil || !strings.HasPrefix(used, engine.Hybrid+"[") {
 		t.Fatalf("auto: used=%q err=%v (want the untried hybrid arm)", used, err)
 	}
-	hy, used, err := st.Execute(ctx, registry.Hybrid, vals, 2, 0)
-	if err != nil || !strings.HasPrefix(used, registry.Hybrid+"[") {
+	hy, used, err := st.Execute(ctx, engine.Hybrid, vals, 2, 0)
+	if err != nil || !strings.HasPrefix(used, engine.Hybrid+"[") {
 		t.Fatalf("hybrid: used=%q err=%v", used, err)
 	}
 	if !sqlcheck.SameRows(sqlcheck.Canon(ty.Rows), sqlcheck.Canon(tw.Rows)) ||
@@ -287,7 +286,7 @@ func routerStatement(t *testing.T) (*Statement, []int64) {
 	return st, vals
 }
 
-var routerArms = []string{registry.Typer, registry.Tectorwise, registry.Hybrid}
+var routerArms = []string{engine.Typer, engine.Tectorwise, engine.Hybrid}
 
 // TestFailingSinkDoesNotPenalizeRouter: only the engine's own failure
 // may cost a router arm. A sink that fails mid-stream returns its error

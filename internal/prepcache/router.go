@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"paradigms/internal/engine"
-	"paradigms/internal/registry"
 )
 
 // Auto is the pseudo-engine of adaptive routing: each execution of the
@@ -55,7 +54,7 @@ type Router struct {
 }
 
 // engineArms maps router arm indexes to engine names.
-var engineArms = [numArms]string{registry.Typer, registry.Tectorwise, registry.Hybrid}
+var engineArms = [numArms]string{engine.Typer, engine.Tectorwise, engine.Hybrid}
 
 // armOf resolves an engine name to its arm, ignoring a hybrid
 // assignment decoration ("hybrid[t,v]" observes as "hybrid").

@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"paradigms/internal/registry"
+	"paradigms/internal/engine"
 )
 
 // fakeClock is a deterministic latency model driving the router the
@@ -32,9 +32,9 @@ func (c *fakeClock) run(r *Router) string {
 func TestRouterConvergesToFasterEngine(t *testing.T) {
 	r := &Router{}
 	clock := &fakeClock{lat: map[string]time.Duration{
-		registry.Typer:      5 * time.Millisecond,
-		registry.Tectorwise: 1 * time.Millisecond,
-		registry.Hybrid:     3 * time.Millisecond,
+		engine.Typer:      5 * time.Millisecond,
+		engine.Tectorwise: 1 * time.Millisecond,
+		engine.Hybrid:     3 * time.Millisecond,
 	}}
 
 	const rounds = 400
@@ -51,12 +51,12 @@ func TestRouterConvergesToFasterEngine(t *testing.T) {
 
 	// Convergence: the fast engine dominates overall and at steady
 	// state wins every pick except the scheduled probes.
-	if fast := picks[registry.Tectorwise]; fast < rounds*3/4 {
+	if fast := picks[engine.Tectorwise]; fast < rounds*3/4 {
 		t.Fatalf("router did not converge: fast engine picked %d/%d", fast, rounds)
 	}
 	steadyFast := 0
 	for _, e := range last100 {
-		if e == registry.Tectorwise {
+		if e == engine.Tectorwise {
 			steadyFast++
 		}
 	}
@@ -66,21 +66,21 @@ func TestRouterConvergesToFasterEngine(t *testing.T) {
 
 	// No starvation: each losing arm keeps being probed on schedule
 	// (the probes rotate over the numArms-1 non-best arms).
-	if slow := picks[registry.Typer]; slow < rounds/((numArms-1)*ProbeEvery)-2 {
+	if slow := picks[engine.Typer]; slow < rounds/((numArms-1)*ProbeEvery)-2 {
 		t.Fatalf("probe arm starved: slowest engine picked only %d times over %d rounds", slow, rounds)
 	}
-	if mid := picks[registry.Hybrid]; mid < rounds/((numArms-1)*ProbeEvery)-2 {
+	if mid := picks[engine.Hybrid]; mid < rounds/((numArms-1)*ProbeEvery)-2 {
 		t.Fatalf("probe arm starved: middle engine picked only %d times over %d rounds", mid, rounds)
 	}
 
 	// Flip the latencies: Typer becomes the fast engine. The probes
 	// keep its EWMA fresh, so the router must flip its preference.
-	clock.lat[registry.Typer] = 500 * time.Microsecond
-	clock.lat[registry.Tectorwise] = 4 * time.Millisecond
+	clock.lat[engine.Typer] = 500 * time.Microsecond
+	clock.lat[engine.Tectorwise] = 4 * time.Millisecond
 	flipped := -1
 	for i := 0; i < 200; i++ {
 		clock.run(r)
-		if flipped < 0 && r.Best() == registry.Typer {
+		if flipped < 0 && r.Best() == engine.Typer {
 			flipped = i
 		}
 	}
@@ -95,7 +95,7 @@ func TestRouterConvergesToFasterEngine(t *testing.T) {
 	}
 	tail := 0
 	for i := 0; i < 100; i++ {
-		if clock.run(r) == registry.Typer {
+		if clock.run(r) == engine.Typer {
 			tail++
 		}
 	}
@@ -133,7 +133,7 @@ func TestRouterTriesEachArmFirst(t *testing.T) {
 // epsilon probe keeps re-checking it, so a recovered backend heals.
 func TestRouterRoutesAroundFailingArm(t *testing.T) {
 	r := &Router{}
-	broken := registry.Typer
+	broken := engine.Typer
 	failures := 0
 	for i := 0; i < 100; i++ {
 		e := r.Pick()
@@ -175,7 +175,7 @@ func TestRouterRoutesAroundFailingArm(t *testing.T) {
 // multiple of the worst other observed arm's EWMA.
 func TestRouterFailurePenaltyScalesToWorkload(t *testing.T) {
 	r := &Router{}
-	broken := registry.Hybrid
+	broken := engine.Hybrid
 	healthy := 5 * time.Second
 	failures := 0
 	for i := 0; i < 200; i++ {
@@ -211,11 +211,11 @@ func TestRouterFailurePenaltyScalesToWorkload(t *testing.T) {
 	// Sub-second statements keep the floor: a fresh router that has
 	// only seen microsecond latencies still penalizes failures at >= 1s.
 	r2 := &Router{}
-	r2.Observe(registry.Typer, 50*time.Microsecond)
-	r2.Observe(registry.Tectorwise, 60*time.Microsecond)
-	r2.ObserveFailure(registry.Hybrid)
+	r2.Observe(engine.Typer, 50*time.Microsecond)
+	r2.Observe(engine.Tectorwise, 60*time.Microsecond)
+	r2.ObserveFailure(engine.Hybrid)
 	for _, arm := range r2.Snapshot() {
-		if arm.Engine == registry.Hybrid && arm.Ewma < failurePenaltyFloor {
+		if arm.Engine == engine.Hybrid && arm.Ewma < failurePenaltyFloor {
 			t.Fatalf("failure penalty %v under the %v floor", arm.Ewma, failurePenaltyFloor)
 		}
 	}
@@ -237,10 +237,10 @@ func TestRouterIgnoresUnknownEngine(t *testing.T) {
 // decorated name ("hybrid[t,v]") lands in the hybrid arm.
 func TestRouterStripsHybridDecoration(t *testing.T) {
 	r := &Router{}
-	r.Observe(registry.Hybrid+"[t,v,t]", 2*time.Millisecond)
+	r.Observe(engine.Hybrid+"[t,v,t]", 2*time.Millisecond)
 	for _, a := range r.Snapshot() {
 		switch a.Engine {
-		case registry.Hybrid:
+		case engine.Hybrid:
 			if a.N != 1 || a.Ewma != 2*time.Millisecond {
 				t.Fatalf("decorated observation mishandled: %+v", a)
 			}

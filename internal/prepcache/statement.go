@@ -151,9 +151,9 @@ func (s *Statement) Execute(ctx context.Context, name string, args []int64, work
 }
 
 // Run executes the statement's current plan template through
-// engine.Run on the named engine — registry.Typer (compiled fused
-// pipelines), registry.Tectorwise (vectorized operator plans),
-// registry.Hybrid (per-pipeline mix of the two, routed by the
+// engine.Run on the named engine — engine.Typer (compiled fused
+// pipelines), engine.Tectorwise (vectorized operator plans),
+// engine.Hybrid (per-pipeline mix of the two, routed by the
 // statement's PipelineRouter; opt.Router is overwritten), or Auto,
 // which resolves to whichever backend the statement's router currently
 // measures as faster. Output.Used is the engine that actually ran —

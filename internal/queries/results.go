@@ -271,9 +271,9 @@ func SortSSBQ41(rs SSBQ41Result) {
 }
 
 // TPCHQueries and SSBQueries are the canonical experiment query lists in
-// paper order (the subsets every paper experiment iterates). The served
-// catalogs — which additionally carry Q5, an extension beyond the paper's
-// subset — live in the registry (see register.go).
+// paper order (the subsets every paper experiment iterates). The
+// named-query table — which additionally carries Q5, an extension beyond
+// the paper's subset — lives in internal/registry.
 var (
 	TPCHQueries = []string{"Q1", "Q6", "Q3", "Q9", "Q18"}
 	SSBQueries  = []string{"Q1.1", "Q2.1", "Q3.1", "Q4.1"}

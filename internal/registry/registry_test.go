@@ -1,63 +1,55 @@
 package registry
 
 import (
-	"context"
-	"fmt"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
-	"paradigms/internal/storage"
+	"paradigms/internal/engine"
+	"paradigms/internal/logical"
+	"paradigms/internal/queries"
 )
 
-func stub() Runner {
-	return func(context.Context, *storage.Database, Options) any { return nil }
-}
-
-// The registry is a package global with panic-on-duplicate semantics, so
-// each test execution (including `go test -count=N` reruns in one
-// process) registers under a fresh dataset/engine namespace.
-var testRun atomic.Int64
-
-func testNames() (dataset, eng1, eng2 string) {
-	n := testRun.Add(1)
-	return fmt.Sprintf("testds%d", n), fmt.Sprintf("eng1run%d", n), fmt.Sprintf("eng2run%d", n)
-}
-
-func TestRegisterLookupAndOrdering(t *testing.T) {
-	ds, eng1, eng2 := testNames()
-	SetOrder(ds, []string{"B", "A"})
-	Register(eng1, ds, "A", stub())
-	Register(eng1, ds, "B", stub())
-	Register(eng1, ds, "Z", stub()) // not in canonical order
-	Register(eng2, ds, "B", stub())
-
-	if _, ok := Lookup(eng1, ds, "A"); !ok {
-		t.Fatal("registered query not found")
+// TestTableLookupAndOrdering: Queries lists each dataset in canonical
+// order — the paper's experiment subsets first, the extension query Q5
+// after — and find resolves exactly the listed names.
+func TestTableLookupAndOrdering(t *testing.T) {
+	want := map[string][]string{
+		"tpch": append(append([]string(nil), queries.TPCHQueries...), "Q5"),
+		"ssb":  queries.SSBQueries,
 	}
-	if _, ok := Lookup(eng1, ds, "missing"); ok {
-		t.Fatal("unregistered query found")
-	}
-	if !HasEngine(eng1) || HasEngine("nosuch") {
-		t.Fatal("HasEngine wrong")
-	}
-	// Canonical order first, stragglers after (alphabetical).
-	if got := Queries(eng1, ds); !reflect.DeepEqual(got, []string{"B", "A", "Z"}) {
-		t.Errorf("Queries = %v", got)
-	}
-	// Union across engines, canonical order.
-	if got := QueryNames(ds); !reflect.DeepEqual(got, []string{"B", "A", "Z"}) {
-		t.Errorf("QueryNames = %v", got)
-	}
-}
-
-func TestDuplicateRegistrationPanics(t *testing.T) {
-	ds, eng1, _ := testNames()
-	Register(eng1, ds, "dup", stub())
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate registration did not panic")
+	for ds, names := range want {
+		if got := Queries(ds); !reflect.DeepEqual(got, names) {
+			t.Errorf("Queries(%s) = %v, want %v", ds, got, names)
 		}
-	}()
-	Register(eng1, ds, "dup", stub())
+		for _, n := range names {
+			if q := find(ds, n); q == nil || q.name != n {
+				t.Errorf("find(%s, %s) = %v", ds, n, q)
+			}
+		}
+	}
+	if find("tpch", "Q1.1") != nil || Queries("nosuch") != nil {
+		t.Error("lookup crosses datasets")
+	}
+}
+
+// TestTableEntriesWellFormed: each (dataset, name) appears once, has an
+// oracle, and runs on both engines — through a kernel or its SQL text.
+func TestTableEntriesWellFormed(t *testing.T) {
+	seen := map[[2]string]bool{}
+	for _, q := range table {
+		k := [2]string{q.dataset, q.name}
+		if seen[k] {
+			t.Errorf("%s/%s listed twice", q.dataset, q.name)
+		}
+		seen[k] = true
+		if q.ref == nil {
+			t.Errorf("%s/%s has no oracle", q.dataset, q.name)
+		}
+		_, hasSQL := logical.SQLText(q.dataset, q.name)
+		for _, eng := range []string{engine.Typer, engine.Tectorwise} {
+			if q.kernel(eng) == nil && !hasSQL {
+				t.Errorf("%s/%s has neither a %s kernel nor SQL text", q.dataset, q.name, eng)
+			}
+		}
+	}
 }

@@ -555,7 +555,8 @@ func (s *Select) Tables() []string {
 }
 
 // IsQuery reports whether the text looks like ad-hoc SQL rather than a
-// registered query name — the dispatch hook of the facade and service.
+// named query — the dispatch hook of registry.Run and the service's
+// door check.
 func IsQuery(text string) bool {
 	t := strings.TrimSpace(text)
 	if len(t) < 6 || !strings.EqualFold(t[:6], "select") {

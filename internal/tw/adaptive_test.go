@@ -1,6 +1,7 @@
 package tw
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -25,7 +26,7 @@ func TestQ1AdaptiveMatchesReference(t *testing.T) {
 
 func TestQ1AdaptiveAgreesWithHashVariant(t *testing.T) {
 	db := tpch.Generate(0.02, 0)
-	hash := Q1(db, 2, 0)
+	hash := Q1Ctx(context.Background(), db, 2, 0)
 	adaptive := Q1Adaptive(db, 2, 0)
 	if !reflect.DeepEqual(hash, adaptive) {
 		t.Errorf("hash and ordered aggregation disagree:\n%v\n%v", hash, adaptive)

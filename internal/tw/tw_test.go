@@ -1,6 +1,7 @@
 package tw
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -17,10 +18,10 @@ func TestTPCHMatchesReference(t *testing.T) {
 		db := tpch.Generate(sf, 0)
 		for _, threads := range []int{1, 4} {
 			for _, vec := range []int{1000} {
-				if got, want := Q1(db, threads, vec), queries.RefQ1(db); !reflect.DeepEqual(got, want) {
+				if got, want := Q1Ctx(context.Background(), db, threads, vec), queries.RefQ1(db); !reflect.DeepEqual(got, want) {
 					t.Errorf("sf=%v t=%d Q1 mismatch:\n got %v\nwant %v", sf, threads, got, want)
 				}
-				if got, want := Q9(db, threads, vec), queries.RefQ9(db); !reflect.DeepEqual(got, want) {
+				if got, want := Q9Ctx(context.Background(), db, threads, vec), queries.RefQ9(db); !reflect.DeepEqual(got, want) {
 					t.Errorf("sf=%v t=%d Q9 mismatch (%d vs %d rows)", sf, threads, len(got), len(want))
 				}
 			}
@@ -35,10 +36,10 @@ func TestVectorSizesProduceIdenticalResults(t *testing.T) {
 	wantQ1 := queries.RefQ1(db)
 	wantQ9 := queries.RefQ9(db)
 	for _, vec := range []int{1, 7, 64, 1000, 65536, db.Rel("lineitem").Rows()} {
-		if got := Q1(db, 2, vec); !reflect.DeepEqual(got, wantQ1) {
+		if got := Q1Ctx(context.Background(), db, 2, vec); !reflect.DeepEqual(got, wantQ1) {
 			t.Errorf("vec=%d Q1 mismatch", vec)
 		}
-		if got := Q9(db, 2, vec); !reflect.DeepEqual(got, wantQ9) {
+		if got := Q9Ctx(context.Background(), db, 2, vec); !reflect.DeepEqual(got, wantQ9) {
 			t.Errorf("vec=%d Q9 mismatch", vec)
 		}
 	}
@@ -48,13 +49,13 @@ func TestSSBMatchesReference(t *testing.T) {
 	for _, sf := range []float64{0.01, 0.05} {
 		db := ssb.Generate(sf, 0)
 		for _, threads := range []int{1, 4} {
-			if got, want := SSBQ11(db, threads, 0), queries.RefSSBQ11(db); got != want {
+			if got, want := SSBQ11Ctx(context.Background(), db, threads, 0), queries.RefSSBQ11(db); got != want {
 				t.Errorf("sf=%v t=%d Q1.1 = %d, want %d", sf, threads, got, want)
 			}
-			if got, want := SSBQ31(db, threads, 0), queries.RefSSBQ31(db); !reflect.DeepEqual(got, want) {
+			if got, want := SSBQ31Ctx(context.Background(), db, threads, 0), queries.RefSSBQ31(db); !reflect.DeepEqual(got, want) {
 				t.Errorf("sf=%v t=%d Q3.1 mismatch:\n got %v\nwant %v", sf, threads, got, want)
 			}
-			if got, want := SSBQ41(db, threads, 0), queries.RefSSBQ41(db); !reflect.DeepEqual(got, want) {
+			if got, want := SSBQ41Ctx(context.Background(), db, threads, 0), queries.RefSSBQ41(db); !reflect.DeepEqual(got, want) {
 				t.Errorf("sf=%v t=%d Q4.1 mismatch:\n got %v\nwant %v", sf, threads, got, want)
 			}
 		}

@@ -1,6 +1,7 @@
 package typer
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -13,19 +14,19 @@ func TestTPCHMatchesReference(t *testing.T) {
 	for _, sf := range []float64{0.01, 0.05} {
 		db := tpch.Generate(sf, 0)
 		for _, threads := range []int{1, 4} {
-			if got, want := Q1(db, threads), queries.RefQ1(db); !reflect.DeepEqual(got, want) {
+			if got, want := Q1Ctx(context.Background(), db, threads), queries.RefQ1(db); !reflect.DeepEqual(got, want) {
 				t.Errorf("sf=%v threads=%d Q1 mismatch:\n got %v\nwant %v", sf, threads, got, want)
 			}
-			if got, want := Q6(db, threads), queries.RefQ6(db); got != want {
+			if got, want := Q6Ctx(context.Background(), db, threads), queries.RefQ6(db); got != want {
 				t.Errorf("sf=%v threads=%d Q6 = %d, want %d", sf, threads, got, want)
 			}
-			if got, want := Q3(db, threads), queries.RefQ3(db); !reflect.DeepEqual(got, want) {
+			if got, want := Q3Ctx(context.Background(), db, threads), queries.RefQ3(db); !reflect.DeepEqual(got, want) {
 				t.Errorf("sf=%v threads=%d Q3 mismatch:\n got %v\nwant %v", sf, threads, got, want)
 			}
-			if got, want := Q9(db, threads), queries.RefQ9(db); !reflect.DeepEqual(got, want) {
+			if got, want := Q9Ctx(context.Background(), db, threads), queries.RefQ9(db); !reflect.DeepEqual(got, want) {
 				t.Errorf("sf=%v threads=%d Q9 mismatch:\n got %d rows want %d rows", sf, threads, len(got), len(want))
 			}
-			if got, want := Q18(db, threads), queries.RefQ18(db); !reflect.DeepEqual(got, want) {
+			if got, want := Q18Ctx(context.Background(), db, threads), queries.RefQ18(db); !reflect.DeepEqual(got, want) {
 				t.Errorf("sf=%v threads=%d Q18 mismatch:\n got %v\nwant %v", sf, threads, got, want)
 			}
 		}
@@ -36,16 +37,16 @@ func TestSSBMatchesReference(t *testing.T) {
 	for _, sf := range []float64{0.01, 0.05} {
 		db := ssb.Generate(sf, 0)
 		for _, threads := range []int{1, 4} {
-			if got, want := SSBQ11(db, threads), queries.RefSSBQ11(db); got != want {
+			if got, want := SSBQ11Ctx(context.Background(), db, threads), queries.RefSSBQ11(db); got != want {
 				t.Errorf("sf=%v threads=%d Q1.1 = %d, want %d", sf, threads, got, want)
 			}
-			if got, want := SSBQ21(db, threads), queries.RefSSBQ21(db); !reflect.DeepEqual(got, want) {
+			if got, want := SSBQ21Ctx(context.Background(), db, threads), queries.RefSSBQ21(db); !reflect.DeepEqual(got, want) {
 				t.Errorf("sf=%v threads=%d Q2.1 mismatch:\n got %v\nwant %v", sf, threads, got, want)
 			}
-			if got, want := SSBQ31(db, threads), queries.RefSSBQ31(db); !reflect.DeepEqual(got, want) {
+			if got, want := SSBQ31Ctx(context.Background(), db, threads), queries.RefSSBQ31(db); !reflect.DeepEqual(got, want) {
 				t.Errorf("sf=%v threads=%d Q3.1 mismatch:\n got %v\nwant %v", sf, threads, got, want)
 			}
-			if got, want := SSBQ41(db, threads), queries.RefSSBQ41(db); !reflect.DeepEqual(got, want) {
+			if got, want := SSBQ41Ctx(context.Background(), db, threads), queries.RefSSBQ41(db); !reflect.DeepEqual(got, want) {
 				t.Errorf("sf=%v threads=%d Q4.1 mismatch:\n got %v\nwant %v", sf, threads, got, want)
 			}
 		}
@@ -62,7 +63,7 @@ func TestQ18PreAggOverflowPath(t *testing.T) {
 		t.Fatalf("test premise broken: %d orders <= preAggCapacity %d",
 			db.Rel("orders").Rows(), preAggCapacity)
 	}
-	got, want := Q18(db, 3), queries.RefQ18(db)
+	got, want := Q18Ctx(context.Background(), db, 3), queries.RefQ18(db)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Q18 under spill pressure mismatch")
 	}

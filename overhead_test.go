@@ -9,7 +9,6 @@ import (
 	"paradigms/internal/engine"
 	"paradigms/internal/logical"
 	"paradigms/internal/obs"
-	"paradigms/internal/registry"
 )
 
 const overheadQ6 = `select sum(l_extendedprice * l_discount) as revenue from lineitem
@@ -53,7 +52,7 @@ func TestTelemetryOverhead(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, eng := range []string{registry.Typer, registry.Tectorwise, registry.Hybrid} {
+		for _, eng := range []string{engine.Typer, engine.Tectorwise, engine.Hybrid} {
 			run := func(ctx context.Context) {
 				if _, err := engine.Run(ctx, eng, pl, engine.Options{}); err != nil {
 					t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 
 	"paradigms/internal/engine"
 	"paradigms/internal/logical"
-	"paradigms/internal/registry"
 	"paradigms/internal/sqlcheck"
 )
 
@@ -73,9 +72,9 @@ func TestSQLPreparedDifferentialCorpus(t *testing.T) {
 				}
 			}
 			for _, workers := range []int{1, 4} {
-				run("cached", pl, registry.Typer, workers, 0, vals)
+				run("cached", pl, engine.Typer, workers, 0, vals)
 				for _, vec := range []int{1, 1024} {
-					run("cached", pl, registry.Tectorwise, workers, vec, vals)
+					run("cached", pl, engine.Tectorwise, workers, vec, vals)
 				}
 			}
 			// Fresh-planned runs of the substituted literal text: the
@@ -85,8 +84,8 @@ func TestSQLPreparedDifferentialCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatalf("prepare %q: %v", lit, err)
 			}
-			run("fresh", fresh, registry.Typer, 4, 0, nil)
-			run("fresh", fresh, registry.Tectorwise, 4, 1000, nil)
+			run("fresh", fresh, engine.Typer, 4, 0, nil)
+			run("fresh", fresh, engine.Tectorwise, 4, 1000, nil)
 		}
 	}
 

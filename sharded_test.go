@@ -16,7 +16,6 @@ import (
 	"paradigms/internal/logical"
 	"paradigms/internal/proto"
 	"paradigms/internal/proto/client"
-	"paradigms/internal/registry"
 	"paradigms/internal/sqlcheck"
 	"paradigms/internal/storage"
 )
@@ -65,7 +64,7 @@ func checkSharded(t *testing.T, db *storage.Database, text string, n int) {
 		t.Fatalf("oracle failed for %q: %v", text, err)
 	}
 	cl := clusterFor(t, db, n)
-	for _, engine := range []string{registry.Typer, registry.Tectorwise} {
+	for _, engine := range []string{engine.Typer, engine.Tectorwise} {
 		res, err := cl.Run(ctx, exchange.Request{SQL: text, Engine: engine, Workers: 4, VecSize: 1000})
 		if err != nil {
 			t.Fatalf("sharded %s n=%d failed for %q: %v", engine, n, text, err)
@@ -177,7 +176,7 @@ func TestShardedOneShardBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("prepare failed for %q: %v", text, err)
 		}
-		for _, name := range []string{registry.Typer, registry.Tectorwise} {
+		for _, name := range []string{engine.Typer, engine.Tectorwise} {
 			want, err := engine.Run(ctx, name, pl, engine.Options{Workers: 1, VecSize: 1000})
 			if err != nil {
 				t.Fatalf("%s failed for %q: %v", name, text, err)
@@ -216,7 +215,7 @@ func BenchmarkShardedVsSingle(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("sharded-%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := cl.Run(ctx, exchange.Request{SQL: text, Engine: registry.Typer}); err != nil {
+				if _, err := cl.Run(ctx, exchange.Request{SQL: text, Engine: engine.Typer}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -255,7 +254,7 @@ func TestShardsLiveOnTheWire(t *testing.T) {
 		if err != nil {
 			t.Fatalf("oracle for %q: %v", tc.text, err)
 		}
-		for _, engine := range []string{registry.Typer, registry.Tectorwise} {
+		for _, engine := range []string{engine.Typer, engine.Tectorwise} {
 			var rows *client.Rows
 			if tc.prepared {
 				rows, err = cl.QueryPrepared(ctx, engine, tc.text, tc.args...)
