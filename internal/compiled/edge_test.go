@@ -46,13 +46,15 @@ func checkEdge(t *testing.T, label string, tp, sb *storage.Database) {
 				if err != nil {
 					t.Fatalf("%s %s/%s: prepare: %v", label, db.Name, name, err)
 				}
-				lres, err := pl.Execute(ctx, workers, 1)
-				if err != nil {
-					t.Fatalf("%s %s/%s w=%d vectorized: %v", label, db.Name, name, workers, err)
-				}
-				if !sqlcheck.SameRows(sqlcheck.Canon(lres.Rows), wantC) {
-					t.Errorf("%s %s/%s w=%d: vectorized mismatch\n got %v\nwant %v",
-						label, db.Name, name, workers, trunc(lres.Rows), trunc(want))
+				for _, vec := range []int{1, 1000} {
+					lres, err := pl.Execute(ctx, workers, vec)
+					if err != nil {
+						t.Fatalf("%s %s/%s w=%d vec=%d vectorized: %v", label, db.Name, name, workers, vec, err)
+					}
+					if !sqlcheck.SameRows(sqlcheck.Canon(lres.Rows), wantC) {
+						t.Errorf("%s %s/%s w=%d vec=%d: vectorized mismatch\n got %v\nwant %v",
+							label, db.Name, name, workers, vec, trunc(lres.Rows), trunc(want))
+					}
 				}
 			}
 		}

@@ -40,6 +40,28 @@ func runSQL(ctx context.Context, db *storage.Database, text string, workers, vec
 	return pl.Execute(ctx, workers, vec)
 }
 
+// TestSQLLargeVectorSizes keeps the Fig. 5 extremes covered on the
+// lowered plans of Q6 and Q3 (which have no hand-written plans): vector
+// sizes above the morsel size and full materialization stress Scan
+// windowing and the vec-sized probe buffers in ways the small-vector
+// sweeps cannot.
+func TestSQLLargeVectorSizes(t *testing.T) {
+	db := tpch.Generate(0.02, 0)
+	for _, name := range []string{"Q6", "Q3"} {
+		text, _ := SQLText("tpch", name)
+		want := sqlcheck.RefRows(db, name)
+		for _, vec := range []int{65536, db.Rel("lineitem").Rows()} {
+			res, err := runSQL(context.Background(), db, text, 2, vec)
+			if err != nil {
+				t.Fatalf("%s vec=%d: %v", name, vec, err)
+			}
+			if !reflect.DeepEqual(res.Rows, want) {
+				t.Errorf("%s vec=%d: rows mismatch\n got %v\nwant %v", name, vec, trunc(res.Rows), trunc(want))
+			}
+		}
+	}
+}
+
 // TestSQLMatchesReference is the subsystem's headline proof: the SQL
 // texts of TPC-H Q6/Q3/Q5/Q18 and SSB Q1.1/Q2.1 parse, plan, lower, and
 // execute bit-identical to the reference oracles across vector sizes

@@ -29,16 +29,6 @@ func benchDBs() (*storage.Database, *storage.Database) {
 // replaced (the acceptance bound of the port was 10%).
 func BenchmarkPlanQueries(b *testing.B) {
 	db, ssbDB := benchDBs()
-	b.Run("Q6", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			Q6Ctx(context.Background(), db, 1, 0)
-		}
-	})
-	b.Run("Q3", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			Q3Ctx(context.Background(), db, 1, 0)
-		}
-	})
 	b.Run("Q18", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			Q18Ctx(context.Background(), db, 1, 0)

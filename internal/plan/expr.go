@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"paradigms/internal/simd"
-	"paradigms/internal/storage"
 	"paradigms/internal/tw"
 )
 
@@ -92,20 +91,6 @@ func ColU64FromI64[T ~int64](col []T) VecU64 {
 			tw.MapU64FromI64(w, b.K, scratch)
 		} else {
 			tw.MapU64FromI64Sel(w, b.Sel[:b.K], scratch)
-		}
-		return scratch
-	}
-}
-
-// MulCols computes a[i]*b[i] over two base columns through the selection
-// (Q6's and Q1.1's revenue expression).
-func MulCols[T ~int64, U ~int64](a []T, b []U) VecI64 {
-	return func(bt *Batch, scratch []int64) []int64 {
-		aw, bw := window(a, bt), window(b, bt)
-		if bt.Sel == nil {
-			tw.MapMulCols(aw, bw, bt.K, scratch)
-		} else {
-			tw.MapMulColsSel(aw, bw, bt.Sel[:bt.K], scratch)
 		}
 		return scratch
 	}
@@ -240,16 +225,6 @@ func PredLUT[T ~int32](col []T, lut []bool) Pred {
 		},
 		Sparse: func(base, n int, sel, res []int32) int {
 			return tw.SelLUTSel(col[base:base+n], lut, sel, res)
-		},
-	}
-}
-
-// PredEqString keeps positions whose string equals v. Dense only: must
-// be a FilterChain's first conjunct.
-func PredEqString(heap *storage.StringHeap, v string) Pred {
-	return Pred{
-		Dense: func(base, n int, res []int32) int {
-			return tw.SelEqString(heap, base, n, v, res)
 		},
 	}
 }

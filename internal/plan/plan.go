@@ -8,8 +8,8 @@
 // FilterChain runs a selection cascade (§5.1), HashProbe runs the
 // find-candidates / compare-keys / advance loop of Figure 2b, Project
 // computes derived vectors, and the sinks (HashBuildSink, GroupBySink,
-// SumSink, ProbeEmitSink) terminate pipelines — while all data-touching
-// work happens in internal/tw's primitives. Operators exchange a Batch
+// ProbeEmitSink) terminate pipelines — while all data-touching work
+// happens in internal/tw's primitives. Operators exchange a Batch
 // (window + selection vector) and communicate derived vectors through
 // per-worker buffers allocated once at plan-build time, so execution is
 // allocation free on the hot path.

@@ -16,12 +16,6 @@ func TestPlanQueriesMatchReference(t *testing.T) {
 		ssbDB := ssb.Generate(sf, 0)
 		for _, threads := range []int{1, 4} {
 			for _, vec := range []int{1, 7, 1000} {
-				if got, want := Q6Ctx(context.Background(), db, threads, vec), queries.RefQ6(db); got != want {
-					t.Errorf("sf=%v t=%d vec=%d Q6 = %d, want %d", sf, threads, vec, got, want)
-				}
-				if got, want := Q3Ctx(context.Background(), db, threads, vec), queries.RefQ3(db); !reflect.DeepEqual(got, want) {
-					t.Errorf("sf=%v t=%d vec=%d Q3 mismatch:\n got %v\nwant %v", sf, threads, vec, got, want)
-				}
 				if got, want := Q18Ctx(context.Background(), db, threads, vec), queries.RefQ18(db); !reflect.DeepEqual(got, want) {
 					t.Errorf("sf=%v t=%d vec=%d Q18 mismatch:\n got %v\nwant %v", sf, threads, vec, got, want)
 				}
@@ -36,20 +30,21 @@ func TestPlanQueriesMatchReference(t *testing.T) {
 	}
 }
 
-// TestLargeVectorSizes keeps the Fig. 5 extremes covered for the ported
-// queries: vector sizes above the morsel size and full materialization
+// TestLargeVectorSizes keeps the Fig. 5 extremes covered for the hand
+// plans: vector sizes above the morsel size and full materialization
 // stress Scan windowing and the vec-sized probe buffers in ways the
-// small-vector sweeps cannot.
+// small-vector sweeps cannot. (internal/logical's TestSQLLargeVectorSizes
+// does the same for the lowered plans.)
 func TestLargeVectorSizes(t *testing.T) {
 	db := tpch.Generate(0.02, 0)
-	wantQ6 := queries.RefQ6(db)
-	wantQ3 := queries.RefQ3(db)
+	wantQ18 := queries.RefQ18(db)
+	wantQ5 := queries.RefQ5(db)
 	for _, vec := range []int{65536, db.Rel("lineitem").Rows()} {
-		if got := Q6Ctx(context.Background(), db, 2, vec); got != wantQ6 {
-			t.Errorf("vec=%d Q6 = %d, want %d", vec, got, wantQ6)
+		if got := Q18Ctx(context.Background(), db, 2, vec); !reflect.DeepEqual(got, wantQ18) {
+			t.Errorf("vec=%d Q18 mismatch", vec)
 		}
-		if got := Q3Ctx(context.Background(), db, 2, vec); !reflect.DeepEqual(got, wantQ3) {
-			t.Errorf("vec=%d Q3 mismatch", vec)
+		if got := Q5Ctx(context.Background(), db, 2, vec); !reflect.DeepEqual(got, wantQ5) {
+			t.Errorf("vec=%d Q5 mismatch", vec)
 		}
 	}
 }
@@ -63,7 +58,6 @@ func TestPlanCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	// Must return promptly; result is meaningless and discarded.
-	_ = Q3Ctx(ctx, db, 4, 0)
 	_ = Q18Ctx(ctx, db, 4, 0)
 	_ = Q5Ctx(ctx, db, 4, 0)
 }

@@ -150,36 +150,6 @@ func MergeStage(partDisp *exec.Dispatcher, spill *hashtable.Spill, ops []hashtab
 }
 
 // ---------------------------------------------------------------------
-// SumSink
-// ---------------------------------------------------------------------
-
-// SumSink reduces a value expression to one running int64 per worker
-// (ungrouped aggregation, e.g. Q6); Finish stores the partial for the
-// query's final merge.
-type SumSink struct {
-	val VecI64
-	buf []int64
-	sum int64
-	out *int64
-}
-
-// NewSum creates the sink; the worker's partial lands in *out.
-func NewSum(bufs *vector.Buffers, val VecI64, out *int64) *SumSink {
-	return &SumSink{val: val, buf: bufs.I64(), out: out}
-}
-
-// Consume implements Sink.
-func (s *SumSink) Consume(b *Batch) {
-	s.sum += tw.SumI64(s.val(b, s.buf), b.K)
-}
-
-// Finish implements Sink.
-func (s *SumSink) Finish(bar *exec.Barrier, wid int) {
-	*s.out = s.sum
-	bar.Wait(nil)
-}
-
-// ---------------------------------------------------------------------
 // ProbeEmitSink
 // ---------------------------------------------------------------------
 

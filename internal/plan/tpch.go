@@ -16,122 +16,6 @@ import (
 // Each query function declares shared state, assembles one operator tree
 // per worker from the stage constructors, and merges per-worker results.
 
-// Q6Ctx executes TPC-H Q6: a selection cascade followed by a fused
-// multiply-sum over the survivors.
-func Q6Ctx(ctx context.Context, db *storage.Database, nWorkers, vecSize int) queries.Q6Result {
-	e := newExec(ctx, nWorkers, vecSize)
-	li := db.Rel("lineitem")
-	ship := li.Date("l_shipdate")
-	qty := li.Numeric("l_quantity")
-	ext := li.Numeric("l_extendedprice")
-	disc := li.Numeric("l_discount")
-
-	disp := e.ScanDisp(li)
-	partial := make([]int64, e.Workers)
-
-	e.Run(func(wid int, bufs *vector.Buffers) []Stage {
-		return []Stage{{
-			Root: NewFilterChain(bufs, e.NewScan(disp),
-				PredGE(ship, queries.Q6DateLo),
-				PredLT(ship, queries.Q6DateHi),
-				PredGE(disc, queries.Q6DiscLo),
-				PredLE(disc, queries.Q6DiscHi),
-				PredLT(qty, queries.Q6Quantity)),
-			Sink: NewSum(bufs, MulCols(ext, disc), &partial[wid]),
-		}}
-	})
-
-	var total int64
-	for _, s := range partial {
-		total += s
-	}
-	return queries.Q6Result(total)
-}
-
-// Q3Ctx executes TPC-H Q3.
-func Q3Ctx(ctx context.Context, db *storage.Database, nWorkers, vecSize int) queries.Q3Result {
-	e := newExec(ctx, nWorkers, vecSize)
-	cust := db.Rel("customer")
-	seg := cust.String("c_mktsegment")
-	ckeys := cust.Int32("c_custkey")
-	ord := db.Rel("orders")
-	okeys := ord.Int32("o_orderkey")
-	ocust := ord.Int32("o_custkey")
-	odate := ord.Date("o_orderdate")
-	oprio := ord.Int32("o_shippriority")
-	li := db.Rel("lineitem")
-	lkeys := li.Int32("l_orderkey")
-	lship := li.Date("l_shipdate")
-	lext := li.Numeric("l_extendedprice")
-	ldisc := li.Numeric("l_discount")
-	cutoff := queries.Q3Date
-
-	htCust := hashtable.New(1, e.Workers)
-	htOrd := hashtable.New(2, e.Workers)
-	dispCust := e.ScanDisp(cust)
-	dispOrd := e.ScanDisp(ord)
-	dispLine := e.ScanDisp(li)
-	ops := []hashtable.AggOp{hashtable.OpSum, hashtable.OpFirst}
-	spill := hashtable.NewSpill(e.Workers, tw.AggPartitions, 2+len(ops))
-	partDisp := e.PartDisp(tw.AggPartitions)
-	tops := make([]*queries.TopK[queries.Q3Row], e.Workers)
-
-	e.Run(func(wid int, bufs *vector.Buffers) []Stage {
-		// Pipeline 1: customer σ(mktsegment) → HT_cust.
-		buildCust := Stage{
-			Root: NewFilterChain(bufs, e.NewScan(dispCust), PredEqString(seg, queries.Q3Segment)),
-			Sink: NewHashBuild(bufs, htCust, wid, KeyWiden(ckeys)),
-		}
-
-		// Pipeline 2: orders σ(orderdate) ⋉ HT_cust → HT_ord.
-		buildOrd := Stage{
-			Root: NewHashProbe(bufs,
-				NewFilterChain(bufs, e.NewScan(dispOrd), PredLT(odate, cutoff)),
-				ProbeSpec{HT: htCust, Key: KeyWiden(ocust)}),
-			Sink: NewHashBuild(bufs, htOrd, wid, KeyWiden(okeys), KeyPack2x32(odate, oprio)),
-		}
-
-		// Pipeline 3: lineitem σ(shipdate) ⋈ HT_ord → Γ(orderkey).
-		dpI64 := bufs.I64()
-		e2 := bufs.I64()
-		d2 := bufs.I64()
-		rev := bufs.I64()
-		aggregate := Stage{
-			Root: NewProject(
-				NewHashProbe(bufs,
-					NewFilterChain(bufs, e.NewScan(dispLine), PredGT(lship, cutoff)),
-					ProbeSpec{HT: htOrd, Key: KeyWiden(lkeys),
-						GatherI64: []GatherI64{{Word: 1, Dst: dpI64}}}),
-				func(b *Batch) {
-					tw.FetchI64(window(lext, b), b.Sel[:b.K], e2)
-					tw.MapRsubConstSel(window(ldisc, b), 100, b.Sel[:b.K], d2)
-					tw.MapMul(e2, d2, b.K, rev)
-				}),
-			Sink: NewGroupBy(bufs, spill, wid, ops, KeyWiden(lkeys), FromI64(rev), FromI64(dpI64)),
-		}
-
-		// Pipeline 4: per-partition merge into the worker's top-10.
-		top := queries.NewTopK[queries.Q3Row](10, queries.Q3Less)
-		tops[wid] = top
-		merge := MergeStage(partDisp, spill, ops, func(_ int, row []uint64) {
-			top.Offer(queries.Q3Row{
-				OrderKey:     int32(uint32(row[1])),
-				Revenue:      int64(row[2]),
-				OrderDate:    types.Date(uint32(row[3])),
-				ShipPriority: int32(uint32(row[3] >> 32)),
-			})
-		})
-
-		return []Stage{buildCust, buildOrd, aggregate, merge}
-	})
-
-	final := queries.NewTopK[queries.Q3Row](10, queries.Q3Less)
-	for _, t := range tops {
-		final.Merge(t)
-	}
-	return final.Sorted()
-}
-
 // Q18Ctx executes TPC-H Q18.
 func Q18Ctx(ctx context.Context, db *storage.Database, nWorkers, vecSize int) queries.Q18Result {
 	e := newExec(ctx, nWorkers, vecSize)

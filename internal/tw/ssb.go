@@ -12,7 +12,8 @@ import (
 
 // Monolithic vectorized pipelines for the SSB subset (§4.4): lineorder
 // probes filtered dimension hash tables, densifying between joins.
-// Q2.1 is ported to internal/plan as a declarative operator plan.
+// Q2.1 is ported to internal/plan as a declarative operator plan; Q1.1
+// runs its SQL text (internal/registry).
 
 // buildDimHT materializes a filtered dimension into a shared hash table:
 // selFn computes the qualifying selection for the current vector; keyCol
@@ -51,79 +52,6 @@ func buildDimHT(ht *hashtable.Table, disp *exec.Dispatcher, bar *exec.Barrier,
 		}
 	}
 	BuildBarrier(ht, bar, wid)
-}
-
-// SSBQ11Ctx executes SSB Q1.1.
-func SSBQ11Ctx(ctx context.Context, db *storage.Database, nWorkers, vecSize int) queries.SSBQ11Result {
-	w := workers(nWorkers)
-	vec := vecOrDefault(vecSize)
-	date := db.Rel("date")
-	dk := date.Date("d_datekey")
-	dy := date.Int32("d_year")
-	lo := db.Rel("lineorder")
-	od := lo.Date("lo_orderdate")
-	disc := lo.Numeric("lo_discount")
-	qty := lo.Numeric("lo_quantity")
-	ext := lo.Numeric("lo_extendedprice")
-
-	htDate := hashtable.New(1, w)
-	dispDate := exec.NewDispatcherCtx(ctx, date.Rows(), 0)
-	dispFact := exec.NewDispatcherCtx(ctx, lo.Rows(), 0)
-	bar := exec.NewBarrier(w)
-	partial := make([]int64, w)
-
-	exec.Parallel(w, func(wid int) {
-		buildDimHT(htDate, dispDate, bar, wid, vec,
-			func(b, n int, sel []int32) int {
-				return SelEq(dy[b:b+n], queries.SSBQ11Year, sel)
-			},
-			func(b, n int, sel []int32, k int, keys []uint64) {
-				MapWidenSel(dk[b:b+n], sel[:k], keys)
-			},
-			nil)
-
-		bufs := vector.NewBuffers(vec)
-		sel1 := bufs.Sel()
-		sel2 := bufs.Sel()
-		absPos := bufs.Sel()
-		keys := bufs.Ref()
-		hashes := bufs.Ref()
-		cand := make([]hashtable.Ref, vec)
-		candPos := bufs.Sel()
-		mRefs := make([]hashtable.Ref, vec)
-		mPos := bufs.Sel()
-		prod := bufs.I64()
-		scan := NewScan(dispFact, vec)
-		var sum int64
-		for {
-			n := scan.Next()
-			if n == 0 {
-				break
-			}
-			b := scan.Base
-			k := SelGE(disc[b:b+n], queries.SSBQ11DiscLo, sel1)
-			k = SelLESel(disc[b:b+n], queries.SSBQ11DiscHi, sel1[:k], sel2)
-			k = SelLTSel(qty[b:b+n], queries.SSBQ11Qty, sel2[:k], sel1)
-			if k == 0 {
-				continue
-			}
-			MapWidenSel(od[b:b+n], sel1[:k], keys)
-			MapHashU64(keys[:k], hashes)
-			nm := Probe(htDate, keys, hashes, k, cand, candPos, mRefs, mPos)
-			if nm == 0 {
-				continue
-			}
-			ComposePos(sel1, mPos[:nm], absPos)
-			MapMulColsSel(ext[b:b+n], disc[b:b+n], absPos[:nm], prod)
-			sum += SumI64(prod, nm)
-		}
-		partial[wid] = sum
-	})
-	var total int64
-	for _, s := range partial {
-		total += s
-	}
-	return queries.SSBQ11Result(total)
 }
 
 // SSBQ31Ctx executes SSB Q3.1.

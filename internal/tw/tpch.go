@@ -13,9 +13,9 @@ import (
 // Monolithic vectorized pipelines for the TPC-H queries not yet ported
 // to the declarative operator layer: each query function builds one
 // pipeline per worker (private buffers, shared hash tables / dispatchers
-// / barriers) and drives it vector-at-a-time. Q6, Q3, Q18 (and the new
-// Q5) live in internal/plan as operator plans assembled from this
-// package's primitives.
+// / barriers) and drives it vector-at-a-time. Q18 and Q5 live in
+// internal/plan as operator plans assembled from this package's
+// primitives; Q6 and Q3 run their SQL text (internal/registry).
 
 func vecOrDefault(v int) int {
 	if v <= 0 {

@@ -49,9 +49,6 @@ func TestSSBMatchesReference(t *testing.T) {
 	for _, sf := range []float64{0.01, 0.05} {
 		db := ssb.Generate(sf, 0)
 		for _, threads := range []int{1, 4} {
-			if got, want := SSBQ11Ctx(context.Background(), db, threads, 0), queries.RefSSBQ11(db); got != want {
-				t.Errorf("sf=%v t=%d Q1.1 = %d, want %d", sf, threads, got, want)
-			}
 			if got, want := SSBQ31Ctx(context.Background(), db, threads, 0), queries.RefSSBQ31(db); !reflect.DeepEqual(got, want) {
 				t.Errorf("sf=%v t=%d Q3.1 mismatch:\n got %v\nwant %v", sf, threads, got, want)
 			}

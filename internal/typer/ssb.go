@@ -10,9 +10,10 @@ import (
 	"paradigms/internal/storage"
 )
 
-// Generated code for the Star Schema Benchmark subset (§4.4): Q1.1, Q2.1,
-// Q3.1, Q4.1. All four are lineorder scans probing filtered dimension hash
-// tables, followed by (for Q2.1–Q4.1) a small group-by.
+// Generated code for the Star Schema Benchmark subset (§4.4): Q2.1, Q3.1,
+// Q4.1 — lineorder scans probing filtered dimension hash tables,
+// followed by a small group-by. Q1.1 runs its SQL text through the
+// compiled lowering (internal/registry).
 
 type ssbDate struct {
 	key  uint64 // d_datekey (days)
@@ -141,54 +142,6 @@ func (a *localAgg) flush() {
 		row[1] = g.key
 		row[2] = uint64(g.sum)
 	})
-}
-
-// SSBQ11Ctx executes SSB Q1.1.
-func SSBQ11Ctx(ctx context.Context, db *storage.Database, nWorkers int) queries.SSBQ11Result {
-	w := workers(nWorkers)
-	lo := db.Rel("lineorder")
-	od := lo.Date("lo_orderdate")
-	disc := lo.Numeric("lo_discount")
-	qty := lo.Numeric("lo_quantity")
-	ext := lo.Numeric("lo_extendedprice")
-
-	htDate := hashtable.New(2, w)
-	dispDate := exec.NewDispatcherCtx(ctx, db.Rel("date").Rows(), 0)
-	dispFact := exec.NewDispatcherCtx(ctx, lo.Rows(), 0)
-	bar := exec.NewBarrier(w)
-	partial := make([]int64, w)
-
-	exec.Parallel(w, func(wid int) {
-		buildDateHT(db, htDate, bar, dispDate, wid, queries.SSBQ11Year, queries.SSBQ11Year)
-
-		var sum int64
-		for {
-			m, ok := dispFact.Next()
-			if !ok {
-				break
-			}
-		facts:
-			for i := m.Begin; i < m.End; i++ {
-				if disc[i] < queries.SSBQ11DiscLo || disc[i] > queries.SSBQ11DiscHi || qty[i] >= queries.SSBQ11Qty {
-					continue
-				}
-				key := uint64(uint32(od[i]))
-				h := Hash(key)
-				for ref := htDate.Lookup(h); ref != 0; ref = htDate.Next(ref) {
-					if htDate.Hash(ref) == h && (*ssbDate)(htDate.Payload(ref)).key == key {
-						sum += int64(ext[i]) * int64(disc[i])
-						continue facts
-					}
-				}
-			}
-		}
-		partial[wid] = sum
-	})
-	var total int64
-	for _, s := range partial {
-		total += s
-	}
-	return queries.SSBQ11Result(total)
 }
 
 // SSBQ21Ctx executes SSB Q2.1.

@@ -14,7 +14,8 @@ import (
 
 // This file is the "generated code" for the TPC-H subset: one function per
 // query, each consisting of fused tuple-at-a-time pipeline loops in the
-// style of Figure 2a of the paper.
+// style of Figure 2a of the paper. Q6 and Q3 have none: they run their
+// SQL text through the compiled lowering (internal/registry).
 
 // ---------------------------------------------------------------------
 // Q1: scan lineitem → σ(shipdate) → Γ(returnflag, linestatus; 8 aggs)
@@ -181,252 +182,6 @@ func Q1Ctx(ctx context.Context, db *storage.Database, nWorkers int) queries.Q1Re
 	}
 	queries.SortQ1(out)
 	return out
-}
-
-// ---------------------------------------------------------------------
-// Q6: scan lineitem → σ(shipdate, discount, quantity) → Σ
-// ---------------------------------------------------------------------
-
-// Q6Ctx executes TPC-H Q6.
-func Q6Ctx(ctx context.Context, db *storage.Database, nWorkers int) queries.Q6Result {
-	w := workers(nWorkers)
-	li := db.Rel("lineitem")
-	ship := li.Date("l_shipdate")
-	qty := li.Numeric("l_quantity")
-	ext := li.Numeric("l_extendedprice")
-	disc := li.Numeric("l_discount")
-	dlo, dhi := queries.Q6DateLo, queries.Q6DateHi
-	clo, chi := queries.Q6DiscLo, queries.Q6DiscHi
-	qmax := queries.Q6Quantity
-
-	disp := exec.NewDispatcherCtx(ctx, li.Rows(), 0)
-	partial := make([]int64, w)
-	exec.Parallel(w, func(wid int) {
-		var sum int64
-		for {
-			m, ok := disp.Next()
-			if !ok {
-				break
-			}
-			for i := m.Begin; i < m.End; i++ {
-				if ship[i] >= dlo && ship[i] < dhi &&
-					disc[i] >= clo && disc[i] <= chi && qty[i] < qmax {
-					sum += int64(ext[i]) * int64(disc[i])
-				}
-			}
-		}
-		partial[wid] = sum
-	})
-	var total int64
-	for _, s := range partial {
-		total += s
-	}
-	return queries.Q6Result(total)
-}
-
-// ---------------------------------------------------------------------
-// Q3: σ(customer) ⋈ σ(orders) ⋈ σ(lineitem) → Γ(orderkey,…) → top-10
-// ---------------------------------------------------------------------
-
-type q3Cust struct{ key uint64 }
-
-type q3Order struct {
-	key      uint64 // o_orderkey
-	datePrio uint64 // pack32(o_orderdate, o_shippriority)
-}
-
-type q3Group struct {
-	key      uint64 // l_orderkey
-	revenue  int64  // scale 4
-	datePrio uint64
-}
-
-// Q3Ctx executes TPC-H Q3.
-func Q3Ctx(ctx context.Context, db *storage.Database, nWorkers int) queries.Q3Result {
-	w := workers(nWorkers)
-	cust := db.Rel("customer")
-	seg := cust.String("c_mktsegment")
-	ckeys := cust.Int32("c_custkey")
-	ord := db.Rel("orders")
-	okeys := ord.Int32("o_orderkey")
-	ocust := ord.Int32("o_custkey")
-	odate := ord.Date("o_orderdate")
-	oprio := ord.Int32("o_shippriority")
-	li := db.Rel("lineitem")
-	lkeys := li.Int32("l_orderkey")
-	lship := li.Date("l_shipdate")
-	lext := li.Numeric("l_extendedprice")
-	ldisc := li.Numeric("l_discount")
-	cutoff := queries.Q3Date
-	segment := queries.Q3Segment
-
-	htCust := hashtable.New(1, w)
-	htOrd := hashtable.New(2, w)
-	dispCust := exec.NewDispatcherCtx(ctx, cust.Rows(), 0)
-	dispOrd := exec.NewDispatcherCtx(ctx, ord.Rows(), 0)
-	dispLine := exec.NewDispatcherCtx(ctx, li.Rows(), 0)
-	spill := hashtable.NewSpill(w, aggPartitions, 4)
-	partDisp := exec.NewDispatcherCtx(ctx, aggPartitions, 1)
-	bar := exec.NewBarrier(w)
-	tops := make([]*queries.TopK[queries.Q3Row], w)
-
-	exec.Parallel(w, func(wid int) {
-		// Pipeline 1: scan customer, filter segment, build HT_cust.
-		sh := htCust.Shard(wid)
-		for {
-			m, ok := dispCust.Next()
-			if !ok {
-				break
-			}
-			for i := m.Begin; i < m.End; i++ {
-				if string(seg.Get(i)) == segment {
-					key := uint64(uint32(ckeys[i]))
-					ref, p := sh.Alloc(htCust, Hash(key))
-					(*q3Cust)(p).key = key
-					_ = ref
-				}
-			}
-		}
-		buildBarrier(htCust, bar, wid)
-
-		// Pipeline 2: scan orders, filter date, probe HT_cust, build HT_ord.
-		osh := htOrd.Shard(wid)
-		for {
-			m, ok := dispOrd.Next()
-			if !ok {
-				break
-			}
-		orders:
-			for i := m.Begin; i < m.End; i++ {
-				if odate[i] >= cutoff {
-					continue
-				}
-				ck := uint64(uint32(ocust[i]))
-				h := Hash(ck)
-				for ref := htCust.Lookup(h); ref != 0; ref = htCust.Next(ref) {
-					if htCust.Hash(ref) == h && (*q3Cust)(htCust.Payload(ref)).key == ck {
-						key := uint64(uint32(okeys[i]))
-						_, p := osh.Alloc(htOrd, Hash(key))
-						o := (*q3Order)(p)
-						o.key = key
-						o.datePrio = pack32(uint32(odate[i]), uint32(oprio[i]))
-						continue orders
-					}
-				}
-			}
-		}
-		buildBarrier(htOrd, bar, wid)
-
-		// Pipeline 3: scan lineitem, filter shipdate, probe HT_ord,
-		// pre-aggregate revenue by orderkey.
-		local := hashtable.New(3, 1)
-		local.Prepare(preAggCapacity)
-		lsh := local.Shard(0)
-		for {
-			m, ok := dispLine.Next()
-			if !ok {
-				break
-			}
-		lines:
-			for i := m.Begin; i < m.End; i++ {
-				if lship[i] <= cutoff {
-					continue
-				}
-				key := uint64(uint32(lkeys[i]))
-				h := Hash(key)
-				for ref := htOrd.Lookup(h); ref != 0; ref = htOrd.Next(ref) {
-					if htOrd.Hash(ref) == h {
-						o := (*q3Order)(htOrd.Payload(ref))
-						if o.key == key {
-							rev := int64(lext[i]) * (100 - int64(ldisc[i]))
-							// Aggregate: find or create the group.
-							for gref := local.Lookup(h); gref != 0; gref = local.Next(gref) {
-								if local.Hash(gref) == h {
-									g := (*q3Group)(local.Payload(gref))
-									if g.key == key {
-										g.revenue += rev
-										continue lines
-									}
-								}
-							}
-							if local.Rows() < preAggCapacity {
-								gref, p := lsh.Alloc(local, h)
-								g := (*q3Group)(p)
-								g.key = key
-								g.revenue = rev
-								g.datePrio = o.datePrio
-								local.Insert(gref, h)
-							} else {
-								row := spill.AppendRow(wid, hashtable.PartitionOf(h, aggPartitions))
-								row[0] = h
-								row[1] = key
-								row[2] = uint64(rev)
-								row[3] = o.datePrio
-							}
-							continue lines
-						}
-					}
-				}
-			}
-		}
-		local.ForEach(func(ref hashtable.Ref) {
-			g := (*q3Group)(local.Payload(ref))
-			h := local.Hash(ref)
-			row := spill.AppendRow(wid, hashtable.PartitionOf(h, aggPartitions))
-			row[0] = h
-			row[1] = g.key
-			row[2] = uint64(g.revenue)
-			row[3] = g.datePrio
-		})
-		bar.Wait(nil)
-
-		// Pipeline 4: per-partition merge + top-10.
-		top := queries.NewTopK[queries.Q3Row](10, queries.Q3Less)
-		tops[wid] = top
-		for {
-			pm, ok := partDisp.Next()
-			if !ok {
-				break
-			}
-			p := pm.Begin
-			merged := hashtable.New(3, 1)
-			merged.Prepare(spill.PartitionCount(p))
-			msh := merged.Shard(0)
-			spill.PartitionRows(p, func(row []uint64) {
-				h, key := row[0], row[1]
-				for ref := merged.Lookup(h); ref != 0; ref = merged.Next(ref) {
-					if merged.Hash(ref) == h {
-						g := (*q3Group)(merged.Payload(ref))
-						if g.key == key {
-							g.revenue += int64(row[2])
-							return
-						}
-					}
-				}
-				ref, ptr := msh.Alloc(merged, h)
-				g := (*q3Group)(ptr)
-				g.key = key
-				g.revenue = int64(row[2])
-				g.datePrio = row[3]
-				merged.Insert(ref, h)
-			})
-			merged.ForEach(func(ref hashtable.Ref) {
-				g := (*q3Group)(merged.Payload(ref))
-				top.Offer(queries.Q3Row{
-					OrderKey:     int32(uint32(g.key)),
-					Revenue:      g.revenue,
-					OrderDate:    types.Date(lo32(g.datePrio)),
-					ShipPriority: int32(hi32(g.datePrio)),
-				})
-			})
-		}
-	})
-
-	final := queries.NewTopK[queries.Q3Row](10, queries.Q3Less)
-	for _, t := range tops {
-		final.Merge(t)
-	}
-	return final.Sorted()
 }
 
 // ---------------------------------------------------------------------
@@ -944,9 +699,6 @@ func Q18Ctx(ctx context.Context, db *storage.Database, nWorkers int) queries.Q18
 var (
 	_ = func() struct{} {
 		if unsafe.Sizeof(q1Group{}) != 7*8 ||
-			unsafe.Sizeof(q3Cust{}) != 1*8 ||
-			unsafe.Sizeof(q3Order{}) != 2*8 ||
-			unsafe.Sizeof(q3Group{}) != 3*8 ||
 			unsafe.Sizeof(q9Part{}) != 1*8 ||
 			unsafe.Sizeof(q9Supp{}) != 2*8 ||
 			unsafe.Sizeof(q9PS{}) != 2*8 ||

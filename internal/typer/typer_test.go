@@ -17,12 +17,6 @@ func TestTPCHMatchesReference(t *testing.T) {
 			if got, want := Q1Ctx(context.Background(), db, threads), queries.RefQ1(db); !reflect.DeepEqual(got, want) {
 				t.Errorf("sf=%v threads=%d Q1 mismatch:\n got %v\nwant %v", sf, threads, got, want)
 			}
-			if got, want := Q6Ctx(context.Background(), db, threads), queries.RefQ6(db); got != want {
-				t.Errorf("sf=%v threads=%d Q6 = %d, want %d", sf, threads, got, want)
-			}
-			if got, want := Q3Ctx(context.Background(), db, threads), queries.RefQ3(db); !reflect.DeepEqual(got, want) {
-				t.Errorf("sf=%v threads=%d Q3 mismatch:\n got %v\nwant %v", sf, threads, got, want)
-			}
 			if got, want := Q9Ctx(context.Background(), db, threads), queries.RefQ9(db); !reflect.DeepEqual(got, want) {
 				t.Errorf("sf=%v threads=%d Q9 mismatch:\n got %d rows want %d rows", sf, threads, len(got), len(want))
 			}
@@ -37,9 +31,6 @@ func TestSSBMatchesReference(t *testing.T) {
 	for _, sf := range []float64{0.01, 0.05} {
 		db := ssb.Generate(sf, 0)
 		for _, threads := range []int{1, 4} {
-			if got, want := SSBQ11Ctx(context.Background(), db, threads), queries.RefSSBQ11(db); got != want {
-				t.Errorf("sf=%v threads=%d Q1.1 = %d, want %d", sf, threads, got, want)
-			}
 			if got, want := SSBQ21Ctx(context.Background(), db, threads), queries.RefSSBQ21(db); !reflect.DeepEqual(got, want) {
 				t.Errorf("sf=%v threads=%d Q2.1 mismatch:\n got %v\nwant %v", sf, threads, got, want)
 			}
