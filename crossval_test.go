@@ -90,7 +90,7 @@ func TestHybridNamedQueries(t *testing.T) {
 	for _, c := range []struct {
 		db *DB
 		q  string
-	}{{tpchDB, "Q1"}, {tpchDB, "Q9"}, {ssbDB, "Q3.1"}} {
+	}{{tpchDB, "Q1"}, {tpchDB, "Q9"}, {ssbDB, "Q3.1"}, {ssbDB, "Q4.1"}} {
 		_, err := Run(c.db, Hybrid, c.q, Options{})
 		if err == nil {
 			t.Errorf("hybrid %s: no error", c.q)

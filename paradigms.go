@@ -100,9 +100,9 @@ func Run(db *DB, engine Engine, query string, opt Options) (any, error) {
 // engine. A name runs its hand-written kernel where internal/registry
 // lists one for the engine (Q1, Q9, Q18, Q5, Q2.1, Q3.1, Q4.1 on Typer
 // and Tectorwise), returning the typed result (queries.Q1Result, …);
-// otherwise its canonical SQL text runs as above. Q1, Q9 and Q3.1 have
-// no SQL text, so Hybrid does not run them. Unknown names or engines
-// return an error.
+// otherwise its canonical SQL text runs as above. Q1, Q9, Q3.1 and
+// Q4.1 have no SQL text, so Hybrid does not run them. Unknown names or
+// engines return an error.
 func RunContext(ctx context.Context, db *DB, eng Engine, query string, opt Options) (any, error) {
 	return registry.Run(ctx, db, string(eng), query, opt.Workers, opt.VectorSize)
 }
