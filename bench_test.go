@@ -484,9 +484,7 @@ func BenchmarkAblationPredication(b *testing.B) {
 // BenchmarkFig13Hybrid — §9.1: the relaxed-operator-fusion design point
 // between the two base paradigms, on the join-heavy Q3. Every arm runs
 // Q3's canonical SQL text through engine.Run; the rof arm is the generic
-// per-pipeline hybrid (the hand-written monolith it replaced, and the
-// hand-written Q3 kernels the other two arms once ran, are recorded in
-// EXPERIMENTS.md).
+// per-pipeline hybrid.
 func BenchmarkFig13Hybrid(b *testing.B) {
 	db, _, _ := benchDBs()
 	text, _ := logical.SQLText("tpch", "Q3")

@@ -81,12 +81,12 @@ func main() {
 	ssbsf := flag.Float64("ssbsf", 0.05, "SSB scale factor")
 	workers := flag.Int("workers", 0, "morsel workers per query (0 = GOMAXPROCS)")
 	vecSize := flag.Int("vecsize", 0, "vector size (0 = default; vectorized engine only)")
-	engine := flag.String("engine", engine.Tectorwise, "initial engine (typer | tectorwise | hybrid | auto)")
+	engineFlag := flag.String("engine", engine.Tectorwise, "initial engine (typer | tectorwise | hybrid | auto)")
 	flag.Parse()
 
-	eng, ok := engineName(*engine)
+	eng, ok := engineName(*engineFlag)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "sqlsh: unknown -engine %q\n", *engine)
+		fmt.Fprintf(os.Stderr, "sqlsh: unknown -engine %q\n", *engineFlag)
 		os.Exit(2)
 	}
 

@@ -14,16 +14,16 @@ import (
 
 var (
 	benchOnce sync.Once
-	benchDB   *storage.Database
-	benchSSB  *storage.Database
+	benchTP   *storage.Database
+	benchSB   *storage.Database
 )
 
-func benchTPCH() *storage.Database {
+func benchDBs() (*storage.Database, *storage.Database) {
 	benchOnce.Do(func() {
-		benchDB = tpch.Generate(0.1, 0)
-		benchSSB = ssb.Generate(0.1, 0)
+		benchTP = tpch.Generate(0.1, 0)
+		benchSB = ssb.Generate(0.1, 0)
 	})
-	return benchDB
+	return benchTP, benchSB
 }
 
 // BenchmarkSQLCompiledVsHandTyper compares the compiled lowering of each
@@ -32,16 +32,16 @@ func benchTPCH() *storage.Database {
 // and SSB Q1.1 lost their kernels when the lowering matched them
 // (EXPERIMENTS.md records the last hand-vs-lowered rows).
 func BenchmarkSQLCompiledVsHandTyper(b *testing.B) {
-	benchTPCH()
+	tp, sb := benchDBs()
 	ctx := context.Background()
 	for _, q := range []struct {
 		db   *storage.Database
 		name string
 		hand func()
 	}{
-		{benchDB, "Q5", func() { typer.Q5Ctx(ctx, benchDB, 1) }},
-		{benchDB, "Q18", func() { typer.Q18Ctx(ctx, benchDB, 1) }},
-		{benchSSB, "Q2.1", func() { typer.SSBQ21Ctx(ctx, benchSSB, 1) }},
+		{tp, "Q5", func() { typer.Q5Ctx(ctx, tp, 1) }},
+		{tp, "Q18", func() { typer.Q18Ctx(ctx, tp, 1) }},
+		{sb, "Q2.1", func() { typer.SSBQ21Ctx(ctx, sb, 1) }},
 	} {
 		text, _ := logical.SQLText(q.db.Name, q.name)
 		pl, err := logical.Prepare(q.db, text)
@@ -66,7 +66,7 @@ func BenchmarkSQLCompiledVsHandTyper(b *testing.B) {
 // BenchmarkCompiledLowering isolates the lower + closure-compile cost
 // (no execution): per-statement overhead of the compiled backend.
 func BenchmarkCompiledLowering(b *testing.B) {
-	db := benchTPCH()
+	db, _ := benchDBs()
 	text, _ := logical.SQLText("tpch", "Q5")
 	pl, err := logical.Prepare(db, text)
 	if err != nil {

@@ -13,16 +13,16 @@ import (
 
 var (
 	benchOnce sync.Once
-	benchDB   *storage.Database
-	benchSSB  *storage.Database
+	benchTP   *storage.Database
+	benchSB   *storage.Database
 )
 
-func benchTPCH() *storage.Database {
+func benchDBs() (*storage.Database, *storage.Database) {
 	benchOnce.Do(func() {
-		benchDB = tpch.Generate(0.1, 0)
-		benchSSB = ssb.Generate(0.1, 0)
+		benchTP = tpch.Generate(0.1, 0)
+		benchSB = ssb.Generate(0.1, 0)
 	})
-	return benchDB
+	return benchTP, benchSB
 }
 
 // BenchmarkSQLVsPlan compares the vectorized lowering of each query that
@@ -31,16 +31,16 @@ func benchTPCH() *storage.Database {
 // keeping it. Q6 and Q3 lost their hand plans when the lowering matched
 // them (EXPERIMENTS.md records the last hand-vs-lowered rows).
 func BenchmarkSQLVsPlan(b *testing.B) {
-	benchTPCH()
+	tp, sb := benchDBs()
 	ctx := context.Background()
 	for _, q := range []struct {
 		db   *storage.Database
 		name string
 		hand func()
 	}{
-		{benchDB, "Q5", func() { plan.Q5Ctx(ctx, benchDB, 1, 0) }},
-		{benchDB, "Q18", func() { plan.Q18Ctx(ctx, benchDB, 1, 0) }},
-		{benchSSB, "Q2.1", func() { plan.SSBQ21Ctx(ctx, benchSSB, 1, 0) }},
+		{tp, "Q5", func() { plan.Q5Ctx(ctx, tp, 1, 0) }},
+		{tp, "Q18", func() { plan.Q18Ctx(ctx, tp, 1, 0) }},
+		{sb, "Q2.1", func() { plan.SSBQ21Ctx(ctx, sb, 1, 0) }},
 	} {
 		text, _ := SQLText(q.db.Name, q.name)
 		pl, err := Prepare(q.db, text)
@@ -65,7 +65,7 @@ func BenchmarkSQLVsPlan(b *testing.B) {
 // BenchmarkSQLFrontend isolates the parse → bind → optimize → lower
 // cost (no execution): planning overhead per ad-hoc statement.
 func BenchmarkSQLFrontend(b *testing.B) {
-	db := benchTPCH()
+	db, _ := benchDBs()
 	text, _ := SQLText("tpch", "Q5")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
