@@ -170,6 +170,50 @@ func SelectRange[T ~int32](data []T, lo, hi T, out []int32) int {
 	return k
 }
 
+// SelectRange64 is SelectRange over a 64-bit column (uint64(v-lo) <=
+// uint64(hi-lo)). Requires lo <= hi.
+func SelectRange64(data []int64, lo, hi int64, out []int32) int {
+	k := 0
+	span := uint64(hi - lo)
+	for i, v := range data {
+		out[k] = int32(i)
+		if uint64(v-lo) <= span {
+			k++
+		}
+	}
+	return k
+}
+
+// SelectRangeSparse narrows the selection vector sel to the positions
+// with lo <= data[s] <= hi, branch-free — the further conjuncts of a
+// staged range cascade. out may alias sel (narrowing in place).
+// Requires lo <= hi.
+func SelectRangeSparse[T ~int32](data []T, lo, hi T, sel, out []int32) int {
+	k := 0
+	span := uint32(int32(hi) - int32(lo))
+	l := int32(lo)
+	for _, s := range sel {
+		out[k] = s
+		if uint32(int32(data[s])-l) <= span {
+			k++
+		}
+	}
+	return k
+}
+
+// SelectRangeSparse64 is SelectRangeSparse over a 64-bit column.
+func SelectRangeSparse64(data []int64, lo, hi int64, sel, out []int32) int {
+	k := 0
+	span := uint64(hi - lo)
+	for _, s := range sel {
+		out[k] = s
+		if uint64(data[s]-lo) <= span {
+			k++
+		}
+	}
+	return k
+}
+
 // HashMix64Unrolled hashes four keys per iteration with the Mix64
 // finalizer (the compiled backend's hash), overlapping the independent
 // multiply chains like HashUnrolled does for Murmur2. The hybrid
