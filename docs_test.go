@@ -329,6 +329,46 @@ func TestOneFrontDoor(t *testing.T) {
 	}
 }
 
+// TestOneFusedLoop pins the structure DESIGN.md §9 describes: the
+// compiled backend has one morsel loop, (*pipe).run with its staged
+// range filter, so non-test internal/compiled claims morsels at exactly
+// one disp.Next() call site and a hand-specialized loop variant cannot
+// come back unnoticed.
+func TestOneFusedLoop(t *testing.T) {
+	files, err := filepath.Glob("internal/compiled/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var sites []string
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "Next" {
+				return true
+			}
+			if recv, ok := sel.X.(*ast.SelectorExpr); ok && recv.Sel.Name == "disp" {
+				sites = append(sites, fset.Position(call.Pos()).String())
+			}
+			return true
+		})
+	}
+	if len(sites) != 1 {
+		t.Errorf("internal/compiled calls disp.Next() at %d sites, want 1 (the fused loop): %v", len(sites), sites)
+	}
+}
+
 // TestNamedQueryPaths pins the named-query table DESIGN.md §7 describes:
 // one static table in internal/registry instead of registrations fed
 // from init functions, imported only by the facade and the experiment

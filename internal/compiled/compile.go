@@ -196,12 +196,12 @@ func (p *pipe) base64Col(e sql.Expr) []int64 {
 // ---------------------------------------------------------------------
 
 // bound32/bound64 are inclusive per-column range checks, the normalized
-// form of every pushed-down col-vs-literal comparison. They are checked
-// inline in the fused scan loop (no closure call), which is what keeps
-// the compiled backend's filter cost at the hand-written engine's level.
+// form of every pushed-down col-vs-literal comparison, with lo <= hi
+// (bound32's clamped to int32). The fused loop applies them per block
+// with the branch-free simd range kernels, before any row-level work.
 type bound32 struct {
 	col    []int32
-	lo, hi int64
+	lo, hi int32
 }
 
 type bound64 struct {
@@ -231,9 +231,16 @@ type filt struct {
 // col-vs-literal comparisons fold into per-column range bounds
 // (intersecting repeated bounds on one column, e.g. the two shipdate
 // conjuncts of Q6); string (in)equalities against literals check the
-// heap inline; everything else compiles to a per-row predicate.
+// heap inline; everything else compiles to a per-row predicate. A range
+// no value of its column can satisfy (lo > hi, or outside int32 for a
+// 32-bit column) rejects the whole pipeline here, once.
 func (p *pipe) compileFilters() error {
-	at := map[*catalog.Column]int{} // column → index into b32/b64 (disjoint)
+	type colRange struct {
+		col    *catalog.Column
+		lo, hi int64
+	}
+	var ranges []colRange
+	at := map[*catalog.Column]int{} // column → index into ranges
 	for _, f := range p.scan.Filters {
 		if s, ok := p.strEqOf(f); ok {
 			p.filt.strs = append(p.filt.strs, s)
@@ -249,26 +256,26 @@ func (p *pipe) compileFilters() error {
 			continue
 		}
 		if idx, seen := at[col]; seen {
-			switch col.Type.Kind {
-			case catalog.Int32, catalog.Date:
-				b := &p.filt.b32[idx]
-				b.lo, b.hi = max(b.lo, lo), min(b.hi, hi)
-			default:
-				b := &p.filt.b64[idx]
-				b.lo, b.hi = max(b.lo, lo), min(b.hi, hi)
-			}
+			r := &ranges[idx]
+			r.lo, r.hi = max(r.lo, lo), min(r.hi, hi)
 			continue
 		}
-		c32, c64, err := baseViews(col)
+		at[col] = len(ranges)
+		ranges = append(ranges, colRange{col: col, lo: lo, hi: hi})
+	}
+	for _, r := range ranges {
+		c32, c64, err := baseViews(r.col)
 		if err != nil {
 			return err
 		}
-		if c32 != nil {
-			at[col] = len(p.filt.b32)
-			p.filt.b32 = append(p.filt.b32, bound32{col: c32, lo: lo, hi: hi})
-		} else {
-			at[col] = len(p.filt.b64)
-			p.filt.b64 = append(p.filt.b64, bound64{col: c64, lo: lo, hi: hi})
+		switch {
+		case r.lo > r.hi || c32 != nil && (r.lo > math.MaxInt32 || r.hi < math.MinInt32):
+			p.rejectAll = true
+		case c32 != nil:
+			p.filt.b32 = append(p.filt.b32, bound32{col: c32,
+				lo: int32(max(r.lo, math.MinInt32)), hi: int32(min(r.hi, math.MaxInt32))})
+		default:
+			p.filt.b64 = append(p.filt.b64, bound64{col: c64, lo: r.lo, hi: r.hi})
 		}
 	}
 	return nil

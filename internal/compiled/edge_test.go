@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"paradigms/internal/exec"
 	"paradigms/internal/logical"
 	"paradigms/internal/sqlcheck"
 	"paradigms/internal/storage"
@@ -90,4 +91,71 @@ func TestCompiledAllFalseSelections(t *testing.T) {
 
 func TestCompiledTinyQualifyingSets(t *testing.T) {
 	checkEdge(t, "tiny", sqlcheck.MiniTPCH(7, true), sqlcheck.MiniSSB(7, true))
+}
+
+// TestCompiledStagedLoop covers the fused loop's staged range filter
+// (probeBlock-row blocks selected by the simd range kernels, survivors
+// run tuple at a time) at morsel sizes that end a morsel before, on and
+// after a block boundary, so blocks straddle morsel ends. Every shape
+// must match the vectorized lowering and the oracle.
+func TestCompiledStagedLoop(t *testing.T) {
+	tp, _ := testDBs()
+	db := tp[0.01]
+	q5, _ := logical.SQLText("tpch", "Q5")
+	cases := map[string]string{
+		"64-bit bounds only": `select count(*), sum(l_extendedprice * l_discount) from lineitem
+			where l_discount between 0.05 and 0.07 and l_quantity < 24`,
+		"two 32-bit bounds, build side": `select c_nationkey, count(*), sum(o_totalprice) from customer, orders
+			where c_custkey = o_custkey and c_custkey < 1100 and c_nationkey between 3 and 20
+			group by c_nationkey`,
+		"contradictory 32-bit bound": `select count(*), sum(l_quantity) from lineitem
+			where l_shipdate >= date '1995-01-01' and l_shipdate < date '1994-01-01'`,
+		"32-bit bound above int32": `select count(*) from orders where o_orderkey > 2147483647`,
+		"32-bit bound below int32": `select o_custkey, count(*) from orders
+			where o_orderkey < -2147483648 group by o_custkey`,
+		"contradictory 64-bit bound": `select count(*), sum(l_extendedprice) from lineitem
+			where l_discount > 0.07 and l_discount < 0.05`,
+		"bounds and string equality": `select c_nationkey, count(*) from customer
+			where c_custkey between 100 and 1200 and c_mktsegment = 'BUILDING' group by c_nationkey`,
+		"bounds and OR": `select count(*), sum(l_extendedprice) from lineitem
+			where l_shipdate >= date '1994-01-01' and (l_quantity < 5 or l_discount = 0.1)`,
+		"multi-probe with residual (Q5)": q5,
+		"filtered build, filtered grouped probe": `select o_shippriority, count(*), sum(l_quantity) from orders, lineitem
+			where o_orderkey = l_orderkey and o_orderdate < date '1995-03-15'
+			  and l_shipdate > date '1995-03-15' group by o_shippriority`,
+		"filtered projection": `select l_orderkey, l_quantity from lineitem
+			where l_shipdate between date '1994-01-01' and date '1994-01-20'`,
+	}
+	for name, text := range cases {
+		want, err := sqlcheck.Oracle(db, text)
+		if err != nil {
+			t.Fatalf("%s: oracle: %v", name, err)
+		}
+		wantC := sqlcheck.Canon(want)
+		pl, err := logical.Prepare(db, text)
+		if err != nil {
+			t.Fatalf("%s: prepare: %v", name, err)
+		}
+		for _, morsel := range []int{1, probeBlock - 1, probeBlock, probeBlock + 1} {
+			ctx := exec.WithMorselSize(context.Background(), morsel)
+			for _, workers := range []int{1, 3} {
+				res, err := Execute(ctx, pl, workers)
+				if err != nil {
+					t.Fatalf("%s morsel=%d w=%d compiled: %v", name, morsel, workers, err)
+				}
+				if !sqlcheck.SameRows(sqlcheck.Canon(res.Rows), wantC) {
+					t.Errorf("%s morsel=%d w=%d: compiled mismatch\n got %v\nwant %v",
+						name, morsel, workers, trunc(res.Rows), trunc(want))
+				}
+				lres, err := pl.Execute(ctx, workers, 1000)
+				if err != nil {
+					t.Fatalf("%s morsel=%d w=%d vectorized: %v", name, morsel, workers, err)
+				}
+				if !sqlcheck.SameRows(sqlcheck.Canon(lres.Rows), wantC) {
+					t.Errorf("%s morsel=%d w=%d: vectorized mismatch\n got %v\nwant %v",
+						name, morsel, workers, trunc(lres.Rows), trunc(want))
+				}
+			}
+		}
+	}
 }

@@ -58,351 +58,174 @@ func drive(ctx context.Context, pl *logical.Plan, nWorkers int, mode logical.Mod
 	return logical.Drive(ctx, pl, nWorkers, logical.Policy{Fused: cp}, mode)
 }
 
-// run drives the pipeline's fused tuple-at-a-time loop. The loop body
-// is what a data-centric code generator would emit per pipeline; per
-// DESIGN.md S1 the "generated code" for the dominant shapes is
-// committed here as specialized loop variants — a pure filter scan and
-// a filter scan + single probe, each with its bounds and probe state
-// hoisted into function-local variables — because one polymorphic loop
-// carries enough live state that Go spills it to the stack on every
-// row. Wider shapes (multi-probe pipelines like Q5's) take the generic
-// loop.
+// run drives the pipeline's fused loop, the one morsel loop of the
+// compiled backend. Its body is what a data-centric code generator would
+// emit per pipeline (DESIGN.md S1), staged per block of probeBlock rows:
+// the range bounds select the block's qualifying positions branch-free
+// (filt.selectBlock), then one tuple-at-a-time loop runs the string
+// equalities, generic predicates, probes and sink over the survivors.
+// A spine with no range bound skips the staging and walks each morsel
+// directly.
 func (p *pipe) run(sink func(i int, fr []int64)) {
 	if p.rejectAll {
 		return
 	}
 	frame := make([]int64, p.slots)
-	// checked filters beyond the unrolled range bounds and inline
-	// string equalities.
-	tail := len(p.filt.preds) > 0 || len(p.filt.b32) > 2 || len(p.filt.b64) > 2
-	switch {
-	case len(p.steps) == 0 && !tail:
-		p.runScan(frame, sink)
-	case len(p.steps) == 1 && !tail && len(p.steps[0].residuals) == 0 && len(p.filt.strs) == 0:
-		if len(p.filt.b32) <= 1 && len(p.filt.b64) == 0 && p.steps[0].key32 != nil {
-			p.runScanProbe32(frame, sink)
-		} else {
-			p.runScanProbe(frame, sink)
+	f := &p.filt
+	var sel []int32
+	if len(f.b32)+len(f.b64) > 0 {
+		sel = make([]int32, probeBlock)
+	}
+	probeOnly := len(p.steps) == 1 && len(p.steps[0].residuals) == 0 && len(f.strs) == 0 && len(f.preds) == 0
+	for {
+		m, ok := p.disp.Next()
+		if !ok {
+			return
 		}
-	default:
-		p.runGeneric(frame, sink)
+		for base := m.Begin; base < m.End; {
+			end, pos := m.End, []int32(nil)
+			if sel != nil {
+				end = min(base+probeBlock, m.End)
+				pos = sel[:f.selectBlock(base, end, sel)]
+			}
+			if probeOnly {
+				p.probeOne(base, end, pos, frame, sink)
+			} else {
+				p.survivors(base, end, pos, frame, sink)
+			}
+			base = end
+		}
 	}
 }
 
-// probeBlock is the staging granularity of runScanProbe32's filter: the
-// bound check runs branch-free over a cache-resident block (the SWAR
-// kernel of internal/simd), and only qualifying positions reach the
-// probe loop — a micro-vectorized stage inside an otherwise fused
+// probeBlock is the staging granularity of the fused loop's range
+// filter: the bound checks run branch-free over a cache-resident block
+// (the kernels of internal/simd), and only qualifying positions reach
+// the row loop — a micro-vectorized stage inside an otherwise fused
 // pipeline, per the paper's observation that data-parallel filter work
 // is where SIMD pays even in a compiled engine (§5).
 const probeBlock = 1024
 
-// runScanProbe32: at most one 32-bit range bound and one 32-bit-keyed
-// residual-free probe — the exact shape of every pipeline of Q3 and
-// Q18, kept register-resident.
-func (p *pipe) runScanProbe32(frame []int64, sink func(i int, fr []int64)) {
-	st := p.steps[0]
-	k32 := st.key32
-	ht := st.build.ht
-	gath := st.gathers
-	if len(p.filt.b32) == 0 {
-		// No bound: plain probe loop, no staging.
-		for {
-			m, ok := p.disp.Next()
-			if !ok {
-				return
-			}
-		rows:
-			for i := m.Begin; i < m.End; i++ {
-				k := uint64(uint32(k32[i]))
-				ref := ht.Lookup(hashtable.Mix64(k))
-				for {
-					if ref == 0 {
-						continue rows
-					}
-					if row := ht.Row(ref); row[0] == k {
-						for _, g := range gath {
-							frame[g.slot] = int64(row[g.word])
-						}
-						break
-					}
-					ref = ht.Next(ref)
-				}
-				sink(i, frame)
-			}
-		}
+// selectBlock writes the positions (relative to lo) of the rows in
+// [lo, hi) that pass every range bound to sel and returns their count:
+// the first bound selects densely, each further one narrows sel in
+// place.
+func (f *filt) selectBlock(lo, hi int, sel []int32) int {
+	b32, b64 := f.b32, f.b64
+	var n int
+	if len(b32) > 0 {
+		n = simd.SelectRange(b32[0].col[lo:hi], b32[0].lo, b32[0].hi, sel)
+		b32 = b32[1:]
+	} else {
+		n = simd.SelectRange64(b64[0].col[lo:hi], b64[0].lo, b64[0].hi, sel)
+		b64 = b64[1:]
 	}
-	c32, lo, hi := p.filt.b32[0].col, p.filt.b32[0].lo, p.filt.b32[0].hi
-	if lo > hi || lo > math.MaxInt32 || hi < math.MinInt32 {
-		return // empty range, or bound excludes every 32-bit value
+	for _, b := range b32 {
+		n = simd.SelectRangeSparse(b.col[lo:hi], b.lo, b.hi, sel[:n], sel)
 	}
-	lo32, hi32 := int32(max64(lo, math.MinInt32)), int32(min64(hi, math.MaxInt32))
-	sel := make([]int32, probeBlock)
-	for {
-		m, ok := p.disp.Next()
-		if !ok {
-			return
-		}
-		for base := m.Begin; base < m.End; base += probeBlock {
-			end := base + probeBlock
-			if end > m.End {
-				end = m.End
-			}
-			nk := simd.SelectRange(c32[base:end], lo32, hi32, sel)
-		matches:
-			for j := 0; j < nk; j++ {
-				i := base + int(sel[j])
-				k := uint64(uint32(k32[i]))
-				ref := ht.Lookup(hashtable.Mix64(k))
-				for {
-					if ref == 0 {
-						continue matches
-					}
-					if row := ht.Row(ref); row[0] == k {
-						for _, g := range gath {
-							frame[g.slot] = int64(row[g.word])
-						}
-						break
-					}
-					ref = ht.Next(ref)
-				}
-				sink(i, frame)
-			}
-		}
+	for _, b := range b64 {
+		n = simd.SelectRangeSparse64(b.col[lo:hi], b.lo, b.hi, sel[:n], sel)
 	}
+	return n
 }
 
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// bounds returns the unrolled range-bound locals of the filter cascade
-// (nil col = absent slot). Callers checked that at most two bounds per
-// width exist.
-func (f *filt) bounds() (c32a, c32b []int32, lo32a, hi32a, lo32b, hi32b int64, c64a, c64b []int64, lo64a, hi64a, lo64b, hi64b int64) {
-	if len(f.b32) > 0 {
-		c32a, lo32a, hi32a = f.b32[0].col, f.b32[0].lo, f.b32[0].hi
-	}
-	if len(f.b32) > 1 {
-		c32b, lo32b, hi32b = f.b32[1].col, f.b32[1].lo, f.b32[1].hi
-	}
-	if len(f.b64) > 0 {
-		c64a, lo64a, hi64a = f.b64[0].col, f.b64[0].lo, f.b64[0].hi
-	}
-	if len(f.b64) > 1 {
-		c64b, lo64b, hi64b = f.b64[1].col, f.b64[1].lo, f.b64[1].hi
-	}
-	return
-}
-
-// runScan: filter-only pipeline — range bounds and inline string
-// equalities, no probes. The exact (one 32-bit, two 64-bit) shape of
-// Q6's cascade gets its own branch-free-slot loop.
-func (p *pipe) runScan(frame []int64, sink func(i int, fr []int64)) {
+// survivors runs the row loop over one block's qualifying rows: base+pos[j]
+// for every j, or every row of [base, end) when pos is nil.
+func (p *pipe) survivors(base, end int, pos []int32, frame []int64, sink func(i int, fr []int64)) {
 	f := &p.filt
-	if len(f.b32) == 1 && len(f.b64) == 2 && len(f.strs) == 0 {
-		p.runScan122(frame, sink)
-		return
+	steps := p.steps
+	n := end - base
+	if pos != nil {
+		n = len(pos)
 	}
-	c32a, c32b, lo32a, hi32a, lo32b, hi32b, c64a, c64b, lo64a, hi64a, lo64b, hi64b := f.bounds()
-	strs := f.strs
-	for {
-		m, ok := p.disp.Next()
-		if !ok {
-			return
+rows:
+	for j := 0; j < n; j++ {
+		i := base + j
+		if pos != nil {
+			i = base + int(pos[j])
 		}
-	rows:
-		for i := m.Begin; i < m.End; i++ {
-			if c32a != nil {
-				if v := int64(c32a[i]); v < lo32a || v > hi32a {
-					continue rows
-				}
+		for _, s := range f.strs {
+			if bytes.Equal(s.heap.Get(i), s.val) != s.eq {
+				continue rows
 			}
-			if c32b != nil {
-				if v := int64(c32b[i]); v < lo32b || v > hi32b {
-					continue rows
-				}
-			}
-			if c64a != nil {
-				if v := c64a[i]; v < lo64a || v > hi64a {
-					continue rows
-				}
-			}
-			if c64b != nil {
-				if v := c64b[i]; v < lo64b || v > hi64b {
-					continue rows
-				}
-			}
-			for _, s := range strs {
-				if bytes.Equal(s.heap.Get(i), s.val) != s.eq {
-					continue rows
-				}
-			}
-			sink(i, frame)
 		}
-	}
-}
-
-// runScan122: one 32-bit and two 64-bit bounds (Q6's and Q1.1's
-// cascade), all slots present — no per-slot nil checks.
-func (p *pipe) runScan122(frame []int64, sink func(i int, fr []int64)) {
-	f := &p.filt
-	c32, lo32, hi32 := f.b32[0].col, f.b32[0].lo, f.b32[0].hi
-	c64a, lo64a, hi64a := f.b64[0].col, f.b64[0].lo, f.b64[0].hi
-	c64b, lo64b, hi64b := f.b64[1].col, f.b64[1].lo, f.b64[1].hi
-	for {
-		m, ok := p.disp.Next()
-		if !ok {
-			return
+		for _, pr := range f.preds {
+			if !pr(i, frame) {
+				continue rows
+			}
 		}
-		for i := m.Begin; i < m.End; i++ {
-			if v := int64(c32[i]); v < lo32 || v > hi32 {
-				continue
-			}
-			if v := c64a[i]; v < lo64a || v > hi64a {
-				continue
-			}
-			if v := c64b[i]; v < lo64b || v > hi64b {
-				continue
-			}
-			sink(i, frame)
-		}
-	}
-}
-
-// runScanProbe: filter scan plus one residual-free probe (the shape of
-// every pipeline of Q3/Q18/Q1.1 and most of Q5's). Probe walks compare
-// the stored key directly — chains are per-bucket, so a key match is
-// definitive and one word cheaper than the hash prefilter on these
-// 1-word keys.
-func (p *pipe) runScanProbe(frame []int64, sink func(i int, fr []int64)) {
-	c32a, c32b, lo32a, hi32a, lo32b, hi32b, c64a, c64b, lo64a, hi64a, lo64b, hi64b := p.filt.bounds()
-	st := p.steps[0]
-	k32, k64 := st.key32, st.key64
-	ht := st.build.ht
-	gath := st.gathers
-	for {
-		m, ok := p.disp.Next()
-		if !ok {
-			return
-		}
-	rows:
-		for i := m.Begin; i < m.End; i++ {
-			if c32a != nil {
-				if v := int64(c32a[i]); v < lo32a || v > hi32a {
-					continue rows
-				}
-			}
-			if c32b != nil {
-				if v := int64(c32b[i]); v < lo32b || v > hi32b {
-					continue rows
-				}
-			}
-			if c64a != nil {
-				if v := c64a[i]; v < lo64a || v > hi64a {
-					continue rows
-				}
-			}
-			if c64b != nil {
-				if v := c64b[i]; v < lo64b || v > hi64b {
-					continue rows
-				}
-			}
+		for _, st := range steps {
 			var k uint64
-			if k32 != nil {
-				k = uint64(uint32(k32[i]))
+			if st.key32 != nil {
+				k = uint64(uint32(st.key32[i]))
 			} else {
-				k = uint64(k64[i])
+				k = uint64(st.key64[i])
 			}
+			ht := st.build.ht
 			ref := ht.Lookup(hashtable.Mix64(k))
 			for {
 				if ref == 0 {
 					continue rows
 				}
 				if row := ht.Row(ref); row[0] == k {
-					for _, g := range gath {
+					for _, g := range st.gathers {
 						frame[g.slot] = int64(row[g.word])
 					}
 					break
 				}
 				ref = ht.Next(ref)
 			}
-			sink(i, frame)
+			for _, r := range st.residuals {
+				if r.a(i, frame) != r.b(i, frame) {
+					continue rows
+				}
+			}
 		}
+		sink(i, frame)
 	}
 }
 
-// runGeneric handles every remaining shape: wide filter cascades,
-// generic predicates, multi-probe pipelines, and probe residuals.
-func (p *pipe) runGeneric(frame []int64, sink func(i int, fr []int64)) {
-	f := &p.filt
-	steps := p.steps
-	for {
-		m, ok := p.disp.Next()
-		if !ok {
-			return
+// probeOne is survivors for the dominant join shape — one residual-free
+// probe and no row checks, every pipeline of Q3 and Q18 — with the probe
+// state hoisted into locals so it stays register-resident. Probe walks
+// compare the stored key directly: chains are per-bucket, so a key match
+// is definitive and one word cheaper than the hash prefilter on these
+// 1-word keys.
+func (p *pipe) probeOne(base, end int, pos []int32, frame []int64, sink func(i int, fr []int64)) {
+	st := p.steps[0]
+	k32, k64 := st.key32, st.key64
+	ht := st.build.ht
+	gath := st.gathers
+	n := end - base
+	if pos != nil {
+		n = len(pos)
+	}
+rows:
+	for j := 0; j < n; j++ {
+		i := base + j
+		if pos != nil {
+			i = base + int(pos[j])
 		}
-	rows:
-		for i := m.Begin; i < m.End; i++ {
-			for _, b := range f.b32 {
-				if v := int64(b.col[i]); v < b.lo || v > b.hi {
-					continue rows
-				}
-			}
-			for _, b := range f.b64 {
-				if v := b.col[i]; v < b.lo || v > b.hi {
-					continue rows
-				}
-			}
-			for _, s := range f.strs {
-				if bytes.Equal(s.heap.Get(i), s.val) != s.eq {
-					continue rows
-				}
-			}
-			for _, pr := range f.preds {
-				if !pr(i, frame) {
-					continue rows
-				}
-			}
-			for _, st := range steps {
-				var k uint64
-				if st.key32 != nil {
-					k = uint64(uint32(st.key32[i]))
-				} else {
-					k = uint64(st.key64[i])
-				}
-				ht := st.build.ht
-				ref := ht.Lookup(hashtable.Mix64(k))
-				for {
-					if ref == 0 {
-						continue rows
-					}
-					if row := ht.Row(ref); row[0] == k {
-						for _, g := range st.gathers {
-							frame[g.slot] = int64(row[g.word])
-						}
-						break
-					}
-					ref = ht.Next(ref)
-				}
-				for _, r := range st.residuals {
-					if r.a(i, frame) != r.b(i, frame) {
-						continue rows
-					}
-				}
-			}
-			sink(i, frame)
+		var k uint64
+		if k32 != nil {
+			k = uint64(uint32(k32[i]))
+		} else {
+			k = uint64(k64[i])
 		}
+		ref := ht.Lookup(hashtable.Mix64(k))
+		for {
+			if ref == 0 {
+				continue rows
+			}
+			if row := ht.Row(ref); row[0] == k {
+				for _, g := range gath {
+					frame[g.slot] = int64(row[g.word])
+				}
+				break
+			}
+			ref = ht.Next(ref)
+		}
+		sink(i, frame)
 	}
 }
 
