@@ -147,10 +147,12 @@ func (c *Client) do(ctx context.Context, q proto.QueryRequest) (*Rows, error) {
 	return newRows(resp.Body), nil
 }
 
-// newRows iterates the frames of one response body.
+// newRows iterates the frames of one response body. The line buffer
+// starts at the scanner's 4 KB and doubles as frames need, up to a
+// 16 MB frame.
 func newRows(body io.ReadCloser) *Rows {
 	r := &Rows{body: body, sc: bufio.NewScanner(body)}
-	r.sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	r.sc.Buffer(nil, 16*1024*1024)
 	return r
 }
 

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -73,6 +74,51 @@ func TestRowsNextAllocatesPerStreamNotPerRow(t *testing.T) {
 	}
 	if eight > one {
 		t.Errorf("draining eight frames allocates %v times, one frame %v: the row arena is not reused", eight, one)
+	}
+}
+
+// TestRowsSmallResponseAllocatesLittle: a one-row response costs a few
+// KB — the line buffer starts small and grows with the frames, instead
+// of being sized for a large frame before the first byte is read.
+func TestRowsSmallResponseAllocatesLittle(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	body := streamBody(t, [][]int64{{42}})
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		got, err := newRows(io.NopCloser(bytes.NewReader(body))).All()
+		if err != nil || len(got) != 1 || got[0][0] != 42 {
+			t.Fatalf("rows %v, err %v", got, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perResponse := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("one-row response allocates %d B", perResponse)
+	if perResponse >= 16<<10 {
+		t.Errorf("a one-row response allocates %d B, want under 16 KB", perResponse)
+	}
+}
+
+// TestRowsDecodesFrameOver64KB: one rows frame larger than 64 KB still
+// decodes — the line buffer grows past its start size.
+func TestRowsDecodesFrameOver64KB(t *testing.T) {
+	batch := make([][]int64, 8192)
+	for i := range batch {
+		batch[i] = []int64{int64(i) << 40}
+	}
+	body := streamBody(t, batch)
+	if len(body) <= 64<<10 {
+		t.Fatalf("body is %d B, want one frame over 64 KB", len(body))
+	}
+	got, err := newRows(io.NopCloser(bytes.NewReader(body))).All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, batch) {
+		t.Fatalf("decoded %d rows, want %d equal to the frame's", len(got), len(batch))
 	}
 }
 
