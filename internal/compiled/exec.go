@@ -72,11 +72,13 @@ func (p *pipe) run(sink func(i int, fr []int64)) {
 	}
 	frame := make([]int64, p.slots)
 	f := &p.filt
+	var buf [probeBlock]int32 // stays on the worker's stack
 	var sel []int32
 	if len(f.b32)+len(f.b64) > 0 {
-		sel = make([]int32, probeBlock)
+		sel = buf[:]
 	}
-	probeOnly := len(p.steps) == 1 && len(p.steps[0].residuals) == 0 && len(f.strs) == 0 && len(f.preds) == 0
+	probeOnly := len(p.steps) == 1 && p.steps[0].key32 != nil && len(p.steps[0].residuals) == 0 &&
+		len(f.strs) == 0 && len(f.preds) == 0
 	for {
 		m, ok := p.disp.Next()
 		if !ok {
@@ -186,36 +188,47 @@ rows:
 }
 
 // probeOne is survivors for the dominant join shape — one residual-free
-// probe and no row checks, every pipeline of Q3 and Q18 — with the probe
-// state hoisted into locals so it stays register-resident. Probe walks
-// compare the stored key directly: chains are per-bucket, so a key match
-// is definitive and one word cheaper than the hash prefilter on these
+// probe on a 32-bit key and no row checks, every pipeline of Q3 and Q18
+// — with the probe state hoisted into locals so it stays
+// register-resident: a second key column, or a per-row test for which
+// of the two loops below applies, spills it. Probe walks compare the
+// stored key directly: chains are per-bucket, so a key match is
+// definitive and one word cheaper than the hash prefilter on these
 // 1-word keys.
 func (p *pipe) probeOne(base, end int, pos []int32, frame []int64, sink func(i int, fr []int64)) {
 	st := p.steps[0]
-	k32, k64 := st.key32, st.key64
+	k32 := st.key32
 	ht := st.build.ht
 	gath := st.gathers
-	n := end - base
-	if pos != nil {
-		n = len(pos)
+	if pos == nil {
+	dense:
+		for i := base; i < end; i++ {
+			k := uint64(uint32(k32[i]))
+			ref := ht.Lookup(hashtable.Mix64(k))
+			for {
+				if ref == 0 {
+					continue dense
+				}
+				if row := ht.Row(ref); row[0] == k {
+					for _, g := range gath {
+						frame[g.slot] = int64(row[g.word])
+					}
+					break
+				}
+				ref = ht.Next(ref)
+			}
+			sink(i, frame)
+		}
+		return
 	}
-rows:
-	for j := 0; j < n; j++ {
-		i := base + j
-		if pos != nil {
-			i = base + int(pos[j])
-		}
-		var k uint64
-		if k32 != nil {
-			k = uint64(uint32(k32[i]))
-		} else {
-			k = uint64(k64[i])
-		}
+selected:
+	for _, s := range pos {
+		i := base + int(s)
+		k := uint64(uint32(k32[i]))
 		ref := ht.Lookup(hashtable.Mix64(k))
 		for {
 			if ref == 0 {
-				continue rows
+				continue selected
 			}
 			if row := ht.Row(ref); row[0] == k {
 				for _, g := range gath {
