@@ -6,15 +6,17 @@
 // and aggregations), instead of lowering onto the vectorized operator
 // layer. Expression evaluation is compiled to closures specialized by
 // column type and scale; pushed-down comparison filters are normalized
-// to per-column range bounds checked inline in the scan loop, so the
-// hot filter cascade costs what the hand-written Typer queries pay.
-// Pipelines run morsel-parallel under the shared internal/exec
-// dispatcher with context cancellation, build into the shared
-// internal/hashtable structures, and aggregate with the same two-phase
-// spill/merge algorithm as internal/typer — only the execution paradigm
-// differs from the Tectorwise lowering, exactly the paper's setup. The
-// package registers as the Typer engine's ad-hoc SQL path, so every SQL
-// text is executable on both engines and differentially testable.
+// to per-column range bounds. Every pipeline runs one block-staged loop:
+// the bounds select each 1024-row block's qualifying rows branch-free
+// with the internal/simd range kernels, and the fused tuple-at-a-time
+// loop runs over the survivors (DESIGN.md §9). Pipelines run
+// morsel-parallel under the shared internal/exec dispatcher with context
+// cancellation, build into the shared internal/hashtable structures,
+// and aggregate with the same two-phase spill/merge algorithm as
+// internal/typer — only the execution paradigm differs from the
+// Tectorwise lowering, exactly the paper's setup. The package registers
+// as the Typer engine's ad-hoc SQL path, so every SQL text is
+// executable on both engines and differentially testable.
 package compiled
 
 import (

@@ -135,8 +135,8 @@ func SelectSparseGE[T ~int32](data []T, bound T, sel []int32, out []int32) int {
 // returns the count, branch-free and 4-way unrolled. The inclusive range
 // check compiles to one subtract and one unsigned compare per lane
 // (v in [lo,hi] iff uint32(v-lo) <= uint32(hi-lo), valid for any signed
-// lo <= hi under two's-complement wraparound) — the block-staged filter
-// of the compiled backend's hot scan-probe loop. Requires lo <= hi.
+// lo <= hi under two's-complement wraparound) — the first stage of the
+// compiled backend's block-staged filter. Requires lo <= hi.
 func SelectRange[T ~int32](data []T, lo, hi T, out []int32) int {
 	k := 0
 	span := uint32(int32(hi) - int32(lo))
