@@ -11,10 +11,13 @@
 // key-unique side, and group-by keys collapse through key columns), and
 // the decimal scale of each fixed-point column (SQL literals are coerced
 // to the column's scale so `l_discount between 0.05 and 0.07` compares
-// raw scaled integers, §3's exact-integer arithmetic).
+// raw scaled integers, §3's exact-integer arithmetic). It also carries
+// the one statistic the planner derives from the data: each column's
+// sampled distinct count (Column.NDV), computed on first use.
 package catalog
 
 import (
+	"hash/maphash"
 	"sort"
 	"sync/atomic"
 
@@ -71,6 +74,61 @@ type Column struct {
 	Name  string
 	Type  Type
 	Table *Table
+
+	ndv atomic.Int64 // NDV's estimate once computed, 0 before
+}
+
+// ndvSample bounds how many values NDV reads, so planning never scans a
+// whole fact column.
+const ndvSample = 4096
+
+// NDV estimates the column's number of distinct values — the planner's
+// equality selectivity is 1/NDV. It is computed on first use from a
+// strided sample of at most ndvSample values and kept on the column, so
+// it lives exactly as long as the database's catalog. A sample covering
+// the whole column counts exactly; a sample at least nine-tenths
+// distinct reads as key-like (NDV = rows); otherwise the sample's own
+// distinct count stands, which errs toward a higher selectivity.
+func (c *Column) NDV() int {
+	if n := c.ndv.Load(); n > 0 {
+		return int(n)
+	}
+	n := sampleNDV(c.Table.Rel.Column(c.Name), c.Table.Rows())
+	c.ndv.Store(int64(n))
+	return n
+}
+
+func sampleNDV(col *storage.Column, rows int) int {
+	if rows <= 1 {
+		return 1
+	}
+	n := min(rows, ndvSample)
+	seed := maphash.MakeSeed()
+	seen := make(map[uint64]struct{}, n)
+	for k := 0; k < n; k++ {
+		i := int(int64(k) * int64(rows) / int64(n))
+		var v uint64
+		switch col.Type {
+		case storage.Int32:
+			v = uint64(col.I32[i])
+		case storage.Int64:
+			v = uint64(col.I64[i])
+		case storage.Numeric:
+			v = uint64(col.Num[i])
+		case storage.Date:
+			v = uint64(col.Dat[i])
+		case storage.Byte:
+			v = uint64(col.B[i])
+		case storage.String:
+			v = maphash.Bytes(seed, col.Str.Get(i))
+		}
+		seen[v] = struct{}{}
+	}
+	d := len(seen)
+	if n < rows && d >= n*9/10 {
+		return rows
+	}
+	return d
 }
 
 // Table describes one relation of the database.
@@ -88,7 +146,8 @@ type Table struct {
 	byName map[string]*Column
 }
 
-// Rows is the table cardinality (the planner's only statistic).
+// Rows is the table cardinality, one of the planner's two statistics
+// (the other is Column.NDV).
 func (t *Table) Rows() int { return t.Rel.Rows() }
 
 // Columns lists the columns in definition order.

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"sync"
 	"testing"
 
 	"paradigms/internal/ssb"
@@ -45,6 +46,45 @@ func TestFromDatabaseSSBScales(t *testing.T) {
 	}
 	if d := cat.Table("date"); d == nil || d.Key != "d_datekey" {
 		t.Fatalf("date dimension key not annotated: %+v", d)
+	}
+}
+
+// TestColumnNDV: exhaustive samples count exactly (strings included), a
+// nearly all-distinct sample of a large column reads as key-like, a
+// low-cardinality fact column is counted from its bounded sample, and
+// concurrent first uses agree.
+func TestColumnNDV(t *testing.T) {
+	cat := FromDatabase(tpch.Generate(0.01, 0))
+	li := cat.Table("lineitem")
+	for _, tc := range []struct {
+		table, col string
+		want       int
+	}{
+		{"region", "r_name", 5},
+		{"customer", "c_mktsegment", 5},
+		{"nation", "n_nationkey", 25},
+		{"customer", "c_custkey", cat.Table("customer").Rows()},
+		{"lineitem", "l_orderkey", li.Rows()},
+		{"lineitem", "l_quantity", 50},
+		{"lineitem", "l_returnflag", 3},
+	} {
+		col := cat.Table(tc.table).Column(tc.col)
+		var wg sync.WaitGroup
+		got := make([]int, 4)
+		for i := range got {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				got[i] = col.NDV()
+			}(i)
+		}
+		wg.Wait()
+		for _, g := range got {
+			if g != tc.want {
+				t.Errorf("%s.%s NDV = %v, want %d", tc.table, tc.col, got, tc.want)
+				break
+			}
+		}
 	}
 }
 

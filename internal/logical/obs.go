@@ -21,7 +21,7 @@ import (
 // selectivities — observed history when the plan carries hints, static
 // guesses otherwise — then by each probe's retention ratio (the
 // fraction of the build spine's key domain the build chain retains)
-// and each residual equality.
+// and each residual equality a = b, which keeps 1/max(NDV(a), NDV(b)).
 func estPipeRows(n Node, hints CardHints) float64 {
 	spine := n.Spine()
 	est := float64(spine.Table.Rel.Rows())
@@ -31,8 +31,8 @@ func estPipeRows(n Node, hints CardHints) float64 {
 		if domain > 0 {
 			est *= estPipeRows(j.Build, hints) / domain
 		}
-		for range j.Residuals {
-			est *= 0.1 // equality residual, same factor as OpEq
+		for _, r := range j.Residuals {
+			est /= float64(max(r[0].NDV(), r[1].NDV()))
 		}
 	}
 	return est
@@ -40,7 +40,7 @@ func estPipeRows(n Node, hints CardHints) float64 {
 
 // scanSelectivity is estPipeRows's per-scan filter-selectivity
 // estimate: the hinted (observed) value when available, the product of
-// static per-predicate guesses otherwise — mirroring the planner's
+// static per-predicate estimates otherwise — mirroring the planner's
 // tableSelectivity so the telemetry's estimates are the optimizer's.
 func scanSelectivity(sc *Scan, hints CardHints) float64 {
 	if hints != nil {

@@ -140,7 +140,7 @@ type planner struct {
 	alwaysFalse bool
 	paramConds  []sql.Expr
 
-	uf map[*catalog.Column]*catalog.Column // equality classes over all edges
+	uf classes // equality classes over all edges
 }
 
 // ---------------------------------------------------------------------
@@ -152,7 +152,7 @@ type planner struct {
 // push down to their scan, and two-column equalities become join edges.
 // Anything else crossing tables is unsupported.
 func (p *planner) classify(where sql.Expr) error {
-	p.uf = map[*catalog.Column]*catalog.Column{}
+	p.uf = classes{}
 	var walk func(e sql.Expr) error
 	walk = func(e sql.Expr) error {
 		if b, ok := e.(*sql.Binary); ok && b.Op == sql.OpAnd {
@@ -195,7 +195,7 @@ func (p *planner) classify(where sql.Expr) error {
 				rr, rok := b.R.(*sql.ColRef)
 				if lok && rok {
 					p.edges = append(p.edges, edge{lr.Col, rr.Col})
-					p.union(lr.Col, rr.Col)
+					p.uf.union(lr.Col, rr.Col)
 					return nil
 				}
 			}
@@ -222,23 +222,27 @@ func exprTables(e sql.Expr) []*catalog.Table {
 	return out
 }
 
-// union-find over equality edges: the planner's column equivalence
-// classes (valid on the final pipeline, where every edge has been
-// enforced by a hash join or a residual match).
-func (p *planner) find(c *catalog.Column) *catalog.Column {
-	r, ok := p.uf[c]
+// classes is a union-find over equality edges. The planner's p.uf holds
+// the query's column equivalence classes (valid on the final pipeline,
+// where every edge has been enforced by a hash join or a residual
+// match); orderWithSpine keeps a second one of the equalities a join
+// tree enforces so far.
+type classes map[*catalog.Column]*catalog.Column
+
+func (uf classes) find(c *catalog.Column) *catalog.Column {
+	r, ok := uf[c]
 	if !ok || r == c {
 		return c
 	}
-	root := p.find(r)
-	p.uf[c] = root
+	root := uf.find(r)
+	uf[c] = root
 	return root
 }
 
-func (p *planner) union(a, b *catalog.Column) {
-	ra, rb := p.find(a), p.find(b)
+func (uf classes) union(a, b *catalog.Column) {
+	ra, rb := uf.find(a), uf.find(b)
 	if ra != rb {
-		p.uf[ra] = rb
+		uf[ra] = rb
 	}
 }
 
@@ -248,9 +252,10 @@ func (p *planner) union(a, b *catalog.Column) {
 
 // orderTables builds the join tree for a table set: the spine (largest
 // table, or the forced attachment table of a chain) streams through
-// hash probes of the remaining tables' chains, ordered by estimated
-// build cardinality. Equality edges not usable as key-unique hash joins
-// become residual predicates on the join where both sides first meet.
+// hash probes of the remaining tables' chains, most selective chain
+// first. Equality edges not usable as key-unique hash joins become
+// residual predicates on the join where both sides first meet, unless
+// the joins and residuals below already imply them.
 // If the preferred spine admits no key-unique attachment for some chain
 // (possible when cardinalities tie, e.g. synthetic edge databases where
 // every relation has the same row count — or none), the next candidate
@@ -340,9 +345,8 @@ func (p *planner) orderWithSpine(tables []*catalog.Table, edges []edge, spine *c
 		default:
 			// Several key-unique attachments (Q5's orders/supplier
 			// component): split the component into one chain per
-			// attachment by multi-source BFS over key-unique edges;
-			// cross-chain equalities become residuals.
-			subChains, extra, err := splitComponent(comp, inner, valid, spine)
+			// attachment; cross-chain equalities become residuals.
+			subChains, extra, err := p.splitComponent(comp, inner, valid, spine)
 			if err != nil {
 				return nil, err
 			}
@@ -362,18 +366,24 @@ func (p *planner) orderWithSpine(tables []*catalog.Table, edges []edge, spine *c
 		}
 	}
 
-	// Cardinality heuristic: probe the smallest (post-filter) build side
-	// first. A chain's build cardinality is its attachment table's rows
-	// scaled by each chain table's filter selectivity — observed history
-	// when hints carry it, static per-predicate guesses otherwise.
+	// Probe order: the chain that lets the fewest spine rows through goes
+	// first. Each chain table's filter selectivity — observed history
+	// when hints carry it, static per-predicate estimates otherwise —
+	// multiplies into the fraction of the attachment table's rows the
+	// build keeps, which (N:1, every spine key present) is the fraction
+	// of spine rows that survive the probe. Ties go to the smaller build.
 	for i := range chains {
-		est := float64(chains[i].attach.other(spine).Table.Rows())
+		pass := 1.0
 		for _, t := range chains[i].tables {
-			est *= p.tableSelectivity(t)
+			pass *= p.tableSelectivity(t)
 		}
-		chains[i].est = est
+		chains[i].pass = pass
+		chains[i].est = float64(chains[i].attach.other(spine).Table.Rows()) * pass
 	}
 	sort.SliceStable(chains, func(i, j int) bool {
+		if chains[i].pass != chains[j].pass {
+			return chains[i].pass < chains[j].pass
+		}
 		if chains[i].est != chains[j].est {
 			return chains[i].est < chains[j].est
 		}
@@ -382,6 +392,7 @@ func (p *planner) orderWithSpine(tables []*catalog.Table, edges []edge, spine *c
 
 	node := Node(&Scan{Table: spine, Filters: p.filters[spine]})
 	avail := map[*catalog.Table]bool{spine: true}
+	enforced := classes{}
 	pending := residuals
 	for _, ch := range chains {
 		build, err := p.orderTables(ch.tables, ch.inner, ch.attach.other(spine).Table)
@@ -394,15 +405,20 @@ func (p *planner) orderWithSpine(tables []*catalog.Table, edges []edge, spine *c
 			BuildKey: ch.attach.other(spine),
 			ProbeKey: ch.attach.side(spine),
 		}
+		enforced.addJoins(j)
 		for _, t := range ch.tables {
 			avail[t] = true
 		}
 		var still []edge
 		for _, r := range pending {
-			if avail[r.a.Table] && avail[r.b.Table] {
-				j.Residuals = append(j.Residuals, [2]*catalog.Column{r.a, r.b})
-			} else {
+			switch {
+			case !avail[r.a.Table] || !avail[r.b.Table]:
 				still = append(still, r)
+			case enforced.find(r.a) != enforced.find(r.b):
+				// Not yet implied by the joins and residuals below:
+				// check it here.
+				j.Residuals = append(j.Residuals, [2]*catalog.Column{r.a, r.b})
+				enforced.union(r.a, r.b)
 			}
 		}
 		pending = still
@@ -414,47 +430,83 @@ func (p *planner) orderWithSpine(tables []*catalog.Table, edges []edge, spine *c
 	return node, nil
 }
 
+// addJoins records the equalities a join tree enforces: every hash
+// join's key pair and every residual it checks.
+func (uf classes) addJoins(n Node) {
+	j, ok := n.(*Join)
+	if !ok {
+		return
+	}
+	uf.union(j.BuildKey, j.ProbeKey)
+	for _, r := range j.Residuals {
+		uf.union(r[0], r[1])
+	}
+	uf.addJoins(j.Build)
+	uf.addJoins(j.Probe)
+}
+
 // chainSpec is one build-side chain hanging off a pipeline's spine.
 type chainSpec struct {
 	tables []*catalog.Table
 	attach edge // join edge: spine side = probe key, chain side = build key
 	inner  []edge
-	est    float64
+	pass   float64 // estimated fraction of spine rows surviving the probe
+	est    float64 // estimated build rows
 }
 
-// splitComponent assigns each component table to the nearest attachment
-// table by BFS over key-unique edges (an edge is traversable toward T
+// splitComponent splits a component with several key-unique attachments
+// into one chain per attachment table. Each chain claims the tables it
+// reaches by BFS over key-unique edges (an edge is traversable toward T
 // only if T's side is T's unique key, because T will be built into a
-// hash table probed from nearer the spine). Inner edges that end up
-// crossing two chains are returned as residuals.
-func splitComponent(comp []*catalog.Table, inner []edge, valid []edge, spine *catalog.Table) ([]chainSpec, []edge, error) {
+// hash table probed from nearer the spine), including edges implied by
+// the equality classes: Q5's c_nationkey = s_nationkey = n_nationkey
+// implies c_nationkey = n_nationkey. Attachments claim in descending
+// order of their table's rows, so a filtered dimension reachable from
+// two chains shrinks the larger build. An implied edge a chain walked
+// joins its inner edges; original inner edges that end up crossing two
+// chains are returned as residuals, while implied ones need no check of
+// their own.
+func (p *planner) splitComponent(comp []*catalog.Table, inner []edge, valid []edge, spine *catalog.Table) ([]chainSpec, []edge, error) {
+	walk := append(append([]edge(nil), inner...), p.impliedEdges(comp, inner)...)
 	owner := map[*catalog.Table]*catalog.Table{} // table → its chain's attachment table
-	var frontier []*catalog.Table
+	var roots []*catalog.Table
 	for _, e := range valid {
 		t := e.other(spine).Table
 		if owner[t] == nil {
 			owner[t] = t
-			frontier = append(frontier, t)
+			roots = append(roots, t)
 		}
 	}
-	for len(frontier) > 0 {
-		var next []*catalog.Table
-		for _, s := range frontier {
-			for _, e := range inner {
-				if !e.touches(s) {
-					continue
-				}
-				t := e.other(s).Table
-				tCol := e.side(t)
-				if owner[t] != nil || tCol.Table.Key != tCol.Name {
-					continue
-				}
-				owner[t] = owner[s]
-				next = append(next, t)
-			}
+	sort.SliceStable(roots, func(i, j int) bool {
+		if roots[i].Rows() != roots[j].Rows() {
+			return roots[i].Rows() > roots[j].Rows()
 		}
-		sort.Slice(next, func(i, j int) bool { return next[i].Name < next[j].Name })
-		frontier = next
+		return roots[i].Name < roots[j].Name
+	})
+	var walked []edge // implied edges some chain claimed a table through
+	for _, root := range roots {
+		for frontier := []*catalog.Table{root}; len(frontier) > 0; {
+			var next []*catalog.Table
+			for _, s := range frontier {
+				for i, e := range walk {
+					if !e.touches(s) {
+						continue
+					}
+					tCol := e.other(s)
+					t := tCol.Table
+					if owner[t] != nil || t.Key != tCol.Name {
+						continue
+					}
+					owner[t] = root
+					next = append(next, t)
+					if i >= len(inner) {
+						walked = append(walked, e)
+					}
+				}
+			}
+			sort.Slice(next, func(i, j int) bool { return next[i].Name < next[j].Name })
+			frontier = next
+		}
 	}
 	for _, t := range comp {
 		if owner[t] == nil {
@@ -462,30 +514,59 @@ func splitComponent(comp []*catalog.Table, inner []edge, valid []edge, spine *ca
 				"cannot join table %s: no key-unique join path reaches it", t.Name)
 		}
 	}
+	chainEdges := append(append([]edge(nil), inner...), walked...)
 	var chains []chainSpec
-	var residuals []edge
+	done := map[*catalog.Table]bool{}
 	for _, e := range valid {
-		src := e.other(spine).Table
+		root := e.other(spine).Table
+		if done[root] {
+			continue // a second attachment edge to the same table stays a residual
+		}
+		done[root] = true
 		var ts []*catalog.Table
 		for _, t := range comp {
-			if owner[t] == src {
+			if owner[t] == root {
 				ts = append(ts, t)
 			}
 		}
 		var in []edge
-		for _, ie := range inner {
-			if owner[ie.a.Table] == src && owner[ie.b.Table] == src {
+		for _, ie := range chainEdges {
+			if owner[ie.a.Table] == root && owner[ie.b.Table] == root {
 				in = append(in, ie)
 			}
 		}
 		chains = append(chains, chainSpec{tables: ts, attach: e, inner: in})
 	}
+	var residuals []edge
 	for _, ie := range inner {
 		if owner[ie.a.Table] != owner[ie.b.Table] {
 			residuals = append(residuals, ie)
 		}
 	}
 	return chains, residuals, nil
+}
+
+// impliedEdges lists the equalities between two of comp's tables that
+// the equality classes imply but no inner edge states, keeping only
+// those with a unique key on some side (the only ones a chain can walk).
+func (p *planner) impliedEdges(comp []*catalog.Table, inner []edge) []edge {
+	stated := map[edge]bool{}
+	for _, e := range inner {
+		stated[e], stated[edge{e.b, e.a}] = true, true
+	}
+	var out []edge
+	for i, ta := range comp {
+		for _, tb := range comp[i+1:] {
+			for _, a := range ta.Columns() {
+				for _, b := range tb.Columns() {
+					if (ta.Key == a.Name || tb.Key == b.Name) && !stated[edge{a, b}] && p.uf.find(a) == p.uf.find(b) {
+						out = append(out, edge{a, b})
+					}
+				}
+			}
+		}
+	}
+	return out
 }
 
 // components partitions tables into connected components under edges,
@@ -537,7 +618,7 @@ func components(tables []*catalog.Table, edges []edge) [][]*catalog.Table {
 
 // tableSelectivity is the estimated fraction of t's rows surviving its
 // pushed-down filters: the statement's observed history when the
-// planner has hints for the table, the static per-predicate guesses
+// planner has hints for the table, the static per-predicate estimates
 // otherwise.
 func (p *planner) tableSelectivity(t *catalog.Table) float64 {
 	if p.hints != nil {
@@ -552,12 +633,17 @@ func (p *planner) tableSelectivity(t *catalog.Table) float64 {
 	return sel
 }
 
-// selectivity is the planner's per-predicate reduction guess.
+// selectivity is the planner's per-predicate reduction estimate:
+// `col = literal | ?` keeps 1/NDV(col) of the rows, other shapes take
+// fixed guesses.
 func selectivity(e sql.Expr) float64 {
 	switch x := e.(type) {
 	case *sql.Binary:
 		switch x.Op {
 		case sql.OpEq:
+			if c := constEqCol(x); c != nil {
+				return 1 / float64(c.NDV())
+			}
 			return 0.1
 		case sql.OpNe:
 			return 0.9
@@ -568,6 +654,25 @@ func selectivity(e sql.Expr) float64 {
 		return 0.2
 	}
 	return 0.5
+}
+
+// constEqCol returns the column of a `col = literal | ?` equality, in
+// either operand order, or nil.
+func constEqCol(b *sql.Binary) *catalog.Column {
+	ref, ok := b.L.(*sql.ColRef)
+	other := b.R
+	if !ok {
+		ref, ok = b.R.(*sql.ColRef)
+		other = b.L
+	}
+	if !ok {
+		return nil
+	}
+	switch other.(type) {
+	case *sql.NumLit, *sql.StrLit, *sql.DateLit, *sql.Param:
+		return ref.Col
+	}
+	return nil
 }
 
 func tableNames(ts []*catalog.Table) string {
@@ -711,7 +816,7 @@ func (p *planner) planAggregate(pl *Plan) (*Aggregate, error) {
 // through an equivalent column).
 func (p *planner) determinedByKeysIsKept(keys []*catalog.Column, g *catalog.Column) bool {
 	for _, k := range keys {
-		if p.find(k) == p.find(g) {
+		if p.uf.find(k) == p.uf.find(g) {
 			return true
 		}
 	}
@@ -803,9 +908,9 @@ func (p *planner) substituteToTable(c *catalog.Column, t *catalog.Table) *catalo
 	if c.Table == t {
 		return c
 	}
-	root := p.find(c)
+	root := p.uf.find(c)
 	for _, col := range t.Columns() {
-		if p.find(col) == root && col != c {
+		if p.uf.find(col) == root && col != c {
 			return col
 		}
 	}

@@ -74,8 +74,11 @@ func TestPredicatePushdown(t *testing.T) {
 }
 
 // TestJoinOrder: hash tables build on the smaller, key-unique dimension
-// side; the fact table is the probe spine; selective chains probe
-// first; the cross-chain nation equality becomes a residual.
+// side; the fact table is the probe spine. In Q5 the larger orders
+// chain claims nation ⋈ region through the implied c_nationkey =
+// n_nationkey, so ASIA filters the customer build; that chain probes
+// first, the unfiltered supplier second, and the one cross-chain check
+// left is c_nationkey = s_nationkey.
 func TestJoinOrder(t *testing.T) {
 	text, _ := SQLText("tpch", "Q5")
 	pl := mustPlan(t, "tpch", text)
@@ -85,28 +88,31 @@ func TestJoinOrder(t *testing.T) {
 		t.Fatalf("final pipeline spine = %s, want lineitem", got)
 	}
 
-	// Outermost join (last probe) is the orders chain; beneath it the
-	// supplier chain probes first (smaller filtered build side).
+	// Outermost join (last probe) is the bare supplier scan; beneath it
+	// the selective orders chain probes first.
 	top, ok := pl.Root.(*Join)
 	if !ok {
 		t.Fatal("plan root is not a join")
 	}
-	if top.BuildKey.Name != "o_orderkey" || top.ProbeKey.Name != "l_orderkey" {
-		t.Errorf("outer join keys = %s/%s, want l_orderkey = o_orderkey", top.ProbeKey.Name, top.BuildKey.Name)
+	if top.BuildKey.Name != "s_suppkey" || top.ProbeKey.Name != "l_suppkey" {
+		t.Errorf("outer join keys = %s/%s, want l_suppkey = s_suppkey", top.ProbeKey.Name, top.BuildKey.Name)
+	}
+	if sc, ok := top.Build.(*Scan); !ok || sc.Table.Name != "supplier" || len(sc.Filters) != 0 {
+		t.Errorf("supplier chain = %v, want an unfiltered supplier scan", top.Build)
 	}
 	inner, ok := top.Probe.(*Join)
 	if !ok {
-		t.Fatal("expected a second probe beneath the orders join")
+		t.Fatal("expected a second probe beneath the supplier join")
 	}
-	if inner.BuildKey.Name != "s_suppkey" {
-		t.Errorf("inner join build key = %s, want s_suppkey", inner.BuildKey.Name)
+	if inner.BuildKey.Name != "o_orderkey" || inner.ProbeKey.Name != "l_orderkey" {
+		t.Errorf("inner join keys = %s/%s, want l_orderkey = o_orderkey", inner.ProbeKey.Name, inner.BuildKey.Name)
 	}
 
 	// The c_nationkey = s_nationkey equality cannot be a hash join
-	// (neither side is a unique key): it must be a residual on the join
-	// where both chains have been probed.
-	if len(top.Residuals) != 1 {
-		t.Fatalf("outer join residuals = %v, want the nation equality", top.Residuals)
+	// (neither side is a unique key): it is the one residual, on the
+	// join where both chains have been probed.
+	if got := residualsOf(pl.Root); len(got) != 1 || len(top.Residuals) != 1 {
+		t.Fatalf("residuals = %v (outer join %v), want only the nation equality on the outer join", got, top.Residuals)
 	}
 	r := top.Residuals[0]
 	names := []string{r[0].Name, r[1].Name}
@@ -114,28 +120,95 @@ func TestJoinOrder(t *testing.T) {
 		t.Errorf("residual joins %v, want c_nationkey = s_nationkey", names)
 	}
 
-	// The orders chain builds customer's hash table on c_custkey
-	// (customer is the smaller side of that chain's join).
-	ordChain, ok := top.Build.(*Join)
+	// The orders chain builds customer's hash table on c_custkey ...
+	ordChain, ok := inner.Build.(*Join)
 	if !ok || ordChain.Spine().Table.Name != "orders" {
-		t.Fatalf("orders chain spine = %v, want orders streaming a customer build", top.Build)
+		t.Fatalf("orders chain spine = %v, want orders streaming a customer build", inner.Build)
 	}
 	if ordChain.BuildKey.Name != "c_custkey" {
 		t.Errorf("orders chain builds on %s, want c_custkey", ordChain.BuildKey.Name)
 	}
-
-	// The supplier chain is the snowflake supplier ← nation ← region.
-	suppChain, ok := inner.Build.(*Join)
-	if !ok || suppChain.Spine().Table.Name != "supplier" {
-		t.Fatalf("supplier chain = %v, want supplier probing nation", inner.Build)
+	// ... and customer probes the snowflake nation ← region.
+	custChain, ok := ordChain.Build.(*Join)
+	if !ok || custChain.Spine().Table.Name != "customer" {
+		t.Fatalf("customer chain = %v, want customer probing nation", ordChain.Build)
 	}
-	if suppChain.BuildKey.Name != "n_nationkey" {
-		t.Errorf("supplier chain builds on %s, want n_nationkey", suppChain.BuildKey.Name)
+	if custChain.BuildKey.Name != "n_nationkey" || custChain.ProbeKey.Name != "c_nationkey" {
+		t.Errorf("customer chain joins %s = %s, want c_nationkey = n_nationkey", custChain.ProbeKey.Name, custChain.BuildKey.Name)
 	}
-	nationChain, ok := suppChain.Build.(*Join)
+	nationChain, ok := custChain.Build.(*Join)
 	if !ok || nationChain.BuildKey.Name != "r_regionkey" {
-		t.Fatalf("nation chain = %v, want nation probing region on r_regionkey", suppChain.Build)
+		t.Fatalf("nation chain = %v, want nation probing region on r_regionkey", custChain.Build)
 	}
+}
+
+// TestEqualitySelectivityFromNDV: `col = ?` keeps 1/NDV(col) — SSB's
+// p_category has 25 values, s_region 5 — where the static guess read
+// both as 0.1.
+func TestEqualitySelectivityFromNDV(t *testing.T) {
+	for _, tc := range []struct {
+		text string
+		want float64
+	}{
+		{`select count(*) from part where p_category = ?`, 1.0 / 25},
+		{`select count(*) from part where ? = p_category`, 1.0 / 25},
+		{`select count(*) from supplier where s_region = 1`, 1.0 / 5},
+	} {
+		sc := mustPlan(t, "ssb", tc.text).Root.(*Scan)
+		if got := selectivity(sc.Filters[0]); got != tc.want {
+			t.Errorf("%s: selectivity = %v, want %v", tc.text, got, tc.want)
+		}
+	}
+}
+
+// TestProbeOrderByPassFraction: Q2.1's fact pipeline probes the chain
+// that passes the fewest lineorder rows first — part (1/25), then
+// supplier (1/5), then the unfiltered date dimension, even though date
+// is the smallest build.
+func TestProbeOrderByPassFraction(t *testing.T) {
+	text, _ := SQLText("ssb", "Q2.1")
+	pl := mustPlan(t, "ssb", text)
+	var got []string
+	for _, j := range probeJoins(pl.Root) {
+		got = append(got, j.Build.Spine().Table.Name)
+	}
+	if want := []string{"part", "supplier", "date"}; strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("Q2.1 probe order = %v, want %v", got, want)
+	}
+}
+
+// TestImpliedResidualDropped: an equality the tree already enforces is
+// not checked again. Without region, Q5's nation still moves under the
+// customer build via c_nationkey = n_nationkey, and the stated
+// s_nationkey = n_nationkey follows from that join and the
+// c_nationkey = s_nationkey residual. A repeated attachment equality is
+// implied by its own hash join.
+func TestImpliedResidualDropped(t *testing.T) {
+	for _, tc := range []struct{ text, want string }{
+		{`select count(*) from customer, orders, lineitem, supplier, nation
+			where c_custkey = o_custkey and l_orderkey = o_orderkey and l_suppkey = s_suppkey
+			and c_nationkey = s_nationkey and s_nationkey = n_nationkey`, "c_nationkey = s_nationkey"},
+		{`select count(*) from lineitem, orders where l_orderkey = o_orderkey and o_orderkey = l_orderkey`, ""},
+	} {
+		pl := mustPlan(t, "tpch", tc.text)
+		if got := strings.Join(residualsOf(pl.Root), ", "); got != tc.want {
+			t.Errorf("residuals = %q, want %q\n%s", got, tc.want, pl.Format())
+		}
+	}
+}
+
+// residualsOf lists every residual equality checked anywhere in a join
+// tree.
+func residualsOf(n Node) []string {
+	j, ok := n.(*Join)
+	if !ok {
+		return nil
+	}
+	var out []string
+	for _, r := range j.Residuals {
+		out = append(out, r[0].Name+" = "+r[1].Name)
+	}
+	return append(append(out, residualsOf(j.Build)...), residualsOf(j.Probe)...)
 }
 
 // TestProjectionPruning: scans list only the columns later operators

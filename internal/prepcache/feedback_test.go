@@ -15,11 +15,12 @@ import (
 )
 
 // skewDB builds a database whose value distribution contradicts the
-// planner's static selectivity guesses in both directions: supplier's
-// equality filter (guessed 0.1) actually keeps 90% of rows, and part's
-// range filter (guessed 0.3) actually keeps 3%. The static join order
-// therefore probes the big dimension first; the observed cardinalities
-// say to probe the tiny one first. lineitem is the fact spine.
+// planner's static selectivity estimates in both directions: supplier's
+// equality filter (s_status has 50 values, so guessed 1/50) actually
+// keeps 90% of rows, and part's range filter (guessed 0.3) actually
+// keeps 3%. The static join order therefore probes the big dimension
+// first; the observed cardinalities say to probe the tiny one first.
+// lineitem is the fact spine.
 func skewDB(nLine, nDim int) *storage.Database {
 	db := storage.NewDatabase("skew", 0)
 
@@ -28,8 +29,9 @@ func skewDB(nLine, nDim int) *storage.Database {
 	ss := make([]int32, nDim)
 	for i := range sk {
 		sk[i] = int32(i + 1)
-		if i%10 != 0 {
-			ss[i] = 1 // 90% of suppliers have status 1
+		ss[i] = 1 // 90% of suppliers have status 1 ...
+		if i%10 == 0 {
+			ss[i] = int32(i/10)%49 + 2 // ... the rest spread over 2..50
 		}
 	}
 	supp.AddInt32("s_suppkey", sk)
@@ -82,7 +84,7 @@ func feedbackStatement(t testing.TB, db *storage.Database) (*Statement, *feedbac
 }
 
 // TestFeedbackDriftTriggersReplan is the tentpole's end-to-end proof:
-// on the skewed database the static plan's estimates drift ~9x from the
+// on the skewed database the static plan's estimates drift ~45x from the
 // observed cardinalities, the sustained drift re-plans the statement
 // with observed selectivities after exactly DriftRuns executions, the
 // re-planned join order differs (the truly-selective part chain moves
@@ -127,7 +129,7 @@ func TestFeedbackDriftTriggersReplan(t *testing.T) {
 	}
 	// The observed selectivities invert the chain order: part (3%
 	// observed vs 30% guessed) becomes the first-probed build chain,
-	// supplier (90% observed vs 10% guessed) the outermost. In the
+	// supplier (90% observed vs 2% guessed) the outermost. In the
 	// formatted tree the first-probed chain is the innermost, i.e.
 	// printed after the outer build.
 	if sup, prt := strings.Index(after, "scan supplier"), strings.Index(after, "scan part"); sup < 0 || prt < 0 || sup > prt {

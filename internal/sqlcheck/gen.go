@@ -49,6 +49,18 @@ var tpchTemplates = []template{
 		joins: []string{
 			"c_custkey = o_custkey", "l_orderkey = o_orderkey", "l_suppkey = s_suppkey",
 			"c_nationkey = s_nationkey", "s_nationkey = n_nationkey", "n_regionkey = r_regionkey"}},
+	// Q5's nation class two more ways: without region, and spelled so
+	// nation attaches directly to both the customer and supplier chains.
+	// The planner's implied-equality claim moves nation between chains;
+	// both spellings must agree with the oracle.
+	{tables: []string{"customer", "orders", "lineitem", "supplier", "nation"},
+		joins: []string{
+			"c_custkey = o_custkey", "l_orderkey = o_orderkey", "l_suppkey = s_suppkey",
+			"c_nationkey = s_nationkey", "s_nationkey = n_nationkey"}},
+	{tables: []string{"customer", "orders", "lineitem", "supplier", "nation", "region"},
+		joins: []string{
+			"c_custkey = o_custkey", "l_orderkey = o_orderkey", "l_suppkey = s_suppkey",
+			"c_nationkey = n_nationkey", "s_nationkey = n_nationkey", "n_regionkey = r_regionkey"}},
 }
 
 var ssbTemplates = []template{
