@@ -12,7 +12,7 @@ import (
 // feedback half of the telemetry loop (internal/feedback implements it
 // over accumulated per-pipeline observations). A nil CardHints, or one
 // with no history for a table, falls back to the static per-predicate
-// selectivity guesses.
+// selectivity estimates.
 type CardHints interface {
 	// ScanSelectivity returns the observed fraction of the named
 	// table's rows that survive its pushed-down filters in this
@@ -29,9 +29,9 @@ func PlanQuery(sel *sql.Select, cat *catalog.Catalog) (*Plan, error) {
 }
 
 // PlanQueryHints is PlanQuery with a cardinality-feedback override:
-// where the join-order pick estimates a chain's build cardinality, the
+// where the join-order pick estimates a chain's pass fraction, the
 // hinted (observed) selectivity of each table replaces the static
-// per-predicate guess, so skewed data re-orders the joins the way the
+// per-predicate estimate, so skewed data re-orders the joins the way the
 // measurements say it should. The hints are retained on the plan, so
 // its telemetry estimates (est_rows in EXPLAIN ANALYZE and the query
 // log) reflect them too — a re-planned statement whose observations
@@ -469,11 +469,13 @@ type chainSpec struct {
 func (p *planner) splitComponent(comp []*catalog.Table, inner []edge, valid []edge, spine *catalog.Table) ([]chainSpec, []edge, error) {
 	walk := append(append([]edge(nil), inner...), p.impliedEdges(comp, inner)...)
 	owner := map[*catalog.Table]*catalog.Table{} // table → its chain's attachment table
+	attachOf := map[*catalog.Table]edge{}        // a second edge to the same table stays a residual
 	var roots []*catalog.Table
 	for _, e := range valid {
 		t := e.other(spine).Table
 		if owner[t] == nil {
 			owner[t] = t
+			attachOf[t] = e
 			roots = append(roots, t)
 		}
 	}
@@ -516,13 +518,7 @@ func (p *planner) splitComponent(comp []*catalog.Table, inner []edge, valid []ed
 	}
 	chainEdges := append(append([]edge(nil), inner...), walked...)
 	var chains []chainSpec
-	done := map[*catalog.Table]bool{}
-	for _, e := range valid {
-		root := e.other(spine).Table
-		if done[root] {
-			continue // a second attachment edge to the same table stays a residual
-		}
-		done[root] = true
+	for _, root := range roots {
 		var ts []*catalog.Table
 		for _, t := range comp {
 			if owner[t] == root {
@@ -535,7 +531,7 @@ func (p *planner) splitComponent(comp []*catalog.Table, inner []edge, valid []ed
 				in = append(in, ie)
 			}
 		}
-		chains = append(chains, chainSpec{tables: ts, attach: e, inner: in})
+		chains = append(chains, chainSpec{tables: ts, attach: attachOf[root], inner: in})
 	}
 	var residuals []edge
 	for _, ie := range inner {
