@@ -66,7 +66,7 @@ type prepSpec struct {
 // computation-heavy scans (Q6/Q1.1 shapes, where the compiled engine
 // wins) and join/probe-heavy aggregations (Q3 shape, where the
 // vectorized engine wins) — so adaptive auto-routing has something
-// real to learn per statement.
+// real to learn per pipeline.
 func preparedWorkload() []prepSpec {
 	date := func(y, m, d int) string { return fmt.Sprintf("%04d-%02d-%02d", y, m, d) }
 	return []prepSpec{

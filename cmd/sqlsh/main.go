@@ -2,12 +2,13 @@
 // and SSB databases: statements parse, bind, and optimize once, then
 // lower onto the engine selected with \engine — the Tectorwise
 // vectorized operator layer (default), the Typer-style compiled fused
-// pipelines, hybrid, which runs each pipeline of the query on
-// whichever paradigm its per-pipeline router prefers, or auto, which
-// routes each execution to whichever backend the statement's adaptive
-// router measures as faster — and run morsel-parallel. Every statement's optimized plan is held in an LRU
-// plan cache keyed on the normalized SQL text, so re-running a
-// statement skips parse, bind, and plan.
+// pipelines, hybrid, which runs each pipeline of the query on the
+// paradigm the cost heuristic assigns it, or auto, which runs the
+// hybrid with each pipeline on whichever paradigm the statement's
+// per-pipeline router measures as faster — and run morsel-parallel.
+// Every statement's optimized plan is held in an LRU plan cache keyed
+// on the normalized SQL text, so re-running a statement skips parse,
+// bind, and plan.
 //
 // Usage:
 //
@@ -22,7 +23,7 @@
 //	                   (typer | tectorwise | hybrid | auto; tw is
 //	                   shorthand)
 //	\prepare           list the named prepared statements and their
-//	                   per-engine routing state
+//	                   per-pipeline routing state (runs per arm)
 //	\prepare <name> <sql>
 //	                   prepare a statement (one line, `?` placeholders
 //	                   allowed) under a name
@@ -34,7 +35,7 @@
 //	                   the optimized logical plan, plus the compiled
 //	                   pipeline decomposition under \engine typer and
 //	                   the per-pipeline engine assignment under
-//	                   \engine hybrid
+//	                   \engine hybrid and auto
 //	explain analyze <query>
 //	                   run the query instrumented and print, per
 //	                   pipeline, the observed vs estimated cardinality,
@@ -121,7 +122,7 @@ func engineName(s string) (string, bool) {
 // shell is the REPL state; run drives it from any reader so the REPL is
 // script-testable (see main_test.go). Every executed statement goes
 // through the plan cache, and named prepared statements (\prepare)
-// carry their own adaptive engine router.
+// carry their own adaptive per-pipeline router.
 type shell struct {
 	dbs     []*storage.Database
 	workers int
@@ -317,9 +318,9 @@ func (sh *shell) statement(stmt string) {
 }
 
 // runStatement executes a cached statement with bound values on the
-// shell's engine; "auto" resolves through the statement's router and
-// the resolved backend is reported next to the timing, and hybrid
-// executions report their per-pipeline assignment ("hybrid[t,v]").
+// shell's engine; hybrid and auto executions report their
+// per-pipeline assignment next to the timing ("hybrid[t,v]",
+// "auto→hybrid[t,v]").
 func (sh *shell) runStatement(st *prepcache.Statement, vals []int64) {
 	start := sh.clock()
 	res, used, err := st.Execute(context.Background(), sh.engine, vals, sh.workers, sh.vecSize)
@@ -344,8 +345,7 @@ func (sh *shell) runStatement(st *prepcache.Statement, vals []int64) {
 // shell prints the optimized plan, the per-pipeline observed vs
 // estimated cardinalities and timings, and a one-line summary. Works
 // on every backend — hybrid rows additionally carry the per-pipeline
-// engine assignment, and auto reports the backend the router resolved
-// to.
+// engine assignment, and auto reports the assignment its router chose.
 func (sh *shell) analyzeStatement(st *prepcache.Statement, vals []int64) {
 	col := obs.NewCollector()
 	ctx := obs.WithCollector(context.Background(), col)
@@ -362,7 +362,8 @@ func (sh *shell) analyzeStatement(st *prepcache.Statement, vals []int64) {
 }
 
 // listPrepared prints the named prepared statements with their
-// per-engine routing state.
+// per-pipeline routing state: how often each pipeline ran compiled (t)
+// and vectorized (v) under auto.
 func (sh *shell) listPrepared() {
 	if len(sh.stmts) == 0 {
 		fmt.Fprintln(sh.out, "no prepared statements")
@@ -376,8 +377,8 @@ func (sh *shell) listPrepared() {
 	for _, n := range names {
 		st := sh.stmts[n]
 		fmt.Fprintf(sh.out, "%-12s %d parameter%s", n, st.NumParams(), plural(st.NumParams()))
-		for _, arm := range st.Router().Snapshot() {
-			fmt.Fprintf(sh.out, "  %s=%d", arm.Engine, arm.N)
+		for i, a := range st.PipeRouter().PipeSnapshot() {
+			fmt.Fprintf(sh.out, "  P%d t=%d v=%d", i+1, a.N[hybrid.EngineCompiled], a.N[hybrid.EngineVectorized])
 		}
 		fmt.Fprintf(sh.out, "  %s\n", st.Text)
 	}
@@ -391,8 +392,9 @@ func plural(n int) string {
 }
 
 // explain prints the selected backend, the optimized logical plan, and
-// — for the compiled and hybrid engines — the fused pipeline
-// decomposition (with the hybrid's per-pipeline engine assignment).
+// — for the compiled, hybrid and auto engines — the fused pipeline
+// decomposition (with the hybrid's per-pipeline engine assignment,
+// which is also auto's cold start).
 func (sh *shell) explain(db *storage.Database, stmt string) {
 	pl, err := logical.Prepare(db, stmt)
 	if err != nil {
@@ -409,8 +411,12 @@ func (sh *shell) explain(db *storage.Database, stmt string) {
 			return
 		}
 		fmt.Fprint(sh.out, shape)
-	case engine.Hybrid:
-		fmt.Fprintln(sh.out, "backend: hybrid (per-pipeline engine routing)")
+	case engine.Hybrid, prepcache.Auto:
+		if sh.engine == engine.Hybrid {
+			fmt.Fprintln(sh.out, "backend: hybrid (per-pipeline cost heuristic)")
+		} else {
+			fmt.Fprintln(sh.out, "backend: auto (hybrid under the statement's per-pipeline router)")
+		}
 		fmt.Fprint(sh.out, pl.Format())
 		shape, err := hybrid.Explain(pl)
 		if err != nil {
@@ -418,9 +424,6 @@ func (sh *shell) explain(db *storage.Database, stmt string) {
 			return
 		}
 		fmt.Fprint(sh.out, shape)
-	case prepcache.Auto:
-		fmt.Fprintln(sh.out, "backend: auto (adaptive per-statement routing; vectorized plan shown)")
-		fmt.Fprint(sh.out, pl.Format())
 	default:
 		fmt.Fprintln(sh.out, "backend: tectorwise (vectorized operator plan)")
 		fmt.Fprint(sh.out, pl.Format())

@@ -21,11 +21,12 @@ var update = flag.Bool("update", false, "rewrite the REPL session golden file")
 // hybrid's per-pipeline engine assignment), query execution on all
 // three backends (hybrid executions report their assignment next to
 // the timing), prepared statements (\prepare/\execute with `?` arguments,
-// the \prepare listing with router arm counts, argument errors), one
-// deterministic auto-routed execution, an error diagnostic, and an
-// unknown meta command. The clock is frozen so timings render as [0s].
-// (Only the first auto execution is scripted: router picks beyond the
-// try-each-arm-once phase depend on real latencies.)
+// the \prepare listing with per-pipeline router counts, argument
+// errors), explain and two deterministic executions under auto, an
+// error diagnostic, and an unknown meta command. The clock is frozen so
+// timings render as [0s]. (Only auto's first two executions are
+// scripted — the heuristic's seed, then each pipeline's other arm;
+// later assignments depend on real latencies.)
 func TestREPLSession(t *testing.T) {
 	script := strings.Join([]string{
 		`\tables`,
@@ -55,7 +56,9 @@ func TestREPLSession(t *testing.T) {
 		`\prepare rev select sum(l_extendedprice) as total from lineitem where l_quantity < ?`,
 		`\execute rev 30`,
 		`\engine auto`,
+		`explain select sum(lo_revenue) from lineorder, date where lo_orderdate = d_datekey and d_year = 1993;`,
 		`\execute rev 10`,
+		`\execute rev 40`,
 		`\prepare`,
 		`\execute nosuch 1`,
 		`\execute rev`,

@@ -442,3 +442,63 @@ func TestNamedQueryPaths(t *testing.T) {
 		}
 	}
 }
+
+// TestOneEngineRouter pins the structure DESIGN.md §10 describes: a
+// prepared statement has one adaptive router, the per-pipeline
+// PipelineRouter that engine auto runs the hybrid under. Non-test code
+// declares exactly one hybrid.Router implementation (one type with a
+// Decide method), prepcache.Statement holds exactly one router field,
+// and exactly one place hands a router to the engine dispatch (one
+// assignment to, or literal of, an Options Router field: Statement.Run's
+// auto branch).
+func TestOneEngineRouter(t *testing.T) {
+	fset := token.NewFileSet()
+	var deciders, handoffs, stmtRouters []string
+	for _, file := range goSources(t) {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Recv != nil && n.Name.Name == "Decide" {
+					deciders = append(deciders, fset.Position(n.Pos()).String())
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "Router" {
+						handoffs = append(handoffs, fset.Position(lhs.Pos()).String())
+					}
+				}
+			case *ast.KeyValueExpr:
+				if key, ok := n.Key.(*ast.Ident); ok && key.Name == "Router" {
+					handoffs = append(handoffs, fset.Position(n.Pos()).String())
+				}
+			case *ast.TypeSpec:
+				st, ok := n.Type.(*ast.StructType)
+				if !ok || n.Name.Name != "Statement" || filepath.ToSlash(filepath.Dir(file)) != "internal/prepcache" {
+					return true
+				}
+				for _, field := range st.Fields.List {
+					if id, ok := field.Type.(*ast.Ident); ok && strings.HasSuffix(id.Name, "Router") {
+						stmtRouters = append(stmtRouters, id.Name)
+					}
+				}
+			}
+			return true
+		})
+	}
+	if len(deciders) != 1 {
+		t.Errorf("non-test code declares %d Decide methods, want 1 (prepcache.PipelineRouter): %v", len(deciders), deciders)
+	}
+	if len(stmtRouters) != 1 {
+		t.Errorf("prepcache.Statement holds %d router fields %v, want 1 (the PipelineRouter)", len(stmtRouters), stmtRouters)
+	}
+	if len(handoffs) != 1 {
+		t.Errorf("non-test code sets a Router field at %d sites, want 1 (Statement.Run's auto branch): %v", len(handoffs), handoffs)
+	}
+}

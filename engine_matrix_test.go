@@ -347,10 +347,10 @@ func engineStreamIsIncremental(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		ctx = exec.WithMorselCounter(exec.WithMorselSize(ctx, morsel), &claimed)
 		sink := &cancelingSink{cancel: cancel}
-		out, err := engine.Run(ctx, name, pl, engine.Options{Workers: 1, Sink: sink, Chunk: 16})
+		_, err := engine.Run(ctx, name, pl, engine.Options{Workers: 1, Sink: sink, Chunk: 16})
 		cancel()
-		if err != context.Canceled || out.Faulted {
-			t.Errorf("%s: err=%v faulted=%v, want context.Canceled and no fault", name, err, out.Faulted)
+		if err != context.Canceled {
+			t.Errorf("%s: err=%v, want context.Canceled", name, err)
 		}
 		if len(sink.rows) == 0 || claimed.Load() >= tableMorsels {
 			t.Errorf("%s: sink saw %d rows after %d of %d morsels; the stream is not incremental",
@@ -449,8 +449,8 @@ func engineForcedHybridTelemetry(t *testing.T) {
 
 // engineRunRejectsBadCalls: the dispatch's own error paths — an
 // unknown engine, a wrong-arity binding, a partial execution asked to
-// stream — are the caller's errors, reported without running (or
-// blaming) a backend.
+// stream — are the caller's errors, reported without running a
+// backend.
 func engineRunRejectsBadCalls(t *testing.T) {
 	db, _ := sqlDBs()
 	pl, err := logical.Prepare(db, "select count(*) from orders where o_custkey < ?")
@@ -471,15 +471,15 @@ func engineRunRejectsBadCalls(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want %q", tc.label, err, tc.want)
 		}
-		if out.Faulted || out.Result != nil || out.Partial != nil {
-			t.Errorf("%s: out = %+v, want no output and no engine fault", tc.label, out)
+		if out.Result != nil || out.Partial != nil {
+			t.Errorf("%s: out = %+v, want no output", tc.label, out)
 		}
 	}
 }
 
 // engineRunRecoversPanics: a panic inside a lowering (here: a plan
 // with no root, which every backend's lowering dereferences) comes back
-// from engine.Run as an error that blames the engine, in every mode —
+// from engine.Run as an error that names the engine, in every mode —
 // a cached plan cannot take down the query service.
 func engineRunRecoversPanics(t *testing.T) {
 	db, _ := sqlDBs()
@@ -491,16 +491,16 @@ func engineRunRecoversPanics(t *testing.T) {
 	bad.Root = nil
 	for _, name := range []string{engine.Typer, engine.Tectorwise, engine.Hybrid} {
 		for _, opt := range []engine.Options{{}, {Sink: &collectSink{}}, {Partial: true}} {
-			out, err := engine.Run(context.Background(), name, &bad, opt)
-			if err == nil || !strings.Contains(err.Error(), "internal error") || !out.Faulted {
-				t.Errorf("%s %+v: err=%v faulted=%v, want a recovered panic blamed on the engine", name, opt, err, out.Faulted)
+			_, err := engine.Run(context.Background(), name, &bad, opt)
+			if err == nil || !strings.Contains(err.Error(), "internal error executing query on "+name) {
+				t.Errorf("%s %+v: err=%v, want a recovered panic naming the engine", name, opt, err)
 			}
 		}
 	}
 }
 
 // engineRunCanceled: a canceled context returns ctx.Err() from
-// every engine and mode, and is never an engine fault.
+// every engine and mode.
 func engineRunCanceled(t *testing.T) {
 	db, _ := sqlDBs()
 	text, _ := logical.SQLText("tpch", "Q3")
@@ -512,10 +512,10 @@ func engineRunCanceled(t *testing.T) {
 	cancel()
 	for _, name := range []string{engine.Typer, engine.Tectorwise, engine.Hybrid} {
 		for _, opt := range []engine.Options{{Workers: 4}, {Workers: 4, Sink: &collectSink{}}, {Workers: 4, Partial: true}} {
-			out, err := engine.Run(ctx, name, pl, opt)
-			if err != context.Canceled || out.Faulted {
-				t.Errorf("%s stream=%v partial=%v: err=%v faulted=%v, want context.Canceled and no fault",
-					name, opt.Sink != nil, opt.Partial, err, out.Faulted)
+			_, err := engine.Run(ctx, name, pl, opt)
+			if err != context.Canceled {
+				t.Errorf("%s stream=%v partial=%v: err=%v, want context.Canceled",
+					name, opt.Sink != nil, opt.Partial, err)
 			}
 		}
 	}

@@ -62,8 +62,7 @@ type Options struct {
 	Router hybrid.Router
 }
 
-// Output is what a run produced. Used and Faulted are meaningful on
-// error too.
+// Output is what a run produced. Used is meaningful on error too.
 type Output struct {
 	// Result is the materialized result (nil when streaming or partial).
 	Result *logical.Result
@@ -75,18 +74,14 @@ type Output struct {
 	// Used is the engine that ran — for hybrid, decorated with the
 	// pipeline assignment of a successful run ("hybrid[t,v]").
 	Used string
-	// Faulted reports that the backend itself failed: the run returned
-	// an error that is not the caller's — not a bad binding, an
-	// unknown engine, a failing Sink, or a canceled ctx.
-	Faulted bool
 }
 
 // BaseName strips the hybrid assignment decoration Run puts on
 // Output.Used ("hybrid[t,v]" → "hybrid"; undecorated names pass
-// through). This is the one strip implementation: the statement
-// router, the service's per-engine stats and the metrics layer all
-// resolve decorated names through it, so the decoration grammar cannot
-// drift between consumers.
+// through). This is the one strip implementation: the service's
+// per-engine stats and the metrics layer both resolve decorated names
+// through it, so the decoration grammar cannot drift between
+// consumers.
 func BaseName(used string) string {
 	if i := strings.IndexByte(used, '['); i >= 0 {
 		return used[:i]
@@ -94,27 +89,16 @@ func BaseName(used string) string {
 	return used
 }
 
-// watchSink counts the rows streamed and remembers whether the
-// caller's sink failed, so Run can tell a sink error from an executor
-// error. The driver serializes sink calls and finishes them before
-// returning.
-type watchSink struct {
+// countSink counts the rows streamed. The driver serializes sink calls
+// and finishes them before returning.
+type countSink struct {
 	logical.RowSink
-	rows   int64
-	failed bool
+	rows int64
 }
 
-func (w *watchSink) SetCols(cols []logical.OutCol) error {
-	err := w.RowSink.SetCols(cols)
-	w.failed = w.failed || err != nil
-	return err
-}
-
-func (w *watchSink) PushRows(rows [][]int64) error {
-	w.rows += int64(len(rows))
-	err := w.RowSink.PushRows(rows)
-	w.failed = w.failed || err != nil
-	return err
+func (c *countSink) PushRows(rows [][]int64) error {
+	c.rows += int64(len(rows))
+	return c.RowSink.PushRows(rows)
 }
 
 // Run executes pl on the named engine. A canceled ctx returns ctx.Err()
@@ -129,12 +113,11 @@ func Run(ctx context.Context, name string, pl *logical.Plan, opt Options) (out O
 		return out, fmt.Errorf("engine: a partial execution cannot stream")
 	}
 	mode := logical.Mode{Chunk: opt.Chunk, Partial: opt.Partial}
-	var sink *watchSink
+	var sink *countSink
 	if opt.Sink != nil {
-		sink = &watchSink{RowSink: opt.Sink}
+		sink = &countSink{RowSink: opt.Sink}
 		mode.Sink = sink
 	}
-	known := true
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("engine: internal error executing query on %s: %v", name, r)
@@ -142,7 +125,6 @@ func Run(ctx context.Context, name string, pl *logical.Plan, opt Options) (out O
 		if err == nil {
 			err = ctx.Err()
 		}
-		out.Faulted = err != nil && known && ctx.Err() == nil && (sink == nil || !sink.failed)
 	}()
 
 	// The engines' whole difference: which lowering runs each pipeline.
@@ -156,7 +138,6 @@ func Run(ctx context.Context, name string, pl *logical.Plan, opt Options) (out O
 	case Hybrid:
 		pol, err = hybrid.Policy(pl, opt.VecSize, opt.Router)
 	default:
-		known = false
 		err = fmt.Errorf("engine: unknown engine %q (%s)", name, strings.Join(Names(), " | "))
 	}
 	if err != nil {

@@ -8,14 +8,24 @@ import (
 	"paradigms/internal/obs"
 )
 
-// PipelineRouter is the statement Router's per-pipeline counterpart:
-// where Router picks one engine for the whole statement, a
-// PipelineRouter (one per cached statement, owned by its Statement)
-// picks an engine for each pipeline of the hybrid executor's plan. It
-// implements hybrid.Router.
+// ProbeEvery sets the router's exploration rate: every ProbeEvery-th
+// decision runs one pipeline on its currently-losing arm (a
+// deterministic epsilon-greedy schedule with ε = 1/ProbeEvery), so a
+// shift in relative performance is always discovered.
+const ProbeEvery = 8
+
+// ewmaAlpha is the weight of the newest observation.
+const ewmaAlpha = 0.25
+
+// PipelineRouter is the statement's one adaptive engine router: engine
+// Auto runs the hybrid executor with the statement's PipelineRouter
+// (one per cached statement, owned by its Statement) picking an engine
+// for each pipeline of the plan. It implements hybrid.Router. The
+// all-compiled and all-vectorized assignments are two of its corners,
+// so routing per pipeline subsumes picking one engine per statement.
 //
-// Each pipeline is a two-armed bandit (compiled vs vectorized) with
-// the same deterministic epsilon-greedy schedule as Router: arms are
+// Each pipeline is a two-armed bandit (compiled vs vectorized) with a
+// deterministic epsilon-greedy schedule (no random source): arms are
 // seeded by the cost heuristic (hybrid.CostAssign) — the heuristic's
 // arm runs first, the other arm is tried once — then the lower-EWMA
 // arm wins, except that every ProbeEvery-th Decide flips one pipeline

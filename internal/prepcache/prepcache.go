@@ -14,11 +14,12 @@
 //     SQL text plus the catalog version, with hit/miss/eviction
 //     counters surfaced through the service stats. A cache hit skips
 //     parse, bind, and plan entirely.
-//   - Router: a per-statement adaptive engine picker. Each execution's
-//     latency feeds a per-engine EWMA; engine "auto" routes to the
-//     empirically faster backend, with a deterministic epsilon-greedy
-//     probe of the slower arm so a shift in relative performance is
-//     always discovered.
+//   - PipelineRouter: the statement's one adaptive engine router.
+//     Engine "auto" runs the hybrid executor under it: each pipeline's
+//     latency feeds a per-pipeline, per-backend EWMA, and every
+//     pipeline runs on the empirically faster backend, with a
+//     deterministic epsilon-greedy probe of the slower arm so a shift
+//     in relative performance is always discovered.
 package prepcache
 
 import (

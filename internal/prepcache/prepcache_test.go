@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
@@ -196,15 +195,17 @@ func TestCacheConcurrentSingleBuild(t *testing.T) {
 }
 
 // TestStatementExecuteEngines: one cached statement executes on every
-// explicit engine and via Auto, with identical rows everywhere, and
-// the router accumulates observations from all of it. After the two
-// pure engines have run, Auto's try-each-arm-first phase
-// deterministically picks the untried hybrid arm, reported under its
-// decorated name.
+// explicit engine and via Auto, with identical rows everywhere. The
+// explicit engines are fixed policies — hybrid runs the cost
+// heuristic's assignment every time — and leave the router untouched;
+// only Auto runs under the statement's PipelineRouter: its first
+// execution takes the heuristic's seed, its second tries the other arm
+// of every pipeline, and each one is observed.
 func TestStatementExecuteEngines(t *testing.T) {
 	db, _ := miniCat(t)
 	cat := catalog.For(db)
 	c := New(4)
+	// One filter-only grouped pipeline: the heuristic runs it compiled.
 	const q = "select o_custkey, count(*) from orders where o_custkey < ? group by o_custkey order by 1"
 	st, _, err := c.GetOrPrepare(cat, q, func() (*logical.Plan, error) { return logical.Prepare(db, q) })
 	if err != nil {
@@ -215,41 +216,31 @@ func TestStatementExecuteEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	ty, used, err := st.Execute(ctx, engine.Typer, vals, 2, 0)
-	if err != nil || used != engine.Typer {
-		t.Fatalf("typer: used=%q err=%v", used, err)
+	var results []*logical.Result
+	for _, tc := range []struct {
+		name, used string
+		observed   uint64
+	}{
+		{engine.Typer, engine.Typer, 0},
+		{engine.Tectorwise, engine.Tectorwise, 0},
+		{engine.Hybrid, engine.Hybrid + "[t]", 0},
+		{Auto, engine.Hybrid + "[t]", 1},
+		{Auto, engine.Hybrid + "[v]", 2},
+		{engine.Hybrid, engine.Hybrid + "[t]", 2},
+	} {
+		res, used, err := st.Execute(ctx, tc.name, vals, 2, 0)
+		if err != nil || used != tc.used {
+			t.Fatalf("%s: used=%q err=%v, want %q", tc.name, used, err, tc.used)
+		}
+		if got := observed(st); got != tc.observed {
+			t.Fatalf("after %s (%s): router observed %d pipeline runs, want %d", tc.name, used, got, tc.observed)
+		}
+		results = append(results, res)
 	}
-	tw, used, err := st.Execute(ctx, engine.Tectorwise, vals, 2, 0)
-	if err != nil || used != engine.Tectorwise {
-		t.Fatalf("tectorwise: used=%q err=%v", used, err)
-	}
-	au, used, err := st.Execute(ctx, Auto, vals, 2, 0)
-	if err != nil || !strings.HasPrefix(used, engine.Hybrid+"[") {
-		t.Fatalf("auto: used=%q err=%v (want the untried hybrid arm)", used, err)
-	}
-	hy, used, err := st.Execute(ctx, engine.Hybrid, vals, 2, 0)
-	if err != nil || !strings.HasPrefix(used, engine.Hybrid+"[") {
-		t.Fatalf("hybrid: used=%q err=%v", used, err)
-	}
-	if !sqlcheck.SameRows(sqlcheck.Canon(ty.Rows), sqlcheck.Canon(tw.Rows)) ||
-		!sqlcheck.SameRows(sqlcheck.Canon(ty.Rows), sqlcheck.Canon(au.Rows)) ||
-		!sqlcheck.SameRows(sqlcheck.Canon(ty.Rows), sqlcheck.Canon(hy.Rows)) {
-		t.Fatalf("engines disagree: typer=%v tectorwise=%v auto=%v hybrid=%v", ty.Rows, tw.Rows, au.Rows, hy.Rows)
-	}
-	var total uint64
-	for _, a := range st.Router().Snapshot() {
-		total += a.N
-	}
-	if total != 4 {
-		t.Fatalf("router observed %d executions, want 4", total)
-	}
-	// The hybrid executions also trained the per-pipeline router.
-	var pipeTotal uint64
-	for _, a := range st.PipeRouter().PipeSnapshot() {
-		pipeTotal += a.N[0] + a.N[1]
-	}
-	if pipeTotal == 0 {
-		t.Fatal("per-pipeline router observed nothing from the hybrid executions")
+	for i, res := range results[1:] {
+		if !sqlcheck.SameRows(sqlcheck.Canon(res.Rows), sqlcheck.Canon(results[0].Rows)) {
+			t.Fatalf("execution %d disagrees with typer: %v vs %v", i+1, res.Rows, results[0].Rows)
+		}
 	}
 	if _, _, err := st.Execute(ctx, "bogus", vals, 1, 0); err == nil {
 		t.Fatal("unknown engine accepted")
@@ -257,6 +248,16 @@ func TestStatementExecuteEngines(t *testing.T) {
 	if _, err := st.BindTexts([]string{"1", "2"}); err == nil {
 		t.Fatal("arity mismatch accepted")
 	}
+}
+
+// observed is the number of per-pipeline observations the statement's
+// router holds.
+func observed(st *Statement) uint64 {
+	var n uint64
+	for _, a := range st.PipeRouter().PipeSnapshot() {
+		n += a.N[0] + a.N[1]
+	}
+	return n
 }
 
 // failingSink accepts the header and fails the first row batch — a
@@ -286,23 +287,22 @@ func routerStatement(t *testing.T) (*Statement, []int64) {
 	return st, vals
 }
 
-var routerArms = []string{engine.Typer, engine.Tectorwise, engine.Hybrid}
+var routerArms = []string{engine.Typer, engine.Tectorwise, engine.Hybrid, Auto}
 
-// TestFailingSinkDoesNotPenalizeRouter: only the engine's own failure
-// may cost a router arm. A sink that fails mid-stream returns its error
+// TestFailingSinkDoesNotPenalizeRouter: only a completed execution may
+// train the router. A sink that fails mid-stream returns its error
 // under a live caller context (the executor cancels its derived
-// context, not the caller's) and says nothing about the backend — the
-// router's books must not move, or disconnecting clients would skew
-// auto routing away from a healthy engine.
+// context, not the caller's) and its truncated run says nothing about
+// the backends — the router's books must not move, or disconnecting
+// clients would skew auto routing.
 func TestFailingSinkDoesNotPenalizeRouter(t *testing.T) {
 	st, vals := routerStatement(t)
 	for _, name := range routerArms {
-		before := st.Router().Snapshot()
 		if _, err := st.Run(context.Background(), name, engine.Options{Args: vals, Workers: 2, Chunk: 4, Sink: failingSink{}}); !errors.Is(err, errSinkGone) {
 			t.Fatalf("%s: failing sink returned %v, want the sink's error", name, err)
 		}
-		if got := st.Router().Snapshot(); !reflect.DeepEqual(got, before) {
-			t.Errorf("%s: a failing sink moved the router: %+v → %+v", name, before, got)
+		if n := observed(st); n != 0 {
+			t.Errorf("%s: a failing sink fed the router %d observations", name, n)
 		}
 	}
 }
@@ -314,14 +314,14 @@ func TestWrongArityBindDoesNotPenalizeRouter(t *testing.T) {
 	st, vals := routerStatement(t)
 	ctx := context.Background()
 	for _, name := range routerArms {
-		before := st.Router().Snapshot()
+		before := st.PipeRouter().PipeSnapshot()
 		if _, _, err := st.Execute(ctx, name, nil, 2, 0); err == nil {
 			t.Fatalf("%s: wrong-arity binding accepted", name)
 		}
 		if _, err := st.Run(ctx, name, engine.Options{Args: append(vals, 1), Workers: 2, Chunk: 4, Sink: failingSink{}}); err == nil {
 			t.Fatalf("%s: wrong-arity streamed binding accepted", name)
 		}
-		if got := st.Router().Snapshot(); !reflect.DeepEqual(got, before) {
+		if got := st.PipeRouter().PipeSnapshot(); !reflect.DeepEqual(got, before) {
 			t.Errorf("%s: a wrong-arity binding moved the router: %+v → %+v", name, before, got)
 		}
 	}

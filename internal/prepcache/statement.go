@@ -3,7 +3,6 @@ package prepcache
 import (
 	"context"
 	"sync/atomic"
-	"time"
 
 	"paradigms/internal/catalog"
 	"paradigms/internal/engine"
@@ -12,14 +11,19 @@ import (
 	"paradigms/internal/obs"
 )
 
+// Auto is the pseudo-engine of adaptive routing: each execution runs
+// the hybrid executor with the statement's PipelineRouter assigning
+// every pipeline to whichever backend it currently measures as faster.
+const Auto = "auto"
+
 // Statement is one prepared SQL text: the optimized parameterized plan
-// plus the statement's adaptive engine router. The plan is an immutable
-// template — Execute binds arguments into a copy-on-write clone — so a
-// Statement is safe for concurrent execution from many clients. With
-// cardinality feedback enabled the plan pointer itself can advance (an
-// atomic swap to a re-planned template when observed cardinalities
-// drift from the estimates); in-flight executions finish on the plan
-// they loaded.
+// plus the statement's adaptive per-pipeline router. The plan is an
+// immutable template — Execute binds arguments into a copy-on-write
+// clone — so a Statement is safe for concurrent execution from many
+// clients. With cardinality feedback enabled the plan pointer itself
+// can advance (an atomic swap to a re-planned template when observed
+// cardinalities drift from the estimates); in-flight executions finish
+// on the plan they loaded.
 type Statement struct {
 	// Text is the normalized SQL the statement was prepared from.
 	Text string
@@ -28,7 +32,6 @@ type Statement struct {
 	fb      atomic.Pointer[fbState]
 	replans atomic.Uint64
 
-	router     Router
 	pipeRouter PipelineRouter
 }
 
@@ -76,11 +79,8 @@ func (s *Statement) NumParams() int { return len(s.Plan().Params) }
 // ParamTypes lists the bound type of each placeholder in order.
 func (s *Statement) ParamTypes() []catalog.Type { return s.Plan().Params }
 
-// Router exposes the statement's adaptive engine router.
-func (s *Statement) Router() *Router { return &s.router }
-
-// PipeRouter exposes the statement's per-pipeline router — the hybrid
-// engine's arm-level counterpart of Router.
+// PipeRouter exposes the statement's per-pipeline router, the one that
+// engine Auto runs under.
 func (s *Statement) PipeRouter() *PipelineRouter { return &s.pipeRouter }
 
 // BindTexts parses one argument text per placeholder into the raw
@@ -111,7 +111,7 @@ func (s *Statement) observeCtx(ctx context.Context) (context.Context, *obs.Colle
 // changes the plan's pipeline shape, which both re-keys subsequent
 // feedback (the re-planned statement accumulates fresh state, now with
 // estimates that match observations) and makes the PipelineRouter
-// restart from its heuristic seed on the next hybrid decision.
+// restart from its heuristic seed on the next Auto decision.
 func (s *Statement) observeFeedback(pl *logical.Plan, col *obs.Collector) {
 	fb := s.fb.Load()
 	if fb == nil || col == nil {
@@ -135,7 +135,7 @@ func (s *Statement) observeFeedback(pl *logical.Plan, col *obs.Collector) {
 	}
 	if np.Format() == pl.Format() {
 		// The observed cardinalities do not change the join order:
-		// keep the current template (and its trained routers).
+		// keep the current template (and its trained router).
 		return
 	}
 	if s.plan.CompareAndSwap(pl, np) {
@@ -153,35 +153,22 @@ func (s *Statement) Execute(ctx context.Context, name string, args []int64, work
 // Run executes the statement's current plan template through
 // engine.Run on the named engine — engine.Typer (compiled fused
 // pipelines), engine.Tectorwise (vectorized operator plans),
-// engine.Hybrid (per-pipeline mix of the two, routed by the
-// statement's PipelineRouter; opt.Router is overwritten), or Auto,
-// which resolves to whichever backend the statement's router currently
-// measures as faster. Output.Used is the engine that actually ran —
-// for hybrid, decorated with the pipeline assignment ("hybrid[t,v]").
-// Every successful execution's latency feeds the router and the
-// feedback loop, streamed or materialized and whichever way the engine
-// was chosen, so explicit-engine traffic trains Auto too.
+// engine.Hybrid (the cost heuristic's per-pipeline mix of the two), or
+// Auto, which is engine.Hybrid with opt.Router set to the statement's
+// PipelineRouter. Output.Used is the engine that actually ran — for
+// hybrid and Auto, decorated with the pipeline assignment
+// ("hybrid[t,v]"). Every successful execution feeds the feedback loop,
+// streamed or materialized, on whichever engine ran.
 func (s *Statement) Run(ctx context.Context, name string, opt engine.Options) (engine.Output, error) {
 	pl := s.plan.Load()
 	if name == Auto {
-		name = s.router.Pick()
+		name, opt.Router = engine.Hybrid, &s.pipeRouter
 	}
-	opt.Router = &s.pipeRouter
 	ctx, col := s.observeCtx(ctx)
-	start := time.Now()
 	out, err := engine.Run(ctx, name, pl, opt)
 	if err != nil {
-		// Only the engine's own failure penalizes the arm, so auto
-		// routing falls through to the other backend rather than
-		// pinning to a broken one. A bad binding, a failing sink (the
-		// client went away), or a canceled context says nothing about
-		// the engine — observe nothing.
-		if out.Faulted {
-			s.router.ObserveFailure(out.Used)
-		}
 		return out, err
 	}
-	s.router.Observe(out.Used, time.Since(start))
 	s.observeFeedback(pl, col)
 	return out, nil
 }

@@ -64,8 +64,8 @@ func (h *Handle) Streaming() bool { return h.sink != nil }
 func (h *Handle) Engine() string { return h.engine }
 
 // EngineUsed is the engine the query actually executed on — for an
-// "auto" prepared submission, the backend the statement's adaptive
-// router resolved to. It falls back to the submitted engine for
+// "auto" prepared submission, the hybrid with the assignment the
+// statement's per-pipeline router chose. It falls back to the submitted engine for
 // queries that never ran (died in the admission queue). Valid after
 // Done.
 func (h *Handle) EngineUsed() string {

@@ -60,8 +60,8 @@ type Stmt interface {
 	ParamTypes() []catalog.Type
 	// Plan is the statement's current optimized plan template.
 	Plan() *logical.Plan
-	// Run executes the template on the named engine ("auto" resolves
-	// through the statement's adaptive router) with the bound
+	// Run executes the template on the named engine ("auto" runs the
+	// hybrid under the statement's per-pipeline router) with the bound
 	// arguments and mode in opt.
 	Run(ctx context.Context, name string, opt engine.Options) (engine.Output, error)
 }
@@ -320,9 +320,9 @@ func (s *Service) Prepare(query string) (*Prepared, error) {
 // the given argument texts (one per `?` placeholder) under the default
 // tenant. Admission, cancellation, and the worker-share grant are
 // exactly Submit's; only the execution path differs — no parse or
-// plan, and an "auto" engine resolves per execution through the
-// statement's adaptive router (Handle.EngineUsed reports the resolved
-// engine after Done).
+// plan, and an "auto" engine runs the hybrid under the statement's
+// per-pipeline router (Handle.EngineUsed reports the assignment it
+// chose after Done).
 func (s *Service) SubmitPrepared(ctx context.Context, engine string, p *Prepared, args ...string) (*Handle, error) {
 	return s.SubmitReq(ctx, Req{Engine: engine, Prep: p, Args: args})
 }

@@ -17,7 +17,8 @@ import (
 // fakeExec is the tests' one Executor. Run records each job in start
 // order and returns at once — or, with hold set, parks the job until
 // releaseOne(i) or ctx, and with delay set, takes delay(job) to run.
-// "auto" resolves to typer, like the facade's router would; Prepare
+// "auto" reports typer, standing in for the engine the real executor
+// reports; Prepare
 // wraps the text and rejects texts containing "bogus".
 type fakeExec struct {
 	hold     bool

@@ -84,7 +84,7 @@ type Stats struct {
 	// Tenants breaks the counters down per tenant.
 	Tenants map[string]TenantStats
 	// PerEngine breaks Served down by the engine that actually ran each
-	// query ("auto" submissions count under the resolved backend).
+	// query ("auto" submissions count under hybrid, which they run).
 	PerEngine map[string]uint64
 	// Counters are the executor's plan-cache and exchange counters.
 	Counters

@@ -8,11 +8,12 @@ import (
 )
 
 // Auto is the adaptive pseudo-engine of prepared statements: each
-// execution routes to whichever backend the statement's router
-// currently measures as faster (epsilon-greedy over observed
-// latencies) — the serving-time exploitation of the paper's finding
-// that neither paradigm dominates. Only prepared statements accept it;
-// one-shot RunContext calls have no latency history to route on.
+// execution runs the hybrid engine with every pipeline on whichever
+// backend the statement's per-pipeline router currently measures as
+// faster (epsilon-greedy over observed latencies) — the serving-time
+// exploitation of the paper's finding that neither paradigm dominates.
+// Only prepared statements accept it; one-shot RunContext calls have no
+// latency history to route on.
 const Auto Engine = prepcache.Auto
 
 // Stmt is a prepared statement outside the query service: the SQL text
@@ -42,8 +43,9 @@ func (s *Stmt) NumParams() int { return s.s.NumParams() }
 
 // Exec runs the statement with one argument binding (one text per
 // placeholder; dates as YYYY-MM-DD, numerics at the slot's scale). It
-// returns the result and the engine that actually executed — equal to
-// the requested engine unless Auto resolved it.
+// returns the result and the engine that actually executed — the
+// requested engine, with the per-pipeline assignment appended for
+// hybrid ("hybrid[t,v]"), and Auto reported as the hybrid it ran.
 func (s *Stmt) Exec(ctx context.Context, engine Engine, args []string, opt Options) (*logical.Result, Engine, error) {
 	vals, err := s.s.BindTexts(args)
 	if err != nil {

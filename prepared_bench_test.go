@@ -78,7 +78,7 @@ func benchDBs2() (*DB, *DB) { return sqlDBs() }
 // loop from 8 clients: the adhoc variant submits the literal SQL text
 // (re-planned every execution), the prepared variant executes the
 // cached statement with bound arguments, and the auto variant lets the
-// per-statement router pick the backend. The spread is the serve-path
+// statement's per-pipeline router pick each pipeline's backend. The spread is the serve-path
 // cost of not having a plan cache.
 func BenchmarkServicePreparedThroughput(b *testing.B) {
 	db, ssb := benchDBs2()

@@ -213,7 +213,7 @@ func TestPreparedConcurrentService(t *testing.T) {
 		t.Errorf("per-engine counts sum to %d, want %d", perEngine, total)
 	}
 	if st.PerEngine["auto"] != 0 {
-		t.Errorf("%d executions attributed to pseudo-engine auto (router must resolve)", st.PerEngine["auto"])
+		t.Errorf("%d executions attributed to pseudo-engine auto (it runs as hybrid)", st.PerEngine["auto"])
 	}
 }
 

@@ -250,7 +250,7 @@ func (x *executor) Run(ctx context.Context, job server.Job) (server.Outcome, err
 	// The one shard decision, for every request form. Hybrid stays
 	// local because the benchmark's sharded_materialized workload
 	// declares it the single-process comparator; auto stays local
-	// because its routers learn from per-pipeline telemetry the shards
+	// because its router learns from per-pipeline telemetry the shards
 	// do not emit yet.
 	if cl := x.clusters[cat.DB]; cl != nil && (job.Engine == string(Typer) || job.Engine == string(Tectorwise)) {
 		res, err = cl.Run(ctx, exchange.Request{
