@@ -11,6 +11,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -500,5 +501,93 @@ func TestOneEngineRouter(t *testing.T) {
 	}
 	if len(handoffs) != 1 {
 		t.Errorf("non-test code sets a Router field at %d sites, want 1 (Statement.Run's auto branch): %v", len(handoffs), handoffs)
+	}
+}
+
+// TestOneKeyFilter pins the exact key filter DESIGN.md §2 describes: the
+// bitmap is built in one internal/hashtable function, PrepareKeyFilter,
+// which — like the per-shard KeyBounds before it — only tw.BuildBarrier
+// calls; and the filter is read only by the compiled probe loops
+// (internal/compiled/exec.go) and by tw.SelectKeys, the one primitive
+// plan.HashProbe uses. Reading the filter's size (KeyFilter().Bits(),
+// for telemetry) is allowed anywhere.
+func TestOneKeyFilter(t *testing.T) {
+	fset := token.NewFileSet()
+	var builders, readers []string
+	calls := map[string][]string{} // PrepareKeyFilter, KeyBounds, SelectKeys → "dir.Func"
+	for _, file := range goSources(t) {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := filepath.ToSlash(filepath.Dir(file))
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			site := dir + "." + fn.Name.Name
+			sized := map[ast.Node]bool{} // KeyFilter() calls whose result is only sized
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					if id, ok := n.Type.(*ast.Ident); ok && id.Name == "KeyFilter" && len(n.Elts) > 0 {
+						builders = append(builders, site)
+					}
+				case *ast.SelectorExpr:
+					if call, ok := n.X.(*ast.CallExpr); ok && n.Sel.Name == "Bits" {
+						sized[call] = true
+					}
+				case *ast.CallExpr:
+					sel, ok := n.Fun.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					switch name := sel.Sel.Name; name {
+					case "PrepareKeyFilter", "KeyBounds", "SelectKeys":
+						calls[name] = append(calls[name], site)
+					case "KeyFilter":
+						if !sized[n] {
+							readers = append(readers, filepath.ToSlash(file)+":"+fn.Name.Name)
+						}
+					}
+				}
+				return true
+			})
+			// A method value passed to a barrier (bar.Wait(ht.PrepareKeyFilter))
+			// is a call site too.
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					for _, arg := range call.Args {
+						if sel, ok := arg.(*ast.SelectorExpr); ok && sel.Sel.Name == "PrepareKeyFilter" {
+							calls["PrepareKeyFilter"] = append(calls["PrepareKeyFilter"], site)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	if want := []string{"internal/hashtable.PrepareKeyFilter"}; !reflect.DeepEqual(builders, want) {
+		t.Errorf("key filter bitmaps are built in %v, want %v", builders, want)
+	}
+	for _, name := range []string{"PrepareKeyFilter", "KeyBounds"} {
+		if want := []string{"internal/tw.BuildBarrier"}; !reflect.DeepEqual(calls[name], want) {
+			t.Errorf("%s is called from %v, want %v", name, calls[name], want)
+		}
+	}
+	if want := []string{"internal/plan.Next"}; !reflect.DeepEqual(calls["SelectKeys"], want) {
+		t.Errorf("tw.SelectKeys is called from %v, want %v (plan.HashProbe)", calls["SelectKeys"], want)
+	}
+	for _, r := range readers {
+		if r != "internal/tw/join.go:SelectKeys" && !strings.HasPrefix(r, "internal/compiled/exec.go:") {
+			t.Errorf("%s reads the key filter; only internal/compiled/exec.go and tw.SelectKeys may", r)
+		}
+	}
+	if len(readers) == 0 {
+		t.Error("no key filter readers found")
 	}
 }

@@ -164,6 +164,9 @@ rows:
 				k = uint64(st.key64[i])
 			}
 			ht := st.build.ht
+			if ht.KeyFilter().Miss(k) {
+				continue rows
+			}
 			ref := ht.Lookup(hashtable.Mix64(k))
 			for {
 				if ref == 0 {
@@ -189,21 +192,25 @@ rows:
 
 // probeOne is survivors for the dominant join shape — one residual-free
 // probe on a 32-bit key and no row checks, every pipeline of Q3 and Q18
-// — with the probe state hoisted into locals so it stays
-// register-resident: a second key column, or a per-row test for which
-// of the two loops below applies, spills it. Probe walks compare the
-// stored key directly: chains are per-bucket, so a key match is
-// definitive and one word cheaper than the hash prefilter on these
-// 1-word keys.
+// — with the probe state (table and key filter) hoisted into locals so
+// it stays register-resident: a second key column, or a per-row test
+// for which of the two loops below applies, spills it. Probe walks
+// compare the stored key directly: chains are per-bucket, so a key
+// match is definitive and one word cheaper than the hash prefilter on
+// these 1-word keys.
 func (p *pipe) probeOne(base, end int, pos []int32, frame []int64, sink func(i int, fr []int64)) {
 	st := p.steps[0]
 	k32 := st.key32
 	ht := st.build.ht
+	kf := ht.KeyFilter()
 	gath := st.gathers
 	if pos == nil {
 	dense:
 		for i := base; i < end; i++ {
 			k := uint64(uint32(k32[i]))
+			if kf.Miss(k) {
+				continue
+			}
 			ref := ht.Lookup(hashtable.Mix64(k))
 			for {
 				if ref == 0 {
@@ -225,6 +232,9 @@ selected:
 	for _, s := range pos {
 		i := base + int(s)
 		k := uint64(uint32(k32[i]))
+		if kf.Miss(k) {
+			continue
+		}
 		ref := ht.Lookup(hashtable.Mix64(k))
 		for {
 			if ref == 0 {

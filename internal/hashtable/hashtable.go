@@ -15,12 +15,18 @@
 // arenas may grow during the build phase without invalidating references.
 // Directory insertion uses a CAS loop per bucket, enabling the
 // morsel-driven parallel build both engines share (§6.1).
+//
+// A join table published with PrepareKeyFilter also carries an exact
+// membership bitmap over its build keys (KeyFilter): a probe tests the
+// key's bit before hashing, so a miss skips the hash, the directory load
+// and the chain.
 package hashtable
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"math/bits"
 	"sync/atomic"
 	"unsafe"
@@ -58,6 +64,9 @@ type Shard struct {
 	words []uint64
 	rows  int
 	id    uint64
+	// kmin, kmax bound payload word 0 over the shard's rows (signed),
+	// set by KeyBounds before a keyed publish.
+	kmin, kmax int64
 }
 
 // Table is the shared chaining hash table.
@@ -69,6 +78,46 @@ type Table struct {
 	// UseTags controls the 16-bit Bloom tag fast path; on by default.
 	// The fig-tag ablation bench switches it off.
 	UseTags bool
+	keys    KeyFilter
+}
+
+// KeyFilter is an exact membership bitmap over a join table's build
+// keys (payload word 0): bit k − min is set for every build key k. A key
+// outside [min, max] or with a clear bit is certainly absent; a set bit
+// sends the probe on to the directory, so duplicate keys still find
+// every match. The zero KeyFilter (no bitmap) rejects nothing.
+//
+// Bits past max − min are clear, so the range test is against the
+// bitmap's length: that keeps the struct four words, small enough for
+// the compiler to hold a hoisted copy in registers.
+type KeyFilter struct {
+	bits []uint64
+	min  uint64
+}
+
+// Miss reports whether k is certainly not a build key.
+func (f KeyFilter) Miss(k uint64) bool {
+	if f.bits == nil {
+		return false
+	}
+	d := k - f.min
+	return d >= uint64(len(f.bits))<<6 || f.bits[d>>6]&(1<<(d&63)) == 0
+}
+
+// Bits returns the bitmap's size in bits, 0 when the table has none.
+func (f KeyFilter) Bits() int { return 64 * len(f.bits) }
+
+// set marks k present. Workers inserting distinct shards share bitmap
+// words, so the OR is a CAS loop.
+func (f KeyFilter) set(k uint64) {
+	d := k - f.min
+	w, b := &f.bits[d>>6], uint64(1)<<(d&63)
+	for {
+		old := atomic.LoadUint64(w)
+		if old&b != 0 || atomic.CompareAndSwapUint64(w, old, old|b) {
+			return
+		}
+	}
 }
 
 // New creates a table whose entries carry payloadWords 64-bit payload
@@ -157,7 +206,53 @@ func (t *Table) Prepare(expected int) {
 	}
 	t.dir = make([]uint64, size)
 	t.mask = uint64(size - 1)
+	t.keys = KeyFilter{}
 }
+
+// KeyBounds records the signed minimum and maximum of payload word 0
+// over shard i's rows — the first half of a keyed publish, run by the
+// shard's worker before the barrier that calls PrepareKeyFilter.
+func (t *Table) KeyBounds(i int) {
+	s := t.shards[i]
+	s.kmin, s.kmax = math.MaxInt64, math.MinInt64
+	if t.rowWords == headerWords {
+		return
+	}
+	rw := uint64(t.rowWords)
+	for off := uint64(1 + headerWords); off < uint64(len(s.words)); off += rw {
+		k := int64(s.words[off])
+		s.kmin = min(s.kmin, k)
+		s.kmax = max(s.kmax, k)
+	}
+}
+
+// PrepareKeyFilter is Prepare(Rows()) for a join table whose build key
+// is payload word 0: it merges the shards' KeyBounds and, when the key
+// span fits in as many bits as the directory has bits (span ≤ 64 ×
+// slots, so the bitmap is never larger than the directory it fronts),
+// allocates the KeyFilter that InsertShard then fills. An empty build, a
+// keyless row, or a span that wraps 64 bits gets no filter.
+func (t *Table) PrepareKeyFilter() {
+	t.Prepare(t.Rows())
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, s := range t.shards {
+		if s.rows > 0 {
+			lo, hi = min(lo, s.kmin), max(hi, s.kmax)
+		}
+	}
+	if lo > hi {
+		return
+	}
+	span := uint64(hi) - uint64(lo) + 1
+	if span == 0 || span > 64*uint64(len(t.dir)) {
+		return
+	}
+	t.keys = KeyFilter{bits: make([]uint64, (span+63)/64), min: uint64(lo)}
+}
+
+// KeyFilter returns the table's key filter (the zero KeyFilter when the
+// table was not published with PrepareKeyFilter).
+func (t *Table) KeyFilter() KeyFilter { return t.keys }
 
 // DirSize returns the number of directory slots (0 before Prepare).
 func (t *Table) DirSize() int { return len(t.dir) }
@@ -173,13 +268,19 @@ func (t *Table) Finalize() {
 	}
 }
 
-// InsertShard inserts every row of shard i into the directory. Safe to
-// call concurrently for distinct shards once Prepare has run.
+// InsertShard inserts every row of shard i into the directory, and its
+// key into the key filter when the table has one. Safe to call
+// concurrently for distinct shards once Prepare (or PrepareKeyFilter)
+// has run.
 func (t *Table) InsertShard(i int) {
 	s := t.shards[i]
 	rw := uint64(t.rowWords)
+	kf := t.keys
 	for off := uint64(1); off < uint64(len(s.words)); off += rw {
 		t.insertCAS(makeRef(uint64(i), off), s.words[off+1])
+		if kf.bits != nil {
+			kf.set(s.words[off+headerWords])
+		}
 	}
 }
 
@@ -318,12 +419,13 @@ func (t *Table) Reset() {
 	}
 	t.dir = nil
 	t.mask = 0
+	t.keys = KeyFilter{}
 }
 
-// MemoryFootprint reports directory + arena bytes, used by the working-set
-// experiments (Fig. 9).
+// MemoryFootprint reports directory + key filter + arena bytes, used by
+// the working-set experiments (Fig. 9).
 func (t *Table) MemoryFootprint() int64 {
-	total := int64(len(t.dir)) * 8
+	total := int64(len(t.dir)+len(t.keys.bits)) * 8
 	for _, s := range t.shards {
 		total += int64(cap(s.words)) * 8
 	}

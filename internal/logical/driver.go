@@ -403,7 +403,7 @@ func drive(ctx context.Context, pl *Plan, workers int, pol Policy, stream *strea
 		if i < fi {
 			// Build-pipeline output = the shared table's final row count.
 			rows = int64(hts[i].Rows())
-			col.SetHTRows(i, rows)
+			col.SetHTRows(i, rows, int64(hts[i].KeyFilter().Bits()))
 		}
 		col.PipeWorker(i, rows, batches, out.Nanos[i])
 		if out.Vec[i] > 0 {

@@ -51,6 +51,9 @@ type PipeStat struct {
 	Batches int64 `json:"batches,omitempty"`
 	// HTRows is the hash table's row count after a build pipeline.
 	HTRows int64 `json:"ht_rows,omitempty"`
+	// KeyBits is the size in bits of the build table's exact key filter
+	// (hashtable.KeyFilter), 0 when the build got none.
+	KeyBits int64 `json:"key_bits,omitempty"`
 	// Probes is the number of hash joins probed inside the pipeline.
 	Probes int `json:"probes,omitempty"`
 	// VecSize is the vector size a vectorized pipeline settled on.
@@ -128,12 +131,13 @@ func (c *Collector) SetVec(i, vec int) {
 	}
 }
 
-// SetHTRows records the hash-table row count after a build pipeline.
-func (c *Collector) SetHTRows(i int, rows int64) {
+// SetHTRows records a build pipeline's published hash table: its row
+// count and its key filter's size in bits.
+func (c *Collector) SetHTRows(i int, rows, keyBits int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if i >= 0 && i < len(c.pipes) {
-		c.pipes[i].HTRows = rows
+		c.pipes[i].HTRows, c.pipes[i].KeyBits = rows, keyBits
 	}
 }
 

@@ -99,10 +99,34 @@ func ScatterWordI64(ht *hashtable.Table, base hashtable.Ref, w int, vals []int64
 }
 
 // BuildBarrier publishes a shared hash table after all workers have
-// materialized their build rows: barrier → size directory → every worker
-// inserts its shard → barrier.
+// materialized their build rows (key in payload word 0): every worker
+// bounds its shard's keys → barrier → size the directory and the key
+// filter → every worker inserts its shard → barrier.
 func BuildBarrier(ht *hashtable.Table, bar *exec.Barrier, w int) {
-	bar.Wait(func() { ht.Prepare(ht.Rows()) })
+	ht.KeyBounds(w)
+	bar.Wait(ht.PrepareKeyFilter)
 	ht.InsertShard(w)
 	bar.Wait(nil)
+}
+
+// SelectKeys is the probe side of the table's key filter: it copies the
+// n keys the filter cannot reject to out, their positions to pos, and
+// returns their count — or -1, writing nothing, when the table has no
+// filter. out may be keys itself (the compaction runs in place).
+// Callers hash and probe out[:k] and map match positions back through
+// pos.
+func SelectKeys(ht *hashtable.Table, keys []uint64, n int, out []uint64, pos []int32) int {
+	kf := ht.KeyFilter()
+	if kf.Bits() == 0 {
+		return -1
+	}
+	k := 0
+	for i, key := range keys[:n] {
+		out[k] = key
+		pos[k] = int32(i)
+		if !kf.Miss(key) {
+			k++
+		}
+	}
+	return k
 }

@@ -64,14 +64,18 @@ func TestAnalyzeEndToEnd(t *testing.T) {
 		if pipes[0].HTRows <= 0 || pipes[1].HTRows <= 0 {
 			t.Errorf("%s: build pipes missing hash-table sizes", engine)
 		}
+		if pipes[0].KeyBits <= 0 || pipes[1].KeyBits <= 0 || pipes[2].KeyBits != 0 {
+			t.Errorf("%s: key filter sizes %d/%d/%d, want both builds filtered and none on the final pipe",
+				engine, pipes[0].KeyBits, pipes[1].KeyBits, pipes[2].KeyBits)
+		}
 		if base == nil {
 			base = pipes
 			continue
 		}
 		for i := range pipes {
-			if pipes[i].RowsOut != base[i].RowsOut || pipes[i].HTRows != base[i].HTRows {
-				t.Errorf("%s: pipe %d observed %d rows / %d ht, typer observed %d / %d",
-					engine, i, pipes[i].RowsOut, pipes[i].HTRows, base[i].RowsOut, base[i].HTRows)
+			if pipes[i].RowsOut != base[i].RowsOut || pipes[i].HTRows != base[i].HTRows || pipes[i].KeyBits != base[i].KeyBits {
+				t.Errorf("%s: pipe %d observed %d rows / %d ht / %d key bits, typer observed %d / %d / %d",
+					engine, i, pipes[i].RowsOut, pipes[i].HTRows, pipes[i].KeyBits, base[i].RowsOut, base[i].HTRows, base[i].KeyBits)
 			}
 		}
 	}
