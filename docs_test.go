@@ -542,6 +542,13 @@ func TestOneKeyFilter(t *testing.T) {
 						sized[call] = true
 					}
 				case *ast.CallExpr:
+					// A method value handed to a barrier
+					// (bar.Wait(ht.PrepareKeyFilter)) is a call site too.
+					for _, arg := range n.Args {
+						if sel, ok := arg.(*ast.SelectorExpr); ok && sel.Sel.Name == "PrepareKeyFilter" {
+							calls["PrepareKeyFilter"] = append(calls["PrepareKeyFilter"], site)
+						}
+					}
 					sel, ok := n.Fun.(*ast.SelectorExpr)
 					if !ok {
 						return true
@@ -552,18 +559,6 @@ func TestOneKeyFilter(t *testing.T) {
 					case "KeyFilter":
 						if !sized[n] {
 							readers = append(readers, filepath.ToSlash(file)+":"+fn.Name.Name)
-						}
-					}
-				}
-				return true
-			})
-			// A method value passed to a barrier (bar.Wait(ht.PrepareKeyFilter))
-			// is a call site too.
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					for _, arg := range call.Args {
-						if sel, ok := arg.(*ast.SelectorExpr); ok && sel.Sel.Name == "PrepareKeyFilter" {
-							calls["PrepareKeyFilter"] = append(calls["PrepareKeyFilter"], site)
 						}
 					}
 				}

@@ -19,13 +19,9 @@ import (
 // maximum (max+1 included), and to a negative key (above the maximum
 // once widened to the 32-bit key word).
 func remapKeys(mul, add int32, build []int32, probes ...[]int32) {
-	hi := int32(math.MinInt32)
+	lo, hi := int32(math.MaxInt32), int32(math.MinInt32)
 	for _, k := range build {
-		hi = max(hi, mul*k+add)
-	}
-	lo := int32(math.MaxInt32)
-	for _, k := range build {
-		lo = min(lo, mul*k+add)
+		lo, hi = min(lo, mul*k+add), max(hi, mul*k+add)
 	}
 	top := lo + (hi-lo+64)/64*64 - 1
 	mapKey := func(k int32) int32 {
