@@ -508,13 +508,16 @@ func TestOneEngineRouter(t *testing.T) {
 // bitmap is built in one internal/hashtable function, PrepareKeyFilter,
 // which — like the per-shard KeyBounds before it — only tw.BuildBarrier
 // calls; and the filter is read only by the compiled probe loops
-// (internal/compiled/exec.go) and by tw.SelectKeys, the one primitive
-// plan.HashProbe uses. Reading the filter's size (KeyFilter().Bits(),
-// for telemetry) is allowed anywhere.
+// (internal/compiled/exec.go) and by tw.FindCandidates, the directory
+// lookup under tw.Probe that plan.HashProbe and the Tectorwise hand
+// kernels probe through. Reading the filter's size (KeyFilter().Bits(),
+// for telemetry) is allowed anywhere. Sites are named with their
+// receiver ("internal/plan.(*HashProbe).Next"), so a same-named method
+// elsewhere in a package is a different site.
 func TestOneKeyFilter(t *testing.T) {
 	fset := token.NewFileSet()
 	var builders, readers []string
-	calls := map[string][]string{} // PrepareKeyFilter, KeyBounds, SelectKeys → "dir.Func"
+	calls := map[string][]string{} // PrepareKeyFilter, KeyBounds → sites
 	for _, file := range goSources(t) {
 		if strings.HasSuffix(file, "_test.go") {
 			continue
@@ -529,7 +532,7 @@ func TestOneKeyFilter(t *testing.T) {
 			if !ok || fn.Body == nil {
 				continue
 			}
-			site := dir + "." + fn.Name.Name
+			site := dir + "." + funcSite(fn)
 			sized := map[ast.Node]bool{} // KeyFilter() calls whose result is only sized
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				switch n := n.(type) {
@@ -554,11 +557,11 @@ func TestOneKeyFilter(t *testing.T) {
 						return true
 					}
 					switch name := sel.Sel.Name; name {
-					case "PrepareKeyFilter", "KeyBounds", "SelectKeys":
+					case "PrepareKeyFilter", "KeyBounds":
 						calls[name] = append(calls[name], site)
 					case "KeyFilter":
 						if !sized[n] {
-							readers = append(readers, filepath.ToSlash(file)+":"+fn.Name.Name)
+							readers = append(readers, site)
 						}
 					}
 				}
@@ -566,7 +569,7 @@ func TestOneKeyFilter(t *testing.T) {
 			})
 		}
 	}
-	if want := []string{"internal/hashtable.PrepareKeyFilter"}; !reflect.DeepEqual(builders, want) {
+	if want := []string{"internal/hashtable.(*Table).PrepareKeyFilter"}; !reflect.DeepEqual(builders, want) {
 		t.Errorf("key filter bitmaps are built in %v, want %v", builders, want)
 	}
 	for _, name := range []string{"PrepareKeyFilter", "KeyBounds"} {
@@ -574,15 +577,39 @@ func TestOneKeyFilter(t *testing.T) {
 			t.Errorf("%s is called from %v, want %v", name, calls[name], want)
 		}
 	}
-	if want := []string{"internal/plan.Next"}; !reflect.DeepEqual(calls["SelectKeys"], want) {
-		t.Errorf("tw.SelectKeys is called from %v, want %v (plan.HashProbe)", calls["SelectKeys"], want)
+	wantReaders := map[string]bool{
+		"internal/compiled.(*pipe).survivors": true,
+		"internal/compiled.(*pipe).probeOne":  true,
+		"internal/tw.FindCandidates":          true,
 	}
 	for _, r := range readers {
-		if r != "internal/tw/join.go:SelectKeys" && !strings.HasPrefix(r, "internal/compiled/exec.go:") {
-			t.Errorf("%s reads the key filter; only internal/compiled/exec.go and tw.SelectKeys may", r)
+		if !wantReaders[r] {
+			t.Errorf("%s reads the key filter; only the compiled probe loops and tw.FindCandidates may", r)
 		}
+		delete(wantReaders, r)
 	}
-	if len(readers) == 0 {
-		t.Error("no key filter readers found")
+	for r := range wantReaders {
+		t.Errorf("%s no longer reads the key filter", r)
 	}
+}
+
+// funcSite names a function declaration with its receiver type, e.g.
+// "(*HashProbe).Next" or "BuildBarrier".
+func funcSite(fn *ast.FuncDecl) string {
+	if fn.Recv == nil || len(fn.Recv.List) == 0 {
+		return fn.Name.Name
+	}
+	typ := fn.Recv.List[0].Type
+	star := ""
+	if s, ok := typ.(*ast.StarExpr); ok {
+		star, typ = "*", s.X
+	}
+	if g, ok := typ.(*ast.IndexExpr); ok { // generic receiver T[P]
+		typ = g.X
+	}
+	name := "?"
+	if id, ok := typ.(*ast.Ident); ok {
+		name = id.Name
+	}
+	return "(" + star + name + ")." + fn.Name.Name
 }

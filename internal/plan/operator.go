@@ -207,10 +207,9 @@ type ProbeSpec struct {
 	Carry     []Carry
 }
 
-// HashProbe is the vectorized join probe of Figure 2b: drop the keys the
-// table's key filter rejects, compute hashes, find candidate chains,
-// compare keys, advance — all in tw primitives — then narrow the batch
-// to the matches and gather requested payloads.
+// HashProbe is the vectorized join probe of Figure 2b: compute hashes,
+// find candidate chains, compare keys, advance — all in tw primitives —
+// then narrow the batch to the matches and gather requested payloads.
 type HashProbe struct {
 	child   Operator
 	spec    ProbeSpec
@@ -245,27 +244,14 @@ func (p *HashProbe) Next(b *Batch) bool {
 			return false
 		}
 		keys := p.spec.Key(b, p.keyBuf)
-		// The keys the filter passes are compacted into keyBuf (in place
-		// when Key returned it), their batch positions into outSel, which
-		// is free until the narrowed selection is written below.
-		n := tw.SelectKeys(p.spec.HT, keys, b.K, p.keyBuf, p.outSel)
-		filtered := n >= 0
-		if filtered {
-			keys = p.keyBuf
-		} else {
-			n = b.K
-		}
 		if p.spec.Hash != nil {
-			p.spec.Hash(keys[:n], p.hashes)
+			p.spec.Hash(keys[:b.K], p.hashes)
 		} else {
-			tw.MapHashU64(keys[:n], p.hashes)
+			tw.MapHashU64(keys[:b.K], p.hashes)
 		}
-		nm := tw.Probe(p.spec.HT, keys, p.hashes, n, p.cand, p.candPos, p.mRefs, p.mPos)
+		nm := tw.Probe(p.spec.HT, keys, p.hashes, b.K, p.cand, p.candPos, p.mRefs, p.mPos)
 		if nm == 0 {
 			continue
-		}
-		if filtered {
-			tw.ComposePos(p.outSel, p.mPos[:nm], p.mPos)
 		}
 		for _, g := range p.spec.GatherU64 {
 			tw.GatherWord(p.spec.HT, p.mRefs, g.Word, nm, g.Dst)

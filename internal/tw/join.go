@@ -11,13 +11,20 @@ import (
 // bulk-allocate + scatter primitives and published with the shared
 // two-barrier protocol.
 
-// FindCandidates looks up the directory for each of the n probe hashes
-// and compacts the non-empty chain heads into cand, recording each
-// candidate's originating probe position in candPos. The 16-bit Bloom
-// tags filter definite misses here (§3.2).
-func FindCandidates(ht *hashtable.Table, hashes []uint64, n int, cand []hashtable.Ref, candPos []int32) int {
+// FindCandidates looks up the directory for each of the n probe keys
+// (hashes precomputed) and compacts the non-empty chain heads into cand,
+// recording each candidate's originating probe position in candPos. A
+// key the table's key filter rejects is a definite miss and skips the
+// directory load; the 16-bit Bloom tags filter the remaining definite
+// misses (§3.2).
+func FindCandidates(ht *hashtable.Table, keys, hashes []uint64, n int, cand []hashtable.Ref, candPos []int32) int {
+	kf := ht.KeyFilter()
+	keys, hashes = keys[:n], hashes[:n]
 	k := 0
-	for i := 0; i < n; i++ {
+	for i, key := range keys {
+		if kf.Miss(key) {
+			continue
+		}
 		ref := ht.Lookup(hashes[i])
 		cand[k] = ref
 		candPos[k] = int32(i)
@@ -68,7 +75,7 @@ func NextCandidates(ht *hashtable.Table, cand []hashtable.Ref, candPos []int32, 
 func Probe(ht *hashtable.Table, keys, hashes []uint64, n int,
 	cand []hashtable.Ref, candPos []int32,
 	matchRefs []hashtable.Ref, matchPos []int32) int {
-	nc := FindCandidates(ht, hashes, n, cand, candPos)
+	nc := FindCandidates(ht, keys, hashes, n, cand, candPos)
 	nm := 0
 	for nc > 0 {
 		nm = CheckKeysU64(ht, cand, candPos, nc, keys, hashes, matchRefs, matchPos, nm)
@@ -107,26 +114,4 @@ func BuildBarrier(ht *hashtable.Table, bar *exec.Barrier, w int) {
 	bar.Wait(ht.PrepareKeyFilter)
 	ht.InsertShard(w)
 	bar.Wait(nil)
-}
-
-// SelectKeys is the probe side of the table's key filter: it copies the
-// n keys the filter cannot reject to out, their positions to pos, and
-// returns their count — or -1, writing nothing, when the table has no
-// filter. out may be keys itself (the compaction runs in place).
-// Callers hash and probe out[:k] and map match positions back through
-// pos.
-func SelectKeys(ht *hashtable.Table, keys []uint64, n int, out []uint64, pos []int32) int {
-	kf := ht.KeyFilter()
-	if kf.Bits() == 0 {
-		return -1
-	}
-	k := 0
-	for i, key := range keys[:n] {
-		out[k] = key
-		pos[k] = int32(i)
-		if !kf.Miss(key) {
-			k++
-		}
-	}
-	return k
 }

@@ -8,15 +8,12 @@ import (
 	"paradigms/internal/hashtable"
 )
 
-// TestSelectKeys: a table published with BuildBarrier gets a key filter,
-// and SelectKeys compacts exactly the probe keys that are build keys,
-// with their positions; a table without a filter reports -1.
-func TestSelectKeys(t *testing.T) {
-	const workers = 2
-	ht := hashtable.New(1, workers)
-	build := [][]uint64{{10, 14}, {12, 40}}
-	bar := exec.NewBarrier(workers)
-	exec.Parallel(workers, func(w int) {
+// publish builds a join table over per-worker build keys (key in payload
+// word 0) with the BuildBarrier protocol.
+func publish(build [][]uint64) *hashtable.Table {
+	ht := hashtable.New(1, len(build))
+	bar := exec.NewBarrier(len(build))
+	exec.Parallel(len(build), func(w int) {
 		keys := build[w]
 		hashes := make([]uint64, len(keys))
 		MapHashU64(keys, hashes)
@@ -25,25 +22,88 @@ func TestSelectKeys(t *testing.T) {
 		ScatterWord(ht, base, 0, keys, len(keys))
 		BuildBarrier(ht, bar, w)
 	})
+	return ht
+}
+
+// probeAll runs Probe over keys and returns the matched keys (in match
+// order) with their probe positions, plus the FindCandidates count.
+func probeAll(ht *hashtable.Table, keys []uint64) (matched []uint64, pos []int32, nc int) {
+	n := len(keys)
+	hashes := make([]uint64, n)
+	MapHashU64(keys, hashes)
+	cand := make([]hashtable.Ref, n)
+	candPos := make([]int32, n)
+	nc = FindCandidates(ht, keys, hashes, n, cand, candPos)
+	mRefs := make([]hashtable.Ref, 64) // room for duplicate matches
+	mPos := make([]int32, 64)
+	nm := Probe(ht, keys, hashes, n, cand, candPos, mRefs, mPos)
+	for i := 0; i < nm; i++ {
+		matched = append(matched, ht.Word(mRefs[i], 0))
+	}
+	return matched, mPos[:nm], nc
+}
+
+// TestProbeKeyFilter: a table published with BuildBarrier gets a key
+// filter, FindCandidates sends only the probe keys that are build keys to
+// the directory, and Probe finds exactly those keys at their positions.
+func TestProbeKeyFilter(t *testing.T) {
+	ht := publish([][]uint64{{10, 14}, {12, 40}})
+	if ht.KeyFilter().Bits() == 0 {
+		t.Fatal("BuildBarrier published no key filter")
+	}
 	probe := []uint64{9, 10, 11, 12, 13, 14, 40, 41, 1 << 63}
-	out := make([]uint64, len(probe))
-	pos := make([]int32, len(probe))
-	n := SelectKeys(ht, probe, len(probe), out, pos)
-	if want := []uint64{10, 12, 14, 40}; !reflect.DeepEqual(out[:max(n, 0)], want) {
-		t.Fatalf("SelectKeys kept %v, want %v", out[:max(n, 0)], want)
+	matched, pos, nc := probeAll(ht, probe)
+	if want := []uint64{10, 12, 14, 40}; !reflect.DeepEqual(matched, want) {
+		t.Fatalf("Probe matched %v, want %v", matched, want)
 	}
-	if want := []int32{1, 3, 5, 6}; !reflect.DeepEqual(pos[:n], want) {
-		t.Errorf("positions %v, want %v", pos[:n], want)
+	if want := []int32{1, 3, 5, 6}; !reflect.DeepEqual(pos, want) {
+		t.Errorf("positions %v, want %v", pos, want)
 	}
+	// Every rejected key skipped the directory: only the four build keys
+	// became candidates.
+	if nc != 4 {
+		t.Errorf("FindCandidates kept %d candidates, want 4", nc)
+	}
+}
 
-	inPlace := append([]uint64(nil), probe...)
-	if n := SelectKeys(ht, inPlace, len(inPlace), inPlace, pos); !reflect.DeepEqual(inPlace[:n], out[:n]) {
-		t.Errorf("in-place SelectKeys kept %v, want %v", inPlace[:n], out[:n])
+// TestProbeDuplicateKeys: a set bit only sends the probe on to the
+// chain, so every duplicate of a build key is still found.
+func TestProbeDuplicateKeys(t *testing.T) {
+	ht := publish([][]uint64{{5, 7, 5}, {5, 7}})
+	matched, pos, _ := probeAll(ht, []uint64{4, 5, 6, 7})
+	var fives, sevens int
+	for i, k := range matched {
+		switch {
+		case k == 5 && pos[i] == 1:
+			fives++
+		case k == 7 && pos[i] == 3:
+			sevens++
+		default:
+			t.Errorf("unexpected match key %d at position %d", k, pos[i])
+		}
 	}
+	if fives != 3 || sevens != 2 {
+		t.Errorf("found %d fives and %d sevens, want 3 and 2", fives, sevens)
+	}
+}
 
-	plain := hashtable.New(1, 1)
-	plain.Finalize()
-	if n := SelectKeys(plain, probe, len(probe), out, pos); n != -1 {
-		t.Errorf("unfiltered table: SelectKeys = %d, want -1", n)
+// TestProbeUnfiltered: a table without a filter (Finalize) still probes
+// through the same primitives.
+func TestProbeUnfiltered(t *testing.T) {
+	ht := hashtable.New(1, 1)
+	for _, k := range []uint64{3, 8} {
+		ref, _ := ht.Shard(0).Alloc(ht, Hash(k))
+		ht.SetWord(ref, 0, k)
+	}
+	ht.Finalize()
+	if bits := ht.KeyFilter().Bits(); bits != 0 {
+		t.Fatalf("Finalize built a %d-bit filter", bits)
+	}
+	matched, pos, _ := probeAll(ht, []uint64{2, 3, 8, 9})
+	if want := []uint64{3, 8}; !reflect.DeepEqual(matched, want) {
+		t.Fatalf("Probe matched %v, want %v", matched, want)
+	}
+	if want := []int32{1, 2}; !reflect.DeepEqual(pos, want) {
+		t.Errorf("positions %v, want %v", pos, want)
 	}
 }
