@@ -23,6 +23,7 @@ import (
 	"paradigms/internal/simd"
 	"paradigms/internal/tw"
 	"paradigms/internal/typer"
+	"paradigms/internal/vector"
 )
 
 const benchSF = 0.1
@@ -375,16 +376,13 @@ func BenchmarkOLTP(b *testing.B) {
 	})
 	b.Run("vectorized-n1", func(b *testing.B) {
 		keys := make([]uint64, 1)
-		hashes := make([]uint64, 1)
-		cand := make([]hashtable.Ref, 1)
-		candP := make([]int32, 1)
+		pr := tw.NewProber(vector.NewBuffers(1))
 		mRefs := make([]hashtable.Ref, 8)
 		mPos := make([]int32, 8)
 		var sink uint64
 		for i := 0; i < b.N; i++ {
 			keys[0] = uint64(i*2654435761) % tableSize
-			tw.MapHashU64(keys, hashes)
-			if tw.Probe(htTW, keys, hashes, 1, cand, candP, mRefs, mPos) > 0 {
+			if pr.Probe(htTW, keys, 1, mRefs, mPos) > 0 {
 				sink += htTW.Word(mRefs[0], 1)
 			}
 		}

@@ -508,9 +508,9 @@ func TestOneEngineRouter(t *testing.T) {
 // bitmap is built in one internal/hashtable function, PrepareKeyFilter,
 // which — like the per-shard KeyBounds before it — only tw.BuildBarrier
 // calls; and the filter is read only by the compiled probe loops
-// (internal/compiled/exec.go) and by tw.FindCandidates, the directory
-// lookup under tw.Probe that plan.HashProbe and the Tectorwise hand
-// kernels probe through. Reading the filter's size (KeyFilter().Bits(),
+// (internal/compiled/exec.go) and by tw.Prober's Probe, the one
+// vectorized probe that plan.HashProbe and the Tectorwise hand kernels
+// run. Reading the filter's size (KeyFilter().Bits(),
 // for telemetry) is allowed anywhere. Sites are named with their
 // receiver ("internal/plan.(*HashProbe).Next"), so a same-named method
 // elsewhere in a package is a different site.
@@ -580,11 +580,11 @@ func TestOneKeyFilter(t *testing.T) {
 	wantReaders := map[string]bool{
 		"internal/compiled.(*pipe).survivors": true,
 		"internal/compiled.(*pipe).probeOne":  true,
-		"internal/tw.FindCandidates":          true,
+		"internal/tw.(*Prober).Probe":         true,
 	}
 	for _, r := range readers {
 		if !wantReaders[r] {
-			t.Errorf("%s reads the key filter; only the compiled probe loops and tw.FindCandidates may", r)
+			t.Errorf("%s reads the key filter; only the compiled probe loops and tw.Prober may", r)
 		}
 		delete(wantReaders, r)
 	}

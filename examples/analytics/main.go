@@ -83,8 +83,7 @@ func main() {
 		sums := make(map[int32]int64)
 		partial[w] = sums
 		scanF := tw.NewScan(dispFact, vec)
-		cand := make([]hashtable.Ref, vec)
-		candP := bufs.Sel()
+		pr := tw.NewProber(bufs)
 		mRefs := make([]hashtable.Ref, vec)
 		mPos := bufs.Sel()
 		abs := bufs.Sel()
@@ -100,8 +99,7 @@ func main() {
 				continue
 			}
 			tw.MapWidenSel(losk[b:b+n], sel[:k], keys)
-			tw.MapHashU64(keys[:k], hashes)
-			nm := tw.Probe(htSupp, keys, hashes, k, cand, candP, mRefs, mPos)
+			nm := pr.Probe(htSupp, keys, k, mRefs, mPos)
 			if nm == 0 {
 				continue
 			}

@@ -13,6 +13,7 @@ import (
 	"paradigms/internal/tpch"
 	"paradigms/internal/tw"
 	"paradigms/internal/typer"
+	"paradigms/internal/vector"
 )
 
 // The §8 "other factors" experiments and the DESIGN.md §6 ablations.
@@ -173,17 +174,14 @@ func OLTPText(cfg Config) string {
 	// Vectorized engine invoked with single-tuple "vectors": full
 	// primitive round trip per lookup.
 	keys := make([]uint64, 1)
-	hashes := make([]uint64, 1)
-	cand := make([]hashtable.Ref, 1)
-	candP := make([]int32, 1)
+	pr := tw.NewProber(vector.NewBuffers(1))
 	mRefs := make([]hashtable.Ref, 8)
 	mPos := make([]int32, 8)
 	vectorized := timeQuery(cfg.Reps, func() {
 		var sink uint64
 		for i := uint64(0); i < lookups; i++ {
 			keys[0] = (i * 2654435761) % tableSize
-			tw.MapHashU64(keys, hashes)
-			nm := tw.Probe(htTW, keys, hashes, 1, cand, candP, mRefs, mPos)
+			nm := pr.Probe(htTW, keys, 1, mRefs, mPos)
 			if nm > 0 {
 				sink += htTW.Word(mRefs[0], 1)
 			}

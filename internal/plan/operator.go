@@ -207,33 +207,38 @@ type ProbeSpec struct {
 	Carry     []Carry
 }
 
-// HashProbe is the vectorized join probe of Figure 2b: compute hashes,
-// find candidate chains, compare keys, advance — all in tw primitives —
-// then narrow the batch to the matches and gather requested payloads.
+// HashProbe is the vectorized join probe of Figure 2b: a tw.Prober
+// filters, hashes and probes the keys — all in tw primitives — then the
+// batch is narrowed to the matches and the requested payloads gathered.
 type HashProbe struct {
-	child   Operator
-	spec    ProbeSpec
-	keyBuf  []uint64
-	hashes  []uint64
-	cand    []hashtable.Ref
-	candPos []int32
-	mRefs   []hashtable.Ref
-	mPos    []int32
-	outSel  []int32
+	child  Operator
+	spec   ProbeSpec
+	keyBuf []uint64
+	probe  tw.Prober
+	mRefs  []hashtable.Ref
+	mPos   []int32
+	outSel []int32
 }
 
 // NewHashProbe builds a probe operator over child.
 func NewHashProbe(bufs *vector.Buffers, child Operator, spec ProbeSpec) *HashProbe {
+	hash := spec.Hash
+	if hash == nil {
+		hash = tw.MapHashU64
+	}
+	keyBuf, outSel := bufs.Ref(), bufs.Sel()
 	return &HashProbe{
-		child:   child,
-		spec:    spec,
-		keyBuf:  bufs.Ref(),
-		hashes:  bufs.Ref(),
-		cand:    make([]hashtable.Ref, bufs.Size()),
-		candPos: bufs.Sel(),
-		mRefs:   make([]hashtable.Ref, bufs.Size()),
-		mPos:    bufs.Sel(),
-		outSel:  bufs.Sel(),
+		child:  child,
+		spec:   spec,
+		keyBuf: keyBuf,
+		// The prober compacts the keys its filter passes into keyBuf (in
+		// place when Key returned it) and their positions into outSel,
+		// which is free until the narrowed selection is written.
+		probe: tw.Prober{Hash: hash, Keys: keyBuf, Hashes: bufs.Ref(),
+			Cand: make([]hashtable.Ref, bufs.Size()), CandPos: bufs.Sel(), Pos: outSel},
+		mRefs:  make([]hashtable.Ref, bufs.Size()),
+		mPos:   bufs.Sel(),
+		outSel: outSel,
 	}
 }
 
@@ -244,12 +249,7 @@ func (p *HashProbe) Next(b *Batch) bool {
 			return false
 		}
 		keys := p.spec.Key(b, p.keyBuf)
-		if p.spec.Hash != nil {
-			p.spec.Hash(keys[:b.K], p.hashes)
-		} else {
-			tw.MapHashU64(keys[:b.K], p.hashes)
-		}
-		nm := tw.Probe(p.spec.HT, keys, p.hashes, b.K, p.cand, p.candPos, p.mRefs, p.mPos)
+		nm := p.probe.Probe(p.spec.HT, keys, b.K, p.mRefs, p.mPos)
 		if nm == 0 {
 			continue
 		}

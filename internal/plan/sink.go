@@ -184,7 +184,7 @@ func NewProbeEmit(bufs *vector.Buffers, ht *hashtable.Table, key VecU64, emit fu
 func (p *ProbeEmitSink) Consume(b *Batch) {
 	keys := p.key(b, p.keyBuf)
 	tw.MapHashU64(keys[:b.K], p.hashes)
-	nc := tw.FindCandidates(p.ht, keys, p.hashes, b.K, p.cand, p.candPos)
+	nc := tw.FindCandidates(p.ht, p.hashes, b.K, p.cand, p.candPos)
 	for nc > 0 {
 		for i := 0; i < nc; i++ {
 			ref := p.cand[i]

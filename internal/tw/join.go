@@ -3,6 +3,7 @@ package tw
 import (
 	"paradigms/internal/exec"
 	"paradigms/internal/hashtable"
+	"paradigms/internal/vector"
 )
 
 // Vectorized hash-join machinery, following Figure 2b of the paper: the
@@ -11,20 +12,13 @@ import (
 // bulk-allocate + scatter primitives and published with the shared
 // two-barrier protocol.
 
-// FindCandidates looks up the directory for each of the n probe keys
-// (hashes precomputed) and compacts the non-empty chain heads into cand,
-// recording each candidate's originating probe position in candPos. A
-// key the table's key filter rejects is a definite miss and skips the
-// directory load; the 16-bit Bloom tags filter the remaining definite
-// misses (§3.2).
-func FindCandidates(ht *hashtable.Table, keys, hashes []uint64, n int, cand []hashtable.Ref, candPos []int32) int {
-	kf := ht.KeyFilter()
-	keys, hashes = keys[:n], hashes[:n]
+// FindCandidates looks up the directory for each of the n probe hashes
+// and compacts the non-empty chain heads into cand, recording each
+// candidate's originating probe position in candPos. The 16-bit Bloom
+// tags filter definite misses here (§3.2).
+func FindCandidates(ht *hashtable.Table, hashes []uint64, n int, cand []hashtable.Ref, candPos []int32) int {
 	k := 0
-	for i, key := range keys {
-		if kf.Miss(key) {
-			continue
-		}
+	for i := 0; i < n; i++ {
 		ref := ht.Lookup(hashes[i])
 		cand[k] = ref
 		candPos[k] = int32(i)
@@ -69,17 +63,57 @@ func NextCandidates(ht *hashtable.Table, cand []hashtable.Ref, candPos []int32, 
 	return k
 }
 
-// Probe runs the full candidate loop for one vector of n probe keys and
-// returns the match count. It is the operator control logic of Figure 2b;
-// all per-tuple work happens in the three primitives above.
-func Probe(ht *hashtable.Table, keys, hashes []uint64, n int,
-	cand []hashtable.Ref, candPos []int32,
-	matchRefs []hashtable.Ref, matchPos []int32) int {
-	nc := FindCandidates(ht, keys, hashes, n, cand, candPos)
+// Prober is one worker's vectorized join probe: the hash function of
+// the tables it probes and its scratch vectors, each at least as long as
+// the longest probe vector. Keys may be the caller's key vector (the
+// compaction runs in place); Pos is free again once Probe returns.
+type Prober struct {
+	Hash         func(keys, res []uint64)
+	Keys, Hashes []uint64
+	Cand         []hashtable.Ref
+	CandPos, Pos []int32
+}
+
+// NewProber returns a Prober over fresh vectors from bufs, hashing with
+// MapHashU64.
+func NewProber(bufs *vector.Buffers) *Prober {
+	return &Prober{Hash: MapHashU64, Keys: bufs.Ref(), Hashes: bufs.Ref(),
+		Cand: make([]hashtable.Ref, bufs.Size()), CandPos: bufs.Sel(), Pos: bufs.Sel()}
+}
+
+// Probe joins n probe keys against ht and returns the match count: the
+// matched entries in matchRefs, their positions in keys in matchPos. It
+// is the operator control logic of Figure 2b. The table's key filter
+// goes first: the keys it passes are compacted into p.Keys, so a miss
+// costs neither a hash nor a directory load. The rest are hashed, then
+// run through the three primitives above until every chain is walked.
+func (p *Prober) Probe(ht *hashtable.Table, keys []uint64, n int, matchRefs []hashtable.Ref, matchPos []int32) int {
+	kf := ht.KeyFilter()
+	if kf.Bits() == 0 {
+		p.Hash(keys[:n], p.Hashes)
+		return p.candidates(ht, keys, n, matchRefs, matchPos)
+	}
+	k := 0
+	for i, key := range keys[:n] {
+		p.Keys[k] = key
+		p.Pos[k] = int32(i)
+		if !kf.Miss(key) {
+			k++
+		}
+	}
+	p.Hash(p.Keys[:k], p.Hashes)
+	nm := p.candidates(ht, p.Keys, k, matchRefs, matchPos)
+	ComposePos(p.Pos, matchPos[:nm], matchPos)
+	return nm
+}
+
+// candidates runs the candidate loop over n hashed keys.
+func (p *Prober) candidates(ht *hashtable.Table, keys []uint64, n int, matchRefs []hashtable.Ref, matchPos []int32) int {
+	nc := FindCandidates(ht, p.Hashes, n, p.Cand, p.CandPos)
 	nm := 0
 	for nc > 0 {
-		nm = CheckKeysU64(ht, cand, candPos, nc, keys, hashes, matchRefs, matchPos, nm)
-		nc = NextCandidates(ht, cand, candPos, nc)
+		nm = CheckKeysU64(ht, p.Cand, p.CandPos, nc, keys, p.Hashes, matchRefs, matchPos, nm)
+		nc = NextCandidates(ht, p.Cand, p.CandPos, nc)
 	}
 	return nm
 }

@@ -7,6 +7,7 @@ import (
 	"paradigms/internal/exec"
 	"paradigms/internal/hashtable"
 	"paradigms/internal/types"
+	"paradigms/internal/vector"
 )
 
 func newTestDispatcher(n int) *exec.Dispatcher { return exec.NewDispatcher(n, 0) }
@@ -114,12 +115,9 @@ func TestProbeFindsAllDuplicates(t *testing.T) {
 	ht.Finalize()
 
 	keys := []uint64{7, 8, 9}
-	hashes := []uint64{Hash(7), Hash(8), Hash(9)}
-	cand := make([]hashtable.Ref, 3)
-	candPos := make([]int32, 3)
 	mRefs := make([]hashtable.Ref, 16)
 	mPos := make([]int32, 16)
-	nm := Probe(ht, keys, hashes, 3, cand, candPos, mRefs, mPos)
+	nm := NewProber(vector.NewBuffers(3)).Probe(ht, keys, 3, mRefs, mPos)
 	if nm != 4 {
 		t.Fatalf("Probe found %d matches, want 4", nm)
 	}

@@ -107,13 +107,9 @@ func SSBQ31Ctx(ctx context.Context, db *storage.Database, nWorkers, vecSize int)
 
 		bufs := vector.NewBuffers(vec)
 		keys := bufs.Ref()
-		hashes := bufs.Ref()
 		keys2 := bufs.Ref()
-		hashes2 := bufs.Ref()
 		keys3 := bufs.Ref()
-		hashes3 := bufs.Ref()
-		cand := make([]hashtable.Ref, vec)
-		candPos := bufs.Sel()
+		pr := NewProber(bufs)
 		m1Refs := make([]hashtable.Ref, vec)
 		m1Pos := bufs.Sel()
 		m2Refs := make([]hashtable.Ref, vec)
@@ -142,15 +138,13 @@ func SSBQ31Ctx(ctx context.Context, db *storage.Database, nWorkers, vecSize int)
 			}
 			b := scan.Base
 			MapWiden(lock[b:b+n], n, keys)
-			MapHashU64(keys[:n], hashes)
-			nm1 := Probe(htCust, keys, hashes, n, cand, candPos, m1Refs, m1Pos)
+			nm1 := pr.Probe(htCust, keys, n, m1Refs, m1Pos)
 			if nm1 == 0 {
 				continue
 			}
 			GatherWord(htCust, m1Refs, 1, nm1, cn1)
 			MapWidenSel(losk[b:b+n], m1Pos[:nm1], keys2)
-			MapHashU64(keys2[:nm1], hashes2)
-			nm2 := Probe(htSupp, keys2, hashes2, nm1, cand, candPos, m2Refs, m2Pos)
+			nm2 := pr.Probe(htSupp, keys2, nm1, m2Refs, m2Pos)
 			if nm2 == 0 {
 				continue
 			}
@@ -158,8 +152,7 @@ func SSBQ31Ctx(ctx context.Context, db *storage.Database, nWorkers, vecSize int)
 			ComposePos(m1Pos, m2Pos[:nm2], abs2)
 			FetchU64(cn1, m2Pos[:nm2], cn2)
 			MapWidenSel(lod[b:b+n], abs2[:nm2], keys3)
-			MapHashU64(keys3[:nm2], hashes3)
-			nm3 := Probe(htDate, keys3, hashes3, nm2, cand, candPos, m3Refs, m3Pos)
+			nm3 := pr.Probe(htDate, keys3, nm2, m3Refs, m3Pos)
 			if nm3 == 0 {
 				continue
 			}
@@ -262,15 +255,10 @@ func SSBQ41Ctx(ctx context.Context, db *storage.Database, nWorkers, vecSize int)
 
 		bufs := vector.NewBuffers(vec)
 		keys := bufs.Ref()
-		hashes := bufs.Ref()
 		keys2 := bufs.Ref()
-		hashes2 := bufs.Ref()
 		keys3 := bufs.Ref()
-		hashes3 := bufs.Ref()
 		keys4 := bufs.Ref()
-		hashes4 := bufs.Ref()
-		cand := make([]hashtable.Ref, vec)
-		candPos := bufs.Sel()
+		pr := NewProber(bufs)
 		m1Refs := make([]hashtable.Ref, vec)
 		m1Pos := bufs.Sel()
 		m2Refs := make([]hashtable.Ref, vec)
@@ -303,31 +291,27 @@ func SSBQ41Ctx(ctx context.Context, db *storage.Database, nWorkers, vecSize int)
 			}
 			b := scan.Base
 			MapWiden(lock[b:b+n], n, keys)
-			MapHashU64(keys[:n], hashes)
-			nm1 := Probe(htCust, keys, hashes, n, cand, candPos, m1Refs, m1Pos)
+			nm1 := pr.Probe(htCust, keys, n, m1Refs, m1Pos)
 			if nm1 == 0 {
 				continue
 			}
 			GatherWord(htCust, m1Refs, 1, nm1, cn1)
 			MapWidenSel(losk[b:b+n], m1Pos[:nm1], keys2)
-			MapHashU64(keys2[:nm1], hashes2)
-			nm2 := Probe(htSupp, keys2, hashes2, nm1, cand, candPos, m2Refs, m2Pos)
+			nm2 := pr.Probe(htSupp, keys2, nm1, m2Refs, m2Pos)
 			if nm2 == 0 {
 				continue
 			}
 			ComposePos(m1Pos, m2Pos[:nm2], abs2)
 			FetchU64(cn1, m2Pos[:nm2], cn2)
 			MapWidenSel(lopk[b:b+n], abs2[:nm2], keys3)
-			MapHashU64(keys3[:nm2], hashes3)
-			nm3 := Probe(htPart, keys3, hashes3, nm2, cand, candPos, m3Refs, m3Pos)
+			nm3 := pr.Probe(htPart, keys3, nm2, m3Refs, m3Pos)
 			if nm3 == 0 {
 				continue
 			}
 			ComposePos(abs2, m3Pos[:nm3], abs3)
 			FetchU64(cn2, m3Pos[:nm3], cn3)
 			MapWidenSel(lod[b:b+n], abs3[:nm3], keys4)
-			MapHashU64(keys4[:nm3], hashes4)
-			nm4 := Probe(htDate, keys4, hashes4, nm3, cand, candPos, m4Refs, m4Pos)
+			nm4 := pr.Probe(htDate, keys4, nm3, m4Refs, m4Pos)
 			if nm4 == 0 {
 				continue
 			}

@@ -172,11 +172,9 @@ func Q9Ctx(ctx context.Context, db *storage.Database, nWorkers, vecSize int) que
 		keys2 := bufs.Ref()
 		hashes2 := bufs.Ref()
 		keys3 := bufs.Ref()
-		hashes3 := bufs.Ref()
 		keys4 := bufs.Ref()
 		hashes4 := bufs.Ref()
-		cand := make([]hashtable.Ref, vec)
-		candPos := bufs.Sel()
+		pr := NewProber(bufs)
 		m1Refs := make([]hashtable.Ref, vec)
 		m1Pos := bufs.Sel()
 		m2Refs := make([]hashtable.Ref, vec)
@@ -245,8 +243,7 @@ func Q9Ctx(ctx context.Context, db *storage.Database, nWorkers, vecSize int) que
 			}
 			b := scanPS.Base
 			MapWiden(pspk[b:b+n], n, keys)
-			MapHashU64(keys[:n], hashes)
-			nm := Probe(htPart, keys, hashes, n, cand, candPos, m1Refs, m1Pos)
+			nm := pr.Probe(htPart, keys, n, m1Refs, m1Pos)
 			if nm == 0 {
 				continue
 			}
@@ -270,22 +267,19 @@ func Q9Ctx(ctx context.Context, db *storage.Database, nWorkers, vecSize int) que
 			}
 			b := scanL.Base
 			MapWiden(lpk[b:b+n], n, keys)
-			MapHashU64(keys[:n], hashes)
-			nm1 := Probe(htPart, keys, hashes, n, cand, candPos, m1Refs, m1Pos)
+			nm1 := pr.Probe(htPart, keys, n, m1Refs, m1Pos)
 			if nm1 == 0 {
 				continue
 			}
 			MapPack2x32Sel(lpk[b:b+n], lsk[b:b+n], m1Pos[:nm1], keys2)
-			MapHashU64(keys2[:nm1], hashes2)
-			nm2 := Probe(htPS, keys2, hashes2, nm1, cand, candPos, m2Refs, m2Pos)
+			nm2 := pr.Probe(htPS, keys2, nm1, m2Refs, m2Pos)
 			if nm2 == 0 {
 				continue
 			}
 			GatherWordI64(htPS, m2Refs, 1, nm2, cost2)
 			ComposePos(m1Pos, m2Pos[:nm2], abs2)
 			MapWidenSel(lsk[b:b+n], abs2[:nm2], keys3)
-			MapHashU64(keys3[:nm2], hashes3)
-			nm3 := Probe(htSupp, keys3, hashes3, nm2, cand, candPos, m3Refs, m3Pos)
+			nm3 := pr.Probe(htSupp, keys3, nm2, m3Refs, m3Pos)
 			if nm3 == 0 {
 				continue
 			}
@@ -326,8 +320,7 @@ func Q9Ctx(ctx context.Context, db *storage.Database, nWorkers, vecSize int) que
 			}
 			b := scanO.Base
 			MapWiden(okeys[b:b+n], n, keys)
-			MapHashU64(keys[:n], hashes)
-			nm := Probe(htLine, keys, hashes, n, cand, candPos, mRefs, mPos)
+			nm := pr.Probe(htLine, keys, n, mRefs, mPos)
 			if nm == 0 {
 				continue
 			}
