@@ -93,10 +93,11 @@ func (p *Prober) Probe(ht *hashtable.Table, keys []uint64, n int, matchRefs []ha
 		p.Hash(keys[:n], p.Hashes)
 		return p.candidates(ht, keys, n, matchRefs, matchPos)
 	}
+	out, pos := p.Keys[:n], p.Pos[:n]
 	k := 0
 	for i, key := range keys[:n] {
-		p.Keys[k] = key
-		p.Pos[k] = int32(i)
+		out[k] = key
+		pos[k] = int32(i)
 		if !kf.Miss(key) {
 			k++
 		}
