@@ -70,10 +70,8 @@ func NewDispatcher(total, size int) *Dispatcher {
 // override (WithMorselSize), the override wins — explicit sizes (e.g.
 // the 1-per-partition merge dispatchers) are never overridden.
 func NewDispatcherCtx(ctx context.Context, total, size int) *Dispatcher {
-	if ctx != nil && size <= 0 {
-		if n, _ := ctx.Value(morselSizeKey{}).(int); n > 0 {
-			size = n
-		}
+	if size <= 0 {
+		size = MorselSize(ctx)
 	}
 	d := NewDispatcher(total, size)
 	if ctx != nil {
@@ -98,6 +96,17 @@ type morselSizeKey struct{}
 // well under 1% overhead.
 func WithMorselSize(ctx context.Context, n int) context.Context {
 	return context.WithValue(ctx, morselSizeKey{}, n)
+}
+
+// MorselSize returns the morsel size scan dispatchers bound to ctx use:
+// its WithMorselSize override, else DefaultMorselSize.
+func MorselSize(ctx context.Context) int {
+	if ctx != nil {
+		if n, _ := ctx.Value(morselSizeKey{}).(int); n > 0 {
+			return n
+		}
+	}
+	return DefaultMorselSize
 }
 
 // morselCounterKey is the context key of WithMorselCounter.

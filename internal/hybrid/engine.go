@@ -195,11 +195,13 @@ func ExecuteRouted(ctx context.Context, pl *logical.Plan, nWorkers, vecSize int,
 // vector sizing: time trialBatches batches at each candidate size,
 // commit to the fastest (ns per scanned row), drain the rest at that
 // size. The batch stream is identical to a fixed-size drain — trial
-// batches are consumed normally, only their size varies.
-func drainAdaptive(root plan.Operator, scan *plan.Scan, sink plan.Sink) int {
-	costs := trialCosts(root, scan, sink, time.Now)
-	if len(costs) < len(vecCandidates) {
-		return vecCandidates[len(costs)] // exhausted mid-trial: sizing is moot
+// batches are consumed normally, only their size varies. vec is the
+// size the pipeline's buffers were allocated at.
+func drainAdaptive(root plan.Operator, scan *plan.Scan, sink plan.Sink, vec int) int {
+	sizes := candidates(vec)
+	costs := trialCosts(root, scan, sink, sizes, time.Now)
+	if len(costs) < len(sizes) {
+		return sizes[len(costs)] // exhausted mid-trial: sizing is moot
 	}
 	best := 0
 	for i, c := range costs {
@@ -207,12 +209,24 @@ func drainAdaptive(root plan.Operator, scan *plan.Scan, sink plan.Sink) int {
 			best = i
 		}
 	}
-	scan.SetVec(vecCandidates[best])
+	scan.SetVec(sizes[best])
 	var b plan.Batch
 	for root.Next(&b) {
 		sink.Consume(&b)
 	}
-	return vecCandidates[best]
+	return sizes[best]
+}
+
+// candidates clamps the trial sizes to vec, the buffers' size — the one
+// place Scan.SetVec's bound is kept. The driver allocates buffers no
+// longer than the query's largest scan, so on a small table several
+// candidates collapse into one.
+func candidates(vec int) [len(vecCandidates)]int {
+	sizes := vecCandidates
+	for i := range sizes {
+		sizes[i] = min(sizes[i], vec)
+	}
+	return sizes
 }
 
 // trialCosts runs trialBatches batches at each candidate vector size
@@ -221,10 +235,10 @@ func drainAdaptive(root plan.Operator, scan *plan.Scan, sink plan.Sink) int {
 // counted by scan progress, not by the batches that reach the sink:
 // filters and probes loop past empty windows internally, so under a
 // selective predicate a trial scans many more windows than it emits.
-func trialCosts(root plan.Operator, scan *plan.Scan, sink plan.Sink, now func() time.Time) []float64 {
+func trialCosts(root plan.Operator, scan *plan.Scan, sink plan.Sink, sizes [len(vecCandidates)]int, now func() time.Time) []float64 {
 	var b plan.Batch
-	costs := make([]float64, 0, len(vecCandidates))
-	for _, c := range vecCandidates {
+	costs := make([]float64, 0, len(sizes))
+	for _, c := range sizes {
 		scan.SetVec(c)
 		from := scan.Scanned()
 		t0 := now()

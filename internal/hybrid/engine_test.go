@@ -198,7 +198,7 @@ func TestVectorSizeRacingCountsScannedRows(t *testing.T) {
 	} {
 		pipeline := func() (plan.Operator, *plan.Scan, func() time.Time) {
 			// One morsel, so every window is full-sized.
-			scan := plan.NewExec(context.Background(), 1, 4096).NewScan(exec.NewDispatcher(total, total))
+			scan := plan.NewExec(context.Background(), 1, 4096, total).NewScan(exec.NewDispatcher(total, total))
 			clock := time.Unix(0, 0)
 			ticking := &tickingScan{scan: scan, clock: &clock, perWindow: tc.perWindow, perRow: tc.perRow}
 			sparse := plan.Pred{Dense: func(base, n int, res []int32) int {
@@ -216,7 +216,7 @@ func TestVectorSizeRacingCountsScannedRows(t *testing.T) {
 		}
 
 		root, scan, now := pipeline()
-		costs := trialCosts(root, scan, discardSink{}, now)
+		costs := trialCosts(root, scan, discardSink{}, vecCandidates, now)
 		if len(costs) != len(tc.want) {
 			t.Fatalf("trial ran dry: %v", costs)
 		}

@@ -96,12 +96,14 @@ type Policy struct {
 	// backend's hash so either engine probes what the other built.
 	JoinHash plan.HashFn
 	// VecSize is the vector size the vectorized pipelines' buffers are
-	// allocated at and, with a nil Drain, run at (0 = default).
+	// allocated at and, with a nil Drain, run at (0 = default); the
+	// driver clamps it to the query's largest scan.
 	VecSize int
 	// Drain, if non-nil, drives a vectorized pipeline in place of the
 	// fixed-size loop and returns the vector size it settled on
-	// (hybrid's micro-adaptive sizing; sizes must stay <= VecSize).
-	Drain func(root plan.Operator, scan *plan.Scan, sink plan.Sink) int
+	// (hybrid's micro-adaptive sizing; sizes must stay <= vec, the size
+	// the buffers were allocated at).
+	Drain func(root plan.Operator, scan *plan.Scan, sink plan.Sink, vec int) int
 	// Observe, if non-nil, receives the per-pipeline wall times of a
 	// run that completed uncanceled (hybrid's router feedback).
 	Observe func(nanos []int64)
@@ -218,8 +220,14 @@ func drive(ctx context.Context, pl *Plan, workers int, pol Policy, stream *strea
 		describePipes(pl, col)
 	}
 
-	e := plan.NewExec(ctx, workers, pol.VecSize)
-	w := e.Workers // normalized, and capped at hashtable.MaxShards
+	// Every per-query allocation is sized to the input: no more workers
+	// than the largest scan has morsels, no vector longer than it.
+	largest := 0
+	for i := 0; i < n; i++ {
+		largest = max(largest, shape.TableRows(i))
+	}
+	e := plan.NewExec(ctx, workers, pol.VecSize, largest)
+	w := e.Workers // normalized and sized by NewExec
 	fi := n - 1    // lowering order puts the final pipeline last; all others build
 	hts := make([]*hashtable.Table, n)
 	for i := 0; i < n; i++ {
@@ -291,7 +299,7 @@ func drive(ctx context.Context, pl *Plan, workers int, pol Policy, stream *strea
 				sink = cs
 			}
 			if pol.Drain != nil {
-				st.vec = pol.Drain(root, scan, sink)
+				st.vec = pol.Drain(root, scan, sink, e.Vec)
 			} else {
 				st.vec = e.Vec
 				var b plan.Batch
@@ -409,6 +417,7 @@ func drive(ctx context.Context, pl *Plan, workers int, pol Policy, stream *strea
 		if out.Vec[i] > 0 {
 			col.SetVec(i, out.Vec[i])
 		}
+		col.SetWorkers(i, w)
 	}
 
 	switch {

@@ -58,6 +58,10 @@ type PipeStat struct {
 	Probes int `json:"probes,omitempty"`
 	// VecSize is the vector size a vectorized pipeline settled on.
 	VecSize int `json:"vec,omitempty"`
+	// Workers is the number of workers that drove the pipeline: the
+	// query's worker budget, or fewer when its largest scan has fewer
+	// morsels.
+	Workers int `json:"workers,omitempty"`
 	// Nanos is the pipeline's wall time: the maximum across workers,
 	// since workers drive the pipeline concurrently.
 	Nanos int64 `json:"nanos"`
@@ -128,6 +132,15 @@ func (c *Collector) SetVec(i, vec int) {
 	defer c.mu.Unlock()
 	if i >= 0 && i < len(c.pipes) {
 		c.pipes[i].VecSize = vec
+	}
+}
+
+// SetWorkers records how many workers drove pipeline i.
+func (c *Collector) SetWorkers(i, workers int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if i >= 0 && i < len(c.pipes) {
+		c.pipes[i].Workers = workers
 	}
 }
 

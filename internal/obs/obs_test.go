@@ -140,9 +140,9 @@ func TestShapeHash(t *testing.T) {
 func TestFormatPipes(t *testing.T) {
 	out := FormatPipes([]PipeStat{
 		{Index: 0, Table: "customer", Build: true, Engine: "t", RowsIn: 3000, RowsOut: 604, HTRows: 604, KeyBits: 3008, EstRows: 300, Nanos: 71000},
-		{Index: 1, Table: "lineitem", Engine: "v", RowsIn: 120376, RowsOut: 627, Probes: 1, VecSize: 1024, EstRows: 1083, Nanos: 1000000},
+		{Index: 1, Table: "lineitem", Engine: "v", RowsIn: 120376, RowsOut: 627, Probes: 1, VecSize: 1024, Workers: 3, EstRows: 1083, Nanos: 1000000},
 	})
-	for _, want := range []string{"customer", "lineitem", "build", "final", "604", "627", "est_rows", "rows_out", "key_bits", "3008"} {
+	for _, want := range []string{"customer", "lineitem", "build", "final", "604", "627", "est_rows", "rows_out", "key_bits", "3008", "workers", " 3 "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("FormatPipes output missing %q:\n%s", want, out)
 		}

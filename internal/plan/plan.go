@@ -49,24 +49,38 @@ type Exec struct {
 
 // NewExec creates a plan executor for callers outside this package — the
 // SQL lowering pass (internal/logical) assembles ad-hoc operator trees
-// with exactly the machinery the hand-written plans use.
-func NewExec(ctx context.Context, nWorkers, vecSize int) *Exec {
-	return newExec(ctx, nWorkers, vecSize)
+// with exactly the machinery the hand-written plans use. It sizes the
+// executor to its input: rows is the largest relation any pipeline
+// scans, so a query gets no more workers than that scan has morsels
+// (at the morsel size of ctx's dispatchers) and no vector longer than
+// the scan.
+func NewExec(ctx context.Context, nWorkers, vecSize, rows int) *Exec {
+	rows = max(rows, 1)
+	m := exec.MorselSize(ctx)
+	w, v := normalize(nWorkers, vecSize)
+	return newExec(ctx, min(w, (rows+m-1)/m), min(v, rows))
 }
 
-// newExec normalizes the execution knobs and creates the executor.
+// newExec creates the executor with normalized knobs, sized for any
+// input (the hand-written plans).
 func newExec(ctx context.Context, nWorkers, vecSize int) *Exec {
+	w, v := normalize(nWorkers, vecSize)
+	return &Exec{ctx: ctx, bar: exec.NewBarrier(w), Workers: w, Vec: v}
+}
+
+// normalize resolves the execution knobs: nWorkers <= 0 means
+// GOMAXPROCS, capped at one shard per worker of every shared hash
+// table; vecSize <= 0 means vector.DefaultSize.
+func normalize(nWorkers, vecSize int) (int, int) {
 	w := nWorkers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	// Every shared hash table has one shard per worker.
-	w = min(w, hashtable.MaxShards)
 	v := vecSize
 	if v <= 0 {
 		v = vector.DefaultSize
 	}
-	return &Exec{ctx: ctx, bar: exec.NewBarrier(w), Workers: w, Vec: v}
+	return min(w, hashtable.MaxShards), v
 }
 
 // ScanDisp creates the shared morsel dispatcher of a relation scan,
