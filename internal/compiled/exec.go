@@ -11,11 +11,6 @@ import (
 	"paradigms/internal/tw"
 )
 
-// preAggCapacity bounds each worker's pre-aggregation hash table so it
-// stays cache resident; overflowing groups spill as single-tuple
-// partials (matches internal/typer).
-const preAggCapacity = 1 << 14
-
 // The compiled backend hashes keys with hashtable.Mix64, the same
 // low-latency finalizer the hand-written Typer pipelines use (see
 // typer.Hash) — called directly so the compiler can inline it into the
@@ -312,14 +307,15 @@ func (p *pipe) groupKeyGet(agg *logical.Aggregate) (u64Fn, error) {
 }
 
 // runGrouped is phase one of the keyed aggregation: fused scan/probe
-// loop feeding a cache-resident pre-aggregation table, overflow and
+// loop feeding a cache-resident pre-aggregation table (grown to the
+// groups it meets, up to hashtable.PreAggCapacity), overflow and
 // final flush spilling partition-partial rows [hash, key, aggs...].
 // A non-nil nOut (telemetry-instrumented executions) counts the rows
 // reaching the sink in a worker-local counter; nil leaves the fused
 // loop untouched.
 func (p *pipe) runGrouped(wid int, specs []groupSpec, keyGet u64Fn, spill *hashtable.Spill, nOut *int64) {
 	local := hashtable.New(1+len(specs), 1)
-	local.Prepare(preAggCapacity)
+	local.Prepare(0)
 	lsh := local.Shard(0)
 
 	body := func(i int, fr []int64) {
@@ -349,7 +345,7 @@ func (p *pipe) runGrouped(wid int, specs []groupSpec, keyGet u64Fn, spill *hasht
 			}
 			return
 		}
-		if local.Rows() < preAggCapacity {
+		if local.AggRoom() {
 			ref, _ := lsh.Alloc(local, h)
 			row := local.Row(ref)
 			row[0] = k

@@ -209,6 +209,30 @@ func (t *Table) Prepare(expected int) {
 	t.keys = KeyFilter{}
 }
 
+// PreAggCapacity bounds a worker's thread-local pre-aggregation table
+// (phase one of the shared two-phase aggregation) so it stays cache
+// resident; groups past it spill as single-tuple partials.
+const PreAggCapacity = 1 << 14
+
+// AggRoom reports whether a thread-local pre-aggregation table may take
+// one more group. A table starts at Prepare's 64-slot floor and doubles
+// its directory, re-inserting its own rows, whenever its rows reach half
+// the slots; it stops taking groups at PreAggCapacity, with the
+// directory an eager Prepare(PreAggCapacity) would have allocated. So a
+// small input allocates a small table. Single-threaded use only.
+func (t *Table) AggRoom() bool {
+	n := t.Rows()
+	if n >= PreAggCapacity {
+		return false
+	}
+	if 2*n >= len(t.dir) {
+		t.dir = make([]uint64, 2*len(t.dir))
+		t.mask = uint64(len(t.dir) - 1)
+		t.ForEach(func(ref Ref) { t.Insert(ref, t.Hash(ref)) })
+	}
+	return true
+}
+
 // KeyBounds records the signed minimum and maximum of payload word 0
 // over shard i's rows — the first half of a keyed publish, run by the
 // shard's worker before the barrier that calls PrepareKeyFilter.

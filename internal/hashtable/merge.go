@@ -21,13 +21,17 @@ const (
 // paradigm under study differentiates phase one (per-tuple fused loops vs.
 // per-vector primitives), which consumes the base table.
 func MergeSpill(spill *Spill, partition int, ops []AggOp, emit func(row []uint64)) {
-	merged := New(1+len(ops), 1)
-	merged.Prepare(spill.PartitionCount(partition))
-	sh := merged.Shard(0)
 	rw := spill.RowWords()
 	if rw != 2+len(ops) {
 		panic("hashtable: MergeSpill ops inconsistent with spill row width")
 	}
+	n := spill.PartitionCount(partition)
+	if n == 0 {
+		return
+	}
+	merged := New(1+len(ops), 1)
+	merged.Prepare(n)
+	sh := merged.Shard(0)
 	spill.PartitionRows(partition, func(row []uint64) {
 		h, key := row[0], row[1]
 		for ref := merged.Lookup(h); ref != 0; ref = merged.Next(ref) {

@@ -26,10 +26,10 @@ import (
 )
 
 const (
-	// aggPartitions and preAggCapacity mirror Typer's aggregation
-	// configuration so the two-phase algorithm is identical.
-	aggPartitions  = 64
-	preAggCapacity = 1 << 14
+	// aggPartitions mirrors Typer's aggregation configuration so the
+	// two-phase algorithm is identical (both bound their pre-aggregation
+	// tables at hashtable.PreAggCapacity).
+	aggPartitions = 64
 
 	// AggPartitions exports the spill-partition count for layers that
 	// assemble this engine's primitives into plans (internal/plan) and

@@ -8,8 +8,9 @@ import (
 //
 // Phase one processes each input vector with three primitive passes:
 // find-groups (probe the worker-local pre-aggregation table), handle
-// misses (sequentially insert new groups, spilling single-tuple partials
-// to hash partitions once the table reaches capacity — the paper's
+// misses (sequentially insert new groups, growing the table with them,
+// and spill single-tuple partials to hash partitions once it reaches
+// hashtable.PreAggCapacity — the paper's
 // "shuffle group-less tuples and add one group per partition" step,
 // realized as an insert-if-absent pass so duplicate keys inside one
 // vector create exactly one group), and update-aggregates (one pass per
@@ -35,7 +36,7 @@ type GroupBy struct {
 // joins can exceed the scan vector size).
 func NewGroupBy(spill *hashtable.Spill, wid int, ops []hashtable.AggOp, vecCap int) *GroupBy {
 	local := hashtable.New(1+len(ops), 1)
-	local.Prepare(preAggCapacity)
+	local.Prepare(0)
 	return &GroupBy{
 		local:   local,
 		sh:      local.Shard(0),
@@ -92,7 +93,7 @@ func (g *GroupBy) HandleMisses(nMiss int, keys, hashes []uint64, vals [][]int64)
 			g.Refs[i] = ref
 			continue
 		}
-		if local.Rows() < preAggCapacity {
+		if local.AggRoom() {
 			ref, _ := g.sh.Alloc(local, h)
 			local.SetWord(ref, 0, key)
 			for j, op := range g.ops {

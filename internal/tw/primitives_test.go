@@ -158,7 +158,7 @@ func TestGroupByConsumeAndMerge(t *testing.T) {
 }
 
 func TestGroupBySpillOverflow(t *testing.T) {
-	// More distinct keys than preAggCapacity forces the spill path.
+	// More distinct keys than hashtable.PreAggCapacity forces the spill path.
 	spill := hashtable.NewSpill(1, aggPartitions, 3)
 	ops := []hashtable.AggOp{hashtable.OpSum}
 	const vecLen = 1024
@@ -167,7 +167,7 @@ func TestGroupBySpillOverflow(t *testing.T) {
 	hashes := make([]uint64, vecLen)
 	vals := [][]int64{make([]int64, vecLen)}
 	total := 0
-	for base := 0; base < 3*preAggCapacity; base += vecLen {
+	for base := 0; base < 3*hashtable.PreAggCapacity; base += vecLen {
 		for i := 0; i < vecLen; i++ {
 			keys[i] = uint64(base + i)
 			vals[0][i] = 1
@@ -185,8 +185,8 @@ func TestGroupBySpillOverflow(t *testing.T) {
 			sum += int64(row[2])
 		})
 	}
-	if groups != 3*preAggCapacity {
-		t.Fatalf("groups = %d, want %d", groups, 3*preAggCapacity)
+	if groups != 3*hashtable.PreAggCapacity {
+		t.Fatalf("groups = %d, want %d", groups, 3*hashtable.PreAggCapacity)
 	}
 	if sum != int64(total) {
 		t.Fatalf("sum = %d, want %d", sum, total)

@@ -25,15 +25,10 @@ import (
 	"paradigms/internal/hashtable"
 )
 
-const (
-	// aggPartitions is the number of spill partitions of the two-phase
-	// aggregation (power of two).
-	aggPartitions = 64
-	// preAggCapacity bounds each worker's pre-aggregation hash table so it
-	// stays cache resident; overflowing groups spill as single-tuple
-	// partials.
-	preAggCapacity = 1 << 14
-)
+// aggPartitions is the number of spill partitions of the two-phase
+// aggregation (power of two). Each worker's pre-aggregation table is
+// bounded at hashtable.PreAggCapacity.
+const aggPartitions = 64
 
 // Hash is the hash function Typer uses for all keys. The paper uses a
 // CRC32-instruction hash here (§4.1: lower latency and fewer instructions

@@ -104,7 +104,7 @@ type localAgg struct {
 
 func newLocalAgg(spill *hashtable.Spill, wid int) *localAgg {
 	ht := hashtable.New(2, 1)
-	ht.Prepare(preAggCapacity)
+	ht.Prepare(hashtable.PreAggCapacity)
 	return &localAgg{ht: ht, sh: ht.Shard(0), spill: spill, wid: wid}
 }
 
@@ -119,7 +119,7 @@ func (a *localAgg) add(key uint64, delta int64) {
 			}
 		}
 	}
-	if a.ht.Rows() < preAggCapacity {
+	if a.ht.Rows() < hashtable.PreAggCapacity {
 		ref, p := a.sh.Alloc(a.ht, h)
 		g := (*ssbGroup)(p)
 		g.key = key

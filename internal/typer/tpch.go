@@ -53,7 +53,7 @@ func Q1Ctx(ctx context.Context, db *storage.Database, nWorkers int) queries.Q1Re
 	exec.Parallel(w, func(wid int) {
 		// Pipeline 1: fused scan + filter + pre-aggregation.
 		local := hashtable.New(7, 1)
-		local.Prepare(preAggCapacity)
+		local.Prepare(hashtable.PreAggCapacity)
 		sh := local.Shard(0)
 		for {
 			m, ok := disp.Next()
@@ -83,7 +83,7 @@ func Q1Ctx(ctx context.Context, db *storage.Database, nWorkers int) queries.Q1Re
 						}
 					}
 				}
-				if local.Rows() < preAggCapacity {
+				if local.Rows() < hashtable.PreAggCapacity {
 					ref, p := sh.Alloc(local, h)
 					g := (*q1Group)(p)
 					g.key = key
@@ -366,7 +366,7 @@ func Q9Ctx(ctx context.Context, db *storage.Database, nWorkers int) queries.Q9Re
 		// Pipeline 5: scan orders, probe HT_line (multi-match), aggregate
 		// profit by (year, nation).
 		local := hashtable.New(2, 1)
-		local.Prepare(preAggCapacity)
+		local.Prepare(hashtable.PreAggCapacity)
 		lsh := local.Shard(0)
 		for {
 			m, ok := dispOrd.Next()
@@ -406,7 +406,7 @@ func Q9Ctx(ctx context.Context, db *storage.Database, nWorkers int) queries.Q9Re
 					if found {
 						continue
 					}
-					if local.Rows() < preAggCapacity {
+					if local.Rows() < hashtable.PreAggCapacity {
 						gref, p := lsh.Alloc(local, gh)
 						g := (*q9Group)(p)
 						g.key = gkey
@@ -528,7 +528,7 @@ func Q18Ctx(ctx context.Context, db *storage.Database, nWorkers int) queries.Q18
 		// Pipeline 1: scan lineitem, pre-aggregate sum(qty) by orderkey.
 		// This is the paper's high-cardinality aggregation: 1.5M·SF groups.
 		local := hashtable.New(2, 1)
-		local.Prepare(preAggCapacity)
+		local.Prepare(hashtable.PreAggCapacity)
 		lsh := local.Shard(0)
 		for {
 			m, ok := dispLine.Next()
@@ -549,7 +549,7 @@ func Q18Ctx(ctx context.Context, db *storage.Database, nWorkers int) queries.Q18
 						}
 					}
 				}
-				if local.Rows() < preAggCapacity {
+				if local.Rows() < hashtable.PreAggCapacity {
 					ref, p := lsh.Alloc(local, h)
 					g := (*q18Group)(p)
 					g.key = key

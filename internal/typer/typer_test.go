@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"paradigms/internal/hashtable"
 	"paradigms/internal/queries"
 	"paradigms/internal/ssb"
 	"paradigms/internal/tpch"
@@ -46,13 +47,13 @@ func TestSSBMatchesReference(t *testing.T) {
 
 func TestQ18PreAggOverflowPath(t *testing.T) {
 	// At sf 0.05 lineitem has ~300K rows and ~75K distinct orderkeys,
-	// well above preAggCapacity, so the spill path is exercised; this
+	// well above hashtable.PreAggCapacity, so the spill path is exercised; this
 	// test documents that expectation so a capacity change does not
 	// silently skip the overflow path.
 	db := tpch.Generate(0.05, 0)
-	if db.Rel("orders").Rows() <= preAggCapacity {
-		t.Fatalf("test premise broken: %d orders <= preAggCapacity %d",
-			db.Rel("orders").Rows(), preAggCapacity)
+	if db.Rel("orders").Rows() <= hashtable.PreAggCapacity {
+		t.Fatalf("test premise broken: %d orders <= hashtable.PreAggCapacity %d",
+			db.Rel("orders").Rows(), hashtable.PreAggCapacity)
 	}
 	got, want := Q18Ctx(context.Background(), db, 3), queries.RefQ18(db)
 	if !reflect.DeepEqual(got, want) {
