@@ -258,7 +258,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // ndjsonSink adapts an http.ResponseWriter to logical.RowSink: each
 // batch becomes one rows frame, flushed immediately so rows reach the
-// client while the scan is still running. The executors serialize
+// client while the scan is still running. Only rows frames flush: the
+// once-per-query frames (cols, analyze, end, error) are written into
+// the response buffer and leave with the next rows flush or when the
+// handler returns, so a small result takes two socket writes, not one
+// per frame. The executors serialize
 // SetCols/PushRows; the terminal frame is written by the handler after
 // Wait, so only the `wrote` flag needs the mutex (read from the handler
 // goroutine on the failed-before-start path).
@@ -299,8 +303,8 @@ func (s *ndjsonSink) rowCount() int64 {
 	return s.rows
 }
 
-// write sends one encoded frame line carrying nrows result rows and
-// flushes it down the wire.
+// write sends one encoded frame line carrying nrows result rows,
+// flushing it down the wire when it carries rows.
 func (s *ndjsonSink) write(line []byte, nrows int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -314,6 +318,9 @@ func (s *ndjsonSink) write(line []byte, nrows int) error {
 	if _, err := s.w.Write(line); err != nil {
 		s.err = err
 		return err
+	}
+	if nrows == 0 {
+		return nil
 	}
 	s.rows += int64(nrows)
 	if fl, ok := s.w.(http.Flusher); ok {
