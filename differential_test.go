@@ -2,11 +2,14 @@ package paradigms
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"paradigms/internal/engine"
+	"paradigms/internal/exec"
 	"paradigms/internal/logical"
+	"paradigms/internal/obs"
 	"paradigms/internal/sqlcheck"
 	"paradigms/internal/storage"
 )
@@ -29,7 +32,8 @@ var fullGrid = diffConfig{vecSizes: []int{1, 1000, 4096}, workers: []int{1, 4}}
 
 // checkDifferential runs one SQL text through the oracle and, via the
 // one engine dispatch, the compiled, hybrid, and vectorized backends,
-// and fails on any mismatch.
+// and fails on any mismatch. A workers > 1 cell runs under cellCtx, so
+// it really runs on that many workers, and fails if it did not.
 func checkDifferential(t *testing.T, db *storage.Database, text string, cfg diffConfig) {
 	t.Helper()
 	ctx := context.Background()
@@ -43,7 +47,8 @@ func checkDifferential(t *testing.T, db *storage.Database, text string, cfg diff
 	}
 	check := func(name string, workers, vec int) {
 		t.Helper()
-		out, err := engine.Run(ctx, name, pl, engine.Options{Workers: workers, VecSize: vec})
+		cctx, ranOn := cellCtx(t, ctx, pl, workers)
+		out, err := engine.Run(cctx, name, pl, engine.Options{Workers: workers, VecSize: vec})
 		if err != nil {
 			t.Fatalf("%s w=%d vec=%d failed for %q: %v", name, workers, vec, text, err)
 		}
@@ -51,6 +56,7 @@ func checkDifferential(t *testing.T, db *storage.Database, text string, cfg diff
 			t.Errorf("%s w=%d vec=%d differs from oracle for %q\n got %v\nwant %v",
 				name, workers, vec, text, clip(out.Result.Rows), clip(want))
 		}
+		ranOn(fmt.Sprintf("%s w=%d vec=%d %q", name, workers, vec, text))
 	}
 	for _, workers := range cfg.workers {
 		check(engine.Typer, workers, 0)
@@ -59,6 +65,52 @@ func checkDifferential(t *testing.T, db *storage.Database, text string, cfg diff
 			check(engine.Tectorwise, workers, vec)
 		}
 	}
+}
+
+// cellCtx returns the context one execution cell of the differential
+// suites runs under (parallelCtx's, instrumented), and a check that the
+// cell ran on the workers it asked for.
+func cellCtx(t *testing.T, ctx context.Context, pl *logical.Plan, workers int) (context.Context, func(cell string)) {
+	t.Helper()
+	if workers <= 1 {
+		return ctx, func(string) {}
+	}
+	col := obs.NewCollector()
+	ctx = obs.WithCollector(parallelCtx(t, ctx, pl, workers, 1), col)
+	return ctx, func(cell string) {
+		t.Helper()
+		pipes := col.Pipes()
+		if len(pipes) == 0 {
+			t.Errorf("%s: no pipeline telemetry", cell)
+		}
+		for _, p := range pipes {
+			if p.Workers != workers {
+				t.Errorf("%s: pipeline %d (%s) ran on %d workers, want %d", cell, p.Index, p.Table, p.Workers, workers)
+			}
+		}
+	}
+}
+
+// parallelCtx keeps a workers > 1 cell parallel. The driver gives a
+// query no more workers than its largest scan has morsels, and every
+// table of the SF 0.01 databases fits in one default morsel; so the
+// cell runs at a morsel size that splits the plan's largest scan into
+// at least workers morsels on each of shards shards.
+func parallelCtx(t *testing.T, ctx context.Context, pl *logical.Plan, workers, shards int) context.Context {
+	t.Helper()
+	rows := largestScan(pl.Root)
+	if rows < workers*shards {
+		t.Fatalf("largest scan of %d rows cannot feed %d workers on %d shards", rows, workers, shards)
+	}
+	return exec.WithMorselSize(ctx, rows/(workers*shards))
+}
+
+// largestScan is the row count of the largest table a plan scans.
+func largestScan(n logical.Node) int {
+	if j, ok := n.(*logical.Join); ok {
+		return max(largestScan(j.Build), largestScan(j.Probe))
+	}
+	return n.Spine().Table.Rel.Rows()
 }
 
 func clip(rows [][]int64) [][]int64 {
@@ -85,8 +137,9 @@ func TestSQLDifferentialCorpus(t *testing.T) {
 	}
 }
 
-// TestSQLDifferentialRaceSmoke is the CI -race job's corpus: small
-// (25 queries), one multi-worker configuration, both backends — enough
+// TestSQLDifferentialRaceSmoke is the CI -race job's corpus (also run
+// at GOMAXPROCS 1, 2 and 8): small (25 queries), one multi-worker
+// configuration whose 4 workers all run, both backends — enough
 // to catch data races in the fused pipelines and the shared merge
 // machinery without the full grid's runtime under the race detector.
 func TestSQLDifferentialRaceSmoke(t *testing.T) {

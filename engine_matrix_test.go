@@ -148,7 +148,7 @@ func engineMatrixCorpus(t *testing.T) {
 		for _, f := range forms {
 			for _, name := range engines {
 				for _, cl := range clusters[db] {
-					res, err := cl.Run(ctx, exchange.Request{SQL: f.text, Args: f.args, Engine: name, Workers: 4})
+					res, err := cl.Run(parallelCtx(t, ctx, f.pl, 4, cl.Shards()), exchange.Request{SQL: f.text, Args: f.args, Engine: name, Workers: 4})
 					if err != nil {
 						t.Fatalf("%s/%s/shards=%d %q %v: %v", name, f.label, cl.Shards(), text, f.args, err)
 					}
@@ -171,10 +171,12 @@ func engineMatrixCorpus(t *testing.T) {
 						case "partial":
 							opt.Partial = true
 						}
-						out, err := engine.Run(ctx, name, f.pl, opt)
+						cctx, ranOn := cellCtx(t, ctx, f.pl, workers)
+						out, err := engine.Run(cctx, name, f.pl, opt)
 						if err != nil {
 							t.Fatalf("%s: %v", cell, err)
 						}
+						ranOn(cell)
 						if !strings.HasPrefix(out.Used, name) || (name == engine.Hybrid) != strings.Contains(out.Used, "[") {
 							t.Errorf("%s: engine used = %q", cell, out.Used)
 						}

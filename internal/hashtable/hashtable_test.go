@@ -356,3 +356,42 @@ func TestNewPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestAggRoomGrows: a pre-aggregation table starts at the 64-slot floor,
+// doubles whenever its rows reach half the slots, keeps every group
+// findable across the re-inserts, and stops taking groups at
+// PreAggCapacity with the directory an eager Prepare(PreAggCapacity)
+// would have allocated.
+func TestAggRoomGrows(t *testing.T) {
+	tb := New(2, 1)
+	tb.Prepare(0)
+	if tb.DirSize() != 64 {
+		t.Fatalf("initial directory %d slots, want 64", tb.DirSize())
+	}
+	key := uint64(0)
+	for ; tb.AggRoom(); key++ {
+		if rows := tb.Rows(); 2*rows >= tb.DirSize() {
+			t.Fatalf("%d rows in %d slots: load factor above 0.5", rows, tb.DirSize())
+		}
+		ref, _ := tb.Shard(0).Alloc(tb, Mix64(key))
+		tb.SetWord(ref, 0, key)
+		tb.SetWord(ref, 1, key*3)
+		tb.Insert(ref, Mix64(key))
+	}
+	if key != PreAggCapacity {
+		t.Fatalf("took %d groups, want PreAggCapacity %d", key, PreAggCapacity)
+	}
+	eager := New(2, 1)
+	eager.Prepare(PreAggCapacity)
+	if tb.DirSize() != eager.DirSize() {
+		t.Errorf("full table has %d slots, eager Prepare %d", tb.DirSize(), eager.DirSize())
+	}
+	for k := uint64(0); k < key; k++ {
+		if v, ok := lookupKV(tb, Mix64, k); !ok || v != k*3 {
+			t.Fatalf("key %d: got (%d, %v) after growth, want (%d, true)", k, v, ok, k*3)
+		}
+	}
+	if _, ok := lookupKV(tb, Mix64, key); ok {
+		t.Errorf("key %d was never inserted but is found", key)
+	}
+}
