@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
@@ -612,4 +613,61 @@ func funcSite(fn *ast.FuncDecl) string {
 		name = id.Name
 	}
 	return "(" + star + name + ")." + fn.Name.Name
+}
+
+// TestOneInputSizing pins DESIGN.md §8 "Sizing to the input": one
+// definition of the pre-aggregation cap (hashtable.PreAggCapacity),
+// grown toward only by the two phase-one loops through
+// Table.AggRoom, and one sized executor, created by the shared driver.
+func TestOneInputSizing(t *testing.T) {
+	fset := token.NewFileSet()
+	var caps []string
+	calls := map[string][]string{} // AggRoom, NewExec → sites
+	for _, file := range goSources(t) {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := filepath.ToSlash(filepath.Dir(file))
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if vs, ok := spec.(*ast.ValueSpec); ok {
+						for _, name := range vs.Names {
+							if strings.EqualFold(name.Name, "PreAggCapacity") {
+								caps = append(caps, dir+"."+name.Name)
+							}
+						}
+					}
+				}
+			case *ast.FuncDecl:
+				if d.Body == nil {
+					continue
+				}
+				site := dir + "." + funcSite(d)
+				ast.Inspect(d.Body, func(n ast.Node) bool {
+					if call, ok := n.(*ast.CallExpr); ok {
+						if sel, ok := call.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "AggRoom" || sel.Sel.Name == "NewExec") {
+							calls[sel.Sel.Name] = append(calls[sel.Sel.Name], site)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	if want := []string{"internal/hashtable.PreAggCapacity"}; !reflect.DeepEqual(caps, want) {
+		t.Errorf("the pre-aggregation cap is defined as %v, want %v", caps, want)
+	}
+	sort.Strings(calls["AggRoom"])
+	if want := []string{"internal/compiled.(*pipe).runGrouped", "internal/tw.(*GroupBy).HandleMisses"}; !reflect.DeepEqual(calls["AggRoom"], want) {
+		t.Errorf("AggRoom is called from %v, want %v", calls["AggRoom"], want)
+	}
+	if want := []string{"internal/logical.drive"}; !reflect.DeepEqual(calls["NewExec"], want) {
+		t.Errorf("plan.NewExec is called from %v, want %v", calls["NewExec"], want)
+	}
 }
