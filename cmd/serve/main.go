@@ -65,8 +65,8 @@ type prepSpec struct {
 // preparedWorkload mixes the two regimes the paper separates:
 // computation-heavy scans (Q6/Q1.1 shapes, where the compiled engine
 // wins) and join/probe-heavy aggregations (Q3 shape, where the
-// vectorized engine wins) — so adaptive auto-routing has something
-// real to learn per pipeline.
+// vectorized engine wins) — so the hybrid behind auto has pipelines of
+// both kinds to assign.
 func preparedWorkload() []prepSpec {
 	date := func(y, m, d int) string { return fmt.Sprintf("%04d-%02d-%02d", y, m, d) }
 	return []prepSpec{
@@ -182,7 +182,7 @@ func main() {
 	maxperTenant := flag.Int("maxpertenant", 0, "per-tenant running cap (0 = unbounded)")
 	morsel := flag.Int("morsel", 0, "scan morsel size override (0 = engine default; smaller = finer-grained yielding)")
 	yieldPause := flag.Duration("yieldpause", 0, "per-morsel pause imposed on over-cost tenants (0 = default)")
-	prepared := flag.Bool("prepared", false, "prepared-statement workload over the network (plan cache, adaptive auto-routing)")
+	prepared := flag.Bool("prepared", false, "prepared-statement workload over the network (plan cache, auto = hybrid)")
 	fairbench := flag.Bool("fairbench", false, "run the solo-vs-contended fairness experiment")
 	statsJSON := flag.Bool("statsjson", false, "also emit the final /statsz snapshot")
 	qlog := flag.String("qlog", "", "append one NDJSON record per query to this file (structured query log)")

@@ -3,9 +3,8 @@
 // lower onto the engine selected with \engine — the Tectorwise
 // vectorized operator layer (default), the Typer-style compiled fused
 // pipelines, hybrid, which runs each pipeline of the query on the
-// paradigm the cost heuristic assigns it, or auto, which runs the
-// hybrid with each pipeline on whichever paradigm the statement's
-// per-pipeline router measures as faster — and run morsel-parallel.
+// paradigm the cost heuristic assigns it, or auto, another name for
+// the hybrid — and run morsel-parallel.
 // Every statement's optimized plan is held in an LRU plan cache keyed
 // on the normalized SQL text, so re-running a statement skips parse,
 // bind, and plan.
@@ -22,8 +21,7 @@
 //	\engine [name]     show or switch the execution backend
 //	                   (typer | tectorwise | hybrid | auto; tw is
 //	                   shorthand)
-//	\prepare           list the named prepared statements and their
-//	                   per-pipeline routing state (runs per arm)
+//	\prepare           list the named prepared statements
 //	\prepare <name> <sql>
 //	                   prepare a statement (one line, `?` placeholders
 //	                   allowed) under a name
@@ -121,8 +119,8 @@ func engineName(s string) (string, bool) {
 
 // shell is the REPL state; run drives it from any reader so the REPL is
 // script-testable (see main_test.go). Every executed statement goes
-// through the plan cache, and named prepared statements (\prepare)
-// carry their own adaptive per-pipeline router.
+// through the plan cache; named prepared statements (\prepare) are
+// cached statements under a name.
 type shell struct {
 	dbs     []*storage.Database
 	workers int
@@ -344,8 +342,8 @@ func (sh *shell) runStatement(st *prepcache.Statement, vals []int64) {
 // under a telemetry collector, and instead of the result rows the
 // shell prints the optimized plan, the per-pipeline observed vs
 // estimated cardinalities and timings, and a one-line summary. Works
-// on every backend — hybrid rows additionally carry the per-pipeline
-// engine assignment, and auto reports the assignment its router chose.
+// on every backend — hybrid and auto rows additionally carry the
+// per-pipeline engine assignment.
 func (sh *shell) analyzeStatement(st *prepcache.Statement, vals []int64) {
 	col := obs.NewCollector()
 	ctx := obs.WithCollector(context.Background(), col)
@@ -361,9 +359,7 @@ func (sh *shell) analyzeStatement(st *prepcache.Statement, vals []int64) {
 	fmt.Fprintf(sh.out, "(%d row%s)  [%s %s]\n", len(res.Rows), plural(len(res.Rows)), elapsed, used)
 }
 
-// listPrepared prints the named prepared statements with their
-// per-pipeline routing state: how often each pipeline ran compiled (t)
-// and vectorized (v) under auto.
+// listPrepared prints the named prepared statements.
 func (sh *shell) listPrepared() {
 	if len(sh.stmts) == 0 {
 		fmt.Fprintln(sh.out, "no prepared statements")
@@ -376,11 +372,7 @@ func (sh *shell) listPrepared() {
 	sort.Strings(names)
 	for _, n := range names {
 		st := sh.stmts[n]
-		fmt.Fprintf(sh.out, "%-12s %d parameter%s", n, st.NumParams(), plural(st.NumParams()))
-		for i, a := range st.PipeRouter().PipeSnapshot() {
-			fmt.Fprintf(sh.out, "  P%d t=%d v=%d", i+1, a.N[hybrid.EngineCompiled], a.N[hybrid.EngineVectorized])
-		}
-		fmt.Fprintf(sh.out, "  %s\n", st.Text)
+		fmt.Fprintf(sh.out, "%-12s %d parameter%s  %s\n", n, st.NumParams(), plural(st.NumParams()), st.Text)
 	}
 }
 
@@ -394,7 +386,7 @@ func plural(n int) string {
 // explain prints the selected backend, the optimized logical plan, and
 // — for the compiled, hybrid and auto engines — the fused pipeline
 // decomposition (with the hybrid's per-pipeline engine assignment,
-// which is also auto's cold start).
+// which auto runs too).
 func (sh *shell) explain(db *storage.Database, stmt string) {
 	pl, err := logical.Prepare(db, stmt)
 	if err != nil {
@@ -412,11 +404,7 @@ func (sh *shell) explain(db *storage.Database, stmt string) {
 		}
 		fmt.Fprint(sh.out, shape)
 	case engine.Hybrid, prepcache.Auto:
-		if sh.engine == engine.Hybrid {
-			fmt.Fprintln(sh.out, "backend: hybrid (per-pipeline cost heuristic)")
-		} else {
-			fmt.Fprintln(sh.out, "backend: auto (hybrid under the statement's per-pipeline router)")
-		}
+		fmt.Fprintln(sh.out, "backend: hybrid (per-pipeline cost heuristic)")
 		fmt.Fprint(sh.out, pl.Format())
 		shape, err := hybrid.Explain(pl)
 		if err != nil {

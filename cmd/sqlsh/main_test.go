@@ -21,12 +21,10 @@ var update = flag.Bool("update", false, "rewrite the REPL session golden file")
 // hybrid's per-pipeline engine assignment), query execution on all
 // three backends (hybrid executions report their assignment next to
 // the timing), prepared statements (\prepare/\execute with `?` arguments,
-// the \prepare listing with per-pipeline router counts, argument
-// errors), explain and two deterministic executions under auto, an
-// error diagnostic, and an unknown meta command. The clock is frozen so
-// timings render as [0s]. (Only auto's first two executions are
-// scripted — the heuristic's seed, then each pipeline's other arm;
-// later assignments depend on real latencies.)
+// the \prepare listing, argument errors), explain and two executions
+// under auto (the hybrid's assignment, the same on every run), an error
+// diagnostic, and an unknown meta command. The clock is frozen so
+// timings render as [0s].
 func TestREPLSession(t *testing.T) {
 	script := strings.Join([]string{
 		`\tables`,

@@ -31,7 +31,7 @@ var extensionPackages = map[string]string{
 	"logical":   "extension", // logical planner + vectorized lowering
 	"compiled":  "extension", // compiled (Typer-style) SQL lowering
 	"sqlcheck":  "extension", // differential-test generator/oracle/minis
-	"prepcache": "extension", // prepared statements, plan cache, adaptive routing
+	"prepcache": "extension", // prepared statements, plan cache, cardinality feedback
 	"proto":     "extension", // network protocol of the serving front-end
 	"obs":       "extension", // execution telemetry: EXPLAIN ANALYZE, query log, metrics
 	"feedback":  "extension", // cardinality feedback: drift-triggered re-planning, prewarm mining
@@ -445,17 +445,18 @@ func TestNamedQueryPaths(t *testing.T) {
 	}
 }
 
-// TestOneEngineRouter pins the structure DESIGN.md §10 describes: a
-// prepared statement has one adaptive router, the per-pipeline
-// PipelineRouter that engine auto runs the hybrid under. Non-test code
-// declares exactly one hybrid.Router implementation (one type with a
-// Decide method), prepcache.Statement holds exactly one router field,
-// and exactly one place hands a router to the engine dispatch (one
-// assignment to, or literal of, an Options Router field: Statement.Run's
-// auto branch).
-func TestOneEngineRouter(t *testing.T) {
+// TestHybridAssignsByCost pins the structure DESIGN.md §12 describes:
+// the hybrid gets every pipeline assignment from its static cost
+// heuristic and keeps nothing between executions, and engine auto is
+// another name for it. Non-test code declares no Decide or Observe
+// method (no learning router), no type named Router and no struct
+// field named Router (nothing hands the engine dispatch a router),
+// logical.Policy has no Observe hook (the driver feeds nothing back to
+// a policy), and hybrid.Policy sets Assign only from CostAssign.
+func TestHybridAssignsByCost(t *testing.T) {
 	fset := token.NewFileSet()
-	var deciders, handoffs, stmtRouters []string
+	var learners, routers, observeHooks, assigns []string
+	sawLogicalPolicy, sawHybridPolicy := false, false
 	for _, file := range goSources(t) {
 		if strings.HasSuffix(file, "_test.go") {
 			continue
@@ -464,45 +465,100 @@ func TestOneEngineRouter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		dir := filepath.ToSlash(filepath.Dir(file))
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
-				if n.Recv != nil && n.Name.Name == "Decide" {
-					deciders = append(deciders, fset.Position(n.Pos()).String())
+				if n.Recv != nil && (n.Name.Name == "Decide" || n.Name.Name == "Observe") {
+					learners = append(learners, fset.Position(n.Pos()).String())
 				}
-			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "Router" {
-						handoffs = append(handoffs, fset.Position(lhs.Pos()).String())
-					}
-				}
-			case *ast.KeyValueExpr:
-				if key, ok := n.Key.(*ast.Ident); ok && key.Name == "Router" {
-					handoffs = append(handoffs, fset.Position(n.Pos()).String())
+				if n.Recv == nil && n.Name.Name == "Policy" && dir == "internal/hybrid" && n.Body != nil {
+					sawHybridPolicy = true
+					assigns = append(assigns, assignSources(fset, n.Body)...)
 				}
 			case *ast.TypeSpec:
+				if n.Name.Name == "Router" {
+					routers = append(routers, fset.Position(n.Pos()).String())
+				}
 				st, ok := n.Type.(*ast.StructType)
-				if !ok || n.Name.Name != "Statement" || filepath.ToSlash(filepath.Dir(file)) != "internal/prepcache" {
+				if !ok {
 					return true
 				}
+				isLogicalPolicy := n.Name.Name == "Policy" && dir == "internal/logical"
+				sawLogicalPolicy = sawLogicalPolicy || isLogicalPolicy
 				for _, field := range st.Fields.List {
-					if id, ok := field.Type.(*ast.Ident); ok && strings.HasSuffix(id.Name, "Router") {
-						stmtRouters = append(stmtRouters, id.Name)
+					for _, name := range field.Names {
+						if name.Name == "Router" {
+							routers = append(routers, fset.Position(name.Pos()).String())
+						}
+						if isLogicalPolicy && name.Name == "Observe" {
+							observeHooks = append(observeHooks, fset.Position(name.Pos()).String())
+						}
 					}
 				}
 			}
 			return true
 		})
 	}
-	if len(deciders) != 1 {
-		t.Errorf("non-test code declares %d Decide methods, want 1 (prepcache.PipelineRouter): %v", len(deciders), deciders)
+	if len(learners) != 0 {
+		t.Errorf("non-test code declares Decide/Observe methods (a learning router): %v", learners)
 	}
-	if len(stmtRouters) != 1 {
-		t.Errorf("prepcache.Statement holds %d router fields %v, want 1 (the PipelineRouter)", len(stmtRouters), stmtRouters)
+	if len(routers) != 0 {
+		t.Errorf("non-test code declares a Router type or struct field: %v", routers)
 	}
-	if len(handoffs) != 1 {
-		t.Errorf("non-test code sets a Router field at %d sites, want 1 (Statement.Run's auto branch): %v", len(handoffs), handoffs)
+	if !sawLogicalPolicy {
+		t.Error("internal/logical declares no Policy struct")
 	}
+	if len(observeHooks) != 0 {
+		t.Errorf("logical.Policy has an Observe field (a feedback hook from the driver to the policy): %v", observeHooks)
+	}
+	if !sawHybridPolicy {
+		t.Fatal("internal/hybrid declares no Policy function")
+	}
+	if len(assigns) == 0 {
+		t.Error("hybrid.Policy never sets Assign")
+	}
+	for _, src := range assigns {
+		if src != "CostAssign" {
+			t.Errorf("hybrid.Policy sets Assign from %s, want only from CostAssign", src)
+		}
+	}
+}
+
+// assignSources names the value of every write to an Assign field in
+// body — a `x.Assign = v` statement or an `Assign: v` composite-literal
+// element: the called function's name when v is a call, else "<expr at
+// pos>".
+func assignSources(fset *token.FileSet, body *ast.BlockStmt) []string {
+	var out []string
+	name := func(v ast.Expr) string {
+		if call, ok := v.(*ast.CallExpr); ok {
+			if id, ok := call.Fun.(*ast.Ident); ok {
+				return id.Name
+			}
+		}
+		return "<expr at " + fset.Position(v.Pos()).String() + ">"
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "Assign" {
+					if len(n.Rhs) == len(n.Lhs) {
+						out = append(out, name(n.Rhs[i]))
+					} else {
+						out = append(out, name(n.Rhs[0]))
+					}
+				}
+			}
+		case *ast.KeyValueExpr:
+			if key, ok := n.Key.(*ast.Ident); ok && key.Name == "Assign" {
+				out = append(out, name(n.Value))
+			}
+		}
+		return true
+	})
+	return out
 }
 
 // TestOneKeyFilter pins the exact key filter DESIGN.md §2 describes: the

@@ -273,7 +273,7 @@ func engineMatrixService(t *testing.T) {
 		for _, name := range []string{engine.Typer, engine.Tectorwise, engine.Hybrid, prepcache.Auto} {
 			for _, prepared := range []bool{false, true} {
 				if name == prepcache.Auto && !prepared {
-					continue // auto routes on a statement's history
+					continue // auto is a prepared-only engine name
 				}
 				for _, streamed := range []bool{false, true} {
 					cell := fmt.Sprintf("%s/prepared=%v/streamed=%v %q %v", name, prepared, streamed, text, bindings[0])
@@ -398,21 +398,8 @@ func engineStreamReusesArena(t *testing.T) {
 	}
 }
 
-// forcedRouter assigns every pipeline to one backend.
-type forcedRouter struct{ to hybrid.Engine }
-
-func (f forcedRouter) Decide(meta []hybrid.PipeMeta) []hybrid.Engine {
-	out := make([]hybrid.Engine, len(meta))
-	for i := range out {
-		out[i] = f.to
-	}
-	return out
-}
-
-func (forcedRouter) Observe([]hybrid.Engine, []int64) {}
-
-// engineForcedHybridTelemetry: hybrid has no driver of its own, so a
-// router forcing every pipeline fused (vectorized) must leave the same
+// engineForcedHybridTelemetry: hybrid has no driver of its own, so an
+// assignment forcing every pipeline fused (vectorized) must leave the same
 // per-pipeline story in the collector as typer (tectorwise) on the
 // same plan: engine tags, observed row counts, hash-table sizes, and —
 // for the vectorized pair at a fixed vector size — batch counts.
@@ -422,11 +409,19 @@ func engineForcedHybridTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(name string, opt engine.Options) []obs.PipeStat {
+	const workers, vecSize = 2, 1000
+	run := func(name string) []obs.PipeStat {
 		col := obs.NewCollector()
-		opt.Workers, opt.VecSize = 2, 1000
-		if _, err := engine.Run(obs.WithCollector(context.Background(), col), name, pl, opt); err != nil {
+		if _, err := engine.Run(obs.WithCollector(context.Background(), col), name, pl, engine.Options{Workers: workers, VecSize: vecSize}); err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+		return col.Pipes()
+	}
+	forced := func(to hybrid.Engine) []obs.PipeStat {
+		col := obs.NewCollector()
+		assign := []hybrid.Engine{to, to, to}
+		if _, _, err := hybrid.ExecuteRouted(obs.WithCollector(context.Background(), col), pl, workers, vecSize, assign); err != nil {
+			t.Fatalf("hybrid forced to %s: %v", to, err)
 		}
 		return col.Pipes()
 	}
@@ -434,8 +429,8 @@ func engineForcedHybridTelemetry(t *testing.T) {
 		pure string
 		to   hybrid.Engine
 	}{{engine.Typer, hybrid.EngineCompiled}, {engine.Tectorwise, hybrid.EngineVectorized}} {
-		want := run(tc.pure, engine.Options{})
-		got := run(engine.Hybrid, engine.Options{Router: forcedRouter{tc.to}})
+		want := run(tc.pure)
+		got := forced(tc.to)
 		if len(got) != len(want) || len(got) != 3 {
 			t.Fatalf("%s: %d pipes, forced hybrid %d, want 3", tc.pure, len(want), len(got))
 		}

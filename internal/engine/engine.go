@@ -4,7 +4,7 @@
 // paradigm, so everything that is not the paradigm lives once: the
 // pipeline driver (logical.Drive) runs every plan, and an engine is a
 // row of constants fed to it — typer fuses every pipeline, tectorwise
-// vectorizes every pipeline, hybrid assigns each pipeline by router or
+// vectorizes every pipeline, hybrid assigns each pipeline by its static
 // cost heuristic. Run binds the arguments, builds the named engine's
 // policy, calls the driver in the requested mode and turns executor
 // panics into errors. The prepared-statement layer, the query service,
@@ -57,9 +57,6 @@ type Options struct {
 	// shard-local state for (*logical.Plan).MergePartials, on every
 	// engine.
 	Partial bool
-	// Router assigns hybrid's pipelines and learns from the run (nil =
-	// cost heuristic). The pure engines ignore it.
-	Router hybrid.Router
 }
 
 // Output is what a run produced. Used is meaningful on error too.
@@ -136,7 +133,7 @@ func Run(ctx context.Context, name string, pl *logical.Plan, opt Options) (out O
 		pol.VecSize = opt.VecSize
 		pol.Vec, err = logical.LowerVec(pl)
 	case Hybrid:
-		pol, err = hybrid.Policy(pl, opt.VecSize, opt.Router)
+		pol, err = hybrid.Policy(pl, opt.VecSize)
 	default:
 		err = fmt.Errorf("engine: unknown engine %q (%s)", name, strings.Join(Names(), " | "))
 	}

@@ -12,8 +12,8 @@
 // deterministic column order, so hash-table layouts match word for
 // word). This package is the hybrid engine's policy over the shared
 // pipeline driver (logical.Drive): it lowers a plan on both backends
-// and assigns every pipeline to an engine — by cost heuristic, or by a
-// Router fed with per-pipeline latencies. The driver runs the
+// and assigns every pipeline to an engine by a static cost heuristic
+// (CostAssign), keeping no state between executions. The driver runs the
 // pipelines in dependency order, exchanging data through the
 // materialization boundaries that already exist: shared hash tables
 // (standardized on the compiled backend's Mix64 hash so either engine
@@ -53,34 +53,23 @@ const (
 	EngineVectorized = logical.PipeVectorized
 )
 
-// PipeMeta describes one pipeline for routing decisions: its spine
-// table and cardinality, how many hash probes and filter conjuncts it
-// runs, and whether it terminates in a hash-table build.
+// PipeMeta describes one pipeline for the assignment: its spine table,
+// how many hash probes and filter conjuncts it runs, and whether it
+// terminates in a hash-table build.
 type PipeMeta struct {
 	Table   string
-	Rows    int
 	Probes  int
 	Filters int
 	Build   bool
 }
 
-// Router chooses per-pipeline engine assignments and learns from
-// observed latencies. Decide must return one Engine per pipeline (a
-// short or nil answer falls back to CostAssign); Observe is called
-// after a successful execution with the per-pipeline wall times.
-type Router interface {
-	Decide(meta []PipeMeta) []Engine
-	Observe(assign []Engine, nanos []int64)
-}
-
-// CostAssign is the cold-start heuristic: probing *final* pipelines go
+// CostAssign is the hybrid's assignment (§4.1): probing *final* pipelines go
 // vectorized (a batch of hash probes overlaps its cache misses, and
 // the final pipeline scans the fact table, so probe stalls dominate
 // it), while build pipelines and filter-only pipelines go compiled —
 // a build ends in a materialization boundary either way, so the fused
 // loop's zero intermediate cost wins even when the build itself
-// probes. This seeds the Router's arms and is the whole policy when no
-// Router is given.
+// probes.
 func CostAssign(meta []PipeMeta) []Engine {
 	out := make([]Engine, len(meta))
 	for i, m := range meta {
@@ -94,13 +83,11 @@ func CostAssign(meta []PipeMeta) []Engine {
 }
 
 // Report describes one hybrid execution: the engine each pipeline ran
-// on, the vector size each vectorized pipeline settled on (0 for
-// compiled pipelines), and each pipeline's wall time (max across
-// workers).
+// on and the vector size each vectorized pipeline settled on (0 for
+// compiled pipelines).
 type Report struct {
 	Assign []Engine
 	Vec    []int
-	Nanos  []int64
 }
 
 // Suffix renders the assignment as "[t,v,...]" — the decoration
@@ -130,11 +117,10 @@ var vecCandidates = [...]int{256, 1024, 4096}
 const trialBatches = 4
 
 // Policy is the hybrid row of the engine policy table: the plan lowered
-// on both backends, each pipeline assigned by the Router (nil, or a
-// short answer = cost heuristic only), JoinHash on every join table,
-// and the given vector size (0 = micro-adaptive racing). A run under
-// the policy feeds the Router its per-pipeline latencies.
-func Policy(pl *logical.Plan, vecSize int, router Router) (logical.Policy, error) {
+// on both backends, each pipeline assigned by CostAssign, JoinHash on
+// every join table, and the given vector size (0 = micro-adaptive
+// racing).
+func Policy(pl *logical.Plan, vecSize int) (logical.Policy, error) {
 	cp, err := compiled.LowerProgram(pl)
 	if err != nil {
 		return logical.Policy{}, err
@@ -143,32 +129,20 @@ func Policy(pl *logical.Plan, vecSize int, router Router) (logical.Policy, error
 	if err != nil {
 		return logical.Policy{}, err
 	}
-	meta := pipeMeta(cp)
-	var assign []Engine
-	if router != nil {
-		assign = router.Decide(meta)
-	}
-	if len(assign) != len(meta) {
-		assign = CostAssign(meta)
-	}
-	pol := logical.Policy{Fused: cp, Vec: vp, Assign: assign, JoinHash: JoinHash, VecSize: vecSize}
+	pol := logical.Policy{Fused: cp, Vec: vp, Assign: CostAssign(pipeMeta(cp)), JoinHash: JoinHash, VecSize: vecSize}
 	if vecSize <= 0 {
 		pol.VecSize = vecCandidates[len(vecCandidates)-1]
 		pol.Drain = drainAdaptive
 	}
-	if router != nil {
-		pol.Observe = func(nanos []int64) { router.Observe(assign, nanos) }
-	}
 	return pol, nil
 }
 
-// pipeMeta describes the lowered pipelines for routing decisions.
+// pipeMeta describes the lowered pipelines for the assignment.
 func pipeMeta(cp *compiled.Program) []PipeMeta {
 	meta := make([]PipeMeta, cp.NumPipes())
 	for i := range meta {
 		meta[i] = PipeMeta{
 			Table:   cp.TableName(i),
-			Rows:    cp.TableRows(i),
 			Probes:  cp.NumProbes(i),
 			Filters: cp.NumFilters(i),
 			Build:   cp.IsBuild(i),
@@ -178,17 +152,23 @@ func pipeMeta(cp *compiled.Program) []PipeMeta {
 }
 
 // ExecuteRouted materializes an optimized, fully bound plan under
-// Policy(pl, vecSize, router); the returned Report describes the run.
-func ExecuteRouted(ctx context.Context, pl *logical.Plan, nWorkers, vecSize int, router Router) (*logical.Result, *Report, error) {
-	pol, err := Policy(pl, vecSize, router)
+// Policy(pl, vecSize), with assign — one Engine per pipeline — in place
+// of CostAssign's assignment (nil, or a length that differs from the
+// pipeline count, keeps CostAssign's); the returned Report describes
+// the run.
+func ExecuteRouted(ctx context.Context, pl *logical.Plan, nWorkers, vecSize int, assign []Engine) (*logical.Result, *Report, error) {
+	pol, err := Policy(pl, vecSize)
 	if err != nil {
 		return nil, nil, err
+	}
+	if len(assign) == len(pol.Assign) {
+		pol.Assign = assign
 	}
 	out, err := logical.Drive(ctx, pl, nWorkers, pol, logical.Mode{})
 	if err != nil {
 		return nil, nil, err
 	}
-	return out.Result, &Report{Assign: pol.Assign, Vec: out.Vec, Nanos: out.Nanos}, nil
+	return out.Result, &Report{Assign: pol.Assign, Vec: out.Vec}, nil
 }
 
 // drainAdaptive drives a vectorized pipeline with micro-adaptive
@@ -253,9 +233,8 @@ func trialCosts(root plan.Operator, scan *plan.Scan, sink plan.Sink, sizes [len(
 	return costs
 }
 
-// Explain renders the hybrid assignment a cold start would pick (the
-// cost heuristic, before any adaptation) above the shared pipeline
-// decomposition.
+// Explain renders the hybrid's assignment (the cost heuristic) above
+// the shared pipeline decomposition.
 func Explain(pl *logical.Plan) (string, error) {
 	cp, err := compiled.LowerProgram(pl)
 	if err != nil {

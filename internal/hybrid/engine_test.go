@@ -6,8 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"paradigms/internal/compiled"
 	"paradigms/internal/exec"
 	"paradigms/internal/logical"
+	"paradigms/internal/obs"
 	"paradigms/internal/plan"
 	"paradigms/internal/queries"
 	"paradigms/internal/tpch"
@@ -47,39 +49,33 @@ func TestGenericHybridMatchesHandWrittenROF(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range tc.workers {
-			for _, r := range []Router{nil, &fixedRouter{pattern: []Engine{EngineCompiled}}} {
-				res, _, err := ExecuteRouted(context.Background(), pl, workers, 0, r)
+			for _, assign := range [][]Engine{nil, forced(t, pl, EngineCompiled)} {
+				res, _, err := ExecuteRouted(context.Background(), pl, workers, 0, assign)
 				if err != nil {
 					t.Fatalf("sf=%v w=%d: %v", tc.sf, workers, err)
 				}
 				if !reflect.DeepEqual(res.Rows, want) {
-					t.Errorf("sf=%v w=%d router=%v: generic hybrid differs from the Q3 reference\n got %v\nwant %v",
-						tc.sf, workers, r != nil, res.Rows, want)
+					t.Errorf("sf=%v w=%d assign=%v: generic hybrid differs from the Q3 reference\n got %v\nwant %v",
+						tc.sf, workers, assign, res.Rows, want)
 				}
 			}
 		}
 	}
 }
 
-// fixedRouter forces a repeating engine pattern onto every pipeline
-// and records what Observe reports back.
-type fixedRouter struct {
-	pattern  []Engine
-	observed [][]Engine
-	nanos    [][]int64
-}
-
-func (f *fixedRouter) Decide(meta []PipeMeta) []Engine {
-	out := make([]Engine, len(meta))
+// forced repeats an engine pattern over every pipeline of pl — an
+// assignment for ExecuteRouted to run in place of CostAssign's.
+func forced(t *testing.T, pl *logical.Plan, pattern ...Engine) []Engine {
+	t.Helper()
+	cp, err := compiled.LowerProgram(pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]Engine, cp.NumPipes())
 	for i := range out {
-		out[i] = f.pattern[i%len(f.pattern)]
+		out[i] = pattern[i%len(pattern)]
 	}
 	return out
-}
-
-func (f *fixedRouter) Observe(assign []Engine, nanos []int64) {
-	f.observed = append(f.observed, assign)
-	f.nanos = append(f.nanos, nanos)
 }
 
 // TestForcedAssignmentsAllAgree: every forced per-pipeline assignment
@@ -105,8 +101,9 @@ func TestForcedAssignmentsAllAgree(t *testing.T) {
 		}
 		var want [][]int64
 		for _, pat := range patterns {
-			r := &fixedRouter{pattern: pat}
-			res, rep, err := ExecuteRouted(context.Background(), pl, 4, 0, r)
+			assign := forced(t, pl, pat...)
+			col := obs.NewCollector()
+			res, rep, err := ExecuteRouted(obs.WithCollector(context.Background(), col), pl, 4, 0, assign)
 			if err != nil {
 				t.Fatalf("%s pattern %v: %v", name, pat, err)
 			}
@@ -115,13 +112,20 @@ func TestForcedAssignmentsAllAgree(t *testing.T) {
 			} else if !reflect.DeepEqual(res.Rows, want) {
 				t.Errorf("%s pattern %v differs:\n got %v\nwant %v", name, pat, res.Rows, want)
 			}
-			// The report reflects the forced assignment, and Observe got
-			// one latency per pipeline.
-			if !reflect.DeepEqual(rep.Assign, r.Decide(make([]PipeMeta, len(rep.Assign)))) {
-				t.Errorf("%s pattern %v: report assignment %v does not match", name, pat, rep.Assign)
+			// The report reflects the forced assignment, and the
+			// collector holds one timed pipeline per assigned engine.
+			if !reflect.DeepEqual(rep.Assign, assign) {
+				t.Errorf("%s pattern %v: report assignment %v does not match %v", name, pat, rep.Assign, assign)
 			}
-			if len(r.observed) != 1 || len(r.nanos[0]) != len(rep.Assign) {
-				t.Errorf("%s pattern %v: router observed %d times with %v", name, pat, len(r.observed), r.nanos)
+			pipes := col.Pipes()
+			if len(pipes) != len(assign) {
+				t.Fatalf("%s pattern %v: collector holds %d pipelines, want %d", name, pat, len(pipes), len(assign))
+			}
+			for i, p := range pipes {
+				if p.Engine != assign[i].String() || p.Nanos <= 0 {
+					t.Errorf("%s pattern %v: pipeline %d reported engine %q after %dns, want %q and a wall time",
+						name, pat, i, p.Engine, p.Nanos, assign[i])
+				}
 			}
 			for i, e := range rep.Assign {
 				if e == EngineCompiled && rep.Vec[i] != 0 {
@@ -144,8 +148,7 @@ func TestFixedVectorSizeDisablesAdaptivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &fixedRouter{pattern: []Engine{EngineVectorized}}
-	res, rep, err := ExecuteRouted(context.Background(), pl, 2, 513, r)
+	res, rep, err := ExecuteRouted(context.Background(), pl, 2, 513, forced(t, pl, EngineVectorized))
 	if err != nil {
 		t.Fatal(err)
 	}

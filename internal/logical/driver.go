@@ -104,9 +104,6 @@ type Policy struct {
 	// (hybrid's micro-adaptive sizing; sizes must stay <= vec, the size
 	// the buffers were allocated at).
 	Drain func(root plan.Operator, scan *plan.Scan, sink plan.Sink, vec int) int
-	// Observe, if non-nil, receives the per-pipeline wall times of a
-	// run that completed uncanceled (hybrid's router feedback).
-	Observe func(nanos []int64)
 }
 
 // Mode says what a run does with its rows: the zero value materializes
@@ -133,10 +130,8 @@ type Output struct {
 	// Partial is the pre-finalization state of a Partial run.
 	Partial *Partial
 	// Vec is the vector size each vectorized pipeline ran at (the mode
-	// across workers; 0 for fused pipelines) and Nanos each pipeline's
-	// wall time (the maximum across workers).
-	Vec   []int
-	Nanos []int64
+	// across workers; 0 for fused pipelines).
+	Vec []int
 }
 
 // Drive runs a fully bound plan (BindArgs) under an engine policy. A
@@ -393,14 +388,14 @@ func drive(ctx context.Context, pl *Plan, workers int, pol Policy, stream *strea
 		}
 	})
 
-	out := Output{Vec: make([]int, n), Nanos: make([]int64, n)}
+	out := Output{Vec: make([]int, n)}
 	for i := 0; i < n; i++ {
 		ws := stats[i*w : (i+1)*w]
-		var rows, batches int64
+		var rows, batches, nanos int64
 		for _, s := range ws {
 			rows += s.rows
 			batches += s.batches
-			out.Nanos[i] = max(out.Nanos[i], s.nanos)
+			nanos = max(nanos, s.nanos)
 		}
 		out.Vec[i] = modalVec(ws)
 		if col == nil {
@@ -413,7 +408,7 @@ func drive(ctx context.Context, pl *Plan, workers int, pol Policy, stream *strea
 			rows = int64(hts[i].Rows())
 			col.SetHTRows(i, rows, int64(hts[i].KeyFilter().Bits()))
 		}
-		col.PipeWorker(i, rows, batches, out.Nanos[i])
+		col.PipeWorker(i, rows, batches, nanos)
 		if out.Vec[i] > 0 {
 			col.SetVec(i, out.Vec[i])
 		}
@@ -447,9 +442,6 @@ func drive(ctx context.Context, pl *Plan, workers int, pol Policy, stream *strea
 			return Output{}, err
 		}
 		out.Result = res
-	}
-	if pol.Observe != nil && ctx.Err() == nil {
-		pol.Observe(out.Nanos)
 	}
 	return out, nil
 }

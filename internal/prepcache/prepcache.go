@@ -5,21 +5,20 @@
 // vectorized (Tectorwise) execution wins join/probe-heavy ones, so a
 // server that re-plans every SQL text and pins it to one engine leaves
 // both optimization cost and the engine choice on the table. The
-// package supplies the three pieces that exploit this at serving time:
+// package supplies the two pieces that exploit this at serving time:
 //
 //   - Statement: one prepared SQL text — parsed, bound, and optimized
 //     once into a parameterized logical plan (internal/logical), then
-//     executed with per-call argument bindings on either backend.
+//     executed with per-call argument bindings on any engine. Engine
+//     "auto", the protocol's default for prepared executions, is
+//     another name for the hybrid, whose static cost heuristic
+//     (hybrid.CostAssign) puts each pipeline on the backend that suits
+//     it. Cardinality feedback re-plans the statement when observed
+//     selectivities drift from the estimates.
 //   - Cache: a bounded LRU over Statements, keyed on the normalized
 //     SQL text plus the catalog version, with hit/miss/eviction
 //     counters surfaced through the service stats. A cache hit skips
 //     parse, bind, and plan entirely.
-//   - PipelineRouter: the statement's one adaptive engine router.
-//     Engine "auto" runs the hybrid executor under it: each pipeline's
-//     latency feeds a per-pipeline, per-backend EWMA, and every
-//     pipeline runs on the empirically faster backend, with a
-//     deterministic epsilon-greedy probe of the slower arm so a shift
-//     in relative performance is always discovered.
 package prepcache
 
 import (

@@ -4,12 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 
 	"paradigms/internal/catalog"
 	"paradigms/internal/engine"
+	"paradigms/internal/feedback"
 	"paradigms/internal/logical"
 	"paradigms/internal/sqlcheck"
 	"paradigms/internal/storage"
@@ -195,12 +195,11 @@ func TestCacheConcurrentSingleBuild(t *testing.T) {
 }
 
 // TestStatementExecuteEngines: one cached statement executes on every
-// explicit engine and via Auto, with identical rows everywhere. The
-// explicit engines are fixed policies — hybrid runs the cost
-// heuristic's assignment every time — and leave the router untouched;
-// only Auto runs under the statement's PipelineRouter: its first
-// execution takes the heuristic's seed, its second tries the other arm
-// of every pipeline, and each one is observed.
+// explicit engine and via Auto, with identical rows everywhere. Every
+// engine is a fixed policy: hybrid runs the cost heuristic's assignment
+// every time, and Auto is another name for hybrid — it reports the same
+// assignment on every execution, keeping nothing from one run to the
+// next.
 func TestStatementExecuteEngines(t *testing.T) {
 	db, _ := miniCat(t)
 	cat := catalog.For(db)
@@ -217,23 +216,18 @@ func TestStatementExecuteEngines(t *testing.T) {
 	}
 	ctx := context.Background()
 	var results []*logical.Result
-	for _, tc := range []struct {
-		name, used string
-		observed   uint64
-	}{
-		{engine.Typer, engine.Typer, 0},
-		{engine.Tectorwise, engine.Tectorwise, 0},
-		{engine.Hybrid, engine.Hybrid + "[t]", 0},
-		{Auto, engine.Hybrid + "[t]", 1},
-		{Auto, engine.Hybrid + "[v]", 2},
-		{engine.Hybrid, engine.Hybrid + "[t]", 2},
+	for _, tc := range []struct{ name, used string }{
+		{engine.Typer, engine.Typer},
+		{engine.Tectorwise, engine.Tectorwise},
+		{engine.Hybrid, engine.Hybrid + "[t]"},
+		{Auto, engine.Hybrid + "[t]"},
+		{Auto, engine.Hybrid + "[t]"},
+		{Auto, engine.Hybrid + "[t]"},
+		{engine.Hybrid, engine.Hybrid + "[t]"},
 	} {
 		res, used, err := st.Execute(ctx, tc.name, vals, 2, 0)
 		if err != nil || used != tc.used {
 			t.Fatalf("%s: used=%q err=%v, want %q", tc.name, used, err, tc.used)
-		}
-		if got := observed(st); got != tc.observed {
-			t.Fatalf("after %s (%s): router observed %d pipeline runs, want %d", tc.name, used, got, tc.observed)
 		}
 		results = append(results, res)
 	}
@@ -250,16 +244,6 @@ func TestStatementExecuteEngines(t *testing.T) {
 	}
 }
 
-// observed is the number of per-pipeline observations the statement's
-// router holds.
-func observed(st *Statement) uint64 {
-	var n uint64
-	for _, a := range st.PipeRouter().PipeSnapshot() {
-		n += a.N[0] + a.N[1]
-	}
-	return n
-}
-
 // failingSink accepts the header and fails the first row batch — a
 // client that disconnects mid-stream.
 type failingSink struct{}
@@ -269,9 +253,10 @@ var errSinkGone = errors.New("client went away")
 func (failingSink) SetCols([]logical.OutCol) error { return nil }
 func (failingSink) PushRows([][]int64) error       { return errSinkGone }
 
-// routerStatement prepares a one-parameter projection outside any cache
-// and returns it with a valid binding.
-func routerStatement(t *testing.T) (*Statement, []int64) {
+// feedbackArmedStatement prepares a one-parameter projection outside
+// any cache, arms its cardinality feedback, and returns it with its
+// feedback store and a valid binding.
+func feedbackArmedStatement(t *testing.T) (*Statement, *feedback.Store, []int64) {
 	t.Helper()
 	db, _ := miniCat(t)
 	const q = "select o_orderkey, o_custkey from orders where o_custkey < ?"
@@ -280,49 +265,61 @@ func routerStatement(t *testing.T) (*Statement, []int64) {
 		t.Fatal(err)
 	}
 	st := NewStatement(Normalize(q), pl)
+	store := feedback.NewStore()
+	st.EnableFeedback(store, catalog.For(db).Version, func(h logical.CardHints) (*logical.Plan, error) {
+		return logical.PrepareHints(db, q, h)
+	})
 	vals, err := st.BindTexts([]string{"1000"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st, vals
+	return st, store, vals
 }
 
-var routerArms = []string{engine.Typer, engine.Tectorwise, engine.Hybrid, Auto}
+var engineNames = []string{engine.Typer, engine.Tectorwise, engine.Hybrid, Auto}
 
-// TestFailingSinkDoesNotPenalizeRouter: only a completed execution may
-// train the router. A sink that fails mid-stream returns its error
-// under a live caller context (the executor cancels its derived
-// context, not the caller's) and its truncated run says nothing about
-// the backends — the router's books must not move, or disconnecting
-// clients would skew auto routing.
-func TestFailingSinkDoesNotPenalizeRouter(t *testing.T) {
-	st, vals := routerStatement(t)
-	for _, name := range routerArms {
+// TestFailingSinkDoesNotFeedFeedback: only a completed execution may
+// feed the statement's cardinality feedback. A sink that fails
+// mid-stream returns its error under a live caller context (the
+// executor cancels its derived context, not the caller's), and its
+// truncated run observed only part of each pipeline — recording it
+// would make disconnecting clients look like drift.
+func TestFailingSinkDoesNotFeedFeedback(t *testing.T) {
+	st, store, vals := feedbackArmedStatement(t)
+	for _, name := range engineNames {
 		if _, err := st.Run(context.Background(), name, engine.Options{Args: vals, Workers: 2, Chunk: 4, Sink: failingSink{}}); !errors.Is(err, errSinkGone) {
 			t.Fatalf("%s: failing sink returned %v, want the sink's error", name, err)
 		}
-		if n := observed(st); n != 0 {
-			t.Errorf("%s: a failing sink fed the router %d observations", name, n)
+		if n := store.Len(); n != 0 {
+			t.Errorf("%s: a failing sink recorded feedback for %d statements", name, n)
 		}
+	}
+	// The same statement, completed, does record: the check above is
+	// not vacuous.
+	if _, _, err := st.Execute(context.Background(), Auto, vals, 2, 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := store.Len(); n != 1 {
+		t.Errorf("a completed execution recorded feedback for %d statements, want 1", n)
 	}
 }
 
-// TestWrongArityBindDoesNotPenalizeRouter: an argument binding of the
+// TestWrongArityBindDoesNotFeedFeedback: an argument binding of the
 // wrong arity is the caller's error, rejected before any backend runs,
-// on the materializing and the streaming path alike.
-func TestWrongArityBindDoesNotPenalizeRouter(t *testing.T) {
-	st, vals := routerStatement(t)
+// on the materializing and the streaming path alike, and it records
+// nothing in the statement's feedback.
+func TestWrongArityBindDoesNotFeedFeedback(t *testing.T) {
+	st, store, vals := feedbackArmedStatement(t)
 	ctx := context.Background()
-	for _, name := range routerArms {
-		before := st.PipeRouter().PipeSnapshot()
+	for _, name := range engineNames {
 		if _, _, err := st.Execute(ctx, name, nil, 2, 0); err == nil {
 			t.Fatalf("%s: wrong-arity binding accepted", name)
 		}
 		if _, err := st.Run(ctx, name, engine.Options{Args: append(vals, 1), Workers: 2, Chunk: 4, Sink: failingSink{}}); err == nil {
 			t.Fatalf("%s: wrong-arity streamed binding accepted", name)
 		}
-		if got := st.PipeRouter().PipeSnapshot(); !reflect.DeepEqual(got, before) {
-			t.Errorf("%s: a wrong-arity binding moved the router: %+v → %+v", name, before, got)
+		if n := store.Len(); n != 0 {
+			t.Errorf("%s: a wrong-arity binding recorded feedback for %d statements", name, n)
 		}
 	}
 }

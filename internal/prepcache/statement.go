@@ -11,13 +11,12 @@ import (
 	"paradigms/internal/obs"
 )
 
-// Auto is the pseudo-engine of adaptive routing: each execution runs
-// the hybrid executor with the statement's PipelineRouter assigning
-// every pipeline to whichever backend it currently measures as faster.
+// Auto is the prepared statements' default engine name: an execution
+// under it runs engine.Hybrid, the cost heuristic's per-pipeline mix.
 const Auto = "auto"
 
 // Statement is one prepared SQL text: the optimized parameterized plan
-// plus the statement's adaptive per-pipeline router. The plan is an
+// plus its cardinality-feedback state. The plan is an
 // immutable template — Execute binds arguments into a copy-on-write
 // clone — so a Statement is safe for concurrent execution from many
 // clients. With cardinality feedback enabled the plan pointer itself
@@ -31,8 +30,6 @@ type Statement struct {
 	plan    atomic.Pointer[logical.Plan]
 	fb      atomic.Pointer[fbState]
 	replans atomic.Uint64
-
-	pipeRouter PipelineRouter
 }
 
 // fbState is the statement's feedback wiring: where observations
@@ -79,10 +76,6 @@ func (s *Statement) NumParams() int { return len(s.Plan().Params) }
 // ParamTypes lists the bound type of each placeholder in order.
 func (s *Statement) ParamTypes() []catalog.Type { return s.Plan().Params }
 
-// PipeRouter exposes the statement's per-pipeline router, the one that
-// engine Auto runs under.
-func (s *Statement) PipeRouter() *PipelineRouter { return &s.pipeRouter }
-
 // BindTexts parses one argument text per placeholder into the raw
 // values Execute takes (see logical.(*Plan).BindTexts).
 func (s *Statement) BindTexts(args []string) ([]int64, error) {
@@ -108,10 +101,9 @@ func (s *Statement) observeCtx(ctx context.Context) (context.Context, *obs.Colle
 // observeFeedback folds one successful execution's telemetry into the
 // feedback store and, when drift has been sustained, re-plans with the
 // observed selectivities and swaps the statement's template. The swap
-// changes the plan's pipeline shape, which both re-keys subsequent
-// feedback (the re-planned statement accumulates fresh state, now with
-// estimates that match observations) and makes the PipelineRouter
-// restart from its heuristic seed on the next Auto decision.
+// changes the plan's pipeline shape, which re-keys subsequent feedback:
+// the re-planned statement accumulates fresh state, now with estimates
+// that match observations.
 func (s *Statement) observeFeedback(pl *logical.Plan, col *obs.Collector) {
 	fb := s.fb.Load()
 	if fb == nil || col == nil {
@@ -135,7 +127,7 @@ func (s *Statement) observeFeedback(pl *logical.Plan, col *obs.Collector) {
 	}
 	if np.Format() == pl.Format() {
 		// The observed cardinalities do not change the join order:
-		// keep the current template (and its trained router).
+		// keep the current template.
 		return
 	}
 	if s.plan.CompareAndSwap(pl, np) {
@@ -154,15 +146,14 @@ func (s *Statement) Execute(ctx context.Context, name string, args []int64, work
 // engine.Run on the named engine — engine.Typer (compiled fused
 // pipelines), engine.Tectorwise (vectorized operator plans),
 // engine.Hybrid (the cost heuristic's per-pipeline mix of the two), or
-// Auto, which is engine.Hybrid with opt.Router set to the statement's
-// PipelineRouter. Output.Used is the engine that actually ran — for
-// hybrid and Auto, decorated with the pipeline assignment
-// ("hybrid[t,v]"). Every successful execution feeds the feedback loop,
+// Auto, another name for engine.Hybrid. Output.Used is the engine that
+// actually ran — for hybrid and Auto, decorated with the pipeline
+// assignment ("hybrid[t,v]"). Every successful execution feeds the feedback loop,
 // streamed or materialized, on whichever engine ran.
 func (s *Statement) Run(ctx context.Context, name string, opt engine.Options) (engine.Output, error) {
 	pl := s.plan.Load()
 	if name == Auto {
-		name, opt.Router = engine.Hybrid, &s.pipeRouter
+		name = engine.Hybrid
 	}
 	ctx, col := s.observeCtx(ctx)
 	out, err := engine.Run(ctx, name, pl, opt)

@@ -167,6 +167,27 @@ func TestConformanceGoldens(t *testing.T) {
 	})
 }
 
+// TestAutoIsPreparedOnly pins the engine field's contract for "auto":
+// a request decodes with it only when it is a prepared execution.
+func TestAutoIsPreparedOnly(t *testing.T) {
+	for _, tc := range []struct {
+		body string
+		ok   bool
+	}{
+		{`{"engine":"auto","sql":"select 1","prepared":true}`, true},
+		{`{"engine":"auto","sql":"select 1"}`, false},
+		{`{"engine":"hybrid","sql":"select 1"}`, true},
+	} {
+		_, err := proto.DecodeQueryRequest(strings.NewReader(tc.body))
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: err = %v, want accepted = %v", tc.body, err, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), `engine "auto" requires a prepared execution`) {
+			t.Errorf("%s: err = %v, want the prepared-only rejection", tc.body, err)
+		}
+	}
+}
+
 // TestConformanceOverload pins the backpressure shape: a full admission
 // queue turns into HTTP 429 with the scheduler's deterministic
 // retry-after estimate in both the body and the Retry-After header —

@@ -81,7 +81,7 @@ func (q *QueryRequest) Validate() error {
 	case "", "typer", "tectorwise", "hybrid":
 	case "auto":
 		if !q.Prepared {
-			return errors.New(`proto: engine "auto" requires a prepared execution (adaptive routing lives on prepared statements)`)
+			return errors.New(`proto: engine "auto" requires a prepared execution (auto is the prepared statements' name for hybrid; ad hoc, ask for hybrid)`)
 		}
 	default:
 		return fmt.Errorf("proto: unknown engine %q (typer | tectorwise | hybrid | auto)", q.Engine)

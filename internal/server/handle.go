@@ -64,10 +64,9 @@ func (h *Handle) Streaming() bool { return h.sink != nil }
 func (h *Handle) Engine() string { return h.engine }
 
 // EngineUsed is the engine the query actually executed on — for an
-// "auto" prepared submission, the hybrid with the assignment the
-// statement's per-pipeline router chose. It falls back to the submitted engine for
-// queries that never ran (died in the admission queue). Valid after
-// Done.
+// "auto" prepared submission, the hybrid with its per-pipeline
+// assignment. It falls back to the submitted engine for queries that
+// never ran (died in the admission queue). Valid after Done.
 func (h *Handle) EngineUsed() string {
 	if h.ran != "" {
 		return h.ran
@@ -156,5 +155,5 @@ func (p *Prepared) Query() string { return p.query }
 
 // Stmt exposes the underlying prepared statement (the facade's plan
 // cache entry, a *prepcache.Statement) for callers that need its
-// placeholder signature or engine-router introspection.
+// placeholder signature or plan.
 func (p *Prepared) Stmt() Stmt { return p.stmt }

@@ -61,8 +61,7 @@ type Stmt interface {
 	// Plan is the statement's current optimized plan template.
 	Plan() *logical.Plan
 	// Run executes the template on the named engine ("auto" runs the
-	// hybrid under the statement's per-pipeline router) with the bound
-	// arguments and mode in opt.
+	// hybrid) with the bound arguments and mode in opt.
 	Run(ctx context.Context, name string, opt engine.Options) (engine.Output, error)
 }
 
@@ -320,9 +319,8 @@ func (s *Service) Prepare(query string) (*Prepared, error) {
 // the given argument texts (one per `?` placeholder) under the default
 // tenant. Admission, cancellation, and the worker-share grant are
 // exactly Submit's; only the execution path differs — no parse or
-// plan, and an "auto" engine runs the hybrid under the statement's
-// per-pipeline router (Handle.EngineUsed reports the assignment it
-// chose after Done).
+// plan, and an "auto" engine runs the hybrid (Handle.EngineUsed
+// reports its per-pipeline assignment after Done).
 func (s *Service) SubmitPrepared(ctx context.Context, engine string, p *Prepared, args ...string) (*Handle, error) {
 	return s.SubmitReq(ctx, Req{Engine: engine, Prep: p, Args: args})
 }

@@ -7,13 +7,12 @@ import (
 	"paradigms/internal/prepcache"
 )
 
-// Auto is the adaptive pseudo-engine of prepared statements: each
-// execution runs the hybrid engine with every pipeline on whichever
-// backend the statement's per-pipeline router currently measures as
-// faster (epsilon-greedy over observed latencies) — the serving-time
-// exploitation of the paper's finding that neither paradigm dominates.
-// Only prepared statements accept it; one-shot RunContext calls have no
-// latency history to route on.
+// Auto is the prepared statements' name for the hybrid engine: each
+// execution runs every pipeline on the backend the hybrid's static cost
+// heuristic assigns it — the serving-time use of the paper's finding
+// that neither paradigm dominates. Only prepared statements accept it,
+// and it is the wire's default for them; one-shot RunContext calls name
+// the hybrid directly.
 const Auto Engine = prepcache.Auto
 
 // Stmt is a prepared statement outside the query service: the SQL text

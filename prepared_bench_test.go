@@ -77,9 +77,9 @@ func benchDBs2() (*DB, *DB) { return sqlDBs() }
 // BenchmarkServicePreparedThroughput drives the full service closed-
 // loop from 8 clients: the adhoc variant submits the literal SQL text
 // (re-planned every execution), the prepared variant executes the
-// cached statement with bound arguments, and the auto variant lets the
-// statement's per-pipeline router pick each pipeline's backend. The spread is the serve-path
-// cost of not having a plan cache.
+// cached statement with bound arguments, and the auto variant runs it
+// on the hybrid. The spread is the serve-path cost of not having a plan
+// cache.
 func BenchmarkServicePreparedThroughput(b *testing.B) {
 	db, ssb := benchDBs2()
 	lit := `select sum(l_extendedprice * l_discount) as revenue

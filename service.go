@@ -249,9 +249,8 @@ func (x *executor) Run(ctx context.Context, job server.Job) (server.Outcome, err
 	var res *logical.Result
 	// The one shard decision, for every request form. Hybrid stays
 	// local because the benchmark's sharded_materialized workload
-	// declares it the single-process comparator; auto stays local
-	// because its router learns from per-pipeline telemetry the shards
-	// do not emit yet.
+	// declares it the single-process comparator; auto stays local for
+	// the same reason, because it runs the hybrid.
 	if cl := x.clusters[cat.DB]; cl != nil && (job.Engine == string(Typer) || job.Engine == string(Tectorwise)) {
 		res, err = cl.Run(ctx, exchange.Request{
 			SQL: job.Text, Args: args, Engine: job.Engine,
