@@ -47,7 +47,7 @@ func checkDifferential(t *testing.T, db *storage.Database, text string, cfg diff
 	}
 	check := func(name string, workers, vec int) {
 		t.Helper()
-		cctx, ranOn := cellCtx(t, ctx, pl, workers)
+		cctx, ranOn := cellCtx(t, ctx, pl, workers, nil)
 		out, err := engine.Run(cctx, name, pl, engine.Options{Workers: workers, VecSize: vec})
 		if err != nil {
 			t.Fatalf("%s w=%d vec=%d failed for %q: %v", name, workers, vec, text, err)
@@ -69,8 +69,9 @@ func checkDifferential(t *testing.T, db *storage.Database, text string, cfg diff
 
 // cellCtx returns the context one execution cell of the differential
 // suites runs under (parallelCtx's, instrumented), and a check that the
-// cell ran on the workers it asked for.
-func cellCtx(t *testing.T, ctx context.Context, pl *logical.Plan, workers int) (context.Context, func(cell string)) {
+// cell ran on the workers it asked for; a non-nil seen tallies the
+// layouts the cell's pipelines ran with.
+func cellCtx(t *testing.T, ctx context.Context, pl *logical.Plan, workers int, seen layoutTally) (context.Context, func(cell string)) {
 	t.Helper()
 	if workers <= 1 {
 		return ctx, func(string) {}
@@ -83,6 +84,7 @@ func cellCtx(t *testing.T, ctx context.Context, pl *logical.Plan, workers int) (
 		if len(pipes) == 0 {
 			t.Errorf("%s: no pipeline telemetry", cell)
 		}
+		seen.add(pipes)
 		for _, p := range pipes {
 			if p.Workers != workers {
 				t.Errorf("%s: pipeline %d (%s) ran on %d workers, want %d", cell, p.Index, p.Table, p.Workers, workers)
@@ -111,6 +113,41 @@ func largestScan(n logical.Node) int {
 		return max(largestScan(j.Build), largestScan(j.Probe))
 	}
 	return n.Spine().Table.Rel.Rows()
+}
+
+// layoutTally counts the hash-table layouts (obs.PipeStat.Layout) a
+// suite's instrumented cells ran with, by pipeline role.
+type layoutTally map[string]int
+
+func (l layoutTally) add(pipes []obs.PipeStat) {
+	if l == nil {
+		return
+	}
+	for _, p := range pipes {
+		if p.Layout == "" {
+			continue
+		}
+		role := "final"
+		if p.Build {
+			role = "build"
+		}
+		l[role+" "+p.Layout]++
+	}
+}
+
+// requireBothSides fails unless the suite ran both sides of both layout
+// rules: a key-indexed and a hashed join build, an array and a hashed
+// aggregation.
+func (l layoutTally) requireBothSides(t *testing.T) {
+	t.Helper()
+	for _, want := range []string{
+		"build " + obs.LayoutIndex, "build " + obs.LayoutHash,
+		"final " + obs.LayoutArray, "final " + obs.LayoutHash,
+	} {
+		if l[want] == 0 {
+			t.Errorf("no cell ran a %s layout (saw %v)", want, l)
+		}
+	}
 }
 
 func clip(rows [][]int64) [][]int64 {

@@ -650,6 +650,116 @@ func TestOneKeyFilter(t *testing.T) {
 	}
 }
 
+// TestOneKeyIndex pins the two key-domain decisions DESIGN.md §2 and §8
+// describe, one place each. A join table's layout — key-indexed or
+// hashed — is chosen in one internal/hashtable function (the only
+// constructor of a sized KeyIndex), which only tw.BuildBarrier reaches
+// (TestOneKeyFilter pins that call), and no Typer hand kernel
+// publishes through it. A grouped aggregation's layout — array or
+// hashed — is chosen in one internal/logical function (the only
+// constructor of a non-zero KeyDomain), called once, by the planner,
+// which alone sets Aggregate.Domain.
+// The key index is read only by the four probe sites (testing On() on
+// it, as telemetry does, is allowed anywhere), and aggregation arrays
+// are built only by the two phase-one loops.
+func TestOneKeyIndex(t *testing.T) {
+	fset := token.NewFileSet()
+	sites := map[string]map[string]bool{} // literal or callee → sites
+	note := func(name, site string) {
+		if sites[name] == nil {
+			sites[name] = map[string]bool{}
+		}
+		sites[name][site] = true
+	}
+	for _, file := range goSources(t) {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := filepath.ToSlash(filepath.Dir(file))
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			site := dir + "." + funcSite(fn)
+			tested := map[ast.Node]bool{} // KeyIndex() calls only tested with On()
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					typ := n.Type
+					if sel, ok := typ.(*ast.SelectorExpr); ok { // logical.KeyDomain{...}
+						typ = sel.Sel
+					}
+					if id, ok := typ.(*ast.Ident); ok && len(n.Elts) > 0 &&
+						(id.Name == "KeyIndex" || id.Name == "KeyDomain") {
+						note(id.Name+"{}", site)
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "Domain" {
+							note("Domain=", site)
+						}
+					}
+				case *ast.SelectorExpr:
+					if call, ok := n.X.(*ast.CallExpr); ok && n.Sel.Name == "On" {
+						tested[call] = true
+					}
+				case *ast.CallExpr:
+					var name string
+					switch fun := n.Fun.(type) {
+					case *ast.Ident:
+						name = fun.Name
+					case *ast.SelectorExpr:
+						name = fun.Sel.Name
+					}
+					switch name {
+					case "KeyIndex":
+						if !tested[n] {
+							note(name, site)
+						}
+					case "aggDomain", "NewAggArray", "NewArrayGroupBy", "BuildBarrier":
+						note(name, site)
+					}
+				}
+				return true
+			})
+		}
+	}
+	want := map[string][]string{
+		"KeyIndex{}":  {"internal/hashtable.(*Table).PrepareKeyFilter"},
+		"KeyDomain{}": {"internal/logical.aggDomain"},
+		"aggDomain":   {"internal/logical.PlanQueryHints"},
+		"Domain=":     {"internal/logical.PlanQueryHints"},
+		"KeyIndex": {
+			"internal/compiled.(*pipe).probeOne",
+			"internal/compiled.(*pipe).survivors",
+			"internal/plan.(*ProbeEmitSink).Consume",
+			"internal/tw.(*Prober).Probe",
+		},
+		"NewAggArray":     {"internal/compiled.(*pipe).runGrouped", "internal/tw.NewArrayGroupBy"},
+		"NewArrayGroupBy": {"internal/logical.(*VecWorker).GroupBySink", "internal/plan.NewArrayGroupBy"},
+	}
+	for name, w := range want {
+		var got []string
+		for s := range sites[name] {
+			got = append(got, s)
+		}
+		sort.Strings(got)
+		if !reflect.DeepEqual(got, w) {
+			t.Errorf("%s at %v, want %v", name, got, w)
+		}
+	}
+	for s := range sites["BuildBarrier"] {
+		if strings.HasPrefix(s, "internal/typer.") {
+			t.Errorf("%s publishes a Typer hand kernel's table through tw.BuildBarrier; its probes hash", s)
+		}
+	}
+}
+
 // funcSite names a function declaration with its receiver type, e.g.
 // "(*HashProbe).Next" or "BuildBarrier".
 func funcSite(fn *ast.FuncDecl) string {

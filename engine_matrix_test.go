@@ -102,6 +102,7 @@ func engineMatrixCorpus(t *testing.T) {
 	engines := []string{engine.Typer, engine.Tectorwise, engine.Hybrid}
 	modes := []string{"materialize", "stream", "stream-poison", "partial"}
 	paramCells := 0
+	seen := layoutTally{}
 	clusters := map[*DB][]*exchange.Cluster{}
 	for _, db := range []*DB{tpchDB, ssbDB} {
 		for _, n := range []int{1, 3} {
@@ -171,7 +172,7 @@ func engineMatrixCorpus(t *testing.T) {
 						case "partial":
 							opt.Partial = true
 						}
-						cctx, ranOn := cellCtx(t, ctx, f.pl, workers)
+						cctx, ranOn := cellCtx(t, ctx, f.pl, workers, seen)
 						out, err := engine.Run(cctx, name, f.pl, opt)
 						if err != nil {
 							t.Fatalf("%s: %v", cell, err)
@@ -216,6 +217,7 @@ func engineMatrixCorpus(t *testing.T) {
 	if paramCells == 0 {
 		t.Fatal("corpus slice exercised no parameterized statement")
 	}
+	seen.requireBothSides(t)
 }
 
 // engineMatrixService is the shard axis through the front door: the

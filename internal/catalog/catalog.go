@@ -12,12 +12,15 @@
 // the decimal scale of each fixed-point column (SQL literals are coerced
 // to the column's scale so `l_discount between 0.05 and 0.07` compares
 // raw scaled integers, §3's exact-integer arithmetic). It also carries
-// the one statistic the planner derives from the data: each column's
-// sampled distinct count (Column.NDV), computed on first use.
+// the two statistics the planner derives from the data, each computed
+// on first use and kept on the column: its sampled distinct count
+// (Column.NDV) and, for integer-valued columns, its exact bounds
+// (Column.Bounds).
 package catalog
 
 import (
 	"hash/maphash"
+	"math"
 	"sort"
 	"sync/atomic"
 
@@ -75,7 +78,8 @@ type Column struct {
 	Type  Type
 	Table *Table
 
-	ndv atomic.Int64 // NDV's estimate once computed, 0 before
+	ndv    atomic.Int64             // NDV's estimate once computed, 0 before
+	bounds atomic.Pointer[[2]int64] // Bounds' [min, max] once computed
 }
 
 // ndvSample bounds how many values NDV reads, so planning never scans a
@@ -96,6 +100,46 @@ func (c *Column) NDV() int {
 	n := sampleNDV(c.Table.Rel.Column(c.Name), c.Table.Rows())
 	c.ndv.Store(int64(n))
 	return n
+}
+
+// Bounds returns the exact minimum and maximum value of an
+// integer-valued column (int32, int64, numeric as its scaled integer,
+// date as its day number); ok is false for other kinds and for an empty
+// column. Like NDV it is computed on first use — one pass over the
+// column — and kept on the column, so it lives exactly as long as the
+// database's catalog.
+func (c *Column) Bounds() (lo, hi int64, ok bool) {
+	b := c.bounds.Load()
+	if b == nil {
+		b = new([2]int64)
+		b[0], b[1] = columnBounds(c.Table.Rel.Column(c.Name))
+		c.bounds.Store(b)
+	}
+	return b[0], b[1], b[0] <= b[1]
+}
+
+// columnBounds scans a column for its bounds; min > max when it has
+// none.
+func columnBounds(col *storage.Column) (lo, hi int64) {
+	switch col.Type {
+	case storage.Int32:
+		return bounds(col.I32)
+	case storage.Int64:
+		return bounds(col.I64)
+	case storage.Numeric:
+		return bounds(col.Num)
+	case storage.Date:
+		return bounds(col.Dat)
+	}
+	return 1, 0
+}
+
+func bounds[T ~int32 | ~int64](vals []T) (lo, hi int64) {
+	lo, hi = math.MaxInt64, math.MinInt64
+	for _, v := range vals {
+		lo, hi = min(lo, int64(v)), max(hi, int64(v))
+	}
+	return lo, hi
 }
 
 func sampleNDV(col *storage.Column, rows int) int {

@@ -135,7 +135,12 @@ func (p *pipe) binScalar(x *sql.Binary, op func(l, r int64) int64) (scalarFn, er
 func (p *pipe) colScalar(c *catalog.Column) (scalarFn, error) {
 	src := p.resolve(c)
 	if src.base == nil {
+		// A gathered slot holds the column's key word: a 32-bit value
+		// zero-extended, so its sign is restored here.
 		slot := src.slot
+		if c.Type.Kind == catalog.Int32 || c.Type.Kind == catalog.Date {
+			return func(i int, fr []int64) int64 { return int64(int32(fr[slot])) }, nil
+		}
 		return func(i int, fr []int64) int64 { return fr[slot] }, nil
 	}
 	c32, c64, err := baseViews(c)

@@ -159,21 +159,21 @@ rows:
 				k = uint64(st.key64[i])
 			}
 			ht := st.build.ht
-			if ht.KeyFilter().Miss(k) {
+			var ref hashtable.Ref
+			if ix := ht.KeyIndex(); ix.On() {
+				ref = ix.Head(k)
+			} else if !ht.KeyFilter().Miss(k) {
+				ref = ht.Lookup(hashtable.Mix64(k))
+				for ref != 0 && ht.Row(ref)[0] != k {
+					ref = ht.Next(ref)
+				}
+			}
+			if ref == 0 {
 				continue rows
 			}
-			ref := ht.Lookup(hashtable.Mix64(k))
-			for {
-				if ref == 0 {
-					continue rows
-				}
-				if row := ht.Row(ref); row[0] == k {
-					for _, g := range st.gathers {
-						frame[g.slot] = int64(row[g.word])
-					}
-					break
-				}
-				ref = ht.Next(ref)
+			row := ht.Row(ref)
+			for _, g := range st.gathers {
+				frame[g.slot] = int64(row[g.word])
 			}
 			for _, r := range st.residuals {
 				if r.a(i, frame) != r.b(i, frame) {
@@ -187,16 +187,21 @@ rows:
 
 // probeOne is survivors for the dominant join shape — one residual-free
 // probe on a 32-bit key and no row checks, every pipeline of Q3 and Q18
-// — with the probe state (table and key filter) hoisted into locals so
-// it stays register-resident: a second key column, or a per-row test
-// for which of the two loops below applies, spills it. Probe walks
-// compare the stored key directly: chains are per-bucket, so a key
-// match is definitive and one word cheaper than the hash prefilter on
-// these 1-word keys.
+// — with the probe state (table and key filter or key index) hoisted
+// into locals so it stays register-resident: a second key column, or a
+// per-row test for which of the loops below applies, spills it. A
+// key-indexed build (probeIndexed) needs no hash and no key compare.
+// Hashed probe walks compare the stored key directly: chains are
+// per-bucket, so a key match is definitive and one word cheaper than
+// the hash prefilter on these 1-word keys.
 func (p *pipe) probeOne(base, end int, pos []int32, frame []int64, sink func(i int, fr []int64)) {
 	st := p.steps[0]
 	k32 := st.key32
 	ht := st.build.ht
+	if ix := ht.KeyIndex(); ix.On() {
+		p.probeIndexed(ix, base, end, pos, frame, sink)
+		return
+	}
 	kf := ht.KeyFilter()
 	gath := st.gathers
 	if pos == nil {
@@ -242,6 +247,41 @@ selected:
 				break
 			}
 			ref = ht.Next(ref)
+		}
+		sink(i, frame)
+	}
+}
+
+// probeIndexed is probeOne against a key-indexed build: the key's slot
+// heads its chain, and the head is the match.
+func (p *pipe) probeIndexed(ix hashtable.KeyIndex, base, end int, pos []int32, frame []int64, sink func(i int, fr []int64)) {
+	st := p.steps[0]
+	k32 := st.key32
+	ht := st.build.ht
+	gath := st.gathers
+	if pos == nil {
+		for i := base; i < end; i++ {
+			ref := ix.Head(uint64(uint32(k32[i])))
+			if ref == 0 {
+				continue
+			}
+			row := ht.Row(ref)
+			for _, g := range gath {
+				frame[g.slot] = int64(row[g.word])
+			}
+			sink(i, frame)
+		}
+		return
+	}
+	for _, s := range pos {
+		i := base + int(s)
+		ref := ix.Head(uint64(uint32(k32[i])))
+		if ref == 0 {
+			continue
+		}
+		row := ht.Row(ref)
+		for _, g := range gath {
+			frame[g.slot] = int64(row[g.word])
 		}
 		sink(i, frame)
 	}
@@ -309,57 +349,67 @@ func (p *pipe) groupKeyGet(agg *logical.Aggregate) (u64Fn, error) {
 // runGrouped is phase one of the keyed aggregation: fused scan/probe
 // loop feeding a cache-resident pre-aggregation table (grown to the
 // groups it meets, up to hashtable.PreAggCapacity), overflow and
-// final flush spilling partition-partial rows [hash, key, aggs...].
+// final flush spilling partition-partial rows [hash, key, aggs...] —
+// or, when the plan chose an array over the key's dense domain (dom),
+// a hashtable.AggArray flushed as the same rows at the end.
 // A non-nil nOut (telemetry-instrumented executions) counts the rows
 // reaching the sink in a worker-local counter; nil leaves the fused
 // loop untouched.
-func (p *pipe) runGrouped(wid int, specs []groupSpec, keyGet u64Fn, spill *hashtable.Spill, nOut *int64) {
-	local := hashtable.New(1+len(specs), 1)
-	local.Prepare(0)
-	lsh := local.Shard(0)
-
-	body := func(i int, fr []int64) {
-		k := keyGet(i, fr)
-		h := hashtable.Mix64(k)
-		for ref := local.Lookup(h); ref != 0; ref = local.Next(ref) {
-			row := local.Row(ref)
-			if row[0] != k {
-				continue
+func (p *pipe) runGrouped(wid int, specs []groupSpec, keyGet u64Fn, dom logical.KeyDomain, spill *hashtable.Spill, nOut *int64) {
+	var body func(i int, fr []int64)
+	var flush func()
+	if dom.Array() {
+		arr := hashtable.NewAggArray(dom.Min, dom.Span, len(specs))
+		words := arr.Words()
+		body = func(i int, fr []int64) {
+			off, first := arr.Slot(keyGet(i, fr))
+			row := words[off : off+len(specs)]
+			if first {
+				for j := range specs {
+					row[j] = initWord(&specs[j], i, fr)
+				}
+				return
 			}
-			for j := range specs {
-				s := &specs[j]
-				switch s.op {
-				case logical.OpSum:
-					row[1+j] += uint64(s.val(i, fr))
-				case logical.OpCount:
-					row[1+j]++
-				case logical.OpMin:
-					if v := s.val(i, fr); v < int64(row[1+j]) {
-						row[1+j] = uint64(v)
-					}
-				case logical.OpMax:
-					if v := s.val(i, fr); v > int64(row[1+j]) {
-						row[1+j] = uint64(v)
-					}
+			updateWords(row, specs, i, fr)
+		}
+		flush = func() { arr.Flush(spill, wid) }
+	} else {
+		local := hashtable.New(1+len(specs), 1)
+		local.Prepare(0)
+		lsh := local.Shard(0)
+		body = func(i int, fr []int64) {
+			k := keyGet(i, fr)
+			h := hashtable.Mix64(k)
+			for ref := local.Lookup(h); ref != 0; ref = local.Next(ref) {
+				if row := local.Row(ref); row[0] == k {
+					updateWords(row[1:], specs, i, fr)
+					return
 				}
 			}
-			return
+			if local.AggRoom() {
+				ref, _ := lsh.Alloc(local, h)
+				row := local.Row(ref)
+				row[0] = k
+				for j := range specs {
+					row[1+j] = initWord(&specs[j], i, fr)
+				}
+				local.Insert(ref, h)
+			} else {
+				row := spill.AppendRow(wid, hashtable.PartitionOf(h, tw.AggPartitions))
+				row[0] = h
+				row[1] = k
+				for j := range specs {
+					row[2+j] = initWord(&specs[j], i, fr)
+				}
+			}
 		}
-		if local.AggRoom() {
-			ref, _ := lsh.Alloc(local, h)
-			row := local.Row(ref)
-			row[0] = k
-			for j := range specs {
-				row[1+j] = initWord(&specs[j], i, fr)
-			}
-			local.Insert(ref, h)
-		} else {
-			row := spill.AppendRow(wid, hashtable.PartitionOf(h, tw.AggPartitions))
-			row[0] = h
-			row[1] = k
-			for j := range specs {
-				row[2+j] = initWord(&specs[j], i, fr)
-			}
+		flush = func() {
+			local.ForEach(func(ref hashtable.Ref) {
+				h := local.Hash(ref)
+				row := spill.AppendRow(wid, hashtable.PartitionOf(h, tw.AggPartitions))
+				row[0] = h
+				copy(row[1:], local.Row(ref))
+			})
 		}
 	}
 	if nOut != nil {
@@ -370,16 +420,29 @@ func (p *pipe) runGrouped(wid int, specs []groupSpec, keyGet u64Fn, spill *hasht
 		}
 	}
 	p.run(body)
+	flush()
+}
 
-	local.ForEach(func(ref hashtable.Ref) {
-		h := local.Hash(ref)
-		row := spill.AppendRow(wid, hashtable.PartitionOf(h, tw.AggPartitions))
-		row[0] = h
-		row[1] = local.Word(ref, 0)
-		for j := range specs {
-			row[2+j] = local.Word(ref, 1+j)
+// updateWords folds one row into a group's aggregate words (one per
+// slot); first-value slots keep the value their group's first row set.
+func updateWords(row []uint64, specs []groupSpec, i int, fr []int64) {
+	for j := range specs {
+		s := &specs[j]
+		switch s.op {
+		case logical.OpSum:
+			row[j] += uint64(s.val(i, fr))
+		case logical.OpCount:
+			row[j]++
+		case logical.OpMin:
+			if v := s.val(i, fr); v < int64(row[j]) {
+				row[j] = uint64(v)
+			}
+		case logical.OpMax:
+			if v := s.val(i, fr); v > int64(row[j]) {
+				row[j] = uint64(v)
+			}
 		}
-	})
+	}
 }
 
 // initWord is a new group's first partial value for one slot.

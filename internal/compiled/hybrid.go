@@ -108,7 +108,7 @@ func (p *Program) RunBuild(i, wid int) { p.pr.pipes[i].runBuild(wid) }
 // nOut counts the rows reaching the sink (telemetry-instrumented
 // executions only).
 func (p *Program) RunGrouped(wid int, spill *hashtable.Spill, nOut *int64) {
-	p.pr.final.runGrouped(wid, p.specs, p.keyGet, spill, nOut)
+	p.pr.final.runGrouped(wid, p.specs, p.keyGet, p.agg.Domain, spill, nOut)
 }
 
 // RunGlobal runs the final pipeline's ungrouped aggregation for one

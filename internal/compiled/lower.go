@@ -350,7 +350,11 @@ func Explain(pl *logical.Plan) (string, error) {
 			for i, c := range pl.Agg.Keys {
 				names[i] = c.Name
 			}
-			fmt.Fprintf(&sb, " → groupby keys=[%s] aggs=[%s]", strings.Join(names, " "), aggList(pl.Agg))
+			layout := ""
+			if d := pl.Agg.Domain; d.Array() {
+				layout = fmt.Sprintf(" array[%d]", d.Span)
+			}
+			fmt.Fprintf(&sb, " → groupby keys=[%s]%s aggs=[%s]", strings.Join(names, " "), layout, aggList(pl.Agg))
 		case pl.Agg != nil:
 			fmt.Fprintf(&sb, " → aggregate [%s]", aggList(pl.Agg))
 		default:

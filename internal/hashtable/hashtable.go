@@ -16,10 +16,14 @@
 // Directory insertion uses a CAS loop per bucket, enabling the
 // morsel-driven parallel build both engines share (§6.1).
 //
-// A join table published with PrepareKeyFilter also carries an exact
-// membership bitmap over its build keys (KeyFilter): a probe tests the
-// key's bit before hashing, so a miss skips the hash, the directory load
-// and the chain.
+// A join table published with PrepareKeyFilter gets one of two layouts,
+// chosen from its exact key bounds. When the build keys are dense (key
+// span ≤ 2 × rows), the directory is a KeyIndex: slot k − min heads the
+// chain of the rows with key k, so a probe computes no hash and walks no
+// foreign key. Otherwise the table keeps the hashed directory and carries
+// an exact membership bitmap over its build keys (KeyFilter): a probe
+// tests the key's bit before hashing, so a miss skips the hash, the
+// directory load and the chain.
 package hashtable
 
 import (
@@ -79,6 +83,30 @@ type Table struct {
 	// The fig-tag ablation bench switches it off.
 	UseTags bool
 	keys    KeyFilter
+	idx     KeyIndex
+}
+
+// KeyIndex is the directory of a key-indexed join table: slot k − min
+// heads the chain of the build rows whose key (payload word 0) is k, so
+// every entry on a chain matches its probe key. It replaces both the
+// hashed directory and the KeyFilter: the range test k − min < span and
+// an empty slot reject what the bitmap rejected. The zero KeyIndex
+// (table not key-indexed) has On() == false.
+type KeyIndex struct {
+	slots []uint64
+	min   uint64
+}
+
+// On reports whether the table is key-indexed.
+func (x KeyIndex) On() bool { return x.slots != nil }
+
+// Head returns the first build row with key k, or 0 when there is none.
+func (x KeyIndex) Head(k uint64) Ref {
+	d := k - x.min
+	if d >= uint64(len(x.slots)) {
+		return 0
+	}
+	return Ref(x.slots[d])
 }
 
 // KeyFilter is an exact membership bitmap over a join table's build
@@ -207,6 +235,7 @@ func (t *Table) Prepare(expected int) {
 	t.dir = make([]uint64, size)
 	t.mask = uint64(size - 1)
 	t.keys = KeyFilter{}
+	t.idx = KeyIndex{}
 }
 
 // PreAggCapacity bounds a worker's thread-local pre-aggregation table
@@ -250,36 +279,53 @@ func (t *Table) KeyBounds(i int) {
 	}
 }
 
-// PrepareKeyFilter is Prepare(Rows()) for a join table whose build key
-// is payload word 0: it merges the shards' KeyBounds and, when the key
-// span fits in as many bits as the directory has bits (span ≤ 64 ×
-// slots, so the bitmap is never larger than the directory it fronts),
-// allocates the KeyFilter that InsertShard then fills. An empty build, a
-// keyless row, or a span that wraps 64 bits gets no filter.
+// PrepareKeyFilter is the one place a join table's directory layout is
+// chosen, from the merged KeyBounds of its shards and its row count —
+// both exact once every shard is materialized. When the key span is at
+// most twice the rows, the table is key-indexed: a KeyIndex of span
+// slots, never larger than the hashed directory it replaces (≥ 2 ×
+// rows slots), and no hashed directory or bitmap at all; an empty build
+// is key-indexed with no slots. Otherwise it is Prepare(Rows()) plus,
+// when the span fits in as many bits as the directory has bits (span ≤
+// 64 × slots, so the bitmap is never larger than the directory it
+// fronts), the KeyFilter that InsertShard then fills. A keyless row or
+// a span that wraps 64 bits gets the hashed directory without a filter.
 func (t *Table) PrepareKeyFilter() {
-	t.Prepare(t.Rows())
+	rows := t.Rows()
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 	for _, s := range t.shards {
 		if s.rows > 0 {
 			lo, hi = min(lo, s.kmin), max(hi, s.kmax)
 		}
 	}
-	if lo > hi {
-		return
+	span := uint64(hi) - uint64(lo) + 1 // 0 when the span wraps
+	bounded := lo <= hi && span != 0
+	switch {
+	case rows == 0:
+		t.dir, t.mask, t.keys = nil, 0, KeyFilter{}
+		t.idx = KeyIndex{slots: []uint64{}}
+	case bounded && span <= 2*uint64(rows):
+		t.dir, t.mask, t.keys = nil, 0, KeyFilter{}
+		t.idx = KeyIndex{slots: make([]uint64, span), min: uint64(lo)}
+	default:
+		t.Prepare(rows)
+		if bounded && span <= 64*uint64(len(t.dir)) {
+			t.keys = KeyFilter{bits: make([]uint64, (span+63)/64), min: uint64(lo)}
+		}
 	}
-	span := uint64(hi) - uint64(lo) + 1
-	if span == 0 || span > 64*uint64(len(t.dir)) {
-		return
-	}
-	t.keys = KeyFilter{bits: make([]uint64, (span+63)/64), min: uint64(lo)}
 }
 
 // KeyFilter returns the table's key filter (the zero KeyFilter when the
-// table was not published with PrepareKeyFilter).
+// table was not published with PrepareKeyFilter, or is key-indexed).
 func (t *Table) KeyFilter() KeyFilter { return t.keys }
 
-// DirSize returns the number of directory slots (0 before Prepare).
-func (t *Table) DirSize() int { return len(t.dir) }
+// KeyIndex returns the table's key index (the zero KeyIndex when the
+// table has a hashed directory).
+func (t *Table) KeyIndex() KeyIndex { return t.idx }
+
+// DirSize returns the number of directory slots of either layout (0
+// before Prepare).
+func (t *Table) DirSize() int { return len(t.dir) + len(t.idx.slots) }
 
 // Finalize sizes the directory for all allocated rows and inserts every
 // row from every shard (single-threaded). For a parallel build, call
@@ -292,13 +338,27 @@ func (t *Table) Finalize() {
 	}
 }
 
-// InsertShard inserts every row of shard i into the directory, and its
-// key into the key filter when the table has one. Safe to call
-// concurrently for distinct shards once Prepare (or PrepareKeyFilter)
-// has run.
+// InsertShard inserts every row of shard i into the directory — its key
+// slot when the table is key-indexed — and its key into the key filter
+// when the table has one. Safe to call concurrently for distinct shards
+// once Prepare (or PrepareKeyFilter) has run.
 func (t *Table) InsertShard(i int) {
 	s := t.shards[i]
 	rw := uint64(t.rowWords)
+	if ix := t.idx; ix.On() {
+		for off := uint64(1); off < uint64(len(s.words)); off += rw {
+			slot := &ix.slots[s.words[off+headerWords]-ix.min]
+			ref := uint64(makeRef(uint64(i), off))
+			for {
+				old := atomic.LoadUint64(slot)
+				s.words[off] = old // chain to the slot's previous head
+				if atomic.CompareAndSwapUint64(slot, old, ref) {
+					break
+				}
+			}
+		}
+		return
+	}
 	kf := t.keys
 	for off := uint64(1); off < uint64(len(s.words)); off += rw {
 		t.insertCAS(makeRef(uint64(i), off), s.words[off+1])
@@ -335,7 +395,9 @@ func (t *Table) Insert(ref Ref, hash uint64) {
 }
 
 // Lookup returns the head of the bucket chain for hash, or 0 when the
-// bucket is empty or the Bloom tag proves the key absent.
+// bucket is empty or the Bloom tag proves the key absent. A key-indexed
+// table has no hashed directory, so Lookup on it panics: its readers
+// must go through KeyIndex.
 func (t *Table) Lookup(hash uint64) Ref {
 	w := t.dir[hash&t.mask]
 	if t.UseTags {
@@ -444,12 +506,13 @@ func (t *Table) Reset() {
 	t.dir = nil
 	t.mask = 0
 	t.keys = KeyFilter{}
+	t.idx = KeyIndex{}
 }
 
 // MemoryFootprint reports directory + key filter + arena bytes, used by
 // the working-set experiments (Fig. 9).
 func (t *Table) MemoryFootprint() int64 {
-	total := int64(len(t.dir)+len(t.keys.bits)) * 8
+	total := int64(len(t.dir)+len(t.keys.bits)+len(t.idx.slots)) * 8
 	for _, s := range t.shards {
 		total += int64(cap(s.words)) * 8
 	}

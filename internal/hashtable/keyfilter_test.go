@@ -27,9 +27,19 @@ func publishKeys(shards int, keys []uint64) *Table {
 }
 
 // matches counts the entries whose key is k, walking the chain the way
-// the engines do.
+// the engines do: a key-indexed table's slot chain (whose entries must
+// all carry k), else the hashed bucket chain.
 func matches(ht *Table, k uint64) int {
 	n := 0
+	if ix := ht.KeyIndex(); ix.On() {
+		for ref := ix.Head(k); ref != 0; ref = ht.Next(ref) {
+			if ht.Word(ref, 0) != k {
+				panic("key-indexed chain holds a foreign key")
+			}
+			n++
+		}
+		return n
+	}
 	h := Mix64(k)
 	for ref := ht.Lookup(h); ref != 0; ref = ht.Next(ref) {
 		if ht.Hash(ref) == h && ht.Word(ref, 0) == k {
@@ -135,7 +145,7 @@ func TestKeyFilterSizeBound(t *testing.T) {
 // TestKeyFilterOnlyKeyedPublish: Prepare (aggregation, Finalize) and
 // Reset leave a table without a filter.
 func TestKeyFilterOnlyKeyedPublish(t *testing.T) {
-	ht := publishKeys(1, []uint64{1, 2, 3})
+	ht := publishKeys(1, []uint64{1, 20, 300}) // sparse: hashed, filtered
 	if ht.KeyFilter().Bits() == 0 {
 		t.Fatal("keyed publish got no filter")
 	}

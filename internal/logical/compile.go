@@ -83,11 +83,17 @@ func (w *worker) constVec(v int64) vec64 {
 func (w *worker) colVec(ps *pipeSpec, c *catalog.Column) vec64 {
 	src := ps.resolve(c)
 	if src.base == nil {
+		// A gathered buffer holds the column's key words: 32-bit
+		// values zero-extended, so their sign is restored here.
 		buf := w.colBuf[ps][srcColOf(ps, src)]
 		out := w.bufs.I64()
+		narrow := narrowKey(c)
 		return func(b *plan.Batch) []int64 {
 			for i := 0; i < b.K; i++ {
 				out[i] = int64(buf[i])
+				if narrow {
+					out[i] = int64(int32(buf[i]))
+				}
 			}
 			return out
 		}

@@ -407,6 +407,9 @@ func drive(ctx context.Context, pl *Plan, workers int, pol Policy, stream *strea
 			// Build-pipeline output = the shared table's final row count.
 			rows = int64(hts[i].Rows())
 			col.SetHTRows(i, rows, int64(hts[i].KeyFilter().Bits()))
+			col.SetLayout(i, layout(hts[i].KeyIndex().On(), obs.LayoutIndex))
+		} else if keyed {
+			col.SetLayout(i, layout(agg.Domain.Array(), obs.LayoutArray))
 		}
 		col.PipeWorker(i, rows, batches, nanos)
 		if out.Vec[i] > 0 {
@@ -444,6 +447,15 @@ func drive(ctx context.Context, pl *Plan, workers int, pol Policy, stream *strea
 		out.Result = res
 	}
 	return out, nil
+}
+
+// layout names a terminal's hash-table layout: dense when its key
+// domain was indexed directly, obs.LayoutHash otherwise.
+func layout(indexed bool, dense string) string {
+	if indexed {
+		return dense
+	}
+	return obs.LayoutHash
 }
 
 // modalVec returns the most frequent positive vector size among one

@@ -150,16 +150,25 @@ func (agg *Aggregate) DecodeMergedRow(row []uint64, out []int64) {
 }
 
 // DecodeGroupKey unpacks the group-key word into the first len(keys)
-// output slots, restoring 32-bit signs for packed pairs. It is the
-// decode side of the key encoding both lowering backends share (single
-// keys as zero-extended words, 32-bit pairs packed lo|hi<<32).
+// output slots, restoring 32-bit signs. It is the decode side of the
+// key encoding both lowering backends share (single keys as
+// zero-extended words, 32-bit pairs packed lo|hi<<32).
 func DecodeGroupKey(keys []*catalog.Column, word uint64, out []int64) {
 	if len(keys) == 1 {
 		out[0] = int64(word)
+		if narrowKey(keys[0]) {
+			out[0] = int64(int32(uint32(word)))
+		}
 		return
 	}
 	out[0] = int64(int32(uint32(word)))
 	out[1] = int64(int32(uint32(word >> 32)))
+}
+
+// narrowKey reports whether a key column's word is its 32-bit value
+// zero-extended.
+func narrowKey(c *catalog.Column) bool {
+	return c.Type.Kind == catalog.Int32 || c.Type.Kind == catalog.Date
 }
 
 // slotLookup resolves HAVING leaves (grouping columns, aggregates) to

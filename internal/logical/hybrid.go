@@ -103,7 +103,8 @@ func (vw *VecWorker) BuildSink(i, wid int) *plan.HashBuildSink {
 }
 
 // GroupBySink creates the final pipeline's keyed-aggregation sink
-// (phase one) for worker wid, spilling into the driver-owned spill.
+// (phase one) for worker wid, spilling into the driver-owned spill: an
+// array over the key's domain when the plan chose one, else hashed.
 func (vw *VecWorker) GroupBySink(wid int, spill *hashtable.Spill, htOps []hashtable.AggOp) *plan.GroupBySink {
 	final := vw.p.prog.final
 	agg := vw.p.pl.Agg
@@ -111,6 +112,9 @@ func (vw *VecWorker) GroupBySink(wid int, spill *hashtable.Spill, htOps []hashta
 	vals := make([]plan.VecI64, len(agg.Aggs))
 	for j, s := range agg.Aggs {
 		vals[j] = vw.w.aggInput(final, s)
+	}
+	if d := agg.Domain; d.Array() {
+		return plan.NewArrayGroupBy(vw.w.bufs, spill, wid, htOps, d.Min, d.Span, key, vals...)
 	}
 	return plan.NewGroupBy(vw.w.bufs, spill, wid, htOps, key, vals...)
 }

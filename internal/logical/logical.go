@@ -116,7 +116,23 @@ type Aggregate struct {
 	// to an equivalent spine column (Q3's o_orderkey ≡ l_orderkey) —
 	// to the key index, for HAVING/ORDER BY resolution at merge time.
 	KeyOf map[*catalog.Column]int
+	// Domain is phase one's layout (aggDomain): the dense key domain
+	// the workers aggregate into by array, or the zero KeyDomain when
+	// they hash.
+	Domain KeyDomain
 }
+
+// KeyDomain is the dense domain of a single group key in its word
+// encoding: the words Min … Min+Span−1. The zero KeyDomain means the
+// aggregation hashes.
+type KeyDomain struct {
+	Min  uint64
+	Span int
+}
+
+// Array reports whether phase one aggregates into an array over the
+// domain.
+func (d KeyDomain) Array() bool { return d.Span > 0 }
 
 // SortKey is one resolved ORDER BY key.
 type SortKey struct {
@@ -209,6 +225,9 @@ func (p *Plan) Format() string {
 		fmt.Fprintf(&sb, "groupby keys=[%s]", keys)
 		if len(p.Agg.Keys) != len(p.Agg.GroupBy) {
 			fmt.Fprintf(&sb, " (reduced from [%s])", colNames(p.Agg.GroupBy))
+		}
+		if p.Agg.Domain.Array() {
+			fmt.Fprintf(&sb, " array[%d]", p.Agg.Domain.Span)
 		}
 		sb.WriteString(" aggs=[")
 		for i, a := range p.Agg.Aggs {

@@ -75,6 +75,7 @@ func PlanQueryHints(sel *sql.Select, cat *catalog.Catalog, hints CardHints) (*Pl
 			return nil, err
 		}
 		pl.Agg = agg
+		agg.Domain = aggDomain(pl)
 	} else {
 		for _, it := range sel.Items {
 			t := sql.TypeOf(it.Expr)
@@ -682,6 +683,43 @@ func tableNames(ts []*catalog.Table) string {
 // ---------------------------------------------------------------------
 // Aggregation planning
 // ---------------------------------------------------------------------
+
+// aggDomain is the one place a grouped aggregation's phase-one layout
+// is chosen, once per plan, and every engine reads it from the plan.
+// The aggregation fills an array of span slots indexed by key − min
+// (hashtable.AggArray) when all three hold: it has a single reduced
+// group key; the key is of an integer kind; and the key's exact span
+// (catalog.Column.Bounds) is no wider than the final pipeline's
+// estimated rows — a domain the rows reaching it are expected to fill,
+// where the hashed path would outgrow its cache-resident table and
+// spill anyway. Anything else hashes (the zero KeyDomain). The domain
+// is in the key's word encoding: a 32-bit key is zero-extended, so a
+// key with values on both sides of zero is not contiguous there and
+// hashes.
+func aggDomain(pl *Plan) KeyDomain {
+	agg := pl.Agg
+	if len(agg.Keys) != 1 || pl.AlwaysFalse {
+		return KeyDomain{}
+	}
+	k := agg.Keys[0]
+	narrow := narrowKey(k)
+	if !narrow && k.Type.Kind != catalog.Int64 && k.Type.Kind != catalog.Numeric {
+		return KeyDomain{}
+	}
+	lo, hi, ok := k.Bounds()
+	if !ok || narrow && lo < 0 && hi >= 0 {
+		return KeyDomain{}
+	}
+	span := uint64(hi) - uint64(lo) + 1
+	if span == 0 || float64(span) > estPipeRows(pl.Root, pl.Hints) {
+		return KeyDomain{}
+	}
+	min := uint64(lo)
+	if narrow {
+		min = uint64(uint32(lo))
+	}
+	return KeyDomain{Min: min, Span: int(span)}
+}
 
 func (p *planner) planAggregate(pl *Plan) (*Aggregate, error) {
 	agg := &Aggregate{}

@@ -54,6 +54,10 @@ type PipeStat struct {
 	// KeyBits is the size in bits of the build table's exact key filter
 	// (hashtable.KeyFilter), 0 when the build got none.
 	KeyBits int64 `json:"key_bits,omitempty"`
+	// Layout is the hash-table layout the pipeline's terminal used:
+	// LayoutIndex or LayoutHash for a build's directory, LayoutArray or
+	// LayoutHash for a keyed final pipeline's aggregation, "" otherwise.
+	Layout string `json:"layout,omitempty"`
 	// Probes is the number of hash joins probed inside the pipeline.
 	Probes int `json:"probes,omitempty"`
 	// VecSize is the vector size a vectorized pipeline settled on.
@@ -69,6 +73,19 @@ type PipeStat struct {
 	// next to RowsOut so consumers can compute estimation drift.
 	EstRows float64 `json:"est_rows"`
 }
+
+// Hash-table layouts (PipeStat.Layout).
+const (
+	// LayoutIndex is a key-indexed join directory (hashtable.KeyIndex):
+	// slot k − min, no hash and no key filter.
+	LayoutIndex = "index"
+	// LayoutHash is a hashed directory: a join table's (with its key
+	// filter when KeyBits > 0) or a hashed pre-aggregation.
+	LayoutHash = "hash"
+	// LayoutArray is an aggregation into an array over the group key's
+	// dense domain (hashtable.AggArray).
+	LayoutArray = "array"
+)
 
 // Selectivity is the pipeline's observed rows-out / rows-in ratio
 // (0 when no input rows were seen).
@@ -151,6 +168,15 @@ func (c *Collector) SetHTRows(i int, rows, keyBits int64) {
 	defer c.mu.Unlock()
 	if i >= 0 && i < len(c.pipes) {
 		c.pipes[i].HTRows, c.pipes[i].KeyBits = rows, keyBits
+	}
+}
+
+// SetLayout records the hash-table layout pipeline i's terminal used.
+func (c *Collector) SetLayout(i int, layout string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if i >= 0 && i < len(c.pipes) {
+		c.pipes[i].Layout = layout
 	}
 }
 

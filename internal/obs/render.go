@@ -14,7 +14,7 @@ import (
 func FormatPipes(pipes []PipeStat) string {
 	var b strings.Builder
 	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "pipe\ttable\trole\teng\trows_in\test_rows\trows_out\tsel\tht_rows\tkey_bits\tvec\tworkers\ttime")
+	fmt.Fprintln(w, "pipe\ttable\trole\teng\trows_in\test_rows\trows_out\tsel\tht_rows\tkey_bits\tlayout\tvec\tworkers\ttime")
 	for _, p := range pipes {
 		role := "final"
 		if p.Build {
@@ -28,13 +28,16 @@ func FormatPipes(pipes []PipeStat) string {
 		if p.VecSize > 0 {
 			vec = fmt.Sprintf("%d", p.VecSize)
 		}
-		ht, kb := "-", "-"
+		ht, kb, layout := "-", "-", "-"
 		if p.Build {
 			ht, kb = fmt.Sprintf("%d", p.HTRows), fmt.Sprintf("%d", p.KeyBits)
 		}
-		fmt.Fprintf(w, "%d\t%s\t%s\t%s\t%d\t%.0f\t%d\t%.4f\t%s\t%s\t%s\t%d\t%s\n",
+		if p.Layout != "" {
+			layout = p.Layout
+		}
+		fmt.Fprintf(w, "%d\t%s\t%s\t%s\t%d\t%.0f\t%d\t%.4f\t%s\t%s\t%s\t%s\t%d\t%s\n",
 			p.Index, p.Table, role, eng, p.RowsIn, p.EstRows, p.RowsOut,
-			p.Selectivity(), ht, kb, vec, p.Workers, formatNanos(p.Nanos))
+			p.Selectivity(), ht, kb, layout, vec, p.Workers, formatNanos(p.Nanos))
 	}
 	w.Flush()
 	return b.String()

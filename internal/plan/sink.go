@@ -87,10 +87,13 @@ func (h *HashBuildSink) Finish(bar *exec.Barrier, wid int) {
 
 // GroupBySink feeds the shared two-phase aggregation: phase one is
 // tw.GroupBy (find-groups / handle-misses / update-aggregates per
-// vector); Finish spills the worker's pre-aggregated groups and crosses
-// the barrier, after which a merge stage drains the spill partitions.
+// vector), or tw.ArrayGroupBy when the plan chose an array over the
+// key's dense domain; Finish spills the worker's pre-aggregated groups
+// and crosses the barrier, after which a merge stage drains the spill
+// partitions.
 type GroupBySink struct {
 	gb     *tw.GroupBy
+	arr    *tw.ArrayGroupBy
 	key    VecU64
 	vals   []VecI64
 	keyBuf []uint64
@@ -99,18 +102,32 @@ type GroupBySink struct {
 	dense  [][]int64
 }
 
-// NewGroupBy creates phase-one aggregation state for one worker.
+// NewGroupBy creates hashed phase-one aggregation state for one worker.
 func NewGroupBy(bufs *vector.Buffers, spill *hashtable.Spill, wid int, ops []hashtable.AggOp, key VecU64, vals ...VecI64) *GroupBySink {
+	g := newGroupBy(bufs, key, vals)
+	g.gb = tw.NewGroupBy(spill, wid, ops, bufs.Size())
+	g.hashes = bufs.Ref()
+	return g
+}
+
+// NewArrayGroupBy creates phase-one aggregation state for one worker
+// over the span group keys starting at min (in the key's word
+// encoding).
+func NewArrayGroupBy(bufs *vector.Buffers, spill *hashtable.Spill, wid int, ops []hashtable.AggOp, min uint64, span int, key VecU64, vals ...VecI64) *GroupBySink {
+	g := newGroupBy(bufs, key, vals)
+	g.arr = tw.NewArrayGroupBy(spill, wid, ops, bufs.Size(), min, span)
+	return g
+}
+
+func newGroupBy(bufs *vector.Buffers, key VecU64, vals []VecI64) *GroupBySink {
 	valBuf := make([][]int64, len(vals))
 	for i := range valBuf {
 		valBuf[i] = bufs.I64()
 	}
 	return &GroupBySink{
-		gb:     tw.NewGroupBy(spill, wid, ops, bufs.Size()),
 		key:    key,
 		vals:   vals,
 		keyBuf: bufs.Ref(),
-		hashes: bufs.Ref(),
 		valBuf: valBuf,
 		dense:  make([][]int64, len(vals)),
 	}
@@ -119,16 +136,24 @@ func NewGroupBy(bufs *vector.Buffers, spill *hashtable.Spill, wid int, ops []has
 // Consume implements Sink.
 func (g *GroupBySink) Consume(b *Batch) {
 	keys := g.key(b, g.keyBuf)
-	tw.MapHashU64(keys[:b.K], g.hashes)
 	for j, v := range g.vals {
 		g.dense[j] = v(b, g.valBuf[j])
 	}
+	if g.arr != nil {
+		g.arr.Consume(b.K, keys, g.dense)
+		return
+	}
+	tw.MapHashU64(keys[:b.K], g.hashes)
 	g.gb.Consume(b.K, keys, g.hashes, g.dense)
 }
 
 // Finish implements Sink.
 func (g *GroupBySink) Finish(bar *exec.Barrier, wid int) {
-	g.gb.Flush()
+	if g.arr != nil {
+		g.arr.Flush()
+	} else {
+		g.gb.Flush()
+	}
 	bar.Wait(nil)
 }
 
@@ -180,9 +205,19 @@ func NewProbeEmit(bufs *vector.Buffers, ht *hashtable.Table, key VecU64, emit fu
 	}
 }
 
-// Consume implements Sink.
+// Consume implements Sink. On a key-indexed table every entry on a
+// key's slot chain is a match, so the chain is emitted without a hash
+// or a key compare.
 func (p *ProbeEmitSink) Consume(b *Batch) {
 	keys := p.key(b, p.keyBuf)
+	if ix := p.ht.KeyIndex(); ix.On() {
+		for _, k := range keys[:b.K] {
+			for ref := ix.Head(k); ref != 0; ref = p.ht.Next(ref) {
+				p.emit(ref, k)
+			}
+		}
+		return
+	}
 	tw.MapHashU64(keys[:b.K], p.hashes)
 	nc := tw.FindCandidates(p.ht, p.hashes, b.K, p.cand, p.candPos)
 	for nc > 0 {

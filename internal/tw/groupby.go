@@ -173,3 +173,71 @@ func (g *GroupBy) Flush() {
 		}
 	})
 }
+
+// ArrayGroupBy is phase one over a dense group-key domain
+// (hashtable.AggArray), chosen by the planner in place of GroupBy when
+// the key's span is no wider than the rows expected to reach it. Per
+// vector it runs find-slots — one subtraction per key, where a slot's
+// first row initialises it as HandleMisses would a new group — then one
+// update-aggregates pass per aggregate column. No hash is computed and
+// nothing spills before Flush.
+type ArrayGroupBy struct {
+	arr   *hashtable.AggArray
+	spill *hashtable.Spill
+	wid   int
+	ops   []hashtable.AggOp
+	offs  []int // slot offset per tuple
+}
+
+// NewArrayGroupBy creates phase-one state for one worker over the span
+// keys starting at min (vecCap as in NewGroupBy).
+func NewArrayGroupBy(spill *hashtable.Spill, wid int, ops []hashtable.AggOp, vecCap int, min uint64, span int) *ArrayGroupBy {
+	return &ArrayGroupBy{
+		arr:   hashtable.NewAggArray(min, span, len(ops)),
+		spill: spill,
+		wid:   wid,
+		ops:   ops,
+		offs:  make([]int, vecCap),
+	}
+}
+
+// Consume runs find-slots and the update passes for one vector.
+func (g *ArrayGroupBy) Consume(n int, keys []uint64, vals [][]int64) {
+	words := g.arr.Words()
+	offs := g.offs[:n]
+	for i := range offs {
+		off, first := g.arr.Slot(keys[i])
+		offs[i] = off
+		if first {
+			for j, op := range g.ops {
+				if op != hashtable.OpSum {
+					words[off+j] = uint64(vals[j][i])
+				}
+			}
+		}
+	}
+	for j, op := range g.ops {
+		col := vals[j][:n]
+		switch op {
+		case hashtable.OpSum:
+			for i, off := range offs {
+				words[off+j] += uint64(col[i])
+			}
+		case hashtable.OpMin:
+			for i, off := range offs {
+				if col[i] < int64(words[off+j]) {
+					words[off+j] = uint64(col[i])
+				}
+			}
+		case hashtable.OpMax:
+			for i, off := range offs {
+				if col[i] > int64(words[off+j]) {
+					words[off+j] = uint64(col[i])
+				}
+			}
+		}
+	}
+}
+
+// Flush spills every occupied slot, ending phase one for this worker.
+func (g *ArrayGroupBy) Flush() { g.arr.Flush(g.spill, g.wid) }

@@ -29,6 +29,22 @@ func FindCandidates(ht *hashtable.Table, hashes []uint64, n int, cand []hashtabl
 	return k
 }
 
+// IndexCandidates is FindCandidates for a key-indexed table: each probe
+// key's slot (hashtable.KeyIndex) is its chain head, found without a
+// hash, and every entry on that chain carries the probe's key.
+func IndexCandidates(ix hashtable.KeyIndex, keys []uint64, n int, cand []hashtable.Ref, candPos []int32) int {
+	k := 0
+	for i, key := range keys[:n] {
+		ref := ix.Head(key)
+		cand[k] = ref
+		candPos[k] = int32(i)
+		if ref != 0 {
+			k++
+		}
+	}
+	return k
+}
+
 // CheckKeysU64 compares each candidate entry's stored hash and 64-bit key
 // (payload word 0) against the probe key at its position; hits are
 // appended to (matchRefs, matchPos) starting at nm. Returns the new match
@@ -83,11 +99,25 @@ func NewProber(bufs *vector.Buffers) *Prober {
 
 // Probe joins n probe keys against ht and returns the match count: the
 // matched entries in matchRefs, their positions in keys in matchPos. It
-// is the operator control logic of Figure 2b. The table's key filter
-// goes first: the keys it passes are compacted into p.Keys, so a miss
-// costs neither a hash nor a directory load. The rest are hashed, then
-// run through the three primitives above until every chain is walked.
+// is the operator control logic of Figure 2b. A key-indexed table is
+// probed without hashing: every entry on a key's slot chain is a match,
+// so the chains are walked with no key compare. Otherwise the table's
+// key filter goes first: the keys it passes are compacted into p.Keys,
+// so a miss costs neither a hash nor a directory load. The rest are
+// hashed, then run through the three primitives above until every chain
+// is walked.
 func (p *Prober) Probe(ht *hashtable.Table, keys []uint64, n int, matchRefs []hashtable.Ref, matchPos []int32) int {
+	if ix := ht.KeyIndex(); ix.On() {
+		nc := IndexCandidates(ix, keys, n, p.Cand, p.CandPos)
+		nm := 0
+		for nc > 0 {
+			copy(matchRefs[nm:], p.Cand[:nc])
+			copy(matchPos[nm:], p.CandPos[:nc])
+			nm += nc
+			nc = NextCandidates(ht, p.Cand, p.CandPos, nc)
+		}
+		return nm
+	}
 	kf := ht.KeyFilter()
 	if kf.Bits() == 0 {
 		p.Hash(keys[:n], p.Hashes)

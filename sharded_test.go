@@ -14,6 +14,7 @@ import (
 	"paradigms/internal/engine"
 	"paradigms/internal/exchange"
 	"paradigms/internal/logical"
+	"paradigms/internal/obs"
 	"paradigms/internal/proto"
 	"paradigms/internal/proto/client"
 	"paradigms/internal/sqlcheck"
@@ -55,17 +56,20 @@ func clusterFor(t testing.TB, db *storage.Database, n int) *exchange.Cluster {
 }
 
 // checkSharded runs one SQL text through an n-shard cluster on both
-// backends and fails on any mismatch with the oracle.
-func checkSharded(t *testing.T, db *storage.Database, text string, n int) {
+// backends and fails on any mismatch with the oracle; a non-nil seen
+// tallies the layouts the shards' pipelines ran with.
+func checkSharded(t *testing.T, db *storage.Database, text string, n int, seen layoutTally) {
 	t.Helper()
-	ctx := context.Background()
 	want, err := sqlcheck.Oracle(db, text)
 	if err != nil {
 		t.Fatalf("oracle failed for %q: %v", text, err)
 	}
 	cl := clusterFor(t, db, n)
 	for _, engine := range []string{engine.Typer, engine.Tectorwise} {
+		col := obs.NewCollector()
+		ctx := obs.WithCollector(context.Background(), col)
 		res, err := cl.Run(ctx, exchange.Request{SQL: text, Engine: engine, Workers: 4, VecSize: 1000})
+		seen.add(col.Pipes())
 		if err != nil {
 			t.Fatalf("sharded %s n=%d failed for %q: %v", engine, n, text, err)
 		}
@@ -88,7 +92,7 @@ func TestSQLShardedDifferentialCorpus(t *testing.T) {
 			db = ssbDB
 		}
 		text := sqlcheck.Generate(rand.New(rand.NewSource(seed)), db)
-		checkSharded(t, db, text, 2)
+		checkSharded(t, db, text, 2, nil)
 	}
 }
 
@@ -97,6 +101,7 @@ func TestSQLShardedDifferentialCorpus(t *testing.T) {
 // (more shards than some key ranges) fan-outs stay covered.
 func TestShardedGridSmoke(t *testing.T) {
 	tpchDB, ssbDB := sqlDBs()
+	seen := layoutTally{}
 	for _, n := range []int{1, 2, 8} {
 		for seed := int64(0); seed < 25; seed++ {
 			db := tpchDB
@@ -104,9 +109,10 @@ func TestShardedGridSmoke(t *testing.T) {
 				db = ssbDB
 			}
 			text := sqlcheck.Generate(rand.New(rand.NewSource(seed)), db)
-			checkSharded(t, db, text, n)
+			checkSharded(t, db, text, n, seen)
 		}
 	}
+	seen.requireBothSides(t)
 }
 
 // TestServiceSharded: the service option wires the exchange in — a
