@@ -371,6 +371,86 @@ func TestOneFusedLoop(t *testing.T) {
 	}
 }
 
+// TestOneBlockFold pins the loop-shape decision DESIGN.md §9 describes:
+// a compiled pipeline's loop shape — row checks and probes per row
+// (survivors), the one-probe loop (probeOne), or row-free, whose
+// terminal may fold whole blocks — is assigned in one lowering
+// function, (*pipe).shapeLoop, and read by (*pipe).run, the fused loop
+// that alone calls the three block handlers, and by Explain, which
+// prints the fold marker. Sites are named with their receiver.
+func TestOneBlockFold(t *testing.T) {
+	files, err := filepath.Glob("internal/compiled/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	sites := map[string]map[string]bool{} // "loop=", "loop", callee → sites
+	note := func(name, site string) {
+		if sites[name] == nil {
+			sites[name] = map[string]bool{}
+		}
+		sites[name][site] = true
+	}
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			site := "internal/compiled." + funcSite(fn)
+			written := map[ast.Node]bool{}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "loop" {
+							note("loop=", site)
+							written[sel] = true
+						}
+					}
+				case *ast.SelectorExpr:
+					if n.Sel.Name == "loop" && !written[n] {
+						note("loop", site)
+					}
+				case *ast.CallExpr:
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+						switch sel.Sel.Name {
+						case "survivors", "probeOne", "block":
+							note(sel.Sel.Name, site)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	want := map[string][]string{
+		"loop=":     {"internal/compiled.(*pipe).shapeLoop"},
+		"loop":      {"internal/compiled.(*pipe).run", "internal/compiled.Explain"},
+		"survivors": {"internal/compiled.(*pipe).run"},
+		"probeOne":  {"internal/compiled.(*pipe).run"},
+		"block":     {"internal/compiled.(*pipe).run"},
+	}
+	for name, w := range want {
+		var got []string
+		for s := range sites[name] {
+			got = append(got, s)
+		}
+		sort.Strings(got)
+		sort.Strings(w)
+		if !reflect.DeepEqual(got, w) {
+			t.Errorf("%s at %v, want %v", name, got, w)
+		}
+	}
+}
+
 // TestNamedQueryPaths pins the named-query table DESIGN.md §7 describes:
 // one static table in internal/registry instead of registrations fed
 // from init functions, imported only by the facade and the experiment

@@ -57,11 +57,13 @@ func drive(ctx context.Context, pl *logical.Plan, nWorkers int, mode logical.Mod
 // compiled backend. Its body is what a data-centric code generator would
 // emit per pipeline (DESIGN.md S1), staged per block of probeBlock rows:
 // the range bounds select the block's qualifying positions branch-free
-// (filt.selectBlock), then one tuple-at-a-time loop runs the string
-// equalities, generic predicates, probes and sink over the survivors.
-// A spine with no range bound skips the staging and walks each morsel
-// directly.
-func (p *pipe) run(sink func(i int, fr []int64)) {
+// (filt.selectBlock), then the loop shape chosen at lowering
+// (shapeLoop) takes the block's survivors. A pipeline with per-row
+// stages runs them tuple at a time (survivors, probeOne) before the
+// sink; a row-free one hands the block to fold when its terminal folds
+// whole blocks, and otherwise calls sink per survivor. A spine with no
+// range bound skips the staging and walks each morsel directly.
+func (p *pipe) run(sink func(i int, fr []int64), fold *blockFold) {
 	if p.rejectAll {
 		return
 	}
@@ -72,8 +74,7 @@ func (p *pipe) run(sink func(i int, fr []int64)) {
 	if len(f.b32)+len(f.b64) > 0 {
 		sel = buf[:]
 	}
-	probeOnly := len(p.steps) == 1 && p.steps[0].key32 != nil && len(p.steps[0].residuals) == 0 &&
-		len(f.strs) == 0 && len(f.preds) == 0
+	loop := p.loop
 	for {
 		m, ok := p.disp.Next()
 		if !ok {
@@ -85,10 +86,21 @@ func (p *pipe) run(sink func(i int, fr []int64)) {
 				end = min(base+probeBlock, m.End)
 				pos = sel[:f.selectBlock(base, end, sel)]
 			}
-			if probeOnly {
+			switch {
+			case loop == loopProbeOne:
 				p.probeOne(base, end, pos, frame, sink)
-			} else {
+			case loop == loopRows:
 				p.survivors(base, end, pos, frame, sink)
+			case fold != nil:
+				fold.block(base, end, pos)
+			case pos == nil:
+				for i := base; i < end; i++ {
+					sink(i, frame)
+				}
+			default:
+				for _, s := range pos {
+					sink(base+int(s), frame)
+				}
 			}
 			base = end
 		}
@@ -301,7 +313,7 @@ func (p *pipe) runBuild(wid int) {
 		for j, get := range payGet {
 			row[1+j] = get(i, fr)
 		}
-	})
+	}, nil)
 }
 
 // groupSpec is the compiled form of one aggregate slot.
@@ -351,11 +363,17 @@ func (p *pipe) groupKeyGet(agg *logical.Aggregate) (u64Fn, error) {
 // groups it meets, up to hashtable.PreAggCapacity), overflow and
 // final flush spilling partition-partial rows [hash, key, aggs...] —
 // or, when the plan chose an array over the key's dense domain (dom),
-// a hashtable.AggArray flushed as the same rows at the end.
+// a hashtable.AggArray flushed as the same rows at the end. A non-nil
+// fp with one key column folds a row-free pipeline's blocks into the
+// same storage (blockFold).
 // A non-nil nOut (telemetry-instrumented executions) counts the rows
 // reaching the sink in a worker-local counter; nil leaves the fused
 // loop untouched.
-func (p *pipe) runGrouped(wid int, specs []groupSpec, keyGet u64Fn, dom logical.KeyDomain, spill *hashtable.Spill, nOut *int64) {
+func (p *pipe) runGrouped(wid int, specs []groupSpec, keyGet u64Fn, fp *foldPlan, dom logical.KeyDomain, spill *hashtable.Spill, nOut *int64) {
+	var fold *blockFold
+	if fp != nil && (fp.key32 != nil || fp.key64 != nil) {
+		fold = &blockFold{aggs: fp.aggs, n: nOut, key32: fp.key32, key64: fp.key64}
+	}
 	var body func(i int, fr []int64)
 	var flush func()
 	if dom.Array() {
@@ -372,36 +390,47 @@ func (p *pipe) runGrouped(wid int, specs []groupSpec, keyGet u64Fn, dom logical.
 			}
 			updateWords(row, specs, i, fr)
 		}
+		if fold != nil {
+			fold.arr, fold.words = arr, words
+		}
 		flush = func() { arr.Flush(spill, wid) }
 	} else {
 		local := hashtable.New(1+len(specs), 1)
 		local.Prepare(0)
 		lsh := local.Shard(0)
-		body = func(i int, fr []int64) {
-			k := keyGet(i, fr)
+		// group finds key k's aggregate words, opening the group in the
+		// table while it has room and in a spill row after.
+		group := func(k uint64) ([]uint64, bool) {
 			h := hashtable.Mix64(k)
 			for ref := local.Lookup(h); ref != 0; ref = local.Next(ref) {
 				if row := local.Row(ref); row[0] == k {
-					updateWords(row[1:], specs, i, fr)
-					return
+					return row[1:], false
 				}
 			}
 			if local.AggRoom() {
 				ref, _ := lsh.Alloc(local, h)
 				row := local.Row(ref)
 				row[0] = k
-				for j := range specs {
-					row[1+j] = initWord(&specs[j], i, fr)
-				}
 				local.Insert(ref, h)
-			} else {
-				row := spill.AppendRow(wid, hashtable.PartitionOf(h, tw.AggPartitions))
-				row[0] = h
-				row[1] = k
-				for j := range specs {
-					row[2+j] = initWord(&specs[j], i, fr)
-				}
+				return row[1:], true
 			}
+			row := spill.AppendRow(wid, hashtable.PartitionOf(h, tw.AggPartitions))
+			row[0] = h
+			row[1] = k
+			return row[2:], true
+		}
+		body = func(i int, fr []int64) {
+			row, first := group(keyGet(i, fr))
+			if first {
+				for j := range specs {
+					row[j] = initWord(&specs[j], i, fr)
+				}
+				return
+			}
+			updateWords(row, specs, i, fr)
+		}
+		if fold != nil {
+			fold.group = group
 		}
 		flush = func() {
 			local.ForEach(func(ref hashtable.Ref) {
@@ -419,7 +448,7 @@ func (p *pipe) runGrouped(wid int, specs []groupSpec, keyGet u64Fn, dom logical.
 			inner(i, fr)
 		}
 	}
-	p.run(body)
+	p.run(body, fold)
 	flush()
 }
 
@@ -455,8 +484,10 @@ func initWord(s *groupSpec, i int, fr []int64) uint64 {
 
 // runGlobal reduces the final pipeline to one worker's accumulators —
 // the fused form of the generic global-aggregate sink, merged by
-// logical.MergeGlobal so the empty-input semantics stay identical.
-func (p *pipe) runGlobal(wid int, specs []groupSpec) logical.GlobalPartial {
+// logical.MergeGlobal so the empty-input semantics stay identical. A
+// non-nil fp folds a row-free pipeline's blocks into the same
+// accumulators (blockFold).
+func (p *pipe) runGlobal(wid int, specs []groupSpec, fp *foldPlan) logical.GlobalPartial {
 	acc := make([]int64, len(specs))
 	for j := range specs {
 		switch specs[j].op {
@@ -467,6 +498,10 @@ func (p *pipe) runGlobal(wid int, specs []groupSpec) logical.GlobalPartial {
 		}
 	}
 	var n int64
+	var fold *blockFold
+	if fp != nil {
+		fold = &blockFold{aggs: fp.aggs, n: &n, acc: acc}
+	}
 	p.run(func(i int, fr []int64) {
 		n++
 		for j := range specs {
@@ -486,7 +521,7 @@ func (p *pipe) runGlobal(wid int, specs []groupSpec) logical.GlobalPartial {
 				}
 			}
 		}
-	})
+	}, fold)
 	return logical.GlobalPartial{Acc: acc, N: n}
 }
 
@@ -498,5 +533,5 @@ func (p *pipe) runProject(items []scalarFn, next func() []int64) {
 		for j, v := range items {
 			row[j] = v(i, fr)
 		}
-	})
+	}, nil)
 }

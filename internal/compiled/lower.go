@@ -8,8 +8,10 @@
 // column type and scale; pushed-down comparison filters are normalized
 // to per-column range bounds. Every pipeline runs one block-staged loop:
 // the bounds select each 1024-row block's qualifying rows branch-free
-// with the internal/simd range kernels, and the fused tuple-at-a-time
-// loop runs over the survivors (DESIGN.md §9). Pipelines run
+// with the internal/simd range kernels, and the survivors go through
+// the pipeline's per-row stages tuple at a time — or, on a pipeline
+// with none, straight to its terminal, which folds whole blocks where
+// it can (DESIGN.md §9). Pipelines run
 // morsel-parallel under the shared internal/exec dispatcher with context
 // cancellation, build into the shared internal/hashtable structures,
 // and aggregate with the same two-phase spill/merge algorithm as
@@ -82,6 +84,7 @@ type pipe struct {
 	srcOf map[*catalog.Column]valRef
 
 	rejectAll bool
+	loop      loopShape // set once by shapeLoop, read by run (Explain prints it)
 
 	// Build-side output: hash-table key column (a base column of the
 	// spine) plus payload columns in word order (word 1+i). Nil keyCol
@@ -246,7 +249,40 @@ func (p *pipe) prep() error {
 			}
 		}
 	}
+	p.shapeLoop()
 	return nil
+}
+
+// loopShape is how the fused loop walks one block's qualifying rows.
+type loopShape uint8
+
+const (
+	// loopRows runs survivors: string equalities, predicates and
+	// probes row by row before the sink.
+	loopRows loopShape = iota
+	// loopProbeOne runs probeOne: one residual-free probe on a 32-bit
+	// key and no row checks.
+	loopProbeOne
+	// loopRowFree has no per-row work: the block's rows go straight to
+	// the terminal, folded whole where it can (blockFold), else one
+	// sink call per row.
+	loopRowFree
+)
+
+// shapeLoop decides the pipeline's loop shape once, at lowering, from
+// its per-row stages. (*pipe).run is the only loop that reads it.
+func (p *pipe) shapeLoop() {
+	f := &p.filt
+	switch {
+	case len(f.strs)+len(f.preds) > 0:
+		p.loop = loopRows
+	case len(p.steps) == 0:
+		p.loop = loopRowFree
+	case len(p.steps) == 1 && p.steps[0].key32 != nil && len(p.steps[0].residuals) == 0:
+		p.loop = loopProbeOne
+	default:
+		p.loop = loopRows
+	}
 }
 
 // resolve locates a column within the pipeline.
@@ -309,11 +345,17 @@ func tablesUnder(n logical.Node) map[*catalog.Table]bool {
 // Explain renders the compiled pipeline decomposition of a plan — the
 // EXPLAIN surface of cmd/sqlsh under \engine typer and the assertion
 // surface of the plan-shape golden tests: breaker placement, build and
-// probe sides, gathers, residuals, and the terminal of every pipeline.
+// probe sides, gathers, residuals, and the terminal of every pipeline,
+// marked "fold" where it folds whole blocks (blockFold).
 func Explain(pl *logical.Plan) (string, error) {
-	pr, err := lower(pl)
+	cp, err := LowerProgram(pl)
 	if err != nil {
 		return "", err
+	}
+	pr := cp.pr
+	fold := ""
+	if cp.fold != nil && pr.final.loop == loopRowFree {
+		fold = " fold"
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "pipelines: %d\n", len(pr.pipes))
@@ -354,9 +396,9 @@ func Explain(pl *logical.Plan) (string, error) {
 			if d := pl.Agg.Domain; d.Array() {
 				layout = fmt.Sprintf(" array[%d]", d.Span)
 			}
-			fmt.Fprintf(&sb, " → groupby keys=[%s]%s aggs=[%s]", strings.Join(names, " "), layout, aggList(pl.Agg))
+			fmt.Fprintf(&sb, " → groupby keys=[%s]%s aggs=[%s]%s", strings.Join(names, " "), layout, aggList(pl.Agg), fold)
 		case pl.Agg != nil:
-			fmt.Fprintf(&sb, " → aggregate [%s]", aggList(pl.Agg))
+			fmt.Fprintf(&sb, " → aggregate [%s]%s", aggList(pl.Agg), fold)
 		default:
 			items := make([]string, len(pl.Proj))
 			for i, e := range pl.Proj {

@@ -15,6 +15,7 @@ import (
 
 	"paradigms"
 	"paradigms/internal/logical"
+	"paradigms/internal/obs"
 	"paradigms/internal/server"
 	"paradigms/internal/sqlcheck"
 )
@@ -170,16 +171,39 @@ func TestCancelMidQueryDrains(t *testing.T) {
 // must outperform 1 client on both engines. A lone client burns the whole
 // budget on intra-query parallelism (fork/join + barrier overhead per
 // query); 16 concurrent queries each run morsel loops with their share
-// and the budget is spent on inter-query parallelism instead.
+// and the budget is spent on inter-query parallelism instead. A query
+// runs on no more workers than its largest scan has morsels, and every
+// SF 0.01 table fits in one default morsel, so the services run at a
+// morsel size that splits each workload query's largest scan across
+// the whole budget — and the test first checks, from the pipeline
+// telemetry, that a lone query really ran on all of it.
 func TestThroughputScalesWithClients(t *testing.T) {
 	tpch, ssb := testDBs()
-	const total = 96
+	const total, budget = 96, 8
+	morsel := min(tpch.Rel("lineitem").Rows(), ssb.Rel("lineorder").Rows()) / budget
+	opts := paradigms.ServiceOptions{
+		WorkerBudget:  budget,
+		MaxConcurrent: 16,
+		MorselSize:    morsel,
+	}
 	for _, engine := range []paradigms.Engine{paradigms.Typer, paradigms.Tectorwise} {
+		svc := paradigms.NewService(tpch, ssb, opts)
+		for _, it := range workload {
+			col := obs.NewCollector()
+			if _, err := svc.DoReq(context.Background(), server.Req{Engine: string(engine), Query: it.text, Collector: col}); err != nil {
+				t.Fatalf("%s/%s: %v", engine, it.name, err)
+			}
+			for _, p := range col.Pipes() {
+				if p.Workers != budget {
+					t.Errorf("%s/%s: pipeline %d (%s) of a lone query ran on %d workers, want the budget of %d",
+						engine, it.name, p.Index, p.Table, p.Workers, budget)
+				}
+			}
+		}
+		svc.Close()
+
 		qps := func(clients int) float64 {
-			svc := paradigms.NewService(tpch, ssb, paradigms.ServiceOptions{
-				WorkerBudget:  8,
-				MaxConcurrent: 16,
-			})
+			svc := paradigms.NewService(tpch, ssb, opts)
 			defer svc.Close()
 			d := runClosedLoop(t, svc, []paradigms.Engine{engine}, clients, total)
 			return float64(total) / d.Seconds()
