@@ -364,14 +364,14 @@ func (p *pipe) groupKeyGet(agg *logical.Aggregate) (u64Fn, error) {
 // final flush spilling partition-partial rows [hash, key, aggs...] —
 // or, when the plan chose an array over the key's dense domain (dom),
 // a hashtable.AggArray flushed as the same rows at the end. A non-nil
-// fp with one key column folds a row-free pipeline's blocks into the
-// same storage (blockFold).
+// fp folds a row-free pipeline's blocks into the same storage
+// (blockFold).
 // A non-nil nOut (telemetry-instrumented executions) counts the rows
 // reaching the sink in a worker-local counter; nil leaves the fused
 // loop untouched.
 func (p *pipe) runGrouped(wid int, specs []groupSpec, keyGet u64Fn, fp *foldPlan, dom logical.KeyDomain, spill *hashtable.Spill, nOut *int64) {
 	var fold *blockFold
-	if fp != nil && (fp.key32 != nil || fp.key64 != nil) {
+	if fp != nil {
 		fold = &blockFold{aggs: fp.aggs, n: nOut, key32: fp.key32, key64: fp.key64}
 	}
 	var body func(i int, fr []int64)

@@ -192,8 +192,8 @@ func (b *blockFold) global(base, end int, pos []int32, n int) {
 				b.acc[j] += sumOf(f.a, base, end, pos)
 			case foldMul:
 				b.acc[j] += sumMul(f.a, f.b, base, end, pos)
-			case foldRsub:
-				b.acc[j] += sumRsub(f.lit, f.a, base, end, pos)
+			case foldRsub: // Σ(lit - a) = n·lit - Σa, also mod 2⁶⁴
+				b.acc[j] += f.lit*int64(n) - sumOf(f.a, base, end, pos)
 			}
 		case logical.OpMin:
 			if f.kind == foldCol32 {
@@ -257,7 +257,7 @@ func (b *blockFold) groupRow(i int) {
 	}
 }
 
-// sumOf, sumMul, sumRsub, minOf and maxOf reduce one block of a column
+// sumOf, sumMul, minOf and maxOf reduce one block of a column
 // over the rows base+pos[j] (all of [base, end) when pos is nil).
 
 func sumOf[T int32 | int64](c []T, base, end int, pos []int32) (s int64) {
@@ -285,20 +285,6 @@ func sumMul(a, b []int64, base, end int, pos []int32) (s int64) {
 	}
 	for _, j := range pos {
 		s += a[j] * b[j]
-	}
-	return s
-}
-
-func sumRsub(lit int64, a []int64, base, end int, pos []int32) (s int64) {
-	a = a[base:end]
-	if pos == nil {
-		for _, v := range a {
-			s += lit - v
-		}
-		return s
-	}
-	for _, j := range pos {
-		s += lit - a[j]
 	}
 	return s
 }

@@ -47,12 +47,10 @@ func LowerProgram(pl *logical.Plan) (*Program, error) {
 		if p.keyGet, err = final.groupKeyGet(pl.Agg); err != nil {
 			return nil, err
 		}
-		p.fold = final.lowerFold(pl.Agg)
 	case pl.Agg != nil:
 		if p.specs, err = final.compileAggs(pl.Agg); err != nil {
 			return nil, err
 		}
-		p.fold = final.lowerFold(pl.Agg)
 	default:
 		p.items = make([]scalarFn, len(pl.Proj))
 		for j, e := range pl.Proj {
@@ -60,6 +58,9 @@ func LowerProgram(pl *logical.Plan) (*Program, error) {
 				return nil, err
 			}
 		}
+	}
+	if pl.Agg != nil {
+		p.fold = final.lowerFold(pl.Agg)
 	}
 	return p, nil
 }
