@@ -373,18 +373,18 @@ func TestOneFusedLoop(t *testing.T) {
 
 // TestOneBlockFold pins the loop-shape decision DESIGN.md §9 describes:
 // a compiled pipeline's loop shape — row checks and probes per row
-// (survivors), the one-probe loop (probeOne), or row-free, whose
-// terminal may fold whole blocks — is assigned in one lowering
-// function, (*pipe).shapeLoop, and read by (*pipe).run, the fused loop
-// that alone calls the three block handlers, and by Explain, which
-// prints the fold marker. Sites are named with their receiver.
+// (survivors), the one-probe loop (probeOne), or row-free — and a
+// row-free pipeline's block fold are assigned in one lowering function,
+// (*pipe).shapeLoop; the shape is read only by (*pipe).run, the fused
+// loop that alone calls the three block handlers. Sites are named with
+// their receiver.
 func TestOneBlockFold(t *testing.T) {
 	files, err := filepath.Glob("internal/compiled/*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
 	fset := token.NewFileSet()
-	sites := map[string]map[string]bool{} // "loop=", "loop", callee → sites
+	sites := map[string]map[string]bool{} // "loop=", "fold=", "loop", callee → sites
 	note := func(name, site string) {
 		if sites[name] == nil {
 			sites[name] = map[string]bool{}
@@ -410,8 +410,8 @@ func TestOneBlockFold(t *testing.T) {
 				switch n := n.(type) {
 				case *ast.AssignStmt:
 					for _, lhs := range n.Lhs {
-						if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "loop" {
-							note("loop=", site)
+						if sel, ok := lhs.(*ast.SelectorExpr); ok && (sel.Sel.Name == "loop" || sel.Sel.Name == "fold") {
+							note(sel.Sel.Name+"=", site)
 							written[sel] = true
 						}
 					}
@@ -433,7 +433,8 @@ func TestOneBlockFold(t *testing.T) {
 	}
 	want := map[string][]string{
 		"loop=":     {"internal/compiled.(*pipe).shapeLoop"},
-		"loop":      {"internal/compiled.(*pipe).run", "internal/compiled.Explain"},
+		"fold=":     {"internal/compiled.(*pipe).shapeLoop"},
+		"loop":      {"internal/compiled.(*pipe).run"},
 		"survivors": {"internal/compiled.(*pipe).run"},
 		"probeOne":  {"internal/compiled.(*pipe).run"},
 		"block":     {"internal/compiled.(*pipe).run"},

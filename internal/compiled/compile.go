@@ -89,8 +89,12 @@ func (p *pipe) u64Get(v valRef) (u64Fn, error) {
 
 // scalar compiles a value expression into a per-row closure within the
 // pipeline. Base column reads sign-extend (like the vectorized fetch
-// primitives); frame slots are read as the stored words.
+// primitives); frame slots are read as the stored words. The shapes
+// baseView matches compile to one closure over the column views.
 func (p *pipe) scalar(e sql.Expr) (scalarFn, error) {
+	if v := p.baseView(e); v.kind != 0 {
+		return v.fn(), nil
+	}
 	switch x := e.(type) {
 	case *sql.NumLit:
 		v := x.Val
@@ -99,20 +103,14 @@ func (p *pipe) scalar(e sql.Expr) (scalarFn, error) {
 		v := int64(x.Days)
 		return func(int, []int64) int64 { return v }, nil
 	case *sql.ColRef:
-		return p.colScalar(x.Col)
+		return p.slotScalar(x.Col)
 	case *sql.Binary:
 		switch x.Op {
 		case sql.OpMul:
-			if f := p.mulColsFast(x); f != nil {
-				return f, nil
-			}
 			return p.binScalar(x, func(l, r int64) int64 { return l * r })
 		case sql.OpAdd:
 			return p.binScalar(x, func(l, r int64) int64 { return l + r })
 		case sql.OpSub:
-			if f := p.rsubConstFast(x); f != nil {
-				return f, nil
-			}
 			return p.binScalar(x, func(l, r int64) int64 { return l - r })
 		}
 	}
@@ -131,52 +129,90 @@ func (p *pipe) binScalar(x *sql.Binary, op func(l, r int64) int64) (scalarFn, er
 	return func(i int, fr []int64) int64 { return op(l(i, fr), r(i, fr)) }, nil
 }
 
-// colScalar reads one column as a signed value.
-func (p *pipe) colScalar(c *catalog.Column) (scalarFn, error) {
+// slotScalar reads a column baseView does not: a gathered frame slot,
+// or the error for a base column with no machine view.
+func (p *pipe) slotScalar(c *catalog.Column) (scalarFn, error) {
 	src := p.resolve(c)
-	if src.base == nil {
-		// A gathered slot holds the column's key word: a 32-bit value
-		// zero-extended, so its sign is restored here.
-		slot := src.slot
-		if c.Type.Kind == catalog.Int32 || c.Type.Kind == catalog.Date {
-			return func(i int, fr []int64) int64 { return int64(int32(fr[slot])) }, nil
-		}
-		return func(i int, fr []int64) int64 { return fr[slot] }, nil
-	}
-	c32, c64, err := baseViews(c)
-	if err != nil {
+	if src.base != nil {
+		_, _, err := baseViews(c)
 		return nil, err
 	}
-	if c32 != nil {
-		return func(i int, fr []int64) int64 { return int64(c32[i]) }, nil
+	// A gathered slot holds the column's key word: a 32-bit value
+	// zero-extended, so its sign is restored here.
+	slot := src.slot
+	if c.Type.Kind == catalog.Int32 || c.Type.Kind == catalog.Date {
+		return func(i int, fr []int64) int64 { return int64(int32(fr[slot])) }, nil
 	}
-	return func(i int, fr []int64) int64 { return c64[i] }, nil
+	return func(i int, fr []int64) int64 { return fr[slot] }, nil
 }
 
-// mulColsFast fuses col*col over two 64-bit base columns into a single
-// closure (the revenue input of Q6 and Q1.1).
-func (p *pipe) mulColsFast(x *sql.Binary) scalarFn {
-	l := p.base64Col(x.L)
-	r := p.base64Col(x.R)
-	if l == nil || r == nil {
-		return nil
-	}
-	return func(i int, fr []int64) int64 { return l[i] * r[i] }
+// viewKind is the shape of a colView.
+type viewKind uint8
+
+const (
+	viewCol32 viewKind = 1 + iota // c32[i], sign-extended
+	viewCol64                     // a[i]
+	viewMul                       // a[i] * b[i] (the revenue input of Q6 and Q1.1)
+	viewRsub                      // lit - a[i] (the 1 - l_discount of every revenue expression)
+)
+
+// colView is a value expression read straight from the spine's base
+// columns: the shapes scalar fuses into one closure, and the inputs a
+// block fold reduces (fold.go).
+type colView struct {
+	kind viewKind // 0: no view
+	c32  []int32
+	a, b []int64
+	lit  int64 // pre-scaled by the binder
 }
 
-// rsubConstFast fuses literal-col over a 64-bit base column (the
-// 1 - l_discount of every revenue expression), pre-scaled by the binder.
-func (p *pipe) rsubConstFast(x *sql.Binary) scalarFn {
-	lit, ok := x.L.(*sql.NumLit)
-	if !ok {
-		return nil
+// baseView matches e against the fused shapes: a base column, col*col
+// over two 64-bit base columns, or literal-col over a 64-bit base
+// column. It returns the zero colView for anything else.
+func (p *pipe) baseView(e sql.Expr) colView {
+	switch x := e.(type) {
+	case *sql.ColRef:
+		src := p.resolve(x.Col)
+		if src.base == nil {
+			return colView{}
+		}
+		c32, c64, err := baseViews(src.base)
+		switch {
+		case err != nil:
+			return colView{}
+		case c32 != nil:
+			return colView{kind: viewCol32, c32: c32}
+		}
+		return colView{kind: viewCol64, a: c64}
+	case *sql.Binary:
+		switch x.Op {
+		case sql.OpMul:
+			if a, b := p.base64Col(x.L), p.base64Col(x.R); a != nil && b != nil {
+				return colView{kind: viewMul, a: a, b: b}
+			}
+		case sql.OpSub:
+			if lit, ok := x.L.(*sql.NumLit); ok {
+				if a := p.base64Col(x.R); a != nil {
+					return colView{kind: viewRsub, a: a, lit: lit.Val}
+				}
+			}
+		}
 	}
-	col := p.base64Col(x.R)
-	if col == nil {
-		return nil
+	return colView{}
+}
+
+// fn compiles the view to its per-row closure.
+func (v colView) fn() scalarFn {
+	c32, a, b, lit := v.c32, v.a, v.b, v.lit
+	switch v.kind {
+	case viewCol32:
+		return func(i int, fr []int64) int64 { return int64(c32[i]) }
+	case viewCol64:
+		return func(i int, fr []int64) int64 { return a[i] }
+	case viewMul:
+		return func(i int, fr []int64) int64 { return a[i] * b[i] }
 	}
-	c := lit.Val
-	return func(i int, fr []int64) int64 { return c - col[i] }
+	return func(i int, fr []int64) int64 { return lit - a[i] }
 }
 
 // base64Col returns the machine view of a 64-bit-wide base column

@@ -363,17 +363,11 @@ func (p *pipe) groupKeyGet(agg *logical.Aggregate) (u64Fn, error) {
 // groups it meets, up to hashtable.PreAggCapacity), overflow and
 // final flush spilling partition-partial rows [hash, key, aggs...] —
 // or, when the plan chose an array over the key's dense domain (dom),
-// a hashtable.AggArray flushed as the same rows at the end. A non-nil
-// fp folds a row-free pipeline's blocks into the same storage
-// (blockFold).
+// a hashtable.AggArray flushed as the same rows at the end.
 // A non-nil nOut (telemetry-instrumented executions) counts the rows
 // reaching the sink in a worker-local counter; nil leaves the fused
 // loop untouched.
-func (p *pipe) runGrouped(wid int, specs []groupSpec, keyGet u64Fn, fp *foldPlan, dom logical.KeyDomain, spill *hashtable.Spill, nOut *int64) {
-	var fold *blockFold
-	if fp != nil {
-		fold = &blockFold{aggs: fp.aggs, n: nOut, key32: fp.key32, key64: fp.key64}
-	}
+func (p *pipe) runGrouped(wid int, specs []groupSpec, keyGet u64Fn, dom logical.KeyDomain, spill *hashtable.Spill, nOut *int64) {
 	var body func(i int, fr []int64)
 	var flush func()
 	if dom.Array() {
@@ -390,47 +384,36 @@ func (p *pipe) runGrouped(wid int, specs []groupSpec, keyGet u64Fn, fp *foldPlan
 			}
 			updateWords(row, specs, i, fr)
 		}
-		if fold != nil {
-			fold.arr, fold.words = arr, words
-		}
 		flush = func() { arr.Flush(spill, wid) }
 	} else {
 		local := hashtable.New(1+len(specs), 1)
 		local.Prepare(0)
 		lsh := local.Shard(0)
-		// group finds key k's aggregate words, opening the group in the
-		// table while it has room and in a spill row after.
-		group := func(k uint64) ([]uint64, bool) {
+		body = func(i int, fr []int64) {
+			k := keyGet(i, fr)
 			h := hashtable.Mix64(k)
 			for ref := local.Lookup(h); ref != 0; ref = local.Next(ref) {
 				if row := local.Row(ref); row[0] == k {
-					return row[1:], false
+					updateWords(row[1:], specs, i, fr)
+					return
 				}
 			}
 			if local.AggRoom() {
 				ref, _ := lsh.Alloc(local, h)
 				row := local.Row(ref)
 				row[0] = k
-				local.Insert(ref, h)
-				return row[1:], true
-			}
-			row := spill.AppendRow(wid, hashtable.PartitionOf(h, tw.AggPartitions))
-			row[0] = h
-			row[1] = k
-			return row[2:], true
-		}
-		body = func(i int, fr []int64) {
-			row, first := group(keyGet(i, fr))
-			if first {
 				for j := range specs {
-					row[j] = initWord(&specs[j], i, fr)
+					row[1+j] = initWord(&specs[j], i, fr)
 				}
-				return
+				local.Insert(ref, h)
+			} else {
+				row := spill.AppendRow(wid, hashtable.PartitionOf(h, tw.AggPartitions))
+				row[0] = h
+				row[1] = k
+				for j := range specs {
+					row[2+j] = initWord(&specs[j], i, fr)
+				}
 			}
-			updateWords(row, specs, i, fr)
-		}
-		if fold != nil {
-			fold.group = group
 		}
 		flush = func() {
 			local.ForEach(func(ref hashtable.Ref) {
@@ -448,7 +431,7 @@ func (p *pipe) runGrouped(wid int, specs []groupSpec, keyGet u64Fn, fp *foldPlan
 			inner(i, fr)
 		}
 	}
-	p.run(body, fold)
+	p.run(body, nil)
 	flush()
 }
 
@@ -485,9 +468,9 @@ func initWord(s *groupSpec, i int, fr []int64) uint64 {
 // runGlobal reduces the final pipeline to one worker's accumulators —
 // the fused form of the generic global-aggregate sink, merged by
 // logical.MergeGlobal so the empty-input semantics stay identical. A
-// non-nil fp folds a row-free pipeline's blocks into the same
+// pipeline with a block fold folds its blocks into the same
 // accumulators (blockFold).
-func (p *pipe) runGlobal(wid int, specs []groupSpec, fp *foldPlan) logical.GlobalPartial {
+func (p *pipe) runGlobal(wid int, specs []groupSpec) logical.GlobalPartial {
 	acc := make([]int64, len(specs))
 	for j := range specs {
 		switch specs[j].op {
@@ -499,8 +482,8 @@ func (p *pipe) runGlobal(wid int, specs []groupSpec, fp *foldPlan) logical.Globa
 	}
 	var n int64
 	var fold *blockFold
-	if fp != nil {
-		fold = &blockFold{aggs: fp.aggs, n: &n, acc: acc}
+	if p.fold != nil {
+		fold = &blockFold{aggs: p.fold, acc: acc, n: &n}
 	}
 	p.run(func(i int, fr []int64) {
 		n++

@@ -1,155 +1,60 @@
 package compiled
 
 import (
-	"math"
-
-	"paradigms/internal/hashtable"
 	"paradigms/internal/logical"
-	"paradigms/internal/sql"
 )
 
-// Block folds: the terminal of a row-free pipeline (no string
+// Block folds: the global aggregate of a row-free pipeline (no string
 // equalities, generic predicates or probes — loopRowFree) takes a whole
 // block's qualifying rows at once instead of one sink call per row, the
 // staging point Relaxed Operator Fusion (Menon et al., VLDB 2017) puts
-// inside a fused pipeline. A global aggregate reduces each slot over the
-// block in one tight loop; a grouped aggregate on one base-column key
-// updates its groups reading the column views directly. The inputs it
-// reads are the shapes scalar already fuses over the spine's base
-// columns; any other expression keeps the per-row sink. Sums wrap mod
-// 2⁶⁴ either way, so block partials are bit-identical to the row loop.
+// inside a fused pipeline. COUNT adds the block's row count; SUM reduces
+// a column, or a product of two, in one tight loop over the column
+// views scalar fuses (colView). Any other slot — MIN/MAX, another
+// expression — and every grouped or projecting terminal keeps the
+// per-row sink, which a row-free pipeline calls without the per-row
+// walks. Sums wrap mod 2⁶⁴ either way, so block partials are
+// bit-identical to the row loop.
 
-// foldKind is the shape of one aggregate input a fold reads.
-type foldKind uint8
-
-const (
-	foldCount foldKind = iota // COUNT: no input
-	foldCol32                 // a 32-bit base column (sign-extended)
-	foldCol64                 // a 64-bit base column
-	foldMul                   // col * col over 64-bit base columns
-	foldRsub                  // lit - col over a 64-bit base column
-)
-
-// foldAgg is one aggregate slot of a block fold.
+// foldAgg is one global aggregate slot of a block fold: COUNT, or SUM
+// over in.
 type foldAgg struct {
-	op   logical.AggOp
-	kind foldKind
-	c32  []int32
-	a, b []int64 // foldCol64: a; foldMul: a * b; foldRsub: lit - a
-	lit  int64
+	op logical.AggOp
+	in colView
 }
 
-// at is the slot's input value for row i (never foldCount).
-func (f *foldAgg) at(i int) int64 {
-	switch f.kind {
-	case foldCol32:
-		return int64(f.c32[i])
-	case foldCol64:
-		return f.a[i]
-	case foldMul:
-		return f.a[i] * f.b[i]
+// lowerFold compiles agg's block terminal, or returns nil when agg is
+// grouped or a slot is not COUNT or a SUM over a column or col*col.
+func (p *pipe) lowerFold(agg *logical.Aggregate) []foldAgg {
+	if agg == nil || len(agg.Keys) > 0 {
+		return nil
 	}
-	return f.lit - f.a[i]
-}
-
-// foldPlan is the final pipeline's block terminal, compiled at
-// lowering: every aggregate slot's input and, for a grouped aggregate,
-// its single key column.
-type foldPlan struct {
-	aggs  []foldAgg
-	key32 []int32 // grouped: the key's machine view (at most one non-nil)
-	key64 []int64
-}
-
-// lowerFold compiles agg's block terminal, or returns nil when a slot's
-// input is not a fold shape or the grouping is not on one base column —
-// the per-row sink then runs even on a row-free pipeline.
-func (p *pipe) lowerFold(agg *logical.Aggregate) *foldPlan {
-	fp := &foldPlan{aggs: make([]foldAgg, len(agg.Aggs))}
+	aggs := make([]foldAgg, len(agg.Aggs))
 	for j, s := range agg.Aggs {
-		a, ok := p.foldAggOf(s)
-		if !ok {
-			return nil
-		}
-		fp.aggs[j] = a
-	}
-	switch len(agg.Keys) {
-	case 0:
-		return fp
-	case 1:
-		src := p.resolve(agg.Keys[0])
-		if src.base == nil {
-			return nil
-		}
-		c32, c64, err := baseViews(src.base)
-		if err != nil {
-			return nil
-		}
-		fp.key32, fp.key64 = c32, c64
-		return fp
-	}
-	return nil
-}
-
-// foldAggOf compiles one aggregate slot: COUNT, SUM over any fold
-// shape, MIN/MAX (and a grouped first-value slot) over a column.
-func (p *pipe) foldAggOf(s logical.AggSpec) (foldAgg, bool) {
-	if s.Op == logical.OpCount {
-		return foldAgg{op: s.Op, kind: foldCount}, true
-	}
-	a := foldAgg{op: s.Op}
-	switch x := s.Arg.(type) {
-	case *sql.ColRef:
-		src := p.resolve(x.Col)
-		if src.base == nil {
-			return foldAgg{}, false
-		}
-		c32, c64, err := baseViews(src.base)
-		if err != nil {
-			return foldAgg{}, false
-		}
-		if c32 != nil {
-			a.kind, a.c32 = foldCol32, c32
-		} else {
-			a.kind, a.a = foldCol64, c64
-		}
-		return a, true
-	case *sql.Binary:
-		if s.Op != logical.OpSum {
-			return foldAgg{}, false
-		}
-		switch x.Op {
-		case sql.OpMul:
-			a.kind, a.a, a.b = foldMul, p.base64Col(x.L), p.base64Col(x.R)
-			return a, a.a != nil && a.b != nil
-		case sql.OpSub:
-			lit, ok := x.L.(*sql.NumLit)
-			if !ok {
-				return foldAgg{}, false
+		aggs[j].op = s.Op
+		switch s.Op {
+		case logical.OpCount:
+		case logical.OpSum:
+			aggs[j].in = p.baseView(s.Arg)
+			switch aggs[j].in.kind {
+			case viewCol32, viewCol64, viewMul:
+			default:
+				return nil
 			}
-			a.kind, a.lit, a.a = foldRsub, lit.Val, p.base64Col(x.R)
-			return a, a.a != nil
+		default:
+			return nil
 		}
 	}
-	return foldAgg{}, false
+	return aggs
 }
 
-// blockFold is one worker's block terminal: a global aggregate's
-// accumulators, or a grouped aggregate's key column and group storage
-// (the AggArray, or the pre-aggregation table behind group). It is a
-// concrete type so the fused loop's selection buffer, passed to block,
-// stays on the worker's stack.
+// blockFold is one worker's block terminal over a global aggregate's
+// accumulators. It is a concrete type so the fused loop's selection
+// buffer, passed to block, stays on the worker's stack.
 type blockFold struct {
 	aggs []foldAgg
-	n    *int64 // rows folded (GlobalPartial.N, or runGrouped's nOut); may be nil
-
-	acc []int64 // global: one accumulator per slot
-
-	key32 []int32 // grouped: the key column (one of the two non-nil)
-	key64 []int64
-	arr   *hashtable.AggArray // array layout, with its words
-	words []uint64
-	group func(k uint64) (row []uint64, first bool) // hashed layout
+	acc  []int64 // one accumulator per slot
+	n    *int64  // rows folded (GlobalPartial.N)
 }
 
 // block folds the rows base+pos[j] (every row of [base, end) when pos
@@ -159,106 +64,26 @@ func (b *blockFold) block(base, end int, pos []int32) {
 	if pos != nil {
 		n = len(pos)
 	}
-	if b.n != nil {
-		*b.n += int64(n)
-	}
-	if b.acc != nil {
-		b.global(base, end, pos, n)
-		return
-	}
-	if pos == nil {
-		for i := base; i < end; i++ {
-			b.groupRow(i)
-		}
-		return
-	}
-	for _, s := range pos {
-		b.groupRow(base + int(s))
-	}
-}
-
-// global folds one block into the accumulators, a slot at a time.
-func (b *blockFold) global(base, end int, pos []int32, n int) {
-	for j := range b.aggs {
-		f := &b.aggs[j]
-		switch f.op {
-		case logical.OpCount:
-			b.acc[j] += int64(n)
-		case logical.OpSum:
-			switch f.kind {
-			case foldCol32:
-				b.acc[j] += sumOf(f.c32, base, end, pos)
-			case foldCol64:
-				b.acc[j] += sumOf(f.a, base, end, pos)
-			case foldMul:
-				b.acc[j] += sumMul(f.a, f.b, base, end, pos)
-			case foldRsub: // Σ(lit - a) = n·lit - Σa, also mod 2⁶⁴
-				b.acc[j] += f.lit*int64(n) - sumOf(f.a, base, end, pos)
-			}
-		case logical.OpMin:
-			if f.kind == foldCol32 {
-				b.acc[j] = min(b.acc[j], minOf(f.c32, base, end, pos))
-			} else {
-				b.acc[j] = min(b.acc[j], minOf(f.a, base, end, pos))
-			}
-		case logical.OpMax:
-			if f.kind == foldCol32 {
-				b.acc[j] = max(b.acc[j], maxOf(f.c32, base, end, pos))
-			} else {
-				b.acc[j] = max(b.acc[j], maxOf(f.a, base, end, pos))
-			}
-		}
-	}
-}
-
-// groupRow folds row i into its group's aggregate words, with the same
-// first-row and update rules as the row loop's initWord/updateWords.
-func (b *blockFold) groupRow(i int) {
-	var k uint64
-	if b.key32 != nil {
-		k = uint64(uint32(b.key32[i]))
-	} else {
-		k = uint64(b.key64[i])
-	}
-	var row []uint64
-	var first bool
-	if b.arr != nil {
-		var off int
-		off, first = b.arr.Slot(k)
-		row = b.words[off : off+len(b.aggs)]
-	} else {
-		row, first = b.group(k)
-	}
+	*b.n += int64(n)
 	for j := range b.aggs {
 		f := &b.aggs[j]
 		if f.op == logical.OpCount {
-			if first {
-				row[j] = 1
-			} else {
-				row[j]++
-			}
+			b.acc[j] += int64(n)
 			continue
 		}
-		v := f.at(i)
-		switch {
-		case first:
-			row[j] = uint64(v)
-		case f.op == logical.OpSum:
-			row[j] += uint64(v)
-		case f.op == logical.OpMin:
-			if v < int64(row[j]) {
-				row[j] = uint64(v)
-			}
-		case f.op == logical.OpMax:
-			if v > int64(row[j]) {
-				row[j] = uint64(v)
-			}
+		switch f.in.kind {
+		case viewCol32:
+			b.acc[j] += sumOf(f.in.c32, base, end, pos)
+		case viewCol64:
+			b.acc[j] += sumOf(f.in.a, base, end, pos)
+		case viewMul:
+			b.acc[j] += sumMul(f.in.a, f.in.b, base, end, pos)
 		}
 	}
 }
 
-// sumOf, sumMul, minOf and maxOf reduce one block of a column
-// over the rows base+pos[j] (all of [base, end) when pos is nil).
+// sumOf and sumMul reduce one block of a column, or of a product of
+// two, over the rows base+pos[j] (all of [base, end) when pos is nil).
 
 func sumOf[T int32 | int64](c []T, base, end int, pos []int32) (s int64) {
 	c = c[base:end]
@@ -287,34 +112,4 @@ func sumMul(a, b []int64, base, end int, pos []int32) (s int64) {
 		s += a[j] * b[j]
 	}
 	return s
-}
-
-func minOf[T int32 | int64](c []T, base, end int, pos []int32) int64 {
-	m := int64(math.MaxInt64)
-	c = c[base:end]
-	if pos == nil {
-		for _, v := range c {
-			m = min(m, int64(v))
-		}
-		return m
-	}
-	for _, j := range pos {
-		m = min(m, int64(c[j]))
-	}
-	return m
-}
-
-func maxOf[T int32 | int64](c []T, base, end int, pos []int32) int64 {
-	m := int64(math.MinInt64)
-	c = c[base:end]
-	if pos == nil {
-		for _, v := range c {
-			m = max(m, int64(v))
-		}
-		return m
-	}
-	for _, j := range pos {
-		m = max(m, int64(c[j]))
-	}
-	return m
 }

@@ -23,7 +23,6 @@ type Program struct {
 	agg    *logical.Aggregate
 	specs  []groupSpec
 	keyGet u64Fn
-	fold   *foldPlan // the final pipeline's block terminal, or nil
 	items  []scalarFn
 }
 
@@ -58,9 +57,6 @@ func LowerProgram(pl *logical.Plan) (*Program, error) {
 				return nil, err
 			}
 		}
-	}
-	if pl.Agg != nil {
-		p.fold = final.lowerFold(pl.Agg)
 	}
 	return p, nil
 }
@@ -112,13 +108,13 @@ func (p *Program) RunBuild(i, wid int) { p.pr.pipes[i].runBuild(wid) }
 // nOut counts the rows reaching the sink (telemetry-instrumented
 // executions only).
 func (p *Program) RunGrouped(wid int, spill *hashtable.Spill, nOut *int64) {
-	p.pr.final.runGrouped(wid, p.specs, p.keyGet, p.fold, p.agg.Domain, spill, nOut)
+	p.pr.final.runGrouped(wid, p.specs, p.keyGet, p.agg.Domain, spill, nOut)
 }
 
 // RunGlobal runs the final pipeline's ungrouped aggregation for one
 // worker, returning its partial for logical.MergeGlobal.
 func (p *Program) RunGlobal(wid int) logical.GlobalPartial {
-	return p.pr.final.runGlobal(wid, p.specs, p.fold)
+	return p.pr.final.runGlobal(wid, p.specs)
 }
 
 // RunProject writes the final pipeline's projection rows for one worker

@@ -84,7 +84,8 @@ type pipe struct {
 	srcOf map[*catalog.Column]valRef
 
 	rejectAll bool
-	loop      loopShape // set once by shapeLoop, read by run (Explain prints it)
+	loop      loopShape // set once by shapeLoop, read by run
+	fold      []foldAgg // the final pipeline's block terminal (loopRowFree only), or nil
 
 	// Build-side output: hash-table key column (a base column of the
 	// spine) plus payload columns in word order (word 1+i). Nil keyCol
@@ -140,6 +141,11 @@ func lower(pl *logical.Plan) (*prog, error) {
 		if err := p.prep(); err != nil {
 			return nil, err
 		}
+		var agg *logical.Aggregate
+		if p == final {
+			agg = pl.Agg
+		}
+		p.shapeLoop(agg)
 	}
 	return pr, nil
 }
@@ -249,7 +255,6 @@ func (p *pipe) prep() error {
 			}
 		}
 	}
-	p.shapeLoop()
 	return nil
 }
 
@@ -264,20 +269,23 @@ const (
 	// key and no row checks.
 	loopProbeOne
 	// loopRowFree has no per-row work: the block's rows go straight to
-	// the terminal, folded whole where it can (blockFold), else one
-	// sink call per row.
+	// the terminal, folded whole when it has a fold (blockFold), else
+	// one sink call per row.
 	loopRowFree
 )
 
 // shapeLoop decides the pipeline's loop shape once, at lowering, from
-// its per-row stages. (*pipe).run is the only loop that reads it.
-func (p *pipe) shapeLoop() {
+// its per-row stages, and on a row-free pipeline whether agg (the final
+// pipeline's aggregate, else nil) folds whole blocks. (*pipe).run is
+// the only loop that reads the shape.
+func (p *pipe) shapeLoop(agg *logical.Aggregate) {
 	f := &p.filt
 	switch {
 	case len(f.strs)+len(f.preds) > 0:
 		p.loop = loopRows
 	case len(p.steps) == 0:
 		p.loop = loopRowFree
+		p.fold = p.lowerFold(agg)
 	case len(p.steps) == 1 && p.steps[0].key32 != nil && len(p.steps[0].residuals) == 0:
 		p.loop = loopProbeOne
 	default:
@@ -348,13 +356,12 @@ func tablesUnder(n logical.Node) map[*catalog.Table]bool {
 // probe sides, gathers, residuals, and the terminal of every pipeline,
 // marked "fold" where it folds whole blocks (blockFold).
 func Explain(pl *logical.Plan) (string, error) {
-	cp, err := LowerProgram(pl)
+	pr, err := lower(pl)
 	if err != nil {
 		return "", err
 	}
-	pr := cp.pr
 	fold := ""
-	if cp.fold != nil && pr.final.loop == loopRowFree {
+	if pr.final.fold != nil {
 		fold = " fold"
 	}
 	var sb strings.Builder
@@ -396,7 +403,7 @@ func Explain(pl *logical.Plan) (string, error) {
 			if d := pl.Agg.Domain; d.Array() {
 				layout = fmt.Sprintf(" array[%d]", d.Span)
 			}
-			fmt.Fprintf(&sb, " → groupby keys=[%s]%s aggs=[%s]%s", strings.Join(names, " "), layout, aggList(pl.Agg), fold)
+			fmt.Fprintf(&sb, " → groupby keys=[%s]%s aggs=[%s]", strings.Join(names, " "), layout, aggList(pl.Agg))
 		case pl.Agg != nil:
 			fmt.Fprintf(&sb, " → aggregate [%s]%s", aggList(pl.Agg), fold)
 		default:

@@ -1,28 +1,34 @@
 package sqlcheck
 
-// Fixed differential cases for the compiled backend's block fold
-// (internal/compiled, DESIGN.md §9): row-free pipelines — range bounds
-// only, no string equalities, generic predicates or probes — whose
-// aggregate folds each block's survivors in one loop. Global and
-// grouped, with and without range bounds, each over a fact table of
-// many 1024-row blocks, so a multi-worker cell also splits it across
+// Fixed differential cases for the compiled backend's row-free
+// pipelines (internal/compiled, DESIGN.md §9): range bounds only, no
+// string equalities, generic predicates or probes, so the fused loop
+// hands each block's survivors straight to the terminal. A global COUNT
+// and SUM over columns or col*col folds the block in one loop; grouped
+// and MIN/MAX terminals take the per-survivor sink. Global and grouped,
+// with and without range bounds, each over a fact table of many
+// 1024-row blocks, so a multi-worker cell also splits it across
 // morsels. The generated corpus reaches these shapes only by chance.
 
 // FoldCase is one text over the SF 0.01 database Dataset names, whose
-// final pipeline folds per block on the compiled backend.
+// final pipeline is row-free on the compiled backend.
 type FoldCase struct {
 	Name    string
 	Dataset string // "tpch" or "ssb"
 	Text    string
+	Folds   bool // the final pipeline folds per block
 }
 
-// FoldCases covers the fold's shapes on both schemas.
+// FoldCases covers the row-free shapes on both schemas.
 var FoldCases = []FoldCase{
-	{Name: "global-unbounded", Dataset: "tpch",
-		Text: "select count(*), sum(l_extendedprice * l_discount), sum(1 - l_discount), min(l_shipdate), max(l_quantity) from lineitem"},
-	{Name: "global-bounded", Dataset: "tpch",
-		Text: "select count(*), sum(l_extendedprice), min(l_discount), max(l_shipdate) from lineitem " +
+	{Name: "global-unbounded", Dataset: "tpch", Folds: true,
+		Text: "select count(*), sum(l_extendedprice * l_discount), sum(l_quantity) from lineitem"},
+	{Name: "global-bounded", Dataset: "tpch", Folds: true,
+		Text: "select count(*), sum(l_extendedprice), sum(l_suppkey) from lineitem " +
 			"where l_shipdate >= date '1994-01-01' and l_shipdate < date '1995-01-01' and l_quantity < 24"},
+	{Name: "global-minmax-bounded", Dataset: "tpch",
+		Text: "select count(*), sum(1 - l_discount), min(l_discount), max(l_shipdate) from lineitem " +
+			"where l_shipdate >= date '1994-01-01' and l_quantity < 24"},
 	{Name: "grouped-array-unbounded", Dataset: "tpch",
 		Text: "select l_suppkey, count(*), sum(l_quantity), min(l_discount), max(l_extendedprice) from lineitem group by l_suppkey"},
 	{Name: "grouped-array-bounded", Dataset: "tpch",
@@ -31,7 +37,7 @@ var FoldCases = []FoldCase{
 	{Name: "grouped-hashed-bounded", Dataset: "tpch",
 		Text: "select o_orderkey, sum(o_totalprice), count(*), max(o_orderdate) from orders " +
 			"where o_totalprice > 10.00 group by o_orderkey"},
-	{Name: "ssb-global-bounded", Dataset: "ssb",
+	{Name: "ssb-global-bounded", Dataset: "ssb", Folds: true,
 		Text: "select count(*), sum(lo_extendedprice * lo_discount) from lineorder " +
 			"where lo_discount between 1 and 3 and lo_quantity < 25"},
 	{Name: "ssb-grouped-unbounded", Dataset: "ssb",
