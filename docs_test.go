@@ -646,7 +646,8 @@ func assignSources(fset *token.FileSet, body *ast.BlockStmt) []string {
 // bitmap is built in one internal/hashtable function, PrepareKeyFilter,
 // which — like the per-shard KeyBounds before it — only tw.BuildBarrier
 // calls; and the filter is read only by the compiled probe loops
-// (internal/compiled/exec.go) and by tw.Prober's Probe, the one
+// (internal/compiled/exec.go: probeOne, and probeStages, which hoists
+// it for the staged loop once per run) and by tw.Prober's Probe, the one
 // vectorized probe that plan.HashProbe and the Tectorwise hand kernels
 // run. Reading the filter's size (KeyFilter().Bits(),
 // for telemetry) is allowed anywhere. Sites are named with their
@@ -716,9 +717,9 @@ func TestOneKeyFilter(t *testing.T) {
 		}
 	}
 	wantReaders := map[string]bool{
-		"internal/compiled.(*pipe).survivors": true,
-		"internal/compiled.(*pipe).probeOne":  true,
-		"internal/tw.(*Prober).Probe":         true,
+		"internal/compiled.(*pipe).probeStages": true,
+		"internal/compiled.(*pipe).probeOne":    true,
+		"internal/tw.(*Prober).Probe":           true,
 	}
 	for _, r := range readers {
 		if !wantReaders[r] {
@@ -817,7 +818,7 @@ func TestOneKeyIndex(t *testing.T) {
 		"Domain=":     {"internal/logical.PlanQueryHints"},
 		"KeyIndex": {
 			"internal/compiled.(*pipe).probeOne",
-			"internal/compiled.(*pipe).survivors",
+			"internal/compiled.(*pipe).probeStages",
 			"internal/plan.(*ProbeEmitSink).Consume",
 			"internal/tw.(*Prober).Probe",
 		},

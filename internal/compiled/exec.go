@@ -57,24 +57,33 @@ func drive(ctx context.Context, pl *logical.Plan, nWorkers int, mode logical.Mod
 // compiled backend. Its body is what a data-centric code generator would
 // emit per pipeline (DESIGN.md S1), staged per block of probeBlock rows:
 // the range bounds select the block's qualifying positions branch-free
-// (filt.selectBlock), then the loop shape chosen at lowering
-// (shapeLoop) takes the block's survivors. A pipeline with per-row
-// stages runs them tuple at a time (survivors, probeOne) before the
-// sink; a row-free one hands the block to fold when its terminal folds
-// whole blocks, and otherwise calls sink per survivor. A spine with no
-// range bound skips the staging and walks each morsel directly.
+// (filt.selectBlock), then on a survivors pipeline each probe whose
+// build published an exact key filter or a key index narrows that
+// selection to the block's key members (probe.stage), and the loop
+// shape chosen at lowering (shapeLoop) takes the block's survivors. A
+// pipeline with per-row stages runs them tuple at a time (survivors,
+// probeOne) before the sink; a row-free one hands the block to fold when
+// its terminal folds whole blocks, and otherwise calls sink per
+// survivor. A spine with neither a range bound nor a staged probe walks
+// each morsel directly.
 func (p *pipe) run(sink func(i int, fr []int64), fold *blockFold) {
 	if p.rejectAll {
 		return
 	}
 	frame := make([]int64, p.slots)
 	f := &p.filt
+	loop := p.loop
+	var probes []probe
+	staged := false
+	if loop == loopRows {
+		probes, staged = p.probeStages()
+	}
+	bounds := len(f.b32)+len(f.b64) > 0
 	var buf [probeBlock]int32 // stays on the worker's stack
 	var sel []int32
-	if len(f.b32)+len(f.b64) > 0 {
+	if bounds || staged {
 		sel = buf[:]
 	}
-	loop := p.loop
 	for {
 		m, ok := p.disp.Next()
 		if !ok {
@@ -84,13 +93,20 @@ func (p *pipe) run(sink func(i int, fr []int64), fold *blockFold) {
 			end, pos := m.End, []int32(nil)
 			if sel != nil {
 				end = min(base+probeBlock, m.End)
-				pos = sel[:f.selectBlock(base, end, sel)]
+				if bounds {
+					pos = sel[:f.selectBlock(base, end, sel)]
+				}
+				for s := range probes {
+					if probes[s].staged {
+						pos = probes[s].stage(base, end, pos, sel)
+					}
+				}
 			}
 			switch {
 			case loop == loopProbeOne:
 				p.probeOne(base, end, pos, frame, sink)
 			case loop == loopRows:
-				p.survivors(base, end, pos, frame, sink)
+				p.survivors(base, end, pos, frame, probes, sink)
 			case fold != nil:
 				fold.block(base, end, pos)
 			case pos == nil:
@@ -108,11 +124,12 @@ func (p *pipe) run(sink func(i int, fr []int64), fold *blockFold) {
 }
 
 // probeBlock is the staging granularity of the fused loop's range
-// filter: the bound checks run branch-free over a cache-resident block
-// (the kernels of internal/simd), and only qualifying positions reach
-// the row loop — a micro-vectorized stage inside an otherwise fused
-// pipeline, per the paper's observation that data-parallel filter work
-// is where SIMD pays even in a compiled engine (§5).
+// filter and probe stages: the bound checks and key-membership tests
+// run branch-free over a cache-resident block (the range kernels of
+// internal/simd), and only qualifying positions reach the row loop — a
+// micro-vectorized stage inside an otherwise fused pipeline, per the
+// paper's observation that data-parallel filter work is where SIMD pays
+// even in a compiled engine (§5).
 const probeBlock = 1024
 
 // selectBlock writes the positions (relative to lo) of the rows in
@@ -138,11 +155,105 @@ func (f *filt) selectBlock(lo, hi int, sel []int32) int {
 	return n
 }
 
+// probe is one probe step's build state, read once per run from the
+// layout its build published at the barrier: the table, its key index
+// when key-indexed, and its key filter. A step is staged when the build
+// has either, since both test key membership exactly.
+type probe struct {
+	*step
+	ht     *hashtable.Table
+	ix     hashtable.KeyIndex
+	kf     hashtable.KeyFilter
+	staged bool
+}
+
+// probeStages hoists every probe step's build state for one run and
+// reports whether any step is staged. It runs after the build barrier,
+// the first point where each build's layout is known.
+func (p *pipe) probeStages() ([]probe, bool) {
+	probes := make([]probe, len(p.steps))
+	staged := false
+	for s, st := range p.steps {
+		ht := st.build.ht
+		pr := probe{step: st, ht: ht, ix: ht.KeyIndex(), kf: ht.KeyFilter()}
+		pr.staged = pr.ix.On() || pr.kf.Bits() > 0
+		staged = staged || pr.staged
+		probes[s] = pr
+	}
+	return probes, staged
+}
+
+// stage narrows a block's selection to the rows whose probe key is a
+// build key, compacting into sel: pos holds positions relative to base,
+// nil meaning every row of [base, end).
+func (pr *probe) stage(base, end int, pos, sel []int32) []int32 {
+	if pr.key32 != nil {
+		if pr.ix.On() {
+			return stageIndex(pr.ix, pr.key32[base:end], math.MaxUint32, pos, sel)
+		}
+		return stageFilter(pr.kf, pr.key32[base:end], math.MaxUint32, pos, sel)
+	}
+	if pr.ix.On() {
+		return stageIndex(pr.ix, pr.key64[base:end], math.MaxUint64, pos, sel)
+	}
+	return stageFilter(pr.kf, pr.key64[base:end], math.MaxUint64, pos, sel)
+}
+
+// stageIndex and stageFilter keep the positions whose key (its word
+// form, uint64(key) & mask) has a slot in ix or a bit in kf. Each writes
+// every position and advances past the members only — the
+// write-then-advance compaction of tw.(*Prober).Probe — so the loop has
+// no data-dependent branch around the store.
+
+func stageIndex[T int32 | int64](ix hashtable.KeyIndex, keys []T, mask uint64, pos, sel []int32) []int32 {
+	k := 0
+	if pos == nil {
+		sel = sel[:len(keys)]
+		for j, v := range keys {
+			sel[k] = int32(j)
+			if ix.Head(uint64(v)&mask) != 0 {
+				k++
+			}
+		}
+		return sel[:k]
+	}
+	for _, j := range pos {
+		sel[k] = j
+		if ix.Head(uint64(keys[j])&mask) != 0 {
+			k++
+		}
+	}
+	return sel[:k]
+}
+
+func stageFilter[T int32 | int64](kf hashtable.KeyFilter, keys []T, mask uint64, pos, sel []int32) []int32 {
+	k := 0
+	if pos == nil {
+		sel = sel[:len(keys)]
+		for j, v := range keys {
+			sel[k] = int32(j)
+			if !kf.Miss(uint64(v) & mask) {
+				k++
+			}
+		}
+		return sel[:k]
+	}
+	for _, j := range pos {
+		sel[k] = j
+		if !kf.Miss(uint64(keys[j]) & mask) {
+			k++
+		}
+	}
+	return sel[:k]
+}
+
 // survivors runs the row loop over one block's qualifying rows: base+pos[j]
-// for every j, or every row of [base, end) when pos is nil.
-func (p *pipe) survivors(base, end int, pos []int32, frame []int64, sink func(i int, fr []int64)) {
+// for every j, or every row of [base, end) when pos is nil. The staged
+// probes already dropped the rows with no build match, so a probe here
+// only finds its build row: the key index's slot, or the hashed chain
+// walk, which is also the whole membership test of an unstaged step.
+func (p *pipe) survivors(base, end int, pos []int32, frame []int64, probes []probe, sink func(i int, fr []int64)) {
 	f := &p.filt
-	steps := p.steps
 	n := end - base
 	if pos != nil {
 		n = len(pos)
@@ -163,18 +274,19 @@ rows:
 				continue rows
 			}
 		}
-		for _, st := range steps {
+		for s := range probes {
+			pr := &probes[s]
 			var k uint64
-			if st.key32 != nil {
-				k = uint64(uint32(st.key32[i]))
+			if pr.key32 != nil {
+				k = uint64(uint32(pr.key32[i]))
 			} else {
-				k = uint64(st.key64[i])
+				k = uint64(pr.key64[i])
 			}
-			ht := st.build.ht
+			ht := pr.ht
 			var ref hashtable.Ref
-			if ix := ht.KeyIndex(); ix.On() {
-				ref = ix.Head(k)
-			} else if !ht.KeyFilter().Miss(k) {
+			if pr.ix.On() {
+				ref = pr.ix.Head(k)
+			} else {
 				ref = ht.Lookup(hashtable.Mix64(k))
 				for ref != 0 && ht.Row(ref)[0] != k {
 					ref = ht.Next(ref)
@@ -184,10 +296,10 @@ rows:
 				continue rows
 			}
 			row := ht.Row(ref)
-			for _, g := range st.gathers {
+			for _, g := range pr.gathers {
 				frame[g.slot] = int64(row[g.word])
 			}
-			for _, r := range st.residuals {
+			for _, r := range pr.residuals {
 				if r.a(i, frame) != r.b(i, frame) {
 					continue rows
 				}

@@ -8,10 +8,12 @@
 // column type and scale; pushed-down comparison filters are normalized
 // to per-column range bounds. Every pipeline runs one block-staged loop:
 // the bounds select each 1024-row block's qualifying rows branch-free
-// with the internal/simd range kernels, and the survivors go through
-// the pipeline's per-row stages tuple at a time — or, on a pipeline
-// with none, straight to its terminal, which folds whole blocks where
-// it can (DESIGN.md §9). Pipelines run
+// with the internal/simd range kernels, on a multi-stage pipeline each
+// probe whose build has an exact key filter or key index then narrows
+// the selection to its key members, and the survivors go through the
+// pipeline's per-row stages tuple at a time — or, on a pipeline with none,
+// straight to its terminal, which folds whole blocks where it can
+// (DESIGN.md §9). Pipelines run
 // morsel-parallel under the shared internal/exec dispatcher with context
 // cancellation, build into the shared internal/hashtable structures,
 // and aggregate with the same two-phase spill/merge algorithm as

@@ -7,24 +7,45 @@ import (
 
 	"paradigms/internal/engine"
 	"paradigms/internal/logical"
+	"paradigms/internal/ssb"
 	"paradigms/internal/storage"
 	"paradigms/internal/tpch"
 )
 
 var (
-	shapesOnce sync.Once
-	shapesDB   *storage.Database
+	shapesOnce      sync.Once
+	shapesDB, ssbDB *storage.Database
 )
 
-// BenchmarkFusedLoopShapes times the two row-free shapes of the fused
-// loop on every engine, single-threaded at SF 0.5: prepared
-// customer_count (one 32-bit range bound, count(*) — the loop's
-// cheapest shape, where the per-row sink used to dominate) and ad-hoc
-// Q6 (five bounds over lineitem, sum(col*col), parsed and planned per
-// execution). Typer's customer_count ÷ Tectorwise's is the ratio
-// EXPERIMENTS.md records for the block fold (DESIGN.md §9).
+// The join_prepared workload's Q5 and SSB Q2.1 templates, prepared once
+// and bound per execution.
+const (
+	shapesQ5 = `select c_nationkey, sum(l_extendedprice * (1 - l_discount)) as revenue
+from customer, orders, lineitem, supplier, nation, region
+where c_custkey = o_custkey and l_orderkey = o_orderkey and l_suppkey = s_suppkey
+and c_nationkey = s_nationkey and s_nationkey = n_nationkey and n_regionkey = r_regionkey
+and r_name = 'ASIA' and o_orderdate >= ? and o_orderdate < ?
+group by c_nationkey order by revenue desc, c_nationkey`
+	shapesQ21 = `select d_year, p_brand1, sum(lo_revenue) as revenue from lineorder, date, part, supplier
+where lo_orderdate = d_datekey and lo_partkey = p_partkey and lo_suppkey = s_suppkey
+and p_category = ? and s_region = ?
+group by d_year, p_brand1 order by d_year, p_brand1`
+)
+
+// BenchmarkFusedLoopShapes times the fused loop's shapes on every
+// engine at SF 0.5. Single-threaded: prepared customer_count (one
+// 32-bit range bound, count(*) — the loop's cheapest shape, where the
+// per-row sink used to dominate) and ad-hoc Q6 (five bounds over
+// lineitem, sum(col*col), parsed and planned per execution). On 2
+// workers: prepared Q5 and SSB Q2.1, whose final pipelines stage
+// several probes per block before the row loop. Typer's time ÷
+// Tectorwise's on each is the ratio EXPERIMENTS.md records (DESIGN.md
+// §9).
 func BenchmarkFusedLoopShapes(b *testing.B) {
-	shapesOnce.Do(func() { shapesDB = tpch.Generate(0.5, 0) })
+	shapesOnce.Do(func() {
+		shapesDB = tpch.Generate(0.5, 0)
+		ssbDB = ssb.Generate(0.5, 0)
+	})
 	db := shapesDB
 	ctx := context.Background()
 	count, err := logical.Prepare(db, `select count(*) as n from customer where c_nationkey < ?`)
@@ -32,6 +53,15 @@ func BenchmarkFusedLoopShapes(b *testing.B) {
 		b.Fatal(err)
 	}
 	q6, _ := logical.SQLText("tpch", "Q6")
+	joins := []struct {
+		name string
+		db   *storage.Database
+		text string
+		args []string
+	}{
+		{"Q5", db, shapesQ5, []string{"1994-01-01", "1995-01-01"}},
+		{"Q2.1", ssbDB, shapesQ21, []string{"12", "1"}},
+	}
 	for _, name := range []string{engine.Typer, engine.Tectorwise, engine.Hybrid} {
 		b.Run("customer_count/"+name, func(b *testing.B) {
 			opt := engine.Options{Args: []int64{5}, Workers: 1}
@@ -52,5 +82,23 @@ func BenchmarkFusedLoopShapes(b *testing.B) {
 				}
 			}
 		})
+		for _, j := range joins {
+			b.Run(j.name+"/"+name, func(b *testing.B) {
+				pl, err := logical.Prepare(j.db, j.text)
+				if err != nil {
+					b.Fatal(err)
+				}
+				args, err := pl.BindTexts(j.args)
+				if err != nil {
+					b.Fatal(err)
+				}
+				opt := engine.Options{Args: args, Workers: 2}
+				for i := 0; i < b.N; i++ {
+					if _, err := engine.Run(ctx, name, pl, opt); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -7,8 +7,8 @@ import (
 
 func TestMetricsWriteTo(t *testing.T) {
 	m := NewMetrics()
-	m.ObserveQuery("typer", 0.0005)      // le=0.001 bucket
-	m.ObserveQuery("typer", 0.05)        // le=0.1 bucket
+	m.ObserveQuery("typer", 0.0005) // le=0.001 bucket
+	m.ObserveQuery("typer", 0.05)   // le=0.1 bucket
 	m.ObserveQuery("tectorwise", 0.0005)
 	m.ObservePipes([]PipeStat{
 		{Engine: "t", Nanos: 50_000},        // 50µs → le=0.0001
