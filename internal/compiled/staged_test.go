@@ -34,7 +34,7 @@ type stagedCase struct {
 // negative −25 … −1, and a facts table over lineitem's rows: f_orderkey
 // is l_orderkey as a 64-bit column, every seventh value pushed outside
 // any build's span (negative, or above 2³²); f_suppkey is l_suppkey;
-// f_nationkey runs over the nation keys, every ninth row positive and
+// f_nationkey runs over the nation keys, every ninth row non-negative and
 // so never a member. The probe keys of 64-bit and negative 32-bit
 // columns reach the stage in their word form (zero-extended for 32
 // bits), which is what the builds store.
@@ -48,7 +48,6 @@ func keysDB(src *storage.Database) *storage.Database {
 		nkeys[i] = int32(-1 - i)
 	}
 	nation.AddInt32("n_nationkey", nkeys)
-	nation.AddInt32("n_regionkey", make([]int32, 25))
 	db.Add(nation)
 	li := src.Rel("lineitem")
 	ok32 := li.Int32("l_orderkey")
