@@ -1,6 +1,10 @@
 package simd
 
-import "paradigms/internal/hashtable"
+import (
+	"unsafe"
+
+	"paradigms/internal/hashtable"
+)
 
 // Engine-facing kernels: the generic counterparts of the measured study
 // kernels in simd.go, wired into the hot filter and hash paths of
@@ -132,17 +136,24 @@ func SelectSparseGE[T ~int32](data []T, bound T, sel []int32, out []int32) int {
 }
 
 // SelectRange writes the positions of lo <= data[i] <= hi to out and
-// returns the count, branch-free and 4-way unrolled. The inclusive range
-// check compiles to one subtract and one unsigned compare per lane
-// (v in [lo,hi] iff uint32(v-lo) <= uint32(hi-lo), valid for any signed
-// lo <= hi under two's-complement wraparound) — the first stage of the
-// compiled backend's block-staged filter. Requires lo <= hi.
+// returns the count. The inclusive range check is one subtract and one
+// unsigned compare per lane (v in [lo,hi] iff uint32(v-lo) <=
+// uint32(hi-lo), valid for any signed lo <= hi under two's-complement
+// wraparound). On a CPU with AVX-512 the 16-lane blocks run in assembly
+// (compare into a lane mask, compress the block's positions); the rest,
+// and every block elsewhere, runs the branch-free 4-way unrolled Go
+// loop. It is the first stage of the compiled backend's block-staged
+// filter and every 32-bit range or comparison conjunct of Tectorwise.
+// Requires lo <= hi; out must have room for len(data) positions.
 func SelectRange[T ~int32](data []T, lo, hi T, out []int32) int {
-	k := 0
+	i, k := 0, 0
+	if useAVX512 && len(data) >= 16 {
+		i = len(data) &^ 15
+		k = selectRangeAVX512(int32s(data[:i]), int32(lo), int32(hi), out[:i])
+	}
 	span := uint32(int32(hi) - int32(lo))
 	l := int32(lo)
-	n := len(data) &^ 3
-	for i := 0; i < n; i += 4 {
+	for n := i + (len(data)-i)&^3; i < n; i += 4 {
 		v0, v1, v2, v3 := int32(data[i]), int32(data[i+1]), int32(data[i+2]), int32(data[i+3])
 		out[k] = int32(i)
 		if uint32(v0-l) <= span {
@@ -161,7 +172,7 @@ func SelectRange[T ~int32](data []T, lo, hi T, out []int32) int {
 			k++
 		}
 	}
-	for i := n; i < len(data); i++ {
+	for ; i < len(data); i++ {
 		out[k] = int32(i)
 		if uint32(int32(data[i])-l) <= span {
 			k++
@@ -171,13 +182,18 @@ func SelectRange[T ~int32](data []T, lo, hi T, out []int32) int {
 }
 
 // SelectRange64 is SelectRange over a 64-bit column (uint64(v-lo) <=
-// uint64(hi-lo)). Requires lo <= hi.
-func SelectRange64(data []int64, lo, hi int64, out []int32) int {
-	k := 0
+// uint64(hi-lo)), 8 lanes per assembly block. Requires lo <= hi; out
+// must have room for len(data) positions.
+func SelectRange64[T ~int64](data []T, lo, hi T, out []int32) int {
+	i, k := 0, 0
+	if useAVX512 && len(data) >= 8 {
+		i = len(data) &^ 7
+		k = selectRange64AVX512(int64s(data[:i]), int64(lo), int64(hi), out[:i])
+	}
 	span := uint64(hi - lo)
-	for i, v := range data {
+	for ; i < len(data); i++ {
 		out[k] = int32(i)
-		if uint64(v-lo) <= span {
+		if uint64(data[i]-lo) <= span {
 			k++
 		}
 	}
@@ -186,13 +202,19 @@ func SelectRange64(data []int64, lo, hi int64, out []int32) int {
 
 // SelectRangeSparse narrows the selection vector sel to the positions
 // with lo <= data[s] <= hi, branch-free — the further conjuncts of a
-// staged range cascade. out may alias sel (narrowing in place).
-// Requires lo <= hi.
+// staged range cascade. The assembly blocks gather data[s] for 16
+// positions at once. out may alias sel (narrowing in place); otherwise
+// it must have room for len(sel) positions. Every position in sel must
+// index data. Requires lo <= hi.
 func SelectRangeSparse[T ~int32](data []T, lo, hi T, sel, out []int32) int {
-	k := 0
+	i, k := 0, 0
+	if useAVX512 && len(sel) >= 16 {
+		i = len(sel) &^ 15
+		k = selectRangeSparseAVX512(int32s(data), int32(lo), int32(hi), sel[:i], out[:i])
+	}
 	span := uint32(int32(hi) - int32(lo))
 	l := int32(lo)
-	for _, s := range sel {
+	for _, s := range sel[i:] {
 		out[k] = s
 		if uint32(int32(data[s])-l) <= span {
 			k++
@@ -201,17 +223,32 @@ func SelectRangeSparse[T ~int32](data []T, lo, hi T, sel, out []int32) int {
 	return k
 }
 
-// SelectRangeSparse64 is SelectRangeSparse over a 64-bit column.
-func SelectRangeSparse64(data []int64, lo, hi int64, sel, out []int32) int {
-	k := 0
+// SelectRangeSparse64 is SelectRangeSparse over a 64-bit column, 8
+// gathered lanes per assembly block.
+func SelectRangeSparse64[T ~int64](data []T, lo, hi T, sel, out []int32) int {
+	i, k := 0, 0
+	if useAVX512 && len(sel) >= 8 {
+		i = len(sel) &^ 7
+		k = selectRangeSparse64AVX512(int64s(data), int64(lo), int64(hi), sel[:i], out[:i])
+	}
 	span := uint64(hi - lo)
-	for _, s := range sel {
+	for _, s := range sel[i:] {
 		out[k] = s
 		if uint64(data[s]-lo) <= span {
 			k++
 		}
 	}
 	return k
+}
+
+// int32s and int64s view a named column type's slice as its underlying
+// integer slice, for the assembly kernels.
+func int32s[T ~int32](s []T) []int32 {
+	return unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(s))), len(s))
+}
+
+func int64s[T ~int64](s []T) []int64 {
+	return unsafe.Slice((*int64)(unsafe.Pointer(unsafe.SliceData(s))), len(s))
 }
 
 // HashMix64Unrolled hashes four keys per iteration with the Mix64

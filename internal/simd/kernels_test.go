@@ -249,3 +249,173 @@ func TestHashMix64UnrolledMatchesScalar(t *testing.T) {
 		}
 	}
 }
+
+// nearData draws int32 values that land on, inside and just outside
+// small ranges, plus the type's extremes.
+func nearData(r *rand.Rand, n int) []int32 {
+	data := randData(r, n)
+	for i := range data {
+		if r.Intn(2) == 0 {
+			data[i] = int32(r.Intn(17) - 8)
+		}
+	}
+	return data
+}
+
+func nearData64(r *rand.Rand, n int) []int64 {
+	data := randData64(r, n)
+	for i := range data {
+		if r.Intn(2) == 0 {
+			data[i] = int64(r.Intn(17) - 8)
+		}
+	}
+	return data
+}
+
+// onGoPath runs f with the Go kernels forced.
+func onGoPath(f func() int) int {
+	defer func(saved bool) { useAVX512 = saved }(useAVX512)
+	useAVX512 = false
+	return f()
+}
+
+// TestRangeKernelsMatchGoPath runs each range kernel on the path chosen
+// at init and on the forced Go path, side by side: lengths around the
+// 8- and 16-lane blocks, the int32 and int64 extremes as bounds, empty,
+// full and gapped selections, and out aliasing sel. On a CPU without
+// AVX-512 both sides are the Go kernels, and the oracle still checks
+// them.
+func TestRangeKernelsMatchGoPath(t *testing.T) {
+	if useAVX512 {
+		t.Log("path: AVX-512 assembly against the Go kernels")
+	} else {
+		t.Log("path: Go kernels only (no AVX-512 on this CPU)")
+	}
+	r := rand.New(rand.NewSource(29))
+	ranges32 := [][2]int32{
+		{math.MinInt32, math.MaxInt32},
+		{math.MinInt32, math.MinInt32},
+		{math.MaxInt32, math.MaxInt32},
+		{math.MinInt32, -1},
+		{0, math.MaxInt32},
+		{-3, 3},
+		{0, 0},
+	}
+	ranges64 := [][2]int64{
+		{math.MinInt64, math.MaxInt64},
+		{math.MinInt64, math.MinInt64},
+		{math.MaxInt64, math.MaxInt64},
+		{math.MinInt64, -1},
+		{0, math.MaxInt64},
+		{-3, 3},
+		{0, 0},
+	}
+	// same compares a kernel's positions on both paths and against want.
+	same := func(name string, want []int32, kernel func(out []int32) int, size int) {
+		t.Helper()
+		got, ref := make([]int32, size), make([]int32, size)
+		k := kernel(got)
+		kg := onGoPath(func() int { return kernel(ref) })
+		if !equalSel(want, ref[:kg], kg) {
+			t.Fatalf("%s on the Go path: got %d positions, want %d", name, kg, len(want))
+		}
+		if !equalSel(want, got[:k], k) {
+			t.Fatalf("%s: got %d positions, want %d (Go path agrees with the oracle)", name, k, len(want))
+		}
+	}
+	for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 1023, 1024, 1025, 4099} {
+		d32, d64 := nearData(r, n), nearData64(r, n)
+		full := make([]int32, n)
+		for i := range full {
+			full[i] = int32(i)
+		}
+		sels := map[string][]int32{"empty": nil, "full": full, "gapped": randSel(r, n)}
+		for _, rg := range ranges32 {
+			lo, hi := rg[0], rg[1]
+			keep := func(s int32) bool { return d32[s] >= lo && d32[s] <= hi }
+			name := fmt.Sprintf("SelectRange n=%d [%d,%d]", n, lo, hi)
+			same(name, filterSel(full, keep), func(out []int32) int { return SelectRange(d32, lo, hi, out) }, n)
+			for sn, sel := range sels {
+				want := filterSel(sel, keep)
+				name := fmt.Sprintf("SelectRangeSparse n=%d %s sel [%d,%d]", n, sn, lo, hi)
+				same(name, want, func(out []int32) int { return SelectRangeSparse(d32, lo, hi, sel, out) }, len(sel))
+				same(name+" in place", want, func(out []int32) int {
+					copy(out, sel)
+					return SelectRangeSparse(d32, lo, hi, out, out)
+				}, len(sel))
+			}
+		}
+		for _, rg := range ranges64 {
+			lo, hi := rg[0], rg[1]
+			keep := func(s int32) bool { return d64[s] >= lo && d64[s] <= hi }
+			name := fmt.Sprintf("SelectRange64 n=%d [%d,%d]", n, lo, hi)
+			same(name, filterSel(full, keep), func(out []int32) int { return SelectRange64(d64, lo, hi, out) }, n)
+			for sn, sel := range sels {
+				want := filterSel(sel, keep)
+				name := fmt.Sprintf("SelectRangeSparse64 n=%d %s sel [%d,%d]", n, sn, lo, hi)
+				same(name, want, func(out []int32) int { return SelectRangeSparse64(d64, lo, hi, sel, out) }, len(sel))
+				same(name+" in place", want, func(out []int32) int {
+					copy(out, sel)
+					return SelectRangeSparse64(d64, lo, hi, out, out)
+				}, len(sel))
+			}
+		}
+	}
+}
+
+// filterSel is the scalar oracle of a sparse selection.
+func filterSel(sel []int32, keep func(int32) bool) []int32 {
+	var out []int32
+	for _, s := range sel {
+		if keep(s) {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// BenchmarkRangeKernels times one 1024-row block of each range kernel
+// on the Go path and, where the CPU has it, on the AVX-512 path: dense
+// at 40% selectivity, sparse over a 40% selection.
+func BenchmarkRangeKernels(b *testing.B) {
+	const n = 1024
+	r := rand.New(rand.NewSource(31))
+	d32, d64 := make([]int32, n), make([]int64, n)
+	for i := range d32 {
+		d32[i] = int32(r.Intn(1000))
+		d64[i] = int64(d32[i])
+	}
+	var sel []int32
+	for i := 0; i < n; i++ {
+		if r.Intn(5) < 2 {
+			sel = append(sel, int32(i))
+		}
+	}
+	out := make([]int32, n)
+	kernels := []struct {
+		name string
+		run  func() int
+	}{
+		{"dense32", func() int { return SelectRange(d32, 0, 399, out) }},
+		{"dense64", func() int { return SelectRange64(d64, 0, 399, out) }},
+		{"sparse32", func() int { return SelectRangeSparse(d32, 0, 399, sel, out) }},
+		{"sparse64", func() int { return SelectRangeSparse64(d64, 0, 399, sel, out) }},
+	}
+	for _, kn := range kernels {
+		b.Run(kn.name+"/go", func(b *testing.B) {
+			onGoPath(func() int {
+				for i := 0; i < b.N; i++ {
+					kn.run()
+				}
+				return 0
+			})
+		})
+		if useAVX512 {
+			b.Run(kn.name+"/avx512", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					kn.run()
+				}
+			})
+		}
+	}
+}
