@@ -2,6 +2,7 @@ package logical
 
 import (
 	"bytes"
+	"math"
 
 	"paradigms/internal/catalog"
 	"paradigms/internal/plan"
@@ -297,9 +298,9 @@ func fastCmpPred(ps *pipeSpec, f sql.Expr) (plan.Pred, bool) {
 	case catalog.Date:
 		return ordPred32(rel.Date(ref.Col.Name), types.Date(lit), op)
 	case catalog.Numeric:
-		return ordPred(rel.Numeric(ref.Col.Name), types.Numeric(lit), op)
+		return ordPred64(rel.Numeric(ref.Col.Name), types.Numeric(lit), op)
 	case catalog.Int64:
-		return ordPred(rel.Int64(ref.Col.Name), lit, op)
+		return ordPred64(rel.Int64(ref.Col.Name), lit, op)
 	}
 	return plan.Pred{}, false
 }
@@ -314,41 +315,58 @@ func literalValue(e sql.Expr) (int64, bool) {
 	return 0, false
 }
 
-// ordPred32 is ordPred for 32-bit columns (Int32, Date), routed through
-// internal/simd's SWAR and unrolled selection kernels; equality keeps
-// the tw primitive.
+// ordPred32 compiles col op v over a 32-bit column (Int32, Date):
+// equality keeps the tw primitive, every ordering comparison becomes
+// the inclusive range it admits and runs on internal/simd's range
+// kernels — the same kernels as the compiled backend's block stage.
 func ordPred32[T ~int32](col []T, v T, op sql.BinOp) (plan.Pred, bool) {
-	switch op {
-	case sql.OpEq:
+	if op == sql.OpEq {
 		return plan.PredEq(col, v), true
-	case sql.OpGe:
-		return plan.PredGE32(col, v), true
-	case sql.OpGt:
-		return plan.PredGT32(col, v), true
-	case sql.OpLe:
-		return plan.PredLE32(col, v), true
-	case sql.OpLt:
-		return plan.PredLT32(col, v), true
 	}
-	return plan.Pred{}, false
+	lo, hi, ok := cmpRange(op, v, math.MinInt32, math.MaxInt32)
+	if !ok {
+		return plan.Pred{}, false
+	}
+	return plan.PredRange32(col, lo, hi), true
 }
 
-func ordPred[T interface {
-	~int8 | ~int32 | ~int64 | ~uint32 | ~uint64
-}](col []T, v T, op sql.BinOp) (plan.Pred, bool) {
-	switch op {
-	case sql.OpEq:
+// ordPred64 is ordPred32 over a 64-bit column (Int64, Numeric).
+func ordPred64[T ~int64](col []T, v T, op sql.BinOp) (plan.Pred, bool) {
+	if op == sql.OpEq {
 		return plan.PredEq(col, v), true
-	case sql.OpGe:
-		return plan.PredGE(col, v), true
-	case sql.OpGt:
-		return plan.PredGT(col, v), true
-	case sql.OpLe:
-		return plan.PredLE(col, v), true
-	case sql.OpLt:
-		return plan.PredLT(col, v), true
 	}
-	return plan.Pred{}, false
+	lo, hi, ok := cmpRange(op, v, math.MinInt64, math.MaxInt64)
+	if !ok {
+		return plan.Pred{}, false
+	}
+	return plan.PredRange64(col, lo, hi), true
+}
+
+// cmpRange maps col op v to the inclusive range [lo, hi] of the
+// column type's [min, max] that passes it; when no value passes (col <
+// min, col > max) the range comes back empty, lo > hi. ok is false for
+// an operator other than <, <=, > or >=.
+func cmpRange[T ~int32 | ~int64](op sql.BinOp, v, min, max T) (lo, hi T, ok bool) {
+	lo, hi = min, max
+	switch op {
+	case sql.OpGe:
+		lo = v
+	case sql.OpGt:
+		if v == max {
+			return max, min, true
+		}
+		lo = v + 1
+	case sql.OpLe:
+		hi = v
+	case sql.OpLt:
+		if v == min {
+			return max, min, true
+		}
+		hi = v - 1
+	default:
+		return lo, hi, false
+	}
+	return lo, hi, true
 }
 
 // stringEqPred recognizes stringcol = 'literal'.

@@ -212,6 +212,40 @@ func predAll() Pred {
 	}
 }
 
+// PredRange32 keeps lo <= col <= hi over a 32-bit column through
+// internal/simd's range kernels (AVX-512 where the CPU has it): the
+// dense form compresses block positions, the sparse form gathers
+// through sel. A comparison against a literal is the range up to the
+// type's extreme; an empty range (lo > hi) matches nothing.
+func PredRange32[T ~int32](col []T, lo, hi T) Pred {
+	if lo > hi {
+		return predNone()
+	}
+	return Pred{
+		Dense: func(base, n int, res []int32) int {
+			return simd.SelectRange(col[base:base+n], lo, hi, res)
+		},
+		Sparse: func(base, n int, sel, res []int32) int {
+			return simd.SelectRangeSparse(col[base:base+n], lo, hi, sel, res)
+		},
+	}
+}
+
+// PredRange64 is PredRange32 over a 64-bit column (Int64, Numeric).
+func PredRange64[T ~int64](col []T, lo, hi T) Pred {
+	if lo > hi {
+		return predNone()
+	}
+	return Pred{
+		Dense: func(base, n int, res []int32) int {
+			return simd.SelectRange64(col[base:base+n], lo, hi, res)
+		},
+		Sparse: func(base, n int, sel, res []int32) int {
+			return simd.SelectRangeSparse64(col[base:base+n], lo, hi, sel, res)
+		},
+	}
+}
+
 // PredEq keeps positions where col == v.
 func PredEq[T ordered](col []T, v T) Pred {
 	return cmpPred(col, v, tw.SelEq[T], tw.SelEqSel[T])

@@ -176,8 +176,7 @@ func Q5Ctx(ctx context.Context, db *storage.Database, nWorkers, vecSize int) que
 		buildOrd := Stage{
 			Root: NewHashProbe(bufs,
 				NewFilterChain(bufs, e.NewScan(dispOrd),
-					PredGE(odate, queries.Q5DateLo),
-					PredLT(odate, queries.Q5DateHi)),
+					PredRange32(odate, queries.Q5DateLo, queries.Q5DateHi-1)),
 				ProbeSpec{HT: htCust, Key: KeyWiden(ocust),
 					GatherU64: []GatherU64{{Word: 1, Dst: cnOrd}}}),
 			Sink: NewHashBuild(bufs, htOrd, wid, KeyWiden(okeys), FromU64(cnOrd)),
