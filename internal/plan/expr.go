@@ -1,8 +1,6 @@
 package plan
 
 import (
-	"math"
-
 	"paradigms/internal/simd"
 	"paradigms/internal/tw"
 )
@@ -109,106 +107,11 @@ func PackU64LoHi(lo, hi []uint64) VecU64 {
 // Predicate constructors (FilterChain conjuncts)
 // ---------------------------------------------------------------------
 
-// cmpPred assembles a Pred from a dense and a Sel-consuming selection
-// primitive over one base column.
-func cmpPred[T ordered](col []T, v T,
-	dense func([]T, T, []int32) int,
-	sparse func([]T, T, []int32, []int32) int) Pred {
-	return Pred{
-		Dense:  func(base, n int, res []int32) int { return dense(col[base:base+n], v, res) },
-		Sparse: func(base, n int, sel, res []int32) int { return sparse(col[base:base+n], v, sel, res) },
-	}
-}
-
-// PredGE keeps positions where col >= v.
-func PredGE[T ordered](col []T, v T) Pred {
-	return cmpPred(col, v, tw.SelGE[T], tw.SelGESel[T])
-}
-
-// PredGT keeps positions where col > v.
-func PredGT[T ordered](col []T, v T) Pred {
-	return cmpPred(col, v, tw.SelGT[T], tw.SelGTSel[T])
-}
-
-// PredLE keeps positions where col <= v.
-func PredLE[T ordered](col []T, v T) Pred {
-	return cmpPred(col, v, tw.SelLE[T], tw.SelLESel[T])
-}
-
-// PredLT keeps positions where col < v.
-func PredLT[T ordered](col []T, v T) Pred {
-	return cmpPred(col, v, tw.SelLT[T], tw.SelLTSel[T])
-}
-
-// The 32-bit predicate constructors below route through internal/simd's
-// SWAR and unrolled kernels instead of the branchy tw primitives: dense
-// conjuncts compare two lanes per word branch-free, sparse conjuncts
-// unroll the gathers 4-way. GT and LE reduce to GE and LT by bound
-// adjustment, with the int32 extremes degenerating to keep-none /
-// keep-all.
-
-// PredLT32 is PredLT over a 32-bit column via the SWAR kernels.
-func PredLT32[T ~int32](col []T, v T) Pred {
-	return Pred{
-		Dense: func(base, n int, res []int32) int {
-			return simd.SelectLT(col[base:base+n], v, res)
-		},
-		Sparse: func(base, n int, sel, res []int32) int {
-			return simd.SelectSparseLT(col[base:base+n], v, sel, res)
-		},
-	}
-}
-
-// PredGE32 is PredGE over a 32-bit column via the SWAR kernels.
-func PredGE32[T ~int32](col []T, v T) Pred {
-	return Pred{
-		Dense: func(base, n int, res []int32) int {
-			return simd.SelectGE(col[base:base+n], v, res)
-		},
-		Sparse: func(base, n int, sel, res []int32) int {
-			return simd.SelectSparseGE(col[base:base+n], v, sel, res)
-		},
-	}
-}
-
-// PredGT32 keeps col > v: col >= v+1, or nothing when v is the maximum.
-func PredGT32[T ~int32](col []T, v T) Pred {
-	if int32(v) == math.MaxInt32 {
-		return predNone()
-	}
-	return PredGE32(col, v+1)
-}
-
-// PredLE32 keeps col <= v: col < v+1, or everything when v is the
-// maximum.
-func PredLE32[T ~int32](col []T, v T) Pred {
-	if int32(v) == math.MaxInt32 {
-		return predAll()
-	}
-	return PredLT32(col, v+1)
-}
-
 // predNone never matches.
 func predNone() Pred {
 	return Pred{
 		Dense:  func(base, n int, res []int32) int { return 0 },
 		Sparse: func(base, n int, sel, res []int32) int { return 0 },
-	}
-}
-
-// predAll matches every position.
-func predAll() Pred {
-	return Pred{
-		Dense: func(base, n int, res []int32) int {
-			for i := 0; i < n; i++ {
-				res[i] = int32(i)
-			}
-			return n
-		},
-		Sparse: func(base, n int, sel, res []int32) int {
-			copy(res, sel)
-			return len(sel)
-		},
 	}
 }
 
@@ -248,7 +151,10 @@ func PredRange64[T ~int64](col []T, lo, hi T) Pred {
 
 // PredEq keeps positions where col == v.
 func PredEq[T ordered](col []T, v T) Pred {
-	return cmpPred(col, v, tw.SelEq[T], tw.SelEqSel[T])
+	return Pred{
+		Dense:  func(base, n int, res []int32) int { return tw.SelEq(col[base:base+n], v, res) },
+		Sparse: func(base, n int, sel, res []int32) int { return tw.SelEqSel(col[base:base+n], v, sel, res) },
+	}
 }
 
 // PredLUT keeps positions where lut[col] (tiny-dimension semi-join).

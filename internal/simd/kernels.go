@@ -6,134 +6,12 @@ import (
 	"paradigms/internal/hashtable"
 )
 
-// Engine-facing kernels: the generic counterparts of the measured study
-// kernels in simd.go, wired into the hot filter and hash paths of
-// internal/plan and internal/compiled. They are generic over ~int32 so
-// named 32-bit column types (types.Date) reuse one instantiation shape,
-// and they cover both comparison directions (LT and GE; GT and LE reduce
-// to them by bound adjustment at the call site).
-
-// SelectLT writes the positions of data[i] < bound to out and returns
-// the count — the SWAR selection of SelectSWAR, generic over ~int32.
-// Two lanes are compared per 64-bit word with one subtraction each and
-// the compress-store is branch-free.
-func SelectLT[T ~int32](data []T, bound T, out []int32) int {
-	k := 0
-	n := len(data) &^ 1
-	// Bias lanes by 2^31 so signed order becomes unsigned order; a lane
-	// is below the bound iff the 64-bit difference goes negative.
-	b := uint64(uint32(bound) ^ 0x80000000)
-	const bias = 0x8000000080000000
-	for i := 0; i < n; i += 2 {
-		w := (uint64(uint32(data[i])) | uint64(uint32(data[i+1]))<<32) ^ bias
-		m0 := ((w & 0xffffffff) - b) >> 63
-		m1 := ((w >> 32) - b) >> 63
-		out[k] = int32(i)
-		k += int(m0)
-		out[k] = int32(i + 1)
-		k += int(m1)
-	}
-	for i := n; i < len(data); i++ {
-		out[k] = int32(i)
-		if data[i] < bound {
-			k++
-		}
-	}
-	return k
-}
-
-// SelectGE is SelectLT with the borrow mask inverted: positions of
-// data[i] >= bound.
-func SelectGE[T ~int32](data []T, bound T, out []int32) int {
-	k := 0
-	n := len(data) &^ 1
-	b := uint64(uint32(bound) ^ 0x80000000)
-	const bias = 0x8000000080000000
-	for i := 0; i < n; i += 2 {
-		w := (uint64(uint32(data[i])) | uint64(uint32(data[i+1]))<<32) ^ bias
-		m0 := (((w & 0xffffffff) - b) >> 63) ^ 1
-		m1 := (((w >> 32) - b) >> 63) ^ 1
-		out[k] = int32(i)
-		k += int(m0)
-		out[k] = int32(i + 1)
-		k += int(m1)
-	}
-	for i := n; i < len(data); i++ {
-		out[k] = int32(i)
-		if data[i] >= bound {
-			k++
-		}
-	}
-	return k
-}
-
-// SelectSparseLT narrows a selection vector to positions with
-// data[s] < bound — the 4-way unrolled sparse selection of
-// SelectSparseUnrolled, generic over ~int32.
-func SelectSparseLT[T ~int32](data []T, bound T, sel []int32, out []int32) int {
-	k := 0
-	n := len(sel) &^ 3
-	for i := 0; i < n; i += 4 {
-		s0, s1, s2, s3 := sel[i], sel[i+1], sel[i+2], sel[i+3]
-		v0, v1, v2, v3 := data[s0], data[s1], data[s2], data[s3]
-		out[k] = s0
-		if v0 < bound {
-			k++
-		}
-		out[k] = s1
-		if v1 < bound {
-			k++
-		}
-		out[k] = s2
-		if v2 < bound {
-			k++
-		}
-		out[k] = s3
-		if v3 < bound {
-			k++
-		}
-	}
-	for i := n; i < len(sel); i++ {
-		out[k] = sel[i]
-		if data[sel[i]] < bound {
-			k++
-		}
-	}
-	return k
-}
-
-// SelectSparseGE is SelectSparseLT for data[s] >= bound.
-func SelectSparseGE[T ~int32](data []T, bound T, sel []int32, out []int32) int {
-	k := 0
-	n := len(sel) &^ 3
-	for i := 0; i < n; i += 4 {
-		s0, s1, s2, s3 := sel[i], sel[i+1], sel[i+2], sel[i+3]
-		v0, v1, v2, v3 := data[s0], data[s1], data[s2], data[s3]
-		out[k] = s0
-		if v0 >= bound {
-			k++
-		}
-		out[k] = s1
-		if v1 >= bound {
-			k++
-		}
-		out[k] = s2
-		if v2 >= bound {
-			k++
-		}
-		out[k] = s3
-		if v3 >= bound {
-			k++
-		}
-	}
-	for i := n; i < len(sel); i++ {
-		out[k] = sel[i]
-		if data[sel[i]] >= bound {
-			k++
-		}
-	}
-	return k
-}
+// Engine-facing kernels: the range selections every filter of both
+// engines runs (internal/plan's range predicates, internal/compiled's
+// block stage) and the hybrid's join hash. The selections are generic
+// over ~int32 or ~int64 so named column types (types.Date,
+// types.Numeric) reuse one instantiation shape; a comparison against a
+// literal is the range up to the type's extreme.
 
 // SelectRange writes the positions of lo <= data[i] <= hi to out and
 // returns the count. The inclusive range check is one subtract and one

@@ -47,58 +47,6 @@ func randData(r *rand.Rand, n int) []int32 {
 	return data
 }
 
-func TestSelectLTGEAgainstOracle(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	bounds := []int32{math.MinInt32, -1000, 0, 1000, math.MaxInt32}
-	for _, n := range []int{0, 1, 2, 3, 7, 64, 1001} {
-		data := randData(r, n)
-		out := make([]int32, n+1)
-		for _, b := range bounds {
-			want := refSelect(data, func(v int32) bool { return v < b })
-			if k := SelectLT(data, b, out); !equalSel(want, out[:k], k) {
-				t.Fatalf("SelectLT n=%d bound=%d: got %d positions, want %d", n, b, k, len(want))
-			}
-			want = refSelect(data, func(v int32) bool { return v >= b })
-			if k := SelectGE(data, b, out); !equalSel(want, out[:k], k) {
-				t.Fatalf("SelectGE n=%d bound=%d: got %d positions, want %d", n, b, k, len(want))
-			}
-		}
-	}
-}
-
-func TestSelectSparseAgainstOracle(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for _, n := range []int{0, 1, 5, 64, 999} {
-		data := randData(r, n)
-		// A strided input selection, as a prior conjunct would produce.
-		var sel []int32
-		for i := 0; i < n; i += 2 {
-			sel = append(sel, int32(i))
-		}
-		out := make([]int32, n+1)
-		for _, b := range []int32{math.MinInt32, 0, math.MaxInt32} {
-			var want []int32
-			for _, s := range sel {
-				if data[s] < b {
-					want = append(want, s)
-				}
-			}
-			if k := SelectSparseLT(data, b, sel, out); !equalSel(want, out[:k], k) {
-				t.Fatalf("SelectSparseLT n=%d bound=%d mismatch", n, b)
-			}
-			want = nil
-			for _, s := range sel {
-				if data[s] >= b {
-					want = append(want, s)
-				}
-			}
-			if k := SelectSparseGE(data, b, sel, out); !equalSel(want, out[:k], k) {
-				t.Fatalf("SelectSparseGE n=%d bound=%d mismatch", n, b)
-			}
-		}
-	}
-}
-
 func TestSelectRangeAgainstOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	ranges := [][2]int32{

@@ -100,30 +100,6 @@ func SelLESel[T ordered](col []T, v T, sel []int32, res []int32) int {
 	return k
 }
 
-// SelGT emits positions where col[i] > v.
-func SelGT[T ordered](col []T, v T, res []int32) int {
-	k := 0
-	for i := 0; i < len(col); i++ {
-		res[k] = int32(i)
-		if col[i] > v {
-			k++
-		}
-	}
-	return k
-}
-
-// SelGTSel is SelGT over the positions in sel.
-func SelGTSel[T ordered](col []T, v T, sel []int32, res []int32) int {
-	k := 0
-	for _, s := range sel {
-		res[k] = s
-		if col[s] > v {
-			k++
-		}
-	}
-	return k
-}
-
 // SelEq emits positions where col[i] == v.
 func SelEq[T ordered](col []T, v T, res []int32) int {
 	k := 0
