@@ -276,14 +276,22 @@ func drive(ctx context.Context, pl *Plan, workers int, pol Policy, stream *strea
 	bar := exec.NewBarrier(w)
 	exec.Parallel(w, func(wid int) {
 		// The vectorized worker assembles lazily: fused pipelines never
-		// allocate vector buffers.
+		// draw vector buffers. Its arena comes from the pool shared by
+		// all queries and goes back when the worker ends.
 		var vw *VecWorker
+		var arena *vector.Buffers
+		defer func() {
+			if arena != nil {
+				vector.Put(arena)
+			}
+		}()
 		// drain builds vectorized pipeline i's operator tree, then its
 		// sink (the sink captures gather buffers the tree allocates, so
 		// order matters), and drives it to exhaustion.
 		drain := func(i int, mkSink func(*VecWorker) plan.Sink) plan.Sink {
 			if vw == nil {
-				vw = vp.NewWorker(e, vector.NewBuffers(e.Vec), pol.JoinHash)
+				arena = vector.Get(e.Vec)
+				vw = vp.NewWorker(e, arena, pol.JoinHash)
 			}
 			st := &stats[i*w+wid]
 			root, scan := vw.PipeRoot(i)

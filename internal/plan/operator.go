@@ -235,8 +235,8 @@ func NewHashProbe(bufs *vector.Buffers, child Operator, spec ProbeSpec) *HashPro
 		// place when Key returned it) and their positions into outSel,
 		// which is free until the narrowed selection is written.
 		probe: tw.Prober{Hash: hash, Keys: keyBuf, Hashes: bufs.Ref(),
-			Cand: make([]hashtable.Ref, bufs.Size()), CandPos: bufs.Sel(), Pos: outSel},
-		mRefs:  make([]hashtable.Ref, bufs.Size()),
+			Cand: bufs.Entries(), CandPos: bufs.Sel(), Pos: outSel},
+		mRefs:  bufs.Entries(),
 		mPos:   bufs.Sel(),
 		outSel: outSel,
 	}

@@ -200,7 +200,7 @@ func NewProbeEmit(bufs *vector.Buffers, ht *hashtable.Table, key VecU64, emit fu
 		emit:    emit,
 		keyBuf:  bufs.Ref(),
 		hashes:  bufs.Ref(),
-		cand:    make([]hashtable.Ref, bufs.Size()),
+		cand:    bufs.Entries(),
 		candPos: bufs.Sel(),
 	}
 }

@@ -94,7 +94,7 @@ type Prober struct {
 // MapHashU64.
 func NewProber(bufs *vector.Buffers) *Prober {
 	return &Prober{Hash: MapHashU64, Keys: bufs.Ref(), Hashes: bufs.Ref(),
-		Cand: make([]hashtable.Ref, bufs.Size()), CandPos: bufs.Sel(), Pos: bufs.Sel()}
+		Cand: bufs.Entries(), CandPos: bufs.Sel(), Pos: bufs.Sel()}
 }
 
 // Probe joins n probe keys against ht and returns the match count: the

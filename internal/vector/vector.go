@@ -1,14 +1,23 @@
 // Package vector provides the vector-at-a-time building blocks of the
-// Tectorwise engine: selection vectors and pre-allocated typed buffers.
+// Tectorwise engine: selection vectors and typed buffer arenas.
 //
 // A selection vector is an array of positions into the current vector of
 // tuples (§2.1). Primitives either scan a dense range [0, n) or, when a
-// selection vector is present, the sparse positions sel[0:n]. All buffers
-// are allocated once at plan-build time with the configured vector size,
-// so query execution itself performs no allocation.
+// selection vector is present, the sparse positions sel[0:n]. An
+// operator tree draws its buffers from one arena while it is built, so
+// execution itself performs no allocation; the arena comes from a pool
+// (Get, Put) and hands out the vectors of an earlier query again, so a
+// query that runs after another of its shape allocates no vectors
+// either.
 package vector
 
-import "paradigms/internal/types"
+import (
+	"sync"
+	"unsafe"
+
+	"paradigms/internal/hashtable"
+	"paradigms/internal/types"
+)
 
 // DefaultSize is the default number of tuples per vector. The paper uses
 // 1000 (VectorWise's default) and shows in Fig. 5 that sizes between ~1K
@@ -35,14 +44,51 @@ func Iota(sel Sel, n int) Sel {
 // Buffers is the per-operator scratch memory of a Tectorwise operator
 // instance. Each worker's operator tree owns private Buffers; only
 // operator *shared state* (hash tables, result sinks) is shared (§6.1).
+// Each method hands out the arena's next vector of its kind: one it
+// held from before its last reset, resliced to the vector size and
+// cleared, or a new one.
 type Buffers struct {
-	size int
-	sels [][]int32
-	i32s [][]int32
-	i64s [][]int64
-	nums [][]types.Numeric
-	refs [][]uint64
-	b8s  [][]byte
+	size  int
+	sels  stack[int32]
+	i32s  stack[int32]
+	i64s  stack[int64]
+	nums  stack[types.Numeric]
+	refs  stack[uint64]
+	htRef stack[hashtable.Ref]
+	b8s   stack[byte]
+}
+
+// stack is the vectors of one kind an arena holds; the first n are
+// handed out.
+type stack[T any] struct {
+	held [][]T
+	n    int
+}
+
+func (s *stack[T]) take(size int) []T {
+	if s.n == len(s.held) {
+		s.held = append(s.held, nil)
+	}
+	v := s.held[s.n]
+	if cap(v) < size {
+		v = make([]T, size)
+		s.held[s.n] = v
+	} else {
+		v = v[:size]
+		clear(v)
+	}
+	s.n++
+	return v
+}
+
+// bytes is what the handed-out vectors occupy.
+func (s *stack[T]) bytes() int64 {
+	var zero T
+	var total int64
+	for _, v := range s.held[:s.n] {
+		total += int64(cap(v)) * int64(unsafe.Sizeof(zero))
+	}
+	return total
 }
 
 // NewBuffers creates a buffer arena for vectors of the given size.
@@ -53,73 +99,64 @@ func NewBuffers(size int) *Buffers {
 	return &Buffers{size: size}
 }
 
+// pool holds the arenas of finished workers for the next query.
+var pool sync.Pool
+
+// Get returns an arena for vectors of the given size, reusing one a
+// finished worker Put back when there is one. Its vectors are handed out
+// again from the first.
+func Get(size int) *Buffers {
+	b, _ := pool.Get().(*Buffers)
+	if b == nil {
+		return NewBuffers(size)
+	}
+	b.reset(size)
+	return b
+}
+
+// reset makes the arena hand out its vectors again from the first, at
+// the given vector size.
+func (b *Buffers) reset(size int) {
+	if size <= 0 {
+		size = DefaultSize
+	}
+	b.size = size
+	b.sels.n, b.i32s.n, b.i64s.n, b.nums.n, b.refs.n, b.htRef.n, b.b8s.n = 0, 0, 0, 0, 0, 0, 0
+}
+
+// Put returns an arena to the pool once nothing uses its vectors: the
+// operator tree that drew them is done and holds no batch.
+func Put(b *Buffers) { pool.Put(b) }
+
 // Size returns the configured vector size.
 func (b *Buffers) Size() int { return b.size }
 
-// Sel allocates a selection vector buffer of the vector size.
-func (b *Buffers) Sel() []int32 {
-	v := make([]int32, b.size)
-	b.sels = append(b.sels, v)
-	return v
-}
+// Sel hands out a selection vector buffer of the vector size.
+func (b *Buffers) Sel() []int32 { return b.sels.take(b.size) }
 
-// I32 allocates an int32 vector buffer.
-func (b *Buffers) I32() []int32 {
-	v := make([]int32, b.size)
-	b.i32s = append(b.i32s, v)
-	return v
-}
+// I32 hands out an int32 vector buffer.
+func (b *Buffers) I32() []int32 { return b.i32s.take(b.size) }
 
-// I64 allocates an int64 vector buffer.
-func (b *Buffers) I64() []int64 {
-	v := make([]int64, b.size)
-	b.i64s = append(b.i64s, v)
-	return v
-}
+// I64 hands out an int64 vector buffer.
+func (b *Buffers) I64() []int64 { return b.i64s.take(b.size) }
 
-// Num allocates a Numeric vector buffer.
-func (b *Buffers) Num() []types.Numeric {
-	v := make([]types.Numeric, b.size)
-	b.nums = append(b.nums, v)
-	return v
-}
+// Num hands out a Numeric vector buffer.
+func (b *Buffers) Num() []types.Numeric { return b.nums.take(b.size) }
 
-// Ref allocates a 64-bit reference vector buffer (hash values, hash-table
-// entry references).
-func (b *Buffers) Ref() []uint64 {
-	v := make([]uint64, b.size)
-	b.refs = append(b.refs, v)
-	return v
-}
+// Ref hands out a 64-bit vector buffer (keys, hash values).
+func (b *Buffers) Ref() []uint64 { return b.refs.take(b.size) }
 
-// Bytes allocates a byte vector buffer.
-func (b *Buffers) Bytes() []byte {
-	v := make([]byte, b.size)
-	b.b8s = append(b.b8s, v)
-	return v
-}
+// Entries hands out a vector of hash-table entry references (probe
+// candidates and matches).
+func (b *Buffers) Entries() []hashtable.Ref { return b.htRef.take(b.size) }
 
-// Footprint returns the total bytes held by the arena; the vector-size
-// experiment (Fig. 5) reports it to relate vector size to cache capacity.
+// Bytes hands out a byte vector buffer.
+func (b *Buffers) Bytes() []byte { return b.b8s.take(b.size) }
+
+// Footprint returns the bytes of the vectors handed out since the arena
+// was made or last reused; the vector-size experiment (Fig. 5) reports
+// it to relate vector size to cache capacity.
 func (b *Buffers) Footprint() int64 {
-	var total int64
-	for _, v := range b.sels {
-		total += int64(cap(v)) * 4
-	}
-	for _, v := range b.i32s {
-		total += int64(cap(v)) * 4
-	}
-	for _, v := range b.i64s {
-		total += int64(cap(v)) * 8
-	}
-	for _, v := range b.nums {
-		total += int64(cap(v)) * 8
-	}
-	for _, v := range b.refs {
-		total += int64(cap(v)) * 8
-	}
-	for _, v := range b.b8s {
-		total += int64(cap(v))
-	}
-	return total
+	return b.sels.bytes() + b.i32s.bytes() + b.i64s.bytes() + b.nums.bytes() +
+		b.refs.bytes() + b.htRef.bytes() + b.b8s.bytes()
 }

@@ -53,25 +53,31 @@ func TestWorkersSizedToInput(t *testing.T) {
 // for an empty spill partition, and vector buffers no longer than the
 // largest scan. Each budget is about twice the bytes measured at SF 0.01
 // with a budget of 2 workers; undoing any one of those sizing rules
-// allocates far more on at least one cell.
+// allocates far more on at least one cell. The ad-hoc Q6 case parses,
+// plans and lowers its text on every execution over lineitem's full
+// 1000-row vectors: it pins that a vectorized worker's buffers come
+// from the arena pool, which a fresh arena per query overruns.
 func TestTinyQueryAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	tpch, ssb := sqlDBs()
+	q6, _ := logical.SQLText("tpch", "Q6")
 	for _, tc := range []struct {
 		name, text string
 		db         *DB
 		args       []string
+		adhoc      bool
 		// budget is the KB one execution may allocate per engine.
 		budget map[Engine]float64
 	}{
 		{"region_nation", `select count(*) as n from region, nation where n_regionkey = r_regionkey and r_regionkey = ?`,
-			tpch, []string{"2"}, map[Engine]float64{Typer: 8, Tectorwise: 15, Hybrid: 15}},
+			tpch, []string{"2"}, false, map[Engine]float64{Typer: 8, Tectorwise: 15, Hybrid: 15}},
 		{"date_by_year", `select d_year, count(*) as n from date where d_monthnum = ? group by d_year`,
-			ssb, []string{"3"}, map[Engine]float64{Typer: 140, Tectorwise: 245, Hybrid: 140}},
+			ssb, []string{"3"}, false, map[Engine]float64{Typer: 140, Tectorwise: 245, Hybrid: 140}},
 		{"supplier_by_region", `select n_regionkey, count(*) as n from supplier, nation where s_nationkey = n_nationkey and s_suppkey < ? group by n_regionkey`,
-			tpch, []string{"90"}, map[Engine]float64{Typer: 135, Tectorwise: 165, Hybrid: 165}},
+			tpch, []string{"90"}, false, map[Engine]float64{Typer: 135, Tectorwise: 165, Hybrid: 165}},
+		{"q6_adhoc", q6, tpch, nil, true, map[Engine]float64{Typer: 16, Tectorwise: 18, Hybrid: 17}},
 	} {
 		st, err := Prepare(tc.db, tc.text)
 		if err != nil {
@@ -79,6 +85,12 @@ func TestTinyQueryAllocBudget(t *testing.T) {
 		}
 		for _, eng := range []Engine{Typer, Tectorwise, Hybrid} {
 			run := func() {
+				st := st
+				if tc.adhoc {
+					if st, err = Prepare(tc.db, tc.text); err != nil {
+						t.Fatalf("%s: %v", tc.name, err)
+					}
+				}
 				if _, _, err := st.Exec(context.Background(), eng, tc.args, Options{Workers: 2}); err != nil {
 					t.Fatalf("%s on %s: %v", tc.name, eng, err)
 				}
