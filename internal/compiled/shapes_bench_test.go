@@ -35,8 +35,10 @@ group by d_year, p_brand1 order by d_year, p_brand1`
 // BenchmarkFusedLoopShapes times the fused loop's shapes on every
 // engine at SF 0.5. Single-threaded: prepared customer_count (one
 // 32-bit range bound, count(*) — the loop's cheapest shape, where the
-// per-row sink used to dominate) and ad-hoc Q6 (five bounds over
-// lineitem, sum(col*col), parsed and planned per execution). On 2
+// per-row sink used to dominate), ad-hoc Q6 (five bounds over
+// lineitem, sum(col*col), parsed and planned per execution) and ad-hoc
+// SSB Q1.1 (scan_adhoc's second template: int64 discount and quantity
+// bounds over lineorder, then the date probe). On 2
 // workers: prepared Q5 and SSB Q2.1, whose final pipelines stage
 // several probes per block before the row loop. Typer's time ÷
 // Tectorwise's on each is the ratio EXPERIMENTS.md records (DESIGN.md
@@ -52,7 +54,10 @@ func BenchmarkFusedLoopShapes(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	q6, _ := logical.SQLText("tpch", "Q6")
+	adhoc := []struct {
+		dataset, name string
+		db            *storage.Database
+	}{{"tpch", "Q6", db}, {"ssb", "Q1.1", ssbDB}}
 	joins := []struct {
 		name string
 		db   *storage.Database
@@ -71,17 +76,20 @@ func BenchmarkFusedLoopShapes(b *testing.B) {
 				}
 			}
 		})
-		b.Run("Q6/"+name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				pl, err := logical.Prepare(db, q6)
-				if err != nil {
-					b.Fatal(err)
+		for _, q := range adhoc {
+			text, _ := logical.SQLText(q.dataset, q.name)
+			b.Run(q.name+"/"+name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					pl, err := logical.Prepare(q.db, text)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := engine.Run(ctx, name, pl, engine.Options{Workers: 1}); err != nil {
+						b.Fatal(err)
+					}
 				}
-				if _, err := engine.Run(ctx, name, pl, engine.Options{Workers: 1}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			})
+		}
 		for _, j := range joins {
 			b.Run(j.name+"/"+name, func(b *testing.B) {
 				pl, err := logical.Prepare(j.db, j.text)

@@ -196,19 +196,8 @@ func TestSSBTableRuns(t *testing.T) {
 }
 
 func TestSIMDModelShapes(t *testing.T) {
-	// Fig 6a: dense in-cache selection gains close to an order of
-	// magnitude with 16 lanes.
-	dense := SelectionDense(Skylake, 8192, 0.4)
-	if dense.Speedup < 3 {
-		t.Errorf("dense selection speedup = %.1fx, want ≫1", dense.Speedup)
-	}
-	// Fig 6b: sparse selection gains much less.
-	sparse := SelectionSparse(Skylake, 8192, 0.4)
-	if sparse.Speedup >= dense.Speedup {
-		t.Errorf("sparse (%.1fx) should gain less than dense (%.1fx)",
-			sparse.Speedup, dense.Speedup)
-	}
-	// Fig 8a/8b: hashing gains well; gathers barely gain.
+	// Fig 6's selection speedups are measured on the AVX-512 kernels
+	// (internal/simd), not modeled. Fig 8a/8b: hashing gains well; gathers barely gain.
 	h := Hashing(Skylake, 8192)
 	g := GatherKernel(Skylake, 256<<20, 4096)
 	if h.Speedup < 1.5 {

@@ -6,8 +6,10 @@ import (
 	"paradigms/internal/storage"
 )
 
-// SIMD lane model (DESIGN.md S3): Go cannot emit AVX-512, so the
-// data-parallel experiments of Figures 6–10 are reproduced by executing
+// SIMD lane model (DESIGN.md S3): Figure 6's selections are measured on
+// the AVX-512 kernels of internal/simd; the data-parallel experiments of
+// Figures 7–10, which this repo has no AVX-512 kernels for, are
+// reproduced by executing
 // the kernels' memory behavior through the cache model while charging
 // instruction cost at SIMD granularity: one vector operation per
 // ceil(n/lanes) elements, with gathers bounded by the two-loads-per-cycle
@@ -51,100 +53,6 @@ func (c *CPU) Reset2() {
 	c.LLC.Misses = 0
 	c.groupSize = 0
 	c.groupBroken = false
-}
-
-// SelectionDense models Figure 6a: select elements < bound from a dense
-// int32 array resident in L1 (8192 elements). Scalar: branch-free
-// predicated store per element. SIMD: one compare + compress-store per
-// lanes elements.
-func SelectionDense(hw HW, n int, selectivity float64) SIMDKernelResult {
-	data := make([]int32, n)
-	out := make([]int32, n)
-	warm := func(c *CPU) {
-		for i := range data {
-			c.Load(unsafe.Pointer(&data[i]), 4)
-			c.Load(unsafe.Pointer(&out[i]), 4)
-		}
-	}
-	scalar := kernelCPU(hw, n, warm, func(c *CPU) {
-		k := 0
-		sel := int(selectivity * float64(n))
-		for i := 0; i < n; i++ {
-			c.Ops(loopOps + 2) // compare + predicated advance
-			c.Load(unsafe.Pointer(&data[i]), 4)
-			c.Store(unsafe.Pointer(&out[k]), 4)
-			if i%n < sel {
-				k++
-			}
-		}
-	})
-	lanes := hw.SIMDLanes32
-	simd := kernelCPU(hw, n, warm, func(c *CPU) {
-		k := 0
-		sel := int(selectivity * float64(n))
-		for i := 0; i < n; i += lanes {
-			// One vector load, one compare, one compress-store per block.
-			c.Ops(3)
-			c.Load(unsafe.Pointer(&data[i]), 4*lanes)
-			c.Store(unsafe.Pointer(&out[k]), 4*lanes)
-			if i%n < sel {
-				k += lanes
-			}
-		}
-	})
-	return SIMDKernelResult{Name: "selection-dense", ScalarCycles: scalar,
-		SIMDCycles: simd, Speedup: scalar / simd}
-}
-
-// SelectionSparse models Figure 6b: a secondary selection that consumes a
-// selection vector (gathered access), 40% input selectivity.
-func SelectionSparse(hw HW, n int, inputSel float64) SIMDKernelResult {
-	data := make([]int32, n)
-	selVec := make([]int32, n)
-	out := make([]int32, n)
-	k := 0
-	step := int(1 / inputSel)
-	if step < 1 {
-		step = 1
-	}
-	for i := 0; i < n; i += step {
-		selVec[k] = int32(i)
-		k++
-	}
-	warm := func(c *CPU) {
-		for i := range data {
-			c.Load(unsafe.Pointer(&data[i]), 4)
-		}
-	}
-	scalar := kernelCPU(hw, k, warm, func(c *CPU) {
-		for i := 0; i < k; i++ {
-			c.Ops(loopOps + 2)
-			c.Load(unsafe.Pointer(&selVec[i]), 4)
-			c.Load(unsafe.Pointer(&data[selVec[i]]), 4)
-			c.Store(unsafe.Pointer(&out[i]), 4)
-		}
-	})
-	lanes := hw.SIMDLanes32
-	simd := kernelCPU(hw, k, warm, func(c *CPU) {
-		for i := 0; i < k; i += lanes {
-			c.Ops(3)
-			c.Load(unsafe.Pointer(&selVec[i]), 4*lanes)
-			// Gather: the memory pipeline sustains 2 loads/cycle, so a
-			// 16-lane gather costs at least lanes/2 cycles of port
-			// pressure (charged as ops at issue width = extra cycles).
-			c.Ops(lanes / 2 * hw.IssueWidth / 2)
-			end := i + lanes
-			if end > k {
-				end = k
-			}
-			for j := i; j < end; j++ {
-				c.Load(unsafe.Pointer(&data[selVec[j]]), 4)
-			}
-			c.Store(unsafe.Pointer(&out[i]), 4*lanes)
-		}
-	})
-	return SIMDKernelResult{Name: "selection-sparse", ScalarCycles: scalar,
-		SIMDCycles: simd, Speedup: scalar / simd}
 }
 
 // Hashing models Figure 8a: Murmur2 over a dense key vector.

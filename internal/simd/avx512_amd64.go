@@ -5,6 +5,9 @@ package simd
 // the Go kernels against the assembly on the same inputs.
 var useAVX512 = hasAVX512()
 
+// AVX512 reports whether the range kernels run in AVX-512 assembly.
+func AVX512() bool { return useAVX512 }
+
 // hasAVX512 reports whether the CPU has AVX-512F and AVX-512VL, the OS
 // saves the opmask and ZMM state, and POPCNT is present.
 func hasAVX512() bool {

@@ -5,6 +5,9 @@ package simd
 // useAVX512 is false off amd64: every range kernel runs its Go loop.
 var useAVX512 = false
 
+// AVX512 reports whether the range kernels run in AVX-512 assembly.
+func AVX512() bool { return useAVX512 }
+
 func selectRangeAVX512(data []int32, lo, hi int32, out []int32) int {
 	panic("simd: AVX-512 kernel called off amd64")
 }
