@@ -197,7 +197,8 @@ func TestSSBTableRuns(t *testing.T) {
 
 func TestSIMDModelShapes(t *testing.T) {
 	// Fig 6's selection speedups are measured on the AVX-512 kernels
-	// (internal/simd), not modeled. Fig 8a/8b: hashing gains well; gathers barely gain.
+	// (internal/simd), not modeled.
+	// Fig 8a/8b: hashing gains well; gathers barely gain.
 	h := Hashing(Skylake, 8192)
 	g := GatherKernel(Skylake, 256<<20, 4096)
 	if h.Speedup < 1.5 {

@@ -81,13 +81,14 @@ func SelectRange64[T ~int64](data []T, lo, hi T, out []int32) int {
 // SelectRangeSparse narrows the selection vector sel to the positions
 // with lo <= data[s] <= hi, branch-free — the further conjuncts of a
 // staged range cascade. The assembly blocks gather data[s] for 16
-// positions at once. out may alias sel (narrowing in place); otherwise
-// it must have room for len(sel) positions. Every position in sel must
-// index data. Requires lo <= hi.
+// positions at once. sel ascends, as every selection vector does, and
+// its positions index data. out may alias sel (narrowing in place);
+// otherwise it must have room for len(sel) positions. Requires lo <= hi.
 func SelectRangeSparse[T ~int32](data []T, lo, hi T, sel, out []int32) int {
 	i, k := 0, 0
 	if useAVX512 && len(sel) >= 16 {
 		i = len(sel) &^ 15
+		_ = data[sel[i-1]] // sel ascends: its last position bounds the gathers
 		k = selectRangeSparseAVX512(int32s(data), int32(lo), int32(hi), sel[:i], out[:i])
 	}
 	span := uint32(int32(hi) - int32(lo))
@@ -107,6 +108,7 @@ func SelectRangeSparse64[T ~int64](data []T, lo, hi T, sel, out []int32) int {
 	i, k := 0, 0
 	if useAVX512 && len(sel) >= 8 {
 		i = len(sel) &^ 7
+		_ = data[sel[i-1]] // sel ascends: its last position bounds the gathers
 		k = selectRangeSparse64AVX512(int64s(data), int64(lo), int64(hi), sel[:i], out[:i])
 	}
 	span := uint64(hi - lo)

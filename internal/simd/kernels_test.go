@@ -367,3 +367,37 @@ func BenchmarkRangeKernels(b *testing.B) {
 		}
 	}
 }
+
+// TestSparseKernelsPanicOutsideData pins that a selection reaching past
+// data panics on either path, as an index would, instead of gathering
+// from beyond the column.
+func TestSparseKernelsPanicOutsideData(t *testing.T) {
+	d32, d64 := make([]int32, 16), make([]int64, 16)
+	sel := make([]int32, 16)
+	for i := range sel {
+		sel[i] = int32(i + 1) // the last position is len(data)
+	}
+	out := make([]int32, 16)
+	for _, tc := range []struct {
+		name   string
+		kernel func() int
+	}{
+		{"SelectRangeSparse", func() int { return SelectRangeSparse(d32, 0, 1, sel, out) }},
+		{"SelectRangeSparse64", func() int { return SelectRangeSparse64(d64, 0, 1, sel, out) }},
+	} {
+		for _, goPath := range []bool{false, true} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s (Go path %v): no panic on a position past data", tc.name, goPath)
+					}
+				}()
+				if goPath {
+					onGoPath(tc.kernel)
+				} else {
+					tc.kernel()
+				}
+			}()
+		}
+	}
+}
