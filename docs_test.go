@@ -334,7 +334,8 @@ func TestOneFrontDoor(t *testing.T) {
 // TestOneFusedLoop pins the structure DESIGN.md §9 describes: the
 // compiled backend has one morsel loop, (*pipe).run with its staged
 // range filter, so non-test internal/compiled claims morsels at exactly
-// one disp.Next() call site and a hand-specialized loop variant cannot
+// one Disp().Next() call site (the dispatcher the driver binds into
+// each logical.Pipeline) and a hand-specialized loop variant cannot
 // come back unnoticed.
 func TestOneFusedLoop(t *testing.T) {
 	files, err := filepath.Glob("internal/compiled/*.go")
@@ -360,14 +361,155 @@ func TestOneFusedLoop(t *testing.T) {
 			if !ok || sel.Sel.Name != "Next" {
 				return true
 			}
-			if recv, ok := sel.X.(*ast.SelectorExpr); ok && recv.Sel.Name == "disp" {
-				sites = append(sites, fset.Position(call.Pos()).String())
+			if recv, ok := sel.X.(*ast.CallExpr); ok {
+				if fun, ok := recv.Fun.(*ast.SelectorExpr); ok && fun.Sel.Name == "Disp" {
+					sites = append(sites, fset.Position(call.Pos()).String())
+				}
 			}
 			return true
 		})
 	}
 	if len(sites) != 1 {
-		t.Errorf("internal/compiled calls disp.Next() at %d sites, want 1 (the fused loop): %v", len(sites), sites)
+		t.Errorf("internal/compiled calls Disp().Next() at %d sites, want 1 (the fused loop): %v", len(sites), sites)
+	}
+}
+
+// TestOnePipelineDecomposition pins DESIGN.md §12 "Shared pipeline
+// boundaries": one non-test function walks a join's probe chain (an
+// assignment from a .Probe field) to order a plan's pipelines —
+// logical's decompose, behind logical.Decompose, whose result both
+// lowerings, the driver, the telemetry and the hybrid's assignment read
+// — and internal/compiled declares no decomposition of its own.
+func TestOnePipelineDecomposition(t *testing.T) {
+	fset := token.NewFileSet()
+	var walkers []string
+	for _, file := range goSources(t) {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := filepath.ToSlash(filepath.Dir(file))
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			site := dir + "." + funcSite(fn)
+			if dir == "internal/compiled" && fn.Name.Name == "compilePipe" {
+				t.Errorf("%s declares compilePipe", site)
+			}
+			walks := false
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if as, ok := n.(*ast.AssignStmt); ok {
+					for _, rhs := range as.Rhs {
+						if sel, ok := rhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "Probe" {
+							walks = true
+						}
+					}
+				}
+				return true
+			})
+			if walks {
+				walkers = append(walkers, site)
+			}
+		}
+	}
+	if want := []string{"internal/logical.decompose"}; !reflect.DeepEqual(walkers, want) {
+		t.Errorf("probe chains are walked in %v, want %v", walkers, want)
+	}
+}
+
+// TestOneFilterClassifier pins ROADMAP item 16's first step: a scan's
+// pushed-down conjuncts are classified in one function,
+// logical.classifyFilters — the only non-test function that builds a
+// logical.Filters, Range or StrFilter or sets RejectAll — and both
+// lowerings read its result: compiled.(*pipe).compileFilters and
+// logical.(*worker).filterPreds each read the classified Ranges, Strs
+// and Residual, and no lowering function reads a scan's raw conjuncts
+// (a .Scan.Filters selector) except compiled.Explain, which renders
+// them.
+func TestOneFilterClassifier(t *testing.T) {
+	lowering := map[string]bool{ // files of the two lowerings and the driver
+		"internal/logical/compile.go": true, "internal/logical/exec.go": true,
+		"internal/logical/hybrid.go": true, "internal/logical/driver.go": true,
+	}
+	classified := map[string]bool{"Filters": true, "Range": true, "StrFilter": true}
+	fset := token.NewFileSet()
+	var writers, rawReaders []string
+	reads := map[string]map[string]bool{} // site → classified fields read
+	for _, file := range goSources(t) {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := filepath.ToSlash(filepath.Dir(file))
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			site := dir + "." + funcSite(fn)
+			writes := false
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					switch typ := n.Type.(type) {
+					case *ast.Ident:
+						writes = writes || dir == "internal/logical" && classified[typ.Name]
+					case *ast.SelectorExpr:
+						if pkg, ok := typ.X.(*ast.Ident); ok && pkg.Name == "logical" && classified[typ.Sel.Name] {
+							writes = true
+						}
+					}
+				case *ast.KeyValueExpr:
+					if key, ok := n.Key.(*ast.Ident); ok && key.Name == "RejectAll" {
+						writes = true
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "RejectAll" {
+							writes = true
+						}
+					}
+				case *ast.SelectorExpr:
+					switch n.Sel.Name {
+					case "Ranges", "Strs", "Residual":
+						if reads[site] == nil {
+							reads[site] = map[string]bool{}
+						}
+						reads[site][n.Sel.Name] = true
+					case "Filters":
+						if scan, ok := n.X.(*ast.SelectorExpr); ok && scan.Sel.Name == "Scan" &&
+							(dir == "internal/compiled" || lowering[filepath.ToSlash(file)]) {
+							rawReaders = append(rawReaders, site)
+						}
+					}
+				}
+				return true
+			})
+			if writes {
+				writers = append(writers, site)
+			}
+		}
+	}
+	if want := []string{"internal/logical.classifyFilters"}; !reflect.DeepEqual(writers, want) {
+		t.Errorf("classified filters are built in %v, want %v", writers, want)
+	}
+	for _, site := range []string{"internal/compiled.(*pipe).compileFilters", "internal/logical.(*worker).filterPreds"} {
+		for _, field := range []string{"Ranges", "Strs", "Residual"} {
+			if !reads[site][field] {
+				t.Errorf("%s does not read the classified %s", site, field)
+			}
+		}
+	}
+	if want := []string{"internal/compiled.Explain"}; !reflect.DeepEqual(rawReaders, want) {
+		t.Errorf("a lowering reads a scan's raw conjuncts in %v, want only %v", rawReaders, want)
 	}
 }
 

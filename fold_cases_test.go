@@ -9,7 +9,7 @@ import (
 	"paradigms/internal/sqlcheck"
 )
 
-// TestFoldCases runs sqlcheck's row-free cases through the
+// TestFoldCases runs sqlcheck's row-free and classifier cases through the
 // differential harness — every engine, worker count and vector size
 // against the oracle, and through 2 shards on both backends — and
 // checks from the compiled EXPLAIN that a case's final pipeline folds

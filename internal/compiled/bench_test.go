@@ -74,7 +74,7 @@ func BenchmarkCompiledLowering(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := lower(pl); err != nil {
+		if _, err := lower(pl, logical.Decompose(pl)); err != nil {
 			b.Fatal(err)
 		}
 	}

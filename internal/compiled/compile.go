@@ -2,7 +2,6 @@ package compiled
 
 import (
 	"bytes"
-	"math"
 	"unsafe"
 
 	"paradigms/internal/catalog"
@@ -219,10 +218,10 @@ func (v colView) fn() scalarFn {
 // reference of the pipeline's spine, or nil.
 func (p *pipe) base64Col(e sql.Expr) []int64 {
 	ref, ok := e.(*sql.ColRef)
-	if !ok || ref.Col.Table != p.scan.Table {
+	if !ok || ref.Col.Table != p.Scan.Table {
 		return nil
 	}
-	rel := p.scan.Table.Rel
+	rel := p.Scan.Table.Rel
 	switch ref.Col.Type.Kind {
 	case catalog.Numeric:
 		return view64(rel.Numeric(ref.Col.Name))
@@ -236,9 +235,8 @@ func (p *pipe) base64Col(e sql.Expr) []int64 {
 // Filter cascade
 // ---------------------------------------------------------------------
 
-// bound32/bound64 are inclusive per-column range checks, the normalized
-// form of every pushed-down col-vs-literal comparison, with lo <= hi
-// (bound32's clamped to int32). The fused loop applies them per block
+// bound32/bound64 are inclusive per-column range checks, the bound
+// form of the classified ranges (logical.Range). The fused loop applies them per block
 // with the branch-free simd range kernels, before any row-level work.
 type bound32 struct {
 	col    []int32
@@ -268,143 +266,34 @@ type filt struct {
 	preds []predFn
 }
 
-// compileFilters classifies the scan's pushed-down conjuncts. Ordered
-// col-vs-literal comparisons fold into per-column range bounds
-// (intersecting repeated bounds on one column, e.g. the two shipdate
-// conjuncts of Q6); string (in)equalities against literals check the
-// heap inline; everything else compiles to a per-row predicate. A range
-// no value of its column can satisfy (lo > hi, or outside int32 for a
-// 32-bit column) rejects the whole pipeline here, once.
+// compileFilters binds the pipeline's classified filters
+// (logical.Filters) to column views: each range becomes a bound32 or
+// bound64, each string filter checks the heap inline, and each
+// residual conjunct compiles to a per-row predicate.
 func (p *pipe) compileFilters() error {
-	type colRange struct {
-		col    *catalog.Column
-		lo, hi int64
-	}
-	var ranges []colRange
-	at := map[*catalog.Column]int{} // column → index into ranges
-	for _, f := range p.scan.Filters {
-		if s, ok := p.strEqOf(f); ok {
-			p.filt.strs = append(p.filt.strs, s)
-			continue
-		}
-		col, lo, hi, ok := p.rangeOf(f)
-		if !ok {
-			pred, err := p.pred(f)
-			if err != nil {
-				return err
-			}
-			p.filt.preds = append(p.filt.preds, pred)
-			continue
-		}
-		if idx, seen := at[col]; seen {
-			r := &ranges[idx]
-			r.lo, r.hi = max(r.lo, lo), min(r.hi, hi)
-			continue
-		}
-		at[col] = len(ranges)
-		ranges = append(ranges, colRange{col: col, lo: lo, hi: hi})
-	}
-	for _, r := range ranges {
-		c32, c64, err := baseViews(r.col)
+	f := &p.Filters
+	for _, r := range f.Ranges {
+		c32, c64, err := baseViews(r.Col)
 		if err != nil {
 			return err
 		}
-		switch {
-		case r.lo > r.hi || c32 != nil && (r.lo > math.MaxInt32 || r.hi < math.MinInt32):
-			p.rejectAll = true
-		case c32 != nil:
-			p.filt.b32 = append(p.filt.b32, bound32{col: c32,
-				lo: int32(max(r.lo, math.MinInt32)), hi: int32(min(r.hi, math.MaxInt32))})
-		default:
-			p.filt.b64 = append(p.filt.b64, bound64{col: c64, lo: r.lo, hi: r.hi})
+		if c32 != nil {
+			p.filt.b32 = append(p.filt.b32, bound32{col: c32, lo: int32(r.Lo), hi: int32(r.Hi)})
+		} else {
+			p.filt.b64 = append(p.filt.b64, bound64{col: c64, lo: r.Lo, hi: r.Hi})
 		}
+	}
+	for _, s := range f.Strs {
+		p.filt.strs = append(p.filt.strs, strEq{heap: p.Scan.Table.Rel.String(s.Col.Name), val: []byte(s.Val), eq: s.Eq})
+	}
+	for _, e := range f.Residual {
+		pred, err := p.pred(e)
+		if err != nil {
+			return err
+		}
+		p.filt.preds = append(p.filt.preds, pred)
 	}
 	return nil
-}
-
-// strEqOf recognizes stringcol = 'lit' / stringcol <> 'lit' (either
-// operand order) over the spine.
-func (p *pipe) strEqOf(f sql.Expr) (strEq, bool) {
-	b, ok := f.(*sql.Binary)
-	if !ok || (b.Op != sql.OpEq && b.Op != sql.OpNe) {
-		return strEq{}, false
-	}
-	ref, refOK := b.L.(*sql.ColRef)
-	lit, litOK := b.R.(*sql.StrLit)
-	if !refOK || !litOK {
-		ref, refOK = b.R.(*sql.ColRef)
-		lit, litOK = b.L.(*sql.StrLit)
-	}
-	if !refOK || !litOK || ref.Col.Table != p.scan.Table || ref.Col.Type.Kind != catalog.String {
-		return strEq{}, false
-	}
-	return strEq{heap: p.scan.Table.Rel.String(ref.Col.Name), val: []byte(lit.Val), eq: b.Op == sql.OpEq}, true
-}
-
-// rangeOf recognizes col CMP literal (either operand order) over an
-// ordered column of the spine and returns the equivalent inclusive
-// range.
-func (p *pipe) rangeOf(f sql.Expr) (col *catalog.Column, lo, hi int64, ok bool) {
-	b, isBin := f.(*sql.Binary)
-	if !isBin {
-		return nil, 0, 0, false
-	}
-	op := b.Op
-	ref, refOK := b.L.(*sql.ColRef)
-	lit, litOK := literalValue(b.R)
-	if !refOK || !litOK {
-		if ref, refOK = b.R.(*sql.ColRef); !refOK {
-			return nil, 0, 0, false
-		}
-		if lit, litOK = literalValue(b.L); !litOK {
-			return nil, 0, 0, false
-		}
-		switch op { // literal CMP col flips the comparison
-		case sql.OpLt:
-			op = sql.OpGt
-		case sql.OpLe:
-			op = sql.OpGe
-		case sql.OpGt:
-			op = sql.OpLt
-		case sql.OpGe:
-			op = sql.OpLe
-		}
-	}
-	if ref.Col.Table != p.scan.Table || !ref.Col.Type.IsNumeric() {
-		return nil, 0, 0, false
-	}
-	lo, hi = math.MinInt64, math.MaxInt64
-	switch op {
-	case sql.OpEq:
-		lo, hi = lit, lit
-	case sql.OpGe:
-		lo = lit
-	case sql.OpGt:
-		if lit == math.MaxInt64 {
-			return nil, 0, 0, false
-		}
-		lo = lit + 1
-	case sql.OpLe:
-		hi = lit
-	case sql.OpLt:
-		if lit == math.MinInt64 {
-			return nil, 0, 0, false
-		}
-		hi = lit - 1
-	default:
-		return nil, 0, 0, false
-	}
-	return ref.Col, lo, hi, true
-}
-
-func literalValue(e sql.Expr) (int64, bool) {
-	switch x := e.(type) {
-	case *sql.NumLit:
-		return x.Val, true
-	case *sql.DateLit:
-		return int64(x.Days), true
-	}
-	return 0, false
 }
 
 // ---------------------------------------------------------------------
@@ -511,8 +400,8 @@ func (p *pipe) strGet(e sql.Expr) (func(i int) []byte, bool) {
 		v := []byte(x.Val)
 		return func(int) []byte { return v }, true
 	case *sql.ColRef:
-		if x.Col.Type.Kind == catalog.String && x.Col.Table == p.scan.Table {
-			heap := p.scan.Table.Rel.String(x.Col.Name)
+		if x.Col.Type.Kind == catalog.String && x.Col.Table == p.Scan.Table {
+			heap := p.Scan.Table.Rel.String(x.Col.Name)
 			return func(i int) []byte { return heap.Get(i) }, true
 		}
 	}

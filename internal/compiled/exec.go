@@ -67,7 +67,7 @@ func drive(ctx context.Context, pl *logical.Plan, nWorkers int, mode logical.Mod
 // survivor. A spine with neither a range bound nor a staged probe walks
 // each morsel directly.
 func (p *pipe) run(sink func(i int, fr []int64), fold *blockFold) {
-	if p.rejectAll {
+	if p.Filters.RejectAll {
 		return
 	}
 	frame := make([]int64, p.slots)
@@ -85,7 +85,7 @@ func (p *pipe) run(sink func(i int, fr []int64), fold *blockFold) {
 		sel = buf[:]
 	}
 	for {
-		m, ok := p.disp.Next()
+		m, ok := p.Disp().Next()
 		if !ok {
 			return
 		}
@@ -174,7 +174,7 @@ func (p *pipe) probeStages() ([]probe, bool) {
 	probes := make([]probe, len(p.steps))
 	staged := false
 	for s, st := range p.steps {
-		ht := st.build.ht
+		ht := st.build.HT()
 		pr := probe{step: st, ht: ht, ix: ht.KeyIndex(), kf: ht.KeyFilter()}
 		pr.staged = pr.ix.On() || pr.kf.Bits() > 0
 		staged = staged || pr.staged
@@ -321,7 +321,7 @@ rows:
 func (p *pipe) probeOne(base, end int, pos []int32, frame []int64, sink func(i int, fr []int64)) {
 	st := p.steps[0]
 	k32 := st.key32
-	ht := st.build.ht
+	ht := st.build.HT()
 	if ix := ht.KeyIndex(); ix.On() {
 		p.probeIndexed(ix, base, end, pos, frame, sink)
 		return
@@ -381,7 +381,7 @@ selected:
 func (p *pipe) probeIndexed(ix hashtable.KeyIndex, base, end int, pos []int32, frame []int64, sink func(i int, fr []int64)) {
 	st := p.steps[0]
 	k32 := st.key32
-	ht := st.build.ht
+	ht := st.build.HT()
 	gath := st.gathers
 	if pos == nil {
 		for i := base; i < end; i++ {
@@ -414,7 +414,7 @@ func (p *pipe) probeIndexed(ix hashtable.KeyIndex, base, end int, pos []int32, f
 // runBuild drains the pipeline into its shard of the shared hash table
 // (key in word 0, payloads after), ready for the post-barrier insert.
 func (p *pipe) runBuild(wid int) {
-	ht := p.ht
+	ht := p.HT()
 	sh := ht.Shard(wid)
 	keyGet, payGet := p.keyGet, p.payGet
 	p.run(func(i int, fr []int64) {

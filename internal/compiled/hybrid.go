@@ -1,19 +1,17 @@
 package compiled
 
 import (
-	"paradigms/internal/exec"
 	"paradigms/internal/hashtable"
 	"paradigms/internal/logical"
 )
 
 // This file is the compiled backend's surface for the shared pipeline
-// driver (logical.Drive): the lowered pipeline structure — the same
-// decomposition internal/logical's vectorized lowering produces — so
-// the driver can run any individual pipeline as a fused loop, alone
-// (typer) or while its neighbours run vectorized (hybrid). The driver
-// owns all shared execution state (dispatchers, hash tables, spill,
-// barrier); this surface only binds that state in and runs one
-// pipeline for one worker.
+// driver (logical.Drive): the plan's pipelines (logical.Decompose),
+// each compiled to a fused loop, so the driver can run any individual
+// pipeline fused, alone (typer) or while its neighbours run vectorized
+// (hybrid). The driver owns all shared execution state (dispatchers,
+// hash tables, spill, barrier) and binds it into the pipelines; this
+// surface runs one pipeline for one worker.
 
 // Program is a query lowered to fused pipelines with the final
 // pipeline's sink closures pre-compiled: the logical.FusedProgram the
@@ -32,7 +30,13 @@ var _ logical.FusedProgram = (*Program)(nil)
 // pipelines. All sink expressions compile here, on the caller, so
 // unsupported shapes surface as errors before any worker starts.
 func LowerProgram(pl *logical.Plan) (*Program, error) {
-	pr, err := lower(pl)
+	return LowerPipes(pl, logical.Decompose(pl))
+}
+
+// LowerPipes is LowerProgram over pl's decomposition pipes, which a
+// vectorized lowering may share (the hybrid lowers both from one).
+func LowerPipes(pl *logical.Plan, pipes []*logical.Pipeline) (*Program, error) {
+	pr, err := lower(pl, pipes)
 	if err != nil {
 		return nil, err
 	}
@@ -61,41 +65,8 @@ func LowerProgram(pl *logical.Plan) (*Program, error) {
 	return p, nil
 }
 
-// NumPipes returns the pipeline count (build pipelines before their
-// prober, the final pipeline last — the order execution must follow).
-func (p *Program) NumPipes() int { return len(p.pr.pipes) }
-
-// IsBuild reports whether pipeline i terminates in a hash-table build.
-func (p *Program) IsBuild(i int) bool { return p.pr.pipes[i].keyCol != nil }
-
-// PayWidth returns the payload-column count of build pipeline i (its
-// hash table holds 1+PayWidth words per row).
-func (p *Program) PayWidth(i int) int { return len(p.pr.pipes[i].pays) }
-
-// TableName returns the spine table of pipeline i.
-func (p *Program) TableName(i int) string { return p.pr.pipes[i].scan.Table.Name }
-
-// TableRows returns the spine cardinality of pipeline i (the morsel
-// space its dispatcher must cover).
-func (p *Program) TableRows(i int) int { return p.pr.pipes[i].scan.Table.Rows() }
-
-// NumProbes returns the hash-probe count of pipeline i.
-func (p *Program) NumProbes(i int) int { return len(p.pr.pipes[i].steps) }
-
-// NumFilters returns the filter-conjunct count of pipeline i (range
-// bounds, string equalities, and generic predicates).
-func (p *Program) NumFilters(i int) int {
-	f := &p.pr.pipes[i].filt
-	return len(f.b32) + len(f.b64) + len(f.strs) + len(f.preds)
-}
-
-// Bind attaches the driver-owned per-execution state to pipeline i: the
-// shared morsel dispatcher, and — for build pipelines — the shared hash
-// table its probers will read (pass nil for the final pipeline).
-func (p *Program) Bind(i int, ht *hashtable.Table, disp *exec.Dispatcher) {
-	p.pr.pipes[i].disp = disp
-	p.pr.pipes[i].ht = ht
-}
+// Pipelines returns the decomposition the program was lowered from.
+func (p *Program) Pipelines() []*logical.Pipeline { return p.pr.lps }
 
 // RunBuild drains build pipeline i into worker wid's shard of its bound
 // hash table. Barrier-free: the driver runs the shared two-barrier

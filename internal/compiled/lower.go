@@ -25,22 +25,19 @@ package compiled
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"paradigms/internal/catalog"
-	"paradigms/internal/exec"
-	"paradigms/internal/hashtable"
 	"paradigms/internal/logical"
 	"paradigms/internal/sql"
 )
 
-// The lowering pass mirrors internal/logical's pipeline decomposition:
-// each logical Node becomes one pipeline — scan → filter cascade →
-// probes of its build chains → terminal (hash-table build, grouped
-// spill, global accumulate, or row collection). Where the vectorized
-// lowering assembles operator trees over batches, this pass compiles
-// every pipeline into a single fused loop driven row by row.
+// The lowering pass compiles each pipeline of the plan's decomposition
+// (logical.Decompose) — scan → filter cascade → probes of its build
+// chains → terminal (hash-table build, grouped spill, global
+// accumulate, or row collection). Where the vectorized lowering
+// assembles operator trees over batches, this pass compiles every
+// pipeline into a single fused loop driven row by row.
 
 // valRef locates a column's value within one pipeline: a base column of
 // the pipeline's spine table, or a frame slot filled by a probe gather.
@@ -54,14 +51,12 @@ type valRef struct {
 type gather struct {
 	word int
 	slot int
-	col  *catalog.Column
 }
 
 // step is one hash probe of the pipeline's fused loop.
 type step struct {
-	join     *logical.Join
-	build    *pipe
-	probeKey *catalog.Column // base column of this pipeline's spine
+	*logical.ProbeStep
+	build *pipe
 
 	gathers   []gather
 	residuals []residual
@@ -73,153 +68,68 @@ type step struct {
 
 // residual is a cross-chain equality enforced after a probe.
 type residual struct {
-	cols [2]*catalog.Column
 	a, b u64Fn
 }
 
 // pipe is one compiled pipeline.
 type pipe struct {
+	*logical.Pipeline
 	ord   int // 1-based position in execution order (explain labels)
-	scan  *logical.Scan
 	steps []*step
-	slots int
-	srcOf map[*catalog.Column]valRef
+	slots int // frame width: one slot per gathered column
 
-	rejectAll bool
-	loop      loopShape // set once by shapeLoop, read by run
-	fold      []foldAgg // the final pipeline's block terminal (loopRowFree only), or nil
-
-	// Build-side output: hash-table key column (a base column of the
-	// spine) plus payload columns in word order (word 1+i). Nil keyCol
-	// marks the final pipeline.
-	keyCol *catalog.Column
-	pays   []*catalog.Column
-	paySrc []valRef
+	loop loopShape // set once by shapeLoop, read by run
+	fold []foldAgg // the final pipeline's block terminal (loopRowFree only), or nil
 
 	// Compiled forms.
 	filt   filt
 	keyGet u64Fn   // build key (build pipelines)
 	payGet []u64Fn // payload words (build pipelines)
-
-	// Per-execution shared state.
-	ht   *hashtable.Table
-	disp *exec.Dispatcher
 }
 
 // prog is a fully lowered query: pipelines in execution order (build
 // pipelines before their prober, the final pipeline last).
 type prog struct {
 	pl    *logical.Plan
+	lps   []*logical.Pipeline
 	pipes []*pipe
 	final *pipe
 }
 
-// lower compiles the optimized logical plan into fused pipelines.
-func lower(pl *logical.Plan) (*prog, error) {
-	pr := &prog{pl: pl}
-	needed := map[*catalog.Column]bool{}
-	mark := func(c *catalog.Column) { needed[c] = true }
-	if pl.Agg != nil {
-		for _, k := range pl.Agg.Keys {
-			needed[k] = true
-		}
-		for _, s := range pl.Agg.Aggs {
-			if s.Arg != nil {
-				sql.WalkCols(s.Arg, mark)
+// lower compiles the plan's pipelines lps (logical.Decompose) into
+// fused pipelines, numbering each one's frame slots from its gathers in
+// probe order (logical.(*Pipeline).Slot).
+func lower(pl *logical.Plan, lps []*logical.Pipeline) (*prog, error) {
+	pr := &prog{pl: pl, lps: lps, pipes: make([]*pipe, len(lps))}
+	for i, lp := range lps {
+		p := &pipe{Pipeline: lp, ord: i + 1}
+		for _, ls := range lp.Steps {
+			st := &step{ProbeStep: ls, residuals: make([]residual, len(ls.Residuals))}
+			for _, b := range pr.pipes[:i] {
+				if b.Pipeline == ls.Build {
+					st.build = b
+				}
 			}
+			for _, g := range ls.Gathers {
+				st.gathers = append(st.gathers, gather{word: g.Word, slot: p.slots})
+				p.slots++
+			}
+			p.steps = append(p.steps, st)
 		}
+		pr.pipes[i] = p
 	}
-	for _, e := range pl.Proj {
-		sql.WalkCols(e, mark)
-	}
-	final, err := pr.compilePipe(pl.Root, sortedCols(needed))
-	if err != nil {
-		return nil, err
-	}
-	final.rejectAll = pl.AlwaysFalse
-	pr.final = final
-	for i, p := range pr.pipes {
-		p.ord = i + 1
+	pr.final = pr.pipes[len(lps)-1]
+	for _, p := range pr.pipes {
 		if err := p.prep(); err != nil {
 			return nil, err
 		}
 		var agg *logical.Aggregate
-		if p == final {
+		if p == pr.final {
 			agg = pl.Agg
 		}
 		p.shapeLoop(agg)
 	}
 	return pr, nil
-}
-
-// compilePipe compiles the pipeline rooted at n, which must expose the
-// needed columns to its consumer. Build pipelines append themselves
-// before their prober (execution order), exactly like the vectorized
-// lowering, so the two backends decompose every plan identically.
-func (pr *prog) compilePipe(n logical.Node, needed []*catalog.Column) (*pipe, error) {
-	spine := n.Spine()
-	var joins []*logical.Join
-	for cur := n; ; {
-		j, ok := cur.(*logical.Join)
-		if !ok {
-			break
-		}
-		joins = append([]*logical.Join{j}, joins...) // innermost probe first
-		cur = j.Probe
-	}
-
-	p := &pipe{scan: spine, srcOf: map[*catalog.Column]valRef{}}
-
-	req := map[*catalog.Column]bool{}
-	for _, c := range needed {
-		req[c] = true
-	}
-	for _, j := range joins {
-		for _, r := range j.Residuals {
-			req[r[0]] = true
-			req[r[1]] = true
-		}
-	}
-	reqList := sortedCols(req)
-
-	for _, j := range joins {
-		chainTabs := tablesUnder(j.Build)
-		var pays []*catalog.Column
-		for _, c := range reqList {
-			if chainTabs[c.Table] && c != j.BuildKey {
-				pays = append(pays, c)
-			}
-		}
-		bp, err := pr.compilePipe(j.Build, pays)
-		if err != nil {
-			return nil, err
-		}
-		bp.keyCol = j.BuildKey
-		bp.pays = pays
-		bp.paySrc = make([]valRef, len(pays))
-		for pi, c := range pays {
-			bp.paySrc[pi] = bp.resolve(c)
-		}
-		st := &step{join: j, build: bp, probeKey: j.ProbeKey}
-		for _, c := range reqList {
-			if !chainTabs[c.Table] {
-				continue
-			}
-			word := 0
-			if c != j.BuildKey {
-				word = 1 + indexOfCol(pays, c)
-			}
-			st.gathers = append(st.gathers, gather{word: word, slot: p.slots, col: c})
-			p.srcOf[c] = valRef{slot: p.slots}
-			p.slots++
-		}
-		for _, r := range j.Residuals {
-			st.residuals = append(st.residuals, residual{cols: r})
-		}
-		p.steps = append(p.steps, st)
-	}
-	pr.pipes = append(pr.pipes, p)
-	return p, nil
 }
 
 // prep compiles the pipeline's row-level closures: the filter cascade,
@@ -229,30 +139,30 @@ func (p *pipe) prep() error {
 		return err
 	}
 	for _, st := range p.steps {
-		k32, k64, err := baseViews(st.probeKey)
+		k32, k64, err := baseViews(st.ProbeKey)
 		if err != nil {
 			return err
 		}
 		st.key32, st.key64 = k32, k64
-		for i := range st.residuals {
+		for i, cols := range st.Residuals {
 			r := &st.residuals[i]
 			var err error
-			if r.a, err = p.u64Get(p.resolve(r.cols[0])); err != nil {
+			if r.a, err = p.u64Get(p.resolve(cols[0])); err != nil {
 				return err
 			}
-			if r.b, err = p.u64Get(p.resolve(r.cols[1])); err != nil {
+			if r.b, err = p.u64Get(p.resolve(cols[1])); err != nil {
 				return err
 			}
 		}
 	}
-	if p.keyCol != nil {
+	if p.Key != nil {
 		var err error
-		if p.keyGet, err = p.u64Get(valRef{base: p.keyCol}); err != nil {
+		if p.keyGet, err = p.u64Get(valRef{base: p.Key}); err != nil {
 			return err
 		}
-		p.payGet = make([]u64Fn, len(p.paySrc))
-		for i, src := range p.paySrc {
-			if p.payGet[i], err = p.u64Get(src); err != nil {
+		p.payGet = make([]u64Fn, len(p.Pays))
+		for i, c := range p.Pays {
+			if p.payGet[i], err = p.u64Get(p.resolve(c)); err != nil {
 				return err
 			}
 		}
@@ -297,55 +207,10 @@ func (p *pipe) shapeLoop(agg *logical.Aggregate) {
 
 // resolve locates a column within the pipeline.
 func (p *pipe) resolve(c *catalog.Column) valRef {
-	if c.Table == p.scan.Table {
-		return valRef{base: c}
+	if slot := p.Slot(c); slot >= 0 {
+		return valRef{slot: slot}
 	}
-	src, ok := p.srcOf[c]
-	if !ok {
-		panic("compiled: column " + c.Table.Name + "." + c.Name + " not materialized in pipeline over " + p.scan.Table.Name)
-	}
-	return src
-}
-
-func indexOfCol(cols []*catalog.Column, c *catalog.Column) int {
-	for i, x := range cols {
-		if x == c {
-			return i
-		}
-	}
-	panic("compiled: column missing from payload list")
-}
-
-// sortedCols renders a column set deterministic (same order as the
-// vectorized lowering, so payload layouts and explains line up).
-func sortedCols(set map[*catalog.Column]bool) []*catalog.Column {
-	out := make([]*catalog.Column, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Table.Name != out[j].Table.Name {
-			return out[i].Table.Name < out[j].Table.Name
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}
-
-func tablesUnder(n logical.Node) map[*catalog.Table]bool {
-	out := map[*catalog.Table]bool{}
-	var walk func(logical.Node)
-	walk = func(n logical.Node) {
-		switch x := n.(type) {
-		case *logical.Scan:
-			out[x.Table] = true
-		case *logical.Join:
-			walk(x.Build)
-			walk(x.Probe)
-		}
-	}
-	walk(n)
-	return out
+	return valRef{base: c}
 }
 
 // ---------------------------------------------------------------------
@@ -358,7 +223,7 @@ func tablesUnder(n logical.Node) map[*catalog.Table]bool {
 // probe sides, gathers, residuals, and the terminal of every pipeline,
 // marked "fold" where it folds whole blocks (blockFold).
 func Explain(pl *logical.Plan) (string, error) {
-	pr, err := lower(pl)
+	pr, err := lower(pl, logical.Decompose(pl))
 	if err != nil {
 		return "", err
 	}
@@ -369,33 +234,33 @@ func Explain(pl *logical.Plan) (string, error) {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "pipelines: %d\n", len(pr.pipes))
 	for _, p := range pr.pipes {
-		fmt.Fprintf(&sb, "P%d: scan %s", p.ord, p.scan.Table.Name)
-		if p.rejectAll {
+		fmt.Fprintf(&sb, "P%d: scan %s", p.ord, p.Scan.Table.Name)
+		if p.Filters.RejectAll {
 			sb.WriteString(" σ(false)")
 		}
-		for _, f := range p.scan.Filters {
+		for _, f := range p.Scan.Filters {
 			fmt.Fprintf(&sb, " σ(%s)", sql.String(f))
 		}
 		for _, st := range p.steps {
-			fmt.Fprintf(&sb, " → probe[P%d %s = %s]", st.build.ord, st.probeKey.Name, st.build.keyCol.Name)
-			if len(st.gathers) > 0 {
-				names := make([]string, len(st.gathers))
-				for i, g := range st.gathers {
-					names[i] = g.col.Name
+			fmt.Fprintf(&sb, " → probe[P%d %s = %s]", st.build.ord, st.ProbeKey.Name, st.build.Key.Name)
+			if len(st.Gathers) > 0 {
+				names := make([]string, len(st.Gathers))
+				for i, g := range st.Gathers {
+					names[i] = g.Col.Name
 				}
 				fmt.Fprintf(&sb, " gather[%s]", strings.Join(names, " "))
 			}
-			for _, r := range st.residuals {
-				fmt.Fprintf(&sb, " residual(%s = %s)", r.cols[0].Name, r.cols[1].Name)
+			for _, r := range st.Residuals {
+				fmt.Fprintf(&sb, " residual(%s = %s)", r[0].Name, r[1].Name)
 			}
 		}
 		switch {
-		case p.keyCol != nil:
-			names := make([]string, len(p.pays))
-			for i, c := range p.pays {
+		case p.Key != nil:
+			names := make([]string, len(p.Pays))
+			for i, c := range p.Pays {
 				names[i] = c.Name
 			}
-			fmt.Fprintf(&sb, " → build[%s] pays[%s]", p.keyCol.Name, strings.Join(names, " "))
+			fmt.Fprintf(&sb, " → build[%s] pays[%s]", p.Key.Name, strings.Join(names, " "))
 		case pl.Agg != nil && len(pl.Agg.Keys) > 0:
 			names := make([]string, len(pl.Agg.Keys))
 			for i, c := range pl.Agg.Keys {

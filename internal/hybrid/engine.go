@@ -121,15 +121,16 @@ const trialBatches = 4
 // every join table, and the given vector size (0 = micro-adaptive
 // racing).
 func Policy(pl *logical.Plan, vecSize int) (logical.Policy, error) {
-	cp, err := compiled.LowerProgram(pl)
+	pipes := logical.Decompose(pl)
+	cp, err := compiled.LowerPipes(pl, pipes)
 	if err != nil {
 		return logical.Policy{}, err
 	}
-	vp, err := logical.LowerVec(pl)
+	vp, err := logical.LowerVecPipes(pl, pipes)
 	if err != nil {
 		return logical.Policy{}, err
 	}
-	pol := logical.Policy{Fused: cp, Vec: vp, Assign: CostAssign(pipeMeta(cp)), JoinHash: JoinHash, VecSize: vecSize}
+	pol := logical.Policy{Fused: cp, Vec: vp, Assign: CostAssign(pipeMeta(pipes)), JoinHash: JoinHash, VecSize: vecSize}
 	if vecSize <= 0 {
 		pol.VecSize = vecCandidates[len(vecCandidates)-1]
 		pol.Drain = drainAdaptive
@@ -137,15 +138,15 @@ func Policy(pl *logical.Plan, vecSize int) (logical.Policy, error) {
 	return pol, nil
 }
 
-// pipeMeta describes the lowered pipelines for the assignment.
-func pipeMeta(cp *compiled.Program) []PipeMeta {
-	meta := make([]PipeMeta, cp.NumPipes())
-	for i := range meta {
+// pipeMeta describes the plan's pipelines for the assignment.
+func pipeMeta(pipes []*logical.Pipeline) []PipeMeta {
+	meta := make([]PipeMeta, len(pipes))
+	for i, p := range pipes {
 		meta[i] = PipeMeta{
-			Table:   cp.TableName(i),
-			Probes:  cp.NumProbes(i),
-			Filters: cp.NumFilters(i),
-			Build:   cp.IsBuild(i),
+			Table:   p.Scan.Table.Name,
+			Probes:  len(p.Steps),
+			Filters: p.Filters.Len(),
+			Build:   p.Key != nil,
 		}
 	}
 	return meta
@@ -236,11 +237,7 @@ func trialCosts(root plan.Operator, scan *plan.Scan, sink plan.Sink, sizes [len(
 // Explain renders the hybrid's assignment (the cost heuristic) above
 // the shared pipeline decomposition.
 func Explain(pl *logical.Plan) (string, error) {
-	cp, err := compiled.LowerProgram(pl)
-	if err != nil {
-		return "", err
-	}
-	meta := pipeMeta(cp)
+	meta := pipeMeta(logical.Decompose(pl))
 	assign := CostAssign(meta)
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "hybrid assignment (cost heuristic): %s\n", (&Report{Assign: assign}).Suffix())

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"paradigms/internal/compiled"
 	"paradigms/internal/exec"
 	"paradigms/internal/logical"
 	"paradigms/internal/obs"
@@ -67,11 +66,7 @@ func TestGenericHybridMatchesHandWrittenROF(t *testing.T) {
 // assignment for ExecuteRouted to run in place of CostAssign's.
 func forced(t *testing.T, pl *logical.Plan, pattern ...Engine) []Engine {
 	t.Helper()
-	cp, err := compiled.LowerProgram(pl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([]Engine, cp.NumPipes())
+	out := make([]Engine, len(logical.Decompose(pl)))
 	for i := range out {
 		out[i] = pattern[i%len(pattern)]
 	}

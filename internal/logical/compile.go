@@ -2,7 +2,6 @@ package logical
 
 import (
 	"bytes"
-	"math"
 
 	"paradigms/internal/catalog"
 	"paradigms/internal/plan"
@@ -24,7 +23,7 @@ type vec64 func(b *plan.Batch) []int64
 
 // vecI64 compiles an expression into a vector evaluator within the
 // given pipeline.
-func (w *worker) vecI64(ps *pipeSpec, e sql.Expr) vec64 {
+func (w *worker) vecI64(ps *Pipeline, e sql.Expr) vec64 {
 	switch x := e.(type) {
 	case *sql.NumLit:
 		return w.constVec(x.Val)
@@ -81,12 +80,11 @@ func (w *worker) constVec(v int64) vec64 {
 }
 
 // colVec materializes a column through the batch selection.
-func (w *worker) colVec(ps *pipeSpec, c *catalog.Column) vec64 {
-	src := ps.resolve(c)
-	if src.base == nil {
+func (w *worker) colVec(ps *Pipeline, c *catalog.Column) vec64 {
+	if slot := ps.Slot(c); slot >= 0 {
 		// A gathered buffer holds the column's key words: 32-bit
 		// values zero-extended, so their sign is restored here.
-		buf := w.colBuf[ps][srcColOf(ps, src)]
+		buf := w.colBuf[ps][slot]
 		out := w.bufs.I64()
 		narrow := narrowKey(c)
 		return func(b *plan.Batch) []int64 {
@@ -99,7 +97,7 @@ func (w *worker) colVec(ps *pipeSpec, c *catalog.Column) vec64 {
 			return out
 		}
 	}
-	rel := ps.scan.Table.Rel
+	rel := ps.Scan.Table.Rel
 	switch c.Type.Kind {
 	case catalog.Numeric:
 		return fetch64(w, rel.Numeric(c.Name))
@@ -147,7 +145,7 @@ func fetch32[T ~int32](w *worker, col []T) vec64 {
 // fused MapMulCols primitive (Q6's and Q1.1's revenue input). The
 // double type switch instantiates the generic primitive per column-type
 // pair.
-func (w *worker) mulColsFast(ps *pipeSpec, x *sql.Binary) vec64 {
+func (w *worker) mulColsFast(ps *Pipeline, x *sql.Binary) vec64 {
 	ln, li, lok := base64Col(ps, x.L)
 	rn, ri, rok := base64Col(ps, x.R)
 	if !lok || !rok {
@@ -181,7 +179,7 @@ func mulFast[T ~int64, U ~int64](w *worker, l []T, r []U) vec64 {
 
 // rsubConstFast compiles literal-col over a 64-bit base column to
 // MapRsubConst (the 1 - l_discount of every revenue expression).
-func (w *worker) rsubConstFast(ps *pipeSpec, x *sql.Binary) vec64 {
+func (w *worker) rsubConstFast(ps *Pipeline, x *sql.Binary) vec64 {
 	lit, ok := x.L.(*sql.NumLit)
 	if !ok {
 		return nil
@@ -212,12 +210,12 @@ func rsubFast[T ~int64](w *worker, col []T, c int64) vec64 {
 // base64Col returns the typed slice of a 64-bit-wide base column
 // reference of the pipeline's spine table (exactly one of the two
 // returned slices is non-nil on success).
-func base64Col(ps *pipeSpec, e sql.Expr) ([]types.Numeric, []int64, bool) {
+func base64Col(ps *Pipeline, e sql.Expr) ([]types.Numeric, []int64, bool) {
 	ref, ok := e.(*sql.ColRef)
-	if !ok || ref.Col.Table != ps.scan.Table {
+	if !ok || ref.Col.Table != ps.Scan.Table {
 		return nil, nil, false
 	}
-	rel := ps.scan.Table.Rel
+	rel := ps.Scan.Table.Rel
 	switch ref.Col.Type.Kind {
 	case catalog.Numeric:
 		return rel.Numeric(ref.Col.Name), nil, true
@@ -231,166 +229,54 @@ func base64Col(ps *pipeSpec, e sql.Expr) ([]types.Numeric, []int64, bool) {
 // Filter predicates
 // ---------------------------------------------------------------------
 
-// filterPreds compiles the scan's pushed-down conjuncts into a
-// selection cascade. Column-vs-literal comparisons use the typed Sel
-// primitives; a string equality uses the dense string primitive (placed
-// first, as it has no selection-consuming form); everything else falls
-// back to a generic per-row predicate.
-func (w *worker) filterPreds(ps *pipeSpec) []plan.Pred {
-	var first []plan.Pred // dense-only string equality
-	var rest []plan.Pred
-	if ps.rejectAll {
-		rest = append(rest, plan.Pred{
+// filterPreds maps the pipeline's classified filters onto a selection
+// cascade: a string equality on the dense string primitive (placed
+// first, as it has no selection-consuming form), then each column's
+// range on internal/simd's range kernels — the same kernels as the
+// compiled backend's block stage — then the other string filters and
+// the residual conjuncts row by row.
+func (w *worker) filterPreds(ps *Pipeline) []plan.Pred {
+	f := &ps.Filters
+	if f.RejectAll {
+		return []plan.Pred{{
 			Dense:  func(int, int, []int32) int { return 0 },
 			Sparse: func(int, int, []int32, []int32) int { return 0 },
-		})
+		}}
 	}
-	for _, f := range ps.scan.Filters {
-		if p, ok := fastCmpPred(ps, f); ok {
-			rest = append(rest, p)
-			continue
-		}
-		if p, ok := stringEqPred(ps, f); ok && len(first) == 0 {
-			first = append(first, p)
-			continue
-		}
-		rest = append(rest, genericPred(ps, f))
-	}
-	return append(first, rest...)
-}
-
-// fastCmpPred recognizes col CMP literal (either operand order) over an
-// ordered column.
-func fastCmpPred(ps *pipeSpec, f sql.Expr) (plan.Pred, bool) {
-	b, ok := f.(*sql.Binary)
-	if !ok {
-		return plan.Pred{}, false
-	}
-	op := b.Op
-	ref, refOK := b.L.(*sql.ColRef)
-	lit, litOK := literalValue(b.R)
-	if !refOK || !litOK {
-		// literal CMP col flips the comparison.
-		if ref, refOK = b.R.(*sql.ColRef); !refOK {
-			return plan.Pred{}, false
-		}
-		if lit, litOK = literalValue(b.L); !litOK {
-			return plan.Pred{}, false
-		}
-		switch op {
-		case sql.OpLt:
-			op = sql.OpGt
-		case sql.OpLe:
-			op = sql.OpGe
-		case sql.OpGt:
-			op = sql.OpLt
-		case sql.OpGe:
-			op = sql.OpLe
+	rel := ps.Scan.Table.Rel
+	var preds []plan.Pred
+	strs := f.Strs
+	for i, s := range strs {
+		if s.Eq {
+			heap, val := rel.String(s.Col.Name), s.Val
+			preds = append(preds, plan.Pred{Dense: func(base, n int, res []int32) int {
+				return tw.SelEqString(heap, base, n, val, res)
+			}})
+			strs = append(strs[:i:i], strs[i+1:]...)
+			break
 		}
 	}
-	if ref.Col.Table != ps.scan.Table {
-		return plan.Pred{}, false
-	}
-	rel := ps.scan.Table.Rel
-	switch ref.Col.Type.Kind {
-	case catalog.Int32:
-		return ordPred32(rel.Int32(ref.Col.Name), int32(lit), op)
-	case catalog.Date:
-		return ordPred32(rel.Date(ref.Col.Name), types.Date(lit), op)
-	case catalog.Numeric:
-		return ordPred64(rel.Numeric(ref.Col.Name), types.Numeric(lit), op)
-	case catalog.Int64:
-		return ordPred64(rel.Int64(ref.Col.Name), lit, op)
-	}
-	return plan.Pred{}, false
-}
-
-func literalValue(e sql.Expr) (int64, bool) {
-	switch x := e.(type) {
-	case *sql.NumLit:
-		return x.Val, true
-	case *sql.DateLit:
-		return int64(x.Days), true
-	}
-	return 0, false
-}
-
-// ordPred32 compiles col op v over a 32-bit column (Int32, Date):
-// equality keeps the tw primitive, every ordering comparison becomes
-// the inclusive range it admits and runs on internal/simd's range
-// kernels — the same kernels as the compiled backend's block stage.
-func ordPred32[T ~int32](col []T, v T, op sql.BinOp) (plan.Pred, bool) {
-	if op == sql.OpEq {
-		return plan.PredEq(col, v), true
-	}
-	lo, hi, ok := cmpRange(op, v, math.MinInt32, math.MaxInt32)
-	if !ok {
-		return plan.Pred{}, false
-	}
-	return plan.PredRange32(col, lo, hi), true
-}
-
-// ordPred64 is ordPred32 over a 64-bit column (Int64, Numeric).
-func ordPred64[T ~int64](col []T, v T, op sql.BinOp) (plan.Pred, bool) {
-	if op == sql.OpEq {
-		return plan.PredEq(col, v), true
-	}
-	lo, hi, ok := cmpRange(op, v, math.MinInt64, math.MaxInt64)
-	if !ok {
-		return plan.Pred{}, false
-	}
-	return plan.PredRange64(col, lo, hi), true
-}
-
-// cmpRange maps col op v to the inclusive range [lo, hi] of the
-// column type's [min, max] that passes it; when no value passes (col <
-// min, col > max) the range comes back empty, lo > hi. ok is false for
-// an operator other than <, <=, > or >=.
-func cmpRange[T ~int32 | ~int64](op sql.BinOp, v, min, max T) (lo, hi T, ok bool) {
-	lo, hi = min, max
-	switch op {
-	case sql.OpGe:
-		lo = v
-	case sql.OpGt:
-		if v == max {
-			return max, min, true
+	for _, r := range f.Ranges {
+		name := r.Col.Name
+		switch r.Col.Type.Kind {
+		case catalog.Int32:
+			preds = append(preds, plan.PredRange32(rel.Int32(name), int32(r.Lo), int32(r.Hi)))
+		case catalog.Date:
+			preds = append(preds, plan.PredRange32(rel.Date(name), types.Date(r.Lo), types.Date(r.Hi)))
+		case catalog.Numeric:
+			preds = append(preds, plan.PredRange64(rel.Numeric(name), types.Numeric(r.Lo), types.Numeric(r.Hi)))
+		case catalog.Int64:
+			preds = append(preds, plan.PredRange64(rel.Int64(name), r.Lo, r.Hi))
 		}
-		lo = v + 1
-	case sql.OpLe:
-		hi = v
-	case sql.OpLt:
-		if v == min {
-			return max, min, true
-		}
-		hi = v - 1
-	default:
-		return lo, hi, false
 	}
-	return lo, hi, true
-}
-
-// stringEqPred recognizes stringcol = 'literal'.
-func stringEqPred(ps *pipeSpec, f sql.Expr) (plan.Pred, bool) {
-	b, ok := f.(*sql.Binary)
-	if !ok || b.Op != sql.OpEq {
-		return plan.Pred{}, false
+	for _, s := range strs {
+		heap, val, eq := rel.String(s.Col.Name), []byte(s.Val), s.Eq
+		preds = append(preds, rowPred(func(row int) bool { return bytes.Equal(heap.Get(row), val) == eq }))
 	}
-	ref, refOK := b.L.(*sql.ColRef)
-	lit, litOK := b.R.(*sql.StrLit)
-	if !refOK || !litOK {
-		ref, refOK = b.R.(*sql.ColRef)
-		lit, litOK = b.L.(*sql.StrLit)
+	for _, e := range f.Residual {
+		preds = append(preds, genericPred(ps, e))
 	}
-	if !refOK || !litOK || ref.Col.Table != ps.scan.Table || ref.Col.Type.Kind != catalog.String {
-		return plan.Pred{}, false
-	}
-	heap := ps.scan.Table.Rel.String(ref.Col.Name)
-	val := lit.Val
-	return plan.Pred{
-		Dense: func(base, n int, res []int32) int {
-			return tw.SelEqString(heap, base, n, val, res)
-		},
-	}, true
+	return preds
 }
 
 // genericPred evaluates an arbitrary single-table predicate row by row
@@ -398,15 +284,20 @@ func stringEqPred(ps *pipeSpec, f sql.Expr) (plan.Pred, bool) {
 // the slow path; the planner's pushdown keeps it off the hot shapes.
 // The expression was vetted by validateRowPred at lowering time, so
 // rowEval cannot fail here.
-func genericPred(ps *pipeSpec, f sql.Expr) plan.Pred {
-	rel := ps.scan.Table.Rel
-	test := func(row int) bool {
+func genericPred(ps *Pipeline, f sql.Expr) plan.Pred {
+	rel := ps.Scan.Table.Rel
+	return rowPred(func(row int) bool {
 		v, err := rowEval(f, rel, row)
 		if err != nil {
 			panic(err) // unreachable: validateRowPred admitted the shape
 		}
 		return v != 0
-	}
+	})
+}
+
+// rowPred selects the rows of a batch that pass test, one row at a
+// time.
+func rowPred(test func(row int) bool) plan.Pred {
 	return plan.Pred{
 		Dense: func(base, n int, res []int32) int {
 			k := 0

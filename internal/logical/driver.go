@@ -49,15 +49,12 @@ func (e PipeEngine) String() string {
 
 // FusedProgram is the fused backend's per-pipeline surface
 // (*compiled.Program; an interface only because internal/compiled
-// imports this package). Pipelines are indexed in lowering order:
-// build pipelines before their prober, the final pipeline last — the
-// same decomposition LowerVec produces.
+// imports this package). Pipeline i is Pipelines()[i], the plan's
+// decomposition (Decompose): build pipelines before their prober, the
+// final pipeline last.
 type FusedProgram interface {
-	// NumPipes, PayWidth (the payload-column count of build pipeline i:
-	// its hash table holds 1+PayWidth words per row), TableName and
-	// TableRows describe the pipelines; Bind attaches the driver-owned
-	// dispatcher and — for build pipelines — hash table of pipeline i.
-	lowered
+	// Pipelines returns the decomposition the program was lowered from.
+	Pipelines() []*Pipeline
 	// RunBuild drains build pipeline i into worker wid's shard of its
 	// bound table (the driver runs the two-barrier publish).
 	RunBuild(i, wid int)
@@ -71,21 +68,12 @@ type FusedProgram interface {
 	RunProject(wid int, next func() []int64)
 }
 
-// lowered is what either lowering tells the driver about its pipelines
-// and takes from it: the shape that sizes the shared state, and Bind.
-type lowered interface {
-	NumPipes() int
-	PayWidth(i int) int
-	TableName(i int) string
-	TableRows(i int) int
-	Bind(i int, ht *hashtable.Table, disp *exec.Dispatcher)
-}
-
 // Policy is everything that distinguishes one engine from another.
 type Policy struct {
 	// Fused and Vec are the plan's two lowerings; a policy that never
 	// runs a pipeline on a backend leaves that backend's program nil
-	// (typer never lowers or allocates anything vectorized).
+	// (typer never lowers or allocates anything vectorized). A policy
+	// that sets both lowers them from one decomposition.
 	Fused FusedProgram
 	Vec   *VecProgram
 	// Assign picks each pipeline's backend. Nil means every pipeline
@@ -178,27 +166,13 @@ type workerStat struct {
 // assembles the pre-finalization state, otherwise it finalizes.
 func drive(ctx context.Context, pl *Plan, workers int, pol Policy, stream *streamer, chunk int, partial bool) (Output, error) {
 	fp, vp := pol.Fused, pol.Vec
-	var progs []lowered
+	var pipes []*Pipeline
 	if fp != nil {
-		progs = append(progs, fp)
+		pipes = fp.Pipelines()
+	} else {
+		pipes = vp.pipes
 	}
-	if vp != nil {
-		progs = append(progs, vp)
-	}
-	shape := progs[0]
-	n := shape.NumPipes()
-	if len(progs) == 2 {
-		// Defensive parity check: a mixed assignment relies on both
-		// lowerings decomposing the plan identically.
-		if vp.NumPipes() != n {
-			return Output{}, fmt.Errorf("logical: backend pipeline counts diverged (%d fused, %d vectorized)", n, vp.NumPipes())
-		}
-		for i := 0; i < n; i++ {
-			if fp.PayWidth(i) != vp.PayWidth(i) || fp.TableName(i) != vp.TableName(i) {
-				return Output{}, fmt.Errorf("logical: pipeline %d shape diverged between backends", i)
-			}
-		}
-	}
+	n := len(pipes)
 	assign := pol.Assign
 	if assign == nil {
 		assign = make([]PipeEngine, n) // all PipeFused
@@ -212,26 +186,23 @@ func drive(ctx context.Context, pl *Plan, workers int, pol Policy, stream *strea
 
 	col := obs.FromContext(ctx)
 	if col != nil {
-		describePipes(pl, col)
+		describePipes(pl, pipes, col)
 	}
 
 	// Every per-query allocation is sized to the input: no more workers
 	// than the largest scan has morsels, no vector longer than it.
 	largest := 0
-	for i := 0; i < n; i++ {
-		largest = max(largest, shape.TableRows(i))
+	for _, p := range pipes {
+		largest = max(largest, p.Scan.Table.Rows())
 	}
 	e := plan.NewExec(ctx, workers, pol.VecSize, largest)
 	w := e.Workers // normalized and sized by NewExec
-	fi := n - 1    // lowering order puts the final pipeline last; all others build
-	hts := make([]*hashtable.Table, n)
-	for i := 0; i < n; i++ {
-		disp := exec.NewDispatcherCtx(ctx, shape.TableRows(i), 0)
-		if i < fi {
-			hts[i] = hashtable.New(1+shape.PayWidth(i), w)
-		}
-		for _, p := range progs {
-			p.Bind(i, hts[i], disp)
+	fi := n - 1    // the final pipeline is last; all others build
+	for _, p := range pipes {
+		p.disp = exec.NewDispatcherCtx(ctx, p.Scan.Table.Rows(), 0)
+		p.ht = nil
+		if p.Key != nil {
+			p.ht = hashtable.New(1+len(p.Pays), w)
 		}
 	}
 
@@ -326,7 +297,7 @@ func drive(ctx context.Context, pl *Plan, workers int, pol Policy, stream *strea
 				drain(i, func(vw *VecWorker) plan.Sink { return vw.BuildSink(i, wid) })
 			}
 			stats[i*w+wid].nanos = time.Since(start).Nanoseconds()
-			tw.BuildBarrier(hts[i], bar, wid)
+			tw.BuildBarrier(pipes[i].ht, bar, wid)
 		}
 
 		st := &stats[fi*w+wid]
@@ -413,9 +384,10 @@ func drive(ctx context.Context, pl *Plan, workers int, pol Policy, stream *strea
 		col.SetPipeEngine(i, assign[i].String())
 		if i < fi {
 			// Build-pipeline output = the shared table's final row count.
-			rows = int64(hts[i].Rows())
-			col.SetHTRows(i, rows, int64(hts[i].KeyFilter().Bits()))
-			col.SetLayout(i, layout(hts[i].KeyIndex().On(), obs.LayoutIndex))
+			ht := pipes[i].ht
+			rows = int64(ht.Rows())
+			col.SetHTRows(i, rows, int64(ht.KeyFilter().Bits()))
+			col.SetLayout(i, layout(ht.KeyIndex().On(), obs.LayoutIndex))
 		} else if keyed {
 			col.SetLayout(i, layout(agg.Domain.Array(), obs.LayoutArray))
 		}

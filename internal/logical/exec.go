@@ -275,12 +275,12 @@ func MergeGlobal(agg *Aggregate, partials []GlobalPartial) []int64 {
 // ---------------------------------------------------------------------
 
 // worker holds one worker's buffer arena and the gathered-column
-// buffers of each pipeline. A non-nil hash overrides the probe-side
-// hash function of every join table (the hybrid policy's Mix64
-// standardization); nil keeps the engine default.
+// buffers of each pipeline, indexed by Pipeline.Slot. A non-nil hash
+// overrides the probe-side hash function of every join table (the
+// hybrid policy's Mix64 standardization); nil keeps the engine default.
 type worker struct {
 	bufs   *vector.Buffers
-	colBuf map[*pipeSpec]map[*catalog.Column][]uint64
+	colBuf map[*Pipeline][][]uint64
 	ones   []int64
 	hash   plan.HashFn
 }
@@ -288,34 +288,31 @@ type worker struct {
 // pipeRoot assembles the operator tree of one pipeline for this worker,
 // also returning the root scan operator, so callers that retune the
 // vector size mid-flight (micro-adaptive sizing) keep a handle on it.
-func (w *worker) pipeRoot(ps *pipeSpec, e *plan.Exec) (plan.Operator, *plan.Scan) {
+func (w *worker) pipeRoot(ps *Pipeline, e *plan.Exec) (plan.Operator, *plan.Scan) {
 	scan := e.NewScan(ps.disp)
 	var op plan.Operator = scan
 	if preds := w.filterPreds(ps); len(preds) > 0 {
 		op = plan.NewFilterChain(w.bufs, op, preds...)
 	}
-	bufs := map[*catalog.Column][]uint64{}
+	bufs := make([][]uint64, ps.Gathered())
 	w.colBuf[ps] = bufs
-	var live [][]uint64
-	for _, st := range ps.steps {
-		spec := plan.ProbeSpec{HT: st.build.ht, Key: w.srcVecU64(ps, colSrc{base: st.probeKey}), Hash: w.hash}
-		var added [][]uint64
-		for _, g := range st.gathers {
-			dst := w.bufs.Ref()
-			bufs[g.col] = dst
-			spec.GatherU64 = append(spec.GatherU64, plan.GatherU64{Word: g.word, Dst: dst})
-			added = append(added, dst)
+	live := 0 // bufs[:live] are gathered by earlier steps
+	for _, st := range ps.Steps {
+		spec := plan.ProbeSpec{HT: st.Build.ht, Key: w.srcVecU64(ps, st.ProbeKey), Hash: w.hash}
+		for i, g := range st.Gathers {
+			bufs[live+i] = w.bufs.Ref()
+			spec.GatherU64 = append(spec.GatherU64, plan.GatherU64{Word: g.Word, Dst: bufs[live+i]})
 		}
-		for _, lb := range live {
+		for _, lb := range bufs[:live] {
 			spec.Carry = append(spec.Carry, plan.CarryU64(w.bufs, lb))
 		}
 		op = plan.NewHashProbe(w.bufs, op, spec)
-		live = append(live, added...)
-		for _, r := range st.residuals {
+		live += len(st.Gathers)
+		for _, r := range st.Residuals {
 			av := w.u64Vec(ps, r[0])
 			bv := w.u64Vec(ps, r[1])
 			var carries []plan.Carry
-			for _, lb := range live {
+			for _, lb := range bufs[:live] {
 				carries = append(carries, plan.CarryU64(w.bufs, lb))
 			}
 			op = plan.NewMatch(w.bufs, op,
@@ -327,14 +324,13 @@ func (w *worker) pipeRoot(ps *pipeSpec, e *plan.Exec) (plan.Operator, *plan.Scan
 	return op, scan
 }
 
-// srcVecU64 builds a key/payload expression for a column source.
-func (w *worker) srcVecU64(ps *pipeSpec, src colSrc) plan.VecU64 {
-	if src.base == nil {
-		buf := w.colBuf[ps][srcColOf(ps, src)]
-		return plan.FromU64(buf)
+// srcVecU64 builds a key/payload expression for a column of the
+// pipeline.
+func (w *worker) srcVecU64(ps *Pipeline, c *catalog.Column) plan.VecU64 {
+	if slot := ps.Slot(c); slot >= 0 {
+		return plan.FromU64(w.colBuf[ps][slot])
 	}
-	c := src.base
-	rel := ps.scan.Table.Rel
+	rel := ps.Scan.Table.Rel
 	switch c.Type.Kind {
 	case catalog.Int32:
 		return plan.KeyWiden(rel.Int32(c.Name))
@@ -348,38 +344,27 @@ func (w *worker) srcVecU64(ps *pipeSpec, src colSrc) plan.VecU64 {
 	panic("logical: column " + c.Name + " cannot be a key or payload")
 }
 
-// srcColOf finds the gathered column a derived source refers to.
-func srcColOf(ps *pipeSpec, src colSrc) *catalog.Column {
-	st := ps.steps[src.step]
-	for _, g := range st.gathers {
-		if g.word == src.word {
-			return g.col
-		}
-	}
-	panic("logical: dangling column source")
-}
-
-// u64Vec returns the source's uint64 vector for the current batch
-// (derived buffers as-is, base columns materialized through the
+// u64Vec returns the column's uint64 vector for the current batch
+// (gathered buffers as-is, base columns materialized through the
 // selection into a private buffer).
-func (w *worker) u64Vec(ps *pipeSpec, src colSrc) func(b *plan.Batch) []uint64 {
-	if src.base == nil {
-		buf := w.colBuf[ps][srcColOf(ps, src)]
+func (w *worker) u64Vec(ps *Pipeline, c *catalog.Column) func(b *plan.Batch) []uint64 {
+	if slot := ps.Slot(c); slot >= 0 {
+		buf := w.colBuf[ps][slot]
 		return func(*plan.Batch) []uint64 { return buf }
 	}
-	expr := w.srcVecU64(ps, src)
+	expr := w.srcVecU64(ps, c)
 	scratch := w.bufs.Ref()
 	return func(b *plan.Batch) []uint64 { return expr(b, scratch) }
 }
 
 // groupKey builds the grouping-key expression: one key hashes directly,
 // two pack lo|hi<<32 like the hand-written Q2.1 plan.
-func (w *worker) groupKey(ps *pipeSpec, agg *Aggregate) plan.VecU64 {
+func (w *worker) groupKey(ps *Pipeline, agg *Aggregate) plan.VecU64 {
 	if len(agg.Keys) == 1 {
-		return w.srcVecU64(ps, ps.resolve(agg.Keys[0]))
+		return w.srcVecU64(ps, agg.Keys[0])
 	}
-	lo := w.u64Vec(ps, ps.resolve(agg.Keys[0]))
-	hi := w.u64Vec(ps, ps.resolve(agg.Keys[1]))
+	lo := w.u64Vec(ps, agg.Keys[0])
+	hi := w.u64Vec(ps, agg.Keys[1])
 	return func(b *plan.Batch, scratch []uint64) []uint64 {
 		tw.MapPackU64LoHi(lo(b), hi(b), b.K, scratch)
 		return scratch
@@ -387,7 +372,7 @@ func (w *worker) groupKey(ps *pipeSpec, agg *Aggregate) plan.VecU64 {
 }
 
 // aggInput compiles one aggregate slot's input vector.
-func (w *worker) aggInput(ps *pipeSpec, s AggSpec) plan.VecI64 {
+func (w *worker) aggInput(ps *Pipeline, s AggSpec) plan.VecI64 {
 	if s.Op == OpCount && s.Arg == nil { // COUNT(*)
 		return w.onesVec()
 	}
@@ -428,7 +413,7 @@ type globalAggSink struct {
 	out   *GlobalPartial
 }
 
-func newGlobalAggSink(w *worker, ps *pipeSpec, agg *Aggregate, out *GlobalPartial) *globalAggSink {
+func newGlobalAggSink(w *worker, ps *Pipeline, agg *Aggregate, out *GlobalPartial) *globalAggSink {
 	s := &globalAggSink{specs: agg.Aggs, out: out, acc: make([]int64, len(agg.Aggs))}
 	s.vals = make([]vec64, len(agg.Aggs))
 	for i, spec := range agg.Aggs {

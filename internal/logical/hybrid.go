@@ -1,63 +1,50 @@
 package logical
 
 import (
-	"paradigms/internal/catalog"
-	"paradigms/internal/exec"
 	"paradigms/internal/hashtable"
 	"paradigms/internal/plan"
 	"paradigms/internal/vector"
 )
 
 // This file is the vectorized lowering's surface for the pipeline
-// driver (driver.go): the lowered pipeline structure — identical
-// decomposition to internal/compiled's, since both recurse over the
-// same optimized plan with the same deterministic column ordering —
-// so the driver can run any individual pipeline vector-at-a-time while
-// its neighbours run fused. The driver owns all shared execution state
-// (dispatchers, hash tables, spill, barrier); this surface binds that
-// state in and builds per-worker operator trees and sinks for one
-// pipeline at a time.
+// driver (driver.go): the plan's pipelines (Decompose) with the
+// per-worker assembly of each one from vectorized operators, so the
+// driver can run any individual pipeline vector-at-a-time while its
+// neighbours run fused. The driver owns all shared execution state
+// (dispatchers, hash tables, spill, barrier) and binds it into the
+// pipelines; this surface builds per-worker operator trees and sinks
+// for one pipeline at a time.
 
 // VecProgram is a query lowered onto the vectorized operator layer,
 // ready for per-pipeline execution under the driver.
 type VecProgram struct {
-	pl   *Plan
-	prog *program
+	pl    *Plan
+	pipes []*Pipeline
+	final *Pipeline
 }
 
 // LowerVec lowers an optimized, fully bound logical plan onto the
 // vectorized operator layer.
-func LowerVec(pl *Plan) (*VecProgram, error) {
-	prog, err := lower(pl)
-	if err != nil {
-		return nil, err
+func LowerVec(pl *Plan) (*VecProgram, error) { return LowerVecPipes(pl, Decompose(pl)) }
+
+// LowerVecPipes is LowerVec over pl's decomposition pipes, which a
+// fused lowering may share (the hybrid lowers both from one).
+func LowerVecPipes(pl *Plan, pipes []*Pipeline) (*VecProgram, error) {
+	// Every residual conjunct must be row-evaluable: the generic
+	// predicate is not allowed to fail (= silently drop rows) at
+	// execution time.
+	for _, p := range pipes {
+		for _, f := range p.Filters.Residual {
+			if err := validateRowPred(f); err != nil {
+				return nil, err
+			}
+		}
 	}
-	return &VecProgram{pl: pl, prog: prog}, nil
+	return &VecProgram{pl: pl, pipes: pipes, final: pipes[len(pipes)-1]}, nil
 }
 
-// NumPipes returns the pipeline count (build pipelines before their
-// prober, the final pipeline last).
-func (p *VecProgram) NumPipes() int { return len(p.prog.pipes) }
-
-// PayWidth returns the payload-column count of build pipeline i.
-func (p *VecProgram) PayWidth(i int) int { return len(p.prog.pipes[i].pays) }
-
-// TableName returns the spine table of pipeline i.
-func (p *VecProgram) TableName(i int) string { return p.prog.pipes[i].scan.Table.Name }
-
-// TableRows returns the spine cardinality of pipeline i (the morsel
-// space its dispatcher must cover).
-func (p *VecProgram) TableRows(i int) int { return p.prog.pipes[i].scan.Table.Rel.Rows() }
-
-// Bind attaches the driver-owned per-execution state to pipeline i:
-// the shared morsel dispatcher and — for build pipelines — the shared
-// hash table its probers will read (nil for the final pipeline). The
-// same table is bound into the fused program so cross-engine probes
-// read what either engine built.
-func (p *VecProgram) Bind(i int, ht *hashtable.Table, disp *exec.Dispatcher) {
-	p.prog.pipes[i].disp = disp
-	p.prog.pipes[i].ht = ht
-}
+// Pipelines returns the decomposition the program was lowered from.
+func (p *VecProgram) Pipelines() []*Pipeline { return p.pipes }
 
 // VecWorker assembles one worker's operator trees and sinks over a
 // VecProgram. A non-nil hash function overrides the probe/build hash
@@ -76,7 +63,7 @@ func (p *VecProgram) NewWorker(e *plan.Exec, bufs *vector.Buffers, hash plan.Has
 	return &VecWorker{
 		p: p,
 		e: e,
-		w: &worker{bufs: bufs, colBuf: map[*pipeSpec]map[*catalog.Column][]uint64{}, hash: hash},
+		w: &worker{bufs: bufs, colBuf: map[*Pipeline][][]uint64{}, hash: hash},
 	}
 }
 
@@ -84,18 +71,18 @@ func (p *VecProgram) NewWorker(e *plan.Exec, bufs *vector.Buffers, hash plan.Has
 // returning the root operator and the scan handle (for micro-adaptive
 // vector retuning).
 func (vw *VecWorker) PipeRoot(i int) (plan.Operator, *plan.Scan) {
-	return vw.w.pipeRoot(vw.p.prog.pipes[i], vw.e)
+	return vw.w.pipeRoot(vw.p.pipes[i], vw.e)
 }
 
 // BuildSink creates the hash-build sink of build pipeline i for worker
 // wid, with the worker's hash override applied. The driver runs the
 // two-barrier publish itself (tw.BuildBarrier), not Sink.Finish.
 func (vw *VecWorker) BuildSink(i, wid int) *plan.HashBuildSink {
-	ps := vw.p.prog.pipes[i]
-	key := vw.w.srcVecU64(ps, colSrc{base: ps.keyCol})
-	pays := make([]plan.VecU64, len(ps.pays))
-	for j, src := range ps.paySrc {
-		pays[j] = vw.w.srcVecU64(ps, src)
+	ps := vw.p.pipes[i]
+	key := vw.w.srcVecU64(ps, ps.Key)
+	pays := make([]plan.VecU64, len(ps.Pays))
+	for j, c := range ps.Pays {
+		pays[j] = vw.w.srcVecU64(ps, c)
 	}
 	sink := plan.NewHashBuild(vw.w.bufs, ps.ht, wid, key, pays...)
 	sink.SetHash(vw.w.hash)
@@ -106,7 +93,7 @@ func (vw *VecWorker) BuildSink(i, wid int) *plan.HashBuildSink {
 // (phase one) for worker wid, spilling into the driver-owned spill: an
 // array over the key's domain when the plan chose one, else hashed.
 func (vw *VecWorker) GroupBySink(wid int, spill *hashtable.Spill, htOps []hashtable.AggOp) *plan.GroupBySink {
-	final := vw.p.prog.final
+	final := vw.p.final
 	agg := vw.p.pl.Agg
 	key := vw.w.groupKey(final, agg)
 	vals := make([]plan.VecI64, len(agg.Aggs))
@@ -122,7 +109,7 @@ func (vw *VecWorker) GroupBySink(wid int, spill *hashtable.Spill, htOps []hashta
 // GlobalSink creates the final pipeline's ungrouped-aggregation sink;
 // the worker's partial lands in *out at Finish.
 func (vw *VecWorker) GlobalSink(out *GlobalPartial) plan.Sink {
-	return newGlobalAggSink(vw.w, vw.p.prog.final, vw.p.pl.Agg, out)
+	return newGlobalAggSink(vw.w, vw.p.final, vw.p.pl.Agg, out)
 }
 
 // CollectSink creates the final pipeline's projection sink, writing
@@ -132,7 +119,7 @@ func (vw *VecWorker) CollectSink(next func() []int64) plan.Sink {
 	sink.exprs = make([]vec64, len(vw.p.pl.Proj))
 	sink.vecs = make([][]int64, len(sink.exprs))
 	for j, e := range vw.p.pl.Proj {
-		sink.exprs[j] = vw.w.vecI64(vw.p.prog.final, e)
+		sink.exprs[j] = vw.w.vecI64(vw.p.final, e)
 	}
 	return sink
 }

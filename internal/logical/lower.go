@@ -1,6 +1,7 @@
 package logical
 
 import (
+	"math"
 	"sort"
 
 	"paradigms/internal/catalog"
@@ -9,226 +10,322 @@ import (
 	"paradigms/internal/sql"
 )
 
-// The lowering pass turns the optimized logical plan into pipeline
-// specifications over the physical operator layer. Each Node maps to
-// one pipeline: a build-side chain becomes scan → filter cascade →
-// probes of its own sub-chains → HashBuildSink; the final pipeline ends
-// in the query's sink (grouped spill, global aggregate, or row
-// collector). The specs are engine-shaped exactly like the hand-written
-// plans in internal/plan: shared hash tables and dispatchers, per-worker
-// operator trees, derived vectors in per-worker buffers carried through
-// probes.
+// The pipeline decomposition both lowerings read. Each Node of the
+// optimized plan roots one pipeline: its spine scan, the filters
+// pushed to that scan (classified once, below), one probe step per
+// join on the probe chain, and a terminal — a hash-table build for a
+// join's build side, the query's sink for the root. Decompose is the
+// only walk that orders pipelines: internal/compiled fuses each one
+// into a tuple-at-a-time loop, LowerVec assembles it from vectorized
+// operators, the driver sizes and binds the shared state from it, and
+// the telemetry and the hybrid's assignment describe it. Both
+// lowerings therefore see the same pipelines, payload layouts and
+// filters by construction (DESIGN.md §12).
 
-// colSrc locates a column's value within one pipeline: a base column of
-// the pipeline's spine table, or a word gathered from a probe step's
-// hash table.
-type colSrc struct {
-	base *catalog.Column
-	step int
-	word int
+// Pipeline is one pipeline of a plan's decomposition.
+type Pipeline struct {
+	Scan  *Scan
+	Steps []*ProbeStep
+	// Key and Pays are a build pipeline's hash-table key (a base column
+	// of the spine, word 0) and payload columns (word 1+i). Key is nil
+	// on the final pipeline.
+	Key  *catalog.Column
+	Pays []*catalog.Column
+	// Filters is the spine scan's conjuncts, classified.
+	Filters Filters
+
+	// Per-execution state, bound by Drive: the morsel dispatcher over
+	// the spine and, on a build pipeline, the table it publishes.
+	ht   *hashtable.Table
+	disp *exec.Dispatcher
 }
 
-type gatherSpec struct {
-	word int
-	col  *catalog.Column
+// ProbeStep is one hash probe of a pipeline, innermost join first.
+type ProbeStep struct {
+	Join     *Join
+	Build    *Pipeline
+	ProbeKey *catalog.Column // a base column of the prober's spine
+	// Gathers copies every column the pipeline needs from the build
+	// chain out of its table row; Residuals are the cross-chain
+	// equalities checked once both operands are available.
+	Gathers   []Gather
+	Residuals [][2]*catalog.Column
 }
 
-type stepSpec struct {
-	join      *Join
-	build     *pipeSpec
-	probeKey  *catalog.Column
-	gathers   []gatherSpec
-	residuals [][2]colSrc
+// Gather is one build-table word a probe copies out (word 0 is the
+// key itself).
+type Gather struct {
+	Word int
+	Col  *catalog.Column
 }
 
-// pipeSpec is one compiled pipeline.
-type pipeSpec struct {
-	scan  *Scan
-	steps []*stepSpec
+// HT is the hash table a build pipeline publishes in the current
+// execution (nil on the final pipeline).
+func (p *Pipeline) HT() *hashtable.Table { return p.ht }
 
-	// Build-side output: the hash-table key column (a base column of
-	// scan.Table) and payload columns in word order (word 1+i). Nil
-	// keyCol marks the final pipeline.
-	keyCol *catalog.Column
-	pays   []*catalog.Column
-	paySrc []colSrc
+// Disp is the current execution's morsel dispatcher over the spine.
+func (p *Pipeline) Disp() *exec.Dispatcher { return p.disp }
 
-	srcOf map[*catalog.Column]colSrc
-
-	// Per-execution shared state.
-	ht        *hashtable.Table
-	disp      *exec.Dispatcher
-	rejectAll bool
-}
-
-type program struct {
-	pipes []*pipeSpec // dependency order: build pipelines before their prober; final last
-	final *pipeSpec
-}
-
-// lower compiles the plan's node tree into pipeline specs.
-func lower(pl *Plan) (*program, error) {
-	prog := &program{}
-	needed := map[*catalog.Column]bool{}
-	if pl.Agg != nil {
-		for _, k := range pl.Agg.Keys {
-			needed[k] = true
+// Slot locates c within the pipeline: -1 for a base column of the
+// spine, else c's position among the gathered columns in probe order —
+// the fused loop's frame slot and the vectorized worker's gather
+// buffer. It panics when the pipeline does not materialize c.
+func (p *Pipeline) Slot(c *catalog.Column) int {
+	if c.Table == p.Scan.Table {
+		return -1
+	}
+	slot := 0
+	for _, st := range p.Steps {
+		for _, g := range st.Gathers {
+			if g.Col == c {
+				return slot
+			}
+			slot++
 		}
+	}
+	panic("logical: column " + c.Table.Name + "." + c.Name + " not materialized in pipeline over " + p.Scan.Table.Name)
+}
+
+// Gathered is the pipeline's gathered-column count (its frame width).
+func (p *Pipeline) Gathered() int {
+	n := 0
+	for _, st := range p.Steps {
+		n += len(st.Gathers)
+	}
+	return n
+}
+
+// Decompose splits an optimized, bound plan into its pipelines in
+// execution order: each build pipeline before its prober, the final
+// pipeline last.
+func Decompose(pl *Plan) []*Pipeline {
+	var needed []*catalog.Column
+	if pl.Agg != nil {
+		needed = append(needed, pl.Agg.Keys...)
 		for _, s := range pl.Agg.Aggs {
 			if s.Arg != nil {
-				sql.WalkCols(s.Arg, func(c *catalog.Column) { needed[c] = true })
+				sql.WalkCols(s.Arg, func(c *catalog.Column) { needed = append(needed, c) })
 			}
 		}
 	}
 	for _, e := range pl.Proj {
-		sql.WalkCols(e, func(c *catalog.Column) { needed[c] = true })
+		sql.WalkCols(e, func(c *catalog.Column) { needed = append(needed, c) })
 	}
-	final, err := compilePipe(pl.Root, sortedCols(needed), prog)
-	if err != nil {
-		return nil, err
-	}
-	final.rejectAll = pl.AlwaysFalse
-	prog.final = final
-	return prog, nil
+	var pipes []*Pipeline
+	decompose(pl.Root, sortedCols(needed), pl.AlwaysFalse, &pipes)
+	return pipes
 }
 
-// sortedCols renders a column set deterministic.
-func sortedCols(set map[*catalog.Column]bool) []*catalog.Column {
-	out := make([]*catalog.Column, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Table.Name != out[j].Table.Name {
-			return out[i].Table.Name < out[j].Table.Name
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}
-
-func tablesUnder(n Node) map[*catalog.Table]bool {
-	out := map[*catalog.Table]bool{}
-	var walk func(Node)
-	walk = func(n Node) {
-		switch x := n.(type) {
-		case *Scan:
-			out[x.Table] = true
-		case *Join:
-			walk(x.Build)
-			walk(x.Probe)
-		}
-	}
-	walk(n)
-	return out
-}
-
-// probeJoins lists the joins the pipeline rooted at n probes,
-// innermost first.
-func probeJoins(n Node) []*Join {
-	var joins []*Join
+// decompose appends the pipeline rooted at n, after the build
+// pipelines it probes; the pipeline must expose needed to its
+// consumer. reject marks a plan-time constant false on the final
+// pipeline.
+func decompose(n Node, needed []*catalog.Column, reject bool, pipes *[]*Pipeline) *Pipeline {
+	var joins []*Join // the probe chain, innermost first
 	for cur := n; ; {
 		j, ok := cur.(*Join)
 		if !ok {
-			return joins
+			break
 		}
-		joins = append([]*Join{j}, joins...)
+		joins = append(joins, j)
 		cur = j.Probe
 	}
-}
-
-// compilePipe compiles the pipeline rooted at n, which must produce the
-// needed columns for its consumer. Build pipelines append themselves to
-// prog before their prober (execution order).
-func compilePipe(n Node, needed []*catalog.Column, prog *program) (*pipeSpec, error) {
-	spine := n.Spine()
-	joins := probeJoins(n)
-
-	ps := &pipeSpec{scan: spine, srcOf: map[*catalog.Column]colSrc{}}
-	// Every pushed-down conjunct must be row-evaluable: the generic
-	// fallback predicate is not allowed to fail (= silently drop rows)
-	// at execution time.
-	for _, f := range spine.Filters {
-		if err := validateRowPred(f); err != nil {
-			return nil, err
-		}
+	for i, k := 0, len(joins)-1; i < k; i, k = i+1, k-1 {
+		joins[i], joins[k] = joins[k], joins[i]
 	}
 
-	// Everything this pipeline must materialize: consumer needs plus its
-	// own residual operands.
-	req := map[*catalog.Column]bool{}
-	for _, c := range needed {
-		req[c] = true
-	}
+	// Everything the pipeline materializes: its consumer's columns plus
+	// its own residual operands.
+	req := needed[:len(needed):len(needed)] // appends copy: needed may be a payload list
 	for _, j := range joins {
 		for _, r := range j.Residuals {
-			req[r[0]] = true
-			req[r[1]] = true
+			req = append(req, r[0], r[1])
 		}
 	}
-	reqList := sortedCols(req)
+	if len(req) > len(needed) {
+		req = sortedCols(req)
+	}
 
-	for i, j := range joins {
-		chainTabs := tablesUnder(j.Build)
-		// Columns the chain must expose as payloads (its hash key rides
-		// in word 0 and needs no payload slot).
+	p := &Pipeline{Scan: n.Spine()}
+	p.Filters = classifyFilters(p.Scan, reject)
+	for _, j := range joins {
+		// The chain's hash key rides in word 0 and needs no payload.
 		var pays []*catalog.Column
-		for _, c := range reqList {
-			if chainTabs[c.Table] && c != j.BuildKey {
+		for _, c := range req {
+			if covers(j.Build, c.Table) && c != j.BuildKey {
 				pays = append(pays, c)
 			}
 		}
-		bp, err := compilePipe(j.Build, pays, prog)
-		if err != nil {
-			return nil, err
-		}
-		bp.keyCol = j.BuildKey
-		bp.pays = pays
-		bp.paySrc = make([]colSrc, len(pays))
-		for pi, c := range pays {
-			bp.paySrc[pi] = bp.resolve(c)
-		}
-		st := &stepSpec{join: j, build: bp, probeKey: j.ProbeKey}
-		// Gather every required column of this chain at the probe.
-		for _, c := range reqList {
-			if !chainTabs[c.Table] {
+		bp := decompose(j.Build, pays, false, pipes)
+		bp.Key, bp.Pays = j.BuildKey, pays
+		st := &ProbeStep{Join: j, Build: bp, ProbeKey: j.ProbeKey, Residuals: j.Residuals}
+		for _, c := range req {
+			if !covers(j.Build, c.Table) {
 				continue
 			}
 			word := 0
 			if c != j.BuildKey {
-				word = 1 + indexOfCol(pays, c)
+				for word < len(pays) && pays[word] != c {
+					word++
+				}
+				word++
 			}
-			st.gathers = append(st.gathers, gatherSpec{word: word, col: c})
-			ps.srcOf[c] = colSrc{step: i, word: word}
+			st.Gathers = append(st.Gathers, Gather{Word: word, Col: c})
 		}
-		ps.steps = append(ps.steps, st)
-		// Residuals attached to this join: both operands are available
-		// by now (the planner placed them at the first such join).
-		for _, r := range j.Residuals {
-			st.residuals = append(st.residuals, [2]colSrc{ps.resolve(r[0]), ps.resolve(r[1])})
-		}
+		p.Steps = append(p.Steps, st)
 	}
-	prog.pipes = append(prog.pipes, ps)
-	return ps, nil
+	*pipes = append(*pipes, p)
+	return p
 }
 
-func indexOfCol(cols []*catalog.Column, c *catalog.Column) int {
-	for i, x := range cols {
-		if x == c {
-			return i
-		}
+// covers reports whether t is scanned under n.
+func covers(n Node, t *catalog.Table) bool {
+	if j, ok := n.(*Join); ok {
+		return covers(j.Build, t) || covers(j.Probe, t)
 	}
-	panic("logical: column missing from payload list")
+	return n.(*Scan).Table == t
 }
 
-// resolve locates a column within the pipeline.
-func (ps *pipeSpec) resolve(c *catalog.Column) colSrc {
-	if c.Table == ps.scan.Table {
-		return colSrc{base: c}
+// sortedCols returns cols without repeats in a deterministic order
+// (table, then column name), sorting cols in place.
+func sortedCols(cols []*catalog.Column) []*catalog.Column {
+	sort.Slice(cols, func(i, j int) bool {
+		if cols[i].Table.Name != cols[j].Table.Name {
+			return cols[i].Table.Name < cols[j].Table.Name
+		}
+		return cols[i].Name < cols[j].Name
+	})
+	out := cols[:0]
+	for i, c := range cols {
+		if i == 0 || c != cols[i-1] {
+			out = append(out, c)
+		}
 	}
-	src, ok := ps.srcOf[c]
-	if !ok {
-		panic("logical: column " + c.Table.Name + "." + c.Name + " not materialized in pipeline over " + ps.scan.Table.Name)
+	return out
+}
+
+// Filters is a scan's pushed-down conjuncts, classified: the shape
+// both lowerings map onto their own filter machinery.
+type Filters struct {
+	// Ranges holds one inclusive range per ordered column, in the order
+	// the columns first appear: every col-vs-literal comparison, with
+	// repeated bounds on a column intersected and col = v as [v, v].
+	// A 32-bit column's range is clamped to int32.
+	Ranges []Range
+	// Strs are string = and <> comparisons against a literal.
+	Strs []StrFilter
+	// Residual is every other conjunct, evaluated row by row.
+	Residual []sql.Expr
+	// RejectAll is set when no row can pass: a range is empty or lies
+	// outside its 32-bit column's type, or the plan folded to false.
+	RejectAll bool
+}
+
+// Range is the inclusive range [Lo, Hi] of Col that passes a scan's
+// ordering conjuncts.
+type Range struct {
+	Col    *catalog.Column
+	Lo, Hi int64
+}
+
+// StrFilter is Col = Val (Eq) or Col <> Val over a string column.
+type StrFilter struct {
+	Col *catalog.Column
+	Val string
+	Eq  bool
+}
+
+// Len is the classified conjunct count.
+func (f *Filters) Len() int { return len(f.Ranges) + len(f.Strs) + len(f.Residual) }
+
+// classifyFilters is the one scan-filter classifier. reject starts the
+// result rejecting every row.
+func classifyFilters(sc *Scan, reject bool) Filters {
+	f := Filters{RejectAll: reject}
+	for _, e := range sc.Filters {
+		b, ok := e.(*sql.Binary)
+		if !ok {
+			f.Residual = append(f.Residual, e)
+			continue
+		}
+		op, lit := b.Op, b.R
+		ref, refOK := b.L.(*sql.ColRef)
+		if !refOK {
+			// literal CMP col: swap the operands and flip the comparison.
+			ref, refOK = b.R.(*sql.ColRef)
+			lit = b.L
+			switch op {
+			case sql.OpLt:
+				op = sql.OpGt
+			case sql.OpLe:
+				op = sql.OpGe
+			case sql.OpGt:
+				op = sql.OpLt
+			case sql.OpGe:
+				op = sql.OpLe
+			}
+		}
+		if !refOK || ref.Col.Table != sc.Table {
+			f.Residual = append(f.Residual, e)
+			continue
+		}
+		var v int64
+		switch x := lit.(type) {
+		case *sql.StrLit:
+			if ref.Col.Type.Kind == catalog.String && (op == sql.OpEq || op == sql.OpNe) {
+				f.Strs = append(f.Strs, StrFilter{Col: ref.Col, Val: x.Val, Eq: op == sql.OpEq})
+				continue
+			}
+			ok = false
+		case *sql.NumLit:
+			v = x.Val
+		case *sql.DateLit:
+			v = int64(x.Days)
+		default:
+			ok = false
+		}
+		// The range col op v admits; one no int64 passes is empty.
+		lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+		switch op {
+		case sql.OpEq:
+			lo, hi = v, v
+		case sql.OpGe:
+			lo = v
+		case sql.OpGt:
+			lo = v + 1
+			if v == math.MaxInt64 {
+				lo, hi = 1, 0
+			}
+		case sql.OpLe:
+			hi = v
+		case sql.OpLt:
+			hi = v - 1
+			if v == math.MinInt64 {
+				lo, hi = 1, 0
+			}
+		default:
+			ok = false
+		}
+		if !ok || !ref.Col.Type.IsNumeric() {
+			f.Residual = append(f.Residual, e)
+			continue
+		}
+		i := 0
+		for i < len(f.Ranges) && f.Ranges[i].Col != ref.Col {
+			i++
+		}
+		if i == len(f.Ranges) {
+			f.Ranges = append(f.Ranges, Range{Col: ref.Col, Lo: math.MinInt64, Hi: math.MaxInt64})
+		}
+		r := &f.Ranges[i]
+		r.Lo, r.Hi = max(r.Lo, lo), min(r.Hi, hi)
 	}
-	return src
+	for i := range f.Ranges {
+		r := &f.Ranges[i]
+		if narrowKey(r.Col) {
+			r.Lo, r.Hi = max(r.Lo, math.MinInt32), min(r.Hi, math.MaxInt32)
+		}
+		f.RejectAll = f.RejectAll || r.Lo > r.Hi
+	}
+	return f
 }

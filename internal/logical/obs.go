@@ -8,10 +8,8 @@ import (
 // (internal/obs): it describes the pipeline decomposition — tables,
 // build/final roles, probe counts — together with the planner's
 // cardinality estimates, so EXPLAIN ANALYZE and the query log can put
-// estimated next to observed cardinality per pipeline. It walks the
-// optimized plan the way both lowerings do (one pipeline per node,
-// build chains before their prober, the final pipeline last), so the
-// driver describes a run without lowering anything. The estimates
+// estimated next to observed cardinality per pipeline. It reads the
+// pipeline decomposition both lowerings run (Decompose). The estimates
 // reuse the exact selectivity heuristics the join-order optimizer runs
 // on (selectivity in planner.go), so the drift a consumer computes is
 // the drift the optimizer actually suffered.
@@ -19,21 +17,22 @@ import (
 // estPipeRows estimates the output cardinality of the pipeline rooted
 // at n: the spine scan's rows scaled by the pushed-down filters'
 // selectivities — observed history when the plan carries hints, static
-// guesses otherwise — then by each probe's retention ratio (the
-// fraction of the build spine's key domain the build chain retains)
-// and each residual equality a = b, which keeps 1/max(NDV(a), NDV(b)).
+// guesses otherwise — then, innermost join first, by each probe's
+// retention ratio (the fraction of the build spine's key domain the
+// build chain retains) and each residual equality a = b, which keeps
+// 1/max(NDV(a), NDV(b)).
 func estPipeRows(n Node, hints CardHints) float64 {
-	spine := n.Spine()
-	est := float64(spine.Table.Rel.Rows())
-	est *= scanSelectivity(spine, hints)
-	for _, j := range probeJoins(n) {
-		domain := float64(j.Build.Spine().Table.Rel.Rows())
-		if domain > 0 {
-			est *= estPipeRows(j.Build, hints) / domain
-		}
-		for _, r := range j.Residuals {
-			est /= float64(max(r[0].NDV(), r[1].NDV()))
-		}
+	j, ok := n.(*Join)
+	if !ok {
+		sc := n.(*Scan)
+		return float64(sc.Table.Rel.Rows()) * scanSelectivity(sc, hints)
+	}
+	est := estPipeRows(j.Probe, hints)
+	if domain := float64(j.Build.Spine().Table.Rel.Rows()); domain > 0 {
+		est *= estPipeRows(j.Build, hints) / domain
+	}
+	for _, r := range j.Residuals {
+		est /= float64(max(r[0].NDV(), r[1].NDV()))
 	}
 	return est
 }
@@ -56,25 +55,19 @@ func scanSelectivity(sc *Scan, hints CardHints) float64 {
 }
 
 // describePipes records each pipeline's static shape and estimate into
-// the collector, in lowering order.
-func describePipes(pl *Plan, col *obs.Collector) {
-	var pipes []Node
-	var walk func(n Node)
-	walk = func(n Node) {
-		for _, j := range probeJoins(n) {
-			walk(j.Build)
-		}
-		pipes = append(pipes, n)
-	}
-	walk(pl.Root)
+// the collector, in execution order.
+func describePipes(pl *Plan, pipes []*Pipeline, col *obs.Collector) {
 	col.SetPipes(len(pipes))
-	for i, n := range pipes {
-		est := estPipeRows(n, pl.Hints)
-		if n == pl.Root && pl.AlwaysFalse {
+	for i, p := range pipes {
+		var root Node = p.Scan
+		if len(p.Steps) > 0 {
+			root = p.Steps[len(p.Steps)-1].Join
+		}
+		est := estPipeRows(root, pl.Hints)
+		if p.Key == nil && pl.AlwaysFalse {
 			est = 0
 		}
-		spine := n.Spine()
-		col.DescribePipe(i, spine.Table.Name, n != pl.Root,
-			int64(spine.Table.Rel.Rows()), len(probeJoins(n)), est)
+		col.DescribePipe(i, p.Scan.Table.Name, p.Key != nil,
+			int64(p.Scan.Table.Rel.Rows()), len(p.Steps), est)
 	}
 }

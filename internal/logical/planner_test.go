@@ -169,8 +169,9 @@ func TestProbeOrderByPassFraction(t *testing.T) {
 	text, _ := SQLText("ssb", "Q2.1")
 	pl := mustPlan(t, "ssb", text)
 	var got []string
-	for _, j := range probeJoins(pl.Root) {
-		got = append(got, j.Build.Spine().Table.Name)
+	pipes := Decompose(pl)
+	for _, st := range pipes[len(pipes)-1].Steps {
+		got = append(got, st.Build.Scan.Table.Name)
 	}
 	if want := []string{"part", "supplier", "date"}; strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("Q2.1 probe order = %v, want %v", got, want)

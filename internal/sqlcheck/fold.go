@@ -8,10 +8,16 @@ package sqlcheck
 // and MIN/MAX terminals take the per-survivor sink. Global and grouped,
 // with and without range bounds, each over a fact table of many
 // 1024-row blocks, so a multi-worker cell also splits it across
-// morsels. The generated corpus reaches these shapes only by chance.
+// morsels. The classify- cases cover the corners of the one scan-filter
+// classifier (logical's classifyFilters), which both lowerings read:
+// bounds that merge into one range, literal-first operands, = together
+// with a range, an empty range on a build pipeline, a range beyond a
+// 32-bit column's type, and string <>. The generated corpus reaches
+// these shapes only by chance.
 
-// FoldCase is one text over the SF 0.01 database Dataset names, whose
-// final pipeline is row-free on the compiled backend.
+// FoldCase is one text over the SF 0.01 database Dataset names; Folds
+// says whether its final pipeline folds per block on the compiled
+// backend.
 type FoldCase struct {
 	Name    string
 	Dataset string // "tpch" or "ssb"
@@ -19,7 +25,8 @@ type FoldCase struct {
 	Folds   bool // the final pipeline folds per block
 }
 
-// FoldCases covers the row-free shapes on both schemas.
+// FoldCases covers the row-free shapes and the filter classifier's
+// corners on both schemas.
 var FoldCases = []FoldCase{
 	{Name: "global-unbounded", Dataset: "tpch", Folds: true,
 		Text: "select count(*), sum(l_extendedprice * l_discount), sum(l_quantity) from lineitem"},
@@ -42,4 +49,22 @@ var FoldCases = []FoldCase{
 			"where lo_discount between 1 and 3 and lo_quantity < 25"},
 	{Name: "ssb-grouped-unbounded", Dataset: "ssb",
 		Text: "select lo_suppkey, count(*), sum(lo_revenue), min(lo_orderdate) from lineorder group by lo_suppkey"},
+	{Name: "classify-merged-literal-first", Dataset: "tpch", Folds: true,
+		Text: "select count(*), sum(l_extendedprice) from lineitem where date '1995-01-01' > l_shipdate " +
+			"and l_shipdate >= date '1994-01-01' and l_shipdate >= date '1994-03-01' and 24 > l_quantity"},
+	{Name: "classify-eq-and-range", Dataset: "tpch", Folds: true,
+		Text: "select count(*), sum(o_totalprice) from orders " +
+			"where o_custkey = 100 and o_custkey < 500 and 0 <= o_shippriority and o_shippriority = 0"},
+	{Name: "classify-empty-build", Dataset: "tpch",
+		Text: "select count(*), sum(l_quantity) from lineitem, part " +
+			"where l_partkey = p_partkey and p_retailprice > 2000.00 and p_retailprice < 1000.00"},
+	{Name: "classify-beyond-int32", Dataset: "tpch", Folds: true,
+		Text: "select count(*), sum(c_nationkey) from customer where c_custkey > 2147483647"},
+	{Name: "classify-int32-extremes", Dataset: "tpch", Folds: true,
+		Text: "select count(*), sum(c_nationkey) from customer where c_custkey < 2147483647 and -2147483648 < c_custkey"},
+	{Name: "classify-string-ne", Dataset: "tpch",
+		Text: "select c_nationkey, count(*) from customer " +
+			"where c_mktsegment <> 'BUILDING' and 'AUTOMOBILE' <> c_mktsegment group by c_nationkey"},
+	{Name: "classify-ssb-eq-and-range", Dataset: "ssb", Folds: true,
+		Text: "select count(*), sum(lo_revenue) from lineorder where lo_discount = 2 and lo_discount >= 1 and 25 > lo_quantity"},
 }
