@@ -28,20 +28,18 @@ func benchDBs() (*storage.Database, *storage.Database) {
 
 // BenchmarkSQLCompiledVsHandTyper compares the compiled lowering of each
 // query that keeps a hand-written fused Typer kernel against that
-// kernel, single-threaded: the standing evidence for keeping it. Q6, Q3
-// and SSB Q1.1 lost their kernels when the lowering matched them
-// (EXPERIMENTS.md records the last hand-vs-lowered rows).
+// kernel, single-threaded: the standing evidence for keeping it. Q6, Q3,
+// SSB Q1.1, Q5 and SSB Q2.1 lost their kernels when the lowering matched
+// or beat them (EXPERIMENTS.md records the last hand-vs-lowered rows).
 func BenchmarkSQLCompiledVsHandTyper(b *testing.B) {
-	tp, sb := benchDBs()
+	tp, _ := benchDBs()
 	ctx := context.Background()
 	for _, q := range []struct {
 		db   *storage.Database
 		name string
 		hand func()
 	}{
-		{tp, "Q5", func() { typer.Q5Ctx(ctx, tp, 1) }},
 		{tp, "Q18", func() { typer.Q18Ctx(ctx, tp, 1) }},
-		{sb, "Q2.1", func() { typer.SSBQ21Ctx(ctx, sb, 1) }},
 	} {
 		text, _ := logical.SQLText(q.db.Name, q.name)
 		pl, err := logical.Prepare(q.db, text)

@@ -64,9 +64,9 @@ var table = [...]query{
 	{dataset: "tpch", name: "Q3", ref: oracle(queries.RefQ3)},
 	{dataset: "tpch", name: "Q9", typer: fused(typer.Q9Ctx), tectorwise: vectorized(tw.Q9Ctx), ref: oracle(queries.RefQ9)},
 	{dataset: "tpch", name: "Q18", typer: fused(typer.Q18Ctx), tectorwise: vectorized(plan.Q18Ctx), ref: oracle(queries.RefQ18)},
-	{dataset: "tpch", name: "Q5", typer: fused(typer.Q5Ctx), tectorwise: vectorized(plan.Q5Ctx), ref: oracle(queries.RefQ5)},
+	{dataset: "tpch", name: "Q5", tectorwise: vectorized(plan.Q5Ctx), ref: oracle(queries.RefQ5)},
 	{dataset: "ssb", name: "Q1.1", ref: oracle(queries.RefSSBQ11)},
-	{dataset: "ssb", name: "Q2.1", typer: fused(typer.SSBQ21Ctx), tectorwise: vectorized(plan.SSBQ21Ctx), ref: oracle(queries.RefSSBQ21)},
+	{dataset: "ssb", name: "Q2.1", tectorwise: vectorized(plan.SSBQ21Ctx), ref: oracle(queries.RefSSBQ21)},
 	{dataset: "ssb", name: "Q3.1", typer: fused(typer.SSBQ31Ctx), tectorwise: vectorized(tw.SSBQ31Ctx), ref: oracle(queries.RefSSBQ31)},
 	{dataset: "ssb", name: "Q4.1", typer: fused(typer.SSBQ41Ctx), tectorwise: vectorized(tw.SSBQ41Ctx), ref: oracle(queries.RefSSBQ41)},
 }

@@ -10,10 +10,10 @@ import (
 	"paradigms/internal/storage"
 )
 
-// Generated code for the Star Schema Benchmark subset (§4.4): Q2.1, Q3.1,
+// Generated code for the Star Schema Benchmark subset (§4.4): Q3.1 and
 // Q4.1 — lineorder scans probing filtered dimension hash tables,
-// followed by a small group-by. Q1.1 runs its SQL text through the
-// compiled lowering (internal/registry).
+// followed by a small group-by. Q1.1 and Q2.1 run their SQL text
+// through the compiled lowering (internal/registry).
 
 type ssbDate struct {
 	key  uint64 // d_datekey (days)
@@ -57,8 +57,8 @@ func buildDateHT(db *storage.Database, ht *hashtable.Table, bar *exec.Barrier,
 	buildBarrier(ht, bar, wid)
 }
 
-// ssbAgg is the shared fused two-phase aggregation tail used by Q2.1,
-// Q3.1, Q4.1 (group key and sum already computed by the caller's probe
+// ssbAgg is the shared fused two-phase aggregation tail used by Q3.1
+// and Q4.1 (group key and sum already computed by the caller's probe
 // pipeline; this merges partitions and emits (key, sum) pairs).
 func ssbAggMerge(spill *hashtable.Spill, partDisp *exec.Dispatcher, emit func(key uint64, sum int64)) {
 	for {
@@ -142,133 +142,6 @@ func (a *localAgg) flush() {
 		row[1] = g.key
 		row[2] = uint64(g.sum)
 	})
-}
-
-// SSBQ21Ctx executes SSB Q2.1.
-func SSBQ21Ctx(ctx context.Context, db *storage.Database, nWorkers int) queries.SSBQ21Result {
-	w := workers(nWorkers)
-	part := db.Rel("part")
-	pk := part.Int32("p_partkey")
-	cat := part.Int32("p_category")
-	brand := part.Int32("p_brand1")
-	supp := db.Rel("supplier")
-	sk := supp.Int32("s_suppkey")
-	sregion := supp.Int32("s_region")
-	lo := db.Rel("lineorder")
-	lopk := lo.Int32("lo_partkey")
-	losk := lo.Int32("lo_suppkey")
-	lod := lo.Date("lo_orderdate")
-	rev := lo.Numeric("lo_revenue")
-
-	htPart := hashtable.New(2, w)
-	htSupp := hashtable.New(1, w)
-	htDate := hashtable.New(2, w)
-	dispPart := exec.NewDispatcherCtx(ctx, part.Rows(), 0)
-	dispSupp := exec.NewDispatcherCtx(ctx, supp.Rows(), 0)
-	dispDate := exec.NewDispatcherCtx(ctx, db.Rel("date").Rows(), 0)
-	dispFact := exec.NewDispatcherCtx(ctx, lo.Rows(), 0)
-	spill := hashtable.NewSpill(w, aggPartitions, 3)
-	partDisp := exec.NewDispatcherCtx(ctx, aggPartitions, 1)
-	bar := exec.NewBarrier(w)
-	results := make([]queries.SSBQ21Result, w)
-
-	exec.Parallel(w, func(wid int) {
-		// Build HT_part(category = MFGR#12 → brand).
-		psh := htPart.Shard(wid)
-		for {
-			m, ok := dispPart.Next()
-			if !ok {
-				break
-			}
-			for i := m.Begin; i < m.End; i++ {
-				if cat[i] == queries.SSBQ21Categ {
-					key := uint64(uint32(pk[i]))
-					_, p := psh.Alloc(htPart, Hash(key))
-					e := (*ssbKeyed)(p)
-					e.key = key
-					e.val = uint64(uint32(brand[i]))
-				}
-			}
-		}
-		buildBarrier(htPart, bar, wid)
-
-		// Build HT_supp(region = AMERICA).
-		ssh := htSupp.Shard(wid)
-		for {
-			m, ok := dispSupp.Next()
-			if !ok {
-				break
-			}
-			for i := m.Begin; i < m.End; i++ {
-				if sregion[i] == queries.SSBQ21Region {
-					key := uint64(uint32(sk[i]))
-					_, p := ssh.Alloc(htSupp, Hash(key))
-					(*q9Part)(p).key = key
-				}
-			}
-		}
-		buildBarrier(htSupp, bar, wid)
-
-		buildDateHT(db, htDate, bar, dispDate, wid, -1<<31+1, 1<<31-1)
-
-		// Probe pipeline + pre-aggregation by (year, brand).
-		agg := newLocalAgg(spill, wid)
-		for {
-			m, ok := dispFact.Next()
-			if !ok {
-				break
-			}
-		facts:
-			for i := m.Begin; i < m.End; i++ {
-				pkey := uint64(uint32(lopk[i]))
-				ph := Hash(pkey)
-				for ref := htPart.Lookup(ph); ref != 0; ref = htPart.Next(ref) {
-					if htPart.Hash(ref) == ph {
-						pe := (*ssbKeyed)(htPart.Payload(ref))
-						if pe.key == pkey {
-							skey := uint64(uint32(losk[i]))
-							sh2 := Hash(skey)
-							for sref := htSupp.Lookup(sh2); sref != 0; sref = htSupp.Next(sref) {
-								if htSupp.Hash(sref) == sh2 && (*q9Part)(htSupp.Payload(sref)).key == skey {
-									dkey := uint64(uint32(lod[i]))
-									dh := Hash(dkey)
-									for dref := htDate.Lookup(dh); dref != 0; dref = htDate.Next(dref) {
-										if htDate.Hash(dref) == dh {
-											de := (*ssbDate)(htDate.Payload(dref))
-											if de.key == dkey {
-												gkey := pack32(uint32(de.year), uint32(pe.val))
-												agg.add(gkey, int64(rev[i]))
-												continue facts
-											}
-										}
-									}
-									continue facts
-								}
-							}
-							continue facts
-						}
-					}
-				}
-			}
-		}
-		agg.flush()
-		bar.Wait(nil)
-
-		ssbAggMerge(spill, partDisp, func(key uint64, sum int64) {
-			results[wid] = append(results[wid], queries.SSBQ21Row{
-				Year:    int32(lo32(key)),
-				Brand:   int32(hi32(key)),
-				Revenue: sum,
-			})
-		})
-	})
-
-	var out queries.SSBQ21Result
-	for _, r := range results {
-		out = append(out, r...)
-	}
-	queries.SortSSBQ21(out)
-	return out
 }
 
 // SSBQ31Ctx executes SSB Q3.1.
