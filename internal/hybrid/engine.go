@@ -6,15 +6,13 @@
 // compute-dominated pipelines want fused tuple-at-a-time loops (no
 // materialization of intermediates).
 //
-// Both lowering backends decompose a query into the *same* pipelines
-// (internal/logical's vectorized lowering and internal/compiled's
-// fused lowering recurse over one optimized plan with one
-// deterministic column order, so hash-table layouts match word for
-// word). This package is the hybrid engine's policy over the shared
-// pipeline driver (logical.Drive): it lowers a plan on both backends
-// and assigns every pipeline to an engine by a static cost heuristic
-// (CostAssign), keeping no state between executions. The driver runs the
-// pipelines in dependency order, exchanging data through the
+// Both lowering backends read one pipeline decomposition
+// (logical.Decompose), so hash-table layouts match word for word. This
+// package is the hybrid engine's policy over the shared pipeline
+// driver (logical.Drive): it decomposes a plan once, lowers both
+// backends from that result, and assigns every pipeline to an engine
+// by a static cost heuristic (CostAssign), keeping no state between
+// executions. The driver runs the pipelines in dependency order, exchanging data through the
 // materialization boundaries that already exist: shared hash tables
 // (standardized on the compiled backend's Mix64 hash so either engine
 // can build what the other probes) and the shared aggregation spill.

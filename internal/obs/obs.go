@@ -26,9 +26,9 @@ import (
 
 // PipeStat is the merged telemetry of one pipeline of one execution.
 // Pipelines are indexed in lowering order: build pipelines first
-// (bottom-up over the join DAG), the final pipeline last — the same
-// decomposition both engine lowerings produce, so stats from any engine
-// (or a hybrid mix) line up pipe-for-pipe.
+// (bottom-up over the join DAG), the final pipeline last — the one
+// decomposition both engine lowerings read (logical.Decompose), so
+// stats from any engine (or a hybrid mix) line up pipe-for-pipe.
 type PipeStat struct {
 	// Index is the pipeline's position in lowering order.
 	Index int `json:"pipe"`

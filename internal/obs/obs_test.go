@@ -45,8 +45,8 @@ func TestCollectorMerge(t *testing.T) {
 }
 
 // TestCollectorSetPipesIdempotent checks a second SetPipes with the
-// same count keeps accumulated stats (both lowerings describe the same
-// decomposition, so the hybrid path describes twice).
+// same count keeps accumulated stats, so a second description of the
+// one decomposition (logical.Decompose) loses nothing.
 func TestCollectorSetPipesIdempotent(t *testing.T) {
 	c := NewCollector()
 	c.SetPipes(1)

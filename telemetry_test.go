@@ -29,7 +29,7 @@ const telemetryQ3 = `select l_orderkey, sum(l_extendedprice * (1 - l_discount)) 
 // backend through the service and checks the collector's story is
 // coherent: one stat per pipeline, estimates and observations filled
 // in, and the same observed cardinalities on every engine (both
-// lowerings produce the same pipeline decomposition).
+// lowerings run the one pipeline decomposition, logical.Decompose).
 func TestAnalyzeEndToEnd(t *testing.T) {
 	db := GenerateTPCH(0.01, 0)
 	svc := NewService(db, nil, ServiceOptions{})
