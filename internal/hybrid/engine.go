@@ -140,10 +140,11 @@ func Policy(pl *logical.Plan, vecSize int) (logical.Policy, error) {
 func pipeMeta(pipes []*logical.Pipeline) []PipeMeta {
 	meta := make([]PipeMeta, len(pipes))
 	for i, p := range pipes {
+		f := &p.Filters
 		meta[i] = PipeMeta{
 			Table:   p.Scan.Table.Name,
 			Probes:  len(p.Steps),
-			Filters: p.Filters.Len(),
+			Filters: len(f.Ranges) + len(f.Strs) + len(f.Residual),
 			Build:   p.Key != nil,
 		}
 	}

@@ -200,7 +200,6 @@ func drive(ctx context.Context, pl *Plan, workers int, pol Policy, stream *strea
 	fi := n - 1    // the final pipeline is last; all others build
 	for _, p := range pipes {
 		p.disp = exec.NewDispatcherCtx(ctx, p.Scan.Table.Rows(), 0)
-		p.ht = nil
 		if p.Key != nil {
 			p.ht = hashtable.New(1+len(p.Pays), w)
 		}

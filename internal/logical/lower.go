@@ -235,9 +235,6 @@ type StrFilter struct {
 	Eq  bool
 }
 
-// Len is the classified conjunct count.
-func (f *Filters) Len() int { return len(f.Ranges) + len(f.Strs) + len(f.Residual) }
-
 // classifyFilters is the one scan-filter classifier. reject starts the
 // result rejecting every row.
 func classifyFilters(sc *Scan, reject bool) Filters {
