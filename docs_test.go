@@ -422,7 +422,7 @@ func TestOnePipelineDecomposition(t *testing.T) {
 	}
 }
 
-// TestOneFilterClassifier pins ROADMAP item 16's first step: a scan's
+// TestOneFilterClassifier pins the structure DESIGN.md §9 describes: a scan's
 // pushed-down conjuncts are classified in one function,
 // logical.classifyFilters — the only non-test function that builds a
 // logical.Filters, Range or StrFilter or sets RejectAll — and both
