@@ -788,12 +788,12 @@ func assignSources(fset *token.FileSet, body *ast.BlockStmt) []string {
 // TestOneKeyFilter pins the exact key filter DESIGN.md §2 describes: the
 // bitmap is built in one internal/hashtable function, PrepareKeyFilter,
 // which — like the per-shard KeyBounds before it — only tw.BuildBarrier
-// calls; and the filter is read only by the compiled probe loops
-// (internal/compiled/exec.go: probeOne, and probeStages, which hoists
-// it for the staged loop once per run) and by tw.Prober's Probe, the one
-// vectorized probe that plan.HashProbe and the Tectorwise hand kernels
-// run. Reading the filter's size (KeyFilter().Bits(),
-// for telemetry) is allowed anywhere. Sites are named with their
+// calls; and the filter is read only by the one membership-staging
+// function both engines run, logical.(*Pipeline).Members, and by
+// tw.Prober's Probe, which tests it only for the Tectorwise hand
+// kernels (a lowered plan's staged probe skips it). Reading the
+// filter's size (KeyFilter().Bits(), for telemetry) is allowed
+// anywhere. Sites are named with their
 // receiver ("internal/plan.(*HashProbe).Next"), so a same-named method
 // elsewhere in a package is a different site.
 func TestOneKeyFilter(t *testing.T) {
@@ -860,13 +860,12 @@ func TestOneKeyFilter(t *testing.T) {
 		}
 	}
 	wantReaders := map[string]bool{
-		"internal/compiled.(*pipe).probeStages": true,
-		"internal/compiled.(*pipe).probeOne":    true,
-		"internal/tw.(*Prober).Probe":           true,
+		"internal/logical.(*Pipeline).Members": true,
+		"internal/tw.(*Prober).Probe":          true,
 	}
 	for _, r := range readers {
 		if !wantReaders[r] {
-			t.Errorf("%s reads the key filter; only the compiled probe loops and tw.Prober may", r)
+			t.Errorf("%s reads the key filter; only the membership stages and tw.Prober may", r)
 		}
 		delete(wantReaders, r)
 	}
@@ -884,8 +883,10 @@ func TestOneKeyFilter(t *testing.T) {
 // hashed — is chosen in one internal/logical function (the only
 // constructor of a non-zero KeyDomain), called once, by the planner,
 // which alone sets Aggregate.Domain.
-// The key index is read only by the four probe sites (testing On() on
-// it, as telemetry does, is allowed anywhere), and aggregation arrays
+// The key index is read only by the three probe sites — the one
+// membership-staging function, logical.(*Pipeline).Members, which also
+// hands it to Typer's probe loops, tw.Prober and plan.ProbeEmitSink
+// (testing On() on it, as telemetry does, is allowed anywhere), and aggregation arrays
 // are built only by the two phase-one loops.
 func TestOneKeyIndex(t *testing.T) {
 	fset := token.NewFileSet()
@@ -960,8 +961,7 @@ func TestOneKeyIndex(t *testing.T) {
 		"aggDomain":   {"internal/logical.PlanQueryHints"},
 		"Domain=":     {"internal/logical.PlanQueryHints"},
 		"KeyIndex": {
-			"internal/compiled.(*pipe).probeOne",
-			"internal/compiled.(*pipe).probeStages",
+			"internal/logical.(*Pipeline).Members",
 			"internal/plan.(*ProbeEmitSink).Consume",
 			"internal/tw.(*Prober).Probe",
 		},

@@ -2,9 +2,9 @@ package compiled
 
 import (
 	"bytes"
-	"unsafe"
 
 	"paradigms/internal/catalog"
+	"paradigms/internal/logical"
 	"paradigms/internal/sql"
 	"paradigms/internal/storage"
 )
@@ -29,41 +29,6 @@ type predFn func(i int, fr []int64) bool
 // zero-extend, 64-bit columns pass through, frame slots are raw words.
 type u64Fn func(i int, fr []int64) uint64
 
-// view32 and view64 reinterpret a typed column as its machine layout so
-// filter bounds and key accessors are free of per-row type dispatch.
-// (~int32 and ~int64 guarantee identical memory layout.)
-func view32[T ~int32](s []T) []int32 {
-	if len(s) == 0 {
-		return []int32{}
-	}
-	return unsafe.Slice((*int32)(unsafe.Pointer(&s[0])), len(s))
-}
-
-func view64[T ~int64](s []T) []int64 {
-	if len(s) == 0 {
-		return []int64{}
-	}
-	return unsafe.Slice((*int64)(unsafe.Pointer(&s[0])), len(s))
-}
-
-// baseViews returns the 32-bit or 64-bit machine view of a base column
-// (exactly one of the two results is non-nil on success).
-func baseViews(c *catalog.Column) ([]int32, []int64, error) {
-	rel := c.Table.Rel
-	switch c.Type.Kind {
-	case catalog.Int32:
-		return view32(rel.Int32(c.Name)), nil, nil
-	case catalog.Date:
-		return view32(rel.Date(c.Name)), nil, nil
-	case catalog.Numeric:
-		return nil, view64(rel.Numeric(c.Name)), nil
-	case catalog.Int64:
-		return nil, view64(rel.Int64(c.Name)), nil
-	}
-	return nil, nil, sql.Errf(sql.Pos{Line: 1, Col: 1},
-		"%s column %q cannot be a key or value", c.Type.Kind, c.Name)
-}
-
 // u64Get compiles a value source to its word representation — the same
 // encoding the vectorized lowering uses for keys and payloads (32-bit
 // zero-extension via MapWiden, 64-bit passthrough).
@@ -72,7 +37,7 @@ func (p *pipe) u64Get(v valRef) (u64Fn, error) {
 		slot := v.slot
 		return func(i int, fr []int64) uint64 { return uint64(fr[slot]) }, nil
 	}
-	c32, c64, err := baseViews(v.base)
+	c32, c64, err := logical.BaseViews(v.base)
 	if err != nil {
 		return nil, err
 	}
@@ -133,7 +98,7 @@ func (p *pipe) binScalar(x *sql.Binary, op func(l, r int64) int64) (scalarFn, er
 func (p *pipe) slotScalar(c *catalog.Column) (scalarFn, error) {
 	src := p.resolve(c)
 	if src.base != nil {
-		_, _, err := baseViews(c)
+		_, _, err := logical.BaseViews(c)
 		return nil, err
 	}
 	// A gathered slot holds the column's key word: a 32-bit value
@@ -175,7 +140,7 @@ func (p *pipe) baseView(e sql.Expr) colView {
 		if src.base == nil {
 			return colView{}
 		}
-		c32, c64, err := baseViews(src.base)
+		c32, c64, err := logical.BaseViews(src.base)
 		switch {
 		case err != nil:
 			return colView{}
@@ -221,14 +186,8 @@ func (p *pipe) base64Col(e sql.Expr) []int64 {
 	if !ok || ref.Col.Table != p.Scan.Table {
 		return nil
 	}
-	rel := p.Scan.Table.Rel
-	switch ref.Col.Type.Kind {
-	case catalog.Numeric:
-		return view64(rel.Numeric(ref.Col.Name))
-	case catalog.Int64:
-		return view64(rel.Int64(ref.Col.Name))
-	}
-	return nil
+	_, c64, _ := logical.BaseViews(ref.Col)
+	return c64
 }
 
 // ---------------------------------------------------------------------
@@ -273,7 +232,7 @@ type filt struct {
 func (p *pipe) compileFilters() error {
 	f := &p.Filters
 	for _, r := range f.Ranges {
-		c32, c64, err := baseViews(r.Col)
+		c32, c64, err := logical.BaseViews(r.Col)
 		if err != nil {
 			return err
 		}

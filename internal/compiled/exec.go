@@ -57,15 +57,15 @@ func drive(ctx context.Context, pl *logical.Plan, nWorkers int, mode logical.Mod
 // compiled backend. Its body is what a data-centric code generator would
 // emit per pipeline (DESIGN.md S1), staged per block of probeBlock rows:
 // the range bounds select the block's qualifying positions branch-free
-// (filt.selectBlock), then on a survivors pipeline each probe whose
-// build published an exact key filter or a key index narrows that
-// selection to the block's key members (probe.stage), and the loop
-// shape chosen at lowering (shapeLoop) takes the block's survivors. A
-// pipeline with per-row stages runs them tuple at a time (survivors,
-// probeOne) before the sink; a row-free one hands the block to fold when
-// its terminal folds whole blocks, and otherwise calls sink per
-// survivor. A spine with neither a range bound nor a staged probe walks
-// each morsel directly.
+// (filt.selectBlock), then each probe whose build published an exact
+// key filter or a key index narrows that selection to the block's key
+// members (logical.(*Pipeline).Members, the membership stages both
+// engines run), and the loop shape chosen at lowering (shapeLoop) takes
+// the block's survivors. A pipeline with per-row stages runs them tuple
+// at a time (survivors, probeOne) before the sink; a row-free one hands
+// the block to fold when its terminal folds whole blocks, and otherwise
+// calls sink per survivor. A spine with neither a range bound nor a
+// staged probe walks each morsel directly.
 func (p *pipe) run(sink func(i int, fr []int64), fold *blockFold) {
 	if p.Filters.RejectAll {
 		return
@@ -73,15 +73,11 @@ func (p *pipe) run(sink func(i int, fr []int64), fold *blockFold) {
 	frame := make([]int64, p.slots)
 	f := &p.filt
 	loop := p.loop
-	var probes []probe
-	staged := false
-	if loop == loopRows {
-		probes, staged = p.probeStages()
-	}
+	probes, members := p.probes()
 	bounds := len(f.b32)+len(f.b64) > 0
 	var buf [probeBlock]int32 // stays on the worker's stack
 	var sel []int32
-	if bounds || staged {
+	if bounds || len(members) > 0 {
 		sel = buf[:]
 	}
 	for {
@@ -96,15 +92,17 @@ func (p *pipe) run(sink func(i int, fr []int64), fold *blockFold) {
 				if bounds {
 					pos = sel[:f.selectBlock(base, end, sel)]
 				}
-				for s := range probes {
-					if probes[s].staged {
-						pos = probes[s].stage(base, end, pos, sel)
+				for s := range members {
+					if pos == nil {
+						pos = sel[:members[s].Dense(base, end-base, sel)]
+					} else {
+						pos = sel[:members[s].Sparse(base, end-base, pos, sel)]
 					}
 				}
 			}
 			switch {
 			case loop == loopProbeOne:
-				p.probeOne(base, end, pos, frame, sink)
+				p.probeOne(base, end, pos, frame, probes[0].ix, sink)
 			case loop == loopRows:
 				p.survivors(base, end, pos, frame, probes, sink)
 			case fold != nil:
@@ -155,103 +153,36 @@ func (f *filt) selectBlock(lo, hi int, sel []int32) int {
 	return n
 }
 
-// probe is one probe step's build state, read once per run from the
-// layout its build published at the barrier: the table, its key index
-// when key-indexed, and its key filter. A step is staged when the build
-// has either, since both test key membership exactly.
+// probe is one probe step's build state for one run: the table and,
+// when the build is key-indexed, its key index (from the step's
+// membership stage).
 type probe struct {
 	*step
-	ht     *hashtable.Table
-	ix     hashtable.KeyIndex
-	kf     hashtable.KeyFilter
-	staged bool
+	ht *hashtable.Table
+	ix hashtable.KeyIndex
 }
 
-// probeStages hoists every probe step's build state for one run and
-// reports whether any step is staged. It runs after the build barrier,
-// the first point where each build's layout is known.
-func (p *pipe) probeStages() ([]probe, bool) {
+// probes hoists every probe step's build state for one run, with the
+// pipeline's membership stages. It runs after the build barrier, the
+// first point where each build's layout is known.
+func (p *pipe) probes() ([]probe, []logical.Member) {
+	members := p.Members()
 	probes := make([]probe, len(p.steps))
-	staged := false
 	for s, st := range p.steps {
-		ht := st.build.HT()
-		pr := probe{step: st, ht: ht, ix: ht.KeyIndex(), kf: ht.KeyFilter()}
-		pr.staged = pr.ix.On() || pr.kf.Bits() > 0
-		staged = staged || pr.staged
-		probes[s] = pr
+		probes[s] = probe{step: st, ht: st.build.HT()}
 	}
-	return probes, staged
-}
-
-// stage narrows a block's selection to the rows whose probe key is a
-// build key, compacting into sel: pos holds positions relative to base,
-// nil meaning every row of [base, end).
-func (pr *probe) stage(base, end int, pos, sel []int32) []int32 {
-	if pr.key32 != nil {
-		if pr.ix.On() {
-			return stageIndex(pr.ix, pr.key32[base:end], math.MaxUint32, pos, sel)
-		}
-		return stageFilter(pr.kf, pr.key32[base:end], math.MaxUint32, pos, sel)
+	for _, m := range members {
+		probes[m.Step].ix = m.Index
 	}
-	if pr.ix.On() {
-		return stageIndex(pr.ix, pr.key64[base:end], math.MaxUint64, pos, sel)
-	}
-	return stageFilter(pr.kf, pr.key64[base:end], math.MaxUint64, pos, sel)
-}
-
-// stageIndex and stageFilter keep the positions whose key (its word
-// form, uint64(key) & mask) has a slot in ix or a bit in kf. Each writes
-// every position and advances past the members only — the
-// write-then-advance compaction of tw.(*Prober).Probe — so the loop has
-// no data-dependent branch around the store.
-
-func stageIndex[T int32 | int64](ix hashtable.KeyIndex, keys []T, mask uint64, pos, sel []int32) []int32 {
-	k := 0
-	if pos == nil {
-		sel = sel[:len(keys)]
-		for j, v := range keys {
-			sel[k] = int32(j)
-			if ix.Head(uint64(v)&mask) != 0 {
-				k++
-			}
-		}
-		return sel[:k]
-	}
-	for _, j := range pos {
-		sel[k] = j
-		if ix.Head(uint64(keys[j])&mask) != 0 {
-			k++
-		}
-	}
-	return sel[:k]
-}
-
-func stageFilter[T int32 | int64](kf hashtable.KeyFilter, keys []T, mask uint64, pos, sel []int32) []int32 {
-	k := 0
-	if pos == nil {
-		sel = sel[:len(keys)]
-		for j, v := range keys {
-			sel[k] = int32(j)
-			if !kf.Miss(uint64(v) & mask) {
-				k++
-			}
-		}
-		return sel[:k]
-	}
-	for _, j := range pos {
-		sel[k] = j
-		if !kf.Miss(uint64(keys[j]) & mask) {
-			k++
-		}
-	}
-	return sel[:k]
+	return probes, members
 }
 
 // survivors runs the row loop over one block's qualifying rows: base+pos[j]
-// for every j, or every row of [base, end) when pos is nil. The staged
-// probes already dropped the rows with no build match, so a probe here
-// only finds its build row: the key index's slot, or the hashed chain
-// walk, which is also the whole membership test of an unstaged step.
+// for every j, or every row of [base, end) when pos is nil. The
+// membership stages already dropped the rows with no build match, so a
+// probe here only finds its build row: the key index's slot, or the
+// hashed chain walk, which is also the whole membership test of an
+// unstaged step.
 func (p *pipe) survivors(base, end int, pos []int32, frame []int64, probes []probe, sink func(i int, fr []int64)) {
 	f := &p.filt
 	n := end - base
@@ -311,30 +242,27 @@ rows:
 
 // probeOne is survivors for the dominant join shape — one residual-free
 // probe on a 32-bit key and no row checks, every pipeline of Q3 and Q18
-// — with the probe state (table and key filter or key index) hoisted
-// into locals so it stays register-resident: a second key column, or a
-// per-row test for which of the loops below applies, spills it. A
-// key-indexed build (probeIndexed) needs no hash and no key compare.
-// Hashed probe walks compare the stored key directly: chains are
-// per-bucket, so a key match is definitive and one word cheaper than
-// the hash prefilter on these 1-word keys.
-func (p *pipe) probeOne(base, end int, pos []int32, frame []int64, sink func(i int, fr []int64)) {
-	st := p.steps[0]
-	k32 := st.key32
-	ht := st.build.HT()
-	if ix := ht.KeyIndex(); ix.On() {
+// — with the probe state (table, or key index) hoisted into locals so
+// it stays register-resident: a second key column, or a per-row test
+// for which of the loops below applies, spills it. The membership
+// stage already dropped the keys a key filter rejects. A key-indexed
+// build (probeIndexed) needs no hash and no key compare. Hashed probe
+// walks compare the stored key directly: chains are per-bucket, so a
+// key match is definitive and one word cheaper than the hash prefilter
+// on these 1-word keys.
+func (p *pipe) probeOne(base, end int, pos []int32, frame []int64, ix hashtable.KeyIndex, sink func(i int, fr []int64)) {
+	if ix.On() {
 		p.probeIndexed(ix, base, end, pos, frame, sink)
 		return
 	}
-	kf := ht.KeyFilter()
+	st := p.steps[0]
+	k32 := st.key32
+	ht := st.build.HT()
 	gath := st.gathers
 	if pos == nil {
 	dense:
 		for i := base; i < end; i++ {
 			k := uint64(uint32(k32[i]))
-			if kf.Miss(k) {
-				continue
-			}
 			ref := ht.Lookup(hashtable.Mix64(k))
 			for {
 				if ref == 0 {
@@ -356,9 +284,6 @@ selected:
 	for _, s := range pos {
 		i := base + int(s)
 		k := uint64(uint32(k32[i]))
-		if kf.Miss(k) {
-			continue
-		}
 		ref := ht.Lookup(hashtable.Mix64(k))
 		for {
 			if ref == 0 {

@@ -139,7 +139,7 @@ func (p *pipe) prep() error {
 		return err
 	}
 	for _, st := range p.steps {
-		k32, k64, err := baseViews(st.ProbeKey)
+		k32, k64, err := logical.BaseViews(st.ProbeKey)
 		if err != nil {
 			return err
 		}

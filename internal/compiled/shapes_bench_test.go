@@ -17,9 +17,15 @@ var (
 	shapesDB, ssbDB *storage.Database
 )
 
-// The join_prepared workload's Q5 and SSB Q2.1 templates, prepared once
-// and bound per execution.
+// The join_prepared workload's Q3, Q5 and SSB Q2.1 templates, prepared
+// once and bound per execution.
 const (
+	shapesQ3 = `select l_orderkey, sum(l_extendedprice * (1 - l_discount)) as revenue, o_orderdate, o_shippriority
+from customer, orders, lineitem
+where c_mktsegment = 'BUILDING' and c_custkey = o_custkey and l_orderkey = o_orderkey
+and o_orderdate < ? and l_shipdate > ?
+group by l_orderkey, o_orderdate, o_shippriority
+order by revenue desc, o_orderdate, l_orderkey limit 10`
 	shapesQ5 = `select c_nationkey, sum(l_extendedprice * (1 - l_discount)) as revenue
 from customer, orders, lineitem, supplier, nation, region
 where c_custkey = o_custkey and l_orderkey = o_orderkey and l_suppkey = s_suppkey
@@ -38,9 +44,10 @@ group by d_year, p_brand1 order by d_year, p_brand1`
 // per-row sink used to dominate), ad-hoc Q6 (five bounds over
 // lineitem, sum(col*col), parsed and planned per execution) and ad-hoc
 // SSB Q1.1 (scan_adhoc's second template: int64 discount and quantity
-// bounds over lineorder, then the date probe). On 2
-// workers: prepared Q5 and SSB Q2.1, whose final pipelines stage
-// several probes per block before the row loop. Typer's time ÷
+// bounds over lineorder, then the date probe). On 2 workers: the three
+// join_prepared templates — Q3, whose pipelines each probe once
+// (probeOne), and Q5 and SSB Q2.1, whose final pipelines stage several
+// probes per block before the row loop. Typer's time ÷
 // Tectorwise's on each is the ratio EXPERIMENTS.md records (DESIGN.md
 // §9).
 func BenchmarkFusedLoopShapes(b *testing.B) {
@@ -64,6 +71,7 @@ func BenchmarkFusedLoopShapes(b *testing.B) {
 		text string
 		args []string
 	}{
+		{"Q3", db, shapesQ3, []string{"1995-03-15", "1995-03-15"}},
 		{"Q5", db, shapesQ5, []string{"1994-01-01", "1995-01-01"}},
 		{"Q2.1", ssbDB, shapesQ21, []string{"12", "1"}},
 	}

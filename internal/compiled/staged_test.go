@@ -1,25 +1,34 @@
-package compiled
+package compiled_test
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
+	"paradigms/internal/compiled"
 	"paradigms/internal/exec"
+	"paradigms/internal/hybrid"
 	"paradigms/internal/logical"
+	"paradigms/internal/plan"
+	"paradigms/internal/queries"
 	"paradigms/internal/sqlcheck"
 	"paradigms/internal/storage"
 )
 
-// Staged-probe coverage: on a survivors pipeline every probe whose
-// build published a key index or an exact key filter narrows each
-// block's selection before the row loop (probe.stage), and the row loop
-// then skips the membership test. Each case runs on the fused backend
-// at morsel sizes that end a morsel before, on and after a block
-// boundary (and the default, where the table's last block is partial),
-// on 1 and 3 workers, against the oracle; and each pins the layout its
-// final pipeline's steps met and which of them staged, so a case that
-// stops exercising its layout fails here instead of passing vacuously.
+// Staged-probe coverage: every probe step whose build published a key
+// index or an exact key filter gets a membership stage
+// (logical.(*Pipeline).Members) that narrows each block's selection
+// before any probe work — in Typer's block loop ahead of the row loop,
+// in Tectorwise's FilterChain ahead of the first HashProbe, and in the
+// hybrid through whichever backend runs the pipeline. Each case runs
+// on the fused backend at morsel sizes that end a morsel before, on and
+// after a block boundary (and the default, where the table's last
+// block is partial), and on the vectorized backend and the hybrid at
+// vector sizes around the kernels' 8-lane blocks, on 1 and 3 workers,
+// against the oracle; and each pins the layout its final pipeline's
+// steps met and which of them staged, so a case that stops exercising
+// its layout fails here instead of passing vacuously.
 
 type stagedCase struct {
 	name, text string
@@ -75,26 +84,29 @@ func keysDB(src *storage.Database) *storage.Database {
 	return db
 }
 
-// stepLayouts reports the layout and staging of each step of the final
-// pipeline of an executed program.
-func stepLayouts(cp *Program) (layouts []string, staged []bool) {
-	probes, _ := cp.pr.final.probeStages()
-	for _, pr := range probes {
+// stepLayouts reports the layout and staging of each step of an
+// executed plan's final pipeline.
+func stepLayouts(final *logical.Pipeline) (layouts []string, staged []bool) {
+	for _, st := range final.Steps {
+		ht := st.Build.HT()
 		switch {
-		case pr.ix.On():
+		case ht.KeyIndex().On():
 			layouts = append(layouts, "index")
-		case pr.kf.Bits() > 0:
+		case ht.KeyFilter().Bits() > 0:
 			layouts = append(layouts, "filter")
 		default:
 			layouts = append(layouts, "hash")
 		}
-		staged = append(staged, pr.staged)
+		staged = append(staged, false)
+	}
+	for _, m := range final.Members() {
+		staged[m.Step] = true
 	}
 	return layouts, staged
 }
 
 func TestStagedProbes(t *testing.T) {
-	tp, _ := testDBs()
+	tp, _ := compiled.SharedDBs()
 	db := tp[0.01]
 	kdb := keysDB(db)
 	q5, _ := logical.SQLText("tpch", "Q5")
@@ -139,6 +151,39 @@ func TestStagedProbes(t *testing.T) {
 			where l_orderkey = o_orderkey and l_suppkey = s_suppkey and o_orderkey between 7000 and 7100`,
 			db, []string{"index", "index"}},
 	}
+	// run is one engine configuration: its policy over pl and the
+	// decomposition it runs.
+	type run struct {
+		name    string
+		morsels []int
+		policy  func(pl *logical.Plan) (logical.Policy, []*logical.Pipeline)
+	}
+	block := compiled.ProbeBlock
+	runs := []run{{"typer", []int{0, 1, block - 1, block, block + 1}, func(pl *logical.Plan) (logical.Policy, []*logical.Pipeline) {
+		cp, err := compiled.LowerProgram(pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !compiled.FinalRunsSurvivors(cp) {
+			t.Fatal("final pipeline does not run the survivors loop")
+		}
+		return logical.Policy{Fused: cp}, cp.Pipelines()
+	}}}
+	for _, vec := range []int{1, 7, 1024, 4096} {
+		runs = append(runs, run{fmt.Sprintf("tectorwise/vec=%d", vec), []int{0, block + 1}, func(pl *logical.Plan) (logical.Policy, []*logical.Pipeline) {
+			vp, err := logical.LowerVec(pl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return logical.Policy{Vec: vp, VecSize: vec}, vp.Pipelines()
+		}}, run{fmt.Sprintf("hybrid/vec=%d", vec), []int{0, block + 1}, func(pl *logical.Plan) (logical.Policy, []*logical.Pipeline) {
+			pol, err := hybrid.Policy(pl, vec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return pol, pol.Vec.Pipelines()
+		}})
+	}
 	for _, c := range cases {
 		want, err := sqlcheck.Oracle(c.db, c.text)
 		if err != nil {
@@ -149,40 +194,50 @@ func TestStagedProbes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: prepare: %v", c.name, err)
 		}
-		for _, morsel := range []int{0, 1, probeBlock - 1, probeBlock, probeBlock + 1} {
-			ctx := context.Background()
-			if morsel > 0 {
-				ctx = exec.WithMorselSize(ctx, morsel)
-			}
-			for _, workers := range []int{1, 3} {
-				cp, err := LowerProgram(pl)
-				if err != nil {
-					t.Fatal(err)
+		for _, r := range runs {
+			for _, morsel := range r.morsels {
+				ctx := context.Background()
+				if morsel > 0 {
+					ctx = exec.WithMorselSize(ctx, morsel)
 				}
-				if cp.pr.final.loop != loopRows {
-					t.Fatalf("%s: final pipeline runs loop shape %d, want the survivors loop", c.name, cp.pr.final.loop)
-				}
-				out, err := logical.Drive(ctx, pl, workers, logical.Policy{Fused: cp}, logical.Mode{})
-				if err != nil {
-					t.Fatalf("%s morsel=%d w=%d: %v", c.name, morsel, workers, err)
-				}
-				if !sqlcheck.SameRows(sqlcheck.Canon(out.Result.Rows), wantC) {
-					t.Errorf("%s morsel=%d w=%d: staged loop differs from the oracle\n got %v\nwant %v",
-						c.name, morsel, workers, trunc(out.Result.Rows), trunc(want))
-				}
-				layouts, staged := stepLayouts(cp)
-				if !reflect.DeepEqual(layouts, c.layouts) {
-					t.Fatalf("%s: final steps are %v, want %v", c.name, layouts, c.layouts)
-				}
-				for s, l := range layouts {
-					if staged[s] != (l != "hash") {
-						t.Errorf("%s: step %d (%s) staged = %v", c.name, s, l, staged[s])
+				for _, workers := range []int{1, 3} {
+					pol, pipes := r.policy(pl)
+					out, err := logical.Drive(ctx, pl, workers, pol, logical.Mode{})
+					if err != nil {
+						t.Fatalf("%s %s morsel=%d w=%d: %v", c.name, r.name, morsel, workers, err)
+					}
+					if !sqlcheck.SameRows(sqlcheck.Canon(out.Result.Rows), wantC) {
+						t.Errorf("%s %s morsel=%d w=%d: staged probes differ from the oracle\n got %v\nwant %v",
+							c.name, r.name, morsel, workers, trunc(out.Result.Rows), trunc(want))
+					}
+					layouts, staged := stepLayouts(pipes[len(pipes)-1])
+					if !reflect.DeepEqual(layouts, c.layouts) {
+						t.Fatalf("%s %s: final steps are %v, want %v", c.name, r.name, layouts, c.layouts)
+					}
+					for s, l := range layouts {
+						if staged[s] != (l != "hash") {
+							t.Errorf("%s %s: step %d (%s) staged = %v", c.name, r.name, s, l, staged[s])
+						}
 					}
 				}
 			}
 		}
 		if vacuous := !hasNonZero(want); vacuous != (c.name == "empty key-indexed build") {
 			t.Errorf("%s: the oracle's rows are %v", c.name, trunc(want))
+		}
+	}
+	// The hand-written Tectorwise plans probe without membership
+	// stages: tw.Prober runs the key-filter kernel itself (Q5's orders
+	// build is filtered by date, so its keys are sparse).
+	tp, ssb := compiled.SharedDBs()
+	for _, vec := range []int{1, 7, 1024} {
+		for _, workers := range []int{1, 3} {
+			if got, want := plan.Q5Ctx(context.Background(), tp[0.01], workers, vec), queries.RefQ5(tp[0.01]); !reflect.DeepEqual(got, want) || len(want) == 0 {
+				t.Errorf("hand plan Q5 vec=%d w=%d: %v, want %v", vec, workers, got, want)
+			}
+			if got, want := plan.SSBQ21Ctx(context.Background(), ssb[0.01], workers, vec), queries.RefSSBQ21(ssb[0.01]); !reflect.DeepEqual(got, want) || len(want) == 0 {
+				t.Errorf("hand plan SSB Q2.1 vec=%d w=%d: %d rows, want %d", vec, workers, len(got), len(want))
+			}
 		}
 	}
 }
@@ -198,4 +253,11 @@ func hasNonZero(rows [][]int64) bool {
 		}
 	}
 	return false
+}
+
+func trunc(rows [][]int64) [][]int64 {
+	if len(rows) > 8 {
+		return rows[:8]
+	}
+	return rows
 }

@@ -109,6 +109,11 @@ func (x KeyIndex) Head(k uint64) Ref {
 	return Ref(x.slots[d])
 }
 
+// Slots returns the index's slots (slot k − min is the head Ref of key
+// k's chain, 0 when k is absent) and min, for the membership kernels of
+// internal/simd. Callers must not write the slots.
+func (x KeyIndex) Slots() ([]uint64, uint64) { return x.slots, x.min }
+
 // KeyFilter is an exact membership bitmap over a join table's build
 // keys (payload word 0): bit k − min is set for every build key k. A key
 // outside [min, max] or with a clear bit is certainly absent; a set bit
@@ -116,24 +121,20 @@ func (x KeyIndex) Head(k uint64) Ref {
 // every match. The zero KeyFilter (no bitmap) rejects nothing.
 //
 // Bits past max − min are clear, so the range test is against the
-// bitmap's length: that keeps the struct four words, small enough for
-// the compiler to hold a hoisted copy in registers.
+// bitmap's length. Probes test the bitmap through internal/simd's
+// membership kernels (Words).
 type KeyFilter struct {
 	bits []uint64
 	min  uint64
 }
 
-// Miss reports whether k is certainly not a build key.
-func (f KeyFilter) Miss(k uint64) bool {
-	if f.bits == nil {
-		return false
-	}
-	d := k - f.min
-	return d >= uint64(len(f.bits))<<6 || f.bits[d>>6]&(1<<(d&63)) == 0
-}
-
 // Bits returns the bitmap's size in bits, 0 when the table has none.
 func (f KeyFilter) Bits() int { return 64 * len(f.bits) }
+
+// Words returns the bitmap (bit d&63 of word d>>6 is key min + d) and
+// min, for the membership kernels of internal/simd. Callers must not
+// write the words.
+func (f KeyFilter) Words() ([]uint64, uint64) { return f.bits, f.min }
 
 // set marks k present. Workers inserting distinct shards share bitmap
 // words, so the OR is a CAS loop.

@@ -288,17 +288,29 @@ type worker struct {
 // pipeRoot assembles the operator tree of one pipeline for this worker,
 // also returning the root scan operator, so callers that retune the
 // vector size mid-flight (micro-adaptive sizing) keep a handle on it.
+// The pipeline's membership stages (Members) close its FilterChain,
+// ahead of the first HashProbe, and their steps' probes skip the key
+// filter.
 func (w *worker) pipeRoot(ps *Pipeline, e *plan.Exec) (plan.Operator, *plan.Scan) {
 	scan := e.NewScan(ps.disp)
 	var op plan.Operator = scan
-	if preds := w.filterPreds(ps); len(preds) > 0 {
+	preds := w.filterPreds(ps)
+	members := ps.Members()
+	for i := range members {
+		m := &members[i]
+		preds = append(preds, plan.Pred{Dense: m.Dense, Sparse: m.Sparse})
+	}
+	if len(preds) > 0 {
 		op = plan.NewFilterChain(w.bufs, op, preds...)
 	}
 	bufs := make([][]uint64, ps.Gathered())
 	w.colBuf[ps] = bufs
 	live := 0 // bufs[:live] are gathered by earlier steps
-	for _, st := range ps.Steps {
+	for s, st := range ps.Steps {
 		spec := plan.ProbeSpec{HT: st.Build.ht, Key: w.srcVecU64(ps, st.ProbeKey), Hash: w.hash}
+		for _, m := range members {
+			spec.Staged = spec.Staged || m.Step == s
+		}
 		for i, g := range st.Gathers {
 			bufs[live+i] = w.bufs.Ref()
 			spec.GatherU64 = append(spec.GatherU64, plan.GatherU64{Word: g.Word, Dst: bufs[live+i]})

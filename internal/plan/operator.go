@@ -205,6 +205,9 @@ type ProbeSpec struct {
 	GatherU64 []GatherU64
 	GatherI64 []GatherI64
 	Carry     []Carry
+	// Staged marks a key already tested against the build's key set by
+	// a membership stage upstream: the probe skips the key filter.
+	Staged bool
 }
 
 // HashProbe is the vectorized join probe of Figure 2b: a tw.Prober
@@ -235,7 +238,7 @@ func NewHashProbe(bufs *vector.Buffers, child Operator, spec ProbeSpec) *HashPro
 		// place when Key returned it) and their positions into outSel,
 		// which is free until the narrowed selection is written.
 		probe: tw.Prober{Hash: hash, Keys: keyBuf, Hashes: bufs.Ref(),
-			Cand: bufs.Entries(), CandPos: bufs.Sel(), Pos: outSel},
+			Cand: bufs.Entries(), CandPos: bufs.Sel(), Pos: outSel, Staged: spec.Staged},
 		mRefs:  bufs.Entries(),
 		mPos:   bufs.Sel(),
 		outSel: outSel,

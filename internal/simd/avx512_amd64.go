@@ -1,11 +1,12 @@
 package simd
 
-// useAVX512 selects the assembly range kernels: set once at package
+// useAVX512 selects the assembly range and membership kernels: set once at package
 // init from CPUID and XGETBV. The in-package tests clear it to compare
 // the Go kernels against the assembly on the same inputs.
 var useAVX512 = hasAVX512()
 
-// AVX512 reports whether the range kernels run in AVX-512 assembly.
+// AVX512 reports whether the range and membership kernels run in
+// AVX-512 assembly.
 func AVX512() bool { return useAVX512 }
 
 // hasAVX512 reports whether the CPU has AVX-512F and AVX-512VL, the OS
@@ -48,3 +49,19 @@ func selectRangeSparseAVX512(data []int32, lo, hi int32, sel, out []int32) int
 
 //go:noescape
 func selectRangeSparse64AVX512(data []int64, lo, hi int64, sel, out []int32) int
+
+// The membership kernels take a length that is a multiple of 8 and a
+// non-empty word array; each tests key word k as
+// (k-min) < len(words)<<shift && words[(k-min)>>shift]>>((k-min)&bit)&test != 0.
+
+//go:noescape
+func membersAVX512(keys []int32, words []uint64, min, shift, bit, test uint64, out []int32) int
+
+//go:noescape
+func members64AVX512(keys []int64, words []uint64, min, shift, bit, test uint64, out []int32) int
+
+//go:noescape
+func membersSparseAVX512(keys []int32, words []uint64, min, shift, bit, test uint64, sel, out []int32) int
+
+//go:noescape
+func membersSparse64AVX512(keys []int64, words []uint64, min, shift, bit, test uint64, sel, out []int32) int

@@ -171,6 +171,200 @@ sdone64:
 	MOVQ R8, ret+88(FP)
 	RET
 
+// AVX-512 key-membership kernels (§5.2): 8 key words per block. Each
+// block subtracts min, compares the difference unsigned against the
+// set's length (bound = len(words) << shift) into a lane mask, gathers
+// words[d >> shift] under that mask (VPGATHERQQ: a rejected lane loads
+// nothing, so d never indexes past the words), shifts the word right by
+// d & bit and tests it against test (VPTESTMQ, masked by the range
+// lanes), and compresses the members' positions (VPCOMPRESSD) to
+// out[k] as the range kernels do. A bitmap passes shift 6, bit 63,
+// test 1; a slot array shift 0, bit 0, test all ones. Callers pass
+// lengths that are a multiple of 8 and a non-empty word array; the Go
+// wrappers run the tail.
+//
+// Registers: Z0 min, Z1 bound, Z6 shift, Z7 bit, Z8 test, DX &words[0],
+// R8 k, R9 i.
+
+// MEMBERS leaves in K3 the lanes of the 8 key words in Z4 that are
+// members.
+#define MEMBERS \
+	VPSUBQ     Z0, Z4, Z4;          \
+	VPCMPUQ    $1, Z1, Z4, K1;      \
+	VPSRLVQ    Z6, Z4, Z5;          \
+	KMOVW      K1, K2;              \
+	VPGATHERQQ (DX)(Z5*8), K2, Z9;  \
+	VPANDQ     Z7, Z4, Z4;          \
+	VPSRLVQ    Z4, Z9, Z9;          \
+	VPTESTMQ   Z8, Z9, K1, K3
+
+// func membersAVX512(keys []int32, words []uint64, min, shift, bit, test uint64, out []int32) int
+TEXT ·membersAVX512(SB), NOSPLIT, $0-112
+	MOVQ words_base+24(FP), DX
+	MOVQ words_len+32(FP), AX
+	MOVQ shift+56(FP), CX
+	SHLQ CX, AX
+	VPBROADCASTQ CX, Z6             // shift
+	VPBROADCASTQ AX, Z1             // bound
+	MOVQ min+48(FP), AX
+	VPBROADCASTQ AX, Z0             // min
+	MOVQ bit+64(FP), AX
+	VPBROADCASTQ AX, Z7             // bit
+	MOVQ test+72(FP), AX
+	VPBROADCASTQ AX, Z8             // test
+	MOVQ keys_base+0(FP), SI
+	MOVQ keys_len+8(FP), CX
+	MOVQ out_base+80(FP), DI
+	VMOVDQU32 iota32<>(SB), Y2      // positions of the current block
+	MOVL $8, AX
+	VPBROADCASTD AX, Y3             // block stride
+	XORQ R8, R8
+	XORQ R9, R9
+
+mloop32:
+	CMPQ R9, CX
+	JGE  mdone32
+	VPMOVZXDQ (SI)(R9*4), Z4        // 8 keys, zero-extended
+	MEMBERS
+	VPCOMPRESSD Y2, K3, Y5
+	VMOVDQU32 Y5, (DI)(R8*4)
+	KMOVW K3, AX
+	POPCNTL AX, AX
+	ADDQ AX, R8
+	VPADDD Y3, Y2, Y2
+	ADDQ $8, R9
+	JMP  mloop32
+
+mdone32:
+	VZEROUPPER
+	MOVQ R8, ret+104(FP)
+	RET
+
+// func members64AVX512(keys []int64, words []uint64, min, shift, bit, test uint64, out []int32) int
+TEXT ·members64AVX512(SB), NOSPLIT, $0-112
+	MOVQ words_base+24(FP), DX
+	MOVQ words_len+32(FP), AX
+	MOVQ shift+56(FP), CX
+	SHLQ CX, AX
+	VPBROADCASTQ CX, Z6
+	VPBROADCASTQ AX, Z1
+	MOVQ min+48(FP), AX
+	VPBROADCASTQ AX, Z0
+	MOVQ bit+64(FP), AX
+	VPBROADCASTQ AX, Z7
+	MOVQ test+72(FP), AX
+	VPBROADCASTQ AX, Z8
+	MOVQ keys_base+0(FP), SI
+	MOVQ keys_len+8(FP), CX
+	MOVQ out_base+80(FP), DI
+	VMOVDQU32 iota32<>(SB), Y2
+	MOVL $8, AX
+	VPBROADCASTD AX, Y3
+	XORQ R8, R8
+	XORQ R9, R9
+
+mloop64:
+	CMPQ R9, CX
+	JGE  mdone64
+	VMOVDQU64 (SI)(R9*8), Z4
+	MEMBERS
+	VPCOMPRESSD Y2, K3, Y5
+	VMOVDQU32 Y5, (DI)(R8*4)
+	KMOVW K3, AX
+	POPCNTL AX, AX
+	ADDQ AX, R8
+	VPADDD Y3, Y2, Y2
+	ADDQ $8, R9
+	JMP  mloop64
+
+mdone64:
+	VZEROUPPER
+	MOVQ R8, ret+104(FP)
+	RET
+
+// func membersSparseAVX512(keys []int32, words []uint64, min, shift, bit, test uint64, sel, out []int32) int
+TEXT ·membersSparseAVX512(SB), NOSPLIT, $0-136
+	MOVQ words_base+24(FP), DX
+	MOVQ words_len+32(FP), AX
+	MOVQ shift+56(FP), CX
+	SHLQ CX, AX
+	VPBROADCASTQ CX, Z6
+	VPBROADCASTQ AX, Z1
+	MOVQ min+48(FP), AX
+	VPBROADCASTQ AX, Z0
+	MOVQ bit+64(FP), AX
+	VPBROADCASTQ AX, Z7
+	MOVQ test+72(FP), AX
+	VPBROADCASTQ AX, Z8
+	MOVQ keys_base+0(FP), BX
+	MOVQ sel_base+80(FP), SI
+	MOVQ sel_len+88(FP), CX
+	MOVQ out_base+104(FP), DI
+	XORQ R8, R8
+	XORQ R9, R9
+
+msloop32:
+	CMPQ R9, CX
+	JGE  msdone32
+	VMOVDQU32 (SI)(R9*4), Y2        // sel[i:i+8]
+	KXNORW K0, K0, K2               // gather every lane
+	VPGATHERDD (BX)(Y2*4), K2, Y4   // keys[sel[i+j]]
+	VPMOVZXDQ Y4, Z4                // zero-extended
+	MEMBERS
+	VPCOMPRESSD Y2, K3, Y5
+	VMOVDQU32 Y5, (DI)(R8*4)
+	KMOVW K3, AX
+	POPCNTL AX, AX
+	ADDQ AX, R8
+	ADDQ $8, R9
+	JMP  msloop32
+
+msdone32:
+	VZEROUPPER
+	MOVQ R8, ret+128(FP)
+	RET
+
+// func membersSparse64AVX512(keys []int64, words []uint64, min, shift, bit, test uint64, sel, out []int32) int
+TEXT ·membersSparse64AVX512(SB), NOSPLIT, $0-136
+	MOVQ words_base+24(FP), DX
+	MOVQ words_len+32(FP), AX
+	MOVQ shift+56(FP), CX
+	SHLQ CX, AX
+	VPBROADCASTQ CX, Z6
+	VPBROADCASTQ AX, Z1
+	MOVQ min+48(FP), AX
+	VPBROADCASTQ AX, Z0
+	MOVQ bit+64(FP), AX
+	VPBROADCASTQ AX, Z7
+	MOVQ test+72(FP), AX
+	VPBROADCASTQ AX, Z8
+	MOVQ keys_base+0(FP), BX
+	MOVQ sel_base+80(FP), SI
+	MOVQ sel_len+88(FP), CX
+	MOVQ out_base+104(FP), DI
+	XORQ R8, R8
+	XORQ R9, R9
+
+msloop64:
+	CMPQ R9, CX
+	JGE  msdone64
+	VMOVDQU32 (SI)(R9*4), Y2        // sel[i:i+8]
+	KXNORW K0, K0, K2
+	VPGATHERDQ (BX)(Y2*8), K2, Z4   // keys[sel[i+j]]
+	MEMBERS
+	VPCOMPRESSD Y2, K3, Y5
+	VMOVDQU32 Y5, (DI)(R8*4)
+	KMOVW K3, AX
+	POPCNTL AX, AX
+	ADDQ AX, R8
+	ADDQ $8, R9
+	JMP  msloop64
+
+msdone64:
+	VZEROUPPER
+	MOVQ R8, ret+128(FP)
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

@@ -127,7 +127,7 @@ func int32s[T ~int32](s []T) []int32 {
 	return unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(s))), len(s))
 }
 
-func int64s[T ~int64](s []T) []int64 {
+func int64s[T ~int64 | ~uint64](s []T) []int64 {
 	return unsafe.Slice((*int64)(unsafe.Pointer(unsafe.SliceData(s))), len(s))
 }
 

@@ -3,6 +3,7 @@ package tw
 import (
 	"paradigms/internal/exec"
 	"paradigms/internal/hashtable"
+	"paradigms/internal/simd"
 	"paradigms/internal/vector"
 )
 
@@ -88,6 +89,10 @@ type Prober struct {
 	Keys, Hashes []uint64
 	Cand         []hashtable.Ref
 	CandPos, Pos []int32
+	// Staged skips the key filter: a membership stage ahead of the
+	// probe (logical.(*Pipeline).Members) already dropped every key it
+	// rejects.
+	Staged bool
 }
 
 // NewProber returns a Prober over fresh vectors from bufs, hashing with
@@ -102,10 +107,11 @@ func NewProber(bufs *vector.Buffers) *Prober {
 // is the operator control logic of Figure 2b. A key-indexed table is
 // probed without hashing: every entry on a key's slot chain is a match,
 // so the chains are walked with no key compare. Otherwise the table's
-// key filter goes first: the keys it passes are compacted into p.Keys,
-// so a miss costs neither a hash nor a directory load. The rest are
-// hashed, then run through the three primitives above until every chain
-// is walked.
+// key filter goes first, unless p.Staged: one membership kernel
+// (simd.SelectMembers64) selects the keys it passes, which are
+// compacted into p.Keys, so a miss costs neither a hash nor a directory
+// load. The rest are hashed, then run through the three primitives
+// above until every chain is walked.
 func (p *Prober) Probe(ht *hashtable.Table, keys []uint64, n int, matchRefs []hashtable.Ref, matchPos []int32) int {
 	if ix := ht.KeyIndex(); ix.On() {
 		nc := IndexCandidates(ix, keys, n, p.Cand, p.CandPos)
@@ -119,18 +125,13 @@ func (p *Prober) Probe(ht *hashtable.Table, keys []uint64, n int, matchRefs []ha
 		return nm
 	}
 	kf := ht.KeyFilter()
-	if kf.Bits() == 0 {
+	if p.Staged || kf.Bits() == 0 {
 		p.Hash(keys[:n], p.Hashes)
 		return p.candidates(ht, keys, n, matchRefs, matchPos)
 	}
-	out, pos := p.Keys[:n], p.Pos[:n]
-	k := 0
-	for i, key := range keys[:n] {
-		out[k] = key
-		pos[k] = int32(i)
-		if !kf.Miss(key) {
-			k++
-		}
+	k := simd.SelectMembers64(keys[:n], simd.BitmapSet(kf.Words()), p.Pos)
+	for j, s := range p.Pos[:k] {
+		p.Keys[j] = keys[s] // s >= j: compacting in place is safe
 	}
 	p.Hash(p.Keys[:k], p.Hashes)
 	nm := p.candidates(ht, p.Keys, k, matchRefs, matchPos)
