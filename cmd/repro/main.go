@@ -93,7 +93,7 @@ func main() {
 		case "fig8":
 			fmt.Print(bench.Fig8Text(getTPCH(), cfg))
 		case "fig9":
-			fmt.Print(bench.Fig9Text())
+			fmt.Print(bench.Fig9Text(cfg, 256<<20))
 		case "fig10":
 			fmt.Print(bench.Fig10Text(getSim()))
 		case "table3":

@@ -62,7 +62,7 @@ func TestFigTexts(t *testing.T) {
 	if out := Fig8Text(db, cfg); !strings.Contains(out, "hashing") {
 		t.Error("Fig8 output malformed")
 	}
-	if out := Fig9Text(); !strings.Contains(out, "working set") {
+	if out := Fig9Text(cfg, 512<<10); !strings.Contains(out, "bitmap") {
 		t.Error("Fig9 output malformed")
 	}
 	if out := Fig10Text(db); !strings.Contains(out, "instr reduction") {

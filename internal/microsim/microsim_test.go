@@ -207,18 +207,6 @@ func TestSIMDModelShapes(t *testing.T) {
 	if g.Speedup > 1.6 {
 		t.Errorf("big-working-set gather speedup = %.1fx, want ≈1.1x", g.Speedup)
 	}
-	// Fig 9: gains collapse as the working set leaves the cache.
-	rows := Fig9(Skylake, []int{128 << 10, 4 << 20, 256 << 20}, 4096)
-	small := rows[0].ScalarCycles / rows[0].SIMDCycles
-	large := rows[len(rows)-1].ScalarCycles / rows[len(rows)-1].SIMDCycles
-	if large >= small {
-		t.Errorf("SIMD gain should shrink with working set: %.2f -> %.2f", small, large)
-	}
-	// Cost per lookup must grow with working set (cache cliff).
-	if rows[len(rows)-1].ScalarCycles <= rows[0].ScalarCycles {
-		t.Errorf("no cache cliff: %.1f <= %.1f",
-			rows[len(rows)-1].ScalarCycles, rows[0].ScalarCycles)
-	}
 }
 
 func TestFig7MemoryBound(t *testing.T) {

@@ -125,24 +125,6 @@ func GatherKernel(hw HW, workingSet, n int) SIMDKernelResult {
 		SIMDCycles: simd, Speedup: scalar / simd}
 }
 
-// Fig9Row is one point of the Figure 9 working-set sweep.
-type Fig9Row struct {
-	WorkingSetBytes int
-	ScalarCycles    float64
-	SIMDCycles      float64
-}
-
-// Fig9 sweeps hash-table working-set sizes for the probe kernel.
-func Fig9(hw HW, sizes []int, probes int) []Fig9Row {
-	rows := make([]Fig9Row, 0, len(sizes))
-	for _, s := range sizes {
-		r := GatherKernel(hw, s, probes)
-		rows = append(rows, Fig9Row{WorkingSetBytes: s,
-			ScalarCycles: r.ScalarCycles, SIMDCycles: r.SIMDCycles})
-	}
-	return rows
-}
-
 // Fig7Row is one point of the Figure 7 sparse-selection sweep.
 type Fig7Row struct {
 	InputSelectivity float64
