@@ -20,6 +20,7 @@ import (
 	"paradigms/internal/logical"
 	"paradigms/internal/proto"
 	"paradigms/internal/server"
+	"paradigms/internal/simd"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden wire fixtures")
@@ -344,4 +345,29 @@ func FuzzProtoDecode(f *testing.F) {
 func jsonMarshal(f *proto.Frame) ([]byte, error) {
 	raw, err := json.Marshal(f)
 	return raw, err
+}
+
+// TestMetricsReportSIMDPath pins the paradigms_simd_avx512 gauge: 1
+// exactly when the kernels chose their AVX-512 path at startup.
+func TestMetricsReportSIMDPath(t *testing.T) {
+	svc := newStubService()
+	defer svc.Close()
+	ts := httptest.NewServer(proto.NewServer(svc, fixedNow).Handler())
+	defer ts.Close()
+	resp, err := ts.Client().Get(ts.URL + "/metricsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "paradigms_simd_avx512 0\n"
+	if simd.AVX512() {
+		want = "paradigms_simd_avx512 1\n"
+	}
+	if !strings.Contains(string(raw), "# TYPE paradigms_simd_avx512 gauge\n"+want) {
+		t.Errorf("/metricsz lacks the gauge line %q:\n%s", want, raw)
+	}
 }

@@ -14,6 +14,7 @@ import (
 	"paradigms/internal/logical"
 	"paradigms/internal/obs"
 	"paradigms/internal/server"
+	"paradigms/internal/simd"
 )
 
 // Server serves the protocol over HTTP on behalf of a query service:
@@ -231,6 +232,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("paradigms_morsels_dispatched_total", "Morsel claims made by this service's queries.", uint64(st.MorselsDispatched))
 	gauge("paradigms_queries_in_flight", "Queries currently executing.", int64(st.InFlight))
 	gauge("paradigms_queries_queued", "Queries waiting for admission.", int64(st.Queued))
+	avx512 := int64(0)
+	if simd.AVX512() {
+		avx512 = 1
+	}
+	gauge("paradigms_simd_avx512", "1 when the selection and key-membership kernels run in AVX-512 assembly (chosen at startup from the CPU), 0 when they run their Go loops.", avx512)
 	engines := make([]string, 0, len(st.PerEngine))
 	for e := range st.PerEngine {
 		engines = append(engines, e)
