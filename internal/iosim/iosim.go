@@ -6,6 +6,7 @@ package iosim
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -75,10 +76,13 @@ func writeColumn(dir, rel string, col *storage.Column) error {
 			werr = err
 		}
 	case storage.String:
-		for _, off := range col.Str.Offsets {
-			put(uint64(off), 4)
+		// Rebased to the first value, so a view (storage.Relation.Slice)
+		// writes its own values only, and the file is ByteSize long.
+		h := col.Str
+		for _, off := range h.Offsets {
+			put(uint64(off-h.Offsets[0]), 4)
 		}
-		if _, err := w.Write(col.Str.Bytes); err != nil {
+		if _, err := w.Write(h.Bytes[h.Offsets[0]:]); err != nil {
 			werr = err
 		}
 	}
@@ -214,6 +218,18 @@ func VerifyRoundTrip(dir string, db *storage.Database, rel, col string) error {
 	case storage.Byte:
 		for i, v := range c.B {
 			if data[i] != v {
+				return fmt.Errorf("iosim: %s.%s[%d] differs", rel, col, i)
+			}
+		}
+	case storage.String:
+		h := c.Str
+		if len(data) < 4*len(h.Offsets) {
+			return fmt.Errorf("iosim: %s.%s is %d bytes, shorter than its offsets", rel, col, len(data))
+		}
+		heap := data[4*len(h.Offsets):]
+		for i := 0; i < h.Len(); i++ {
+			lo, hi := binary.LittleEndian.Uint32(data[i*4:]), binary.LittleEndian.Uint32(data[i*4+4:])
+			if lo > hi || int(hi) > len(heap) || !bytes.Equal(heap[lo:hi], h.Get(i)) {
 				return fmt.Errorf("iosim: %s.%s[%d] differs", rel, col, i)
 			}
 		}

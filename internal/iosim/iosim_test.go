@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"paradigms/internal/storage"
 	"paradigms/internal/tpch"
 )
 
@@ -22,6 +23,35 @@ func TestWriteVerifyRoundTrip(t *testing.T) {
 		{"orders", "o_totalprice"},
 	} {
 		if err := VerifyRoundTrip(dir, db, check[0], check[1]); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestWriteViewColumns: a database of views (storage.Relation.Slice,
+// as sharding makes them) writes only its own rows, so the streamed
+// bytes match ColumnBytes and string columns round-trip.
+func TestWriteViewColumns(t *testing.T) {
+	base := tpch.Generate(0.01, 0)
+	db := storage.NewDatabase("tpch", 0.01)
+	for _, name := range []string{"customer", "orders"} {
+		r := base.Rel(name)
+		db.Add(r.Slice(r.Rows()/3, r.Rows()/2))
+	}
+	dir := t.TempDir()
+	if err := WriteDatabase(db, dir); err != nil {
+		t.Fatal(err)
+	}
+	relations := []string{"customer", "orders"}
+	n, _, err := StreamColumns(dir, db, relations, 10e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := ColumnBytes(db, relations); n != want {
+		t.Errorf("streamed %d bytes, want %d", n, want)
+	}
+	for _, col := range []string{"c_name", "c_mktsegment"} {
+		if err := VerifyRoundTrip(dir, db, "customer", col); err != nil {
 			t.Error(err)
 		}
 	}

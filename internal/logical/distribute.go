@@ -7,7 +7,7 @@ import (
 )
 
 // The distribute rewrite decides whether an optimized plan can run as
-// scatter/gather over hash-partitioned shards. The shape follows the
+// scatter/gather over range-partitioned shards. The shape follows the
 // promql-engine distribute rewrite: scans, filters, joins, and partial
 // aggregation are pushed below a scatter exchange (each shard runs the
 // whole pipeline tree over its slice via ExecutePartial), and a gather
@@ -43,7 +43,7 @@ type DistPlan struct {
 }
 
 // Distribute validates that the plan's joins respect the partitioning
-// in partKey (table → hash-partition column; absent tables are
+// in partKey (table → partition column; absent tables are
 // replicated on every shard) and returns its exchange placement. A
 // non-nil error means the plan is not shard-safe under this
 // partitioning — e.g. a join between two partitioned tables on
@@ -169,7 +169,7 @@ func (dp *DistPlan) Format(shards int) string {
 		for i, t := range dp.PartTables {
 			parts[i] = t + "." + dp.partKey[t]
 		}
-		fmt.Fprintf(&sb, "  scatter shards=%d hash[%s]\n", shards, strings.Join(parts, ", "))
+		fmt.Fprintf(&sb, "  scatter shards=%d range[%s]\n", shards, strings.Join(parts, ", "))
 	}
 	for _, line := range strings.Split(strings.TrimRight(pl.Format(), "\n"), "\n") {
 		sb.WriteString("    ")

@@ -63,7 +63,8 @@ func (t ColType) Width() int {
 }
 
 // StringHeap is the storage for one variable-length string column:
-// value i occupies Bytes[Offsets[i]:Offsets[i+1]].
+// value i occupies Bytes[Offsets[i]:Offsets[i+1]]. Offsets are absolute
+// positions in Bytes; only a heap built by Append starts at 0.
 type StringHeap struct {
 	Offsets []uint32 // len == number of rows + 1
 	Bytes   []byte
@@ -74,6 +75,11 @@ func (h *StringHeap) Get(i int) []byte { return h.Bytes[h.Offsets[i]:h.Offsets[i
 
 // Len returns the number of string values.
 func (h *StringHeap) Len() int { return len(h.Offsets) - 1 }
+
+// ByteLen returns the number of heap bytes the values occupy. A view
+// (Relation.Slice) shares the heap bytes before its first value too,
+// so this is not len(Bytes).
+func (h *StringHeap) ByteLen() int { return int(h.Offsets[len(h.Offsets)-1] - h.Offsets[0]) }
 
 // Append adds a value to the heap. The heap must have been initialized
 // with one zero offset (NewStringHeap does this).
@@ -241,11 +247,48 @@ func (r *Relation) typed(name string, t ColType) *Column {
 	return c
 }
 
+// Slice returns rows [lo, hi) as a view: a new relation with the same
+// name, column order and types whose columns alias the source's backing
+// arrays — no value is copied. Every slice's capacity is capped at its
+// length, so appending to a view reallocates instead of writing into
+// the rows that follow it. A string column's view slices the offsets
+// and shares the byte heap up to its last value, so its offsets stay
+// absolute (the first need not be 0); size it with StringHeap.ByteLen,
+// not len(Bytes).
+// Views are read-only, like every relation the engines scan.
+func (r *Relation) Slice(lo, hi int) *Relation {
+	if lo < 0 || hi < lo || hi > r.rows {
+		panic(fmt.Sprintf("storage: slice [%d:%d] of relation %s with %d rows", lo, hi, r.Name, r.rows))
+	}
+	out := NewRelation(r.Name)
+	for _, c := range r.columns {
+		v := &Column{Name: c.Name, Type: c.Type}
+		switch c.Type {
+		case Int32:
+			v.I32 = c.I32[lo:hi:hi]
+		case Int64:
+			v.I64 = c.I64[lo:hi:hi]
+		case Numeric:
+			v.Num = c.Num[lo:hi:hi]
+		case Date:
+			v.Dat = c.Dat[lo:hi:hi]
+		case Byte:
+			v.B = c.B[lo:hi:hi]
+		case String:
+			end := c.Str.Offsets[hi]
+			v.Str = &StringHeap{Offsets: c.Str.Offsets[lo : hi+1 : hi+1], Bytes: c.Str.Bytes[:end:end]}
+		}
+		out.add(v)
+	}
+	return out
+}
+
 // Gather materializes the subset of rows at the given indices as a new
 // relation with the same name, column order, and column types — the
-// storage primitive behind hash-partitioning a table across shards.
-// Values are copied (strings into a fresh heap), so the gathered
-// relation shares no backing arrays with the source.
+// storage primitive behind partitioning a table whose rows are not
+// stored in partition-key order. Values are copied (strings into a
+// fresh heap), so the gathered relation shares no backing arrays with
+// the source.
 func (r *Relation) Gather(idx []int) *Relation {
 	out := NewRelation(r.Name)
 	for _, c := range r.columns {
@@ -283,7 +326,7 @@ func (r *Relation) Gather(idx []int) *Relation {
 		case String:
 			avg := 0
 			if n := c.Str.Len(); n > 0 {
-				avg = len(c.Str.Bytes)/n + 1
+				avg = c.Str.ByteLen()/n + 1
 			}
 			h := NewStringHeap(len(idx), avg)
 			for _, i := range idx {
@@ -303,7 +346,7 @@ func (r *Relation) ByteSize() int64 {
 	for _, c := range r.columns {
 		switch c.Type {
 		case String:
-			total += int64(len(c.Str.Bytes)) + 4*int64(len(c.Str.Offsets))
+			total += int64(c.Str.ByteLen()) + 4*int64(len(c.Str.Offsets))
 		default:
 			total += int64(c.Len()) * int64(c.Type.Width())
 		}

@@ -129,3 +129,65 @@ func TestDatabase(t *testing.T) {
 	assertPanics(t, "duplicate relation", func() { d.Add(NewRelation("orders")) })
 	assertPanics(t, "missing relation", func() { d.Rel("part") })
 }
+
+// TestSliceViews: a view aliases its source's arrays, reads the same
+// values, is sized by its own rows, and cannot write into its
+// neighbour by appending.
+func TestSliceViews(t *testing.T) {
+	r := NewRelation("t")
+	r.AddInt32("a", []int32{1, 2, 3, 4, 5})
+	r.AddInt64("b", []int64{10, 20, 30, 40, 50})
+	r.AddNumeric("c", []types.Numeric{100, 200, 300, 400, 500})
+	r.AddDate("d", []types.Date{7, 8, 9, 10, 11})
+	r.AddByte("e", []byte("vwxyz"))
+	h := NewStringHeap(5, 3)
+	for _, s := range []string{"a", "bb", "", "dddd", "ee"} {
+		h.AppendString(s)
+	}
+	r.AddString("f", h)
+
+	left, mid, right := r.Slice(0, 1), r.Slice(1, 4), r.Slice(4, 5)
+	if mid.Name != "t" || mid.Rows() != 3 || len(mid.Columns()) != 6 {
+		t.Fatalf("mid view: name %q, %d rows, %d columns", mid.Name, mid.Rows(), len(mid.Columns()))
+	}
+	if &mid.Int32("a")[0] != &r.Int32("a")[1] || &mid.Date("d")[2] != &r.Date("d")[3] || &mid.String("f").Offsets[0] != &h.Offsets[1] {
+		t.Fatal("mid view does not alias its source")
+	}
+	for i, want := range []string{"bb", "", "dddd"} {
+		if got := string(mid.String("f").Get(i)); got != want {
+			t.Errorf("mid f[%d] = %q, want %q", i, got, want)
+		}
+	}
+	if got := mid.Byte("e"); string(got) != "wxy" {
+		t.Errorf("mid e = %q", got)
+	}
+	if n := mid.String("f").ByteLen(); n != 6 {
+		t.Errorf("mid f ByteLen = %d, want 6", n)
+	}
+	if sum := left.ByteSize() + mid.ByteSize() + right.ByteSize(); sum != r.ByteSize()+2*4 {
+		// Each view carries one offset entry more than its share.
+		t.Errorf("views' ByteSize sums to %d, source is %d", sum, r.ByteSize())
+	}
+	if g := mid.Gather([]int{2, 0}); string(g.String("f").Get(0)) != "dddd" || g.String("f").ByteLen() != 6 {
+		t.Errorf("gather of a view: %q, %d bytes", g.String("f").Get(0), g.String("f").ByteLen())
+	}
+
+	// Appending to a view reallocates; the source and the next view
+	// keep their values.
+	a := append(mid.Int32("a"), -1)
+	mh := *mid.String("f")
+	mh.AppendString("zzzzzz")
+	if r.Int32("a")[4] != 5 || right.Int32("a")[0] != 5 || a[3] != -1 {
+		t.Error("appending to an int32 view wrote into the source")
+	}
+	if string(right.String("f").Get(0)) != "ee" || string(h.Get(4)) != "ee" || string(mh.Get(3)) != "zzzzzz" {
+		t.Error("appending to a string view wrote into the source")
+	}
+
+	empty := r.Slice(5, 5)
+	if empty.Rows() != 0 || empty.String("f").Len() != 0 || empty.String("f").ByteLen() != 0 {
+		t.Errorf("empty view: %d rows", empty.Rows())
+	}
+	assertPanics(t, "slice past the end", func() { r.Slice(2, 6) })
+	assertPanics(t, "inverted slice", func() { r.Slice(3, 2) })
+}

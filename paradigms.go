@@ -107,7 +107,7 @@ func RunContext(ctx context.Context, db *DB, eng Engine, query string, opt Optio
 	return registry.Run(ctx, db, string(eng), query, opt.Workers, opt.VectorSize)
 }
 
-// NewCluster hash-partitions db into n in-process shards behind
+// NewCluster range-partitions db into n in-process shards behind
 // scatter/gather exchange operators (internal/exchange): each shard
 // holds a catalog slice of the fact tables (dimensions are replicated
 // by pointer), plans the SQL against its own slice, and executes up to

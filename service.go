@@ -65,7 +65,7 @@ type ServiceOptions struct {
 	// observed per-pipeline cardinalities and re-plans itself when they
 	// drift a sustained 4x from the optimizer's estimates.
 	NoFeedback bool
-	// Shards, when > 1, hash-partitions each loaded database into that
+	// Shards, when > 1, range-partitions each loaded database into that
 	// many in-process shards (internal/exchange) and runs every request
 	// on the typer and tectorwise engines — ad-hoc or prepared,
 	// materialized or streamed — through scatter/gather exchanges: one

@@ -23,7 +23,7 @@ import (
 
 // The sharded differential harness: the same generated corpus the
 // single-process engines are proven on, executed through the exchange
-// path — hash-partitioned shards, per-shard partial execution on both
+// path — range-partitioned shards, per-shard partial execution on both
 // backends, coordinator gather/merge — against the naive oracle.
 
 type clusterKey struct {
