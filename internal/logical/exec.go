@@ -3,6 +3,7 @@ package logical
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
 
 	"paradigms/internal/catalog"
@@ -60,7 +61,12 @@ func (pl *Plan) FinalizeRows(rows [][]int64) (*Result, error) {
 	if len(pl.Sort) > 0 {
 		// A concrete sorter: sort.SliceStable's reflect-based swapper
 		// costs real time on large group counts (Q3/Q18 shapes).
-		sort.Stable(&rowSorter{pl: pl, rows: rows})
+		s := &rowSorter{pl: pl, rows: rows}
+		if pl.Limit >= 0 && pl.Limit < len(rows) {
+			rows = s.topK(pl.Limit)
+		} else {
+			sort.Stable(s)
+		}
 	}
 	if pl.Limit >= 0 && len(rows) > pl.Limit {
 		rows = rows[:pl.Limit]
@@ -104,20 +110,73 @@ type rowSorter struct {
 	rows [][]int64
 }
 
-func (s *rowSorter) Len() int      { return len(s.rows) }
-func (s *rowSorter) Swap(i, j int) { s.rows[i], s.rows[j] = s.rows[j], s.rows[i] }
-func (s *rowSorter) Less(i, j int) bool {
+func (s *rowSorter) Len() int           { return len(s.rows) }
+func (s *rowSorter) Swap(i, j int)      { s.rows[i], s.rows[j] = s.rows[j], s.rows[i] }
+func (s *rowSorter) Less(i, j int) bool { return s.cmp(s.rows[i], s.rows[j]) < 0 }
+
+// cmp orders two rows by the ORDER BY keys: negative if a sorts first,
+// 0 on a tie.
+func (s *rowSorter) cmp(a, b []int64) int {
 	for _, k := range s.pl.Sort {
-		a, b := s.pl.sortValue(s.rows[i], k), s.pl.sortValue(s.rows[j], k)
-		if a == b {
+		x, y := s.pl.sortValue(a, k), s.pl.sortValue(b, k)
+		if x == y {
 			continue
 		}
-		if k.Desc {
-			return a > b
+		if (x < y) != k.Desc {
+			return -1
 		}
-		return a < b
+		return 1
 	}
-	return false
+	return 0
+}
+
+// topK returns exactly the first k rows of the stable sort, at
+// O(n log k) instead of O(n log n): a max-heap of k row positions
+// ordered by (sort keys, input position) keeps the k that sort first,
+// and only those are sorted. The position tie-break is what makes the
+// result the stable sort's prefix when ties straddle the cut.
+func (s *rowSorter) topK(k int) [][]int64 {
+	before := func(i, j int) int {
+		if c := s.cmp(s.rows[i], s.rows[j]); c != 0 {
+			return c
+		}
+		return i - j
+	}
+	h := make([]int, k)
+	for i := range h {
+		h[i] = i
+	}
+	down := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= k {
+				return
+			}
+			if r := c + 1; r < k && before(h[c], h[r]) < 0 {
+				c = r
+			}
+			if before(h[i], h[c]) >= 0 {
+				return
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
+		}
+	}
+	for i := k/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for i := k; i < len(s.rows); i++ {
+		if k > 0 && before(i, h[0]) < 0 {
+			h[0] = i
+			down(0)
+		}
+	}
+	slices.SortFunc(h, before)
+	out := make([][]int64, k)
+	for j, i := range h {
+		out[j] = s.rows[i]
+	}
+	return out
 }
 
 // HTOp maps a logical aggregate operator to the shared merge machinery

@@ -2,8 +2,10 @@ package logical
 
 import (
 	"context"
+	"math/bits"
 
 	"paradigms/internal/catalog"
+	"paradigms/internal/hashtable"
 )
 
 // Partial is one shard's share of a query: the per-worker state each
@@ -75,21 +77,45 @@ func EncodeGroupKey(keys []*catalog.Column, row []int64) uint64 {
 // the first-seen value (OpFirst slots are functionally determined by
 // the key, so every shard agrees on them). Output preserves first-seen
 // insertion order, which keeps the N=1 path bit-identical to the
-// single-process concatenation.
+// single-process concatenation. The groups live in one open-addressing
+// table over EncodeGroupKey words and their rows in one arena, so the
+// merge allocates a fixed handful of slices whatever the group count.
 func MergeGroupRows(agg *Aggregate, parts []*Partial) [][]int64 {
+	total, width := 0, 0
+	for _, p := range parts {
+		total += len(p.Groups)
+		if len(p.Groups) > 0 {
+			width = len(p.Groups[0])
+		}
+	}
+	if total == 0 {
+		return nil
+	}
 	nk := len(agg.Keys)
-	idx := make(map[uint64]int)
-	var out [][]int64
+	arena := make([]int64, total*width)
+	out := make([][]int64, 0, total)
+	// Linear probing at load ≤ 1/2; slots hold an out index + 1, so 0
+	// marks an empty slot whatever the key word.
+	size := 1 << bits.Len(uint(2*total-1))
+	mask := uint64(size - 1)
+	slots := make([]int32, size)
+	words := make([]uint64, size)
 	for _, p := range parts {
 		for _, r := range p.Groups {
 			k := EncodeGroupKey(agg.Keys, r)
-			j, ok := idx[k]
-			if !ok {
-				idx[k] = len(out)
-				out = append(out, append([]int64(nil), r...))
+			h := hashtable.Mix64(k) & mask
+			for slots[h] != 0 && words[h] != k {
+				h = (h + 1) & mask
+			}
+			if slots[h] == 0 {
+				n := len(out)
+				dst := arena[n*width : (n+1)*width : (n+1)*width]
+				copy(dst, r)
+				out = append(out, dst)
+				slots[h], words[h] = int32(n+1), k
 				continue
 			}
-			dst := out[j]
+			dst := out[slots[h]-1]
 			for a, s := range agg.Aggs {
 				switch s.Op {
 				case OpSum, OpCount:
