@@ -248,20 +248,38 @@ func BenchmarkFig8Probe(b *testing.B) {
 	})
 }
 
-// BenchmarkFig9WorkingSet — Figure 9: probe cost vs hash-table size.
+// BenchmarkFig9WorkingSet — Figure 9: the key-membership probe the
+// engines stage, AVX-512 kernel vs its Go loop, as the key bitmap
+// outgrows the caches (the bitmap sizes of `repro -exp fig9`; 8 192
+// random keys, about half of them members).
 func BenchmarkFig9WorkingSet(b *testing.B) {
-	keys := make([]uint64, 8192)
-	matches := make([]int32, len(keys))
-	for _, entries := range []int{1 << 12, 1 << 16, 1 << 20, 1 << 22} {
-		ht := fig8Table(entries)
-		rng := rand.New(rand.NewSource(4))
-		for i := range keys {
-			keys[i] = uint64(rng.Intn(entries))
-		}
-		b.Run(itoa(entries*24/1024)+"KB", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				simd.ProbeScalar(ht, keys, matches)
+	keys, out := make([]int32, 8192), make([]int32, 8192)
+	for _, size := range bench.Fig9Bitmaps {
+		// Built inside the sub-benchmark, so a -bench filter that skips
+		// a size does not allocate its bitmap.
+		b.Run(itoa(size>>10)+"KB", func(b *testing.B) {
+			rng := rand.New(rand.NewSource(9))
+			words := make([]uint64, size/8)
+			for i := range words {
+				words[i] = rng.Uint64()
 			}
+			set := simd.BitmapSet(words, 0)
+			for i := range keys {
+				keys[i] = int32(rng.Intn(8 * size))
+			}
+			b.Run("go", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					simd.SelectMembersGo(keys, set, out)
+				}
+			})
+			b.Run("kernel", func(b *testing.B) {
+				if !simd.AVX512() {
+					b.Skip("no AVX-512 on this CPU: SelectMembers runs the Go loop")
+				}
+				for i := 0; i < b.N; i++ {
+					simd.SelectMembers(keys, set, out)
+				}
+			})
 		})
 	}
 }

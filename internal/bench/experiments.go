@@ -334,6 +334,10 @@ func Fig8Text(db *storage.Database, cfg Config) string {
 	return b.String()
 }
 
+// Fig9Bitmaps are the key-bitmap sizes in bytes Figure 9 probes: from
+// L2-resident to far past the last-level cache.
+var Fig9Bitmaps = []int{128 << 10, 512 << 10, 4 << 20, 32 << 20, 256 << 20}
+
 // Fig9Text reproduces Figure 9, measured: the key-membership probe
 // both engines stage (simd.SelectMembers, AVX-512 gather-test-compress)
 // against its Go loop over 8192 random keys, at bitmap sizes from
@@ -347,7 +351,7 @@ func Fig9Text(cfg Config, maxBytes int) string {
 	var b strings.Builder
 	b.WriteString("Figure 9 — measured key-membership probe vs bitmap size\n")
 	fmt.Fprintf(&b, "%10s %12s %16s %8s\n", "bitmap", "Go ns/key", "AVX-512 ns/key", "gain")
-	for _, size := range []int{128 << 10, 512 << 10, 4 << 20, 32 << 20, 256 << 20} {
+	for _, size := range Fig9Bitmaps {
 		if size > maxBytes {
 			break
 		}
