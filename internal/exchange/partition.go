@@ -2,6 +2,7 @@ package exchange
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 
@@ -43,7 +44,7 @@ func Partition(db *storage.Database, n int, keys map[string]string) ([]*storage.
 		return []*storage.Database{db}, nil
 	}
 	words := make(map[string]keyWords)
-	split := keyRange{n: uint64(n)}
+	split := keyRange{n: uint64(n), min: math.MaxUint64}
 	for _, name := range db.Relations() {
 		key, ok := keys[name]
 		if !ok {
@@ -55,7 +56,7 @@ func Partition(db *storage.Database, n int, keys map[string]string) ([]*storage.
 		}
 		words[name] = w
 		for i := 0; i < w.n; i++ {
-			split.widen(w.at(i))
+			split.min, split.max = min(split.min, w.at(i)), max(split.max, w.at(i))
 		}
 	}
 	out := make([]*storage.Database, n)
@@ -101,18 +102,7 @@ func Partition(db *storage.Database, n int, keys map[string]string) ([]*storage.
 
 // keyRange is the routing rule of one partitioned database: n equal
 // ranges of the key-word domain [min, max].
-type keyRange struct {
-	n, min, max uint64
-	seen        bool
-}
-
-// widen extends the domain to cover w.
-func (r *keyRange) widen(w uint64) {
-	if !r.seen {
-		r.min, r.max, r.seen = w, w, true
-	}
-	r.min, r.max = min(r.min, w), max(r.max, w)
-}
+type keyRange struct{ n, min, max uint64 }
 
 // shard returns the range w falls in: floor((w−min)·n / (max−min+1)),
 // in 128-bit arithmetic so a full-width domain cannot overflow. It is
