@@ -254,8 +254,8 @@ func (r *Relation) typed(name string, t ColType) *Column {
 // the rows that follow it. A string column's view slices the offsets
 // and shares the byte heap up to its last value, so its offsets stay
 // absolute (the first need not be 0); size it with StringHeap.ByteLen,
-// not len(Bytes).
-// Views are read-only, like every relation the engines scan.
+// not len(Bytes). Views are read-only, like every relation the engines
+// scan.
 func (r *Relation) Slice(lo, hi int) *Relation {
 	if lo < 0 || hi < lo || hi > r.rows {
 		panic(fmt.Sprintf("storage: slice [%d:%d] of relation %s with %d rows", lo, hi, r.Name, r.rows))
