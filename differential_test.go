@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"paradigms/internal/engine"
@@ -194,19 +196,42 @@ func TestSQLDifferentialRaceSmoke(t *testing.T) {
 
 // FuzzSQLDifferential turns the corpus into a fuzz target: any seed
 // must generate a query on which compiled, vectorized, and oracle
-// execution agree. Wired into the CI fuzz smoke next to FuzzParse.
+// execution agree. Wired into the CI fuzz smoke next to FuzzParse. A
+// non-empty text runs instead of the generated query, on the database
+// seed mod 3 names (TPC-H, SSB, sqlcheck.WrapTPCH); the residual cases
+// seed it, and a mutated text the planner or the oracle rejects, or
+// one with a LIMIT (whose rows need not be a total order's prefix), is
+// skipped.
 func FuzzSQLDifferential(f *testing.F) {
 	for _, seed := range []int64{0, 1, 7, 42, 1234, 99999} {
-		f.Add(seed)
+		f.Add(seed, "")
+	}
+	datasets := []string{"tpch", "ssb", "wrap"}
+	for _, c := range sqlcheck.ResidualCases {
+		f.Add(int64(slices.Index(datasets, c.Dataset)), c.Text)
 	}
 	tpchDB, ssbDB := sqlDBs()
 	cfg := diffConfig{vecSizes: []int{1, 1000}, workers: []int{1, 4}}
-	f.Fuzz(func(t *testing.T, seed int64) {
+	f.Fuzz(func(t *testing.T, seed int64, text string) {
+		if text != "" {
+			db := residualDB(datasets[uint64(seed)%3])
+			if strings.Contains(strings.ToLower(text), "limit") {
+				t.Skip("a LIMIT text's rows need not be a total order's prefix")
+			}
+			if _, err := logical.Prepare(db, text); err != nil {
+				t.Skip(err)
+			}
+			if _, err := sqlcheck.Oracle(db, text); err != nil {
+				t.Skip(err)
+			}
+			checkDifferential(t, db, text, cfg)
+			return
+		}
 		db := tpchDB
 		if seed%2 != 0 {
 			db = ssbDB
 		}
-		text := sqlcheck.Generate(rand.New(rand.NewSource(seed)), db)
+		text = sqlcheck.Generate(rand.New(rand.NewSource(seed)), db)
 		checkDifferential(t, db, text, cfg)
 	})
 }

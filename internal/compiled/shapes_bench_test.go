@@ -118,3 +118,39 @@ func BenchmarkFusedLoopShapes(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkResidualShapes times residual predicates — conjuncts the
+// filter classifier leaves to the expression program — on every engine
+// at SF 0.5 on 2 workers, prepared once: an IN list OR-ed with a range,
+// a negated arithmetic comparison AND-ed with a column-vs-column
+// comparison, and a range-only control that runs no program. Each
+// counts and sums the survivors, so the final pipeline runs the row
+// loop on Typer and the filter chain on Tectorwise (DESIGN.md §8).
+func BenchmarkResidualShapes(b *testing.B) {
+	shapesOnce.Do(func() {
+		shapesDB = tpch.Generate(0.5, 0)
+		ssbDB = ssb.Generate(0.5, 0)
+	})
+	ctx := context.Background()
+	shapes := []struct{ name, where string }{
+		{"in_or_range", "l_quantity in (1, 5, 9, 13, 17) or l_discount < 0.02"},
+		{"not_arith_and_cols", "not (l_quantity * 2 > l_tax + 30) and l_suppkey < l_partkey"},
+		{"range_only", "l_quantity < 10"},
+	}
+	for _, name := range []string{engine.Typer, engine.Tectorwise, engine.Hybrid} {
+		for _, s := range shapes {
+			pl, err := logical.Prepare(shapesDB, "select count(*), sum(l_extendedprice) from lineitem where "+s.where)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(s.name+"/"+name, func(b *testing.B) {
+				opt := engine.Options{Workers: 2}
+				for i := 0; i < b.N; i++ {
+					if _, err := engine.Run(ctx, name, pl, opt); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
