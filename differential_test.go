@@ -198,7 +198,7 @@ func TestSQLDifferentialRaceSmoke(t *testing.T) {
 // must generate a query on which compiled, vectorized, and oracle
 // execution agree. Wired into the CI fuzz smoke next to FuzzParse. A
 // non-empty text runs instead of the generated query, on the database
-// seed mod 3 names (TPC-H, SSB, sqlcheck.WrapTPCH); the residual cases
+// seed mod 3 names (TPC-H, SSB, the residual cases' wrap database); the residual cases
 // seed it, and a mutated text the planner or the oracle rejects, or
 // one with a LIMIT (whose rows need not be a total order's prefix), is
 // skipped.

@@ -427,10 +427,11 @@ func TestOnePipelineDecomposition(t *testing.T) {
 // logical.classifyFilters — the only non-test function that builds a
 // logical.Filters, Range or StrFilter or sets RejectAll — and both
 // lowerings read its result: compiled.(*pipe).compileFilters and
-// logical.(*worker).filterPreds each read the classified Ranges, Strs
-// and Residual, and no lowering function reads a scan's raw conjuncts
-// (a .Scan.Filters selector) except compiled.Explain, which renders
-// them.
+// logical.(*worker).filterPreds each read the classified Ranges and
+// Strs, logical.BindExprs binds the classified Residual to the
+// programs both run, and no lowering function reads a scan's raw
+// conjuncts (a .Scan.Filters selector) except compiled.Explain, which
+// renders them.
 func TestOneFilterClassifier(t *testing.T) {
 	lowering := map[string]bool{ // files of the two lowerings and the driver
 		"internal/logical/compile.go": true, "internal/logical/exec.go": true,
@@ -501,8 +502,12 @@ func TestOneFilterClassifier(t *testing.T) {
 	if want := []string{"internal/logical.classifyFilters"}; !reflect.DeepEqual(writers, want) {
 		t.Errorf("classified filters are built in %v, want %v", writers, want)
 	}
-	for _, site := range []string{"internal/compiled.(*pipe).compileFilters", "internal/logical.(*worker).filterPreds"} {
-		for _, field := range []string{"Ranges", "Strs", "Residual"} {
+	for site, fields := range map[string][]string{
+		"internal/compiled.(*pipe).compileFilters": {"Ranges", "Strs"},
+		"internal/logical.(*worker).filterPreds":   {"Ranges", "Strs"},
+		"internal/logical.BindExprs":               {"Residual"},
+	} {
+		for _, field := range fields {
 			if !reads[site][field] {
 				t.Errorf("%s does not read the classified %s", site, field)
 			}
@@ -510,6 +515,101 @@ func TestOneFilterClassifier(t *testing.T) {
 	}
 	if want := []string{"internal/compiled.Explain"}; !reflect.DeepEqual(rawReaders, want) {
 		t.Errorf("a lowering reads a scan's raw conjuncts in %v, want only %v", rawReaders, want)
+	}
+}
+
+// TestOneExpressionProgram pins DESIGN.md §8's expression program:
+// one non-test function builds a logical.Prog — (*Pipeline).Program,
+// which BindExprs calls once per lowering — and its ops are built only
+// there and in (*Pipeline).Leaf, the column leaves key and payload
+// getters read too. Neither lowering interprets SQL expressions: no
+// function in internal/compiled, or in the vectorized lowering's and
+// the driver's files of internal/logical, type-switches on or asserts
+// an internal/sql node.
+func TestOneExpressionProgram(t *testing.T) {
+	lowering := map[string]bool{
+		"internal/logical/compile.go": true, "internal/logical/exec.go": true,
+		"internal/logical/hybrid.go": true, "internal/logical/driver.go": true,
+		"internal/logical/stream.go": true,
+	}
+	fset := token.NewFileSet()
+	builders := map[string][]string{} // "Prog", "Op" → sites with a non-empty literal
+	var interpreters []string
+	for _, file := range goSources(t) {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := filepath.ToSlash(filepath.Dir(file))
+		lowers := dir == "internal/compiled" || lowering[filepath.ToSlash(file)]
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			site := dir + "." + funcSite(fn)
+			built := map[string]bool{}
+			sqlNode := func(e ast.Expr) bool {
+				if star, ok := e.(*ast.StarExpr); ok {
+					e = star.X
+				}
+				sel, ok := e.(*ast.SelectorExpr)
+				if !ok {
+					return false
+				}
+				pkg, ok := sel.X.(*ast.Ident)
+				return ok && pkg.Name == "sql"
+			}
+			interprets := false
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					typ := n.Type
+					if sel, ok := typ.(*ast.SelectorExpr); ok {
+						if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "logical" {
+							break
+						}
+						typ = sel.Sel
+					} else if dir != "internal/logical" {
+						break
+					}
+					if id, ok := typ.(*ast.Ident); ok && (id.Name == "Prog" || id.Name == "Op") && len(n.Elts) > 0 {
+						built[id.Name] = true
+					}
+				case *ast.TypeAssertExpr:
+					interprets = interprets || n.Type != nil && sqlNode(n.Type)
+				case *ast.TypeSwitchStmt:
+					for _, c := range n.Body.List {
+						for _, typ := range c.(*ast.CaseClause).List {
+							interprets = interprets || sqlNode(typ)
+						}
+					}
+				}
+				return true
+			})
+			for name := range built {
+				builders[name] = append(builders[name], site)
+			}
+			if lowers && interprets {
+				interpreters = append(interpreters, site)
+			}
+		}
+	}
+	sort.Strings(builders["Op"])
+	want := map[string][]string{
+		"Prog": {"internal/logical.(*Pipeline).Program"},
+		"Op":   {"internal/logical.(*Pipeline).Leaf", "internal/logical.(*Pipeline).Program"},
+	}
+	for name, w := range want {
+		if !reflect.DeepEqual(builders[name], w) {
+			t.Errorf("%s values are built in %v, want %v", name, builders[name], w)
+		}
+	}
+	if len(interpreters) > 0 {
+		t.Errorf("lowering functions interpret SQL expression nodes: %v", interpreters)
 	}
 }
 

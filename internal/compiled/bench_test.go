@@ -72,7 +72,7 @@ func BenchmarkCompiledLowering(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := lower(pl, logical.Decompose(pl)); err != nil {
+		if _, err := LowerProgram(pl); err != nil {
 			b.Fatal(err)
 		}
 	}

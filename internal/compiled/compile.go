@@ -5,17 +5,14 @@ import (
 
 	"paradigms/internal/catalog"
 	"paradigms/internal/logical"
-	"paradigms/internal/sql"
 	"paradigms/internal/storage"
 )
 
-// The row-level expression compiler: bound SQL expressions become
-// closures specialized by column type and scale, evaluated one tuple at
-// a time inside the fused pipeline loops — the Typer-idiom counterpart
-// of internal/logical's vector compiler. Value representation matches
-// the vectorized lowering exactly: base 32-bit columns sign-extend,
-// columns gathered through a hash probe travel as zero-extended 64-bit
-// words, so the two backends produce bit-identical rows.
+// The row-level form of the expression program (logical.Prog): each op
+// maps to a closure evaluated one tuple at a time inside the fused
+// pipeline loops — the Typer-idiom counterpart of the vectorized
+// lowering's loops over a selection. Both read the same program, so
+// the two backends produce bit-identical rows.
 
 // scalarFn evaluates an int64 value for one row; fr is the pipeline's
 // gather frame (nil-safe for expressions over base columns only).
@@ -29,165 +26,162 @@ type predFn func(i int, fr []int64) bool
 // zero-extend, 64-bit columns pass through, frame slots are raw words.
 type u64Fn func(i int, fr []int64) uint64
 
-// u64Get compiles a value source to its word representation — the same
-// encoding the vectorized lowering uses for keys and payloads (32-bit
-// zero-extension via MapWiden, 64-bit passthrough).
-func (p *pipe) u64Get(v valRef) (u64Fn, error) {
-	if v.base == nil {
-		slot := v.slot
+// u64Get compiles a column of the pipeline to its word representation
+// from its program leaf — the same encoding the vectorized lowering
+// uses for keys and payloads (32-bit zero-extension via MapWiden,
+// 64-bit passthrough).
+func (p *pipe) u64Get(c *catalog.Column) (u64Fn, error) {
+	leaf, err := p.Leaf(c)
+	if err != nil {
+		return nil, err
+	}
+	switch c32, a, slot := leaf.C32, leaf.A, leaf.Slot; leaf.Code {
+	case logical.OpSlot32, logical.OpSlot64:
 		return func(i int, fr []int64) uint64 { return uint64(fr[slot]) }, nil
-	}
-	c32, c64, err := logical.BaseViews(v.base)
-	if err != nil {
-		return nil, err
-	}
-	if c32 != nil {
+	case logical.OpCol32:
 		return func(i int, fr []int64) uint64 { return uint64(uint32(c32[i])) }, nil
+	default:
+		return func(i int, fr []int64) uint64 { return uint64(a[i]) }, nil
 	}
-	return func(i int, fr []int64) uint64 { return uint64(c64[i]) }, nil
 }
 
-// ---------------------------------------------------------------------
-// Scalar expressions
-// ---------------------------------------------------------------------
+// rowFn is one op's per-row closure: a value, a truth value, or a
+// string operand.
+type rowFn struct {
+	v scalarFn
+	p predFn
+	s logical.Str
+}
 
-// scalar compiles a value expression into a per-row closure within the
-// pipeline. Base column reads sign-extend (like the vectorized fetch
-// primitives); frame slots are read as the stored words. The shapes
-// baseView matches compile to one closure over the column views.
-func (p *pipe) scalar(e sql.Expr) (scalarFn, error) {
-	if v := p.baseView(e); v.kind != 0 {
-		return v.fn(), nil
+// val is the op's result as a value (a truth value reads 1 or 0).
+func (r rowFn) val() scalarFn {
+	if r.v != nil {
+		return r.v
 	}
-	switch x := e.(type) {
-	case *sql.NumLit:
-		v := x.Val
-		return func(int, []int64) int64 { return v }, nil
-	case *sql.DateLit:
-		v := int64(x.Days)
-		return func(int, []int64) int64 { return v }, nil
-	case *sql.ColRef:
-		return p.slotScalar(x.Col)
-	case *sql.Binary:
-		switch x.Op {
-		case sql.OpMul:
-			return p.binScalar(x, func(l, r int64) int64 { return l * r })
-		case sql.OpAdd:
-			return p.binScalar(x, func(l, r int64) int64 { return l + r })
-		case sql.OpSub:
-			return p.binScalar(x, func(l, r int64) int64 { return l - r })
+	p := r.p
+	return func(i int, fr []int64) int64 {
+		if p(i, fr) {
+			return 1
 		}
+		return 0
 	}
-	return nil, sql.Errf(e.Pos(), "compiled: unsupported value expression %s", sql.String(e))
 }
 
-func (p *pipe) binScalar(x *sql.Binary, op func(l, r int64) int64) (scalarFn, error) {
-	l, err := p.scalar(x.L)
-	if err != nil {
-		return nil, err
+// pred is the op's result as a truth value (a value is true when not
+// 0).
+func (r rowFn) pred() predFn {
+	if r.p != nil {
+		return r.p
 	}
-	r, err := p.scalar(x.R)
-	if err != nil {
-		return nil, err
-	}
-	return func(i int, fr []int64) int64 { return op(l(i, fr), r(i, fr)) }, nil
+	v := r.v
+	return func(i int, fr []int64) bool { return v(i, fr) != 0 }
 }
 
-// slotScalar reads a column baseView does not: a gathered frame slot,
-// or the error for a base column with no machine view.
-func (p *pipe) slotScalar(c *catalog.Column) (scalarFn, error) {
-	src := p.resolve(c)
-	if src.base != nil {
-		_, _, err := logical.BaseViews(c)
-		return nil, err
+// rowProg maps each op of pr, in post-order, to its closure over the
+// closures of its operands, and returns the root's.
+func rowProg(pr logical.Prog) rowFn {
+	var buf [8]rowFn
+	st := buf[:0]
+	for k := range pr.Ops {
+		n := pr.Ops[k].Arity()
+		f := rowOp(&pr.Ops[k], st[len(st)-n:])
+		st = append(st[:len(st)-n], f)
 	}
-	// A gathered slot holds the column's key word: a 32-bit value
-	// zero-extended, so its sign is restored here.
-	slot := src.slot
-	if c.Type.Kind == catalog.Int32 || c.Type.Kind == catalog.Date {
-		return func(i int, fr []int64) int64 { return int64(int32(fr[slot])) }, nil
-	}
-	return func(i int, fr []int64) int64 { return fr[slot] }, nil
+	return st[0]
 }
 
-// viewKind is the shape of a colView.
-type viewKind uint8
-
-const (
-	viewCol32 viewKind = 1 + iota // c32[i], sign-extended
-	viewCol64                     // a[i]
-	viewMul                       // a[i] * b[i] (the revenue input of Q6 and Q1.1)
-	viewRsub                      // lit - a[i] (the 1 - l_discount of every revenue expression)
-)
-
-// colView is a value expression read straight from the spine's base
-// columns: the shapes scalar fuses into one closure, and the inputs a
-// block fold reduces (fold.go).
-type colView struct {
-	kind viewKind // 0: no view
-	c32  []int32
-	a, b []int64
-	lit  int64 // pre-scaled by the binder
-}
-
-// baseView matches e against the fused shapes: a base column, col*col
-// over two 64-bit base columns, or literal-col over a 64-bit base
-// column. It returns the zero colView for anything else.
-func (p *pipe) baseView(e sql.Expr) colView {
-	switch x := e.(type) {
-	case *sql.ColRef:
-		src := p.resolve(x.Col)
-		if src.base == nil {
-			return colView{}
+// rowOp is op as a closure over its operands' closures in.
+func rowOp(op *logical.Op, in []rowFn) rowFn {
+	c32, a, b, lit, slot := op.C32, op.A, op.B, op.Lit, op.Slot
+	var l, r scalarFn // the operands of arithmetic and comparisons
+	if op.Code >= logical.OpAdd && op.Code <= logical.OpGe {
+		l, r = in[0].val(), in[1].val()
+	}
+	switch op.Code {
+	case logical.OpCol32:
+		return rowFn{v: func(i int, fr []int64) int64 { return int64(c32[i]) }}
+	case logical.OpCol64:
+		return rowFn{v: func(i int, fr []int64) int64 { return a[i] }}
+	case logical.OpSlot32:
+		return rowFn{v: func(i int, fr []int64) int64 { return int64(int32(fr[slot])) }}
+	case logical.OpSlot64:
+		return rowFn{v: func(i int, fr []int64) int64 { return fr[slot] }}
+	case logical.OpLit:
+		return rowFn{v: func(int, []int64) int64 { return lit }}
+	case logical.OpMulCols:
+		return rowFn{v: func(i int, fr []int64) int64 { return a[i] * b[i] }}
+	case logical.OpRsubCol:
+		return rowFn{v: func(i int, fr []int64) int64 { return lit - a[i] }}
+	case logical.OpStr:
+		return rowFn{s: op.S}
+	case logical.OpAdd:
+		return rowFn{v: func(i int, fr []int64) int64 { return l(i, fr) + r(i, fr) }}
+	case logical.OpSub:
+		return rowFn{v: func(i int, fr []int64) int64 { return l(i, fr) - r(i, fr) }}
+	case logical.OpMul:
+		return rowFn{v: func(i int, fr []int64) int64 { return l(i, fr) * r(i, fr) }}
+	case logical.OpEq:
+		return rowFn{p: func(i int, fr []int64) bool { return l(i, fr) == r(i, fr) }}
+	case logical.OpNe:
+		return rowFn{p: func(i int, fr []int64) bool { return l(i, fr) != r(i, fr) }}
+	case logical.OpLt:
+		return rowFn{p: func(i int, fr []int64) bool { return l(i, fr) < r(i, fr) }}
+	case logical.OpLe:
+		return rowFn{p: func(i int, fr []int64) bool { return l(i, fr) <= r(i, fr) }}
+	case logical.OpGt:
+		return rowFn{p: func(i int, fr []int64) bool { return l(i, fr) > r(i, fr) }}
+	case logical.OpGe:
+		return rowFn{p: func(i int, fr []int64) bool { return l(i, fr) >= r(i, fr) }}
+	case logical.OpAnd:
+		l, r := in[0].pred(), in[1].pred()
+		return rowFn{p: func(i int, fr []int64) bool { return l(i, fr) && r(i, fr) }}
+	case logical.OpOr:
+		l, r := in[0].pred(), in[1].pred()
+		return rowFn{p: func(i int, fr []int64) bool { return l(i, fr) || r(i, fr) }}
+	case logical.OpNot:
+		x := in[0].pred()
+		return rowFn{p: func(i int, fr []int64) bool { return !x(i, fr) }}
+	case logical.OpBetween:
+		x, lo, hi, neg := in[0].val(), in[1].val(), in[2].val(), op.Negate
+		return rowFn{p: func(i int, fr []int64) bool {
+			v := x(i, fr)
+			return (v >= lo(i, fr) && v <= hi(i, fr)) != neg
+		}}
+	case logical.OpIn:
+		x, neg := in[0].val(), op.Negate
+		items := make([]scalarFn, len(in)-1)
+		for j := range items {
+			items[j] = in[1+j].val()
 		}
-		c32, c64, err := logical.BaseViews(src.base)
-		switch {
-		case err != nil:
-			return colView{}
-		case c32 != nil:
-			return colView{kind: viewCol32, c32: c32}
-		}
-		return colView{kind: viewCol64, a: c64}
-	case *sql.Binary:
-		switch x.Op {
-		case sql.OpMul:
-			if a, b := p.base64Col(x.L), p.base64Col(x.R); a != nil && b != nil {
-				return colView{kind: viewMul, a: a, b: b}
-			}
-		case sql.OpSub:
-			if lit, ok := x.L.(*sql.NumLit); ok {
-				if a := p.base64Col(x.R); a != nil {
-					return colView{kind: viewRsub, a: a, lit: lit.Val}
+		return rowFn{p: func(i int, fr []int64) bool {
+			v := x(i, fr)
+			for _, it := range items {
+				if it(i, fr) == v {
+					return !neg
 				}
 			}
+			return neg
+		}}
+	case logical.OpStrEq, logical.OpStrNe:
+		l, r, eq := in[0].s, in[1].s, op.Code == logical.OpStrEq
+		return rowFn{p: func(i int, fr []int64) bool { return bytes.Equal(l.At(i), r.At(i)) == eq }}
+	case logical.OpStrIn:
+		x, neg := in[0].s, op.Negate
+		items := make([]logical.Str, len(in)-1)
+		for j := range items {
+			items[j] = in[1+j].s
 		}
+		return rowFn{p: func(i int, fr []int64) bool {
+			v := x.At(i)
+			for _, it := range items {
+				if bytes.Equal(v, it.At(i)) {
+					return !neg
+				}
+			}
+			return neg
+		}}
 	}
-	return colView{}
-}
-
-// fn compiles the view to its per-row closure.
-func (v colView) fn() scalarFn {
-	c32, a, b, lit := v.c32, v.a, v.b, v.lit
-	switch v.kind {
-	case viewCol32:
-		return func(i int, fr []int64) int64 { return int64(c32[i]) }
-	case viewCol64:
-		return func(i int, fr []int64) int64 { return a[i] }
-	case viewMul:
-		return func(i int, fr []int64) int64 { return a[i] * b[i] }
-	}
-	return func(i int, fr []int64) int64 { return lit - a[i] }
-}
-
-// base64Col returns the machine view of a 64-bit-wide base column
-// reference of the pipeline's spine, or nil.
-func (p *pipe) base64Col(e sql.Expr) []int64 {
-	ref, ok := e.(*sql.ColRef)
-	if !ok || ref.Col.Table != p.Scan.Table {
-		return nil
-	}
-	_, c64, _ := logical.BaseViews(ref.Col)
-	return c64
+	panic("compiled: unknown op")
 }
 
 // ---------------------------------------------------------------------
@@ -217,7 +211,7 @@ type strEq struct {
 
 // filt is a pipeline's compiled filter cascade: range bounds first
 // (cheapest, most common), then string equalities (checked inline, no
-// closure), then generic predicates.
+// closure), then the residual conjuncts' programs.
 type filt struct {
 	b32   []bound32
 	b64   []bound64
@@ -228,8 +222,8 @@ type filt struct {
 // compileFilters binds the pipeline's classified filters
 // (logical.Filters) to column views: each range becomes a bound32 or
 // bound64, each string filter checks the heap inline, and each
-// residual conjunct compiles to a per-row predicate.
-func (p *pipe) compileFilters() error {
+// residual conjunct's program in resid runs as a per-row predicate.
+func (p *pipe) compileFilters(resid []logical.Prog) error {
 	f := &p.Filters
 	for _, r := range f.Ranges {
 		c32, c64, err := logical.BaseViews(r.Col)
@@ -245,183 +239,8 @@ func (p *pipe) compileFilters() error {
 	for _, s := range f.Strs {
 		p.filt.strs = append(p.filt.strs, strEq{heap: p.Scan.Table.Rel.String(s.Col.Name), val: []byte(s.Val), eq: s.Eq})
 	}
-	for _, e := range f.Residual {
-		pred, err := p.pred(e)
-		if err != nil {
-			return err
-		}
-		p.filt.preds = append(p.filt.preds, pred)
+	for _, pr := range resid {
+		p.filt.preds = append(p.filt.preds, rowProg(pr).pred())
 	}
 	return nil
-}
-
-// ---------------------------------------------------------------------
-// Generic predicates
-// ---------------------------------------------------------------------
-
-// pred compiles an arbitrary predicate (OR, NOT, IN lists, string
-// comparisons, arithmetic comparisons) to a per-row closure — the
-// compiled counterpart of the vectorized lowering's generic row
-// predicate, covering the same expression shapes.
-func (p *pipe) pred(e sql.Expr) (predFn, error) {
-	switch x := e.(type) {
-	case *sql.Not:
-		inner, err := p.pred(x.X)
-		if err != nil {
-			return nil, err
-		}
-		return func(i int, fr []int64) bool { return !inner(i, fr) }, nil
-	case *sql.Between:
-		v, err := p.scalar(x.X)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := p.scalar(x.Lo)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := p.scalar(x.Hi)
-		if err != nil {
-			return nil, err
-		}
-		neg := x.Negate
-		return func(i int, fr []int64) bool {
-			val := v(i, fr)
-			return (val >= lo(i, fr) && val <= hi(i, fr)) != neg
-		}, nil
-	case *sql.InList:
-		return p.inPred(x)
-	case *sql.Binary:
-		switch x.Op {
-		case sql.OpAnd:
-			l, err := p.pred(x.L)
-			if err != nil {
-				return nil, err
-			}
-			r, err := p.pred(x.R)
-			if err != nil {
-				return nil, err
-			}
-			return func(i int, fr []int64) bool { return l(i, fr) && r(i, fr) }, nil
-		case sql.OpOr:
-			l, err := p.pred(x.L)
-			if err != nil {
-				return nil, err
-			}
-			r, err := p.pred(x.R)
-			if err != nil {
-				return nil, err
-			}
-			return func(i int, fr []int64) bool { return l(i, fr) || r(i, fr) }, nil
-		case sql.OpEq, sql.OpNe:
-			if pr, ok, err := p.strEqPred(x); ok || err != nil {
-				return pr, err
-			}
-			return p.cmpPred(x)
-		case sql.OpLt, sql.OpLe, sql.OpGt, sql.OpGe:
-			return p.cmpPred(x)
-		}
-	}
-	return nil, sql.Errf(e.Pos(), "compiled: unsupported predicate %s", sql.String(e))
-}
-
-func (p *pipe) cmpPred(x *sql.Binary) (predFn, error) {
-	l, err := p.scalar(x.L)
-	if err != nil {
-		return nil, err
-	}
-	r, err := p.scalar(x.R)
-	if err != nil {
-		return nil, err
-	}
-	switch x.Op {
-	case sql.OpEq:
-		return func(i int, fr []int64) bool { return l(i, fr) == r(i, fr) }, nil
-	case sql.OpNe:
-		return func(i int, fr []int64) bool { return l(i, fr) != r(i, fr) }, nil
-	case sql.OpLt:
-		return func(i int, fr []int64) bool { return l(i, fr) < r(i, fr) }, nil
-	case sql.OpLe:
-		return func(i int, fr []int64) bool { return l(i, fr) <= r(i, fr) }, nil
-	case sql.OpGt:
-		return func(i int, fr []int64) bool { return l(i, fr) > r(i, fr) }, nil
-	case sql.OpGe:
-		return func(i int, fr []int64) bool { return l(i, fr) >= r(i, fr) }, nil
-	}
-	panic("compiled: not a comparison")
-}
-
-// strGet resolves a string operand (string column of the spine, or
-// literal) to a per-row byte getter.
-func (p *pipe) strGet(e sql.Expr) (func(i int) []byte, bool) {
-	switch x := e.(type) {
-	case *sql.StrLit:
-		v := []byte(x.Val)
-		return func(int) []byte { return v }, true
-	case *sql.ColRef:
-		if x.Col.Type.Kind == catalog.String && x.Col.Table == p.Scan.Table {
-			heap := p.Scan.Table.Rel.String(x.Col.Name)
-			return func(i int) []byte { return heap.Get(i) }, true
-		}
-	}
-	return nil, false
-}
-
-// strEqPred recognizes string equality/inequality between a string
-// column and a literal (or two string columns of the spine).
-func (p *pipe) strEqPred(x *sql.Binary) (predFn, bool, error) {
-	l, lok := p.strGet(x.L)
-	r, rok := p.strGet(x.R)
-	if !lok && !rok {
-		return nil, false, nil
-	}
-	if !lok || !rok {
-		return nil, true, sql.Errf(x.P, "cannot compare %s with %s", sql.String(x.L), sql.String(x.R))
-	}
-	eq := x.Op == sql.OpEq
-	return func(i int, fr []int64) bool { return bytes.Equal(l(i), r(i)) == eq }, true, nil
-}
-
-// inPred compiles x [NOT] IN (...) over strings or numeric values.
-func (p *pipe) inPred(x *sql.InList) (predFn, error) {
-	if get, isStr := p.strGet(x.X); isStr {
-		var lits [][]byte
-		for _, l := range x.List {
-			s, ok := l.(*sql.StrLit)
-			if !ok {
-				return nil, sql.Errf(l.Pos(), "IN list over a string column needs string literals")
-			}
-			lits = append(lits, []byte(s.Val))
-		}
-		neg := x.Negate
-		return func(i int, fr []int64) bool {
-			v := get(i)
-			for _, l := range lits {
-				if bytes.Equal(v, l) {
-					return !neg
-				}
-			}
-			return neg
-		}, nil
-	}
-	v, err := p.scalar(x.X)
-	if err != nil {
-		return nil, err
-	}
-	items := make([]scalarFn, len(x.List))
-	for i, l := range x.List {
-		if items[i], err = p.scalar(l); err != nil {
-			return nil, err
-		}
-	}
-	neg := x.Negate
-	return func(i int, fr []int64) bool {
-		val := v(i, fr)
-		for _, it := range items {
-			if it(i, fr) == val {
-				return !neg
-			}
-		}
-		return neg
-	}, nil
 }

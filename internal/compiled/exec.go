@@ -359,34 +359,31 @@ type groupSpec struct {
 	val scalarFn // nil for COUNT
 }
 
-// compileAggs compiles the aggregate slots' input expressions.
-func (p *pipe) compileAggs(agg *logical.Aggregate) ([]groupSpec, error) {
+// compileAggs maps the aggregate slots' programs args to their per-row
+// closures.
+func compileAggs(agg *logical.Aggregate, args []logical.Prog) []groupSpec {
 	specs := make([]groupSpec, len(agg.Aggs))
 	for j, s := range agg.Aggs {
 		specs[j].op = s.Op
 		if s.Op != logical.OpCount {
-			v, err := p.scalar(s.Arg)
-			if err != nil {
-				return nil, err
-			}
-			specs[j].val = v
+			specs[j].val = rowProg(args[j]).val()
 		}
 	}
-	return specs, nil
+	return specs
 }
 
 // groupKeyGet compiles the grouping-key expression: one key is its word
 // representation, two pack lo|hi<<32 — the same encoding the vectorized
 // lowering and the hand-written plans use, decoded by DecodeGroupKey.
 func (p *pipe) groupKeyGet(agg *logical.Aggregate) (u64Fn, error) {
-	k0, err := p.u64Get(p.resolve(agg.Keys[0]))
+	k0, err := p.u64Get(agg.Keys[0])
 	if err != nil {
 		return nil, err
 	}
 	if len(agg.Keys) == 1 {
 		return k0, nil
 	}
-	k1, err := p.u64Get(p.resolve(agg.Keys[1]))
+	k1, err := p.u64Get(agg.Keys[1])
 	if err != nil {
 		return nil, err
 	}

@@ -10,22 +10,23 @@ import (
 // staging point Relaxed Operator Fusion (Menon et al., VLDB 2017) puts
 // inside a fused pipeline. COUNT adds the block's row count; SUM reduces
 // a column, or a product of two, in one tight loop over the column
-// views scalar fuses (colView). Any other slot — MIN/MAX, another
+// views of its program's single leaf (logical.Prog). Any other slot — MIN/MAX, another
 // expression — and every grouped or projecting terminal keeps the
 // per-row sink, which a row-free pipeline calls without the per-row
 // walks. Sums wrap mod 2⁶⁴ either way, so block partials are
 // bit-identical to the row loop.
 
 // foldAgg is one global aggregate slot of a block fold: COUNT, or SUM
-// over in.
+// over in, the single leaf of its program.
 type foldAgg struct {
 	op logical.AggOp
-	in colView
+	in *logical.Op
 }
 
-// lowerFold compiles agg's block terminal, or returns nil when agg is
-// grouped or a slot is not COUNT or a SUM over a column or col*col.
-func (p *pipe) lowerFold(agg *logical.Aggregate) []foldAgg {
+// lowerFold compiles agg's block terminal from its slots' programs
+// args, or returns nil when agg is grouped or a slot is not COUNT or a
+// SUM over a base column or a fused col*col leaf.
+func lowerFold(agg *logical.Aggregate, args []logical.Prog) []foldAgg {
 	if agg == nil || len(agg.Keys) > 0 {
 		return nil
 	}
@@ -35,9 +36,12 @@ func (p *pipe) lowerFold(agg *logical.Aggregate) []foldAgg {
 		switch s.Op {
 		case logical.OpCount:
 		case logical.OpSum:
-			aggs[j].in = p.baseView(s.Arg)
-			switch aggs[j].in.kind {
-			case viewCol32, viewCol64, viewMul:
+			if len(args[j].Ops) != 1 {
+				return nil
+			}
+			aggs[j].in = &args[j].Ops[0]
+			switch aggs[j].in.Code {
+			case logical.OpCol32, logical.OpCol64, logical.OpMulCols:
 			default:
 				return nil
 			}
@@ -71,13 +75,13 @@ func (b *blockFold) block(base, end int, pos []int32) {
 			b.acc[j] += int64(n)
 			continue
 		}
-		switch f.in.kind {
-		case viewCol32:
-			b.acc[j] += sumOf(f.in.c32, base, end, pos)
-		case viewCol64:
-			b.acc[j] += sumOf(f.in.a, base, end, pos)
-		case viewMul:
-			b.acc[j] += sumMul(f.in.a, f.in.b, base, end, pos)
+		switch f.in.Code {
+		case logical.OpCol32:
+			b.acc[j] += sumOf(f.in.C32, base, end, pos)
+		case logical.OpCol64:
+			b.acc[j] += sumOf(f.in.A, base, end, pos)
+		case logical.OpMulCols:
+			b.acc[j] += sumMul(f.in.A, f.in.B, base, end, pos)
 		}
 	}
 }

@@ -27,39 +27,38 @@ type Program struct {
 var _ logical.FusedProgram = (*Program)(nil)
 
 // LowerProgram lowers an optimized, fully bound logical plan to fused
-// pipelines. All sink expressions compile here, on the caller, so
-// unsupported shapes surface as errors before any worker starts.
+// pipelines. Every expression binds to its program here, on the caller,
+// so unsupported shapes surface as errors before any worker starts.
 func LowerProgram(pl *logical.Plan) (*Program, error) {
-	return LowerPipes(pl, logical.Decompose(pl))
+	pipes := logical.Decompose(pl)
+	ex, err := logical.BindExprs(pl, pipes)
+	if err != nil {
+		return nil, err
+	}
+	return LowerPipes(pl, pipes, ex)
 }
 
-// LowerPipes is LowerProgram over pl's decomposition pipes, which a
-// vectorized lowering may share (the hybrid lowers both from one).
-func LowerPipes(pl *logical.Plan, pipes []*logical.Pipeline) (*Program, error) {
-	pr, err := lower(pl, pipes)
+// LowerPipes is LowerProgram over pl's decomposition pipes and their
+// bound expressions ex, which a vectorized lowering may share (the
+// hybrid lowers both from one).
+func LowerPipes(pl *logical.Plan, pipes []*logical.Pipeline, ex logical.Exprs) (*Program, error) {
+	pr, err := lower(pl, pipes, ex)
 	if err != nil {
 		return nil, err
 	}
 	p := &Program{pr: pr, agg: pl.Agg}
-	final := pr.final
 	switch {
-	case pl.Agg != nil && len(pl.Agg.Keys) > 0:
-		if p.specs, err = final.compileAggs(pl.Agg); err != nil {
-			return nil, err
-		}
-		if p.keyGet, err = final.groupKeyGet(pl.Agg); err != nil {
-			return nil, err
-		}
 	case pl.Agg != nil:
-		if p.specs, err = final.compileAggs(pl.Agg); err != nil {
-			return nil, err
-		}
-	default:
-		p.items = make([]scalarFn, len(pl.Proj))
-		for j, e := range pl.Proj {
-			if p.items[j], err = final.scalar(e); err != nil {
+		p.specs = compileAggs(pl.Agg, ex.Sink)
+		if len(pl.Agg.Keys) > 0 {
+			if p.keyGet, err = pr.final.groupKeyGet(pl.Agg); err != nil {
 				return nil, err
 			}
+		}
+	default:
+		p.items = make([]scalarFn, len(ex.Sink))
+		for j, item := range ex.Sink {
+			p.items[j] = rowProg(item).val()
 		}
 	}
 	return p, nil

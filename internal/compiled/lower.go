@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"strings"
 
-	"paradigms/internal/catalog"
 	"paradigms/internal/logical"
 	"paradigms/internal/sql"
 )
@@ -38,13 +37,6 @@ import (
 // accumulate, or row collection). Where the vectorized lowering
 // assembles operator trees over batches, this pass compiles every
 // pipeline into a single fused loop driven row by row.
-
-// valRef locates a column's value within one pipeline: a base column of
-// the pipeline's spine table, or a frame slot filled by a probe gather.
-type valRef struct {
-	base *catalog.Column // nil for gathered columns
-	slot int
-}
 
 // gather copies one hash-table payload word into a frame slot at probe
 // time (word 0 is the join key itself).
@@ -96,10 +88,11 @@ type prog struct {
 	final *pipe
 }
 
-// lower compiles the plan's pipelines lps (logical.Decompose) into
-// fused pipelines, numbering each one's frame slots from its gathers in
-// probe order (logical.(*Pipeline).Slot).
-func lower(pl *logical.Plan, lps []*logical.Pipeline) (*prog, error) {
+// lower compiles the plan's pipelines lps (logical.Decompose), with
+// their expressions bound to ex, into fused pipelines, numbering each
+// one's frame slots from its gathers in probe order
+// (logical.(*Pipeline).Slot).
+func lower(pl *logical.Plan, lps []*logical.Pipeline, ex logical.Exprs) (*prog, error) {
 	pr := &prog{pl: pl, lps: lps, pipes: make([]*pipe, len(lps))}
 	for i, lp := range lps {
 		p := &pipe{Pipeline: lp, ord: i + 1}
@@ -119,23 +112,24 @@ func lower(pl *logical.Plan, lps []*logical.Pipeline) (*prog, error) {
 		pr.pipes[i] = p
 	}
 	pr.final = pr.pipes[len(lps)-1]
-	for _, p := range pr.pipes {
-		if err := p.prep(); err != nil {
+	for i, p := range pr.pipes {
+		if err := p.prep(ex.Resid(i)); err != nil {
 			return nil, err
 		}
 		var agg *logical.Aggregate
 		if p == pr.final {
 			agg = pl.Agg
 		}
-		p.shapeLoop(agg)
+		p.shapeLoop(agg, ex.Sink)
 	}
 	return pr, nil
 }
 
-// prep compiles the pipeline's row-level closures: the filter cascade,
-// probe-key accessors, residual comparators, and build-side outputs.
-func (p *pipe) prep() error {
-	if err := p.compileFilters(); err != nil {
+// prep compiles the pipeline's row-level closures: the filter cascade
+// (with resid, its residual conjuncts' programs), probe-key accessors,
+// residual comparators, and build-side outputs.
+func (p *pipe) prep(resid []logical.Prog) error {
+	if err := p.compileFilters(resid); err != nil {
 		return err
 	}
 	for _, st := range p.steps {
@@ -147,22 +141,22 @@ func (p *pipe) prep() error {
 		for i, cols := range st.Residuals {
 			r := &st.residuals[i]
 			var err error
-			if r.a, err = p.u64Get(p.resolve(cols[0])); err != nil {
+			if r.a, err = p.u64Get(cols[0]); err != nil {
 				return err
 			}
-			if r.b, err = p.u64Get(p.resolve(cols[1])); err != nil {
+			if r.b, err = p.u64Get(cols[1]); err != nil {
 				return err
 			}
 		}
 	}
 	if p.Key != nil {
 		var err error
-		if p.keyGet, err = p.u64Get(valRef{base: p.Key}); err != nil {
+		if p.keyGet, err = p.u64Get(p.Key); err != nil {
 			return err
 		}
 		p.payGet = make([]u64Fn, len(p.Pays))
 		for i, c := range p.Pays {
-			if p.payGet[i], err = p.u64Get(p.resolve(c)); err != nil {
+			if p.payGet[i], err = p.u64Get(c); err != nil {
 				return err
 			}
 		}
@@ -188,29 +182,21 @@ const (
 
 // shapeLoop decides the pipeline's loop shape once, at lowering, from
 // its per-row stages, and on a row-free pipeline whether agg (the final
-// pipeline's aggregate, else nil) folds whole blocks. (*pipe).run is
-// the only loop that reads the shape.
-func (p *pipe) shapeLoop(agg *logical.Aggregate) {
+// pipeline's aggregate with its slots' programs args, else nil) folds
+// whole blocks. (*pipe).run is the only loop that reads the shape.
+func (p *pipe) shapeLoop(agg *logical.Aggregate, args []logical.Prog) {
 	f := &p.filt
 	switch {
 	case len(f.strs)+len(f.preds) > 0:
 		p.loop = loopRows
 	case len(p.steps) == 0:
 		p.loop = loopRowFree
-		p.fold = p.lowerFold(agg)
+		p.fold = lowerFold(agg, args)
 	case len(p.steps) == 1 && p.steps[0].key32 != nil && len(p.steps[0].residuals) == 0:
 		p.loop = loopProbeOne
 	default:
 		p.loop = loopRows
 	}
-}
-
-// resolve locates a column within the pipeline.
-func (p *pipe) resolve(c *catalog.Column) valRef {
-	if slot := p.Slot(c); slot >= 0 {
-		return valRef{slot: slot}
-	}
-	return valRef{base: c}
 }
 
 // ---------------------------------------------------------------------
@@ -223,7 +209,12 @@ func (p *pipe) resolve(c *catalog.Column) valRef {
 // probe sides, gathers, residuals, and the terminal of every pipeline,
 // marked "fold" where it folds whole blocks (blockFold).
 func Explain(pl *logical.Plan) (string, error) {
-	pr, err := lower(pl, logical.Decompose(pl))
+	pipes := logical.Decompose(pl)
+	ex, err := logical.BindExprs(pl, pipes)
+	if err != nil {
+		return "", err
+	}
+	pr, err := lower(pl, pipes, ex)
 	if err != nil {
 		return "", err
 	}

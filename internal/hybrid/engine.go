@@ -115,20 +115,21 @@ var vecCandidates = [...]int{256, 1024, 4096}
 const trialBatches = 4
 
 // Policy is the hybrid row of the engine policy table: the plan lowered
-// on both backends, each pipeline assigned by CostAssign, JoinHash on
+// on both backends from one decomposition and one expression binding,
+// each pipeline assigned by CostAssign, JoinHash on
 // every join table, and the given vector size (0 = micro-adaptive
 // racing).
 func Policy(pl *logical.Plan, vecSize int) (logical.Policy, error) {
 	pipes := logical.Decompose(pl)
-	cp, err := compiled.LowerPipes(pl, pipes)
+	ex, err := logical.BindExprs(pl, pipes)
 	if err != nil {
 		return logical.Policy{}, err
 	}
-	vp, err := logical.LowerVecPipes(pl, pipes)
+	cp, err := compiled.LowerPipes(pl, pipes, ex)
 	if err != nil {
 		return logical.Policy{}, err
 	}
-	pol := logical.Policy{Fused: cp, Vec: vp, Assign: CostAssign(pipeMeta(pipes)), JoinHash: JoinHash, VecSize: vecSize}
+	pol := logical.Policy{Fused: cp, Vec: logical.LowerVecPipes(pl, pipes, ex), Assign: CostAssign(pipeMeta(pipes)), JoinHash: JoinHash, VecSize: vecSize}
 	if vecSize <= 0 {
 		pol.VecSize = vecCandidates[len(vecCandidates)-1]
 		pol.Drain = drainAdaptive

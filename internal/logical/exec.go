@@ -3,14 +3,11 @@ package logical
 import (
 	"context"
 	"math"
-	"slices"
-	"sort"
 
 	"paradigms/internal/catalog"
 	"paradigms/internal/exec"
 	"paradigms/internal/hashtable"
 	"paradigms/internal/plan"
-	"paradigms/internal/sql"
 	"paradigms/internal/tw"
 	"paradigms/internal/vector"
 )
@@ -33,150 +30,6 @@ func (pl *Plan) driveVec(ctx context.Context, workers, vecSize int, mode Mode) (
 		return Output{}, err
 	}
 	return Drive(ctx, pl, workers, Policy{Vec: vp, VecSize: vecSize}, mode)
-}
-
-// FinalizeRows turns merged rows — slot layout [keys..., aggs...] for
-// grouped/global queries, item layout for projections — into the final
-// Result: HAVING filtering, ORDER BY, LIMIT, and the item-slot mapping.
-// It is the tail of the pipeline driver and of MergePartials, so
-// HAVING/sort/limit semantics cannot drift between the engines or
-// between single-process and sharded execution.
-func (pl *Plan) FinalizeRows(rows [][]int64) (*Result, error) {
-	agg := pl.Agg
-
-	if pl.Having != nil {
-		kept := rows[:0]
-		for _, r := range rows {
-			v, _, err := evalScalar(pl.Having, pl.slotLookup(r))
-			if err != nil {
-				return nil, err
-			}
-			if v != 0 {
-				kept = append(kept, r)
-			}
-		}
-		rows = kept
-	}
-
-	if len(pl.Sort) > 0 {
-		// A concrete sorter: sort.SliceStable's reflect-based swapper
-		// costs real time on large group counts (Q3/Q18 shapes).
-		s := &rowSorter{pl: pl, rows: rows}
-		if pl.Limit >= 0 && pl.Limit < len(rows) {
-			rows = s.topK(pl.Limit)
-		} else {
-			sort.Stable(s)
-		}
-	}
-	if pl.Limit >= 0 && len(rows) > pl.Limit {
-		rows = rows[:pl.Limit]
-	}
-
-	res := &Result{Cols: pl.Cols}
-	switch {
-	case agg == nil:
-		res.Rows = rows
-	case len(rows) > 0:
-		// One arena for the surviving rows, not one object per row.
-		width := len(agg.ItemSlots)
-		arena := make([]int64, len(rows)*width)
-		res.Rows = make([][]int64, len(rows))
-		for i, r := range rows {
-			res.Rows[i] = arena[i*width : (i+1)*width : (i+1)*width]
-			pl.itemRow(res.Rows[i], r)
-		}
-	}
-	return res, nil
-}
-
-// itemRow maps one merged slot-layout row r = [keys..., aggs...] of an
-// aggregating plan to the SELECT item layout, into out (one value per
-// item).
-func (pl *Plan) itemRow(out, r []int64) {
-	nk := len(pl.Agg.Keys)
-	for i, s := range pl.Agg.ItemSlots {
-		if s.Key {
-			out[i] = r[s.Idx]
-		} else {
-			out[i] = r[nk+s.Idx]
-		}
-	}
-}
-
-// rowSorter orders merged rows by the plan's ORDER BY keys (stable, so
-// input order breaks ties deterministically per backend).
-type rowSorter struct {
-	pl   *Plan
-	rows [][]int64
-}
-
-func (s *rowSorter) Len() int           { return len(s.rows) }
-func (s *rowSorter) Swap(i, j int)      { s.rows[i], s.rows[j] = s.rows[j], s.rows[i] }
-func (s *rowSorter) Less(i, j int) bool { return s.cmp(s.rows[i], s.rows[j]) < 0 }
-
-// cmp orders two rows by the ORDER BY keys: negative if a sorts first,
-// 0 on a tie.
-func (s *rowSorter) cmp(a, b []int64) int {
-	for _, k := range s.pl.Sort {
-		x, y := s.pl.sortValue(a, k), s.pl.sortValue(b, k)
-		if x == y {
-			continue
-		}
-		if (x < y) != k.Desc {
-			return -1
-		}
-		return 1
-	}
-	return 0
-}
-
-// topK returns exactly the first k rows of the stable sort, at
-// O(n log k) instead of O(n log n): a max-heap of k row positions
-// ordered by (sort keys, input position) keeps the k that sort first,
-// and only those are sorted. The position tie-break is what makes the
-// result the stable sort's prefix when ties straddle the cut.
-func (s *rowSorter) topK(k int) [][]int64 {
-	before := func(i, j int) int {
-		if c := s.cmp(s.rows[i], s.rows[j]); c != 0 {
-			return c
-		}
-		return i - j
-	}
-	h := make([]int, k)
-	for i := range h {
-		h[i] = i
-	}
-	down := func(i int) {
-		for {
-			c := 2*i + 1
-			if c >= k {
-				return
-			}
-			if r := c + 1; r < k && before(h[c], h[r]) < 0 {
-				c = r
-			}
-			if before(h[i], h[c]) >= 0 {
-				return
-			}
-			h[i], h[c] = h[c], h[i]
-			i = c
-		}
-	}
-	for i := k/2 - 1; i >= 0; i-- {
-		down(i)
-	}
-	for i := k; i < len(s.rows); i++ {
-		if k > 0 && before(i, h[0]) < 0 {
-			h[0] = i
-			down(0)
-		}
-	}
-	slices.SortFunc(h, before)
-	out := make([][]int64, k)
-	for j, i := range h {
-		out[j] = s.rows[i]
-	}
-	return out
 }
 
 // HTOp maps a logical aggregate operator to the shared merge machinery
@@ -228,60 +81,6 @@ func DecodeGroupKey(keys []*catalog.Column, word uint64, out []int64) {
 // zero-extended.
 func narrowKey(c *catalog.Column) bool {
 	return c.Type.Kind == catalog.Int32 || c.Type.Kind == catalog.Date
-}
-
-// slotLookup resolves HAVING leaves (grouping columns, aggregates) to
-// values of a merged row in slot layout.
-func (pl *Plan) slotLookup(row []int64) func(sql.Expr) (int64, bool) {
-	return func(e sql.Expr) (int64, bool) {
-		s, ok := pl.findSlot(e)
-		if !ok {
-			return 0, false
-		}
-		return pl.slotValue(row, s), true
-	}
-}
-
-func (pl *Plan) slotValue(row []int64, s Slot) int64 {
-	if s.Key {
-		return row[s.Idx]
-	}
-	return row[len(pl.Agg.Keys)+s.Idx]
-}
-
-// findSlot locates the output slot of a grouping column or aggregate.
-func (pl *Plan) findSlot(e sql.Expr) (Slot, bool) {
-	agg := pl.Agg
-	if agg == nil {
-		return Slot{}, false
-	}
-	switch x := e.(type) {
-	case *sql.Agg:
-		for i, s := range agg.Aggs {
-			if s.Op != OpFirst && sql.Equal(s.Src, x) {
-				return Slot{Key: false, Idx: i}, true
-			}
-		}
-	case *sql.ColRef:
-		if i, ok := agg.KeyOf[x.Col]; ok {
-			return Slot{Key: true, Idx: i}, true
-		}
-		for i, s := range agg.Aggs {
-			if s.Op == OpFirst {
-				if ref, ok := s.Arg.(*sql.ColRef); ok && ref.Col == x.Col {
-					return Slot{Key: false, Idx: i}, true
-				}
-			}
-		}
-	}
-	return Slot{}, false
-}
-
-func (pl *Plan) sortValue(row []int64, k SortKey) int64 {
-	if pl.Agg == nil {
-		return row[k.Item]
-	}
-	return pl.slotValue(row, k.Slot)
 }
 
 // MergeGlobal combines the per-worker partials of a global aggregate
@@ -345,15 +144,16 @@ type worker struct {
 }
 
 // pipeRoot assembles the operator tree of one pipeline for this worker,
-// also returning the root scan operator, so callers that retune the
-// vector size mid-flight (micro-adaptive sizing) keep a handle on it.
+// with resid the programs of its residual conjuncts, also returning the
+// root scan operator, so callers that retune the vector size mid-flight
+// (micro-adaptive sizing) keep a handle on it.
 // The pipeline's membership stages (Members) close its FilterChain,
 // ahead of the first HashProbe, and their steps' probes skip the key
 // filter.
-func (w *worker) pipeRoot(ps *Pipeline, e *plan.Exec) (plan.Operator, *plan.Scan) {
+func (w *worker) pipeRoot(ps *Pipeline, e *plan.Exec, resid []Prog) (plan.Operator, *plan.Scan) {
 	scan := e.NewScan(ps.disp)
 	var op plan.Operator = scan
-	preds := w.filterPreds(ps)
+	preds := w.filterPreds(ps, resid)
 	members := ps.Members()
 	for i := range members {
 		m := &members[i]
@@ -396,33 +196,25 @@ func (w *worker) pipeRoot(ps *Pipeline, e *plan.Exec) (plan.Operator, *plan.Scan
 }
 
 // srcVecU64 builds a key/payload expression for a column of the
-// pipeline.
+// pipeline from its program leaf.
 func (w *worker) srcVecU64(ps *Pipeline, c *catalog.Column) plan.VecU64 {
-	if slot := ps.Slot(c); slot >= 0 {
-		return plan.FromU64(w.colBuf[ps][slot])
+	leaf, err := ps.Leaf(c)
+	if err != nil {
+		panic(err) // unreachable: the planner keys and carries numeric columns only
 	}
-	rel := ps.Scan.Table.Rel
-	switch c.Type.Kind {
-	case catalog.Int32:
-		return plan.KeyWiden(rel.Int32(c.Name))
-	case catalog.Date:
-		return plan.KeyWiden(rel.Date(c.Name))
-	case catalog.Numeric:
-		return plan.ColU64FromI64(rel.Numeric(c.Name))
-	case catalog.Int64:
-		return plan.ColU64FromI64(rel.Int64(c.Name))
+	switch leaf.Code {
+	case OpSlot32, OpSlot64:
+		return plan.FromU64(w.colBuf[ps][leaf.Slot])
+	case OpCol32:
+		return plan.KeyWiden(leaf.C32)
 	}
-	panic("logical: column " + c.Name + " cannot be a key or payload")
+	return plan.ColU64FromI64(leaf.A)
 }
 
 // u64Vec returns the column's uint64 vector for the current batch
 // (gathered buffers as-is, base columns materialized through the
 // selection into a private buffer).
 func (w *worker) u64Vec(ps *Pipeline, c *catalog.Column) func(b *plan.Batch) []uint64 {
-	if slot := ps.Slot(c); slot >= 0 {
-		buf := w.colBuf[ps][slot]
-		return func(*plan.Batch) []uint64 { return buf }
-	}
 	expr := w.srcVecU64(ps, c)
 	scratch := w.bufs.Ref()
 	return func(b *plan.Batch) []uint64 { return expr(b, scratch) }
@@ -442,16 +234,14 @@ func (w *worker) groupKey(ps *Pipeline, agg *Aggregate) plan.VecU64 {
 	}
 }
 
-// aggInput compiles one aggregate slot's input vector.
-func (w *worker) aggInput(ps *Pipeline, s AggSpec) plan.VecI64 {
-	if s.Op == OpCount && s.Arg == nil { // COUNT(*)
+// aggInput is slot j's input vector: its program args[j], or ones for
+// COUNT (no NULLs, every row counts).
+func (w *worker) aggInput(ps *Pipeline, j int, s AggSpec, args []Prog) plan.VecI64 {
+	if s.Op == OpCount {
 		return w.onesVec()
 	}
-	if s.Op == OpCount { // COUNT(expr): no NULLs, every row counts
-		return w.onesVec()
-	}
-	v := w.vecI64(ps, s.Arg)
-	return func(b *plan.Batch, _ []int64) []int64 { return v(b) }
+	v := w.vecProg(ps, args[j])
+	return func(b *plan.Batch, _ []int64) []int64 { return v.batch(b) }
 }
 
 func (w *worker) onesVec() plan.VecI64 {
@@ -478,15 +268,15 @@ type GlobalPartial struct {
 // identical fused multiply-sum hot loop.
 type globalAggSink struct {
 	specs []AggSpec
-	vals  []vec64
+	vals  []vecFn
 	acc   []int64
 	n     int64
 	out   *GlobalPartial
 }
 
-func newGlobalAggSink(w *worker, ps *Pipeline, agg *Aggregate, out *GlobalPartial) *globalAggSink {
+func newGlobalAggSink(w *worker, ps *Pipeline, agg *Aggregate, args []Prog, out *GlobalPartial) *globalAggSink {
 	s := &globalAggSink{specs: agg.Aggs, out: out, acc: make([]int64, len(agg.Aggs))}
-	s.vals = make([]vec64, len(agg.Aggs))
+	s.vals = make([]vecFn, len(agg.Aggs))
 	for i, spec := range agg.Aggs {
 		switch spec.Op {
 		case OpMin:
@@ -495,7 +285,7 @@ func newGlobalAggSink(w *worker, ps *Pipeline, agg *Aggregate, out *GlobalPartia
 			s.acc[i] = math.MinInt64
 		}
 		if spec.Op != OpCount {
-			s.vals[i] = w.vecI64(ps, spec.Arg)
+			s.vals[i] = w.vecProg(ps, args[i])
 		}
 	}
 	return s
@@ -509,16 +299,16 @@ func (s *globalAggSink) Consume(b *plan.Batch) {
 		case OpCount:
 			s.acc[j] += int64(b.K)
 		case OpSum:
-			s.acc[j] += tw.SumI64(s.vals[j](b), b.K)
+			s.acc[j] += tw.SumI64(s.vals[j].batch(b), b.K)
 		case OpMin:
-			v := s.vals[j](b)
+			v := s.vals[j].batch(b)
 			for i := 0; i < b.K; i++ {
 				if v[i] < s.acc[j] {
 					s.acc[j] = v[i]
 				}
 			}
 		case OpMax:
-			v := s.vals[j](b)
+			v := s.vals[j].batch(b)
 			for i := 0; i < b.K; i++ {
 				if v[i] > s.acc[j] {
 					s.acc[j] = v[i]
@@ -537,7 +327,7 @@ func (s *globalAggSink) Finish(bar *exec.Barrier, wid int) {
 // collectSink writes projection rows into the rows next hands out as
 // each vector is consumed.
 type collectSink struct {
-	exprs []vec64
+	exprs []vecFn
 	vecs  [][]int64 // one evaluated vector per expression, per batch
 	next  func() []int64
 }
@@ -545,7 +335,7 @@ type collectSink struct {
 // Consume implements plan.Sink.
 func (s *collectSink) Consume(b *plan.Batch) {
 	for j, e := range s.exprs {
-		s.vecs[j] = e(b)
+		s.vecs[j] = e.batch(b)
 	}
 	for i := 0; i < b.K; i++ {
 		row := s.next()

@@ -20,27 +20,28 @@ import (
 type VecProgram struct {
 	pl    *Plan
 	pipes []*Pipeline
-	final *Pipeline
+	ex    Exprs
 }
+
+// final is the pipeline that feeds the query's sink.
+func (p *VecProgram) final() *Pipeline { return p.pipes[len(p.pipes)-1] }
 
 // LowerVec lowers an optimized, fully bound logical plan onto the
 // vectorized operator layer.
-func LowerVec(pl *Plan) (*VecProgram, error) { return LowerVecPipes(pl, Decompose(pl)) }
-
-// LowerVecPipes is LowerVec over pl's decomposition pipes, which a
-// fused lowering may share (the hybrid lowers both from one).
-func LowerVecPipes(pl *Plan, pipes []*Pipeline) (*VecProgram, error) {
-	// Every residual conjunct must be row-evaluable: the generic
-	// predicate is not allowed to fail (= silently drop rows) at
-	// execution time.
-	for _, p := range pipes {
-		for _, f := range p.Filters.Residual {
-			if err := validateRowPred(f); err != nil {
-				return nil, err
-			}
-		}
+func LowerVec(pl *Plan) (*VecProgram, error) {
+	pipes := Decompose(pl)
+	ex, err := BindExprs(pl, pipes)
+	if err != nil {
+		return nil, err
 	}
-	return &VecProgram{pl: pl, pipes: pipes, final: pipes[len(pipes)-1]}, nil
+	return LowerVecPipes(pl, pipes, ex), nil
+}
+
+// LowerVecPipes is LowerVec over pl's decomposition pipes and their
+// bound expressions ex, which a fused lowering may share (the hybrid
+// lowers both from one).
+func LowerVecPipes(pl *Plan, pipes []*Pipeline, ex Exprs) *VecProgram {
+	return &VecProgram{pl: pl, pipes: pipes, ex: ex}
 }
 
 // Pipelines returns the decomposition the program was lowered from.
@@ -71,7 +72,7 @@ func (p *VecProgram) NewWorker(e *plan.Exec, bufs *vector.Buffers, hash plan.Has
 // returning the root operator and the scan handle (for micro-adaptive
 // vector retuning).
 func (vw *VecWorker) PipeRoot(i int) (plan.Operator, *plan.Scan) {
-	return vw.w.pipeRoot(vw.p.pipes[i], vw.e)
+	return vw.w.pipeRoot(vw.p.pipes[i], vw.e, vw.p.ex.Resid(i))
 }
 
 // BuildSink creates the hash-build sink of build pipeline i for worker
@@ -93,12 +94,12 @@ func (vw *VecWorker) BuildSink(i, wid int) *plan.HashBuildSink {
 // (phase one) for worker wid, spilling into the driver-owned spill: an
 // array over the key's domain when the plan chose one, else hashed.
 func (vw *VecWorker) GroupBySink(wid int, spill *hashtable.Spill, htOps []hashtable.AggOp) *plan.GroupBySink {
-	final := vw.p.final
+	final := vw.p.final()
 	agg := vw.p.pl.Agg
 	key := vw.w.groupKey(final, agg)
 	vals := make([]plan.VecI64, len(agg.Aggs))
 	for j, s := range agg.Aggs {
-		vals[j] = vw.w.aggInput(final, s)
+		vals[j] = vw.w.aggInput(final, j, s, vw.p.ex.Sink)
 	}
 	if d := agg.Domain; d.Array() {
 		return plan.NewArrayGroupBy(vw.w.bufs, spill, wid, htOps, d.Min, d.Span, key, vals...)
@@ -109,17 +110,17 @@ func (vw *VecWorker) GroupBySink(wid int, spill *hashtable.Spill, htOps []hashta
 // GlobalSink creates the final pipeline's ungrouped-aggregation sink;
 // the worker's partial lands in *out at Finish.
 func (vw *VecWorker) GlobalSink(out *GlobalPartial) plan.Sink {
-	return newGlobalAggSink(vw.w, vw.p.final, vw.p.pl.Agg, out)
+	return newGlobalAggSink(vw.w, vw.p.final(), vw.p.pl.Agg, vw.p.ex.Sink, out)
 }
 
 // CollectSink creates the final pipeline's projection sink, writing
 // each row (item layout) into the row next hands out.
 func (vw *VecWorker) CollectSink(next func() []int64) plan.Sink {
 	sink := &collectSink{next: next}
-	sink.exprs = make([]vec64, len(vw.p.pl.Proj))
+	sink.exprs = make([]vecFn, len(vw.p.ex.Sink))
 	sink.vecs = make([][]int64, len(sink.exprs))
-	for j, e := range vw.p.pl.Proj {
-		sink.exprs[j] = vw.w.vecI64(vw.p.final, e)
+	for j, item := range vw.p.ex.Sink {
+		sink.exprs[j] = vw.w.vecProg(vw.p.final(), item)
 	}
 	return sink
 }

@@ -1,12 +1,5 @@
 package sqlcheck
 
-import (
-	"math"
-
-	"paradigms/internal/storage"
-	"paradigms/internal/types"
-)
-
 // Fixed differential cases for the expression program both lowerings
 // run (logical's Prog): residual conjuncts the filter classifier cannot
 // turn into a range or a string comparison, aggregate arguments and
@@ -14,12 +7,15 @@ import (
 // arithmetic comparisons, NOT over numeric and string IN, OR across a
 // string equality and a numeric range, NOT BETWEEN, IN with a column
 // among its items — on a spine scan, on a build pipeline, and over
-// gathered frame slots. The wrap cases run over WrapTPCH, whose values
-// make +, − and × and every sum wrap modulo 2⁶⁴, on every engine as in
-// the oracle. The generated corpus reaches these shapes only by chance.
+// gathered frame slots. The wrap cases run over a MiniTPCH whose
+// values make +, − and × and every sum wrap modulo 2⁶⁴, on every engine
+// as in the oracle. The generated corpus reaches these shapes only by
+// chance.
 
 // ResidualCase is one text over the database Dataset names: "tpch" or
-// "ssb" at SF 0.01, or "wrap" (WrapTPCH).
+// "ssb" at SF 0.01, or "wrap": MiniTPCH over three 1024-row blocks and
+// a tail, with l_extendedprice, l_discount and o_totalprice large
+// enough that sums and products of them wrap.
 type ResidualCase struct {
 	Name    string
 	Dataset string
@@ -82,22 +78,4 @@ var ResidualCases = []ResidualCase{
 		Text: "select l_suppkey, sum(l_extendedprice * 3), sum(l_extendedprice) from lineitem group by l_suppkey"},
 	{Name: "wrap-gathered", Dataset: "wrap",
 		Text: "select count(*), sum(o_totalprice * 3 + l_extendedprice) from lineitem, orders where l_orderkey = o_orderkey"},
-}
-
-// WrapTPCH is MiniTPCH over 3079 rows (three 1024-row blocks and a
-// tail) whose l_extendedprice, l_discount and o_totalprice are large
-// enough that sums and products of them wrap.
-func WrapTPCH() *storage.Database {
-	db := MiniTPCH(3*1024+7, true)
-	li := db.Rel("lineitem")
-	ext, disc := li.Numeric("l_extendedprice"), li.Numeric("l_discount")
-	for i := range ext {
-		ext[i] = types.Numeric(math.MaxInt64/5 + int64(i)*7919)
-		disc[i] = types.Numeric(int64(i%11) * 1_000_003)
-	}
-	total := db.Rel("orders").Numeric("o_totalprice")
-	for i := range total {
-		total[i] = types.Numeric(math.MaxInt64/3 + int64(i)*104729)
-	}
-	return db
 }

@@ -290,13 +290,6 @@ func MapMul(a, b []int64, n int, res []int64) {
 	}
 }
 
-// MapMulColSel computes res[i] = col[sel[i]] * b[i] (sparse × dense).
-func MapMulColSel[T ~int64](col []T, sel []int32, b []int64, res []int64) {
-	for i, s := range sel {
-		res[i] = int64(col[s]) * b[i]
-	}
-}
-
 // MapMulColsSel computes res[i] = a[sel[i]] * b[sel[i]] (sparse × sparse).
 func MapMulColsSel[T ~int64, U ~int64](a []T, b []U, sel []int32, res []int64) {
 	for i, s := range sel {
@@ -331,13 +324,6 @@ func MapU64FromI64Sel[T ~int64](col []T, sel []int32, res []uint64) {
 func MapSub(a, b []int64, n int, res []int64) {
 	for i := 0; i < n; i++ {
 		res[i] = a[i] - b[i]
-	}
-}
-
-// FetchI32 densifies col through positions: res[i] = col[pos[i]].
-func FetchI32[T ~int32](col []T, pos []int32, res []int32) {
-	for i, s := range pos {
-		res[i] = int32(col[s])
 	}
 }
 

@@ -98,9 +98,10 @@ func Run(db *DB, engine Engine, query string, opt Options) (any, error) {
 // compiled fused-pipeline lowering on Typer, the per-pipeline mix on
 // Hybrid — returning a *logical.Result with the same rows on every
 // engine. A name runs its hand-written kernel where internal/registry
-// lists one for the engine (Q1, Q9, Q18, Q5, Q2.1, Q3.1, Q4.1 on Typer
-// and Tectorwise), returning the typed result (queries.Q1Result, …);
-// otherwise its canonical SQL text runs as above. Q1, Q9, Q3.1 and
+// lists one for the engine (Q1, Q9, Q18, Q3.1 and Q4.1 on Typer and
+// Tectorwise, Q5 and Q2.1 on Tectorwise only), returning the typed
+// result (queries.Q1Result, …); otherwise its canonical SQL text runs
+// as above, as Q5 and Q2.1 do on Typer. Q1, Q9, Q3.1 and
 // Q4.1 have no SQL text, so Hybrid does not run them. Unknown names or
 // engines return an error.
 func RunContext(ctx context.Context, db *DB, eng Engine, query string, opt Options) (any, error) {
