@@ -67,9 +67,9 @@ func (r rowFn) val() scalarFn {
 	}
 }
 
-// pred is the op's result as a truth value (a value is true when not
+// truth is the op's result as a truth value (a value is true when not
 // 0).
-func (r rowFn) pred() predFn {
+func (r rowFn) truth() predFn {
 	if r.p != nil {
 		return r.p
 	}
@@ -133,13 +133,13 @@ func rowOp(op *logical.Op, in []rowFn) rowFn {
 	case logical.OpGe:
 		return rowFn{p: func(i int, fr []int64) bool { return l(i, fr) >= r(i, fr) }}
 	case logical.OpAnd:
-		l, r := in[0].pred(), in[1].pred()
+		l, r := in[0].truth(), in[1].truth()
 		return rowFn{p: func(i int, fr []int64) bool { return l(i, fr) && r(i, fr) }}
 	case logical.OpOr:
-		l, r := in[0].pred(), in[1].pred()
+		l, r := in[0].truth(), in[1].truth()
 		return rowFn{p: func(i int, fr []int64) bool { return l(i, fr) || r(i, fr) }}
 	case logical.OpNot:
-		x := in[0].pred()
+		x := in[0].truth()
 		return rowFn{p: func(i int, fr []int64) bool { return !x(i, fr) }}
 	case logical.OpBetween:
 		x, lo, hi, neg := in[0].val(), in[1].val(), in[2].val(), op.Negate
@@ -240,7 +240,7 @@ func (p *pipe) compileFilters(resid []logical.Prog) error {
 		p.filt.strs = append(p.filt.strs, strEq{heap: p.Scan.Table.Rel.String(s.Col.Name), val: []byte(s.Val), eq: s.Eq})
 	}
 	for _, pr := range resid {
-		p.filt.preds = append(p.filt.preds, rowProg(pr).pred())
+		p.filt.preds = append(p.filt.preds, rowProg(pr).truth())
 	}
 	return nil
 }

@@ -5,16 +5,16 @@ import (
 )
 
 // Block folds: the global aggregate of a row-free pipeline (no string
-// equalities, generic predicates or probes — loopRowFree) takes a whole
-// block's qualifying rows at once instead of one sink call per row, the
-// staging point Relaxed Operator Fusion (Menon et al., VLDB 2017) puts
-// inside a fused pipeline. COUNT adds the block's row count; SUM reduces
-// a column, or a product of two, in one tight loop over the column
-// views of its program's single leaf (logical.Prog). Any other slot — MIN/MAX, another
-// expression — and every grouped or projecting terminal keeps the
-// per-row sink, which a row-free pipeline calls without the per-row
-// walks. Sums wrap mod 2⁶⁴ either way, so block partials are
-// bit-identical to the row loop.
+// equalities, residual predicates or probes — loopRowFree) takes a
+// whole block's qualifying rows at once instead of one sink call per
+// row, the staging point Relaxed Operator Fusion (Menon et al., VLDB
+// 2017) puts inside a fused pipeline. COUNT adds the block's row count;
+// SUM reduces a column, or a product of two, in one tight loop over the
+// column views of its program's single leaf (logical.Prog). Any other
+// slot — MIN/MAX, another expression — and every grouped or projecting
+// terminal keeps the per-row sink, which a row-free pipeline calls
+// without the per-row walks. Sums wrap mod 2⁶⁴ either way, so block
+// partials are bit-identical to the row loop.
 
 // foldAgg is one global aggregate slot of a block fold: COUNT, or SUM
 // over in, the single leaf of its program.

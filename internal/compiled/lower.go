@@ -4,9 +4,9 @@
 // emits a fused, data-centric executor in the Typer idiom (one
 // tuple-at-a-time loop per pipeline, pipeline breakers at hash builds
 // and aggregations), instead of lowering onto the vectorized operator
-// layer. Expression evaluation is compiled to closures specialized by
-// column type and scale; pushed-down comparison filters are normalized
-// to per-column range bounds. Every pipeline runs one block-staged loop:
+// layer. Expressions run as per-row closures over the ops of the
+// program logical binds them to; pushed-down comparison filters are
+// normalized to per-column range bounds. Every pipeline runs one block-staged loop:
 // the bounds select each 1024-row block's qualifying rows branch-free
 // with the internal/simd range kernels, on a multi-stage pipeline each
 // probe whose build has an exact key filter or key index then narrows

@@ -70,9 +70,10 @@ func (w *worker) mapOp(ps *Pipeline, op *Op, in []vecOp) vecOp {
 				for i, v := range c32[base : base+k] {
 					out[i] = int64(v)
 				}
-			}
-			for i, s := range sel {
-				out[i] = int64(c32[base+int(s)])
+			} else {
+				for i, s := range sel {
+					out[i] = int64(c32[base+int(s)])
+				}
 			}
 			return out
 		}
